@@ -274,13 +274,15 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
     out["dp"] = [float(v) for v in dp]
     out["dmu"] = [float(v) for v in dmu]
 
-    if base is not None:
+    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm);
+    # theta feeds soliton-form only.
+    if base is not None and selected & {"conclusions", "physics"}:
         try:
             if omega_resid > config.hypothesis_tol * 10:
                 raise NotClosedError(
                     f"ω not closed (residual {omega_resid:.3e})")
             pot = classify._integrate_form(
-                lambda x: classify._omega_values(chart, analysis.field, x),
+                classify._omega_integrand(chart, analysis.field),
                 n, base, point.array(), config.quad_order, config.quad_panels)
             chen = classify._chen_point(fp, pot, omega_resid,
                                         config.conclusion_tol)
@@ -293,13 +295,13 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
             out["proper"] = bool(chen.proper)
         except (NotClosedError, classify.QuadratureError) as err:
             out["errors"]["chen-vector"] = str(err)
+    if base is not None and "conclusions" in selected:
         try:
             if out["u-closed"] > config.hypothesis_tol * 10:
                 raise NotClosedError(
                     f"u not closed (residual {out['u-closed']:.3e})")
             theta_pot = classify._integrate_form(
-                lambda x: analysis.field.values(
-                    _chart_point(x), chart.params),
+                classify._field_integrand(chart, analysis.field),
                 n, base, point.array(), config.quad_order, config.quad_panels)
             lams, etas = [], []
             out["soliton-form"] = classify._soliton_residual_at(
@@ -310,11 +312,6 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
         except (NotClosedError, classify.QuadratureError) as err:
             out["errors"]["soliton-form"] = str(err)
     return out
-
-
-def _chart_point(x):
-    from .chart import ChartPoint
-    return ChartPoint(tuple(float(v) for v in x))
 
 
 def _converse_payload(chart, point, dec, out):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import JetStack, PointwiseFieldError, scale_free
-from .expr import Expr, eval_jet3
+from .expr import Expr, eval_batch, eval_jet3
 from .jets import Jet3, jet_tables
 
 LADDER_NAMES = (
@@ -378,6 +378,12 @@ def _leggauss(order: int):
 
 
 def _staircase(integrand, base, target, axis_order, quad_order, panels) -> float:
+    """Composite Gauss-Legendre along one staircase ordering.
+
+    Each leg's ``panels * quad_order`` nodes go to the integrand in one
+    (N, n) call; the weighted terms are then summed node by node in path
+    order, so the value does not depend on the batching.
+    """
     total = 0.0
     current = np.asarray(base, dtype=float).copy()
     target = np.asarray(target, dtype=float)
@@ -385,14 +391,17 @@ def _staircase(integrand, base, target, axis_order, quad_order, panels) -> float
     for axis in axis_order:
         a, b = current[axis], target[axis]
         if a != b:
+            coords, scales = [], []
             for panel in range(panels):
                 lo = a + (b - a) * panel / panels
                 hi = a + (b - a) * (panel + 1) / panels
                 mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                for node, weight in zip(nodes, weights):
-                    x = current.copy()
-                    x[axis] = mid + half * node
-                    total += weight * half * float(integrand(x)[axis])
+                coords.extend(mid + half * node for node in nodes)
+                scales.extend(weight * half for weight in weights)
+            leg = np.tile(current, (len(coords), 1))
+            leg[:, axis] = coords
+            for scale, value in zip(scales, integrand(leg)[:, axis].tolist()):
+                total += scale * value
         current[axis] = b
     return float(total)
 
@@ -435,41 +444,51 @@ def reconstruct_potential(chart: MetricChart, field: VectorField, basepoint,
         if resid > closed_tol:
             raise NotClosedError(
                 f"form is not closed (curl residual {resid:.3e} > {closed_tol})")
-    base = np.asarray(basepoint, dtype=float)
-    integrand = lambda x: field.values(ChartPoint(tuple(x)), chart.params)
-    return _integrate_form(integrand, chart.n, base, point.array(),
+    return _integrate_form(_field_integrand(chart, field), chart.n,
+                           np.asarray(basepoint, dtype=float), point.array(),
                            quad_order, panels)
 
 
-def _omega_values(chart: MetricChart, field: VectorField, coords) -> np.ndarray:
-    """Value-level omega = f u - (nabla u) u^ at arbitrary coordinates.
+def _field_integrand(chart: MetricChart, field: VectorField):
+    """Values of a covariant field at the rows of an (N, n) array: one
+    batched pass for closed-form components, a row loop otherwise."""
+    if field.closed_form:
+        return lambda x: eval_batch(field.components, x, chart.params)
+    return lambda x: np.array([field.values(ChartPoint(tuple(row)), chart.params)
+                               for row in x])
 
-    Needs only metric first derivatives, so the staircase integrand stays
-    cheap: order-1 jets for g and u, plain numpy for the Christoffels.
+
+def _omega_integrand(chart: MetricChart, field: VectorField):
+    """omega = f u - (nabla u) u^ at the rows of an (N, n) array.
+
+    The Christoffels need metric first derivatives only, so one
+    value-and-gradient pass over the metric and velocity trees feeds
+    batched array algebra over (N, n, n) blocks.
     """
     n = chart.n
-    point = ChartPoint(tuple(coords))
-    g = np.empty((n, n))
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            jet = eval_jet3(chart.metric[i][j], point, chart.params)
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
-    g_inv = np.linalg.inv(g)
-    gamma = 0.5 * np.einsum(
-        "ml,jlk->mjk",
-        g_inv, dg + np.einsum("klj->jlk", dg) - np.einsum("ljk->jlk", dg))
-    u = np.empty(n)
-    du = np.empty((n, n))
-    for j in range(n):
-        jet = eval_jet3(field.components[j], point, chart.params)
-        u[j] = jet.value
-        du[:, j] = jet.grad
-    nabla = du - np.einsum("akj,a->kj", gamma, u)
-    u_up = g_inv @ u
-    f = float(np.einsum("kj,kj->", g_inv, nabla)) / (n - 1)
-    return f * u - nabla @ u_up
+    iu, ju = np.triu_indices(n)
+    pairs = len(iu)
+    trees = tuple(chart.metric[i][j] for i, j in zip(iu, ju)) + field.components
+
+    def integrand(x):
+        values, grads = eval_batch(trees, x, chart.params, grad=True)
+        rows = len(values)
+        g = np.empty((rows, n, n))
+        g[:, iu, ju] = g[:, ju, iu] = values[:, :pairs]
+        dg = np.empty((rows, n, n, n))             # dg[r, k, i, j] = d_k g_ij
+        dg[:, :, iu, ju] = dg[:, :, ju, iu] = grads[:, :pairs].transpose(0, 2, 1)
+        u = np.ascontiguousarray(values[:, pairs:])
+        du = np.ascontiguousarray(grads[:, pairs:].transpose(0, 2, 1))
+        g_inv = np.linalg.inv(g)
+        gamma = 0.5 * np.einsum(
+            "rml,rjlk->rmjk", g_inv,
+            dg + np.einsum("rklj->rjlk", dg) - np.einsum("rljk->rjlk", dg))
+        nabla = du - np.einsum("rakj,ra->rkj", gamma, u)
+        u_up = (g_inv @ u[..., None])[..., 0]
+        f = np.einsum("rkj,rkj->r", g_inv, nabla) / (n - 1)
+        return f[:, None] * u - (nabla @ u_up[..., None])[..., 0]
+
+    return integrand
 
 
 def _structured_scalar_jet(n: int, value: float, grad_jets) -> Jet3:
@@ -523,7 +542,7 @@ def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
     """Rescale u by the reconstructed potential and test the gradient laws."""
     analysis = analysis or VelocityAnalysis(chart, field, kappa=kappa)
     base = np.asarray(basepoint, dtype=float)
-    integrand = lambda x: _omega_values(chart, field, x)
+    integrand = _omega_integrand(chart, field)
     data = []
     for p in points:
         fp = field_points[p] if field_points else analysis.at(p)
@@ -684,7 +703,7 @@ def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
     lam = A + f, eta = B + f, theta the potential of the closed u."""
     analysis = analysis or VelocityAnalysis(chart, field)
     base = np.asarray(basepoint, dtype=float)
-    integrand = lambda x: field.values(ChartPoint(tuple(x)), chart.params)
+    integrand = _field_integrand(chart, field)
     lams, etas, thetas = [], [], []
     worst = 0.0
     for p in points:

@@ -15,7 +15,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .jets import Jet3, JetDomainError
 
@@ -379,3 +382,145 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
                 f"base {base!r} not positive for non-integer exponent {e!r}")
         return base ** e
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation over the rows of an (N, n) coordinate array.
+#
+# One walk per tree, one numpy operation per node. The arithmetic is the
+# scalar paths' own, so every row is bit-identical to them: eval_jet3's at
+# value-and-gradient level (``/`` as ``a * reciprocal(b)``), eval_value's
+# in value mode (plain ``/``). Functions and powers go through ``math``
+# row by row, because numpy's vectorized exp, log, pow, tan, ... may
+# differ from the C library in the last bit.
+# ---------------------------------------------------------------------------
+
+# name -> (value function, first derivative from (argument, value)),
+# formed as Jet3 forms them.
+_FIRST = {
+    "exp": (math.exp, lambda v, c: c),
+    "ln": (math.log, lambda v, c: 1.0 / v),
+    "sqrt": (math.sqrt, lambda v, r: 0.5 / r),
+    "sin": (math.sin, lambda v, s: _libm(math.cos, v)),
+    "cos": (math.cos, lambda v, c: -_libm(math.sin, v)),
+    "tan": (math.tan, lambda v, t: 1.0 + t * t),
+    "sinh": (math.sinh, lambda v, s: _libm(math.cosh, v)),
+    "cosh": (math.cosh, lambda v, c: _libm(math.sinh, v)),
+    "tanh": (math.tanh, lambda v, t: 1.0 - t * t),
+}
+_POSITIVE_ARGUMENT = ("ln", "sqrt")
+
+
+def _libm(fn, values, *args) -> np.ndarray:
+    """``fn(v, *args)`` for each entry, through Python's math semantics."""
+    return np.fromiter(map(fn, values.tolist(), *(repeat(a) for a in args)),
+                       dtype=float, count=len(values))
+
+
+def _flag(bad: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mark ``mask`` rows as out of domain; they carry NaN from here on."""
+    bad |= mask
+    return np.where(mask, np.nan, values)
+
+
+def _walk_batch(node: Expr, x: np.ndarray, params, grad: bool, bad):
+    """(values (N,), gradients (N, n) or None) of one tree."""
+    rows, n = x.shape
+    if isinstance(node, (Const, Param)):
+        if isinstance(node, Const):
+            value = node.value
+        else:
+            try:
+                value = float(params[node.name])
+            except KeyError:
+                bad[:] = True
+                value = np.nan
+        return np.full(rows, value), (np.zeros((rows, n)) if grad else None)
+    if isinstance(node, Coord):
+        d = None
+        if grad:
+            d = np.zeros((rows, n))
+            d[:, node.index] = 1.0
+        return x[:, node.index], d
+    if isinstance(node, Unary):
+        v, d = _walk_batch(node.arg, x, params, grad, bad)
+        if node.op == "neg":
+            return -v, (None if d is None else -d)
+        value_fn, first = _FIRST[node.op]
+        if node.op in _POSITIVE_ARGUMENT:
+            v = _flag(bad, v, v <= 0.0)
+        c0 = _libm(value_fn, v)
+        return c0, (None if d is None else first(v, c0)[:, None] * d)
+    if isinstance(node, Binary):
+        a, da = _walk_batch(node.left, x, params, grad, bad)
+        b, db = _walk_batch(node.right, x, params, grad, bad)
+        if node.op == "+":
+            return a + b, (None if da is None else da + db)
+        if node.op == "-":
+            return a - b, (None if da is None else da - db)
+        if node.op == "*":
+            return a * b, (None if da is None
+                           else da * b[:, None] + a[:, None] * db)
+        b = _flag(bad, b, b == 0.0)
+        if da is None:
+            return a / b, None
+        r0 = 1.0 / b
+        r1 = -1.0 / _libm(pow, b, 2.0)
+        return a * r0, da * r0[:, None] + a[:, None] * (r1[:, None] * db)
+    if isinstance(node, Power):
+        v, d = _walk_batch(node.base, x, params, grad, bad)
+        e = node.exponent
+        integer = float(e).is_integer()
+        v = _flag(bad, v, (v == 0.0) & (e < 0) if integer else v <= 0.0)
+        value = _libm(pow, v, e)
+        if d is None:
+            return value, None
+        c1 = np.zeros(rows) if e == 0.0 else e * _libm(pow, v, e - 1.0)
+        if integer:
+            # Jet3 pins powers of zero to unsigned values, not pow's signed zeros.
+            value = np.where(v == 0.0, float(e == 0.0), value)
+            c1 = np.where(v == 0.0, e if e == 1.0 else 0.0, c1)
+        return value, c1[:, None] * d
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
+               grad: bool = False):
+    """Evaluate several trees at every row of ``x`` (shape (N, n)).
+
+    Returns values of shape (N, K) and, with ``grad``, gradients of shape
+    (N, K, n), bit-identical to eval_jet3 (``grad``) or eval_value rows.
+    A failure raises what the per-row path raises first, taking rows in
+    order and the trees of a row in order: the rows up to the first
+    flagged one are re-evaluated on the scalar path.
+    """
+    x = np.asarray(x, dtype=float)
+    bad = np.zeros(len(x), dtype=bool)
+    walked = {}    # equal trees, such as a sparse metric's zeros, walk once
+    try:
+        with np.errstate(all="ignore"):
+            for node in nodes:
+                if node not in walked:
+                    walked[node] = _walk_batch(node, x, params, grad, bad)
+        failed = bool(bad.any())
+    except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
+        failed = True
+    if failed:
+        last = int(np.argmax(bad)) if bad.any() else len(x) - 1
+        scalar = eval_jet3 if grad else eval_value
+        for row in x[:last + 1].tolist():
+            for node in nodes:
+                scalar(node, row, params)
+        raise RuntimeError("batched evaluation flagged a row that the "
+                           "per-row path evaluates")
+    parts = [walked[node] for node in nodes]
+    values = np.stack([v for v, _ in parts], axis=1)
+    if not grad:
+        return values
+    return values, np.stack([d for _, d in parts], axis=1)
+
+
+def eval_grad_batch(node: Expr, x, params: Mapping[str, float]):
+    """Value (N,) and gradient (N, n) of one tree at every row of ``x``."""
+    values, grads = eval_batch((node,), x, params, grad=True)
+    return values[:, 0], grads[:, 0]

@@ -235,3 +235,72 @@ SPHERE_RICCI_FACTOR = {2: 1.0, 3: 2.0, 4: 3.0}
 SPHERE_SCALAR = {2: 2.0, 3: 6.0, 4: 12.0}
 H3_RICCI_FACTOR = -2.0
 H3_SCALAR = -6.0
+
+
+# ---------------------------------------------------------------------------
+# Per-node staircase quadrature: one integrand call per Gauss node, the
+# loop the engine ran before it batched each path leg. Integrands take one
+# coordinate vector; omega_per_node evaluates full order-3 metric and
+# velocity jets there, as that loop's integrand did.
+# ---------------------------------------------------------------------------
+
+def staircase_per_node(integrand, base, target, axis_order, quad_order, panels):
+    total = 0.0
+    current = np.asarray(base, dtype=float).copy()
+    target = np.asarray(target, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    for axis in axis_order:
+        a, b = current[axis], target[axis]
+        if a != b:
+            for panel in range(panels):
+                lo = a + (b - a) * panel / panels
+                hi = a + (b - a) * (panel + 1) / panels
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                for node, weight in zip(nodes, weights):
+                    x = current.copy()
+                    x[axis] = mid + half * node
+                    total += weight * half * float(integrand(x)[axis])
+        current[axis] = b
+    return float(total)
+
+
+def integrate_per_node(integrand, n, base, target, quad_order=8, panels=4):
+    """(value, path_defect, refinement_error) of the engine's rule: coarse
+    and panel-doubled ascending staircases, then the descending one."""
+    ascending = tuple(range(n))
+    coarse = staircase_per_node(integrand, base, target, ascending,
+                                quad_order, panels)
+    fine = staircase_per_node(integrand, base, target, ascending,
+                              quad_order, 2 * panels)
+    other = staircase_per_node(integrand, base, target, ascending[::-1],
+                               quad_order, 2 * panels)
+    return fine, abs(fine - other), abs(fine - coarse)
+
+
+def omega_per_node(chart, field, coords):
+    """omega = f u - (nabla u) u^ at one point from order-3 jets."""
+    from grwcert.expr import eval_jet3
+
+    n = chart.n
+    point = tuple(coords)
+    g = np.empty((n, n))
+    dg = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            jet = eval_jet3(chart.metric[i][j], point, chart.params)
+            g[i, j] = g[j, i] = jet.value
+            dg[:, i, j] = dg[:, j, i] = jet.grad
+    g_inv = np.linalg.inv(g)
+    gamma = 0.5 * np.einsum(
+        "ml,jlk->mjk",
+        g_inv, dg + np.einsum("klj->jlk", dg) - np.einsum("ljk->jlk", dg))
+    u = np.empty(n)
+    du = np.empty((n, n))
+    for j in range(n):
+        jet = eval_jet3(field.components[j], point, chart.params)
+        u[j] = jet.value
+        du[:, j] = jet.grad
+    nabla = du - np.einsum("akj,a->kj", gamma, u)
+    u_up = g_inv @ u
+    f = float(np.einsum("kj,kj->", g_inv, nabla)) / (n - 1)
+    return f * u - nabla @ u_up

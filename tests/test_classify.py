@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.classify import (NotClosedError, OrientationTieError,
                               SpacelikeAnomalyError, VelocityAnalysis,
@@ -13,12 +14,13 @@ from grwcert.classify import (NotClosedError, OrientationTieError,
                               fluid_decompose, identity_ladder,
                               reconstruct_potential, scalar_fields_at,
                               soliton_form_check, torse_decompose,
-                              weyl_electric_check)
+                              weyl_electric_check, _field_integrand,
+                              _integrate_form, _omega_integrand)
 from grwcert.curvature import curvature_at
-from grwcert.expr import parse
+from grwcert.expr import EvalDomainError, parse
 from grwcert.grw import catalog_get
 
-from .oracles import friedmann_scalars
+from .oracles import (friedmann_scalars, integrate_per_node, omega_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -282,6 +284,91 @@ class TestReconstructPotential:
         with pytest.raises(NotClosedError):
             reconstruct_potential(minkowski_chart, field, (0.2, 0, 0, 0),
                                   ChartPoint((0.5, 0.5, 0.5, 0.5)))
+
+
+def dense_pullback_chart(seed=5):
+    """frw-dust pulled back through x = A y + b, A = I + O(0.1): every
+    metric component is non-zero. The basepoint sits at mapped t ~ 1.5."""
+    rng = np.random.default_rng(seed)
+    a = np.eye(4) + rng.uniform(-0.1, 0.1, (4, 4))
+    b = rng.uniform(-0.1, 0.1, 4)
+    t = ("(" + " + ".join(f"({float(a[0, k])!r})*{c}"
+                          for k, c in enumerate("txyz"))
+         + f" + ({float(b[0])!r}))")
+    metric = {}
+    for k in range(4):
+        for l in range(k, 4):
+            space = float(a[1:, k] @ a[1:, l])
+            metric[f"{k + 1},{l + 1}"] = (
+                f"({space!r})*{t}^(4/3) + ({float(-a[0, k] * a[0, l])!r})")
+    return compile_chart(ChartInput(
+        name="frw-dust-dense", dimension=4, signature="lorentzian",
+        coordinates=["t", "x", "y", "z"], metric=metric,
+        ranges={"t": (0.5, 2.7), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
+        exclusions=[(f"({t} - 1)*(2 - {t})", 0.0)],
+        velocity_field=[repr(float(-a[0, k])) for k in range(4)],
+        basepoint=(1.5, 0.0, 0.0, 0.0)))
+
+
+class TestBatchedQuadrature:
+    """One integrand call per path leg gives the per-node rule's numbers
+    exactly, and its errors."""
+
+    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere",
+                                      "dense-pullback"])
+    def test_matches_per_node_oracle(self, name):
+        chart = (dense_pullback_chart() if name == "dense-pullback"
+                 else catalog_get(name).chart)
+        field = chart.velocity
+        integrands = (
+            (_omega_integrand(chart, field),
+             lambda x: omega_per_node(chart, field, x)),
+            (_field_integrand(chart, field),
+             lambda x: field.values(ChartPoint(tuple(x)), chart.params)),
+        )
+        base = np.asarray(chart.basepoint)
+        for p in sample_points(chart, 2, seed=4):
+            for batched, per_node in integrands:
+                got = _integrate_form(batched, chart.n, base, p.array(), 8, 4)
+                assert (got.value, got.path_defect, got.refinement_error) \
+                    == integrate_per_node(per_node, chart.n, base, p.array())
+
+    def test_pointwise_field_integrand(self, frw_dust):
+        exact = frw_dust.velocity
+        pointwise = VectorField(
+            pointwise=lambda p: exact.values(p, frw_dust.params))
+        p = sample_points(frw_dust, 1, seed=8)[0]
+        want = reconstruct_potential(frw_dust, exact, frw_dust.basepoint, p)
+        got = reconstruct_potential(frw_dust, pointwise, frw_dust.basepoint,
+                                    p, verify_closed=False)
+        assert got == want
+
+    def test_bad_path_keeps_per_node_error(self):
+        # Sampled points avoid t <= 0.5, but the staircase from the
+        # basepoint at t = 0.1 crosses sqrt's domain edge at t = 0.2.
+        chart = compile_chart(ChartInput(
+            name="frw-dust-sqrt", dimension=4, signature="lorentzian",
+            coordinates=["t", "x", "y", "z"],
+            metric={"1,1": "-1", "2,2": "t^(4/3)*sqrt(t-0.2)",
+                    "3,3": "t^(4/3)", "4,4": "t^(4/3)"},
+            ranges={"t": (0.1, 2), "x": (-1, 1), "y": (-1, 1),
+                    "z": (-1, 1)},
+            exclusions=[("t - 0.5", 0.0)],
+            velocity_field=["-1", "0", "0", "0"],
+            basepoint=(0.1, 0.0, 0.0, 0.0)))
+        target = sample_points(chart, 1, seed=0)[0].array()
+        field = chart.velocity
+        with pytest.raises(EvalDomainError) as per_node:
+            integrate_per_node(lambda x: omega_per_node(chart, field, x),
+                               chart.n, chart.basepoint, target)
+        with pytest.raises(EvalDomainError) as batched:
+            _integrate_form(_omega_integrand(chart, field), chart.n,
+                            chart.basepoint, target, 8, 4)
+        assert str(batched.value) == str(per_node.value)
+        assert str(batched.value).startswith("sqrt at offset 8: argument ")
+        with pytest.raises(EvalDomainError) as run:
+            run_certify(chart, RunConfig(points=1, seed=0))
+        assert str(run.value) == str(per_node.value)
 
 
 class TestChen:

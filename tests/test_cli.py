@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from grwcert import classify
 from grwcert.certify import RunConfig, run_certify
 from grwcert.cli import main
 from grwcert.grw import catalog_get, catalog_names
-from grwcert.report import render_json, render_text
+from grwcert.report import render_json, render_text, report_to_dict
 from grwcert.schema import SpecFileError, chart_input_to_dict, load_chart_input
 
 FRW_DUST_SPEC = {
@@ -102,6 +103,40 @@ class TestRunCertify:
         assert report.find("u-closed").status == "skipped"
         assert report.find("u-closed").skipped_reason == "not selected"
         assert report.find("gamma-comoving").status == "pass"
+
+    def test_unread_potentials_not_integrated(self, spec_file, monkeypatch):
+        # No record of these groups reads sigma or theta: no quadrature
+        # runs, and each selected record is the one a full run reports.
+        groups = ("sanity", "fluid", "hypotheses", "ladder")
+        full = report_to_dict(run_certify(spec_file, RunConfig(points=4)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran for unselected groups")
+
+        monkeypatch.setattr(classify, "_integrate_form", refuse)
+        subset = report_to_dict(run_certify(
+            spec_file, RunConfig(points=4, checks=groups)))
+        assert [c for c in subset["checks"] if c["group"] in groups] \
+            == [c for c in full["checks"] if c["group"] in groups]
+
+    @pytest.mark.parametrize("groups, potentials",
+                             [(("physics",), 1), (("conclusions",), 2)])
+    def test_potentials_follow_selection(self, spec_file, monkeypatch,
+                                         groups, potentials):
+        # sigma feeds homothetic-triple (physics) and the conclusions;
+        # theta feeds soliton-form (conclusions) only.
+        calls = []
+        integrate = classify._integrate_form
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "_integrate_form", counted)
+        report = run_certify(spec_file, RunConfig(points=3, checks=groups))
+        assert len(calls) == 3 * potentials
+        if "physics" in groups:
+            assert report.find("homothetic-triple").status == "pass"
 
     def test_unknown_group_rejected(self, spec_file):
         with pytest.raises(ValueError):

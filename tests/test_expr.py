@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from grwcert.expr import (Binary, Coord, EvalDomainError, Param, ParseError,
-                          Power, Unary, UnknownSymbolError, depth, eval_jet3,
+from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
+                          Param, ParseError, Power, Unary, UnknownSymbolError,
+                          depth, eval_batch, eval_grad_batch, eval_jet3,
                           eval_value, parse)
 
 
@@ -117,3 +120,137 @@ class TestEvaluation:
         tree = parse("t+1", ["t"])
         with pytest.raises(Exception):
             tree.op = "-"
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation against the per-row scalar paths.
+# ---------------------------------------------------------------------------
+
+BATCH_N = 3
+BATCH_PARAMS = {"k": 0.75}
+EXPONENTS = (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.0 / 3.0, 4.0 / 3.0, -1.5)
+
+_offsets = st.integers(0, 40)
+_leaves = st.one_of(
+    st.builds(Const, st.floats(-3, 3), _offsets),
+    st.builds(lambda i, o: Coord(f"x{i}", i, o),
+              st.integers(0, BATCH_N - 1), _offsets),
+    st.builds(lambda o: Param("k", o), _offsets),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(("neg",) + FUNCTIONS), children,
+                  _offsets),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children,
+                  _offsets),
+        st.builds(Power, children, st.sampled_from(EXPONENTS), _offsets),
+    )
+
+
+expr_trees = st.recursive(_leaves, _branches, max_leaves=8)
+row_arrays = st.lists(
+    st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0)) | st.floats(-2, 2),
+             min_size=BATCH_N, max_size=BATCH_N),
+    min_size=1, max_size=6)
+
+
+def _same(a, b):
+    """Equal as floats, NaNs and signs of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) | np.isnan(a),
+                               np.signbit(b) | np.isnan(b)))
+
+
+def _per_row(scalar, tree, rows):
+    """Per-row results, or the first error in row order."""
+    out = []
+    for row in rows:
+        try:
+            out.append(scalar(tree, row, BATCH_PARAMS))
+        except EvalDomainError as err:
+            return err
+        except (ArithmeticError, ValueError):
+            # Overflow in math calls, or a higher jet level only the
+            # scalar order-3 path forms: outside the batch contract.
+            assume(False)
+    return out
+
+
+def _assert_same_error(expected, call):
+    with pytest.raises(EvalDomainError) as err:
+        call()
+    got = err.value
+    assert (got.op, got.offset, str(got)) == (
+        expected.op, expected.offset, str(expected))
+    assert "np.float64" not in str(got)
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=400, deadline=None)
+    @given(tree=expr_trees, rows=row_arrays)
+    def test_grad_batch_matches_eval_jet3(self, tree, rows):
+        expected = _per_row(eval_jet3, tree, rows)
+        call = lambda: eval_grad_batch(tree, np.array(rows), BATCH_PARAMS)
+        if isinstance(expected, EvalDomainError):
+            _assert_same_error(expected, call)
+            return
+        values, grads = call()
+        assert _same(values, [jet.value for jet in expected])
+        assert _same(grads, [jet.grad for jet in expected])
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=expr_trees, rows=row_arrays)
+    def test_value_batch_matches_eval_value(self, tree, rows):
+        expected = _per_row(eval_value, tree, rows)
+        call = lambda: eval_batch((tree,), np.array(rows), BATCH_PARAMS)
+        if isinstance(expected, EvalDomainError):
+            _assert_same_error(expected, call)
+            return
+        assert _same(call()[:, 0], expected)
+
+    @pytest.mark.parametrize("text", [f"{fn}(t)" for fn in FUNCTIONS]
+                             + [f"t^({e!r})" for e in EXPONENTS])
+    def test_functions_match_scalar_paths_on_a_grid(self, text):
+        # numpy's vectorized exp, log, pow, ... differ from the C library
+        # in the last bit on a few percent of arguments; a dense grid
+        # catches a batch path that uses them.
+        tree = parse(text, ["t"])
+        rows = np.linspace(0.05, 3.0, 1500)[:, None]
+        values, grads = eval_grad_batch(tree, rows, {})
+        jets = [eval_jet3(tree, row, {}) for row in rows.tolist()]
+        assert _same(values, [jet.value for jet in jets])
+        assert _same(grads[:, 0], [jet.grad[0] for jet in jets])
+        assert _same(eval_batch((tree,), rows, {})[:, 0],
+                     [eval_value(tree, row, {}) for row in rows.tolist()])
+
+    def test_domain_error_at_first_failing_row(self):
+        tree = parse("t^2 + sqrt(t - 0.2)", ["t"])
+        rows = np.array([[0.5], [0.9], [0.1], [0.0]])
+        with pytest.raises(EvalDomainError) as scalar:
+            eval_jet3(tree, rows[2].tolist(), {})
+        _assert_same_error(scalar.value,
+                           lambda: eval_grad_batch(tree, rows, {}))
+        assert str(scalar.value) == (
+            f"sqrt at offset 6: argument {0.1 - 0.2!r} is not positive")
+
+    def test_first_row_wins_across_trees(self):
+        # Row order first, then tree order within a row, as the per-row
+        # path meets them.
+        first = parse("ln(t - 0.6)", ["t"])
+        second = parse("1/(t - 0.9)", ["t"])
+        rows = np.array([[0.9], [0.3]])
+        with pytest.raises(EvalDomainError) as err:
+            eval_batch((first, second), rows, {}, grad=True)
+        assert (err.value.op, err.value.offset) == ("div", 1)
+        with pytest.raises(EvalDomainError) as err:
+            eval_batch((first, second), rows[::-1], {}, grad=True)
+        assert (err.value.op, err.value.offset) == ("ln", 0)
+
+    def test_unbound_parameter(self):
+        tree = parse("t + H", ["t"], ["H"])
+        with pytest.raises(EvalDomainError) as err:
+            eval_batch((tree,), np.ones((4, 1)), {})
+        assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
