@@ -26,6 +26,7 @@ from .classify import (FluidDecompositionError, NotClosedError,
                        VelocityAnalysis, fluid_decompose)
 from .curvature import (JetStack, first_bianchi_residual, scale_free,
                         weyl_trace_residual)
+from .expr import EvalDomainError
 from .grw import RESOLUTION_NOTE
 from .report import (DEGENERATE, FAIL, INFORMATIONAL, PASS, SKIPPED,
                      CertificationReport, CheckRecord)
@@ -191,6 +192,10 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
 # Per-point computation (pure).
 # ---------------------------------------------------------------------------
 
+# The staircase runs from the basepoint and may leave an expression's domain
+# even when every sample point is valid; the error then names the path.
+_STAIRCASE = "staircase from basepoint"
+
 def _point_payload(chart, analysis, point, config, base, selected) -> dict:
     out: dict = {"errors": {}}
     n = chart.n
@@ -248,8 +253,7 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
     out["omega-aligned"] = torse.alignment_residual
     if torse.f_cross_residual is not None:
         out["torse-f-consistency"] = torse.f_cross_residual
-    domega = np.array([[j.grad[k] for j in fp.omega_jets] for k in range(n)])
-    omega_resid = scale_free(fp.omega_curl(), domega)
+    omega_resid = scale_free(fp.omega_curl(), fp.domega)
     out["omega-closed"] = omega_resid
 
     elec = classify.weyl_electric_check(cp, fp.uv)
@@ -295,6 +299,8 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
             out["proper"] = bool(chen.proper)
         except (NotClosedError, classify.QuadratureError) as err:
             out["errors"]["chen-vector"] = str(err)
+        except EvalDomainError as err:
+            out["errors"]["chen-vector"] = f"{_STAIRCASE}: {err}"
     if base is not None and "conclusions" in selected:
         try:
             if out["u-closed"] > config.hypothesis_tol * 10:
@@ -304,13 +310,14 @@ def _point_payload(chart, analysis, point, config, base, selected) -> dict:
                 classify._field_integrand(chart, analysis.field),
                 n, base, point.array(), config.quad_order, config.quad_panels)
             lams, etas = [], []
-            out["soliton-form"] = classify._soliton_residual_at(
-                fp, theta_pot.value, lams, etas)
+            out["soliton-form"] = classify._soliton_residual_at(fp, lams, etas)
             out["lam"] = lams[0]
             out["eta"] = etas[0]
             out["theta"] = theta_pot.value
         except (NotClosedError, classify.QuadratureError) as err:
             out["errors"]["soliton-form"] = str(err)
+        except EvalDomainError as err:
+            out["errors"]["soliton-form"] = f"{_STAIRCASE}: {err}"
     return out
 
 
@@ -374,10 +381,12 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
                             basepoint=basepoint)
         if rec is None:
             continue
-        if name in point_errors and rec.status != SKIPPED:
+        if name in point_errors:
+            # Also when every point failed, which leaves the check no data.
             idx, message = point_errors[name][0]
             rec.ok = False
             rec.status = FAIL
+            rec.skipped_reason = None
             rec.detail["error"] = f"point {idx}: {message}"
         records.append(rec.finalize())
 

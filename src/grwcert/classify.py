@@ -12,6 +12,7 @@ itself, not from differencing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ import numpy as np
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import JetStack, PointwiseFieldError, scale_free
 from .expr import Expr, eval_batch, eval_jet3
-from .jets import Jet3, jet_tables
+from .jets import Jet3, TensorJet, contract
 
 LADDER_NAMES = (
     "bianchi-contract",
@@ -138,15 +139,19 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
 
 @dataclass
 class FieldPoint:
-    """Jets of every velocity-derived object at one point."""
+    """Tensor jets of every velocity-derived object at one point.
+
+    ``u`` is order 3; the others are order 1, which is all that is read.
+    The scalar jets are ``Jet3``s, so ``.value`` is a Python float.
+    """
 
     stack: JetStack
     point: ChartPoint
-    u: list                    # covariant component jets, order 3
-    u_up: list
-    nabla_u_jets: list         # [k][j] = nabla_k u_j, order 2
+    u: TensorJet               # covariant components
+    u_up: TensorJet
+    nabla: TensorJet           # [k, j] = nabla_k u_j
+    omega: TensorJet           # omega_k = f u_k - (nabla_k u_j) u^j
     f_jet: Jet3                # expansion / (n-1)
-    omega_jets: list           # omega_k = f u_k - (nabla_k u_j) u^j, order 2
     a_jet: Jet3
     b_jet: Jet3
     gamma_jet: Jet3
@@ -160,43 +165,40 @@ class FieldPoint:
 
     @property
     def g(self) -> np.ndarray:
-        n = self.n
-        return np.array([[self.stack.gj[i][j].value for j in range(n)]
-                         for i in range(n)])
+        return self.stack.g.value
 
     @property
     def g_inv(self) -> np.ndarray:
-        n = self.n
-        return np.array([[self.stack.ginvj[i][j].value for j in range(n)]
-                         for i in range(n)])
+        return self.stack.g_inv.value
 
     @property
     def uv(self) -> np.ndarray:
-        return np.array([j.value for j in self.u])
+        return self.u.value
 
     @property
     def uupv(self) -> np.ndarray:
-        return np.array([j.value for j in self.u_up])
+        return self.u_up.value
 
     @property
     def du(self) -> np.ndarray:
         """Raw partials d_k u_j."""
-        return np.array([[self.u[j].grad[k] for j in range(self.n)]
-                         for k in range(self.n)])
+        return self.u.grad.T
 
     @property
     def nabla_u(self) -> np.ndarray:
-        return np.array([[self.nabla_u_jets[k][j].value for j in range(self.n)]
-                         for k in range(self.n)])
+        return self.nabla.value
 
     @property
     def omegav(self) -> np.ndarray:
-        return np.array([j.value for j in self.omega_jets])
+        return self.omega.value
+
+    @property
+    def domega(self) -> np.ndarray:
+        """Raw partials d_k omega_j."""
+        return self.omega.grad.T
 
     def omega_curl(self) -> np.ndarray:
-        n = self.n
-        return np.array([[self.omega_jets[j].grad[k] - self.omega_jets[k].grad[j]
-                          for j in range(n)] for k in range(n)])
+        return self.domega - self.domega.T
 
 
 class VelocityAnalysis:
@@ -223,47 +225,20 @@ class VelocityAnalysis:
         n = chart.n
         if stack is None:
             stack = JetStack(chart, point)
-        u = [eval_jet3(c, point, chart.params) for c in self.field.components]
-        u_up = []
-        for i in range(n):
-            acc = stack.ginvj[i][0] * u[0]
-            for j in range(1, n):
-                acc = acc + stack.ginvj[i][j] * u[j]
-            u_up.append(acc)
-        nabla = [[None] * n for _ in range(n)]
-        for k in range(n):
-            for j in range(n):
-                acc = u[j].deriv(k)
-                for a in range(n):
-                    acc = acc - stack.gam[a][k][j] * u[a].truncated(2)
-                nabla[k][j] = acc
-        norm = u_up[0] * u[0]
-        for i in range(1, n):
-            norm = norm + u_up[i] * u[i]
-        unit_residual = abs(norm.value + 1.0)
-        div = stack.ginvj[0][0].truncated(2) * nabla[0][0]
-        first = True
-        for k in range(n):
-            for j in range(n):
-                if first:
-                    first = False
-                    continue
-                div = div + stack.ginvj[k][j].truncated(2) * nabla[k][j]
-        f_jet = div * (1.0 / (n - 1))
-        omega = []
-        for k in range(n):
-            acc = f_jet * u[k].truncated(2)
-            for j in range(n):
-                acc = acc - nabla[k][j] * u_up[j].truncated(2)
-            omega.append(acc)
-        ruu = stack.riccij[0][0] * (u_up[0].truncated(1) * u_up[0].truncated(1))
-        for i in range(n):
-            for j in range(n):
-                if i == 0 and j == 0:
-                    continue
-                ruu = ruu + stack.riccij[i][j] * (
-                    u_up[i].truncated(1) * u_up[j].truncated(1))
-        a_jet = (stack.rsj + ruu) * (1.0 / (n - 1))
+        u = TensorJet.from_jets(
+            [eval_jet3(c, point, chart.params) for c in self.field.components],
+            (n,))
+        u1 = u.truncated(1)
+        g_inv = stack.g_inv.truncated(1)
+        u_up = contract("ij,j->i", g_inv, u1)
+        nabla = (u.deriv().truncated(1)
+                 - contract("akj,a->kj", stack.gamma.truncated(1), u1))
+        unit_residual = abs(float(u_up.value @ u.value) + 1.0)
+        f = contract("kj,kj->", g_inv, nabla) * (1.0 / (n - 1))
+        omega = contract(",k->k", f, u1) - contract("kj,j->k", nabla, u_up)
+        ruu = contract("ij,ij->", stack.ricci,
+                       contract("i,j->ij", u_up, u_up)).as_jet3()
+        a_jet = (stack.rs.as_jet3() + ruu) * (1.0 / (n - 1))
         b_jet = ruu + a_jet
         if self.perturb_b is not None:
             b_jet = b_jet + eval_jet3(self.perturb_b, point, chart.params).truncated(1)
@@ -273,7 +248,7 @@ class VelocityAnalysis:
         if self.perturb_p is not None:
             p_jet = p_jet + eval_jet3(self.perturb_p, point, chart.params).truncated(1)
         return FieldPoint(stack=stack, point=point, u=u, u_up=u_up,
-                          nabla_u_jets=nabla, f_jet=f_jet, omega_jets=omega,
+                          nabla=nabla, omega=omega, f_jet=f.as_jet3(),
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
                           p_jet=p_jet, mu_jet=mu_jet,
                           unit_residual=unit_residual)
@@ -491,24 +466,6 @@ def _omega_integrand(chart: MetricChart, field: VectorField):
     return integrand
 
 
-def _structured_scalar_jet(n: int, value: float, grad_jets) -> Jet3:
-    """Jet of a potential whose exact gradient is the given closed form.
-
-    The value comes from quadrature; every derivative level is read off the
-    form's own jets (symmetrized), so no differencing enters.
-    """
-    t = jet_tables(n)
-    grad = np.array([j.value for j in grad_jets])
-    full = np.array([[j.grad[i] for j in grad_jets] for i in range(n)])
-    sym = 0.5 * (full + full.T)
-    hess = sym[t.i2, t.j2]
-    third = np.empty(len(t.i3))
-    for slot, (i, j, k) in enumerate(zip(t.i3, t.j3, t.k3)):
-        third[slot] = (grad_jets[k].d2(i, j) + grad_jets[j].d2(i, k)
-                       + grad_jets[i].d2(j, k)) / 3.0
-    return Jet3(n, 3, value, grad, hess, third)
-
-
 @dataclass
 class ChenPointData:
     sigma: float
@@ -546,9 +503,7 @@ def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
     data = []
     for p in points:
         fp = field_points[p] if field_points else analysis.at(p)
-        omega_resid = scale_free(fp.omega_curl(),
-                                 np.array([[j.grad[k] for j in fp.omega_jets]
-                                           for k in range(chart.n)]))
+        omega_resid = scale_free(fp.omega_curl(), fp.domega)
         if omega_resid > closed_tol:
             raise NotClosedError(
                 f"omega is not closed at {p.coords} "
@@ -569,28 +524,26 @@ def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
 
 def _chen_point(fp: FieldPoint, pot: PotentialResult, omega_resid: float,
                 branch_tol: float) -> ChenPointData:
+    # X = e^{-sigma} u and rho = e^{-sigma} f, with d sigma = omega read off
+    # the closed form itself.
     n = fp.n
-    sigma_jet = _structured_scalar_jet(n, pot.value, fp.omega_jets)
-    scaling = (-sigma_jet).exp()
-    x_jets = [scaling * fp.u[j] for j in range(n)]
-    xv = np.array([j.value for j in x_jets])
-    dx = np.array([[x_jets[j].grad[k] for j in range(n)] for k in range(n)])
-    gamma_vals = np.array([[[fp.stack.gam[m][j][k].value for k in range(n)]
-                            for j in range(n)] for m in range(n)])
-    nabla_x = dx - np.einsum("akj,a->kj", gamma_vals, xv)
-    rho_jet = scaling.truncated(2) * fp.f_jet
+    scaling = math.exp(-pot.value)
+    dscaling = scaling * -fp.omegav
+    xv = scaling * fp.uv
+    dx = np.outer(dscaling, fp.uv) + scaling * fp.du
+    nabla_x = dx - np.einsum("akj,a->kj", fp.stack.gamma.value, xv)
+    rho = scaling * fp.f_jet.value
+    grad_rho = dscaling * fp.f_jet.value + scaling * fp.f_jet.grad
     g = fp.g
-    chen_resid = scale_free(nabla_x - rho_jet.value * g, nabla_x,
-                            rho_jet.value * g)
+    chen_resid = scale_free(nabla_x - rho * g, nabla_x, rho * g)
     a, b = fp.a_jet.value, fp.b_jet.value
-    grad_rho = np.array(rho_jet.grad)
     ckv_rhs = ((a - b) / (1.0 - n)) * xv
     ckv_resid = scale_free(grad_rho - ckv_rhs, grad_rho, ckv_rhs)
     proper = abs(a - b) > branch_tol * (1.0 + abs(a) + abs(b))
     x_norm = float(xv @ fp.g_inv @ xv)        # must be -e^{-2 sigma} < 0
-    scale_sq = scaling.value * scaling.value
+    scale_sq = scaling * scaling
     timelike_resid = abs(x_norm + scale_sq) / (1.0 + scale_sq)
-    return ChenPointData(sigma=pot.value, rho=rho_jet.value, x=xv,
+    return ChenPointData(sigma=pot.value, rho=rho, x=xv,
                          chen_residual=chen_resid, ckv_residual=ckv_resid,
                          timelike_residual=timelike_resid,
                          path_defect=pot.path_defect,
@@ -714,7 +667,7 @@ def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
         pot = _integrate_form(integrand, chart.n, base, p.array(),
                               quad_order, panels)
         fp = field_points[p] if field_points else analysis.at(p)
-        worst = max(worst, _soliton_residual_at(fp, pot.value, lams, etas))
+        worst = max(worst, _soliton_residual_at(fp, lams, etas))
         thetas.append(pot.value)
     spread = max(lams) - min(lams)
     gradient_soliton = spread < flag_tol and max(abs(e) for e in etas) < flag_tol
@@ -722,20 +675,15 @@ def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
                          gradient_soliton=gradient_soliton)
 
 
-def _soliton_residual_at(fp: FieldPoint, theta0: float, lams, etas) -> float:
-    n = fp.n
-    theta_jet = _structured_scalar_jet(n, theta0, fp.u)
-    gamma_vals = np.array([[[fp.stack.gam[m][j][k].value for k in range(n)]
-                            for j in range(n)] for m in range(n)])
-    grad_theta = np.array(theta_jet.grad)
-    hess_cov = theta_jet.hess_matrix() - np.einsum(
-        "aij,a->ij", gamma_vals, grad_theta)
-    ricci = np.array([[fp.stack.riccij[i][j].value for j in range(n)]
-                      for i in range(n)])
+def _soliton_residual_at(fp: FieldPoint, lams, etas) -> float:
+    # d theta = u, so Hess(theta) is the symmetrized d u.
+    grad_theta = fp.uv
+    hess_cov = 0.5 * (fp.du + fp.du.T) - np.einsum(
+        "aij,a->ij", fp.stack.gamma.value, grad_theta)
     lam = fp.a_jet.value + fp.f_jet.value
     eta = fp.b_jet.value + fp.f_jet.value
     lams.append(lam)
     etas.append(eta)
-    lhs = ricci + hess_cov - eta * np.outer(grad_theta, grad_theta)
+    lhs = fp.stack.ricci.value + hess_cov - eta * np.outer(grad_theta, grad_theta)
     rhs = lam * fp.g
     return scale_free(lhs - rhs, lhs, rhs)

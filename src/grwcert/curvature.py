@@ -25,7 +25,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .expr import eval_jet3
-from .jets import Jet3
+from .jets import TensorJet, contract, jet_tables, leibniz_level
 
 # div-Weyl / Cotton proportionality, one constant per dimension, determined
 # by a dev-time oracle run on non-conformally-flat metrics and then asserted
@@ -73,151 +73,80 @@ class CurvaturePoint:
 
 
 class JetStack:
-    """All jet-level curvature grids at one point; built eagerly, shared."""
+    """Tensor jets of the curvature stack at one point; built eagerly, shared.
+
+    ``g`` (order 3), ``g_inv`` (order 2), ``gamma`` (``[m, j, k]`` =
+    Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
+    ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
+    """
 
     def __init__(self, chart: MetricChart, point: ChartPoint):
         self.chart = chart
         self.point = point
         n = self.n = chart.n
-        rng = range(n)
-
-        gj = [[None] * n for _ in rng]
-        for i in rng:
+        jets = {}
+        for i in range(n):
             for j in range(i, n):
-                jet = eval_jet3(chart.metric[i][j], point, chart.params)
-                gj[i][j] = gj[j][i] = jet
-        self.gj = gj
-        self.ginvj = jet_matrix_inverse(gj)
+                jets[i, j] = jets[j, i] = eval_jet3(chart.metric[i][j], point,
+                                                    chart.params)
+        g = self.g = TensorJet.from_jets(
+            [jets[i, j] for i in range(n) for j in range(n)], (n, n))
+        g_inv = self.g_inv = metric_inverse(g.truncated(2))
 
-        # d_a g_ij as order-2 jets
-        dgj = [[[gj[i][j].deriv(a) for j in rng] for i in rng] for a in rng]
-        self.dgj = dgj
+        # Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk)
+        dg = g.deriv()                               # dg[a, i, j] = d_a g_ij
+        combo = dg.map("jlk->ljk") + dg.map("klj->ljk") - dg
+        gamma = self.gamma = contract("ml,ljk->mjk", g_inv, combo) * 0.5
 
-        # Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk), order 2
-        gam = [[[None] * n for _ in rng] for _ in rng]
-        for j in rng:
-            for k in range(j, n):
-                combos = [dgj[j][l][k] + dgj[k][l][j] - dgj[l][j][k] for l in rng]
-                for m in rng:
-                    acc = self.ginvj[m][0].truncated(2) * combos[0]
-                    for l in range(1, n):
-                        acc = acc + self.ginvj[m][l].truncated(2) * combos[l]
-                    gam[m][j][k] = gam[m][k][j] = acc * 0.5
-        self.gam = gam
-
-        # R_{jkl}^m, order 1; antisymmetric in (j, k)
-        zero1 = Jet3.empty(n, 1)
-        riem = [[[[zero1] * n for _ in rng] for _ in rng] for _ in rng]
-        for j in rng:
-            for k in range(j + 1, n):
-                for l in rng:
-                    for m in rng:
-                        acc = gam[m][j][l].deriv(k) - gam[m][k][l].deriv(j)
-                        for b in rng:
-                            acc = acc + gam[b][j][l].truncated(1) * gam[m][k][b].truncated(1)
-                            acc = acc - gam[b][k][l].truncated(1) * gam[m][j][b].truncated(1)
-                        riem[j][k][l][m] = acc
-                        riem[k][j][l][m] = -acc
-        self.riemj = riem
-
-        # Ricci_{jl} = R_{jml}^m, scalar R = g^{jl} Ricci_{jl}; order 1
-        ricc = [[None] * n for _ in rng]
-        for j in rng:
-            for l in rng:
-                acc = riem[j][0][l][0]
-                for m in range(1, n):
-                    acc = acc + riem[j][m][l][m]
-                ricc[j][l] = acc
-        self.riccij = ricc
-        rs = Jet3.empty(n, 1)
-        for j in rng:
-            for l in rng:
-                rs = rs + self.ginvj[j][l].truncated(1) * ricc[j][l]
-        self.rsj = rs
-
+        # R = X - X with j and k swapped: exactly antisymmetric in (j, k).
+        gamma1 = gamma.truncated(1)
+        x = (gamma.deriv().map("kmjl->jklm")
+             + contract("bjl,mkb->jklm", gamma1, gamma1))
+        riem = self.riem = x - x.map("kjlm->jklm")
+        ricci = self.ricci = riem.map("jmlm->jl")
+        self.rs = contract("jl,jl->", g_inv.truncated(1), ricci)
         if n >= 3:
-            self.weylj = self._build_weyl()
+            self.weyl = self._weyl(g.truncated(1))
         else:
-            self.weylj = [[[[zero1] * n for _ in rng] for _ in rng] for _ in rng]
+            self.weyl = TensorJet(n, [np.zeros((n,) * 4),
+                                      np.zeros((n,) * 5)])
 
-    def _build_weyl(self):
-        n, rng = self.n, range(self.n)
-        g, ricc, rs = self.gj, self.riccij, self.rsj
-        c1 = 1.0 / (n - 2)
-        c2 = 1.0 / ((n - 1) * (n - 2))
-        zero1 = Jet3.empty(n, 1)
-        weyl = [[[[zero1] * n for _ in rng] for _ in rng] for _ in rng]
-        for j in rng:
-            for k in range(j + 1, n):
-                for l in rng:
-                    for m in range(l + 1, n):
-                        low = self.riemj[j][k][l][0].truncated(1) * g[0][m].truncated(1)
-                        for a in range(1, n):
-                            low = low + self.riemj[j][k][l][a].truncated(1) * g[a][m].truncated(1)
-                        gt = lambda i, o: g[i][o].truncated(1)
-                        rt = lambda i, o: ricc[i][o].truncated(1)
-                        term = (gt(j, m) * rt(k, l) - gt(k, m) * rt(j, l)
-                                + rt(j, m) * gt(k, l) - rt(k, m) * gt(j, l)) * c1
-                        trace = rs.truncated(1) * (
-                            gt(j, m) * gt(k, l) - gt(m, k) * gt(j, l)) * c2
-                        val = low + term - trace
-                        weyl[j][k][l][m] = val
-                        weyl[k][j][l][m] = -val
-                        weyl[j][k][m][l] = -val
-                        weyl[k][j][m][l] = val
-        return weyl
+    def _weyl(self, g: TensorJet) -> TensorJet:
+        n, ricci = self.n, self.ricci
+        swap_jk = "kjlm->jklm"
+        low = contract("jkla,am->jklm", self.riem, g)
+        mixed = (contract("jm,kl->jklm", g, ricci)
+                 + contract("jm,kl->jklm", ricci, g))
+        gg = contract("jm,kl->jklm", g, g)
+        weyl = (low + (mixed - mixed.map(swap_jk)) * (1.0 / (n - 2))
+                - contract(",jklm->jklm", self.rs, gg - gg.map(swap_jk))
+                * (1.0 / ((n - 1) * (n - 2))))
+        # Every term above is exactly antisymmetric in (j, k); the
+        # half-difference makes C exactly antisymmetric in (l, m) as well.
+        return (weyl - weyl.map("jkml->jklm")) * 0.5
 
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        n, rng = self.n, range(self.n)
-        g = np.array([[self.gj[i][j].value for j in rng] for i in rng])
-        g_inv = np.array([[self.ginvj[i][j].value for j in rng] for i in rng])
-        dg = np.array([[[self.gj[i][j].grad[k] for j in rng] for i in rng]
-                       for k in rng])
-        gamma = np.array([[[self.gam[m][j][k].value for k in rng] for j in rng]
-                          for m in rng])
-        dgamma = np.empty((n, n, n, n))
-        d2gamma = np.empty((n, n, n, n, n))
-        for m in rng:
-            for j in rng:
-                for k in rng:
-                    jet = self.gam[m][j][k]
-                    dgamma[:, m, j, k] = jet.grad
-                    d2gamma[:, :, m, j, k] = jet.hess_matrix()
-        riem = np.empty((n, n, n, n))
-        driem = np.empty((n, n, n, n, n))
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for m in rng:
-                        jet = self.riemj[j][k][l][m]
-                        riem[j, k, l, m] = jet.value
-                        driem[:, j, k, l, m] = jet.grad
-        ricci = np.array([[self.riccij[j][l].value for l in rng] for j in rng])
-        rs = self.rsj.value
-        drs = np.array(self.rsj.grad)
-        dricci_part = np.empty((n, n, n))
-        for j in rng:
-            for l in rng:
-                dricci_part[:, j, l] = self.riccij[j][l].grad
-        dricci = (dricci_part
+        n = self.n
+        g_inv, gamma = self.g_inv.value, self.gamma.value
+        ricci = self.ricci.value
+        dg = np.moveaxis(self.g.grad, -1, 0)
+        d2gamma = np.moveaxis(self.gamma.hess[..., jet_tables(n).pair_pos],
+                              (-2, -1), (0, 1))
+        dricci = (np.moveaxis(self.ricci.grad, -1, 0)
                   - np.einsum("akj,al->kjl", gamma, ricci)
                   - np.einsum("akl,ja->kjl", gamma, ricci))
-        weyl = np.empty((n, n, n, n))
-        dweyl_part = np.empty((n, n, n, n, n))
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for m in rng:
-                        jet = self.weylj[j][k][l][m]
-                        weyl[j, k, l, m] = jet.value
-                        dweyl_part[:, j, k, l, m] = jet.grad
-        divweyl = self._divergence_weyl(g_inv, gamma, weyl, dweyl_part, dg)
-        return CurvaturePoint(point=self.point, n=n, g=g, g_inv=g_inv, dg=dg,
-                              gamma=gamma, dgamma=dgamma, d2gamma=d2gamma,
-                              riem=riem, driem=driem, ricci=ricci, rs=rs,
-                              drs=drs, dricci=dricci, weyl=weyl,
+        weyl = self.weyl.value
+        divweyl = self._divergence_weyl(
+            g_inv, gamma, weyl, np.moveaxis(self.weyl.grad, -1, 0), dg)
+        return CurvaturePoint(point=self.point, n=n, g=self.g.value,
+                              g_inv=g_inv, dg=dg, gamma=gamma,
+                              dgamma=np.moveaxis(self.gamma.grad, -1, 0),
+                              d2gamma=d2gamma, riem=self.riem.value,
+                              driem=np.moveaxis(self.riem.grad, -1, 0),
+                              ricci=ricci, rs=float(self.rs.value),
+                              drs=self.rs.grad, dricci=dricci, weyl=weyl,
                               divweyl=divweyl)
 
     @staticmethod
@@ -238,33 +167,25 @@ class JetStack:
         return partial - corrections + np.einsum("a,jkla->jkl", trace, cup)
 
 
-def jet_matrix_inverse(rows) -> list:
-    """Gauss-Jordan inverse of a matrix of jets (partial pivoting on values)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    nvars = a[0][0].n
-    inv = [[Jet3.constant(nvars, 1.0 if i == j else 0.0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[piv][col].value) < 1e-14:
-            raise np.linalg.LinAlgError("metric matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        r = a[col][col].reciprocal()
-        a[col] = [x * r for x in a[col]]
-        inv[col] = [x * r for x in inv[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = a[row][col]
-            if factor.value == 0.0 and not factor.grad.any() \
-                    and not factor.hess.any() and not factor.third.any():
-                continue
-            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
-            inv[row] = [x - factor * y for x, y in zip(inv[row], inv[col])]
-    return inv
+def metric_inverse(g: TensorJet) -> TensorJet:
+    """g^{-1} to the order of ``g``: ``np.linalg.inv`` on the values, then
+    level k from d^k(g g^{-1}) = 0, i.e. level k of g^{-1} is -g^{-1}
+    times level k of the product g g^{-1} taken without its g g^{-1}_k term.
+    """
+    try:
+        h0 = np.linalg.inv(g.value)
+    except np.linalg.LinAlgError:
+        h0 = None
+    # Entries of g^{-1} above 1e14 mean an eigenvalue of g below about
+    # 1e-14, the pivot bound of the jet Gauss-Jordan this replaced.
+    if h0 is None or not np.max(np.abs(h0)) < 1e14:
+        raise np.linalg.LinAlgError("metric matrix is singular")
+    levels = [h0]
+    for k in range(1, g.order + 1):
+        rest = leibniz_level("ij,jk->ik", g.n, g.levels,
+                             levels + [np.zeros_like(g.levels[k])], k)
+        levels.append(-np.einsum("ij,jkZ->ikZ", h0, rest))
+    return TensorJet(g.n, levels)
 
 
 def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:
@@ -285,19 +206,13 @@ def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
     if not field.covariant:
         raise PointwiseFieldError("expected a covariant (lowered) field")
     stack = JetStack(chart, point)
-    n = chart.n
-    v = [eval_jet3(c, point, chart.params) for c in field.components]
-    nabla = np.empty((n, n))
-    dnabla = np.empty((n, n, n))
-    curl = np.empty((n, n))
-    for k in range(n):
-        for j in range(n):
-            jet = v[j].deriv(k)
-            curl[k, j] = jet.value
-            for a in range(n):
-                jet = jet - stack.gam[a][k][j] * v[a]
-            nabla[k, j] = jet.value
-            dnabla[:, k, j] = jet.grad
+    v = TensorJet.from_jets(
+        [eval_jet3(c, point, chart.params) for c in field.components],
+        (chart.n,)).truncated(2)
+    curl = v.grad.T                              # curl[k, j] = d_k v_j
+    jet = (v.deriv().truncated(1)
+           - contract("akj,a->kj", stack.gamma.truncated(1), v.truncated(1)))
+    nabla, dnabla = jet.value, np.moveaxis(jet.grad, -1, 0)
     anti_cov = nabla - nabla.T
     anti_partial = curl - curl.T
     gap = scale_free(anti_cov - anti_partial, anti_partial)

@@ -9,6 +9,11 @@ Second and third derivative levels use packed symmetric storage: reading
 entry (i, j) or (j, i) resolves to the same slot, likewise every
 permutation of a third-order triple. Jets are immutable after
 construction and safe to share between threads.
+
+``Jet3`` is the scalar jet that expression trees evaluate to. ``TensorJet``
+holds the jets of every component of an array-valued field in four arrays,
+one per derivative level, with the packed derivative axis last; its
+products are one einsum per Leibniz term.
 """
 
 from __future__ import annotations
@@ -152,13 +157,6 @@ class Jet3:
             out.grad = self.hess[t.pair_pos[i]]
         if out.order >= 2:
             out.hess = self.third[t.triple_pos[i][t.i2, t.j2]]
-        return out
-
-    def hess_matrix(self) -> np.ndarray:
-        t = jet_tables(self.n)
-        out = np.empty((self.n, self.n))
-        out[t.i2, t.j2] = self.hess
-        out[t.j2, t.i2] = self.hess
         return out
 
     def third_tensor(self) -> np.ndarray:
@@ -363,3 +361,119 @@ def _pow_term(v: float, e: float, m: int) -> float:
         raise JetDomainError(
             "pow", f"base {v!r} not positive for non-integer exponent {e!r}")
     return coeff * v ** p
+
+
+class TensorJet:
+    """Jets of every component of an array-valued field at one point.
+
+    ``levels[0]`` is the value, of the field's shape S; ``levels[1..3]``
+    (``grad``, ``hess``, ``third``) have shapes S + (n,), S + (pairs,) and
+    S + (triples,) over the packed slots of ``jet_tables(n)``. Only levels
+    up to ``order`` are stored. Index specs (``map``, ``contract``) name the
+    value axes only; the derivative axis rides along.
+    """
+
+    __slots__ = ("n", "order", "levels")
+
+    def __init__(self, n: int, levels):
+        self.n = n
+        self.order = len(levels) - 1
+        self.levels = tuple(levels)
+
+    @classmethod
+    def from_jets(cls, jets, shape) -> "TensorJet":
+        """Stack scalar ``Jet3``s, listed in C order of ``shape``."""
+        shape = tuple(shape)
+        order = min(j.order for j in jets)
+        levels = [np.array([j.value for j in jets]).reshape(shape)]
+        for name in ("grad", "hess", "third")[:order]:
+            levels.append(np.array([getattr(j, name) for j in jets])
+                          .reshape(shape + (-1,)))
+        return cls(jets[0].n, levels)
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.levels[0]
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.levels[1]
+
+    @property
+    def hess(self) -> np.ndarray:
+        return self.levels[2]
+
+    def truncated(self, order: int) -> "TensorJet":
+        if order >= self.order:
+            return self
+        return TensorJet(self.n, self.levels[:order + 1])
+
+    def deriv(self) -> "TensorJet":
+        """New leading axis a holding d_a of every component, order - 1."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        t = jet_tables(self.n)
+        levels = [np.moveaxis(self.levels[1], -1, 0)]
+        if self.order >= 2:
+            levels.append(np.moveaxis(self.levels[2][..., t.pair_pos], -2, 0))
+        if self.order >= 3:
+            levels.append(np.moveaxis(
+                self.levels[3][..., t.triple_pos[:, t.i2, t.j2]], -2, 0))
+        return TensorJet(self.n, levels)
+
+    def map(self, spec: str) -> "TensorJet":
+        """A linear index map (axis permutation, trace) on every level."""
+        src, dst = spec.split("->")
+        return TensorJet(self.n, [np.einsum(spec, self.levels[0])] + [
+            np.einsum(f"{src}Z->{dst}Z", level) for level in self.levels[1:]])
+
+    def as_jet3(self) -> Jet3:
+        """A shape-() jet as a scalar ``Jet3`` with a Python float value."""
+        zeros = (np.zeros(self.n), np.zeros(pair_count(self.n)),
+                 np.zeros(triple_count(self.n)))
+        return Jet3(self.n, self.order, float(self.levels[0]),
+                    *self.levels[1:], *zeros[self.order:])
+
+    def __add__(self, other: "TensorJet") -> "TensorJet":
+        return TensorJet(self.n, [a + b for a, b in zip(self.levels, other.levels)])
+
+    def __sub__(self, other: "TensorJet") -> "TensorJet":
+        return TensorJet(self.n, [a - b for a, b in zip(self.levels, other.levels)])
+
+    def __mul__(self, c: float) -> "TensorJet":
+        return TensorJet(self.n, [a * c for a in self.levels])
+
+    __rmul__ = __mul__
+
+
+def contract(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
+    """Leibniz product of two tensor jets under an einsum ``spec`` on their
+    value axes, at the lower of the two orders: the terms of
+    ``Jet3.__mul__``, one einsum each."""
+    order = min(a.order, b.order)
+    return TensorJet(a.n, [leibniz_level(spec, a.n, a.levels, b.levels, k)
+                           for k in range(order + 1)])
+
+
+def leibniz_level(spec: str, n: int, a, b, k: int) -> np.ndarray:
+    """Level k of the product of the level sequences ``a`` and ``b``."""
+    if k == 0:
+        return np.einsum(spec, a[0], b[0])
+    src, out = spec.split("->")
+    sa, sb = src.split(",")
+    left = f"{sa}Z,{sb}->{out}Z"    # derivative axis on a only
+    right = f"{sa},{sb}Z->{out}Z"   # on b only
+    both = f"{sa}Z,{sb}Z->{out}Z"   # packed slots matched entrywise
+    terms = [np.einsum(left, a[k], b[0]), np.einsum(right, a[0], b[k])]
+    t = jet_tables(n)
+    if k == 2:
+        terms += [np.einsum(both, a[1][..., t.i2], b[1][..., t.j2]),
+                  np.einsum(both, a[1][..., t.j2], b[1][..., t.i2])]
+    elif k == 3:
+        terms += [np.einsum(both, a[2][..., t.p_ij], b[1][..., t.k3]),
+                  np.einsum(both, a[2][..., t.p_ik], b[1][..., t.j3]),
+                  np.einsum(both, a[2][..., t.p_jk], b[1][..., t.i3]),
+                  np.einsum(both, a[1][..., t.i3], b[2][..., t.p_jk]),
+                  np.einsum(both, a[1][..., t.j3], b[2][..., t.p_ik]),
+                  np.einsum(both, a[1][..., t.k3], b[2][..., t.p_ij])]
+    return sum(terms[1:], terms[0])

@@ -304,3 +304,157 @@ def omega_per_node(chart, field, coords):
     u_up = g_inv @ u
     f = float(np.einsum("kj,kj->", g_inv, nabla)) / (n - 1)
     return f * u - nabla @ u_up
+
+
+# ---------------------------------------------------------------------------
+# Per-component curvature stack: one Jet3 per tensor component, assembled in
+# nested loops with a jet Gauss-Jordan inverse, as the engine did before it
+# moved to tensor jets. Every CurvaturePoint field comes back as an array.
+# ---------------------------------------------------------------------------
+
+def jet_matrix_inverse(rows) -> list:
+    """Gauss-Jordan inverse of a matrix of jets (partial pivoting on values)."""
+    from grwcert.jets import Jet3
+
+    n = len(rows)
+    a = [list(r) for r in rows]
+    nvars = a[0][0].n
+    inv = [[Jet3.constant(nvars, 1.0 if i == j else 0.0) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
+        if abs(a[piv][col].value) < 1e-14:
+            raise np.linalg.LinAlgError("metric matrix is singular")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+        r = a[col][col].reciprocal()
+        a[col] = [x * r for x in a[col]]
+        inv[col] = [x * r for x in inv[col]]
+        for row in range(n):
+            if row == col:
+                continue
+            factor = a[row][col]
+            if factor.value == 0.0 and not factor.grad.any() \
+                    and not factor.hess.any() and not factor.third.any():
+                continue
+            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
+            inv[row] = [x - factor * y for x, y in zip(inv[row], inv[col])]
+    return inv
+
+
+def per_component_curvature(chart, point) -> dict:
+    """Every CurvaturePoint field at ``point`` from per-component jets."""
+    from grwcert.expr import eval_jet3
+    from grwcert.jets import Jet3, jet_tables
+
+    n, rng = chart.n, range(chart.n)
+    gj = [[None] * n for _ in rng]
+    for i in rng:
+        for j in range(i, n):
+            gj[i][j] = gj[j][i] = eval_jet3(chart.metric[i][j], point,
+                                            chart.params)
+    ginvj = jet_matrix_inverse(gj)
+    dgj = [[[gj[i][j].deriv(a) for j in rng] for i in rng] for a in rng]
+
+    gam = [[[None] * n for _ in rng] for _ in rng]
+    for j in rng:
+        for k in range(j, n):
+            combos = [dgj[j][l][k] + dgj[k][l][j] - dgj[l][j][k] for l in rng]
+            for m in rng:
+                acc = ginvj[m][0].truncated(2) * combos[0]
+                for l in range(1, n):
+                    acc = acc + ginvj[m][l].truncated(2) * combos[l]
+                gam[m][j][k] = gam[m][k][j] = acc * 0.5
+
+    zero1 = Jet3.empty(n, 1)
+    riem = [[[[zero1] * n for _ in rng] for _ in rng] for _ in rng]
+    for j in rng:
+        for k in range(j + 1, n):
+            for l in rng:
+                for m in rng:
+                    acc = gam[m][j][l].deriv(k) - gam[m][k][l].deriv(j)
+                    for b in rng:
+                        acc = acc + gam[b][j][l].truncated(1) * gam[m][k][b].truncated(1)
+                        acc = acc - gam[b][k][l].truncated(1) * gam[m][j][b].truncated(1)
+                    riem[j][k][l][m] = acc
+                    riem[k][j][l][m] = -acc
+
+    ricc = [[None] * n for _ in rng]
+    for j in rng:
+        for l in rng:
+            acc = riem[j][0][l][0]
+            for m in range(1, n):
+                acc = acc + riem[j][m][l][m]
+            ricc[j][l] = acc
+    rs = Jet3.empty(n, 1)
+    for j in rng:
+        for l in rng:
+            rs = rs + ginvj[j][l].truncated(1) * ricc[j][l]
+
+    weyl = [[[[zero1] * n for _ in rng] for _ in rng] for _ in rng]
+    if n >= 3:
+        c1 = 1.0 / (n - 2)
+        c2 = 1.0 / ((n - 1) * (n - 2))
+        gt = lambda i, o: gj[i][o].truncated(1)
+        rt = lambda i, o: ricc[i][o].truncated(1)
+        for j in rng:
+            for k in range(j + 1, n):
+                for l in rng:
+                    for m in range(l + 1, n):
+                        low = riem[j][k][l][0].truncated(1) * gt(0, m)
+                        for a in range(1, n):
+                            low = low + riem[j][k][l][a].truncated(1) * gt(a, m)
+                        term = (gt(j, m) * rt(k, l) - gt(k, m) * rt(j, l)
+                                + rt(j, m) * gt(k, l) - rt(k, m) * gt(j, l)) * c1
+                        trace = rs.truncated(1) * (
+                            gt(j, m) * gt(k, l) - gt(m, k) * gt(j, l)) * c2
+                        val = low + term - trace
+                        weyl[j][k][l][m] = val
+                        weyl[k][j][l][m] = -val
+                        weyl[j][k][m][l] = -val
+                        weyl[k][j][m][l] = val
+
+    def values(grid, shape):
+        return np.array([jet.value for jet in _flat(grid)]).reshape(shape)
+
+    def grads(grid, shape):
+        flat = np.array([jet.grad for jet in _flat(grid)])
+        return np.moveaxis(flat.reshape(shape + (n,)), -1, 0)
+
+    pair_pos = jet_tables(n).pair_pos
+    g = values(gj, (n, n))
+    g_inv = values(ginvj, (n, n))
+    dg = grads(gj, (n, n))
+    gamma = values(gam, (n,) * 3)
+    ricci = values(ricc, (n, n))
+    d2gamma = np.moveaxis(
+        np.array([jet.hess[pair_pos] for jet in _flat(gam)]).reshape((n,) * 5),
+        (-2, -1), (0, 1))
+    dricci = (grads(ricc, (n, n))
+              - np.einsum("akj,al->kjl", gamma, ricci)
+              - np.einsum("akl,ja->kjl", gamma, ricci))
+    weyl_v = values(weyl, (n,) * 4)
+    dweyl = grads(weyl, (n,) * 4)
+    # nabla_m C_{jkl}^m with d_a g^{mp} = -g^{mb} (d_a g_bc) g^{cp}
+    dginv = -np.einsum("mb,abc,cp->amp", g_inv, dg, g_inv)
+    cup = np.einsum("jkla,am->jklm", weyl_v, g_inv)
+    divweyl = (np.einsum("mjkla,am->jkl", dweyl, g_inv)
+               + np.einsum("jkla,mam->jkl", weyl_v, dginv)
+               - np.einsum("amj,aklm->jkl", gamma, cup)
+               - np.einsum("amk,jalm->jkl", gamma, cup)
+               - np.einsum("aml,jkam->jkl", gamma, cup)
+               + np.einsum("a,jkla->jkl", np.einsum("mma->a", gamma), cup))
+    return {"g": g, "g_inv": g_inv, "dg": dg, "gamma": gamma,
+            "dgamma": grads(gam, (n,) * 3), "d2gamma": d2gamma,
+            "riem": values(riem, (n,) * 4), "driem": grads(riem, (n,) * 4),
+            "ricci": ricci, "rs": rs.value, "drs": np.array(rs.grad),
+            "dricci": dricci, "weyl": weyl_v, "divweyl": divweyl}
+
+
+def _flat(grid):
+    if isinstance(grid, list):
+        for row in grid:
+            yield from _flat(row)
+    else:
+        yield grid

@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
-from grwcert.curvature import (COTTON_COEFF, PointwiseFieldError,
+from grwcert.curvature import (COTTON_COEFF, CurvaturePoint, JetStack,
+                               PointwiseFieldError,
                                cotton_combination, curvature_at,
                                first_bianchi_residual, grad_vector_at,
                                scale_free, second_bianchi_residual,
                                weyl_trace_residual)
 from grwcert.expr import parse
 
-from .oracles import (desitter_ricci, sphere2_curvature,
-                      warped_flat_curvature, warped_nabla_u)
+from grwcert.grw import catalog_get, catalog_names
+
+from .oracles import (desitter_ricci, per_component_curvature,
+                      sphere2_curvature, warped_flat_curvature,
+                      warped_nabla_u)
+from .test_classify import dense_pullback_chart
 
 
 def make_chart(name, dim, signature, coords, metric, ranges, **kw):
@@ -209,3 +216,47 @@ class TestGradVector:
                             pointwise=lambda p: np.array([-1.0, 0, 0, 0]))
         with pytest.raises(PointwiseFieldError):
             grad_vector_at(minkowski, field, ChartPoint((0, 0, 0, 0)))
+
+
+class TestTensorJetStack:
+    """The tensor-jet stack against the per-component Jet3 oracle, field by
+    field, and its exact antisymmetries."""
+
+    FIELDS = {f.name for f in dataclasses.fields(CurvaturePoint)} - {"point", "n"}
+
+    def check(self, chart, points):
+        for p in points:
+            cp = curvature_at(chart, p)
+            want = per_component_curvature(chart, p)
+            assert set(want) == self.FIELDS
+            for name, ref in want.items():
+                gap = scale_free(np.asarray(getattr(cp, name)) - ref, ref)
+                assert gap <= 1e-12, (name, p.coords, gap)
+            assert type(cp.rs) is float
+            assert np.array_equal(cp.riem, -cp.riem.swapaxes(0, 1))
+            assert np.array_equal(cp.driem, -cp.driem.swapaxes(1, 2))
+            assert np.array_equal(cp.weyl, -cp.weyl.swapaxes(0, 1))
+            assert np.array_equal(cp.weyl, -cp.weyl.swapaxes(2, 3))
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_matches_oracle(self, name):
+        chart = catalog_get(name).chart
+        self.check(chart, sample_points(chart, 5, seed=21))
+
+    @pytest.mark.parametrize("name", ["s2", "s3-fiber", "dense-pullback"])
+    def test_other_dimensions_and_dense_chart(self, name, sphere2):
+        chart = {"s2": lambda: sphere2,
+                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber.chart,
+                 "dense-pullback": dense_pullback_chart}[name]()
+        self.check(chart, sample_points(chart, 5, seed=22))
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9])
+    def test_singular_metric_raises(self, x):
+        # Flat polar coordinates; at x = 1e-9 an unguarded inverse returns
+        # a scalar curvature of order 100 instead of 0.
+        chart = make_chart("degenerate-at-zero", 2, "riemannian", ["x", "y"],
+                           {"1,1": "1", "2,2": "x^2"},
+                           {"x": (0.5, 1), "y": (0, 1)})
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^metric matrix is singular$"):
+            JetStack(chart, ChartPoint((x, 0.3)))

@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwcert.curvature import metric_inverse
 from grwcert.expr import eval_jet3, eval_value, parse
-from grwcert.jets import Jet3, JetDomainError, jet_tables
+from grwcert.jets import (Jet3, JetDomainError, TensorJet, contract,
+                          jet_tables, pair_count, triple_count)
 
-from .oracles import dd_gradient, dd_hessian, dd_third, expression_corpus
+from .oracles import (dd_gradient, dd_hessian, dd_third, expression_corpus,
+                      jet_matrix_inverse)
 
 
 def jet_of(text, coords, point, params=None):
@@ -169,3 +173,86 @@ def test_trig_chain_against_math():
     s = 0.9 * math.sin(0.5)
     expected = 0.9 * math.cos(0.5) / math.cos(s) ** 2
     assert jet.grad[0] == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Tensor jets against per-component Jet3 arithmetic.
+# ---------------------------------------------------------------------------
+
+def random_tensor_jet(rng, n, shape, order=3):
+    sizes = (n, pair_count(n), triple_count(n))[:order]
+    return TensorJet(n, [rng.uniform(-1.0, 1.0, shape)]
+                     + [rng.uniform(-1.0, 1.0, shape + (s,)) for s in sizes])
+
+
+def component(jet: TensorJet, index) -> Jet3:
+    return TensorJet(jet.n, [level[index] for level in jet.levels]).as_jet3()
+
+
+def assert_jets_close(got: Jet3, want: Jet3, tol=1e-12):
+    assert got.order == want.order
+    levels = ("value", "grad", "hess", "third")[:want.order + 1]
+    for name in levels:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=tol, atol=tol, err_msg=name)
+
+
+CONTRACT_SPECS = ("ij,jk->ik", "i,j->ij", ",k->k", "kj,kj->", "akj,a->kj",
+                  "bjl,mkb->jklm")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       spec=st.sampled_from(CONTRACT_SPECS),
+       orders=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_contract_is_sum_of_jet3_products(n, seed, spec, orders):
+    rng = np.random.default_rng(seed)
+    src, out = spec.split("->")
+    sa, sb = src.split(",")
+    a = random_tensor_jet(rng, n, (n,) * len(sa), orders[0])
+    b = random_tensor_jet(rng, n, (n,) * len(sb), orders[1])
+    got = contract(spec, a, b)
+    assert got.order == min(orders)
+    want = {}
+    letters = sorted(set(sa + sb))
+    for values in itertools.product(range(n), repeat=len(letters)):
+        idx = dict(zip(letters, values))
+        term = (component(a, tuple(idx[c] for c in sa))
+                * component(b, tuple(idx[c] for c in sb)))
+        key = tuple(idx[c] for c in out)
+        want[key] = want[key] + term if key in want else term
+    for key, jet in want.items():
+        assert_jets_close(component(got, key), jet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       rank=st.integers(0, 2), order=st.integers(1, 3))
+def test_deriv_matches_jet3_deriv(n, seed, rank, order):
+    jet = random_tensor_jet(np.random.default_rng(seed), n, (n,) * rank, order)
+    d = jet.deriv()
+    assert d.order == order - 1
+    for index in itertools.product(range(n), repeat=rank):
+        for a in range(n):
+            assert_jets_close(component(d, (a,) + index),
+                              component(jet, index).deriv(a), tol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       lorentzian=st.booleans())
+def test_metric_inverse_matches_gauss_jordan(n, seed, lorentzian):
+    rng = np.random.default_rng(seed)
+    jet = random_tensor_jet(rng, n, (n, n))
+    signs = np.ones(n)
+    if lorentzian:
+        signs[0] = -1.0
+    levels = [0.5 * (lv + lv.swapaxes(0, 1)) * 0.2 for lv in jet.levels]
+    levels[0] = levels[0] + np.diag(signs * (1.0 + rng.uniform(0.0, 1.0, n)))
+    g = TensorJet(n, levels)
+    got = metric_inverse(g)
+    want = jet_matrix_inverse([[component(g, (i, j)) for j in range(n)]
+                               for i in range(n)])
+    for i in range(n):
+        for j in range(n):
+            assert_jets_close(component(got, (i, j)), want[i][j])
