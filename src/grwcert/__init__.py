@@ -14,7 +14,8 @@ from .classify import (ChenReport, FluidDecomposition, IdentityLadderReport,
                        weyl_electric_check)
 from .curvature import CurvaturePoint, JetStack, curvature_at, grad_vector_at
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
-                   eval_batch, eval_grad_batch, eval_jet3, eval_value, parse)
+                   eval_batch, eval_grad_batch, eval_jet3, eval_jet3_batch,
+                   eval_value, parse)
 from .grw import (ConverseReport, FiberMetric, GRWStructure, WarpSpec,
                   build_grw, catalog_get, catalog_names, converse_check,
                   fiber_einstein_check)

@@ -8,14 +8,17 @@ warped-product converse formulas for declared warped products. A failed or
 degenerate hypothesis downgrades the downstream checks to informational;
 they still run and are reported.
 
-Point work is pure and may fan out to worker threads; every aggregation is
-a max or an ordered reduction over the point index, so reports are
-byte-identical regardless of the worker count.
+The curvature stack is built for fixed-size chunks of points at a time;
+the per-point work on each chunk's point views is pure and may fan out to
+worker threads. Every aggregation is a max or an ordered reduction over
+the point index, so reports are byte-identical regardless of the worker
+count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,8 @@ from . import classify, physics
 from .chart import ChartInput, MetricChart, compile_chart, sample_points
 from .classify import (FluidDecompositionError, NotClosedError,
                        VelocityAnalysis, fluid_decompose)
-from .curvature import (JetStack, first_bianchi_residual, scale_free,
+from .curvature import (JetStack, SingularMetricError,
+                        first_bianchi_residual, scale_free,
                         weyl_trace_residual)
 from .expr import EvalDomainError
 from .grw import RESOLUTION_NOTE
@@ -129,6 +133,11 @@ CHECK_DEFS = (
 
 _LADDER_SET = set(classify.LADDER_NAMES)
 
+# Points per JetStack. One batched stack pays numpy's per-operation
+# overhead once per chunk instead of once per point; the size bounds the
+# memory the stack's arrays take. The chunks never depend on --workers.
+CHUNK_POINTS = 10
+
 
 def run_certify(source, config: RunConfig | None = None) -> CertificationReport:
     """Certify a chart given a spec-file path, dict, ChartInput or chart."""
@@ -160,14 +169,21 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     analysis = (VelocityAnalysis(chart, chart.velocity, kappa=config.kappa)
                 if has_velocity else None)
 
-    def work(point):
-        return _point_payload(chart, analysis, point, config, base, selected)
+    def work(stack):
+        return _point_payload(chart, analysis, stack, config, base, selected)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            payloads = list(pool.map(work, points))
-    else:
-        payloads = [work(p) for p in points]
+    payloads = []
+    with (ThreadPoolExecutor(max_workers=config.workers)
+          if config.workers > 1 else nullcontext()) as pool:
+        fan_out = pool.map if pool else map
+        for start in range(0, len(points), CHUNK_POINTS):
+            try:
+                stack = JetStack(chart, points[start:start + CHUNK_POINTS])
+            except SingularMetricError as err:
+                err.index += start       # name the point by its run index
+                raise
+            payloads += fan_out(work, [stack.at(i)
+                                       for i in range(len(stack.points))])
 
     records = _assemble(chart, config, selected, payloads,
                         has_velocity=has_velocity, basepoint=base)
@@ -196,10 +212,11 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
 # even when every sample point is valid; the error then names the path.
 _STAIRCASE = "staircase from basepoint"
 
-def _point_payload(chart, analysis, point, config, base, selected) -> dict:
+def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
+    """Every per-point quantity of the report, from the point's stack."""
     out: dict = {"errors": {}}
     n = chart.n
-    stack = JetStack(chart, point)
+    point = stack.point
     cp = stack.to_point()
 
     eigs = np.linalg.eigvalsh(cp.g)
@@ -355,6 +372,9 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
     lorentzian = chart.signature == "lorentzian"
     records = []
 
+    # Read by the eos-slope, eos-parallel and energy-condition records.
+    eos = _eos(payloads) if "physics" in selected else None
+
     point_errors: dict[str, list] = {}
     for idx, payload in enumerate(payloads):
         for name, message in payload.get("errors", {}).items():
@@ -378,7 +398,7 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
             continue
         rec = _build_record(chart, config, group, name, anchor, tolerance,
                             payloads, has_velocity=has_velocity,
-                            basepoint=basepoint)
+                            basepoint=basepoint, eos=eos)
         if rec is None:
             continue
         if name in point_errors:
@@ -395,7 +415,7 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
 
 
 def _build_record(chart, config, group, name, anchor, tolerance, payloads,
-                  *, has_velocity, basepoint):
+                  *, has_velocity, basepoint, eos):
     rec = CheckRecord(name=name, group=group, anchor=anchor,
                       tolerance=tolerance)
     needs_velocity = {
@@ -461,26 +481,23 @@ def _build_record(chart, config, group, name, anchor, tolerance, payloads,
             rec.detail["note"] = "reported only: vanishing is not asserted for n > 4"
         return rec
     if name == "eos-slope":
-        report = _eos(payloads)
         rec.status = INFORMATIONAL
-        if report is not None:
-            rec.detail["w"] = report.w if report.w is not None else "undefined"
-            rec.detail["degenerate_fit"] = report.degenerate_fit
+        if eos is not None:
+            rec.detail["w"] = eos.w if eos.w is not None else "undefined"
+            rec.detail["degenerate_fit"] = eos.degenerate_fit
         return rec
     if name == "eos-parallel":
-        report = _eos(payloads)
-        if report is None:
+        if eos is None:
             rec.status = SKIPPED
             rec.skipped_reason = "no scalar gradients available"
             return rec
-        rec.max_residual = report.parallel_residual
+        rec.max_residual = eos.parallel_residual
         return rec
     if name == "energy-condition":
-        report = _eos(payloads)
         rec.status = INFORMATIONAL
-        if report is not None:
-            rec.detail["min_abs_p_plus_mu"] = report.min_p_plus_mu
-            rec.detail["p_plus_mu_positive"] = report.p_plus_mu_positive
+        if eos is not None:
+            rec.detail["min_abs_p_plus_mu"] = eos.min_p_plus_mu
+            rec.detail["p_plus_mu_positive"] = eos.p_plus_mu_positive
         return rec
     if name == "homothetic-triple":
         rows = [p for p in payloads if "grad_rho_norm" in p]
@@ -540,25 +557,16 @@ def _generic_skip_reason(name):
     return "no data"
 
 
-_EOS_CACHE_KEY = "_eos_report"
-
-
 def _eos(payloads):
-    holder = payloads[0] if payloads else None
-    if holder is None:
-        return None
-    if _EOS_CACHE_KEY in holder:
-        return holder[_EOS_CACHE_KEY]
+    """The equation-of-state report over the points that carry scalar
+    gradients, or None when none does."""
     rows = [p for p in payloads if "dp" in p]
     if not rows:
-        holder[_EOS_CACHE_KEY] = None
         return None
-    report = physics.eos_check([p["dp"] for p in rows],
-                               [p["dmu"] for p in rows],
-                               [p["p"] for p in rows],
-                               [p["mu"] for p in rows])
-    holder[_EOS_CACHE_KEY] = report
-    return report
+    return physics.eos_check([p["dp"] for p in rows],
+                             [p["dmu"] for p in rows],
+                             [p["p"] for p in rows],
+                             [p["mu"] for p in rows])
 
 
 _HYPOTHESIS_CHECKS = ("fluid-decompose", "fluid-form", "u-unit", "u-closed",

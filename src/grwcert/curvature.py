@@ -1,4 +1,5 @@
-"""Curvature stack at a point: metric jets through the Weyl divergence.
+"""Curvature stack at a point, or at a batch of points: metric jets
+through the Weyl divergence.
 
 Index conventions, pinned by the oracle suite before any theorem-level
 check (unit round sphere: scalar curvature +2; exponential warp, n=4:
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
-from .expr import eval_jet3
+from .expr import eval_jet3, eval_jet3_batch
 from .jets import TensorJet, contract, jet_tables, leibniz_level
 
 # div-Weyl / Cotton proportionality, one constant per dimension, determined
@@ -72,55 +73,102 @@ class CurvaturePoint:
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
 
 
+class SingularMetricError(np.linalg.LinAlgError):
+    """The metric is singular at a point. ``index`` and ``coords`` name
+    the point within a batch; both are None for a one-point stack."""
+
+    def __init__(self, index: int | None = None, coords=None):
+        super().__init__(index, coords)
+        self.index = index
+        self.coords = coords
+
+    def __str__(self) -> str:
+        if self.index is None:
+            return "metric matrix is singular"
+        return (f"metric matrix is singular at point {self.index}, "
+                f"coordinates {tuple(float(c) for c in self.coords)}")
+
+
 class JetStack:
-    """Tensor jets of the curvature stack at one point; built eagerly, shared.
+    """Tensor jets of the curvature stack; built eagerly, shared.
 
     ``g`` (order 3), ``g_inv`` (order 2), ``gamma`` (``[m, j, k]`` =
     Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
     ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
+
+    Given one ``ChartPoint``, the stack is that point's (``point``).
+    Given a sequence of points (``points``), every tensor carries a
+    leading point axis, and ``at(i)`` is the i-th point's stack.
     """
 
-    def __init__(self, chart: MetricChart, point: ChartPoint):
+    TENSORS = ("g", "g_inv", "gamma", "riem", "ricci", "rs", "weyl")
+
+    def __init__(self, chart: MetricChart, points):
         self.chart = chart
-        self.point = point
         n = self.n = chart.n
-        jets = {}
-        for i in range(n):
-            for j in range(i, n):
-                jets[i, j] = jets[j, i] = eval_jet3(chart.metric[i][j], point,
-                                                    chart.params)
-        g = self.g = TensorJet.from_jets(
-            [jets[i, j] for i in range(n) for j in range(n)], (n, n))
-        g_inv = self.g_inv = metric_inverse(g.truncated(2))
+        batch = 0 if isinstance(points, ChartPoint) else 1
+        if batch:
+            self.points = tuple(points)
+        else:
+            self.point = points
+        rows = [p.coords for p in self.points] if batch else [points.coords]
+
+        # One batched walk of the metric's upper triangle, mirrored.
+        iu, ju = np.triu_indices(n)
+        slot = np.empty((n, n), dtype=np.intp)
+        slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
+        levels = eval_jet3_batch([chart.metric[i][j] for i, j in zip(iu, ju)],
+                                 rows, chart.params)
+        g = self.g = TensorJet(n, [np.take(level if batch else level[0], slot,
+                                           axis=batch) for level in levels],
+                               batch)
+        try:
+            g_inv = self.g_inv = metric_inverse(g.truncated(2))
+        except SingularMetricError as err:
+            if err.index is not None:
+                err.coords = rows[err.index]
+            raise
 
         # Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk)
         dg = g.deriv()                               # dg[a, i, j] = d_a g_ij
         combo = dg.map("jlk->ljk") + dg.map("klj->ljk") - dg
         gamma = self.gamma = contract("ml,ljk->mjk", g_inv, combo) * 0.5
+        del dg, combo    # the temporaries of a batch add up: free them early
 
         # R = X - X with j and k swapped: exactly antisymmetric in (j, k).
         gamma1 = gamma.truncated(1)
         x = (gamma.deriv().map("kmjl->jklm")
              + contract("bjl,mkb->jklm", gamma1, gamma1))
         riem = self.riem = x - x.map("kjlm->jklm")
+        del x
         ricci = self.ricci = riem.map("jmlm->jl")
         self.rs = contract("jl,jl->", g_inv.truncated(1), ricci)
         if n >= 3:
             self.weyl = self._weyl(g.truncated(1))
         else:
-            self.weyl = TensorJet(n, [np.zeros((n,) * 4),
-                                      np.zeros((n,) * 5)])
+            self.weyl = TensorJet(n, [np.zeros_like(level)
+                                      for level in riem.levels], batch)
+
+    def at(self, i: int) -> "JetStack":
+        """Point i's stack; its tensors are views into this stack's."""
+        view = object.__new__(JetStack)
+        view.chart, view.n, view.point = self.chart, self.n, self.points[i]
+        for name in self.TENSORS:
+            setattr(view, name, getattr(self, name).at(i))
+        return view
 
     def _weyl(self, g: TensorJet) -> TensorJet:
         n, ricci = self.n, self.ricci
         swap_jk = "kjlm->jklm"
-        low = contract("jkla,am->jklm", self.riem, g)
         mixed = (contract("jm,kl->jklm", g, ricci)
                  + contract("jm,kl->jklm", ricci, g))
+        weyl = (contract("jkla,am->jklm", self.riem, g)
+                + (mixed - mixed.map(swap_jk)) * (1.0 / (n - 2)))
+        del mixed
         gg = contract("jm,kl->jklm", g, g)
-        weyl = (low + (mixed - mixed.map(swap_jk)) * (1.0 / (n - 2))
-                - contract(",jklm->jklm", self.rs, gg - gg.map(swap_jk))
-                * (1.0 / ((n - 1) * (n - 2))))
+        weyl = weyl - (contract(",jklm->jklm", self.rs, gg - gg.map(swap_jk))
+                       * (1.0 / ((n - 1) * (n - 2))))
+        del gg
         # Every term above is exactly antisymmetric in (j, k); the
         # half-difference makes C exactly antisymmetric in (l, m) as well.
         return (weyl - weyl.map("jkml->jklm")) * 0.5
@@ -167,25 +215,35 @@ class JetStack:
         return partial - corrections + np.einsum("a,jkla->jkl", trace, cup)
 
 
+def _invertible(m: np.ndarray) -> bool:
+    try:
+        return bool(np.max(np.abs(np.linalg.inv(m))) < 1e14)
+    except np.linalg.LinAlgError:
+        return False
+
+
 def metric_inverse(g: TensorJet) -> TensorJet:
     """g^{-1} to the order of ``g``: ``np.linalg.inv`` on the values, then
     level k from d^k(g g^{-1}) = 0, i.e. level k of g^{-1} is -g^{-1}
     times level k of the product g g^{-1} taken without its g g^{-1}_k term.
+
+    Raises ``SingularMetricError`` for the first point whose g is singular.
     """
-    try:
-        h0 = np.linalg.inv(g.value)
-    except np.linalg.LinAlgError:
-        h0 = None
     # Entries of g^{-1} above 1e14 mean an eigenvalue of g below about
     # 1e-14, the pivot bound of the jet Gauss-Jordan this replaced.
-    if h0 is None or not np.max(np.abs(h0)) < 1e14:
-        raise np.linalg.LinAlgError("metric matrix is singular")
+    try:
+        h0 = np.linalg.inv(g.value)
+        ok = np.max(np.abs(h0), axis=(-2, -1)) < 1e14
+    except np.linalg.LinAlgError:    # fails for the whole batch: find the point
+        ok = np.array([_invertible(m) for m in g.value.reshape(-1, g.n, g.n)])
+    if not np.all(ok):
+        raise SingularMetricError(int(np.argmin(ok)) if g.batch else None)
     levels = [h0]
     for k in range(1, g.order + 1):
         rest = leibniz_level("ij,jk->ik", g.n, g.levels,
                              levels + [np.zeros_like(g.levels[k])], k)
-        levels.append(-np.einsum("ij,jkZ->ikZ", h0, rest))
-    return TensorJet(g.n, levels)
+        levels.append(-np.einsum("...ij,...jkZ->...ikZ", h0, rest))
+    return TensorJet(g.n, levels, g.batch)
 
 
 def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet3, JetDomainError
+from .jets import (MAX_ORDER, Jet3, JetDomainError, jet_tables,
+                   pair_count, triple_count)
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
@@ -56,12 +58,29 @@ class Expr:
     __slots__ = ()
 
 
+def _hashed_once(cls):
+    """Cache each node's hash. The batched walk memoizes on nodes, and a
+    frozen dataclass's own hash rehashes the whole subtree on every call."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hashed_once
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
     offset: int = 0
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Coord(Expr):
     name: str
@@ -69,12 +88,14 @@ class Coord(Expr):
     offset: int = 0
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Param(Expr):
     name: str
     offset: int = 0
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Unary(Expr):
     op: str  # 'neg' or a FUNCTIONS entry
@@ -82,6 +103,7 @@ class Unary(Expr):
     offset: int = 0
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Binary(Expr):
     op: str  # '+', '-', '*', '/'
@@ -90,6 +112,7 @@ class Binary(Expr):
     offset: int = 0
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Power(Expr):
     base: Expr
@@ -387,34 +410,191 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
 # ---------------------------------------------------------------------------
 # Batched evaluation over the rows of an (N, n) coordinate array.
 #
-# One walk per tree, one numpy operation per node. The arithmetic is the
-# scalar paths' own, so every row is bit-identical to them: eval_jet3's at
-# value-and-gradient level (``/`` as ``a * reciprocal(b)``), eval_value's
-# in value mode (plain ``/``). Functions and powers go through ``math``
-# row by row, because numpy's vectorized exp, log, pow, tan, ... may
-# differ from the C library in the last bit.
+# The trees of a call become one tape of their distinct subtrees (equal
+# subtrees, i.e. the same text at the same offset, appear once), and each
+# step is a few numpy operations over all rows. A step's result is a flat
+# jet: derivative levels 0..order in jet_tables' packed slots, one row of
+# the array per slot and one column per coordinate row. The arithmetic is
+# the scalar paths' own, term by term in Jet3's order, so every row is
+# bit-identical to them: eval_jet3's at orders 1 and 3 (``/`` as
+# ``a * reciprocal(b)``), eval_value's at order 0 (plain ``/``). Function
+# and power coefficients go through ``math`` row by row, because numpy's
+# vectorized exp, log, pow, tan, ... may differ from the C library in the
+# last bit.
 # ---------------------------------------------------------------------------
-
-# name -> (value function, first derivative from (argument, value)),
-# formed as Jet3 forms them.
-_FIRST = {
-    "exp": (math.exp, lambda v, c: c),
-    "ln": (math.log, lambda v, c: 1.0 / v),
-    "sqrt": (math.sqrt, lambda v, r: 0.5 / r),
-    "sin": (math.sin, lambda v, s: _libm(math.cos, v)),
-    "cos": (math.cos, lambda v, c: -_libm(math.sin, v)),
-    "tan": (math.tan, lambda v, t: 1.0 + t * t),
-    "sinh": (math.sinh, lambda v, s: _libm(math.cosh, v)),
-    "cosh": (math.cosh, lambda v, c: _libm(math.sinh, v)),
-    "tanh": (math.tanh, lambda v, t: 1.0 - t * t),
-}
-_POSITIVE_ARGUMENT = ("ln", "sqrt")
-
 
 def _libm(fn, values, *args) -> np.ndarray:
     """``fn(v, *args)`` for each entry, through Python's math semantics."""
     return np.fromiter(map(fn, values.tolist(), *(repeat(a) for a in args)),
                        dtype=float, count=len(values))
+
+
+def _ratio(num: float, den: np.ndarray) -> np.ndarray:
+    """``num / den``, failing where Python's float division would."""
+    if np.any(den == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+# Derivatives c0, c1, c2, c3 of each function at the argument v, formed as
+# the Jet3 methods form them; generators, so that a walk of order k forms
+# only c0..ck.
+
+def _exp(v):
+    c = _libm(math.exp, v)
+    yield from (c, c, c, c)
+
+
+def _ln(v):
+    yield _libm(math.log, v)
+    yield 1.0 / v
+    yield _ratio(-1.0, _libm(pow, v, 2.0))
+    yield _ratio(2.0, _libm(pow, v, 3.0))
+
+
+def _sqrt(v):
+    r = _libm(math.sqrt, v)
+    yield r
+    yield 0.5 / r
+    yield _ratio(-0.25, v * r)
+    yield _ratio(0.375, v * v * r)
+
+
+def _sin(v):
+    s = _libm(math.sin, v)
+    yield s
+    c = _libm(math.cos, v)
+    yield from (c, -s, -c)
+
+
+def _cos(v):
+    c = _libm(math.cos, v)
+    yield c
+    s = _libm(math.sin, v)
+    yield from (-s, -c, s)
+
+
+def _tan(v):
+    t = _libm(math.tan, v)
+    yield t
+    s = 1.0 + t * t
+    yield from (s, 2.0 * t * s, s * (2.0 + 6.0 * t * t))
+
+
+def _sinh(v):
+    s = _libm(math.sinh, v)
+    yield s
+    c = _libm(math.cosh, v)
+    yield from (c, s, c)
+
+
+def _cosh(v):
+    c = _libm(math.cosh, v)
+    yield c
+    s = _libm(math.sinh, v)
+    yield from (s, c, s)
+
+
+def _tanh(v):
+    t = _libm(math.tanh, v)
+    yield t
+    s = 1.0 - t * t
+    yield from (s, -2.0 * t * s, s * (6.0 * t * t - 2.0))
+
+
+def _reciprocal(v):
+    yield 1.0 / v
+    yield _ratio(-1.0, _libm(pow, v, 2.0))
+    yield _ratio(2.0, _libm(pow, v, 3.0))
+    yield _ratio(-6.0, _libm(pow, v, 4.0))
+
+
+def _power(v, e: float):
+    """``_pow_term(v, e, m)`` for m = 0, 1, ...: Jet3 pins powers of zero
+    to unsigned values, not pow's signed zeros."""
+    integer = float(e).is_integer()
+    coeff = 1.0
+    for m in range(MAX_ORDER + 1):
+        if m:
+            coeff *= e - (m - 1)
+        if coeff == 0.0:
+            yield np.zeros(len(v))
+            continue
+        c = coeff * _libm(pow, v, e - m)
+        yield np.where(v == 0.0, coeff if e == m else 0.0, c) if integer else c
+
+
+_FUNCTIONS = {"exp": _exp, "ln": _ln, "sqrt": _sqrt, "sin": _sin,
+              "cos": _cos, "tan": _tan, "sinh": _sinh, "cosh": _cosh,
+              "tanh": _tanh}
+_POSITIVE_ARGUMENT = ("ln", "sqrt")
+
+
+@lru_cache(maxsize=None)
+def _slots(n: int, order: int) -> int:
+    """Length of a flat jet of the given order: value, then the packed
+    gradient, Hessian and third-derivative slots."""
+    return (1, 1 + n, 1 + n + pair_count(n), 1 + n + pair_count(n)
+            + triple_count(n))[order]
+
+
+@lru_cache(maxsize=None)
+def _product_terms(n: int, order: int):
+    """``Jet3.__mul__`` as a table. Row r of the two (terms, slots) index
+    arrays holds term r of every output slot, as an (a slot, b slot)
+    product, in Jet3's order. Slots with fewer terms are padded with the
+    slot past the end, which holds -0.0 in a and 1.0 in b: adding -0.0
+    leaves every float as it is, signed zeros included."""
+    t = jet_tables(n)
+    g = 1 + np.arange(n)                        # the slots of each level
+    h = 1 + n + np.arange(pair_count(n))
+    c = 1 + n + pair_count(n) + np.arange(triple_count(n))
+    levels = [(1, [(0, 0)]),
+              (n, [(g, 0), (0, g)]),
+              (len(h), [(h, 0), (0, h),
+                        (g[t.i2], g[t.j2]), (g[t.j2], g[t.i2])]),
+              (len(c), [(c, 0), (0, c),
+                        (h[t.p_ij], g[t.k3]), (h[t.p_ik], g[t.j3]),
+                        (h[t.p_jk], g[t.i3]), (g[t.i3], h[t.p_jk]),
+                        (g[t.j3], h[t.p_ik]), (g[t.k3], h[t.p_ij])])][:order + 1]
+    pad = _slots(n, order)
+    ia, ib = np.full((2, len(levels[-1][1]), pad), pad, dtype=np.intp)
+    start = 0
+    for size, terms in levels:
+        for r, (sa, sb) in enumerate(terms):
+            ia[r, start:start + size] = sa
+            ib[r, start:start + size] = sb
+        start += size
+    return ia, ib
+
+
+def _mul(a, b, terms):
+    """``Jet3.__mul__`` on flat jets: one gather per operand, one product,
+    and a left-to-right running sum over the terms of each slot."""
+    ia, ib = terms
+    rows = a.shape[1]
+    a = np.concatenate((a, np.full((1, rows), -0.0)))
+    b = np.concatenate((b, np.ones((1, rows))))
+    return np.add.accumulate(a[ia] * b[ib])[-1]
+
+
+def _compose(f, coefficients, n: int, order: int):
+    """``Jet3._compose`` on a flat jet: phi(f) from phi's derivatives."""
+    c = list(islice(coefficients, order + 1))
+    if not order:
+        return c[0][None]
+    out = c[1] * f           # c1 times every derivative level
+    out[0] = c[0]
+    t, g, hess = jet_tables(n), f[1:1 + n], 1 + n
+    third = hess + pair_count(n)
+    if order > 1:
+        out[hess:third] += c[2] * g[t.i2] * g[t.j2]
+    if order > 2:
+        h = f[hess:third]
+        gi, gj, gk = g[t.i3], g[t.j3], g[t.k3]
+        out[third:] += c[2] * (h[t.p_ij] * gk + h[t.p_ik] * gj + h[t.p_jk] * gi)
+        out[third:] += c[3] * gi * gj * gk
+    return out
 
 
 def _flag(bad: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -423,65 +603,126 @@ def _flag(bad: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.nan, values)
 
 
-def _walk_batch(node: Expr, x: np.ndarray, params, grad: bool, bad):
-    """(values (N,), gradients (N, n) or None) of one tree."""
-    rows, n = x.shape
-    if isinstance(node, (Const, Param)):
-        if isinstance(node, Const):
-            value = node.value
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Unary):
+        return (node.arg,)
+    if isinstance(node, Power):
+        return (node.base,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return ()
+
+
+@lru_cache(maxsize=256)
+def _tape(nodes: tuple):
+    """The distinct subtrees of ``nodes`` in post-order, equal subtrees
+    once, as (node, child steps) steps; for each step, the earlier steps
+    whose last use it is; and the steps of the roots."""
+    steps, index = [], {}
+
+    def visit(node):
+        step = index.get(node)
+        if step is None:
+            kids = tuple(visit(child) for child in _children(node))
+            step = index[node] = len(steps)
+            steps.append((node, kids))
+        return step
+
+    roots = tuple(visit(node) for node in nodes)
+    last = {kid: i for i, (_, kids) in enumerate(steps) for kid in kids}
+    frees = [[] for _ in steps]
+    for kid, i in last.items():
+        if kid not in roots:
+            frees[i].append(kid)
+    return steps, frees, roots
+
+
+def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
+    """The flat jet of one node from its children's flat jets ``args``."""
+    n, rows = cols.shape
+    if isinstance(node, (Const, Param, Coord)):
+        flat = np.zeros((_slots(n, order), rows))
+        if isinstance(node, Coord):
+            flat[0] = cols[node.index]
+            if order:
+                flat[1 + node.index] = 1.0
+        elif isinstance(node, Const):
+            flat[0] = node.value
         else:
             try:
-                value = float(params[node.name])
+                flat[0] = float(params[node.name])
             except KeyError:
                 bad[:] = True
-                value = np.nan
-        return np.full(rows, value), (np.zeros((rows, n)) if grad else None)
-    if isinstance(node, Coord):
-        d = None
-        if grad:
-            d = np.zeros((rows, n))
-            d[:, node.index] = 1.0
-        return x[:, node.index], d
+                flat[0] = np.nan
+        return flat
     if isinstance(node, Unary):
-        v, d = _walk_batch(node.arg, x, params, grad, bad)
         if node.op == "neg":
-            return -v, (None if d is None else -d)
-        value_fn, first = _FIRST[node.op]
+            return -args[0]
+        v = args[0][0]
         if node.op in _POSITIVE_ARGUMENT:
             v = _flag(bad, v, v <= 0.0)
-        c0 = _libm(value_fn, v)
-        return c0, (None if d is None else first(v, c0)[:, None] * d)
+        return _compose(args[0], _FUNCTIONS[node.op](v), n, order)
     if isinstance(node, Binary):
-        a, da = _walk_batch(node.left, x, params, grad, bad)
-        b, db = _walk_batch(node.right, x, params, grad, bad)
+        a, b = args
         if node.op == "+":
-            return a + b, (None if da is None else da + db)
+            return a + b
         if node.op == "-":
-            return a - b, (None if da is None else da - db)
+            return a - b
         if node.op == "*":
-            return a * b, (None if da is None
-                           else da * b[:, None] + a[:, None] * db)
-        b = _flag(bad, b, b == 0.0)
-        if da is None:
-            return a / b, None
-        r0 = 1.0 / b
-        r1 = -1.0 / _libm(pow, b, 2.0)
-        return a * r0, da * r0[:, None] + a[:, None] * (r1[:, None] * db)
+            return _mul(a, b, _product_terms(n, order))
+        v = _flag(bad, b[0], b[0] == 0.0)
+        if not order:
+            return (a[0] / v)[None]
+        return _mul(a, _compose(b, _reciprocal(v), n, order),
+                    _product_terms(n, order))
     if isinstance(node, Power):
-        v, d = _walk_batch(node.base, x, params, grad, bad)
-        e = node.exponent
-        integer = float(e).is_integer()
-        v = _flag(bad, v, (v == 0.0) & (e < 0) if integer else v <= 0.0)
-        value = _libm(pow, v, e)
-        if d is None:
-            return value, None
-        c1 = np.zeros(rows) if e == 0.0 else e * _libm(pow, v, e - 1.0)
-        if integer:
-            # Jet3 pins powers of zero to unsigned values, not pow's signed zeros.
-            value = np.where(v == 0.0, float(e == 0.0), value)
-            c1 = np.where(v == 0.0, e if e == 1.0 else 0.0, c1)
-        return value, c1[:, None] * d
+        v, e = args[0][0], node.exponent
+        v = _flag(bad, v, (v == 0.0) & (e < 0) if float(e).is_integer()
+                  else v <= 0.0)
+        if not order:
+            return _libm(pow, v, e)[None]
+        return _compose(args[0], _power(v, e), n, order)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _eval_levels(nodes: Sequence[Expr], x, params, order: int) -> list:
+    """Levels 0..order of several trees at every row of ``x`` (N, n):
+    level k has shape (N, K) + the packed shape of level k.
+
+    Each distinct subtree is evaluated once, to a flat jet (slots, N)
+    holding levels 0..order with the rows last, and kept until its last
+    use. A failure raises what the per-row path raises first, taking rows
+    in order and the trees of a row in order: the rows up to the first
+    flagged one are re-evaluated on the scalar path.
+    """
+    nodes, x = tuple(nodes), np.asarray(x, dtype=float)
+    cols = np.ascontiguousarray(x.T)            # (n, N)
+    bad = np.zeros(len(x), dtype=bool)
+    steps, frees, roots = _tape(nodes)
+    jets = [None] * len(steps)
+    try:
+        with np.errstate(all="ignore"):
+            for i, (node, kids) in enumerate(steps):
+                jets[i] = _evaluate(node, [jets[k] for k in kids], cols,
+                                    params, order, bad)
+                for k in frees[i]:
+                    jets[k] = None
+        failed = bool(bad.any())
+    except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
+        failed = True
+    if failed:
+        last = int(np.argmax(bad)) if bad.any() else len(x) - 1
+        scalar = eval_jet3 if order else eval_value
+        for row in x[:last + 1].tolist():
+            for node in nodes:
+                scalar(node, row, params)
+        raise RuntimeError("batched evaluation flagged a row that the "
+                           "per-row path evaluates")
+    flat = np.stack([jets[r] for r in roots])
+    bounds = [_slots(x.shape[1], k) for k in range(order + 1)]
+    return [np.ascontiguousarray(flat[:, 0].T)] + [
+        np.ascontiguousarray(flat[:, lo:hi].transpose(2, 0, 1))
+        for lo, hi in zip(bounds, bounds[1:])]
 
 
 def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
@@ -490,37 +731,24 @@ def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
 
     Returns values of shape (N, K) and, with ``grad``, gradients of shape
     (N, K, n), bit-identical to eval_jet3 (``grad``) or eval_value rows.
-    A failure raises what the per-row path raises first, taking rows in
-    order and the trees of a row in order: the rows up to the first
-    flagged one are re-evaluated on the scalar path.
+    A failure raises what the per-row path raises first.
     """
-    x = np.asarray(x, dtype=float)
-    bad = np.zeros(len(x), dtype=bool)
-    walked = {}    # equal trees, such as a sparse metric's zeros, walk once
-    try:
-        with np.errstate(all="ignore"):
-            for node in nodes:
-                if node not in walked:
-                    walked[node] = _walk_batch(node, x, params, grad, bad)
-        failed = bool(bad.any())
-    except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
-        failed = True
-    if failed:
-        last = int(np.argmax(bad)) if bad.any() else len(x) - 1
-        scalar = eval_jet3 if grad else eval_value
-        for row in x[:last + 1].tolist():
-            for node in nodes:
-                scalar(node, row, params)
-        raise RuntimeError("batched evaluation flagged a row that the "
-                           "per-row path evaluates")
-    parts = [walked[node] for node in nodes]
-    values = np.stack([v for v, _ in parts], axis=1)
-    if not grad:
-        return values
-    return values, np.stack([d for _, d in parts], axis=1)
+    if grad:
+        return tuple(_eval_levels(nodes, x, params, 1))
+    return _eval_levels(nodes, x, params, 0)[0]
 
 
 def eval_grad_batch(node: Expr, x, params: Mapping[str, float]):
     """Value (N,) and gradient (N, n) of one tree at every row of ``x``."""
     values, grads = eval_batch((node,), x, params, grad=True)
     return values[:, 0], grads[:, 0]
+
+
+def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float]):
+    """Order-3 jets of several trees at every row of ``x`` (shape (N, n)):
+    value, gradient, packed Hessian and packed third level, of shapes
+    (N, K), (N, K, n), (N, K, pairs) and (N, K, triples), each row
+    bit-identical to eval_jet3's ``value``, ``grad``, ``hess``, ``third``.
+    A failure raises what eval_jet3 raises first, rows in order.
+    """
+    return _eval_levels(nodes, x, params, MAX_ORDER)

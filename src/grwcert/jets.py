@@ -364,21 +364,25 @@ def _pow_term(v: float, e: float, m: int) -> float:
 
 
 class TensorJet:
-    """Jets of every component of an array-valued field at one point.
+    """Jets of every component of an array-valued field, at one point or at
+    each point of a batch.
 
     ``levels[0]`` is the value, of the field's shape S; ``levels[1..3]``
     (``grad``, ``hess``, ``third``) have shapes S + (n,), S + (pairs,) and
-    S + (triples,) over the packed slots of ``jet_tables(n)``. Only levels
-    up to ``order`` are stored. Index specs (``map``, ``contract``) name the
-    value axes only; the derivative axis rides along.
+    S + (triples,) over the packed slots of ``jet_tables(n)``. A batched
+    jet (``batch`` 1) puts a point axis in front of every level. Only
+    levels up to ``order`` are stored. Index specs (``map``, ``contract``)
+    name the value axes only; the point axis and the derivative axis ride
+    along.
     """
 
-    __slots__ = ("n", "order", "levels")
+    __slots__ = ("n", "order", "levels", "batch")
 
-    def __init__(self, n: int, levels):
+    def __init__(self, n: int, levels, batch: int = 0):
         self.n = n
         self.order = len(levels) - 1
         self.levels = tuple(levels)
+        self.batch = batch
 
     @classmethod
     def from_jets(cls, jets, shape) -> "TensorJet":
@@ -403,29 +407,37 @@ class TensorJet:
     def hess(self) -> np.ndarray:
         return self.levels[2]
 
+    def _like(self, levels) -> "TensorJet":
+        return TensorJet(self.n, levels, self.batch)
+
+    def at(self, i: int) -> "TensorJet":
+        """The jet at point ``i`` of a batch: views, no copies."""
+        return TensorJet(self.n, [level[i, ...] for level in self.levels])
+
     def truncated(self, order: int) -> "TensorJet":
         if order >= self.order:
             return self
-        return TensorJet(self.n, self.levels[:order + 1])
+        return self._like(self.levels[:order + 1])
 
     def deriv(self) -> "TensorJet":
-        """New leading axis a holding d_a of every component, order - 1."""
+        """New axis a, right after the point axis, holding d_a of every
+        component, order - 1."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        t = jet_tables(self.n)
-        levels = [np.moveaxis(self.levels[1], -1, 0)]
+        t, a = jet_tables(self.n), self.batch
+        levels = [np.moveaxis(self.levels[1], -1, a)]
         if self.order >= 2:
-            levels.append(np.moveaxis(self.levels[2][..., t.pair_pos], -2, 0))
+            levels.append(np.moveaxis(self.levels[2][..., t.pair_pos], -2, a))
         if self.order >= 3:
             levels.append(np.moveaxis(
-                self.levels[3][..., t.triple_pos[:, t.i2, t.j2]], -2, 0))
-        return TensorJet(self.n, levels)
+                self.levels[3][..., t.triple_pos[:, t.i2, t.j2]], -2, a))
+        return self._like(levels)
 
     def map(self, spec: str) -> "TensorJet":
         """A linear index map (axis permutation, trace) on every level."""
         src, dst = spec.split("->")
-        return TensorJet(self.n, [np.einsum(spec, self.levels[0])] + [
-            np.einsum(f"{src}Z->{dst}Z", level) for level in self.levels[1:]])
+        return self._like([np.einsum(f"...{src}->...{dst}", self.levels[0])] + [
+            np.einsum(f"...{src}Z->...{dst}Z", level) for level in self.levels[1:]])
 
     def as_jet3(self) -> Jet3:
         """A shape-() jet as a scalar ``Jet3`` with a Python float value."""
@@ -435,13 +447,13 @@ class TensorJet:
                     *self.levels[1:], *zeros[self.order:])
 
     def __add__(self, other: "TensorJet") -> "TensorJet":
-        return TensorJet(self.n, [a + b for a, b in zip(self.levels, other.levels)])
+        return self._like([a + b for a, b in zip(self.levels, other.levels)])
 
     def __sub__(self, other: "TensorJet") -> "TensorJet":
-        return TensorJet(self.n, [a - b for a, b in zip(self.levels, other.levels)])
+        return self._like([a - b for a, b in zip(self.levels, other.levels)])
 
     def __mul__(self, c: float) -> "TensorJet":
-        return TensorJet(self.n, [a * c for a in self.levels])
+        return self._like([a * c for a in self.levels])
 
     __rmul__ = __mul__
 
@@ -452,28 +464,27 @@ def contract(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
     ``Jet3.__mul__``, one einsum each."""
     order = min(a.order, b.order)
     return TensorJet(a.n, [leibniz_level(spec, a.n, a.levels, b.levels, k)
-                           for k in range(order + 1)])
+                           for k in range(order + 1)], max(a.batch, b.batch))
 
 
 def leibniz_level(spec: str, n: int, a, b, k: int) -> np.ndarray:
-    """Level k of the product of the level sequences ``a`` and ``b``."""
-    if k == 0:
-        return np.einsum(spec, a[0], b[0])
+    """Level k of the product of the level sequences ``a`` and ``b``,
+    summed term by term in ``Jet3.__mul__``'s order."""
     src, out = spec.split("->")
     sa, sb = src.split(",")
-    left = f"{sa}Z,{sb}->{out}Z"    # derivative axis on a only
-    right = f"{sa},{sb}Z->{out}Z"   # on b only
-    both = f"{sa}Z,{sb}Z->{out}Z"   # packed slots matched entrywise
-    terms = [np.einsum(left, a[k], b[0]), np.einsum(right, a[0], b[k])]
+    if k == 0:
+        return np.einsum(f"...{sa},...{sb}->...{out}", a[0], b[0])
     t = jet_tables(n)
+    cross = ()    # products of lower levels, as (a level, slots, b level, slots)
     if k == 2:
-        terms += [np.einsum(both, a[1][..., t.i2], b[1][..., t.j2]),
-                  np.einsum(both, a[1][..., t.j2], b[1][..., t.i2])]
+        cross = ((a[1], t.i2, b[1], t.j2), (a[1], t.j2, b[1], t.i2))
     elif k == 3:
-        terms += [np.einsum(both, a[2][..., t.p_ij], b[1][..., t.k3]),
-                  np.einsum(both, a[2][..., t.p_ik], b[1][..., t.j3]),
-                  np.einsum(both, a[2][..., t.p_jk], b[1][..., t.i3]),
-                  np.einsum(both, a[1][..., t.i3], b[2][..., t.p_jk]),
-                  np.einsum(both, a[1][..., t.j3], b[2][..., t.p_ik]),
-                  np.einsum(both, a[1][..., t.k3], b[2][..., t.p_ij])]
-    return sum(terms[1:], terms[0])
+        cross = ((a[2], t.p_ij, b[1], t.k3), (a[2], t.p_ik, b[1], t.j3),
+                 (a[2], t.p_jk, b[1], t.i3), (a[1], t.i3, b[2], t.p_jk),
+                 (a[1], t.j3, b[2], t.p_ik), (a[1], t.k3, b[2], t.p_ij))
+    level = np.einsum(f"...{sa}Z,...{sb}->...{out}Z", a[k], b[0])
+    level += np.einsum(f"...{sa},...{sb}Z->...{out}Z", a[0], b[k])
+    for x, i, y, j in cross:
+        level += np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z",
+                           x[..., i], y[..., j])
+    return level

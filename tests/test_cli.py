@@ -3,7 +3,7 @@ import json
 import pytest
 
 from grwcert import classify
-from grwcert.certify import RunConfig, run_certify
+from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.cli import main
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.report import render_json, render_text, report_to_dict
@@ -164,6 +164,43 @@ class TestReports:
         threaded = render_json(run_certify(
             spec_file, RunConfig(points=10, seed=3, workers=8)))
         assert serial == threaded
+
+    def test_chunk_boundary_identical_across_worker_counts(self, spec_file,
+                                                            tmp_path):
+        # Two full chunks of points and one more: the stacks are built per
+        # chunk, the point work fans out within each.
+        points = str(2 * CHUNK_POINTS + 1)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"report-{workers}.json"
+            assert main(["certify", str(spec_file), "--points", points,
+                         "--seed", "6", "--workers", workers, "--quiet",
+                         "--json", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["environment"]["points"] == int(points)
+
+    def test_singular_metric_names_the_run_point(self, tmp_path, capsys):
+        # The second chunk's first point is singular: the error names its
+        # index in the run, not in the chunk.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec.update(name="singular", velocity_field=None, basepoint=None)
+        spec["metric"]["2,2"] = "t^(4/3)*(x - 0.125)^2"
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(spec))
+        from grwcert.chart import compile_chart, sample_points
+        from grwcert.schema import load_chart_input
+        chart = compile_chart(load_chart_input(str(path)))
+        points = sample_points(chart, CHUNK_POINTS + 1, 0)
+        x = float(points[CHUNK_POINTS].coords[1])
+        spec["metric"]["2,2"] = f"t^(4/3)*(x - ({x!r}))^2"
+        path.write_text(json.dumps(spec))
+        assert main(["certify", str(path), "--points",
+                     str(CHUNK_POINTS + 1), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metric matrix is singular at point "
+                              f"{CHUNK_POINTS}, coordinates (")
+        assert f"{x!r}" in err and "np.float64" not in err
 
     def test_text_contains_divweyl_anchor(self, spec_file):
         text = render_text(run_certify(spec_file, RunConfig(points=4)))

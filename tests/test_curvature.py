@@ -5,7 +5,7 @@ import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.curvature import (COTTON_COEFF, CurvaturePoint, JetStack,
-                               PointwiseFieldError,
+                               PointwiseFieldError, SingularMetricError,
                                cotton_combination, curvature_at,
                                first_bianchi_residual, grad_vector_at,
                                scale_free, second_bianchi_residual,
@@ -260,3 +260,56 @@ class TestTensorJetStack:
         with pytest.raises(np.linalg.LinAlgError,
                            match="^metric matrix is singular$"):
             JetStack(chart, ChartPoint((x, 0.3)))
+
+
+class TestBatchedJetStack:
+    """Each point's view of a batched stack is the one-point stack, level
+    by level, byte for byte and with the same memory layout (a reduction
+    over a differently strided copy may round differently)."""
+
+    def check(self, chart, points):
+        batch = JetStack(chart, points)
+        assert batch.points == tuple(points)
+        for i, p in enumerate(points):
+            one, view = JetStack(chart, p), batch.at(i)
+            assert view.point == p and view.n == one.n
+            for name in JetStack.TENSORS:
+                mine, want = getattr(view, name), getattr(one, name)
+                assert mine.batch == want.batch == 0
+                assert len(mine.levels) == len(want.levels), name
+                for k, (a, b) in enumerate(zip(mine.levels, want.levels)):
+                    assert a.shape == b.shape and a.strides == b.strides, (name, k)
+                    assert a.tobytes() == b.tobytes(), (name, k, p.coords)
+                    assert np.shares_memory(a, getattr(batch, name).levels[k])
+            mine, want = view.to_point(), one.to_point()
+            for field in dataclasses.fields(CurvaturePoint):
+                a, b = getattr(mine, field.name), getattr(want, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_views_match_one_point_stacks(self, name):
+        chart = catalog_get(name).chart
+        self.check(chart, sample_points(chart, 5, seed=21))
+
+    @pytest.mark.parametrize("name", ["s2", "s3-fiber", "dense-pullback"])
+    def test_other_dimensions_and_dense_chart(self, name, sphere2):
+        chart = {"s2": lambda: sphere2,
+                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber.chart,
+                 "dense-pullback": dense_pullback_chart}[name]()
+        self.check(chart, sample_points(chart, 5, seed=22))
+
+    def test_singular_point_in_a_batch_is_named(self):
+        chart = make_chart("degenerate-at-zero", 2, "riemannian", ["x", "y"],
+                           {"1,1": "1", "2,2": "x^2"},
+                           {"x": (0.5, 1), "y": (0, 1)})
+        points = [ChartPoint((0.7, 0.3)), ChartPoint((0.0, 0.4)),
+                  ChartPoint((1e-9, 0.5))]
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            JetStack(chart, points)
+        assert isinstance(err.value, SingularMetricError)
+        assert (err.value.index, tuple(err.value.coords)) == (1, (0.0, 0.4))
+        assert str(err.value) == ("metric matrix is singular at point 1, "
+                                  "coordinates (0.0, 0.4)")
+        # The 1e14 bound on g^{-1} holds point by point as well.
+        with pytest.raises(SingularMetricError, match="at point 2, "):
+            JetStack(chart, [points[0], points[0], points[2]])

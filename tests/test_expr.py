@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, Unary, UnknownSymbolError,
                           depth, eval_batch, eval_grad_batch, eval_jet3,
-                          eval_value, parse)
+                          eval_jet3_batch, eval_value, parse)
 
 
 class TestGrammar:
@@ -254,3 +254,99 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as err:
             eval_batch((tree,), np.ones((4, 1)), {})
         assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The order-3 batch against eval_jet3, byte for byte.
+# ---------------------------------------------------------------------------
+
+LEVELS = ("value", "grad", "hess", "third")
+
+
+def _jets_per_row(tree, rows):
+    """Per-row jets, or the first exception in row order."""
+    out = []
+    for row in rows:
+        try:
+            with np.errstate(all="ignore"):
+                out.append(eval_jet3(tree, row, BATCH_PARAMS))
+        except (ArithmeticError, ValueError) as err:
+            return err
+    return out
+
+
+def _assert_levels_match(levels, jets):
+    """Row r of every level is eval_jet3's, compared as bytes, so that a
+    signed zero or a NaN in the wrong place counts."""
+    for k, name in enumerate(LEVELS):
+        want = np.array([getattr(jet, name) for jet in jets], dtype=float)
+        assert levels[k][:, 0].tobytes() == want.tobytes(), name
+
+
+class TestJet3Batch:
+    @settings(max_examples=400, deadline=None)
+    @given(tree=expr_trees, rows=row_arrays)
+    def test_matches_eval_jet3_bytes(self, tree, rows):
+        expected = _jets_per_row(tree, rows)
+        call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS)
+        if isinstance(expected, Exception):
+            # Domain errors, and the float division and overflow errors of
+            # the higher coefficients, as the per-row path raises them.
+            with pytest.raises(type(expected)) as err:
+                call()
+            assert str(err.value) == str(expected)
+            return
+        _assert_levels_match(call(), expected)
+
+    @pytest.mark.parametrize("text", [f"{fn}(0.6*t*x + 0.05)" for fn in FUNCTIONS]
+                             + [f"(t + x)^({e!r})" for e in EXPONENTS]
+                             + ["t/x", "(1 + t^2)/(x - t)", "-x/(t*t)"])
+    def test_functions_powers_and_division_on_a_grid(self, text):
+        tree = parse(text, ["t", "x"])
+        grid = np.linspace(0.05, 2.0, 40)
+        rows = np.stack(np.meshgrid(grid, grid[::-1] + 0.013), -1).reshape(-1, 2)
+        _assert_levels_match(eval_jet3_batch((tree,), rows, {}),
+                             [eval_jet3(tree, row, {}) for row in rows.tolist()])
+
+    def test_powers_of_signed_zero(self):
+        # Jet3 pins integer powers of zero to unsigned values.
+        rows = [[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0]]
+        for e in (0.0, 1.0, 2.0, 3.0, 4.0):
+            tree = parse(f"(t*x)^({e!r}) - x^({e!r})", ["t", "x"])
+            _assert_levels_match(eval_jet3_batch((tree,), rows, {}),
+                                 [eval_jet3(tree, row, {}) for row in rows])
+
+    def test_shared_subtrees_walk_once_per_call(self):
+        # The same factor at the same offsets in several trees.
+        trees = [parse(text, ["t", "chi"]) for text in
+                 ("(t^2)^2*1", "(t^2)^2*sin(chi)^2",
+                  "(t^2)^2*(sin(chi)^2*sin(chi)^2)")]
+        rows = np.array([[1.3, 0.4], [1.7, -0.9]])
+        levels = eval_jet3_batch(trees, rows, {})
+        assert [level.shape for level in levels] == [
+            (2, 3), (2, 3, 2), (2, 3, 3), (2, 3, 4)]
+        for k, tree in enumerate(trees):
+            _assert_levels_match([level[:, k:k + 1] for level in levels],
+                                 [eval_jet3(tree, row, {}) for row in rows.tolist()])
+
+    @pytest.mark.parametrize("text, rows", [
+        ("t^2 + sqrt(t - 0.2)", [[0.5], [0.9], [0.1], [0.0]]),
+        ("ln(t) + 1/(t - 0.9)", [[0.5], [0.9], [-1.0]]),
+        ("t^(-2) * t^(1/3)", [[2.0], [0.0], [-1.0]]),
+        ("1/(t - t)", [[1.0]]),
+    ])
+    def test_first_failing_row_error(self, text, rows):
+        tree = parse(text, ["t"])
+        expected = _jets_per_row(tree, rows)
+        assert isinstance(expected, EvalDomainError)
+        _assert_same_error(expected, lambda: eval_jet3_batch(
+            (tree,), np.array(rows), {}))
+
+    def test_higher_coefficient_division_error(self):
+        # 1/t at t = 1e-200: the value and gradient exist, but t**2 in the
+        # second coefficient underflows and the per-row path divides by 0.
+        tree = parse("1/t", ["t"])
+        with pytest.raises(ZeroDivisionError):
+            eval_jet3(tree, [1e-200], {})
+        with pytest.raises(ZeroDivisionError):
+            eval_jet3_batch((tree,), np.array([[1.0], [1e-200]]), {})
