@@ -20,18 +20,20 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import classify, physics
-from .chart import ChartInput, MetricChart, compile_chart, sample_points
+from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
+                    validate_basepoint)
 from .classify import (FluidDecompositionError, NotClosedError,
-                       VelocityAnalysis, fluid_decompose)
+                       QuadratureError, VelocityAnalysis, fluid_decompose)
 from .curvature import (JetStack, SingularMetricError,
                         first_bianchi_residual, scale_free,
                         weyl_trace_residual)
 from .expr import EvalDomainError
-from .grw import RESOLUTION_NOTE
+from .grw import RESOLUTION_NOTE, converse_at
 from .report import (DEGENERATE, FAIL, INFORMATIONAL, PASS, SKIPPED,
                      CertificationReport, CheckRecord)
 from .schema import load_chart_input
@@ -51,15 +53,14 @@ class RunConfig:
     workers: int = 1
     checks: tuple[str, ...] | None = None   # subset of GROUPS; None = all
     basepoint: tuple[float, ...] | None = None
-    quad_order: int = 8
-    quad_panels: int = 4
 
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("points must be >= 1")
         for label, value in (("hypothesis_tol", self.hypothesis_tol),
                              ("conclusion_tol", self.conclusion_tol),
-                             ("cluster_tol", self.cluster_tol)):
+                             ("cluster_tol", self.cluster_tol),
+                             ("kappa", self.kappa)):
             if not value > 0:
                 raise ValueError(f"{label} must be positive")
         if self.workers < 1:
@@ -74,64 +75,6 @@ class RunConfig:
                              f"valid groups: {', '.join(GROUPS)}")
         return set(self.checks)
 
-
-# (group, name, anchor, tolerance source) in report order. Tolerance
-# sources: 'hyp', 'conc', a float for fixed sanity bars, None for
-# informational records.
-CHECK_DEFS = (
-    ("sanity", "signature", "eigenvalue signs of g match the declared signature", 0.0),
-    ("sanity", "ricci-symmetric", "R_{jl} = R_{lj}", 1e-10),
-    ("sanity", "bianchi-first", "R_{jkl}{}^m + R_{klj}{}^m + R_{ljk}{}^m = 0", 1e-10),
-    ("sanity", "weyl-tracefree", "every g-trace of C_{jklm} vanishes", 1e-10),
-    ("fluid", "fluid-decompose",
-     "R^i{}_j eigenvalues split (n-1)-fold A | A-B on a time-like direction", "hyp"),
-    ("fluid", "fluid-form", "R_{kl} = A g_{kl} + B u_k u_l", "hyp"),
-    ("fluid", "u-unit", "u^j u_j = -1", "hyp"),
-    ("hypotheses", "u-closed", "∇_k u_j − ∇_j u_k = 0", "hyp"),
-    ("hypotheses", "div-weyl", "∇_m C_{jkl}^m = 0", "hyp"),
-    ("conclusions", "torse-forming", "∇_k u_j = ω_k u_j + f g_{kj}", "conc"),
-    ("conclusions", "torse-f-consistency",
-     "f = −u^m ∇_m γ / (2B(n−1))", "conc"),
-    ("conclusions", "omega-aligned", "ω_k = f u_k", "conc"),
-    ("conclusions", "omega-closed", "∇_j ω_k = ∇_k ω_j", "conc"),
-    ("conclusions", "chen-vector", "∇_k X_l = ρ g_{kl}", "conc"),
-    ("conclusions", "potential-path-independence",
-     "staircase orderings agree on ∫ω", 1e-10),
-    ("conclusions", "ckv-gradient", "∇_j ρ = (A−B)/(1−n) X_j", "conc"),
-    ("conclusions", "ckv-branch", "proper (A≠B) vs homothetic (A=B)", None),
-    ("conclusions", "weyl-electric", "C_{jkl}{}^m u_m = 0", "conc"),
-    ("conclusions", "weyl-zero-n4", "C_{jklm} = 0 (n = 4)", "conc"),
-    ("conclusions", "soliton-form",
-     "R_{ij} + ∇_i∇_j θ − η(∇_iθ)(∇_jθ) = λ g_{ij}, λ = A+f, η = B+f", "conc"),
-    ("ladder", "bianchi-contract", "∇^m(B u_j u_m) = ½ ∇_j[(n−2)A − B]", "conc"),
-    ("ladder", "ricci-curl",
-     "∇_k(B u_j u_l) − ∇_l(B u_j u_k) = −[g_{jl}∇_k γ − g_{jk}∇_l γ]/(2(n−1))", "conc"),
-    ("ladder", "b-transport",
-     "(∇_k + u_k u^l∇_l)B + B u^l∇_l u_k = (∇_k + u_k u^l∇_l)γ / (2(n−1))", "conc"),
-    ("ladder", "b-transport-half",
-     "(∇_k + u_k u^i∇_i)B + B u^m∇_m u_k = ½(∇_k + u_k u^i∇_i)γ", "conc"),
-    ("ladder", "gamma-comoving", "(∇_j + u_j u^k∇_k)γ = 0", "conc"),
-    ("ladder", "b-comoving", "(∇_j + u_j u^k∇_k)B + B u^m∇_m u_j = 0", "conc"),
-    ("ladder", "torse-source",
-     "B(∇_k + u_k u^m∇_m)u_j = (u_j∇_k − g_{jk}u^l∇_l)γ / (2(n−1))", "conc"),
-    ("ladder", "bu-closed", "∇_k(B u_j) = ∇_j(B u_k)", "conc"),
-    ("ladder", "gamma-aligned", "u_j∇_k γ = u_k∇_j γ", "conc"),
-    ("physics", "geodesic", "u^k ∇_k u_j = 0", "conc"),
-    ("physics", "motion-energy", "u^k∇_k μ + (p+μ) ∇_k u^k = 0", "conc"),
-    ("physics", "motion-euler",
-     "(∇_j + u_j u^k∇_k) p + (p+μ) u^k∇_k u_j = 0", "conc"),
-    ("physics", "eos-parallel", "∇p ∧ ∇μ = 0", "conc"),
-    ("physics", "eos-slope", "p ≈ w μ (least-squares over points)", None),
-    ("physics", "energy-condition", "p + μ ≠ 0", None),
-    ("physics", "homothetic-triple",
-     "A=B ⇔ ∇ρ=0 ⇔ p=(3−n)μ/(n−1)", "conc"),
-    ("converse", "fiber-einstein", "R*_{αβ} = (R*/(n−1)) g*_{αβ}", "hyp"),
-    ("converse", "grw-ricci-A",
-     "A = [R*/(n−1) + q′²(n−2) + q q″]/q²", "conc"),
-    ("converse", "grw-ricci-B", "B = A − (n−1) q″/q", "conc"),
-)
-
-_LADDER_SET = set(classify.LADDER_NAMES)
 
 # Points per JetStack. One batched stack pays numpy's per-operation
 # overhead once per chunk instead of once per point; the size bounds the
@@ -153,7 +96,8 @@ def run_certify(source, config: RunConfig | None = None) -> CertificationReport:
 
 def _basepoint(chart: MetricChart, config: RunConfig):
     if config.basepoint is not None:
-        return np.asarray(config.basepoint, dtype=float)
+        return np.asarray(validate_basepoint(
+            config.basepoint, chart.coordinates, chart.ranges), dtype=float)
     if chart.basepoint is not None:
         return np.asarray(chart.basepoint, dtype=float)
     return None
@@ -194,8 +138,8 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                        "conclusion": config.conclusion_tol,
                        "cluster": config.cluster_tol},
         "kappa": config.kappa,
-        "quadrature": {"order": config.quad_order,
-                       "panels": config.quad_panels},
+        "quadrature": {"order": classify.QUAD_ORDER,
+                       "panels": classify.QUAD_PANELS},
         "basepoint": None if base is None else [float(v) for v in base],
         "checks": sorted(selected),
     }
@@ -208,14 +152,18 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
 # Per-point computation (pure).
 # ---------------------------------------------------------------------------
 
-# The staircase runs from the basepoint and may leave an expression's domain
-# even when every sample point is valid; the error then names the path.
-_STAIRCASE = "staircase from basepoint"
+def _refusal(err) -> str:
+    """A potential's point error. The staircase runs from the basepoint and
+    may leave an expression's domain even when every sample point is valid;
+    the message then names the path."""
+    if isinstance(err, EvalDomainError):
+        return f"staircase from basepoint: {err}"
+    return str(err)
+
 
 def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     """Every per-point quantity of the report, from the point's stack."""
     out: dict = {"errors": {}}
-    n = chart.n
     point = stack.point
     cp = stack.to_point()
 
@@ -246,23 +194,24 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     if chart.grw is not None and "converse" in selected:
         _converse_payload(chart, point, dec, out)
 
-    if analysis is None:
-        if dec is not None and dec.u is not None:
-            elec = classify.weyl_electric_check(cp, dec.u)
-            out["weyl-electric"] = elec.electric_residual
-            out["weyl_norm"] = elec.weyl_norm
+    # Without a closed-form velocity the electric check reads the
+    # eigen-split's velocity.
+    fp = analysis.at(point, stack=stack) if analysis is not None else None
+    u = fp.uv if fp is not None else (dec.u if dec is not None else None)
+    if u is not None:
+        elec = classify.weyl_electric_check(cp, u)
+        out["weyl-electric"] = elec.electric_residual
+        out["weyl_norm"] = elec.weyl_norm
+    if fp is None:
         return out
 
-    fp = analysis.at(point, stack=stack)
     out["u-unit"] = fp.unit_residual
-    du = fp.du
-    out["u-closed"] = scale_free(du - du.T, du)
+    out["u-closed"] = fp.u_closed
     a, b = fp.a_jet.value, fp.b_jet.value
     model = a * fp.g + b * np.outer(fp.uv, fp.uv)
     out["fluid-form"] = scale_free(cp.ricci - model, cp.ricci, model)
     out["scalar_a"] = a
     out["scalar_b"] = b
-    out["scalar_f"] = fp.f_jet.value
 
     torse = classify.torse_decompose(fp.nabla_u, fp.uv, fp.g, fp.g_inv,
                                      b=b, grad_gamma=np.array(fp.gamma_jet.grad))
@@ -270,291 +219,314 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     out["omega-aligned"] = torse.alignment_residual
     if torse.f_cross_residual is not None:
         out["torse-f-consistency"] = torse.f_cross_residual
-    omega_resid = scale_free(fp.omega_curl(), fp.domega)
-    out["omega-closed"] = omega_resid
-
-    elec = classify.weyl_electric_check(cp, fp.uv)
-    out["weyl-electric"] = elec.electric_residual
-    out["weyl_norm"] = elec.weyl_norm
-
-    out["ladder"] = classify.ladder_residuals_at(fp)
-
-    accel = fp.uupv @ fp.nabla_u
-    out["geodesic"] = scale_free(accel, fp.nabla_u)
-    dmu = np.array(fp.mu_jet.grad)
-    dp = np.array(fp.p_jet.grad)
-    p_plus_mu = fp.p_jet.value + fp.mu_jet.value
-    divu = fp.f_jet.value * (n - 1)
-    lhs1 = float(fp.uupv @ dmu) + p_plus_mu * divu
-    out["motion-energy"] = abs(lhs1) / (1.0 + abs(p_plus_mu * divu)
-                                        + abs(float(fp.uupv @ dmu)))
-    lhs2 = dp + fp.uv * float(fp.uupv @ dp) + p_plus_mu * accel
-    out["motion-euler"] = scale_free(lhs2, dp, p_plus_mu * accel)
+    out["omega-closed"] = fp.omega_closed
+    out.update(classify.ladder_residuals_at(fp))
+    out["geodesic"] = classify.geodesic_at(fp)
+    out["motion-energy"], out["motion-euler"] = physics.motion_at(fp)
     out["p"] = fp.p_jet.value
     out["mu"] = fp.mu_jet.value
-    out["dp"] = [float(v) for v in dp]
-    out["dmu"] = [float(v) for v in dmu]
+    out["dp"] = [float(v) for v in fp.p_jet.grad]
+    out["dmu"] = [float(v) for v in fp.mu_jet.grad]
 
     # sigma feeds the conclusions and homothetic-triple (grad_rho_norm);
     # theta feeds soliton-form only.
+    closed_tol = config.hypothesis_tol * 10
     if base is not None and selected & {"conclusions", "physics"}:
         try:
-            if omega_resid > config.hypothesis_tol * 10:
-                raise NotClosedError(
-                    f"ω not closed (residual {omega_resid:.3e})")
-            pot = classify._integrate_form(
-                classify._omega_integrand(chart, analysis.field),
-                n, base, point.array(), config.quad_order, config.quad_panels)
-            chen = classify._chen_point(fp, pot, omega_resid,
-                                        config.conclusion_tol)
+            chen = classify.chen_at(fp, base, closed_tol=closed_tol,
+                                    branch_tol=config.conclusion_tol)
             out["chen-vector"] = chen.chen_residual
             out["ckv-gradient"] = chen.ckv_residual
             out["potential-path-independence"] = chen.path_defect
-            out["sigma"] = chen.sigma
-            out["rho"] = chen.rho
             out["grad_rho_norm"] = chen.grad_rho_norm
             out["proper"] = bool(chen.proper)
-        except (NotClosedError, classify.QuadratureError) as err:
-            out["errors"]["chen-vector"] = str(err)
-        except EvalDomainError as err:
-            out["errors"]["chen-vector"] = f"{_STAIRCASE}: {err}"
+        except (NotClosedError, QuadratureError, EvalDomainError) as err:
+            out["errors"]["chen-vector"] = _refusal(err)
     if base is not None and "conclusions" in selected:
         try:
-            if out["u-closed"] > config.hypothesis_tol * 10:
-                raise NotClosedError(
-                    f"u not closed (residual {out['u-closed']:.3e})")
-            theta_pot = classify._integrate_form(
-                classify._field_integrand(chart, analysis.field),
-                n, base, point.array(), config.quad_order, config.quad_panels)
-            lams, etas = [], []
-            out["soliton-form"] = classify._soliton_residual_at(fp, lams, etas)
-            out["lam"] = lams[0]
-            out["eta"] = etas[0]
-            out["theta"] = theta_pot.value
-        except (NotClosedError, classify.QuadratureError) as err:
-            out["errors"]["soliton-form"] = str(err)
-        except EvalDomainError as err:
-            out["errors"]["soliton-form"] = f"{_STAIRCASE}: {err}"
+            out["soliton-form"], *_ = classify.soliton_at(
+                fp, base, closed_tol=closed_tol)
+        except (NotClosedError, QuadratureError, EvalDomainError) as err:
+            out["errors"]["soliton-form"] = _refusal(err)
     return out
 
 
 def _converse_payload(chart, point, dec, out):
-    from .chart import ChartPoint
-    n = chart.n
-    warp, fiber = chart.grw.warp, chart.grw.fiber
-    fiber_point = ChartPoint(point.coords[1:])
-    gstar, ricci_star, rstar = fiber.ricci_at(fiber_point)
-    m = fiber.dim
-    out["fiber-einstein"] = scale_free(ricci_star - (rstar / m) * gstar,
-                                       ricci_star)
-    q, qp, qpp, _ = warp.jets(point.coords[0], chart.params)
-    a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
-    b_formula = a_formula - (n - 1) * qpp / q
-    out["a_formula"] = a_formula
-    out["b_formula"] = b_formula
-    if dec is not None:
-        out["grw-ricci-A"] = abs(dec.a - a_formula) / (1.0 + abs(a_formula))
-        if not dec.degenerate:
-            out["grw-ricci-B"] = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
+    row = converse_at(chart, point, dec)
+    out["fiber-einstein"] = row.fiber_residual
+    if row.a_residual is not None:
+        out["grw-ricci-A"] = row.a_residual
+    if row.b_residual is not None:
+        out["grw-ricci-B"] = row.b_residual
 
 
 # ---------------------------------------------------------------------------
-# Aggregation into records.
+# The checks as one table, and their aggregation into records.
 # ---------------------------------------------------------------------------
 
-def _max_over(payloads, key):
-    values = [p[key] for p in payloads if key in p]
-    return max(values) if values else None
+@dataclass
+class _Run:
+    """What the aggregators read: the run and its per-point payloads."""
+
+    chart: MetricChart
+    config: RunConfig
+    payloads: list
+    eos: physics.EosReport | None
+
+    def max_over(self, key):
+        values = [p[key] for p in self.payloads if key in p]
+        return max(values) if values else None
+
+
+# An aggregator fills a check's record from the run and returns the skip
+# reason when the points carry no data for it, else None.
+
+def _max_of_name(row, run, rec):
+    rec.max_residual = run.max_over(row.name)
+    return row.no_data if rec.max_residual is None else None
+
+
+def _signature(row, run, rec):
+    rec.ok = all(p.get("signature_ok", False) for p in run.payloads)
+    rec.max_residual = 0.0 if rec.ok else 1.0
+
+
+def _fluid_decompose(row, run, rec):
+    payloads = run.payloads
+    branches = [p.get("fluid_branch", "anomalous") for p in payloads]
+    rec.detail["branches"] = {b: branches.count(b) for b in sorted(set(branches))}
+    for label, key in (("A", "fluid_a"), ("B", "fluid_b")):
+        values = [p[key] for p in payloads if key in p]
+        if values:
+            rec.detail[f"{label}_min"] = min(values)
+            rec.detail[f"{label}_max"] = max(values)
+    rec.max_residual = run.max_over("fluid_residual")
+    if "anomalous" in branches:
+        rec.ok = False
+        rec.status = FAIL
+    elif "degenerate" in branches:
+        rec.ok = False
+        rec.status = DEGENERATE
+        rec.detail["note"] = "Einstein case: B ≈ 0, velocity undefined"
+    else:
+        rec.ok = (rec.max_residual is not None
+                  and rec.max_residual <= rec.tolerance)
+
+
+def _ckv_branch(row, run, rec):
+    proper = sum(1 for p in run.payloads if p.get("proper") is True)
+    homothetic = sum(1 for p in run.payloads if p.get("proper") is False)
+    rec.status = INFORMATIONAL
+    rec.detail["proper_points"] = proper
+    rec.detail["homothetic_points"] = homothetic
+    if proper and homothetic:
+        rec.detail["note"] = "mixed branches across points"
+
+
+def _weyl_zero_n4(row, run, rec):
+    rec.max_residual = run.max_over("weyl_norm")
+    if run.chart.n != 4:
+        rec.status = INFORMATIONAL
+        rec.detail["note"] = "reported only: vanishing is not asserted for n > 4"
+
+
+def _eos_slope(row, run, rec):
+    rec.status = INFORMATIONAL
+    if run.eos is not None:
+        rec.detail["w"] = run.eos.w if run.eos.w is not None else "undefined"
+        rec.detail["degenerate_fit"] = run.eos.degenerate_fit
+
+
+def _eos_parallel(row, run, rec):
+    if run.eos is None:
+        return row.no_data
+    rec.max_residual = run.eos.parallel_residual
+
+
+def _energy_condition(row, run, rec):
+    rec.status = INFORMATIONAL
+    if run.eos is not None:
+        rec.detail["min_abs_p_plus_mu"] = run.eos.min_p_plus_mu
+        rec.detail["p_plus_mu_positive"] = run.eos.p_plus_mu_positive
+
+
+def _homothetic_triple(row, run, rec):
+    rows = [p for p in run.payloads if "grad_rho_norm" in p]
+    if not rows:
+        return row.no_data
+    hom = physics.homothetic_check(
+        [p["scalar_a"] for p in rows], [p["scalar_b"] for p in rows],
+        [p["grad_rho_norm"] for p in rows],
+        [p["p"] for p in rows], [p["mu"] for p in rows],
+        run.chart.n, tol=run.config.conclusion_tol)
+    rec.ok = hom.consistent
+    rec.max_residual = 0.0 if hom.consistent else 1.0
+    rec.detail["homothetic_points"] = hom.homothetic_points
+    rec.detail["proper_points"] = hom.proper_points
+
+
+def _grw_ricci(row, run, rec):
+    rec.max_residual = run.max_over(row.name)
+    rec.detail["resolution"] = RESOLUTION_NOTE
+    if rec.max_residual is None:
+        if any(p.get("fluid_branch") == "anomalous" for p in run.payloads):
+            return row.no_data
+        return "degenerate fluid: B ≈ 0, only A compared"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One report record: its place, bar, requirements and aggregation.
+
+    ``tol`` is 'hyp' or 'conc' (the run's hypothesis or conclusion
+    tolerance), a fixed bar, or None for informational records.
+    ``velocity`` and ``basepoint`` mark checks that need a closed-form
+    velocity field and a basepoint for the potentials. ``no_data`` is the
+    skip reason when the points carry nothing for the check.
+    """
+
+    group: str
+    name: str
+    anchor: str
+    tol: str | float | None
+    velocity: bool = False
+    basepoint: bool = False
+    no_data: str = "no data"
+    aggregate: Callable = _max_of_name
+
+
+_NO_POTENTIAL = "potential reconstruction unavailable"
+
+# Report order.
+CHECKS = (
+    Check("sanity", "signature",
+          "eigenvalue signs of g match the declared signature", 0.0,
+          aggregate=_signature),
+    Check("sanity", "ricci-symmetric", "R_{jl} = R_{lj}", 1e-10),
+    Check("sanity", "bianchi-first",
+          "R_{jkl}{}^m + R_{klj}{}^m + R_{ljk}{}^m = 0", 1e-10),
+    Check("sanity", "weyl-tracefree", "every g-trace of C_{jklm} vanishes",
+          1e-10),
+    Check("fluid", "fluid-decompose",
+          "R^i{}_j eigenvalues split (n-1)-fold A | A-B on a time-like "
+          "direction", "hyp", aggregate=_fluid_decompose),
+    Check("fluid", "fluid-form", "R_{kl} = A g_{kl} + B u_k u_l", "hyp",
+          velocity=True),
+    Check("fluid", "u-unit", "u^j u_j = -1", "hyp", velocity=True),
+    Check("hypotheses", "u-closed", "∇_k u_j − ∇_j u_k = 0", "hyp",
+          velocity=True),
+    Check("hypotheses", "div-weyl", "∇_m C_{jkl}^m = 0", "hyp"),
+    Check("conclusions", "torse-forming", "∇_k u_j = ω_k u_j + f g_{kj}",
+          "conc", velocity=True),
+    Check("conclusions", "torse-f-consistency",
+          "f = −u^m ∇_m γ / (2B(n−1))", "conc", velocity=True,
+          no_data="B vanishes: the cross formula is undefined"),
+    Check("conclusions", "omega-aligned", "ω_k = f u_k", "conc",
+          velocity=True),
+    Check("conclusions", "omega-closed", "∇_j ω_k = ∇_k ω_j", "conc",
+          velocity=True),
+    Check("conclusions", "chen-vector", "∇_k X_l = ρ g_{kl}", "conc",
+          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+    Check("conclusions", "potential-path-independence",
+          "staircase orderings agree on ∫ω", 1e-10,
+          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+    Check("conclusions", "ckv-gradient", "∇_j ρ = (A−B)/(1−n) X_j", "conc",
+          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+    Check("conclusions", "ckv-branch", "proper (A≠B) vs homothetic (A=B)",
+          None, velocity=True, basepoint=True, aggregate=_ckv_branch),
+    Check("conclusions", "weyl-electric", "C_{jkl}{}^m u_m = 0", "conc",
+          no_data="no velocity available (degenerate or anomalous "
+                  "decomposition)"),
+    Check("conclusions", "weyl-zero-n4", "C_{jklm} = 0 (n = 4)", "conc",
+          aggregate=_weyl_zero_n4),
+    Check("conclusions", "soliton-form",
+          "R_{ij} + ∇_i∇_j θ − η(∇_iθ)(∇_jθ) = λ g_{ij}, λ = A+f, η = B+f",
+          "conc", velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+    *(Check("ladder", name, anchor, "conc", velocity=True,
+            no_data="scalar gradients unavailable") for name, anchor in (
+        ("bianchi-contract", "∇^m(B u_j u_m) = ½ ∇_j[(n−2)A − B]"),
+        ("ricci-curl", "∇_k(B u_j u_l) − ∇_l(B u_j u_k) = "
+                       "−[g_{jl}∇_k γ − g_{jk}∇_l γ]/(2(n−1))"),
+        ("b-transport", "(∇_k + u_k u^l∇_l)B + B u^l∇_l u_k = "
+                        "(∇_k + u_k u^l∇_l)γ / (2(n−1))"),
+        ("b-transport-half", "(∇_k + u_k u^i∇_i)B + B u^m∇_m u_k = "
+                             "½(∇_k + u_k u^i∇_i)γ"),
+        ("gamma-comoving", "(∇_j + u_j u^k∇_k)γ = 0"),
+        ("b-comoving", "(∇_j + u_j u^k∇_k)B + B u^m∇_m u_j = 0"),
+        ("torse-source", "B(∇_k + u_k u^m∇_m)u_j = "
+                         "(u_j∇_k − g_{jk}u^l∇_l)γ / (2(n−1))"),
+        ("bu-closed", "∇_k(B u_j) = ∇_j(B u_k)"),
+        ("gamma-aligned", "u_j∇_k γ = u_k∇_j γ"))),
+    Check("physics", "geodesic", "u^k ∇_k u_j = 0", "conc", velocity=True),
+    Check("physics", "motion-energy", "u^k∇_k μ + (p+μ) ∇_k u^k = 0",
+          "conc", velocity=True),
+    Check("physics", "motion-euler",
+          "(∇_j + u_j u^k∇_k) p + (p+μ) u^k∇_k u_j = 0", "conc",
+          velocity=True),
+    Check("physics", "eos-parallel", "∇p ∧ ∇μ = 0", "conc", velocity=True,
+          no_data="no scalar gradients available", aggregate=_eos_parallel),
+    Check("physics", "eos-slope", "p ≈ w μ (least-squares over points)",
+          None, velocity=True, aggregate=_eos_slope),
+    Check("physics", "energy-condition", "p + μ ≠ 0", None, velocity=True,
+          aggregate=_energy_condition),
+    Check("physics", "homothetic-triple",
+          "A=B ⇔ ∇ρ=0 ⇔ p=(3−n)μ/(n−1)", "conc", velocity=True,
+          no_data="no potential data (basepoint or closedness missing)",
+          aggregate=_homothetic_triple),
+    Check("converse", "fiber-einstein", "R*_{αβ} = (R*/(n−1)) g*_{αβ}",
+          "hyp"),
+    Check("converse", "grw-ricci-A", "A = [R*/(n−1) + q′²(n−2) + q q″]/q²",
+          "conc", no_data="fluid decomposition unavailable",
+          aggregate=_grw_ricci),
+    Check("converse", "grw-ricci-B", "B = A − (n−1) q″/q", "conc",
+          no_data="fluid decomposition unavailable", aggregate=_grw_ricci),
+)
 
 
 def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
+    # The EOS report is read by the eos-slope, eos-parallel and
+    # energy-condition records.
+    run = _Run(chart, config, payloads,
+               _eos(payloads) if "physics" in selected else None)
     tol = {"hyp": config.hypothesis_tol, "conc": config.conclusion_tol}
     lorentzian = chart.signature == "lorentzian"
     records = []
 
-    # Read by the eos-slope, eos-parallel and energy-condition records.
-    eos = _eos(payloads) if "physics" in selected else None
-
-    point_errors: dict[str, list] = {}
+    first_error = {}
     for idx, payload in enumerate(payloads):
-        for name, message in payload.get("errors", {}).items():
-            point_errors.setdefault(name, []).append((idx, message))
+        for name, message in payload["errors"].items():
+            first_error.setdefault(name, f"point {idx}: {message}")
 
-    def skip(group, name, anchor, reason):
-        records.append(CheckRecord(name=name, group=group, anchor=anchor,
-                                   status=SKIPPED,
-                                   skipped_reason=reason).finalize())
-
-    for group, name, anchor, tolsrc in CHECK_DEFS:
-        tolerance = tol[tolsrc] if isinstance(tolsrc, str) else tolsrc
-        if group not in selected:
-            skip(group, name, anchor, "not selected")
-            continue
-        if group != "sanity" and not lorentzian:
-            skip(group, name, anchor, "riemannian chart: fluid pipeline not applicable")
-            continue
-        if group == "converse" and chart.grw is None:
-            skip(group, name, anchor, "not a declared warped product")
-            continue
-        rec = _build_record(chart, config, group, name, anchor, tolerance,
-                            payloads, has_velocity=has_velocity,
-                            basepoint=basepoint, eos=eos)
-        if rec is None:
-            continue
-        if name in point_errors:
-            # Also when every point failed, which leaves the check no data.
-            idx, message = point_errors[name][0]
-            rec.ok = False
-            rec.status = FAIL
-            rec.skipped_reason = None
-            rec.detail["error"] = f"point {idx}: {message}"
+    for row in CHECKS:
+        rec = CheckRecord(name=row.name, group=row.group, anchor=row.anchor)
+        if row.group not in selected:
+            reason = "not selected"
+        elif row.group != "sanity" and not lorentzian:
+            reason = "riemannian chart: fluid pipeline not applicable"
+        elif row.group == "converse" and chart.grw is None:
+            reason = "not a declared warped product"
+        else:
+            rec.tolerance = tol.get(row.tol, row.tol)
+            if row.velocity and not has_velocity:
+                reason = ("not evaluable: velocity field only known "
+                          "pointwise (no closed-form components)")
+            elif row.basepoint and basepoint is None:
+                reason = "no basepoint declared for potential reconstruction"
+            else:
+                reason = row.aggregate(row, run, rec)
+            if row.name in first_error:
+                # Also when every point failed, which leaves the check no data.
+                rec.ok = False
+                rec.status = FAIL
+                rec.detail["error"] = first_error[row.name]
+                reason = None
+        if reason is not None:
+            rec.status = SKIPPED
+            rec.skipped_reason = reason
         records.append(rec.finalize())
 
-    _apply_downgrades(records, payloads, has_velocity)
+    _apply_downgrades(records, has_velocity)
     return records
-
-
-def _build_record(chart, config, group, name, anchor, tolerance, payloads,
-                  *, has_velocity, basepoint, eos):
-    rec = CheckRecord(name=name, group=group, anchor=anchor,
-                      tolerance=tolerance)
-    needs_velocity = {
-        "fluid-form", "u-unit", "u-closed", "torse-forming",
-        "torse-f-consistency", "omega-aligned", "omega-closed",
-        "chen-vector", "potential-path-independence", "ckv-gradient",
-        "ckv-branch", "soliton-form", "geodesic", "motion-energy",
-        "motion-euler", "eos-parallel", "eos-slope", "energy-condition",
-        "homothetic-triple",
-    } | _LADDER_SET
-    if name in needs_velocity and not has_velocity:
-        rec.status = SKIPPED
-        rec.skipped_reason = ("not evaluable: velocity field only known "
-                              "pointwise (no closed-form components)")
-        return rec
-    needs_basepoint = {"chen-vector", "potential-path-independence",
-                       "ckv-gradient", "ckv-branch", "soliton-form"}
-    if name in needs_basepoint and basepoint is None:
-        rec.status = SKIPPED
-        rec.skipped_reason = "no basepoint declared for potential reconstruction"
-        return rec
-
-    if name == "signature":
-        rec.ok = all(p.get("signature_ok", False) for p in payloads)
-        rec.max_residual = 0.0 if rec.ok else 1.0
-        return rec
-    if name == "fluid-decompose":
-        branches = [p.get("fluid_branch", "anomalous") for p in payloads]
-        rec.detail["branches"] = {b: branches.count(b) for b in sorted(set(branches))}
-        a_vals = [p["fluid_a"] for p in payloads if "fluid_a" in p]
-        if a_vals:
-            rec.detail["A_min"] = min(a_vals)
-            rec.detail["A_max"] = max(a_vals)
-        b_vals = [p["fluid_b"] for p in payloads if "fluid_b" in p]
-        if b_vals:
-            rec.detail["B_min"] = min(b_vals)
-            rec.detail["B_max"] = max(b_vals)
-        rec.max_residual = _max_over(payloads, "fluid_residual")
-        if any(b == "anomalous" for b in branches):
-            rec.ok = False
-            rec.status = FAIL
-        elif any(b == "degenerate" for b in branches):
-            rec.ok = False
-            rec.status = DEGENERATE
-            rec.detail["note"] = "Einstein case: B ≈ 0, velocity undefined"
-        else:
-            rec.ok = (rec.max_residual is not None
-                      and rec.max_residual <= rec.tolerance)
-        return rec
-    if name == "ckv-branch":
-        proper = sum(1 for p in payloads if p.get("proper") is True)
-        homothetic = sum(1 for p in payloads if p.get("proper") is False)
-        rec.status = INFORMATIONAL
-        rec.detail["proper_points"] = proper
-        rec.detail["homothetic_points"] = homothetic
-        if proper and homothetic:
-            rec.detail["note"] = "mixed branches across points"
-        return rec
-    if name == "weyl-zero-n4":
-        rec.max_residual = _max_over(payloads, "weyl_norm")
-        if chart.n != 4:
-            rec.status = INFORMATIONAL
-            rec.detail["note"] = "reported only: vanishing is not asserted for n > 4"
-        return rec
-    if name == "eos-slope":
-        rec.status = INFORMATIONAL
-        if eos is not None:
-            rec.detail["w"] = eos.w if eos.w is not None else "undefined"
-            rec.detail["degenerate_fit"] = eos.degenerate_fit
-        return rec
-    if name == "eos-parallel":
-        if eos is None:
-            rec.status = SKIPPED
-            rec.skipped_reason = "no scalar gradients available"
-            return rec
-        rec.max_residual = eos.parallel_residual
-        return rec
-    if name == "energy-condition":
-        rec.status = INFORMATIONAL
-        if eos is not None:
-            rec.detail["min_abs_p_plus_mu"] = eos.min_p_plus_mu
-            rec.detail["p_plus_mu_positive"] = eos.p_plus_mu_positive
-        return rec
-    if name == "homothetic-triple":
-        rows = [p for p in payloads if "grad_rho_norm" in p]
-        if not rows:
-            rec.status = SKIPPED
-            rec.skipped_reason = "no potential data (basepoint or closedness missing)"
-            return rec
-        hom = physics.homothetic_check(
-            [p["scalar_a"] for p in rows], [p["scalar_b"] for p in rows],
-            [p["grad_rho_norm"] for p in rows],
-            [p["p"] for p in rows], [p["mu"] for p in rows],
-            chart.n, tol=config.conclusion_tol)
-        rec.ok = hom.consistent
-        rec.max_residual = 0.0 if hom.consistent else 1.0
-        rec.detail["homothetic_points"] = hom.homothetic_points
-        rec.detail["proper_points"] = hom.proper_points
-        return rec
-    if name in ("grw-ricci-A", "grw-ricci-B"):
-        rec.max_residual = _max_over(payloads, name)
-        rec.detail["resolution"] = RESOLUTION_NOTE
-        if rec.max_residual is None:
-            rec.status = SKIPPED
-            branches = {p.get("fluid_branch") for p in payloads}
-            if "anomalous" in branches or "grw-ricci-A" not in payloads[0]:
-                rec.skipped_reason = "fluid decomposition unavailable"
-            else:
-                rec.skipped_reason = "degenerate fluid: B ≈ 0, only A compared"
-        return rec
-    if name == "torse-f-consistency":
-        rec.max_residual = _max_over(payloads, name)
-        if rec.max_residual is None:
-            rec.status = SKIPPED
-            rec.skipped_reason = "B vanishes: the cross formula is undefined"
-        return rec
-    if name in _LADDER_SET:
-        values = [p["ladder"][name] for p in payloads if "ladder" in p]
-        if not values:
-            rec.status = SKIPPED
-            rec.skipped_reason = "scalar gradients unavailable"
-            return rec
-        rec.max_residual = max(values)
-        return rec
-
-    rec.max_residual = _max_over(payloads, name)
-    if rec.max_residual is None:
-        rec.status = SKIPPED
-        rec.skipped_reason = _generic_skip_reason(name)
-    return rec
-
-
-def _generic_skip_reason(name):
-    if name in ("weyl-electric",):
-        return "no velocity available (degenerate or anomalous decomposition)"
-    if name in ("chen-vector", "ckv-gradient", "potential-path-independence",
-                "soliton-form"):
-        return "potential reconstruction unavailable"
-    return "no data"
 
 
 def _eos(payloads):
@@ -574,7 +546,7 @@ _HYPOTHESIS_CHECKS = ("fluid-decompose", "fluid-form", "u-unit", "u-closed",
 _THEOREM2_HYPOTHESES = ("fiber-einstein", "div-weyl")
 
 
-def _apply_downgrades(records, payloads, has_velocity):
+def _apply_downgrades(records, has_velocity):
     by_name = {r.name: r for r in records}
 
     def established(names):

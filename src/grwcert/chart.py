@@ -225,13 +225,7 @@ def compile_chart(spec: ChartInput) -> MetricChart:
 
     basepoint = None
     if spec.basepoint is not None:
-        if len(spec.basepoint) != n:
-            raise ChartError(f"basepoint must have {n} entries")
-        basepoint = tuple(float(v) for v in spec.basepoint)
-        for x, (lo, hi), name in zip(basepoint, ranges, coords):
-            if not (lo <= x <= hi):
-                raise ChartError(
-                    f"basepoint[{name}] = {x} outside range [{lo}, {hi}]")
+        basepoint = validate_basepoint(spec.basepoint, coords, ranges)
 
     chart = MetricChart(name=spec.name, n=n, signature=spec.signature,
                         coordinates=coords, metric=metric, params=params,
@@ -240,6 +234,18 @@ def compile_chart(spec: ChartInput) -> MetricChart:
     probe = _probe_point(chart)
     validate_signature(chart, probe)
     return chart
+
+
+def validate_basepoint(values, coordinates, ranges) -> tuple[float, ...]:
+    """One entry per coordinate, each inside its range (NaN is not)."""
+    if len(values) != len(coordinates):
+        raise ChartError(f"basepoint must have {len(coordinates)} entries")
+    basepoint = tuple(float(v) for v in values)
+    for x, (lo, hi), name in zip(basepoint, ranges, coordinates):
+        if not (lo <= x <= hi):
+            raise ChartError(
+                f"basepoint[{name}] = {x} outside range [{lo}, {hi}]")
+    return basepoint
 
 
 def _probe_point(chart: MetricChart) -> ChartPoint:

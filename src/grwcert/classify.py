@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +34,11 @@ LADDER_NAMES = (
     "bu-closed",
     "gamma-aligned",
 )
+
+# Gauss-Legendre nodes per panel and coarse panel count of the staircase
+# quadrature; the refinement pass doubles the panels.
+QUAD_ORDER = 8
+QUAD_PANELS = 4
 
 
 class FluidDecompositionError(ValueError):
@@ -147,6 +152,7 @@ class FieldPoint:
 
     stack: JetStack
     point: ChartPoint
+    field: VectorField         # the velocity, for the potentials' integrands
     u: TensorJet               # covariant components
     u_up: TensorJet
     nabla: TensorJet           # [k, j] = nabla_k u_j
@@ -188,17 +194,25 @@ class FieldPoint:
     def nabla_u(self) -> np.ndarray:
         return self.nabla.value
 
-    @property
-    def omegav(self) -> np.ndarray:
-        return self.omega.value
+    @cached_property
+    def u_closed(self) -> float:
+        return _curl_residual(self.du)
 
-    @property
-    def domega(self) -> np.ndarray:
-        """Raw partials d_k omega_j."""
-        return self.omega.grad.T
+    @cached_property
+    def omega_closed(self) -> float:
+        return _curl_residual(self.omega.grad.T)
 
-    def omega_curl(self) -> np.ndarray:
-        return self.domega - self.domega.T
+    @cached_property
+    def accel(self) -> np.ndarray:
+        """u^k nabla_k u_j."""
+        return self.uupv @ self.nabla_u
+
+
+def _curl_residual(d: np.ndarray) -> float:
+    """Scale-free curl of a covector from its raw partials d[k, j] = d_k w_j.
+
+    The covariant curl equals the partial curl (symmetric connection)."""
+    return scale_free(d - d.T, d)
 
 
 class VelocityAnalysis:
@@ -247,7 +261,8 @@ class VelocityAnalysis:
         p_jet = b_jet * (1.0 / self.kappa) - mu_jet
         if self.perturb_p is not None:
             p_jet = p_jet + eval_jet3(self.perturb_p, point, chart.params).truncated(1)
-        return FieldPoint(stack=stack, point=point, u=u, u_up=u_up,
+        return FieldPoint(stack=stack, point=point, field=self.field,
+                          u=u, u_up=u_up,
                           nabla=nabla, omega=omega, f_jet=f.as_jet3(),
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
                           p_jet=p_jet, mu_jet=mu_jet,
@@ -283,27 +298,27 @@ def closedness_residual(chart: MetricChart, field: VectorField,
     n = chart.n
     comps = [eval_jet3(c, point, chart.params) for c in field.components]
     du = np.array([[comps[j].grad[k] for j in range(n)] for k in range(n)])
-    return scale_free(du - du.T, du)
+    return _curl_residual(du)
 
 
 def check_closed(chart: MetricChart, field: VectorField, points) -> float:
-    """Max residual of nabla_k u_j - nabla_j u_k over the points.
-
-    The covariant curl equals the partial curl (symmetric connection);
-    grad_vector_at asserts that identity, here the raw partials suffice.
-    """
+    """Max residual of nabla_k u_j - nabla_j u_k over the points; for a
+    candidate gradient 1-form omega, the concircularity test."""
     return max(closedness_residual(chart, field, p) for p in points)
+
+
+concircular_check = check_closed
+
+
+def geodesic_at(fp: FieldPoint) -> float:
+    """Scale-free u^k nabla_k u_j at one point."""
+    return scale_free(fp.accel, fp.nabla_u)
 
 
 def check_geodesic(chart: MetricChart, field: VectorField, points) -> float:
     """Max residual of u^k nabla_k u_j over the points."""
     analysis = VelocityAnalysis(chart, field)
-    worst = 0.0
-    for p in points:
-        fp = analysis.at(p)
-        acc = fp.uupv @ fp.nabla_u
-        worst = max(worst, scale_free(acc, fp.nabla_u))
-    return worst
+    return max((geodesic_at(analysis.at(p)) for p in points), default=0.0)
 
 
 @dataclass
@@ -334,12 +349,6 @@ def torse_decompose(nabla_u: np.ndarray, u: np.ndarray, g: np.ndarray,
     return TorseFormingData(f=f, omega=omega, residual=residual,
                             alignment_residual=alignment,
                             f_cross_residual=f_cross)
-
-
-def concircular_check(chart: MetricChart, omega_field: VectorField,
-                      points) -> float:
-    """Closedness residual of a candidate gradient 1-form."""
-    return max(closedness_residual(chart, omega_field, p) for p in points)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +415,8 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
 
 
 def reconstruct_potential(chart: MetricChart, field: VectorField, basepoint,
-                          point: ChartPoint, *, quad_order: int = 8,
-                          panels: int = 4, closed_tol: float = 1e-6,
+                          point: ChartPoint, *, quad_order: int = QUAD_ORDER,
+                          panels: int = QUAD_PANELS, closed_tol: float = 1e-6,
                           verify_closed: bool = True) -> PotentialResult:
     """Line-integrate a closed covariant field from basepoint to point.
 
@@ -491,26 +500,28 @@ class ChenReport:
     homothetic_count: int
 
 
+def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
+            branch_tol: float = 1e-7, quad_order: int = QUAD_ORDER,
+            panels: int = QUAD_PANELS) -> ChenPointData:
+    """The gradient laws at one point: sigma integrates the closed omega
+    from the basepoint, X = e^{-sigma} u and rho = e^{-sigma} f."""
+    if fp.omega_closed > closed_tol:
+        raise NotClosedError(f"ω not closed (residual {fp.omega_closed:.3e})")
+    pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
+                          base, fp.point.array(), quad_order, panels)
+    return _chen_point(fp, pot, branch_tol)
+
+
 def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
-               quad_order: int = 8, panels: int = 4, closed_tol: float = 1e-6,
-               branch_tol: float = 1e-7, kappa: float = 1.0,
-               analysis: VelocityAnalysis | None = None,
-               field_points: dict | None = None) -> ChenReport:
+               quad_order: int = QUAD_ORDER, panels: int = QUAD_PANELS,
+               closed_tol: float = 1e-6, branch_tol: float = 1e-7,
+               kappa: float = 1.0) -> ChenReport:
     """Rescale u by the reconstructed potential and test the gradient laws."""
-    analysis = analysis or VelocityAnalysis(chart, field, kappa=kappa)
+    analysis = VelocityAnalysis(chart, field, kappa=kappa)
     base = np.asarray(basepoint, dtype=float)
-    integrand = _omega_integrand(chart, field)
-    data = []
-    for p in points:
-        fp = field_points[p] if field_points else analysis.at(p)
-        omega_resid = scale_free(fp.omega_curl(), fp.domega)
-        if omega_resid > closed_tol:
-            raise NotClosedError(
-                f"omega is not closed at {p.coords} "
-                f"(residual {omega_resid:.3e} > {closed_tol})")
-        pot = _integrate_form(integrand, chart.n, base, p.array(),
-                              quad_order, panels)
-        data.append(_chen_point(fp, pot, omega_resid, branch_tol))
+    data = [_at(chen_at, analysis.at(p), base, closed_tol=closed_tol,
+                branch_tol=branch_tol, quad_order=quad_order, panels=panels)
+            for p in points]
     return ChenReport(
         points=data,
         chen_residual=max(d.chen_residual for d in data),
@@ -522,13 +533,22 @@ def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
     )
 
 
-def _chen_point(fp: FieldPoint, pot: PotentialResult, omega_resid: float,
+def _at(kernel, fp: FieldPoint, *args, **kwargs):
+    """A kernel's value for an adapter; a refusal names the point."""
+    try:
+        return kernel(fp, *args, **kwargs)
+    except NotClosedError as err:
+        coords = tuple(float(x) for x in fp.point.coords)
+        raise NotClosedError(f"at {coords}: {err}") from None
+
+
+def _chen_point(fp: FieldPoint, pot: PotentialResult,
                 branch_tol: float) -> ChenPointData:
     # X = e^{-sigma} u and rho = e^{-sigma} f, with d sigma = omega read off
     # the closed form itself.
     n = fp.n
     scaling = math.exp(-pot.value)
-    dscaling = scaling * -fp.omegav
+    dscaling = scaling * -fp.omega.value
     xv = scaling * fp.uv
     dx = np.outer(dscaling, fp.uv) + scaling * fp.du
     nabla_x = dx - np.einsum("akj,a->kj", fp.stack.gamma.value, xv)
@@ -547,7 +567,7 @@ def _chen_point(fp: FieldPoint, pot: PotentialResult, omega_resid: float,
                          chen_residual=chen_resid, ckv_residual=ckv_resid,
                          timelike_residual=timelike_resid,
                          path_defect=pot.path_defect,
-                         omega_closed=omega_resid, proper=proper,
+                         omega_closed=fp.omega_closed, proper=proper,
                          grad_rho_norm=float(np.max(np.abs(grad_rho))))
 
 
@@ -588,7 +608,7 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     divu = fp.f_jet.value * (n - 1)
     u_dot_db = float(u_up @ db)
     u_dot_dgam = float(u_up @ dgam)
-    accel = u_up @ nabla                      # u^k nabla_k u_j
+    accel = fp.accel
     out = {}
 
     lhs = u_dot_db * u + b * accel + b * divu * u
@@ -629,9 +649,8 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
 
 
 def identity_ladder(chart: MetricChart, field: VectorField, points, *,
-                    perturb_b: Expr | None = None,
-                    analysis: VelocityAnalysis | None = None) -> IdentityLadderReport:
-    analysis = analysis or VelocityAnalysis(chart, field, perturb_b=perturb_b)
+                    perturb_b: Expr | None = None) -> IdentityLadderReport:
+    analysis = VelocityAnalysis(chart, field, perturb_b=perturb_b)
     per_point = [ladder_residuals_at(analysis.at(p)) for p in points]
     residuals = {name: max(pp[name] for pp in per_point)
                  for name in LADDER_NAMES}
@@ -647,43 +666,42 @@ class SolitonReport:
     gradient_soliton: bool
 
 
+def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
+               quad_order: int = QUAD_ORDER, panels: int = QUAD_PANELS):
+    """(residual, lam, eta, theta) of the soliton form at one point, with
+    theta integrating the closed u from the basepoint."""
+    if fp.u_closed > closed_tol:
+        raise NotClosedError(f"u not closed (residual {fp.u_closed:.3e})")
+    pot = _integrate_form(_field_integrand(fp.stack.chart, fp.field), fp.n,
+                          base, fp.point.array(), quad_order, panels)
+    return _soliton_residual_at(fp) + (pot.value,)
+
+
 def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
-                       points, *, quad_order: int = 8, panels: int = 4,
-                       closed_tol: float = 1e-6, flag_tol: float = 1e-7,
-                       analysis: VelocityAnalysis | None = None,
-                       field_points: dict | None = None) -> SolitonReport:
+                       points, *, quad_order: int = QUAD_ORDER,
+                       panels: int = QUAD_PANELS, closed_tol: float = 1e-6,
+                       flag_tol: float = 1e-7) -> SolitonReport:
     """Check Ricci + Hess(theta) - eta dtheta x dtheta = lam g with
     lam = A + f, eta = B + f, theta the potential of the closed u."""
-    analysis = analysis or VelocityAnalysis(chart, field)
+    analysis = VelocityAnalysis(chart, field)
     base = np.asarray(basepoint, dtype=float)
-    integrand = _field_integrand(chart, field)
-    lams, etas, thetas = [], [], []
-    worst = 0.0
-    for p in points:
-        resid = closedness_residual(chart, field, p)
-        if resid > closed_tol:
-            raise NotClosedError(
-                f"u is not closed at {p.coords} (residual {resid:.3e})")
-        pot = _integrate_form(integrand, chart.n, base, p.array(),
-                              quad_order, panels)
-        fp = field_points[p] if field_points else analysis.at(p)
-        worst = max(worst, _soliton_residual_at(fp, lams, etas))
-        thetas.append(pot.value)
+    rows = [_at(soliton_at, analysis.at(p), base, closed_tol=closed_tol,
+                quad_order=quad_order, panels=panels) for p in points]
+    residuals, lams, etas, thetas = (list(col) for col in zip(*rows))
     spread = max(lams) - min(lams)
     gradient_soliton = spread < flag_tol and max(abs(e) for e in etas) < flag_tol
-    return SolitonReport(lam=lams, eta=etas, theta=thetas, residual=worst,
+    return SolitonReport(lam=lams, eta=etas, theta=thetas,
+                         residual=max(residuals),
                          gradient_soliton=gradient_soliton)
 
 
-def _soliton_residual_at(fp: FieldPoint, lams, etas) -> float:
+def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:
     # d theta = u, so Hess(theta) is the symmetrized d u.
     grad_theta = fp.uv
     hess_cov = 0.5 * (fp.du + fp.du.T) - np.einsum(
         "aij,a->ij", fp.stack.gamma.value, grad_theta)
     lam = fp.a_jet.value + fp.f_jet.value
     eta = fp.b_jet.value + fp.f_jet.value
-    lams.append(lam)
-    etas.append(eta)
     lhs = fp.stack.ricci.value + hess_cov - eta * np.outer(grad_theta, grad_theta)
     rhs = lam * fp.g
-    return scale_free(lhs - rhs, lhs, rhs)
+    return scale_free(lhs - rhs, lhs, rhs), lam, eta

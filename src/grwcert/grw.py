@@ -12,7 +12,7 @@ import numpy as np
 from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     compile_chart)
 from .classify import fluid_decompose
-from .curvature import curvature_at
+from .curvature import curvature_at, scale_free
 from .expr import eval_jet3, parse
 
 # Resolution of the two candidate time-time Ricci rows for the warped
@@ -65,6 +65,11 @@ class FiberMetric:
     def ricci_at(self, point: ChartPoint):
         cp = curvature_at(self.chart, point)
         return cp.g, cp.ricci, cp.rs
+
+    def einstein_at(self, point: ChartPoint) -> tuple[float, float]:
+        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a point."""
+        g, ricci, rs = self.ricci_at(point)
+        return scale_free(ricci - (rs / self.dim) * g, ricci), rs
 
 
 @dataclass
@@ -126,25 +131,20 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
 
 def fiber_einstein_check(fiber: FiberMetric, points) -> float:
     """Max residual of Ricci* - (R*/m) g* over fiber points (m = fiber dim)."""
-    from .curvature import scale_free
-    m = fiber.dim
-    worst = 0.0
-    for p in points:
-        g, ricci, rs = fiber.ricci_at(p)
-        worst = max(worst, scale_free(ricci - (rs / m) * g, ricci))
-    return worst
+    return max((fiber.einstein_at(p)[0] for p in points), default=0.0)
 
 
 @dataclass
 class ConverseRow:
     point: ChartPoint
-    a_computed: float
-    b_computed: float | None
+    fiber_residual: float
     a_formula: float
     b_formula: float
-    a_residual: float
-    b_residual: float | None
-    degenerate: bool
+    a_computed: float | None = None     # None: no fluid decomposition
+    b_computed: float | None = None     # None also on the degenerate branch
+    a_residual: float | None = None
+    b_residual: float | None = None
+    degenerate: bool = False
 
 
 @dataclass
@@ -156,38 +156,40 @@ class ConverseReport:
     resolution: str = RESOLUTION_NOTE
 
 
-def converse_check(chart: MetricChart, points, *,
-                   cluster_tol: float = 1e-6) -> ConverseReport:
-    """Compare the decomposed (A, B) against the warped-product formulas.
+def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
+    """The warped-product formulas at one point, against the fluid
+    decomposition ``dec`` of the chart's Ricci tensor when there is one.
 
     A = [R*/(n-1) + q'^2 (n-2) + q q''] / q^2 and B = A - (n-1) q''/q, with
     R* computed by running the curvature engine on the fiber chart.
     """
-    if chart.grw is None:
-        raise GRWBuildError(f"{chart.name}: not a declared warped product")
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
-    rows = []
-    for p in points:
-        t = p.coords[0]
-        fiber_point = ChartPoint(p.coords[1:])
-        q, qp, qpp, _ = warp.jets(t, chart.params)
-        _, _, rstar = fiber.ricci_at(fiber_point)
-        a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
-        b_formula = a_formula - (n - 1) * qpp / q
-        dec = fluid_decompose(curvature_at(chart, p), cluster_tol=cluster_tol)
-        a_res = abs(dec.a - a_formula) / (1.0 + abs(a_formula))
-        if dec.degenerate:
-            rows.append(ConverseRow(
-                point=p, a_computed=dec.a, b_computed=None,
-                a_formula=a_formula, b_formula=b_formula,
-                a_residual=a_res, b_residual=None, degenerate=True))
-        else:
-            b_res = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
-            rows.append(ConverseRow(
-                point=p, a_computed=dec.a, b_computed=dec.b,
-                a_formula=a_formula, b_formula=b_formula,
-                a_residual=a_res, b_residual=b_res, degenerate=False))
+    fiber_residual, rstar = fiber.einstein_at(ChartPoint(point.coords[1:]))
+    q, qp, qpp, _ = warp.jets(point.coords[0], chart.params)
+    a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
+    b_formula = a_formula - (n - 1) * qpp / q
+    row = ConverseRow(point=point, fiber_residual=fiber_residual,
+                      a_formula=a_formula, b_formula=b_formula)
+    if dec is not None:
+        row.a_computed = dec.a
+        row.a_residual = abs(dec.a - a_formula) / (1.0 + abs(a_formula))
+        row.degenerate = dec.degenerate
+        if not dec.degenerate:
+            row.b_computed = dec.b
+            row.b_residual = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
+    return row
+
+
+def converse_check(chart: MetricChart, points, *,
+                   cluster_tol: float = 1e-6) -> ConverseReport:
+    """Compare the decomposed (A, B) against the warped-product formulas
+    (``converse_at``) at every point."""
+    if chart.grw is None:
+        raise GRWBuildError(f"{chart.name}: not a declared warped product")
+    rows = [converse_at(chart, p, fluid_decompose(curvature_at(chart, p),
+                                                  cluster_tol=cluster_tol))
+            for p in points]
     b_residuals = [r.b_residual for r in rows if r.b_residual is not None]
     return ConverseReport(
         rows=rows,

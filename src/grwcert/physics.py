@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import MetricChart, VectorField
-from .classify import VelocityAnalysis
+from .classify import FieldPoint, VelocityAnalysis
 from .curvature import scale_free
 from .expr import Expr
 
@@ -43,30 +43,31 @@ def AB_from_fluid(p: float, mu: float, kappa: float = 1.0,
     return a, b
 
 
-def motion_residuals(chart: MetricChart, field: VectorField, points, *,
-                     kappa: float = 1.0,
-                     perturb_p: Expr | None = None) -> tuple[float, float]:
-    """Residuals of the two projected conservation equations:
+def motion_at(fp: FieldPoint) -> tuple[float, float]:
+    """Scale-free residuals of the two projected conservation equations:
 
     r1:  u^k d_k mu + (p + mu) nabla_k u^k
     r2:  (d_j + u_j u^k d_k) p + (p + mu) u^k nabla_k u_j
     """
+    dmu = np.array(fp.mu_jet.grad)
+    dp = np.array(fp.p_jet.grad)
+    p_plus_mu = fp.p_jet.value + fp.mu_jet.value
+    transport = float(fp.uupv @ dmu)
+    expansion = p_plus_mu * (fp.f_jet.value * (fp.n - 1))   # (p+mu) div u
+    r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
+    force = p_plus_mu * fp.accel
+    lhs2 = dp + fp.uv * float(fp.uupv @ dp) + force
+    return r1, scale_free(lhs2, dp, force)
+
+
+def motion_residuals(chart: MetricChart, field: VectorField, points, *,
+                     kappa: float = 1.0,
+                     perturb_p: Expr | None = None) -> tuple[float, float]:
+    """Max over the points of the two ``motion_at`` residuals."""
     analysis = VelocityAnalysis(chart, field, kappa=kappa, perturb_p=perturb_p)
-    r1 = r2 = 0.0
-    for point in points:
-        fp = analysis.at(point)
-        n = fp.n
-        dmu = np.array(fp.mu_jet.grad)
-        dp = np.array(fp.p_jet.grad)
-        p_plus_mu = fp.p_jet.value + fp.mu_jet.value
-        divu = fp.f_jet.value * (n - 1)
-        accel = fp.uupv @ fp.nabla_u
-        lhs1 = float(fp.uupv @ dmu) + p_plus_mu * divu
-        r1 = max(r1, abs(lhs1) / (1.0 + abs(p_plus_mu * divu)
-                                  + abs(float(fp.uupv @ dmu))))
-        lhs2 = dp + fp.uv * float(fp.uupv @ dp) + p_plus_mu * accel
-        r2 = max(r2, scale_free(lhs2, dp, p_plus_mu * accel))
-    return r1, r2
+    rows = [motion_at(analysis.at(p)) for p in points]
+    return (max((r1 for r1, _ in rows), default=0.0),
+            max((r2 for _, r2 in rows), default=0.0))
 
 
 @dataclass

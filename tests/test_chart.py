@@ -58,6 +58,12 @@ class TestCompile:
         with pytest.raises(ChartError):
             compile_chart(minkowski_input(basepoint=[5, 0, 0, 0]))
 
+    def test_basepoint_length_and_nan(self):
+        with pytest.raises(ChartError, match="must have 4 entries"):
+            compile_chart(minkowski_input(basepoint=[0, 0, 0]))
+        with pytest.raises(ChartError, match=r"basepoint\[y\] = nan outside"):
+            compile_chart(minkowski_input(basepoint=[0, 0, float("nan"), 0]))
+
     def test_missing_range(self):
         with pytest.raises(ChartError) as err:
             compile_chart(minkowski_input(

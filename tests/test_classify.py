@@ -416,6 +416,19 @@ class TestChen:
         assert report.ckv_residual < 1e-12
         assert report.homothetic_count == len(points)
 
+    def test_refusals_name_the_point(self, frw_dust):
+        # The kernels refuse with the report's text; the adapters add the
+        # point's coordinates.
+        field = field_for(frw_dust, ("-1", "0.3*y", "0", "0"))
+        point = sample_points(frw_dust, 1, seed=19)[0]
+        where = f"at {tuple(float(x) for x in point.coords)}: "
+        with pytest.raises(NotClosedError) as chen:
+            chen_check(frw_dust, field, frw_dust.basepoint, [point])
+        assert str(chen.value).startswith(where + "ω not closed (residual ")
+        with pytest.raises(NotClosedError) as soliton:
+            soliton_form_check(frw_dust, field, frw_dust.basepoint, [point])
+        assert str(soliton.value).startswith(where + "u not closed (residual ")
+
 
 class TestWeylElectric:
     def test_frw_dust_both_residuals(self, frw_dust):

@@ -4,8 +4,14 @@ import pytest
 
 from grwcert import classify
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
+from grwcert.chart import (ChartError, ChartPoint, compile_chart,
+                           sample_points)
+from grwcert.classify import (LADDER_NAMES, check_geodesic, chen_check,
+                              identity_ladder, soliton_form_check)
 from grwcert.cli import main
-from grwcert.grw import catalog_get, catalog_names
+from grwcert.grw import (catalog_get, catalog_names, converse_check,
+                         fiber_einstein_check)
+from grwcert.physics import motion_residuals
 from grwcert.report import render_json, render_text, report_to_dict
 from grwcert.schema import SpecFileError, chart_input_to_dict, load_chart_input
 
@@ -149,6 +155,76 @@ class TestRunCertify:
             RunConfig(hypothesis_tol=0.0)
         with pytest.raises(ValueError):
             RunConfig(workers=0)
+        for kappa in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                RunConfig(kappa=kappa)
+
+    @pytest.mark.parametrize("basepoint, message", [
+        ((1.0, 0.0), "basepoint must have 4 entries"),
+        ((3.0, 0.0, 0.0, 0.0), "basepoint[t] = 3.0 outside range"),
+        ((1.0, 0.0, 0.0, float("nan")), "basepoint[z] = nan outside range"),
+    ])
+    def test_basepoint_override_validated(self, spec_file, basepoint, message):
+        # The same check as the spec file's basepoint gets at compile time.
+        with pytest.raises(ChartError) as err:
+            run_certify(spec_file, RunConfig(points=2, basepoint=basepoint))
+        assert str(err.value).startswith(message)
+
+
+class TestGateEqualsCli:
+    """The library checks the acceptance criteria call are max-over-points
+    adapters around the kernels that certify runs: over the same sample
+    points they give the report's residuals exactly."""
+
+    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere"])
+    def test_adapters_equal_records(self, name):
+        chart = catalog_get(name).chart
+        points = sample_points(chart, 10, 0)
+        report = run_certify(chart, RunConfig(points=10, seed=0))
+
+        def record(check):
+            return report.find(check).max_residual
+
+        field, base = chart.velocity, chart.basepoint
+        chen = chen_check(chart, field, base, points)
+        assert chen.chen_residual == record("chen-vector")
+        assert chen.ckv_residual == record("ckv-gradient")
+        assert chen.path_defect == record("potential-path-independence")
+        assert soliton_form_check(chart, field, base, points).residual \
+            == record("soliton-form")
+        ladder = identity_ladder(chart, field, points)
+        for check in LADDER_NAMES:
+            assert ladder.residuals[check] == record(check), check
+        assert check_geodesic(chart, field, points) == record("geodesic")
+        assert motion_residuals(chart, field, points) \
+            == (record("motion-energy"), record("motion-euler"))
+        converse = converse_check(chart, points)
+        assert converse.a_residual == record("grw-ricci-A")
+        assert converse.b_residual == record("grw-ricci-B")
+        fiber_points = [ChartPoint(p.coords[1:]) for p in points]
+        assert fiber_einstein_check(chart.grw.fiber, fiber_points) \
+            == record("fiber-einstein")
+
+    def test_accelerated_velocity(self, tmp_path):
+        # The catalog's comoving velocities are geodesic to the last bit;
+        # a rapidity that grows with t gives the velocity checks weight.
+        spec = dict(FRW_DUST_SPEC, name="frw-accelerated",
+                    velocity_field=["-cosh(t^2/4)", "sinh(t^2/4)", "0", "0"])
+        path = tmp_path / "accelerated.json"
+        path.write_text(json.dumps(spec))
+        report = run_certify(str(path), RunConfig(points=10, seed=0))
+        chart = compile_chart(load_chart_input(str(path)))
+        points = sample_points(chart, 10, 0)
+        geodesic = report.find("geodesic").max_residual
+        assert geodesic > 0.01
+        assert check_geodesic(chart, chart.velocity, points) == geodesic
+        assert motion_residuals(chart, chart.velocity, points) \
+            == (report.find("motion-energy").max_residual,
+                report.find("motion-euler").max_residual)
+        ladder = identity_ladder(chart, chart.velocity, points)
+        for check in LADDER_NAMES:
+            assert ladder.residuals[check] \
+                == report.find(check).max_residual, check
 
 
 class TestReports:
@@ -284,6 +360,21 @@ class TestCliCommands:
     def test_ladder_subcommand(self, spec_file, capsys):
         assert main(["ladder", str(spec_file), "--points", "4",
                      "--quiet"]) == 0
+
+    def test_kappa_zero_exit_two(self, capsys):
+        assert main(["catalog", "run", "frw-dust", "--points", "3",
+                     "--kappa", "0"]) == 2
+        assert capsys.readouterr().err == "error: kappa must be positive\n"
+
+    @pytest.mark.parametrize("basepoint, message", [
+        ("1,0", "basepoint must have 4 entries"),
+        ("1,0,0,5", "basepoint[z] = 5.0 outside range [-1.0, 1.0]"),
+        ("1,0,0,nan", "basepoint[z] = nan outside range [-1.0, 1.0]"),
+    ])
+    def test_bad_basepoint_exit_two(self, capsys, basepoint, message):
+        assert main(["catalog", "run", "frw-dust", "--points", "3",
+                     "--basepoint", basepoint]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tol_flag_applies(self, spec_file):
         # an absurdly tight tolerance flips the verdict
