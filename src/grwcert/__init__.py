@@ -15,11 +15,11 @@ from .classify import (ChenReport, FluidDecomposition, IdentityLadderReport,
 from .curvature import CurvaturePoint, JetStack, curvature_at, grad_vector_at
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
                    eval_batch, eval_grad_batch, eval_jet3, eval_jet3_batch,
-                   eval_value, parse)
+                   parse)
 from .grw import (ConverseReport, FiberMetric, GRWStructure, WarpSpec,
                   build_grw, catalog_get, catalog_names, converse_check,
                   fiber_einstein_check)
-from .jets import Jet3, JetDomainError
+from .jets import TensorJet
 from .physics import (AB_from_fluid, EosReport, FluidState, HomotheticReport,
                       eos_check, fluid_from_AB, homothetic_check,
                       motion_residuals)

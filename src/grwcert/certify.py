@@ -126,6 +126,10 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
             except SingularMetricError as err:
                 err.index += start       # name the point by its run index
                 raise
+            except EvalDomainError as err:
+                raise EvalDomainError(
+                    err.op, err.offset, f"{err.detail} at point "
+                    f"{start + err.index}, coordinates {err.coords}") from None
             payloads += fan_out(work, [stack.at(i)
                                        for i in range(len(stack.points))])
 
@@ -180,23 +184,28 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     if chart.signature != "lorentzian":
         return out
 
-    try:
-        dec = fluid_decompose(cp, cluster_tol=config.cluster_tol)
-        out["fluid_branch"] = "degenerate" if dec.degenerate else "nondegenerate"
-        out["fluid_residual"] = dec.residual
-        out["fluid_a"] = dec.a
-        out["fluid_b"] = dec.b
-    except FluidDecompositionError as err:
-        dec = None
-        out["fluid_branch"] = "anomalous"
-        out["errors"]["fluid-decompose"] = str(err)
+    # Only the records of these groups read the fluid split.
+    dec = None
+    if selected & {"fluid", "conclusions", "converse"}:
+        try:
+            dec = fluid_decompose(cp, cluster_tol=config.cluster_tol)
+            out["fluid_branch"] = ("degenerate" if dec.degenerate
+                                   else "nondegenerate")
+            out["fluid_residual"] = dec.residual
+            out["fluid_a"] = dec.a
+            out["fluid_b"] = dec.b
+        except FluidDecompositionError as err:
+            out["fluid_branch"] = "anomalous"
+            out["errors"]["fluid-decompose"] = str(err)
 
     if chart.grw is not None and "converse" in selected:
         _converse_payload(chart, point, dec, out)
 
-    # Without a closed-form velocity the electric check reads the
-    # eigen-split's velocity.
-    fp = analysis.at(point, stack=stack) if analysis is not None else None
+    # Only the records of these groups read the velocity's jets. Without a
+    # closed-form velocity the electric check reads the eigen-split's.
+    reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
+    fp = (analysis.at(point, stack=stack)
+          if analysis is not None and selected & reads_u else None)
     u = fp.uv if fp is not None else (dec.u if dec is not None else None)
     if u is not None:
         elec = classify.weyl_electric_check(cp, u)
@@ -207,7 +216,7 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
 
     out["u-unit"] = fp.unit_residual
     out["u-closed"] = fp.u_closed
-    a, b = fp.a_jet.value, fp.b_jet.value
+    a, b = float(fp.a_jet.value), float(fp.b_jet.value)
     model = a * fp.g + b * np.outer(fp.uv, fp.uv)
     out["fluid-form"] = scale_free(cp.ricci - model, cp.ricci, model)
     out["scalar_a"] = a
@@ -223,8 +232,8 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     out.update(classify.ladder_residuals_at(fp))
     out["geodesic"] = classify.geodesic_at(fp)
     out["motion-energy"], out["motion-euler"] = physics.motion_at(fp)
-    out["p"] = fp.p_jet.value
-    out["mu"] = fp.mu_jet.value
+    out["p"] = float(fp.p_jet.value)
+    out["mu"] = float(fp.mu_jet.value)
     out["dp"] = [float(v) for v in fp.p_jet.grad]
     out["dmu"] = [float(v) for v in fp.mu_jet.grad]
 

@@ -7,7 +7,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, FUNCTIONS, ParseError, eval_value, parse
+from .expr import Expr, FUNCTIONS, ParseError, eval_batch, parse
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -73,8 +73,7 @@ class VectorField:
 
     def values(self, point: ChartPoint, params: Mapping[str, float]) -> np.ndarray:
         if self.components is not None:
-            return np.array([eval_value(c, point.coords, params)
-                             for c in self.components])
+            return eval_batch(self.components, [point.coords], params)[0]
         if self.pointwise is not None:
             return np.asarray(self.pointwise(point), dtype=float)
         raise ValueError("vector field has neither components nor a rule")
@@ -117,19 +116,22 @@ class MetricChart:
         self.grw = None                   # set by grw.build_grw for warped products
 
     def metric_values(self, point: ChartPoint) -> np.ndarray:
+        iu, ju = np.triu_indices(self.n)
         g = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                g[i, j] = g[j, i] = eval_value(
-                    self.metric[i][j], point.coords, self.params)
+        g[iu, ju] = g[ju, iu] = eval_batch(
+            [self.metric[i][j] for i, j in zip(iu, ju)], [point.coords],
+            self.params)[0]
         return g
 
     def in_domain(self, point: ChartPoint) -> bool:
+        """Inside every range and above every exclusion margin; the
+        exclusions are evaluated in order, up to the first one that fails."""
         for x, (lo, hi) in zip(point.coords, self.ranges):
             if not (lo <= x <= hi):
                 return False
         for exc in self.exclusions:
-            if eval_value(exc.expr, point.coords, self.params) <= exc.margin:
+            if eval_batch((exc.expr,), [point.coords],
+                          self.params)[0, 0] <= exc.margin:
                 return False
         return True
 
@@ -252,12 +254,11 @@ def _probe_point(chart: MetricChart) -> ChartPoint:
     mid = ChartPoint(tuple((lo + hi) / 2.0 for lo, hi in chart.ranges))
     if chart.in_domain(mid):
         return mid
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        p = ChartPoint(tuple(rng.uniform(lo, hi) for lo, hi in chart.ranges))
-        if chart.in_domain(p):
-            return p
-    raise ChartError("no probe point found inside the domain")
+    try:
+        point = sample_points(chart, 1, seed=0)[0]
+    except SamplingExhaustedError:
+        raise ChartError("no probe point found inside the domain") from None
+    return ChartPoint(tuple(float(x) for x in point.coords))
 
 
 def validate_signature(chart: MetricChart, point: ChartPoint) -> None:
@@ -289,6 +290,8 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in chart.ranges])
     highs = np.array([hi for _, hi in chart.ranges])
+    trees = [exc.expr for exc in chart.exclusions]
+    margins = np.array([exc.margin for exc in chart.exclusions])
     points: list[ChartPoint] = []
     attempts = 0
     limit = 1000 * count
@@ -297,8 +300,20 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
             raise SamplingExhaustedError(
                 f"{chart.name}: rejection sampling failed "
                 f"({attempts} attempts for {count} points)")
-        attempts += 1
-        p = ChartPoint(tuple(rng.uniform(lows, highs)))
-        if chart.in_domain(p):
-            points.append(p)
+        # The candidates still missing, drawn as one block: the same stream
+        # as one draw per candidate, and every one of them is tested.
+        block = rng.uniform(lows, highs, (min(count - len(points),
+                                              limit - attempts), chart.n))
+        attempts += len(block)
+        candidates = [ChartPoint(tuple(row)) for row in block]
+        try:
+            keep = np.all((lows <= block) & (block <= highs), axis=1)
+            if trees:
+                keep &= ~np.any(eval_batch(trees, block, chart.params)
+                                <= margins, axis=1)
+        except (ArithmeticError, ValueError):
+            # An exclusion may be undefined where an earlier one already
+            # rejects the candidate: test them in order, one by one.
+            keep = [chart.in_domain(p) for p in candidates]
+        points += [p for p, ok in zip(candidates, keep) if ok]
     return points

@@ -21,7 +21,7 @@ import numpy as np
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import JetStack, PointwiseFieldError, scale_free
 from .expr import Expr, eval_batch, eval_jet3
-from .jets import Jet3, TensorJet, contract
+from .jets import TensorJet, contract
 
 LADDER_NAMES = (
     "bianchi-contract",
@@ -147,7 +147,8 @@ class FieldPoint:
     """Tensor jets of every velocity-derived object at one point.
 
     ``u`` is order 3; the others are order 1, which is all that is read.
-    The scalar jets are ``Jet3``s, so ``.value`` is a Python float.
+    The scalar jets f, A, B, gamma, p and mu are shape (), so ``.value``
+    is a 0-d array and ``.grad`` has shape (n,).
     """
 
     stack: JetStack
@@ -157,12 +158,12 @@ class FieldPoint:
     u_up: TensorJet
     nabla: TensorJet           # [k, j] = nabla_k u_j
     omega: TensorJet           # omega_k = f u_k - (nabla_k u_j) u^j
-    f_jet: Jet3                # expansion / (n-1)
-    a_jet: Jet3
-    b_jet: Jet3
-    gamma_jet: Jet3
-    p_jet: Jet3
-    mu_jet: Jet3
+    f_jet: TensorJet           # expansion / (n-1)
+    a_jet: TensorJet
+    b_jet: TensorJet
+    gamma_jet: TensorJet
+    p_jet: TensorJet
+    mu_jet: TensorJet
     unit_residual: float
 
     @property
@@ -239,9 +240,7 @@ class VelocityAnalysis:
         n = chart.n
         if stack is None:
             stack = JetStack(chart, point)
-        u = TensorJet.from_jets(
-            [eval_jet3(c, point, chart.params) for c in self.field.components],
-            (n,))
+        u = eval_jet3(self.field.components, point, chart.params)
         u1 = u.truncated(1)
         g_inv = stack.g_inv.truncated(1)
         u_up = contract("ij,j->i", g_inv, u1)
@@ -251,19 +250,21 @@ class VelocityAnalysis:
         f = contract("kj,kj->", g_inv, nabla) * (1.0 / (n - 1))
         omega = contract(",k->k", f, u1) - contract("kj,j->k", nabla, u_up)
         ruu = contract("ij,ij->", stack.ricci,
-                       contract("i,j->ij", u_up, u_up)).as_jet3()
-        a_jet = (stack.rs.as_jet3() + ruu) * (1.0 / (n - 1))
+                       contract("i,j->ij", u_up, u_up))
+        a_jet = (stack.rs + ruu) * (1.0 / (n - 1))
         b_jet = ruu + a_jet
         if self.perturb_b is not None:
-            b_jet = b_jet + eval_jet3(self.perturb_b, point, chart.params).truncated(1)
+            b_jet = b_jet + eval_jet3((self.perturb_b,), point,
+                                      chart.params).at(0)
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * (1.0 / (2.0 * self.kappa))
         p_jet = b_jet * (1.0 / self.kappa) - mu_jet
         if self.perturb_p is not None:
-            p_jet = p_jet + eval_jet3(self.perturb_p, point, chart.params).truncated(1)
+            p_jet = p_jet + eval_jet3((self.perturb_p,), point,
+                                      chart.params).at(0)
         return FieldPoint(stack=stack, point=point, field=self.field,
                           u=u, u_up=u_up,
-                          nabla=nabla, omega=omega, f_jet=f.as_jet3(),
+                          nabla=nabla, omega=omega, f_jet=f,
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
                           p_jet=p_jet, mu_jet=mu_jet,
                           unit_residual=unit_residual)
@@ -283,8 +284,8 @@ def scalar_fields_at(chart: MetricChart, field: VectorField,
                      point: ChartPoint) -> ScalarFields:
     """A, B, gamma = (n-2)A + B and their gradients, all through jets."""
     fp = VelocityAnalysis(chart, field).at(point)
-    return ScalarFields(a=fp.a_jet.value, b=fp.b_jet.value,
-                        gamma=fp.gamma_jet.value,
+    return ScalarFields(a=float(fp.a_jet.value), b=float(fp.b_jet.value),
+                        gamma=float(fp.gamma_jet.value),
                         grad_a=np.array(fp.a_jet.grad),
                         grad_b=np.array(fp.b_jet.grad),
                         grad_gamma=np.array(fp.gamma_jet.grad))
@@ -295,10 +296,8 @@ def closedness_residual(chart: MetricChart, field: VectorField,
     """Scale-free curl residual of a closed-form covariant field."""
     if not field.closed_form:
         raise PointwiseFieldError("closedness needs closed-form components")
-    n = chart.n
-    comps = [eval_jet3(c, point, chart.params) for c in field.components]
-    du = np.array([[comps[j].grad[k] for j in range(n)] for k in range(n)])
-    return _curl_residual(du)
+    return _curl_residual(
+        eval_jet3(field.components, point, chart.params).grad.T)
 
 
 def check_closed(chart: MetricChart, field: VectorField, points) -> float:
@@ -552,11 +551,12 @@ def _chen_point(fp: FieldPoint, pot: PotentialResult,
     xv = scaling * fp.uv
     dx = np.outer(dscaling, fp.uv) + scaling * fp.du
     nabla_x = dx - np.einsum("akj,a->kj", fp.stack.gamma.value, xv)
-    rho = scaling * fp.f_jet.value
-    grad_rho = dscaling * fp.f_jet.value + scaling * fp.f_jet.grad
+    f = float(fp.f_jet.value)
+    rho = scaling * f
+    grad_rho = dscaling * f + scaling * fp.f_jet.grad
     g = fp.g
     chen_resid = scale_free(nabla_x - rho * g, nabla_x, rho * g)
-    a, b = fp.a_jet.value, fp.b_jet.value
+    a, b = float(fp.a_jet.value), float(fp.b_jet.value)
     ckv_rhs = ((a - b) / (1.0 - n)) * xv
     ckv_resid = scale_free(grad_rho - ckv_rhs, grad_rho, ckv_rhs)
     proper = abs(a - b) > branch_tol * (1.0 + abs(a) + abs(b))
@@ -700,8 +700,9 @@ def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:
     grad_theta = fp.uv
     hess_cov = 0.5 * (fp.du + fp.du.T) - np.einsum(
         "aij,a->ij", fp.stack.gamma.value, grad_theta)
-    lam = fp.a_jet.value + fp.f_jet.value
-    eta = fp.b_jet.value + fp.f_jet.value
+    f = float(fp.f_jet.value)
+    lam = float(fp.a_jet.value) + f
+    eta = float(fp.b_jet.value) + f
     lhs = fp.stack.ricci.value + hess_cov - eta * np.outer(grad_theta, grad_theta)
     rhs = lam * fp.g
     return scale_free(lhs - rhs, lhs, rhs), lam, eta

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .expr import eval_jet3, eval_jet3_batch
-from .jets import TensorJet, contract, jet_tables, leibniz_level
+from .jets import TensorJet, contract, leibniz_level
 
 # div-Weyl / Cotton proportionality, one constant per dimension, determined
 # by a dev-time oracle run on non-conformally-flat metrics and then asserted
@@ -62,7 +62,6 @@ class CurvaturePoint:
     dg: np.ndarray         # (n, n, n): dg[k, i, j] = d_k g_ij
     gamma: np.ndarray      # (n, n, n): gamma[m, j, k] = Gamma^m_{jk}
     dgamma: np.ndarray     # (n, n, n, n): dgamma[a, m, j, k] = d_a Gamma^m_{jk}
-    d2gamma: np.ndarray    # (n, n, n, n, n): d_a d_b Gamma^m_{jk}
     riem: np.ndarray       # (n, n, n, n): riem[j, k, l, m] = R_{jkl}{}^m
     driem: np.ndarray      # (n, n, n, n, n): driem[a, ...] = d_a R_{jkl}{}^m
     ricci: np.ndarray      # (n, n)
@@ -180,8 +179,6 @@ class JetStack:
         g_inv, gamma = self.g_inv.value, self.gamma.value
         ricci = self.ricci.value
         dg = np.moveaxis(self.g.grad, -1, 0)
-        d2gamma = np.moveaxis(self.gamma.hess[..., jet_tables(n).pair_pos],
-                              (-2, -1), (0, 1))
         dricci = (np.moveaxis(self.ricci.grad, -1, 0)
                   - np.einsum("akj,al->kjl", gamma, ricci)
                   - np.einsum("akl,ja->kjl", gamma, ricci))
@@ -191,7 +188,7 @@ class JetStack:
         return CurvaturePoint(point=self.point, n=n, g=self.g.value,
                               g_inv=g_inv, dg=dg, gamma=gamma,
                               dgamma=np.moveaxis(self.gamma.grad, -1, 0),
-                              d2gamma=d2gamma, riem=self.riem.value,
+                              riem=self.riem.value,
                               driem=np.moveaxis(self.riem.grad, -1, 0),
                               ricci=ricci, rs=float(self.rs.value),
                               drs=self.rs.grad, dricci=dricci, weyl=weyl,
@@ -264,9 +261,7 @@ def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
     if not field.covariant:
         raise PointwiseFieldError("expected a covariant (lowered) field")
     stack = JetStack(chart, point)
-    v = TensorJet.from_jets(
-        [eval_jet3(c, point, chart.params) for c in field.components],
-        (chart.n,)).truncated(2)
+    v = eval_jet3(field.components, point, chart.params).truncated(2)
     curl = v.grad.T                              # curl[k, j] = d_k v_j
     jet = (v.deriv().truncated(1)
            - contract("akj,a->kj", stack.gamma.truncated(1), v.truncated(1)))

@@ -1,4 +1,4 @@
-"""Metric-component expressions: parsing and jet evaluation.
+"""Metric-component expressions: parsing and evaluation.
 
 Grammar (documented in the README): identifiers ``[a-zA-Z_][a-zA-Z0-9_]*``,
 decimal literals (optional fraction and exponent), binary operators
@@ -7,7 +7,10 @@ decimal literals (optional fraction and exponent), binary operators
 Precedence: ``^`` > unary minus > ``* /`` > ``+ -``; binary operators
 associate left. Exponents must fold to constants at parse time.
 
-Trees are immutable; evaluation is pure.
+Trees are immutable; evaluation is pure. One tape walker evaluates them:
+values (``eval_batch``), values and gradients, or order-3 jets
+(``eval_jet3_batch``, and ``eval_jet3`` at one point) of several trees at
+the rows of a coordinate array.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import (MAX_ORDER, Jet3, JetDomainError, jet_tables,
-                   pair_count, triple_count)
+from .jets import (MAX_ORDER, TensorJet, jet_tables, pair_count,
+                   triple_count)
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
@@ -46,12 +49,16 @@ class UnknownSymbolError(ParseError):
 
 
 class EvalDomainError(ValueError):
-    """Evaluation left a function's domain; names the offending node."""
+    """Evaluation left a function's domain; names the offending node, and
+    the failing row: ``index`` among the walked rows and its ``coords``."""
 
     def __init__(self, op: str, offset: int, detail: str):
         super().__init__(f"{op} at offset {offset}: {detail}")
         self.op = op
         self.offset = offset
+        self.detail = detail
+        self.index = None
+        self.coords = None
 
 
 class Expr:
@@ -298,129 +305,20 @@ def depth(node: Expr) -> int:
     return 1 + max(depth(node.left), depth(node.right))
 
 
-def eval_jet3(node: Expr, point, params: Mapping[str, float]) -> Jet3:
-    """Evaluate to an order-3 jet at ``point`` (a ChartPoint or a sequence)."""
-    coords = getattr(point, "coords", point)
-    n = len(coords)
-    return _eval_jet(node, coords, params, n)
-
-
-def _eval_jet(node: Expr, coords, params, n: int) -> Jet3:
-    if isinstance(node, Const):
-        return Jet3.constant(n, node.value)
-    if isinstance(node, Coord):
-        return Jet3.coordinate(n, node.index, float(coords[node.index]))
-    if isinstance(node, Param):
-        try:
-            return Jet3.constant(n, float(params[node.name]))
-        except KeyError:
-            raise EvalDomainError(
-                "parameter", node.offset, f"{node.name!r} is unbound") from None
-    if isinstance(node, Unary):
-        arg = _eval_jet(node.arg, coords, params, n)
-        if node.op == "neg":
-            return -arg
-        try:
-            return getattr(arg, node.op)()
-        except JetDomainError as err:
-            raise EvalDomainError(node.op, node.offset, err.detail) from None
-    if isinstance(node, Binary):
-        left = _eval_jet(node.left, coords, params, n)
-        right = _eval_jet(node.right, coords, params, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        try:
-            return left / right
-        except JetDomainError as err:
-            raise EvalDomainError("div", node.offset, err.detail) from None
-    if isinstance(node, Power):
-        base = _eval_jet(node.base, coords, params, n)
-        try:
-            return base ** node.exponent
-        except JetDomainError as err:
-            raise EvalDomainError("pow", node.offset, err.detail) from None
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_VALUE_FN = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-}
-
-
-def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
-    """Fast value-only evaluation (used by sampling and quadrature)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Coord):
-        return float(coords[node.index])
-    if isinstance(node, Param):
-        try:
-            return float(params[node.name])
-        except KeyError:
-            raise EvalDomainError(
-                "parameter", node.offset, f"{node.name!r} is unbound") from None
-    if isinstance(node, Unary):
-        arg = eval_value(node.arg, coords, params)
-        if node.op == "neg":
-            return -arg
-        if node.op == "ln":
-            if arg <= 0.0:
-                raise EvalDomainError("ln", node.offset,
-                                      f"argument {arg!r} is not positive")
-            return math.log(arg)
-        if node.op == "sqrt":
-            if arg <= 0.0:
-                raise EvalDomainError("sqrt", node.offset,
-                                      f"argument {arg!r} is not positive")
-            return math.sqrt(arg)
-        return _VALUE_FN[node.op](arg)
-    if isinstance(node, Binary):
-        left = eval_value(node.left, coords, params)
-        right = eval_value(node.right, coords, params)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvalDomainError("div", node.offset, "division by zero")
-        return left / right
-    if isinstance(node, Power):
-        base = eval_value(node.base, coords, params)
-        e = node.exponent
-        if float(e).is_integer():
-            if base == 0.0 and e < 0:
-                raise EvalDomainError("pow", node.offset,
-                                      f"0.0 raised to negative power {e}")
-            return base ** e
-        if base <= 0.0:
-            raise EvalDomainError(
-                "pow", node.offset,
-                f"base {base!r} not positive for non-integer exponent {e!r}")
-        return base ** e
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
-# Batched evaluation over the rows of an (N, n) coordinate array.
+# The tape walker: evaluation over the rows of an (N, n) coordinate array.
 #
 # The trees of a call become one tape of their distinct subtrees (equal
 # subtrees, i.e. the same text at the same offset, appear once), and each
 # step is a few numpy operations over all rows. A step's result is a flat
 # jet: derivative levels 0..order in jet_tables' packed slots, one row of
-# the array per slot and one column per coordinate row. The arithmetic is
-# the scalar paths' own, term by term in Jet3's order, so every row is
-# bit-identical to them: eval_jet3's at orders 1 and 3 (``/`` as
-# ``a * reciprocal(b)``), eval_value's at order 0 (plain ``/``). Function
-# and power coefficients go through ``math`` row by row, because numpy's
-# vectorized exp, log, pow, tan, ... may differ from the C library in the
-# last bit.
+# the array per slot and one column per coordinate row. Every row is
+# bit-identical to the per-node scalar evaluators kept in tests/oracles.py:
+# products sum their Leibniz terms in one fixed order, ``/`` is
+# ``a * reciprocal(b)`` at orders 1 and 3 and plain ``/`` at order 0, and
+# function and power coefficients go through ``math`` row by row, because
+# numpy's vectorized exp, log, pow, tan, ... may differ from the C library
+# in the last bit.
 # ---------------------------------------------------------------------------
 
 def _libm(fn, values, *args) -> np.ndarray:
@@ -436,8 +334,8 @@ def _ratio(num: float, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
-# Derivatives c0, c1, c2, c3 of each function at the argument v, formed as
-# the Jet3 methods form them; generators, so that a walk of order k forms
+# Derivatives c0, c1, c2, c3 of each function at the argument v, each
+# formed by a fixed formula; generators, so that a walk of order k forms
 # only c0..ck.
 
 def _exp(v):
@@ -510,8 +408,9 @@ def _reciprocal(v):
 
 
 def _power(v, e: float):
-    """``_pow_term(v, e, m)`` for m = 0, 1, ...: Jet3 pins powers of zero
-    to unsigned values, not pow's signed zeros."""
+    """The m-th derivative e(e-1)...(e-m+1) v^(e-m) of v^e for m = 0, 1,
+    ...; integer powers of zero are pinned to unsigned values, not pow's
+    signed zeros."""
     integer = float(e).is_integer()
     coeff = 1.0
     for m in range(MAX_ORDER + 1):
@@ -540,10 +439,11 @@ def _slots(n: int, order: int) -> int:
 
 @lru_cache(maxsize=None)
 def _product_terms(n: int, order: int):
-    """``Jet3.__mul__`` as a table. Row r of the two (terms, slots) index
-    arrays holds term r of every output slot, as an (a slot, b slot)
-    product, in Jet3's order. Slots with fewer terms are padded with the
-    slot past the end, which holds -0.0 in a and 1.0 in b: adding -0.0
+    """The Leibniz product as a table. Row r of the two (terms, slots)
+    index arrays holds term r of every output slot, as an (a slot, b slot)
+    product, in ``leibniz_level``'s order. Slots with fewer terms are
+    padded with the slot past the end, which holds -0.0 in a and 1.0 in
+    b: adding -0.0
     leaves every float as it is, signed zeros included."""
     t = jet_tables(n)
     g = 1 + np.arange(n)                        # the slots of each level
@@ -569,8 +469,8 @@ def _product_terms(n: int, order: int):
 
 
 def _mul(a, b, terms):
-    """``Jet3.__mul__`` on flat jets: one gather per operand, one product,
-    and a left-to-right running sum over the terms of each slot."""
+    """The Leibniz product of flat jets: one gather per operand, one
+    product, and a left-to-right running sum over the terms of each slot."""
     ia, ib = terms
     rows = a.shape[1]
     a = np.concatenate((a, np.full((1, rows), -0.0)))
@@ -579,7 +479,7 @@ def _mul(a, b, terms):
 
 
 def _compose(f, coefficients, n: int, order: int):
-    """``Jet3._compose`` on a flat jet: phi(f) from phi's derivatives."""
+    """The chain rule on a flat jet: phi(f) from phi's derivatives."""
     c = list(islice(coefficients, order + 1))
     if not order:
         return c[0][None]
@@ -685,40 +585,74 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _domain_error(node: Expr, args) -> EvalDomainError:
+    """The error of the step that flagged a one-row walk."""
+    if isinstance(node, Param):
+        return EvalDomainError("parameter", node.offset,
+                               f"{node.name!r} is unbound")
+    if isinstance(node, Binary):
+        return EvalDomainError("div", node.offset, "division by zero")
+    v = args[0][0].item()
+    if isinstance(node, Unary):
+        return EvalDomainError(node.op, node.offset,
+                               f"argument {v!r} is not positive")
+    e = float(node.exponent)
+    if e.is_integer():
+        return EvalDomainError("pow", node.offset,
+                               f"0.0 raised to negative power {e}")
+    return EvalDomainError(
+        "pow", node.offset,
+        f"base {v!r} not positive for non-integer exponent {e!r}")
+
+
+def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
+    """The roots' flat jets (slots, N) over the rows of ``x``. Each
+    distinct subtree is evaluated once and kept until its last use. Rows
+    out of a domain are flagged in ``bad``; a one-row walk raises at the
+    step that flags it instead."""
+    steps, frees, roots = tape
+    cols = np.ascontiguousarray(x.T)            # (n, N)
+    jets = [None] * len(steps)
+    with np.errstate(all="ignore"):
+        for i, (node, kids) in enumerate(steps):
+            args = [jets[k] for k in kids]
+            jets[i] = _evaluate(node, args, cols, params, order, bad)
+            if one_row and bad[0]:
+                raise _domain_error(node, args)
+            for k in frees[i]:
+                jets[k] = None
+    return [jets[r] for r in roots]
+
+
 def _eval_levels(nodes: Sequence[Expr], x, params, order: int) -> list:
     """Levels 0..order of several trees at every row of ``x`` (N, n):
     level k has shape (N, K) + the packed shape of level k.
 
-    Each distinct subtree is evaluated once, to a flat jet (slots, N)
-    holding levels 0..order with the rows last, and kept until its last
-    use. A failure raises what the per-row path raises first, taking rows
-    in order and the trees of a row in order: the rows up to the first
-    flagged one are re-evaluated on the scalar path.
+    A failure raises what a one-row walk raises first, rows in order (and
+    within a row, the trees in order): the rows up to the first flagged
+    one are walked again one at a time. A domain error names its row by
+    ``index`` and ``coords``.
     """
     nodes, x = tuple(nodes), np.asarray(x, dtype=float)
-    cols = np.ascontiguousarray(x.T)            # (n, N)
+    tape = _tape(nodes)
     bad = np.zeros(len(x), dtype=bool)
-    steps, frees, roots = _tape(nodes)
-    jets = [None] * len(steps)
     try:
-        with np.errstate(all="ignore"):
-            for i, (node, kids) in enumerate(steps):
-                jets[i] = _evaluate(node, [jets[k] for k in kids], cols,
-                                    params, order, bad)
-                for k in frees[i]:
-                    jets[k] = None
+        jets = _walk(tape, x, params, order, bad)
         failed = bool(bad.any())
     except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
         failed = True
     if failed:
         last = int(np.argmax(bad)) if bad.any() else len(x) - 1
-        scalar = eval_jet3 if order else eval_value
-        for row in x[:last + 1].tolist():
-            for node in nodes:
-                scalar(node, row, params)
-        raise RuntimeError("batched evaluation flagged a row that the "
-                           "per-row path evaluates")
-    flat = np.stack([jets[r] for r in roots])
+        for index in range(last + 1):
+            try:
+                _walk(tape, x[index:index + 1], params, order,
+                      np.zeros(1, dtype=bool), one_row=True)
+            except EvalDomainError as err:
+                err.index, err.coords = index, tuple(x[index].tolist())
+                raise
+        raise RuntimeError("batched evaluation flagged a row that a "
+                           "one-row walk evaluates")
+    flat = np.stack(jets)
     bounds = [_slots(x.shape[1], k) for k in range(order + 1)]
     return [np.ascontiguousarray(flat[:, 0].T)] + [
         np.ascontiguousarray(flat[:, lo:hi].transpose(2, 0, 1))
@@ -730,8 +664,7 @@ def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
     """Evaluate several trees at every row of ``x`` (shape (N, n)).
 
     Returns values of shape (N, K) and, with ``grad``, gradients of shape
-    (N, K, n), bit-identical to eval_jet3 (``grad``) or eval_value rows.
-    A failure raises what the per-row path raises first.
+    (N, K, n). A failure raises what a one-row walk raises first.
     """
     if grad:
         return tuple(_eval_levels(nodes, x, params, 1))
@@ -747,8 +680,17 @@ def eval_grad_batch(node: Expr, x, params: Mapping[str, float]):
 def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float]):
     """Order-3 jets of several trees at every row of ``x`` (shape (N, n)):
     value, gradient, packed Hessian and packed third level, of shapes
-    (N, K), (N, K, n), (N, K, pairs) and (N, K, triples), each row
-    bit-identical to eval_jet3's ``value``, ``grad``, ``hess``, ``third``.
-    A failure raises what eval_jet3 raises first, rows in order.
+    (N, K), (N, K, n), (N, K, pairs) and (N, K, triples).
+    A failure raises what a one-row walk raises first, rows in order.
     """
     return _eval_levels(nodes, x, params, MAX_ORDER)
+
+
+def eval_jet3(nodes: Sequence[Expr], point,
+              params: Mapping[str, float]) -> TensorJet:
+    """Order-3 jets of several trees at one point (a ChartPoint or a
+    sequence): the one-row ``eval_jet3_batch``, as a ``TensorJet`` of
+    value shape (K,)."""
+    coords = getattr(point, "coords", point)
+    levels = eval_jet3_batch(nodes, [coords], params)
+    return TensorJet(len(coords), [level[0] for level in levels])

@@ -13,7 +13,7 @@ from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     compile_chart)
 from .classify import fluid_decompose
 from .curvature import curvature_at, scale_free
-from .expr import eval_jet3, parse
+from .expr import eval_batch, eval_jet3, parse
 
 # Resolution of the two candidate time-time Ricci rows for the warped
 # product: a hand-coded Christoffel assembly on q = t^2 (tests/oracles.py)
@@ -40,8 +40,8 @@ class WarpSpec:
     def jets(self, t: float, params=None):
         """(q, q', q'', q''') at t."""
         expr = parse(self.text, ("t",), tuple(params or ()))
-        jet = eval_jet3(expr, (t,), params or {})
-        return jet.value, float(jet.grad[0]), jet.d2(0, 0), jet.d3(0, 0, 0)
+        jet = eval_jet3((expr,), (t,), params or {})    # one slot per level
+        return tuple(level.item() for level in jet.levels)
 
 
 @dataclass
@@ -91,12 +91,13 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
 
     lo, hi = float(t_range[0]), float(t_range[1])
     warp_expr = parse(warp.text, ("t",), tuple(params))
-    for t in np.linspace(lo, hi, 33):
-        jet = eval_jet3(warp_expr, (t,), params)
-        if jet.value <= warp.delta:
+    ts = np.linspace(lo, hi, 33)
+    values = eval_batch((warp_expr,), ts[:, None], params)[:, 0]
+    for t, value in zip(ts, values):
+        if value <= warp.delta:
             raise GRWBuildError(
                 f"warp {warp.text!r} is not positive at t = {t:.6g} "
-                f"(value {jet.value:.3e} <= {warp.delta})")
+                f"(value {value:.3e} <= {warp.delta})")
 
     metric = {"1,1": "-1"}
     for key, text in fiber.input.metric.items():
@@ -214,26 +215,16 @@ def _flat3() -> ChartInput:
         ranges={"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
 
 
-def _sphere3() -> ChartInput:
-    hi = math.pi - _POLE
+def _sphere(m: int) -> ChartInput:
+    """The unit m-sphere (m = 3, 4) in hyperspherical angles: g_kk is the
+    product of sin(x_j)^2 over the angles before x_k; the last is azimuthal."""
+    names = ["chi", "theta", "phi", "psi"][:m]
     return ChartInput(
-        name="s3", dimension=3, signature=RIEMANNIAN,
-        coordinates=["chi", "theta", "phi"],
-        metric={"1,1": "1", "2,2": "sin(chi)^2",
-                "3,3": "sin(chi)^2*sin(theta)^2"},
-        ranges={"chi": (_POLE, hi), "theta": (_POLE, hi), "phi": (0, 6.2)})
-
-
-def _sphere4() -> ChartInput:
-    hi = math.pi - _POLE
-    return ChartInput(
-        name="s4", dimension=4, signature=RIEMANNIAN,
-        coordinates=["chi", "theta", "phi", "psi"],
-        metric={"1,1": "1", "2,2": "sin(chi)^2",
-                "3,3": "sin(chi)^2*sin(theta)^2",
-                "4,4": "sin(chi)^2*sin(theta)^2*sin(phi)^2"},
-        ranges={"chi": (_POLE, hi), "theta": (_POLE, hi),
-                "phi": (_POLE, hi), "psi": (0, 6.2)})
+        name=f"s{m}", dimension=m, signature=RIEMANNIAN, coordinates=names,
+        metric={f"{k + 1},{k + 1}": "*".join(f"sin({c})^2" for c in names[:k])
+                or "1" for k in range(m)},
+        ranges={c: (_POLE, math.pi - _POLE) for c in names[:-1]}
+        | {names[-1]: (0, 6.2)})
 
 
 def _hyperbolic3() -> ChartInput:
@@ -302,7 +293,7 @@ def _build_einstein_static() -> CatalogEntry:
     expected["scalars"] = {"A": 2.0, "B": 2.0, "gamma": 6.0,
                            "mu": 3.0, "p": -1.0}
     expected["branch"] = "homothetic"
-    return _grw_entry("einstein-static", "1", _sphere3(), (-1, 1), base,
+    return _grw_entry("einstein-static", "1", _sphere(3), (-1, 1), base,
                       expected)
 
 
@@ -324,7 +315,7 @@ def _build_frw_rad() -> CatalogEntry:
 
 def _build_frw_closed() -> CatalogEntry:
     base = (1.0, math.pi / 2, math.pi / 2, 1.0)
-    return _grw_entry("frw-k+1", "1+0.1*t^2", _sphere3(), (1, 2), base,
+    return _grw_entry("frw-k+1", "1+0.1*t^2", _sphere(3), (1, 2), base,
                       dict(_POSITIVE))
 
 
@@ -338,7 +329,7 @@ def _build_grw5_sphere() -> CatalogEntry:
     base = (1.0, math.pi / 2, math.pi / 2, math.pi / 2, 1.0)
     expected = dict(_POSITIVE)
     expected["branch"] = "proper"
-    return _grw_entry("grw5-sphere", "t^2", _sphere4(), (1, 2), base, expected)
+    return _grw_entry("grw5-sphere", "t^2", _sphere(4), (1, 2), base, expected)
 
 
 def _build_non_einstein_fiber() -> CatalogEntry:

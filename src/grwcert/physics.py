@@ -51,9 +51,9 @@ def motion_at(fp: FieldPoint) -> tuple[float, float]:
     """
     dmu = np.array(fp.mu_jet.grad)
     dp = np.array(fp.p_jet.grad)
-    p_plus_mu = fp.p_jet.value + fp.mu_jet.value
+    p_plus_mu = float(fp.p_jet.value) + float(fp.mu_jet.value)
     transport = float(fp.uupv @ dmu)
-    expansion = p_plus_mu * (fp.f_jet.value * (fp.n - 1))   # (p+mu) div u
+    expansion = p_plus_mu * (float(fp.f_jet.value) * (fp.n - 1))  # (p+mu) div u
     r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
     force = p_plus_mu * fp.accel
     lhs2 = dp + fp.uv * float(fp.uupv @ dp) + force

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Mapping
 
 import numpy as np
+
+from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
+                          Power, Unary)
+from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
 
 # ---------------------------------------------------------------------------
 # Divided-difference oracle for jets (5-point, 4th-order first-derivative
@@ -279,8 +284,6 @@ def integrate_per_node(integrand, n, base, target, quad_order=8, panels=4):
 
 def omega_per_node(chart, field, coords):
     """omega = f u - (nabla u) u^ at one point from order-3 jets."""
-    from grwcert.expr import eval_jet3
-
     n = chart.n
     point = tuple(coords)
     g = np.empty((n, n))
@@ -314,8 +317,6 @@ def omega_per_node(chart, field, coords):
 
 def jet_matrix_inverse(rows) -> list:
     """Gauss-Jordan inverse of a matrix of jets (partial pivoting on values)."""
-    from grwcert.jets import Jet3
-
     n = len(rows)
     a = [list(r) for r in rows]
     nvars = a[0][0].n
@@ -345,9 +346,6 @@ def jet_matrix_inverse(rows) -> list:
 
 def per_component_curvature(chart, point) -> dict:
     """Every CurvaturePoint field at ``point`` from per-component jets."""
-    from grwcert.expr import eval_jet3
-    from grwcert.jets import Jet3, jet_tables
-
     n, rng = chart.n, range(chart.n)
     gj = [[None] * n for _ in rng]
     for i in rng:
@@ -458,3 +456,408 @@ def _flat(grid):
             yield from _flat(row)
     else:
         yield grid
+
+
+# ---------------------------------------------------------------------------
+# Scalar order-3 jets and the recursive tree evaluators: one Jet3 per node,
+# the engine's evaluation path before the tape walker (grwcert.expr) became
+# its only one. The walker is pinned against these byte for byte, errors
+# included. Jet3 arithmetic follows the exact Leibniz and chain rules, with
+# packed symmetric second and third levels (jet_tables' slots).
+# ---------------------------------------------------------------------------
+
+class JetDomainError(ArithmeticError):
+    """A function left its domain during jet evaluation."""
+
+    def __init__(self, op: str, detail: str):
+        super().__init__(f"{op}: {detail}")
+        self.op = op
+        self.detail = detail
+
+
+
+class Jet3:
+    """Value plus packed first/second/third partials in ``n`` variables.
+
+    ``order`` records how many derivative levels are trustworthy; taking a
+    coordinate derivative of an order-k jet yields an order-(k-1) jet.
+    Arithmetic propagates the minimum order of its operands and never reads
+    levels beyond it.
+    """
+
+    __slots__ = ("n", "order", "value", "grad", "hess", "third")
+
+    def __init__(self, n: int, order: int, value: float,
+                 grad: np.ndarray, hess: np.ndarray, third: np.ndarray):
+        self.n = n
+        self.order = order
+        self.value = float(value)
+        self.grad = grad
+        self.hess = hess
+        self.third = third
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def empty(cls, n: int, order: int = MAX_ORDER) -> "Jet3":
+        return cls(n, order, 0.0,
+                   np.zeros(n), np.zeros(pair_count(n)), np.zeros(triple_count(n)))
+
+    @classmethod
+    def constant(cls, n: int, value: float) -> "Jet3":
+        out = cls.empty(n)
+        out.value = float(value)
+        return out
+
+    @classmethod
+    def coordinate(cls, n: int, index: int, value: float) -> "Jet3":
+        out = cls.empty(n)
+        out.value = float(value)
+        out.grad = np.zeros(n)
+        out.grad[index] = 1.0
+        return out
+
+    # -- structure ----------------------------------------------------
+
+    def truncated(self, order: int) -> "Jet3":
+        """View of this jet with a (possibly) lower declared order.
+
+        Shares storage; jets are immutable so this is safe. Used to cap the
+        work done by downstream products whose high levels would be unused.
+        """
+        if order >= self.order:
+            return self
+        return Jet3(self.n, order, self.value, self.grad, self.hess, self.third)
+
+    def deriv(self, i: int) -> "Jet3":
+        """Coordinate derivative: an order-(k-1) jet of the i-th partial."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        t = jet_tables(self.n)
+        out = Jet3.empty(self.n, self.order - 1)
+        out.value = float(self.grad[i])
+        if out.order >= 1:
+            out.grad = self.hess[t.pair_pos[i]]
+        if out.order >= 2:
+            out.hess = self.third[t.triple_pos[i][t.i2, t.j2]]
+        return out
+
+    def third_tensor(self) -> np.ndarray:
+        t = jet_tables(self.n)
+        return self.third[t.triple_pos]
+
+    def d2(self, i: int, j: int) -> float:
+        return float(self.hess[jet_tables(self.n).pair_pos[i, j]])
+
+    def d3(self, i: int, j: int, k: int) -> float:
+        return float(self.third[jet_tables(self.n).triple_pos[i, j, k]])
+
+    def __repr__(self) -> str:
+        return f"Jet3(n={self.n}, order={self.order}, value={self.value!r})"
+
+    # -- ring operations ----------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, Jet3):
+            return other
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            return Jet3.constant(self.n, float(other))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        order = min(self.order, o.order)
+        out = Jet3.empty(self.n, order)
+        out.value = self.value + o.value
+        if order >= 1:
+            out.grad = self.grad + o.grad
+        if order >= 2:
+            out.hess = self.hess + o.hess
+        if order >= 3:
+            out.third = self.third + o.third
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = Jet3.empty(self.n, self.order)
+        out.value = -self.value
+        out.grad = -self.grad
+        out.hess = -self.hess
+        out.third = -self.third
+        return out
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.__add__(-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__add__(-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            c = float(other)
+            out = Jet3.empty(self.n, self.order)
+            out.value = self.value * c
+            out.grad = self.grad * c
+            out.hess = self.hess * c
+            out.third = self.third * c
+            return out
+        if not isinstance(other, Jet3):
+            return NotImplemented
+        a, b = self, other
+        order = min(a.order, b.order)
+        t = jet_tables(a.n)
+        out = Jet3.empty(a.n, order)
+        out.value = a.value * b.value
+        if order >= 1:
+            out.grad = a.grad * b.value + a.value * b.grad
+        if order >= 2:
+            out.hess = (a.hess * b.value + a.value * b.hess
+                        + a.grad[t.i2] * b.grad[t.j2] + a.grad[t.j2] * b.grad[t.i2])
+        if order >= 3:
+            out.third = (a.third * b.value + a.value * b.third
+                         + a.hess[t.p_ij] * b.grad[t.k3]
+                         + a.hess[t.p_ik] * b.grad[t.j3]
+                         + a.hess[t.p_jk] * b.grad[t.i3]
+                         + a.grad[t.i3] * b.hess[t.p_jk]
+                         + a.grad[t.j3] * b.hess[t.p_ik]
+                         + a.grad[t.k3] * b.hess[t.p_ij])
+        return out
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "Jet3":
+        v = self.value
+        if v == 0.0:
+            raise JetDomainError("div", "division by zero")
+        return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            if float(other) == 0.0:
+                raise JetDomainError("div", "division by zero")
+            return self * (1.0 / float(other))
+        if not isinstance(other, Jet3):
+            return NotImplemented
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.reciprocal()
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, (int, float, np.floating, np.integer)):
+            return NotImplemented
+        e = float(exponent)
+        v = self.value
+        return self._compose(_pow_term(v, e, 0), _pow_term(v, e, 1),
+                             _pow_term(v, e, 2), _pow_term(v, e, 3))
+
+    # -- chain rule ----------------------------------------------------
+
+    def _compose(self, c0: float, c1: float, c2: float, c3: float) -> "Jet3":
+        """phi(self) for a scalar function with derivatives c0..c3 at value."""
+        t = jet_tables(self.n)
+        out = Jet3.empty(self.n, self.order)
+        out.value = c0
+        if self.order >= 1:
+            out.grad = c1 * self.grad
+        if self.order >= 2:
+            out.hess = c1 * self.hess + c2 * self.grad[t.i2] * self.grad[t.j2]
+        if self.order >= 3:
+            out.third = (c1 * self.third
+                         + c2 * (self.hess[t.p_ij] * self.grad[t.k3]
+                                 + self.hess[t.p_ik] * self.grad[t.j3]
+                                 + self.hess[t.p_jk] * self.grad[t.i3])
+                         + c3 * self.grad[t.i3] * self.grad[t.j3] * self.grad[t.k3])
+        return out
+
+    def exp(self) -> "Jet3":
+        c = math.exp(self.value)
+        return self._compose(c, c, c, c)
+
+    def ln(self) -> "Jet3":
+        v = self.value
+        if v <= 0.0:
+            raise JetDomainError("ln", f"argument {v!r} is not positive")
+        return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+
+    def sqrt(self) -> "Jet3":
+        v = self.value
+        if v <= 0.0:
+            raise JetDomainError("sqrt", f"argument {v!r} is not positive")
+        r = math.sqrt(v)
+        return self._compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
+
+    def sin(self) -> "Jet3":
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._compose(s, c, -s, -c)
+
+    def cos(self) -> "Jet3":
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._compose(c, -s, -c, s)
+
+    def tan(self) -> "Jet3":
+        v = math.tan(self.value)
+        s = 1.0 + v * v
+        return self._compose(v, s, 2.0 * v * s, s * (2.0 + 6.0 * v * v))
+
+    def sinh(self) -> "Jet3":
+        s, c = math.sinh(self.value), math.cosh(self.value)
+        return self._compose(s, c, s, c)
+
+    def cosh(self) -> "Jet3":
+        s, c = math.sinh(self.value), math.cosh(self.value)
+        return self._compose(c, s, c, s)
+
+    def tanh(self) -> "Jet3":
+        v = math.tanh(self.value)
+        s = 1.0 - v * v
+        return self._compose(v, s, -2.0 * v * s, s * (6.0 * v * v - 2.0))
+
+
+def _pow_term(v: float, e: float, m: int) -> float:
+    """m-th derivative of x**e at v: e(e-1)...(e-m+1) v**(e-m)."""
+    coeff = 1.0
+    for i in range(m):
+        coeff *= e - i
+    if coeff == 0.0:
+        return 0.0
+    p = e - m
+    if float(e).is_integer():
+        if v == 0.0:
+            if p < 0:
+                raise JetDomainError("pow", f"0.0 raised to negative power {p}")
+            return coeff if p == 0 else 0.0
+        return coeff * v ** p
+    if v <= 0.0:
+        raise JetDomainError(
+            "pow", f"base {v!r} not positive for non-integer exponent {e!r}")
+    return coeff * v ** p
+
+
+def as_jet3(jet) -> Jet3:
+    """A shape-() ``TensorJet`` as a scalar ``Jet3``."""
+    zeros = (np.zeros(jet.n), np.zeros(pair_count(jet.n)),
+             np.zeros(triple_count(jet.n)))
+    return Jet3(jet.n, jet.order, float(jet.levels[0]),
+                *jet.levels[1:], *zeros[jet.order:])
+
+
+def eval_jet3(node: Expr, point, params: Mapping[str, float]) -> Jet3:
+    """Evaluate to an order-3 jet at ``point`` (a ChartPoint or a sequence)."""
+    coords = getattr(point, "coords", point)
+    n = len(coords)
+    return _eval_jet(node, coords, params, n)
+
+
+def _eval_jet(node: Expr, coords, params, n: int) -> Jet3:
+    if isinstance(node, Const):
+        return Jet3.constant(n, node.value)
+    if isinstance(node, Coord):
+        return Jet3.coordinate(n, node.index, float(coords[node.index]))
+    if isinstance(node, Param):
+        try:
+            return Jet3.constant(n, float(params[node.name]))
+        except KeyError:
+            raise EvalDomainError(
+                "parameter", node.offset, f"{node.name!r} is unbound") from None
+    if isinstance(node, Unary):
+        arg = _eval_jet(node.arg, coords, params, n)
+        if node.op == "neg":
+            return -arg
+        try:
+            return getattr(arg, node.op)()
+        except JetDomainError as err:
+            raise EvalDomainError(node.op, node.offset, err.detail) from None
+    if isinstance(node, Binary):
+        left = _eval_jet(node.left, coords, params, n)
+        right = _eval_jet(node.right, coords, params, n)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        try:
+            return left / right
+        except JetDomainError as err:
+            raise EvalDomainError("div", node.offset, err.detail) from None
+    if isinstance(node, Power):
+        base = _eval_jet(node.base, coords, params, n)
+        try:
+            return base ** node.exponent
+        except JetDomainError as err:
+            raise EvalDomainError("pow", node.offset, err.detail) from None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_VALUE_FN = {
+    "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+}
+
+
+def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
+    """Fast value-only evaluation (used by sampling and quadrature)."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Coord):
+        return float(coords[node.index])
+    if isinstance(node, Param):
+        try:
+            return float(params[node.name])
+        except KeyError:
+            raise EvalDomainError(
+                "parameter", node.offset, f"{node.name!r} is unbound") from None
+    if isinstance(node, Unary):
+        arg = eval_value(node.arg, coords, params)
+        if node.op == "neg":
+            return -arg
+        if node.op == "ln":
+            if arg <= 0.0:
+                raise EvalDomainError("ln", node.offset,
+                                      f"argument {arg!r} is not positive")
+            return math.log(arg)
+        if node.op == "sqrt":
+            if arg <= 0.0:
+                raise EvalDomainError("sqrt", node.offset,
+                                      f"argument {arg!r} is not positive")
+            return math.sqrt(arg)
+        return _VALUE_FN[node.op](arg)
+    if isinstance(node, Binary):
+        left = eval_value(node.left, coords, params)
+        right = eval_value(node.right, coords, params)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if right == 0.0:
+            raise EvalDomainError("div", node.offset, "division by zero")
+        return left / right
+    if isinstance(node, Power):
+        base = eval_value(node.base, coords, params)
+        e = node.exponent
+        if float(e).is_integer():
+            if base == 0.0 and e < 0:
+                raise EvalDomainError("pow", node.offset,
+                                      f"0.0 raised to negative power {e}")
+            return base ** e
+        if base <= 0.0:
+            raise EvalDomainError(
+                "pow", node.offset,
+                f"base {base!r} not positive for non-integer exponent {e!r}")
+        return base ** e
+    raise TypeError(f"not an expression node: {node!r}")

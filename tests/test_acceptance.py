@@ -13,14 +13,15 @@ from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, compile_chart, sample_points
 from grwcert.classify import VelocityAnalysis, chen_check, fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
-from grwcert.expr import eval_jet3, eval_value, parse
+from grwcert.expr import eval_jet3, parse
 from grwcert.grw import catalog_get, converse_check
 from grwcert.physics import eos_check, motion_residuals
 from grwcert.report import render_json
 
 from .conftest import ACCEPTANCE_CONFIG
-from .oracles import (dd_gradient, dd_hessian, dd_third, desitter_ricci,
-                      expression_corpus, friedmann_scalars, sphere2_curvature)
+from .oracles import (as_jet3, dd_gradient, dd_hessian, dd_third,
+                      desitter_ricci, eval_value, expression_corpus,
+                      friedmann_scalars, sphere2_curvature)
 
 N_POINTS = ACCEPTANCE_CONFIG.points
 SEED = ACCEPTANCE_CONFIG.seed
@@ -58,7 +59,7 @@ def test_criterion_2_jet_oracle():
         for text, coords, point in corpus:
             expr = parse(text, coords)
             n = len(coords)
-            jet = eval_jet3(expr, point, {})
+            jet = as_jet3(eval_jet3((expr,), point, {}).at(0))
             f = lambda x: eval_value(expr, x, {})
             x = np.array(point)
 

@@ -4,6 +4,10 @@ import pytest
 from grwcert.chart import (ChartError, ChartInput, ChartPoint,
                            NonInvertibleError, SamplingExhaustedError,
                            SignatureError, compile_chart, sample_points)
+from grwcert.grw import catalog_get
+
+from .oracles import eval_value
+from .test_classify import dense_pullback_chart
 
 
 def minkowski_input(**overrides):
@@ -71,7 +75,41 @@ class TestCompile:
         assert "z" in str(err.value)
 
 
+def per_candidate_points(chart, count, seed):
+    """One draw per candidate, each tested as it comes: the ranges, then
+    the exclusions in order up to the first that rejects it."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in chart.ranges])
+    highs = np.array([hi for _, hi in chart.ranges])
+    points = []
+    while len(points) < count:
+        p = ChartPoint(tuple(rng.uniform(lows, highs)))
+        if all(lo <= x <= hi for x, (lo, hi) in zip(p.coords, chart.ranges)) \
+                and all(not eval_value(e.expr, p.coords, chart.params) <= e.margin
+                        for e in chart.exclusions):
+            points.append(p)
+    return points
+
+
 class TestSampling:
+    @pytest.mark.parametrize("name", ["frw-dust", "minkowski-excluded",
+                                      "dense-pullback", "guarded-log"])
+    def test_blocks_draw_the_per_candidate_points(self, name):
+        chart = {
+            "frw-dust": lambda: catalog_get("frw-dust").chart,
+            "minkowski-excluded": lambda: compile_chart(
+                minkowski_input(exclusions=[("t", 0.5)])),
+            "dense-pullback": dense_pullback_chart,
+            # ln(t) is undefined where the first exclusion already rejects.
+            "guarded-log": lambda: compile_chart(minkowski_input(
+                exclusions=[("t", 0.0), ("ln(t) + 3", 0.0)])),
+        }[name]()
+        for count, seed in ((1, 0), (7, 3), (40, 11)):
+            got = sample_points(chart, count, seed)
+            want = per_candidate_points(chart, count, seed)
+            assert np.array([p.coords for p in got]).tobytes() == \
+                np.array([p.coords for p in want]).tobytes()
+
     def test_seeded_runs_identical(self):
         chart = compile_chart(minkowski_input(ranges={
             "t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)}))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from grwcert import classify
+from grwcert import certify, classify
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.chart import (ChartError, ChartPoint, compile_chart,
                            sample_points)
@@ -144,6 +144,30 @@ class TestRunCertify:
         if "physics" in groups:
             assert report.find("homothetic-triple").status == "pass"
 
+    @pytest.mark.parametrize("groups, split, velocity", [
+        (("sanity",), 0, 0), (("converse",), 1, 0), (("ladder",), 0, 1),
+        (("hypotheses",), 0, 1), (("fluid",), 1, 1), (None, 1, 1)])
+    def test_point_work_follows_selection(self, monkeypatch, groups, split,
+                                          velocity):
+        # No sanity record reads the fluid split or the velocity's jets.
+        calls = {"split": 0, "velocity": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(certify, "fluid_decompose",
+                            counted("split", certify.fluid_decompose))
+        monkeypatch.setattr(classify.VelocityAnalysis, "at",
+                            counted("velocity", classify.VelocityAnalysis.at))
+        points = 12 if groups == ("sanity",) else 3
+        run_certify(catalog_get("frw-dust").chart,
+                    RunConfig(points=points, checks=groups))
+        assert calls == {"split": split * points,
+                         "velocity": velocity * points}
+
     def test_unknown_group_rejected(self, spec_file):
         with pytest.raises(ValueError):
             run_certify(spec_file, RunConfig(checks=("nonsense",)))
@@ -277,6 +301,32 @@ class TestReports:
         assert err.startswith(f"error: metric matrix is singular at point "
                               f"{CHUNK_POINTS}, coordinates (")
         assert f"{x!r}" in err and "np.float64" not in err
+
+    @pytest.mark.parametrize("t_low, seed", [
+        (-1, 0),          # the first bad point is in the first chunk
+        (-0.3, 2),        # ... in the second
+    ])
+    def test_bad_sample_point_names_itself(self, tmp_path, capsys, t_low,
+                                           seed):
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec.update(name="bad-domain", basepoint=None, velocity_field=None)
+        spec["metric"] = {"1,1": "-1", "2,2": "1+sqrt(t)", "3,3": "1",
+                          "4,4": "1"}
+        spec["domain"]["ranges"]["t"] = [t_low, 3]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        points = sample_points(compile_chart(load_chart_input(str(path))),
+                               20, seed)
+        index = next(i for i, p in enumerate(points) if p.coords[0] <= 0)
+        assert (index < CHUNK_POINTS) == (t_low == -1)
+        coords = tuple(float(c) for c in points[index].coords)
+        json_path = tmp_path / "bad-report.json"
+        assert main(["certify", str(path), "--points", "20", "--seed",
+                     str(seed), "--quiet", "--json", str(json_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sqrt at offset 2: argument {coords[0]!r} is not "
+            f"positive at point {index}, coordinates {coords}\n")
+        assert not json_path.exists()
 
     def test_text_contains_divweyl_anchor(self, spec_file):
         text = render_text(run_certify(spec_file, RunConfig(points=4)))

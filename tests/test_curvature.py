@@ -13,11 +13,19 @@ from grwcert.curvature import (COTTON_COEFF, CurvaturePoint, JetStack,
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
+from grwcert.jets import jet_tables
 
 from .oracles import (desitter_ricci, per_component_curvature,
                       sphere2_curvature, warped_flat_curvature,
                       warped_nabla_u)
 from .test_classify import dense_pullback_chart
+
+
+def d2gamma(stack: JetStack) -> np.ndarray:
+    """d_a d_b Gamma^m_{jk} as [a, b, m, j, k], unpacked from the packed
+    Hessian level of the stack's Christoffel jet."""
+    return np.moveaxis(stack.gamma.hess[..., jet_tables(stack.n).pair_pos],
+                       (-2, -1), (0, 1))
 
 
 def make_chart(name, dim, signature, coords, metric, ranges, **kw):
@@ -100,7 +108,8 @@ class TestChristoffelDerivatives:
     def test_desitter_closed_forms(self, desitter):
         # q = e^t: Gamma^t_{xx} = q q' = e^{2t}, Gamma^x_{tx} = q'/q = 1
         t0 = 0.3
-        cp = curvature_at(desitter, ChartPoint((t0, 0.1, -0.2, 0.4)))
+        point = ChartPoint((t0, 0.1, -0.2, 0.4))
+        cp = curvature_at(desitter, point)
         q2 = np.exp(2 * t0)
         assert cp.gamma[0, 1, 1] == pytest.approx(q2, rel=1e-12)
         assert cp.gamma[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +118,8 @@ class TestChristoffelDerivatives:
         assert cp.dgamma[0, 1, 0, 1] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(cp.dgamma[1:])) < 1e-12
         # second derivative d_t d_t Gamma^t_{xx} = 4 e^{2t}
-        assert cp.d2gamma[0, 0, 0, 1, 1] == pytest.approx(4 * q2, rel=1e-12)
+        assert d2gamma(JetStack(desitter, point))[0, 0, 0, 1, 1] == \
+            pytest.approx(4 * q2, rel=1e-12)
 
 
 class TestFlatness:
@@ -226,11 +236,13 @@ class TestTensorJetStack:
 
     def check(self, chart, points):
         for p in points:
-            cp = curvature_at(chart, p)
+            stack = JetStack(chart, p)
+            cp = stack.to_point()
             want = per_component_curvature(chart, p)
-            assert set(want) == self.FIELDS
+            assert set(want) == self.FIELDS | {"d2gamma"}
             for name, ref in want.items():
-                gap = scale_free(np.asarray(getattr(cp, name)) - ref, ref)
+                got = d2gamma(stack) if name == "d2gamma" else getattr(cp, name)
+                gap = scale_free(np.asarray(got) - ref, ref)
                 assert gap <= 1e-12, (name, p.coords, gap)
             assert type(cp.rs) is float
             assert np.array_equal(cp.riem, -cp.riem.swapaxes(0, 1))

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from grwcert import expr
+from grwcert.chart import ChartPoint
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, Unary, UnknownSymbolError,
-                          depth, eval_batch, eval_grad_batch, eval_jet3,
-                          eval_jet3_batch, eval_value, parse)
+                          depth, eval_batch, eval_grad_batch, eval_jet3_batch,
+                          parse)
+from grwcert.jets import TensorJet
+
+from .oracles import eval_jet3, eval_value
 
 
 class TestGrammar:
@@ -350,3 +355,57 @@ class TestJet3Batch:
             eval_jet3(tree, [1e-200], {})
         with pytest.raises(ZeroDivisionError):
             eval_jet3_batch((tree,), np.array([[1.0], [1e-200]]), {})
+
+
+# ---------------------------------------------------------------------------
+# One point: expr.eval_jet3 is the one-row eval_jet3_batch, as a TensorJet.
+# ---------------------------------------------------------------------------
+
+class TestPointJets:
+    @settings(max_examples=300, deadline=None)
+    @given(trees=st.lists(expr_trees, min_size=1, max_size=3),
+           rows=row_arrays)
+    def test_matches_oracle_bytes(self, trees, rows):
+        row = rows[0]
+        expected = []
+        for tree in trees:
+            found = _jets_per_row(tree, [row])
+            if isinstance(found, Exception):
+                with pytest.raises(type(found)) as err:
+                    expr.eval_jet3(trees, row, BATCH_PARAMS)
+                assert str(err.value) == str(found)
+                if isinstance(found, EvalDomainError):
+                    assert (err.value.op, err.value.offset) == (
+                        found.op, found.offset)
+                    assert (err.value.index, err.value.coords) == (
+                        0, tuple(row))
+                return
+            expected += found
+        jet = expr.eval_jet3(trees, row, BATCH_PARAMS)
+        assert isinstance(jet, TensorJet)
+        assert (jet.n, jet.order, jet.batch) == (BATCH_N, 3, 0)
+        assert jet.value.shape == (len(trees),)
+        for k, name in enumerate(LEVELS):
+            want = np.array([getattr(one, name) for one in expected])
+            assert jet.levels[k].tobytes() == want.tobytes(), name
+
+    def test_chart_point_and_components(self):
+        trees = [parse(text, ["t", "x"]) for text in ("t*x", "sin(t) / x")]
+        point = ChartPoint((0.4, 1.5))
+        jet = expr.eval_jet3(trees, point, {})
+        for k, tree in enumerate(trees):
+            one = jet.at(k)
+            assert one.value.shape == () and one.grad.shape == (2,)
+            want = eval_jet3(tree, point.coords, {})
+            for level, name in zip(one.levels, LEVELS):
+                assert level.tobytes() == np.array(getattr(want, name)).tobytes()
+
+    def test_batch_error_names_its_row(self):
+        tree = parse("t^2 + sqrt(t - 0.2)", ["t"])
+        rows = np.array([[0.5], [0.9], [0.1], [0.0]])
+        for call in (lambda: eval_batch((tree,), rows, {}),
+                     lambda: eval_jet3_batch((tree,), rows, {})):
+            with pytest.raises(EvalDomainError) as err:
+                call()
+            assert (err.value.index, err.value.coords) == (2, (0.1,))
+            assert type(err.value.coords[0]) is float

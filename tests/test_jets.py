@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grwcert.curvature import metric_inverse
-from grwcert.expr import eval_jet3, eval_value, parse
-from grwcert.jets import (Jet3, JetDomainError, TensorJet, contract,
-                          jet_tables, pair_count, triple_count)
+from grwcert.expr import eval_jet3 as engine_jets, parse
+from grwcert.jets import (TensorJet, contract, jet_tables, pair_count,
+                          triple_count)
 
-from .oracles import (dd_gradient, dd_hessian, dd_third, expression_corpus,
+from .oracles import (Jet3, JetDomainError, as_jet3, dd_gradient, dd_hessian,
+                      dd_third, eval_value, expression_corpus,
                       jet_matrix_inverse)
+
+
+def eval_jet3(node, point, params):
+    """The engine's order-3 jet of one tree at one point, as a ``Jet3``."""
+    return as_jet3(engine_jets((node,), point, params).at(0))
 
 
 def jet_of(text, coords, point, params=None):
@@ -186,7 +192,7 @@ def random_tensor_jet(rng, n, shape, order=3):
 
 
 def component(jet: TensorJet, index) -> Jet3:
-    return TensorJet(jet.n, [level[index] for level in jet.levels]).as_jet3()
+    return as_jet3(TensorJet(jet.n, [level[index] for level in jet.levels]))
 
 
 def assert_jets_close(got: Jet3, want: Jet3, tol=1e-12):
