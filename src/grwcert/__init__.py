@@ -5,12 +5,12 @@ from .certify import GROUPS, RunConfig, certify_chart, run_certify
 from .chart import (ChartInput, ChartPoint, Exclusion, MetricChart,
                     VectorField, compile_chart, sample_points)
 from .classify import (ChenReport, FluidDecomposition, IdentityLadderReport,
-                       NotClosedError, QuadratureError, ScalarFields,
-                       SolitonReport, SpacelikeAnomalyError, TorseFormingData,
+                       NotClosedError, QuadratureError, SolitonReport,
+                       SpacelikeAnomalyError, TorseFormingData,
                        UnclusteredError, VelocityAnalysis, chen_check,
-                       check_closed, check_geodesic, concircular_check,
-                       fluid_decompose, identity_ladder, reconstruct_potential,
-                       scalar_fields_at, soliton_form_check, torse_decompose,
+                       check_closed, check_geodesic, fluid_decompose,
+                       identity_ladder, reconstruct_potential,
+                       soliton_form_check, torse_decompose,
                        weyl_electric_check)
 from .curvature import CurvaturePoint, JetStack, curvature_at, grad_vector_at
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,

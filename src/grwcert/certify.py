@@ -107,14 +107,17 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     selected = config.selected()
     points = sample_points(chart, config.points, config.seed)
     lorentzian = chart.signature == "lorentzian"
-    has_velocity = (chart.velocity is not None
-                    and chart.velocity.closed_form and lorentzian)
+    has_velocity = chart.velocity is not None and lorentzian
     base = _basepoint(chart, config)
     analysis = (VelocityAnalysis(chart, chart.velocity, kappa=config.kappa)
                 if has_velocity else None)
 
-    def work(stack):
-        return _point_payload(chart, analysis, stack, config, base, selected)
+    def work(index, stack):
+        try:
+            return _point_payload(chart, analysis, stack, config, base,
+                                  selected)
+        except EvalDomainError as err:
+            raise _at_point(err, index, stack.point.coords) from None
 
     payloads = []
     with (ThreadPoolExecutor(max_workers=config.workers)
@@ -127,11 +130,9 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                 err.index += start       # name the point by its run index
                 raise
             except EvalDomainError as err:
-                raise EvalDomainError(
-                    err.op, err.offset, f"{err.detail} at point "
-                    f"{start + err.index}, coordinates {err.coords}") from None
-            payloads += fan_out(work, [stack.at(i)
-                                       for i in range(len(stack.points))])
+                raise _at_point(err, start + err.index, err.coords) from None
+            views = [stack.at(i) for i in range(len(stack.points))]
+            payloads += fan_out(work, range(start, start + len(views)), views)
 
     records = _assemble(chart, config, selected, payloads,
                         has_velocity=has_velocity, basepoint=base)
@@ -150,6 +151,13 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     report = CertificationReport(metric_name=chart.name,
                                  environment=environment, checks=records)
     return report.settle_verdict()
+
+
+def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
+    """A domain error named by the run index and coordinates of its point."""
+    coords = tuple(float(c) for c in coords)
+    return EvalDomainError(err.op, err.offset, f"{err.detail} at point "
+                           f"{index}, coordinates {coords}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +210,7 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
         _converse_payload(chart, point, dec, out)
 
     # Only the records of these groups read the velocity's jets. Without a
-    # closed-form velocity the electric check reads the eigen-split's.
+    # velocity field the electric check reads the eigen-split's.
     reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
     fp = (analysis.at(point, stack=stack)
           if analysis is not None and selected & reads_u else None)
@@ -389,8 +397,8 @@ class Check:
 
     ``tol`` is 'hyp' or 'conc' (the run's hypothesis or conclusion
     tolerance), a fixed bar, or None for informational records.
-    ``velocity`` and ``basepoint`` mark checks that need a closed-form
-    velocity field and a basepoint for the potentials. ``no_data`` is the
+    ``velocity`` and ``basepoint`` mark checks that need a velocity field
+    and a basepoint for the potentials. ``no_data`` is the
     skip reason when the points carry nothing for the check.
     """
 
@@ -517,8 +525,7 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
         else:
             rec.tolerance = tol.get(row.tol, row.tol)
             if row.velocity and not has_velocity:
-                reason = ("not evaluable: velocity field only known "
-                          "pointwise (no closed-form components)")
+                reason = "not evaluable: no velocity field declared"
             elif row.basepoint and basepoint is None:
                 reason = "no basepoint declared for potential reconstruction"
             else:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,27 +56,9 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Covariant or contravariant field, closed form or pointwise.
+    """Covariant field: one closed-form expression per component."""
 
-    Closed-form fields carry one expression per component and support jet
-    differentiation; pointwise fields only yield values.
-    """
-
-    components: tuple[Expr, ...] | None = None
-    covariant: bool = True
-    pointwise: Callable[[ChartPoint], np.ndarray] | None = None
-    sources: tuple[str, ...] | None = None
-
-    @property
-    def closed_form(self) -> bool:
-        return self.components is not None
-
-    def values(self, point: ChartPoint, params: Mapping[str, float]) -> np.ndarray:
-        if self.components is not None:
-            return eval_batch(self.components, [point.coords], params)[0]
-        if self.pointwise is not None:
-            return np.asarray(self.pointwise(point), dtype=float)
-        raise ValueError("vector field has neither components nor a rule")
+    components: tuple[Expr, ...]
 
 
 @dataclass
@@ -222,8 +204,7 @@ def compile_chart(spec: ChartInput) -> MetricChart:
                 comps.append(parse(str(text), coords, pnames))
             except ParseError as err:
                 raise ChartError(f"velocity_field[{k}]: {err}") from None
-        velocity = VectorField(components=tuple(comps), covariant=True,
-                               sources=tuple(str(t) for t in spec.velocity_field))
+        velocity = VectorField(tuple(comps))
 
     basepoint = None
     if spec.basepoint is not None:

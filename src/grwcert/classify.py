@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
-from .curvature import JetStack, PointwiseFieldError, scale_free
+from .curvature import JetStack, scale_free
 from .expr import Expr, eval_batch, eval_jet3
 from .jets import TensorJet, contract
 
@@ -217,20 +217,14 @@ def _curl_residual(d: np.ndarray) -> float:
 
 
 class VelocityAnalysis:
-    """Ties a closed-form covariant velocity field to the curvature stack."""
+    """Ties a covariant velocity field to the curvature stack."""
 
     def __init__(self, chart: MetricChart, field: VectorField | None = None,
                  *, kappa: float = 1.0,
                  perturb_b: Expr | None = None,
                  perturb_p: Expr | None = None):
-        field = field if field is not None else chart.velocity
-        if field is None or not field.closed_form:
-            raise PointwiseFieldError(
-                "velocity field is not differentiable: closed-form components required")
-        if not field.covariant:
-            raise PointwiseFieldError("velocity field must be covariant")
         self.chart = chart
-        self.field = field
+        self.field = field if field is not None else chart.velocity
         self.kappa = float(kappa)
         self.perturb_b = perturb_b
         self.perturb_p = perturb_p
@@ -239,7 +233,7 @@ class VelocityAnalysis:
         chart = self.chart
         n = chart.n
         if stack is None:
-            stack = JetStack(chart, point)
+            stack = JetStack(chart, [point]).at(0)
         u = eval_jet3(self.field.components, point, chart.params)
         u1 = u.truncated(1)
         g_inv = stack.g_inv.truncated(1)
@@ -270,32 +264,9 @@ class VelocityAnalysis:
                           unit_residual=unit_residual)
 
 
-@dataclass
-class ScalarFields:
-    a: float
-    b: float
-    gamma: float
-    grad_a: np.ndarray
-    grad_b: np.ndarray
-    grad_gamma: np.ndarray
-
-
-def scalar_fields_at(chart: MetricChart, field: VectorField,
-                     point: ChartPoint) -> ScalarFields:
-    """A, B, gamma = (n-2)A + B and their gradients, all through jets."""
-    fp = VelocityAnalysis(chart, field).at(point)
-    return ScalarFields(a=float(fp.a_jet.value), b=float(fp.b_jet.value),
-                        gamma=float(fp.gamma_jet.value),
-                        grad_a=np.array(fp.a_jet.grad),
-                        grad_b=np.array(fp.b_jet.grad),
-                        grad_gamma=np.array(fp.gamma_jet.grad))
-
-
 def closedness_residual(chart: MetricChart, field: VectorField,
                         point: ChartPoint) -> float:
-    """Scale-free curl residual of a closed-form covariant field."""
-    if not field.closed_form:
-        raise PointwiseFieldError("closedness needs closed-form components")
+    """Scale-free curl residual of a covariant field."""
     return _curl_residual(
         eval_jet3(field.components, point, chart.params).grad.T)
 
@@ -304,9 +275,6 @@ def check_closed(chart: MetricChart, field: VectorField, points) -> float:
     """Max residual of nabla_k u_j - nabla_j u_k over the points; for a
     candidate gradient 1-form omega, the concircularity test."""
     return max(closedness_residual(chart, field, p) for p in points)
-
-
-concircular_check = check_closed
 
 
 def geodesic_at(fp: FieldPoint) -> float:
@@ -414,31 +382,25 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
 
 
 def reconstruct_potential(chart: MetricChart, field: VectorField, basepoint,
-                          point: ChartPoint, *, quad_order: int = QUAD_ORDER,
-                          panels: int = QUAD_PANELS, closed_tol: float = 1e-6,
-                          verify_closed: bool = True) -> PotentialResult:
+                          point: ChartPoint, *,
+                          closed_tol: float = 1e-6) -> PotentialResult:
     """Line-integrate a closed covariant field from basepoint to point.
 
     The path is the axis-aligned staircase taking coordinates in ascending
     order; the defect against the descending ordering is always reported.
     """
-    if verify_closed:
-        resid = closedness_residual(chart, field, point)
-        if resid > closed_tol:
-            raise NotClosedError(
-                f"form is not closed (curl residual {resid:.3e} > {closed_tol})")
+    resid = closedness_residual(chart, field, point)
+    if resid > closed_tol:
+        raise NotClosedError(
+            f"form is not closed (curl residual {resid:.3e} > {closed_tol})")
     return _integrate_form(_field_integrand(chart, field), chart.n,
                            np.asarray(basepoint, dtype=float), point.array(),
-                           quad_order, panels)
+                           QUAD_ORDER, QUAD_PANELS)
 
 
 def _field_integrand(chart: MetricChart, field: VectorField):
-    """Values of a covariant field at the rows of an (N, n) array: one
-    batched pass for closed-form components, a row loop otherwise."""
-    if field.closed_form:
-        return lambda x: eval_batch(field.components, x, chart.params)
-    return lambda x: np.array([field.values(ChartPoint(tuple(row)), chart.params)
-                               for row in x])
+    """Values of a covariant field at the rows of an (N, n) array."""
+    return lambda x: eval_batch(field.components, x, chart.params)
 
 
 def _omega_integrand(chart: MetricChart, field: VectorField):
@@ -500,27 +462,24 @@ class ChenReport:
 
 
 def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
-            branch_tol: float = 1e-7, quad_order: int = QUAD_ORDER,
-            panels: int = QUAD_PANELS) -> ChenPointData:
+            branch_tol: float = 1e-7) -> ChenPointData:
     """The gradient laws at one point: sigma integrates the closed omega
     from the basepoint, X = e^{-sigma} u and rho = e^{-sigma} f."""
     if fp.omega_closed > closed_tol:
         raise NotClosedError(f"ω not closed (residual {fp.omega_closed:.3e})")
     pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
-                          base, fp.point.array(), quad_order, panels)
+                          base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
     return _chen_point(fp, pot, branch_tol)
 
 
 def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
-               quad_order: int = QUAD_ORDER, panels: int = QUAD_PANELS,
-               closed_tol: float = 1e-6, branch_tol: float = 1e-7,
-               kappa: float = 1.0) -> ChenReport:
+               closed_tol: float = 1e-6,
+               branch_tol: float = 1e-7) -> ChenReport:
     """Rescale u by the reconstructed potential and test the gradient laws."""
-    analysis = VelocityAnalysis(chart, field, kappa=kappa)
+    analysis = VelocityAnalysis(chart, field)
     base = np.asarray(basepoint, dtype=float)
     data = [_at(chen_at, analysis.at(p), base, closed_tol=closed_tol,
-                branch_tol=branch_tol, quad_order=quad_order, panels=panels)
-            for p in points]
+                branch_tol=branch_tol) for p in points]
     return ChenReport(
         points=data,
         chen_residual=max(d.chen_residual for d in data),
@@ -666,30 +625,28 @@ class SolitonReport:
     gradient_soliton: bool
 
 
-def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
-               quad_order: int = QUAD_ORDER, panels: int = QUAD_PANELS):
+def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6):
     """(residual, lam, eta, theta) of the soliton form at one point, with
     theta integrating the closed u from the basepoint."""
     if fp.u_closed > closed_tol:
         raise NotClosedError(f"u not closed (residual {fp.u_closed:.3e})")
     pot = _integrate_form(_field_integrand(fp.stack.chart, fp.field), fp.n,
-                          base, fp.point.array(), quad_order, panels)
+                          base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
     return _soliton_residual_at(fp) + (pot.value,)
 
 
 def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
-                       points, *, quad_order: int = QUAD_ORDER,
-                       panels: int = QUAD_PANELS, closed_tol: float = 1e-6,
-                       flag_tol: float = 1e-7) -> SolitonReport:
+                       points, *, closed_tol: float = 1e-6) -> SolitonReport:
     """Check Ricci + Hess(theta) - eta dtheta x dtheta = lam g with
-    lam = A + f, eta = B + f, theta the potential of the closed u."""
+    lam = A + f, eta = B + f, theta the potential of the closed u.
+    ``gradient_soliton`` flags a constant lam and a vanishing eta (to 1e-7)."""
     analysis = VelocityAnalysis(chart, field)
     base = np.asarray(basepoint, dtype=float)
-    rows = [_at(soliton_at, analysis.at(p), base, closed_tol=closed_tol,
-                quad_order=quad_order, panels=panels) for p in points]
+    rows = [_at(soliton_at, analysis.at(p), base, closed_tol=closed_tol)
+            for p in points]
     residuals, lams, etas, thetas = (list(col) for col in zip(*rows))
     spread = max(lams) - min(lams)
-    gradient_soliton = spread < flag_tol and max(abs(e) for e in etas) < flag_tol
+    gradient_soliton = spread < 1e-7 and max(abs(e) for e in etas) < 1e-7
     return SolitonReport(lam=lams, eta=etas, theta=thetas,
                          residual=max(residuals),
                          gradient_soliton=gradient_soliton)

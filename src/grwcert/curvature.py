@@ -47,10 +47,6 @@ def scale_free(residual, *references) -> float:
     return r / (1.0 + s)
 
 
-class PointwiseFieldError(ValueError):
-    """Raised when a jet-level operation receives a pointwise-only field."""
-
-
 @dataclass
 class CurvaturePoint:
     """Every curvature object at one chart point, as plain arrays."""
@@ -73,17 +69,15 @@ class CurvaturePoint:
 
 
 class SingularMetricError(np.linalg.LinAlgError):
-    """The metric is singular at a point. ``index`` and ``coords`` name
-    the point within a batch; both are None for a one-point stack."""
+    """The metric is singular at a point: ``index`` names the point within
+    its stack, and the stack fills in its ``coords``."""
 
-    def __init__(self, index: int | None = None, coords=None):
+    def __init__(self, index: int, coords=()):
         super().__init__(index, coords)
         self.index = index
         self.coords = coords
 
     def __str__(self) -> str:
-        if self.index is None:
-            return "metric matrix is singular"
         return (f"metric matrix is singular at point {self.index}, "
                 f"coordinates {tuple(float(c) for c in self.coords)}")
 
@@ -95,9 +89,9 @@ class JetStack:
     Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
     ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
 
-    Given one ``ChartPoint``, the stack is that point's (``point``).
-    Given a sequence of points (``points``), every tensor carries a
-    leading point axis, and ``at(i)`` is the i-th point's stack.
+    Every tensor carries a leading axis over ``points``, and ``at(i)`` is
+    the i-th point's stack (one point's stack is
+    ``JetStack(chart, [point]).at(0)``).
     """
 
     TENSORS = ("g", "g_inv", "gamma", "riem", "ricci", "rs", "weyl")
@@ -105,12 +99,8 @@ class JetStack:
     def __init__(self, chart: MetricChart, points):
         self.chart = chart
         n = self.n = chart.n
-        batch = 0 if isinstance(points, ChartPoint) else 1
-        if batch:
-            self.points = tuple(points)
-        else:
-            self.point = points
-        rows = [p.coords for p in self.points] if batch else [points.coords]
+        self.points = tuple(points)
+        rows = [p.coords for p in self.points]
 
         # One batched walk of the metric's upper triangle, mirrored.
         iu, ju = np.triu_indices(n)
@@ -118,14 +108,12 @@ class JetStack:
         slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
         levels = eval_jet3_batch([chart.metric[i][j] for i, j in zip(iu, ju)],
                                  rows, chart.params)
-        g = self.g = TensorJet(n, [np.take(level if batch else level[0], slot,
-                                           axis=batch) for level in levels],
-                               batch)
+        g = self.g = TensorJet(n, [np.take(level, slot, axis=1)
+                                   for level in levels], 1)
         try:
             g_inv = self.g_inv = metric_inverse(g.truncated(2))
         except SingularMetricError as err:
-            if err.index is not None:
-                err.coords = rows[err.index]
+            err.coords = rows[err.index]
             raise
 
         # Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk)
@@ -146,7 +134,7 @@ class JetStack:
             self.weyl = self._weyl(g.truncated(1))
         else:
             self.weyl = TensorJet(n, [np.zeros_like(level)
-                                      for level in riem.levels], batch)
+                                      for level in riem.levels], 1)
 
     def at(self, i: int) -> "JetStack":
         """Point i's stack; its tensors are views into this stack's."""
@@ -224,7 +212,8 @@ def metric_inverse(g: TensorJet) -> TensorJet:
     level k from d^k(g g^{-1}) = 0, i.e. level k of g^{-1} is -g^{-1}
     times level k of the product g g^{-1} taken without its g g^{-1}_k term.
 
-    Raises ``SingularMetricError`` for the first point whose g is singular.
+    Raises ``SingularMetricError`` for the first point whose g is singular
+    (index 0 for a point jet).
     """
     # Entries of g^{-1} above 1e14 mean an eigenvalue of g below about
     # 1e-14, the pivot bound of the jet Gauss-Jordan this replaced.
@@ -234,7 +223,7 @@ def metric_inverse(g: TensorJet) -> TensorJet:
     except np.linalg.LinAlgError:    # fails for the whole batch: find the point
         ok = np.array([_invertible(m) for m in g.value.reshape(-1, g.n, g.n)])
     if not np.all(ok):
-        raise SingularMetricError(int(np.argmin(ok)) if g.batch else None)
+        raise SingularMetricError(int(np.argmin(ok)))
     levels = [h0]
     for k in range(1, g.order + 1):
         rest = leibniz_level("ij,jk->ik", g.n, g.levels,
@@ -245,22 +234,17 @@ def metric_inverse(g: TensorJet) -> TensorJet:
 
 def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:
     """Full curvature stack at one point (pure; safe to run in parallel)."""
-    return JetStack(chart, point).to_point()
+    return JetStack(chart, [point]).at(0).to_point()
 
 
 def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
-    """Covariant derivative of a lowered closed-form field.
+    """Covariant derivative of a covariant field.
 
     Returns (nabla[k, j] = nabla_k v_j, dnabla[a, k, j] = d_a nabla_k v_j).
     The antisymmetric part of nabla v equals the partial curl exactly
     (Christoffel symmetry); this is asserted before returning.
     """
-    if not field.closed_form:
-        raise PointwiseFieldError(
-            "field is not differentiable: pointwise rule, no components")
-    if not field.covariant:
-        raise PointwiseFieldError("expected a covariant (lowered) field")
-    stack = JetStack(chart, point)
+    stack = JetStack(chart, [point]).at(0)
     v = eval_jet3(field.components, point, chart.params).truncated(2)
     curl = v.grad.T                              # curl[k, j] = d_k v_j
     jet = (v.deriv().truncated(1)

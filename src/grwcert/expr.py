@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
 from typing import Mapping, Sequence
@@ -85,6 +85,13 @@ def _hashed_once(cls):
 class Const(Expr):
     value: float
     offset: int = 0
+    # The sign takes part in == and the hash: 0.0 and -0.0 are different
+    # trees, so that the tape never evaluates one in place of the other.
+    negative: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "negative",
+                           math.copysign(1.0, self.value) < 0.0)
 
 
 @_hashed_once
@@ -609,14 +616,23 @@ def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
     """The roots' flat jets (slots, N) over the rows of ``x``. Each
     distinct subtree is evaluated once and kept until its last use. Rows
     out of a domain are flagged in ``bad``; a one-row walk raises at the
-    step that flags it instead."""
+    step that flags it instead, and turns a math call's own error into
+    the ``EvalDomainError`` of its node."""
     steps, frees, roots = tape
     cols = np.ascontiguousarray(x.T)            # (n, N)
     jets = [None] * len(steps)
     with np.errstate(all="ignore"):
         for i, (node, kids) in enumerate(steps):
             args = [jets[k] for k in kids]
-            jets[i] = _evaluate(node, args, cols, params, order, bad)
+            try:
+                jets[i] = _evaluate(node, args, cols, params, order, bad)
+            except (ArithmeticError, ValueError) as err:
+                # A math call overflowed or left its domain.
+                if not one_row:
+                    raise
+                op = ("pow" if isinstance(node, Power) else
+                      "div" if isinstance(node, Binary) else node.op)
+                raise EvalDomainError(op, node.offset, str(err)) from None
             if one_row and bad[0]:
                 raise _domain_error(node, args)
             for k in frees[i]:

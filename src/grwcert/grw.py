@@ -26,6 +26,10 @@ RESOLUTION_NOTE = (
 )
 
 
+# The warp must exceed this on its t range (checked at 33 points).
+WARP_FLOOR = 1e-6
+
+
 class GRWBuildError(ValueError):
     pass
 
@@ -35,7 +39,6 @@ class WarpSpec:
     """Warp function q(t), positive on the declared range."""
 
     text: str
-    delta: float = 1e-6
 
     def jets(self, t: float, params=None):
         """(q, q', q'', q''') at t."""
@@ -79,8 +82,7 @@ class GRWStructure:
 
 
 def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
-              t_range, basepoint=None, params=None,
-              with_velocity: bool = True) -> MetricChart:
+              t_range, basepoint=None, params=None) -> MetricChart:
     """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab."""
     params = dict(fiber.input.parameters) | dict(params or {})
     fiber_coords = list(fiber.chart.coordinates)
@@ -94,10 +96,10 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
     ts = np.linspace(lo, hi, 33)
     values = eval_batch((warp_expr,), ts[:, None], params)[:, 0]
     for t, value in zip(ts, values):
-        if value <= warp.delta:
+        if value <= WARP_FLOOR:
             raise GRWBuildError(
                 f"warp {warp.text!r} is not positive at t = {t:.6g} "
-                f"(value {value:.3e} <= {warp.delta})")
+                f"(value {value:.3e} <= {WARP_FLOOR})")
 
     metric = {"1,1": "-1"}
     for key, text in fiber.input.metric.items():
@@ -122,7 +124,7 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
         ranges=ranges,
         parameters=params,
         exclusions=[(e.source, e.margin) for e in fiber.chart.exclusions],
-        velocity_field=(["-1"] + ["0"] * fiber.dim) if with_velocity else None,
+        velocity_field=["-1"] + ["0"] * fiber.dim,
         basepoint=basepoint,
     )
     chart = compile_chart(spec)
@@ -141,10 +143,8 @@ class ConverseRow:
     fiber_residual: float
     a_formula: float
     b_formula: float
-    a_computed: float | None = None     # None: no fluid decomposition
-    b_computed: float | None = None     # None also on the degenerate branch
-    a_residual: float | None = None
-    b_residual: float | None = None
+    a_residual: float | None = None     # None: no fluid decomposition
+    b_residual: float | None = None     # None also on the degenerate branch
     degenerate: bool = False
 
 
@@ -173,11 +173,9 @@ def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
     row = ConverseRow(point=point, fiber_residual=fiber_residual,
                       a_formula=a_formula, b_formula=b_formula)
     if dec is not None:
-        row.a_computed = dec.a
         row.a_residual = abs(dec.a - a_formula) / (1.0 + abs(a_formula))
         row.degenerate = dec.degenerate
         if not dec.degenerate:
-            row.b_computed = dec.b
             row.b_residual = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
     return row
 

@@ -117,14 +117,12 @@ class HomotheticReport:
     consistent: bool           # the three conditions agree at every point
     homothetic_points: int
     proper_points: int
-    conditions: list           # per point: (|A-B| small, |grad rho| small, EoS match)
 
 
 def homothetic_check(a_values, b_values, grad_rho_norms, p_values, mu_values,
                      n: int, *, tol: float = 1e-7) -> HomotheticReport:
-    """Same verdict from |A-B|, |grad rho| and p = (3-n)/(n-1) mu pointwise."""
+    """Same verdict from |A-B|, |grad rho| and p = (3-n)/(n-1) mu at each point."""
     ratio = (3.0 - n) / (n - 1.0)
-    conditions = []
     homothetic = proper = 0
     consistent = True
     for a, b, gr, p, mu in zip(a_values, b_values, grad_rho_norms,
@@ -132,7 +130,6 @@ def homothetic_check(a_values, b_values, grad_rho_norms, p_values, mu_values,
         c1 = abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
         c2 = gr <= tol * (1.0 + abs(a) + abs(b))
         c3 = abs(p - ratio * mu) <= tol * (1.0 + abs(p) + abs(mu))
-        conditions.append((c1, c2, c3))
         if c1 != c2 or c2 != c3:
             consistent = False
         if c1:
@@ -141,4 +138,4 @@ def homothetic_check(a_values, b_values, grad_rho_norms, p_values, mu_values,
             proper += 1
     return HomotheticReport(consistent=consistent,
                             homothetic_points=homothetic,
-                            proper_points=proper, conditions=conditions)
+                            proper_points=proper)

@@ -10,17 +10,16 @@ from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sa
 from grwcert.classify import (NotClosedError, OrientationTieError,
                               SpacelikeAnomalyError, VelocityAnalysis,
                               chen_check, check_closed, check_geodesic,
-                              concircular_check,
                               fluid_decompose, identity_ladder,
-                              reconstruct_potential, scalar_fields_at,
-                              soliton_form_check, torse_decompose,
+                              reconstruct_potential, soliton_form_check, torse_decompose,
                               weyl_electric_check, _field_integrand,
                               _integrate_form, _omega_integrand)
 from grwcert.curvature import curvature_at
 from grwcert.expr import EvalDomainError, parse
 from grwcert.grw import catalog_get
 
-from .oracles import (friedmann_scalars, integrate_per_node, omega_per_node)
+from .oracles import (eval_value, friedmann_scalars, integrate_per_node,
+                      omega_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -128,35 +127,52 @@ def test_decomposition_round_trip_property(a, b, phi, eps):
 
 
 class TestScalarFields:
-    def test_direct_formula(self):
-        # gamma = (n-2) A + B
-        assert (4 - 2) * 2.0 + 3.0 == 7.0
+    """The scalar jets of ``FieldPoint``: A, B, gamma = (n-2) A + B, and
+    mu and p at kappa = 1."""
+
+    def test_frw_dust_jets_match_friedmann_oracle(self, frw_dust):
+        analysis = VelocityAnalysis(frw_dust)
+        h = 1e-5
+        for p in sample_points(frw_dust, 5, seed=3):
+            t = p.coords[0]
+            fs = friedmann_scalars(2.0 / 3.0, t)
+            ahead = friedmann_scalars(2.0 / 3.0, t + h)
+            behind = friedmann_scalars(2.0 / 3.0, t - h)
+            fp = analysis.at(p)
+            for key, jet in (("gamma", fp.gamma_jet), ("mu", fp.mu_jet),
+                             ("p", fp.p_jet)):
+                assert float(jet.value) == pytest.approx(fs[key], rel=1e-10)
+                slope = (ahead[key] - behind[key]) / (2.0 * h)
+                assert abs(jet.grad[0] - slope) <= 1e-6 * (1.0 + abs(slope))
+                assert np.all(jet.grad[1:] == 0.0), (key, jet.grad)
 
     def test_desitter_scalars(self):
         chart = catalog_get("desitter").chart
-        field = chart.velocity
+        analysis = VelocityAnalysis(chart)
         for p in sample_points(chart, 5, seed=1):
-            sf = scalar_fields_at(chart, field, p)
-            assert sf.a == pytest.approx(3.0, abs=1e-9)
-            assert sf.b == pytest.approx(0.0, abs=1e-9)
-            assert sf.gamma == pytest.approx(6.0, abs=1e-9)
-            assert np.max(np.abs(sf.grad_a)) < 1e-9
-            assert np.max(np.abs(sf.grad_gamma)) < 1e-9
+            fp = analysis.at(p)
+            assert float(fp.a_jet.value) == pytest.approx(3.0, abs=1e-9)
+            assert float(fp.b_jet.value) == pytest.approx(0.0, abs=1e-9)
+            assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
+            assert np.max(np.abs(fp.a_jet.grad)) < 1e-9
+            assert np.max(np.abs(fp.gamma_jet.grad)) < 1e-9
 
     def test_einstein_static_scalars(self):
         chart = catalog_get("einstein-static").chart
+        analysis = VelocityAnalysis(chart)
         for p in sample_points(chart, 5, seed=2):
-            sf = scalar_fields_at(chart, chart.velocity, p)
-            assert sf.a == pytest.approx(2.0, abs=1e-9)
-            assert sf.b == pytest.approx(2.0, abs=1e-9)
-            assert sf.gamma == pytest.approx(6.0, abs=1e-9)
+            fp = analysis.at(p)
+            assert float(fp.a_jet.value) == pytest.approx(2.0, abs=1e-9)
+            assert float(fp.b_jet.value) == pytest.approx(2.0, abs=1e-9)
+            assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
 
     def test_frw_dust_matches_friedmann_oracle(self, frw_dust):
+        analysis = VelocityAnalysis(frw_dust)
         for p in sample_points(frw_dust, 5, seed=3):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            sf = scalar_fields_at(frw_dust, frw_dust.velocity, p)
-            assert sf.a == pytest.approx(fs["A"], rel=1e-10)
-            assert sf.b == pytest.approx(fs["B"], rel=1e-10)
+            fp = analysis.at(p)
+            assert float(fp.a_jet.value) == pytest.approx(fs["A"], rel=1e-10)
+            assert float(fp.b_jet.value) == pytest.approx(fs["B"], rel=1e-10)
 
 
 class TestClosedAndGeodesic:
@@ -228,17 +244,17 @@ class TestConcircular:
         # omega = (q'/q) u has components (-q'/q, 0, 0, 0), a function of t only
         field = field_for(frw_dust, ("-(2/3)/t", "0", "0", "0"))
         points = sample_points(frw_dust, 5, seed=11)
-        assert concircular_check(frw_dust, field, points) < 1e-12
+        assert check_closed(frw_dust, field, points) < 1e-12
 
     def test_constant_omega(self, minkowski_chart):
         field = field_for(minkowski_chart, ("0.7", "0", "0", "0"))
         points = sample_points(minkowski_chart, 5, seed=12)
-        assert concircular_check(minkowski_chart, field, points) == 0.0
+        assert check_closed(minkowski_chart, field, points) == 0.0
 
     def test_non_closed_omega(self, minkowski_chart):
         field = field_for(minkowski_chart, ("0", "z", "0", "0"))
         points = sample_points(minkowski_chart, 5, seed=13)
-        resid = concircular_check(minkowski_chart, field, points)
+        resid = check_closed(minkowski_chart, field, points)
         assert resid == pytest.approx(0.5, abs=1e-12)
         # raw curl entry d_4 w_2 - d_2 w_4 = 1
         comps = [parse(s, minkowski_chart.coordinates) for s in
@@ -324,7 +340,8 @@ class TestBatchedQuadrature:
             (_omega_integrand(chart, field),
              lambda x: omega_per_node(chart, field, x)),
             (_field_integrand(chart, field),
-             lambda x: field.values(ChartPoint(tuple(x)), chart.params)),
+             lambda x: [eval_value(c, tuple(x), chart.params)
+                        for c in field.components]),
         )
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
@@ -332,16 +349,6 @@ class TestBatchedQuadrature:
                 got = _integrate_form(batched, chart.n, base, p.array(), 8, 4)
                 assert (got.value, got.path_defect, got.refinement_error) \
                     == integrate_per_node(per_node, chart.n, base, p.array())
-
-    def test_pointwise_field_integrand(self, frw_dust):
-        exact = frw_dust.velocity
-        pointwise = VectorField(
-            pointwise=lambda p: exact.values(p, frw_dust.params))
-        p = sample_points(frw_dust, 1, seed=8)[0]
-        want = reconstruct_potential(frw_dust, exact, frw_dust.basepoint, p)
-        got = reconstruct_potential(frw_dust, pointwise, frw_dust.basepoint,
-                                    p, verify_closed=False)
-        assert got == want
 
     def test_bad_path_keeps_per_node_error(self):
         # Sampled points avoid t <= 0.5, but the staircase from the

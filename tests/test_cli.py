@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -97,7 +99,7 @@ class TestRunCertify:
         report = run_certify(spec, RunConfig(points=4, seed=1))
         rec = report.find("u-closed")
         assert rec.status == "skipped"
-        assert "not evaluable" in rec.skipped_reason
+        assert rec.skipped_reason == "not evaluable: no velocity field declared"
         # eigen route still runs and the electric check still evaluates
         assert report.find("fluid-decompose").ok
         assert report.find("weyl-electric").max_residual is not None
@@ -327,6 +329,54 @@ class TestReports:
             f"error: sqrt at offset 2: argument {coords[0]!r} is not "
             f"positive at point {index}, coordinates {coords}\n")
         assert not json_path.exists()
+
+        # The same points with a flat metric and the square root in the
+        # velocity: the per-point walk names the point the same way.
+        spec["metric"] = {"1,1": "-1", "2,2": "1", "3,3": "1", "4,4": "1"}
+        spec["velocity_field"] = ["-1 + 0*sqrt(t)", "0", "0", "0"]
+        path.write_text(json.dumps(spec))
+        for workers in ("1", "2"):
+            assert main(["certify", str(path), "--points", "20", "--seed",
+                         str(seed), "--workers", workers, "--quiet",
+                         "--json", str(json_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: sqrt at offset 7: argument {coords[0]!r} is not "
+                f"positive at point {index}, coordinates {coords}\n")
+            assert not json_path.exists()
+
+    def test_overflow_on_the_staircase_is_a_point_error(self):
+        # Sampled points keep x < 1, where exp(700*x) is finite; the
+        # staircase starts at the basepoint's x = 1.05, where it overflows.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["metric"]["2,2"] = "1 + 0*exp(700*x)"
+        spec["domain"]["ranges"]["x"] = [-1, 1.1]
+        spec["domain"]["exclusions"] = [{"expr": "1 - x", "margin": 0}]
+        spec["basepoint"] = [1, 1.05, 0, 0]
+        report = run_certify(spec, RunConfig(points=3))
+        assert report.find("chen-vector").detail["error"] == (
+            "point 0: staircase from basepoint: exp at offset 6: "
+            "math range error")
+        # theta integrates u alone, which has no exp.
+        soliton = report.find("soliton-form")
+        assert soliton.max_residual is not None
+        assert "error" not in soliton.detail
+
+    def test_overflow_at_a_sample_point_names_it(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec.update(name="overflow", basepoint=None)
+        spec["metric"]["2,2"] = "1 + 0*exp(700*t)"
+        spec["domain"]["ranges"]["t"] = [0.5, 1.1]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(spec))
+        points = sample_points(compile_chart(load_chart_input(str(path))),
+                               10, 0)
+        edge = math.log(sys.float_info.max) / 700
+        index = next(i for i, p in enumerate(points) if p.coords[0] > edge)
+        coords = tuple(float(c) for c in points[index].coords)
+        assert main(["certify", str(path), "--points", "10", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: exp at offset 6: math range error at point {index}, "
+            f"coordinates {coords}\n")
 
     def test_text_contains_divweyl_anchor(self, spec_file):
         text = render_text(run_certify(spec_file, RunConfig(points=4)))

@@ -5,7 +5,7 @@ import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.curvature import (COTTON_COEFF, CurvaturePoint, JetStack,
-                               PointwiseFieldError, SingularMetricError,
+                               SingularMetricError,
                                cotton_combination, curvature_at,
                                first_bianchi_residual, grad_vector_at,
                                scale_free, second_bianchi_residual,
@@ -118,7 +118,7 @@ class TestChristoffelDerivatives:
         assert cp.dgamma[0, 1, 0, 1] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(cp.dgamma[1:])) < 1e-12
         # second derivative d_t d_t Gamma^t_{xx} = 4 e^{2t}
-        assert d2gamma(JetStack(desitter, point))[0, 0, 0, 1, 1] == \
+        assert d2gamma(JetStack(desitter, [point]).at(0))[0, 0, 0, 1, 1] == \
             pytest.approx(4 * q2, rel=1e-12)
 
 
@@ -221,12 +221,6 @@ class TestGradVector:
         # d_1 v_2 - d_2 v_1 = 1 exactly
         assert nabla[0, 1] - nabla[1, 0] == pytest.approx(1.0, abs=1e-14)
 
-    def test_pointwise_field_rejected(self, minkowski):
-        field = VectorField(components=None,
-                            pointwise=lambda p: np.array([-1.0, 0, 0, 0]))
-        with pytest.raises(PointwiseFieldError):
-            grad_vector_at(minkowski, field, ChartPoint((0, 0, 0, 0)))
-
 
 class TestTensorJetStack:
     """The tensor-jet stack against the per-component Jet3 oracle, field by
@@ -236,7 +230,7 @@ class TestTensorJetStack:
 
     def check(self, chart, points):
         for p in points:
-            stack = JetStack(chart, p)
+            stack = JetStack(chart, [p]).at(0)
             cp = stack.to_point()
             want = per_component_curvature(chart, p)
             assert set(want) == self.FIELDS | {"d2gamma"}
@@ -269,21 +263,23 @@ class TestTensorJetStack:
         chart = make_chart("degenerate-at-zero", 2, "riemannian", ["x", "y"],
                            {"1,1": "1", "2,2": "x^2"},
                            {"x": (0.5, 1), "y": (0, 1)})
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^metric matrix is singular$"):
-            JetStack(chart, ChartPoint((x, 0.3)))
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            JetStack(chart, [ChartPoint((x, 0.3))])
+        assert str(err.value) == ("metric matrix is singular at point 0, "
+                                  f"coordinates ({x!r}, 0.3)")
 
 
 class TestBatchedJetStack:
-    """Each point's view of a batched stack is the one-point stack, level
-    by level, byte for byte and with the same memory layout (a reduction
-    over a differently strided copy may round differently)."""
+    """Each point's view of a batched stack is that point's view of its
+    own one-point batch, level by level, byte for byte and with the same
+    memory layout (a reduction over a differently strided copy may round
+    differently)."""
 
     def check(self, chart, points):
         batch = JetStack(chart, points)
         assert batch.points == tuple(points)
         for i, p in enumerate(points):
-            one, view = JetStack(chart, p), batch.at(i)
+            one, view = JetStack(chart, [p]).at(0), batch.at(i)
             assert view.point == p and view.n == one.n
             for name in JetStack.TENSORS:
                 mine, want = getattr(view, name), getattr(one, name)
