@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -12,12 +15,25 @@ from .expr import Expr, FUNCTIONS, ParseError, eval_batch, parse
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # Eigenvalues below this (relative) threshold mean the metric is singular.
 _SINGULAR_TOL = 1e-10
 
 
 class ChartError(ValueError):
-    pass
+    """A chart description that does not compile. ``path`` names the field
+    at fault as a spec file spells it: ``dimension``, ``metric.2,1``,
+    ``domain.ranges.z``, ``velocity_field[3]``."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(message)
+        self.path = path
+
+    @classmethod
+    def at(cls, path: str, detail: str) -> "ChartError":
+        """The error whose message is ``path: detail``."""
+        return cls(path, f"{path}: {detail}")
 
 
 class SignatureError(ChartError):
@@ -51,7 +67,7 @@ class Exclusion:
 
     source: str
     expr: Expr
-    margin: float = 0.0
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -69,10 +85,10 @@ class ChartInput:
     dimension: int
     signature: str
     coordinates: Sequence[str]
-    metric: Mapping
+    metric: Mapping[str, str]            # "i,j" -> expression
     ranges: Mapping[str, Sequence[float]]
     parameters: Mapping[str, float] = field(default_factory=dict)
-    exclusions: Sequence = ()  # entries: (expr_text, margin) or {"expr":, "margin":}
+    exclusions: Sequence[tuple[str, float]] = ()     # (expression, margin)
     velocity_field: Sequence[str] | None = None
     basepoint: Sequence[float] | None = None
 
@@ -118,115 +134,150 @@ class MetricChart:
         return True
 
 
-def _parse_metric_key(key, n: int):
-    if isinstance(key, str):
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ChartError(f"metric key {key!r}: expected 'i,j'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ChartError(f"metric key {key!r}: indices must be integers") from None
-    else:
-        i, j = key
+def _parse_metric_key(key, n: int) -> tuple[int, int]:
+    """The 0-based (i, j) of an upper-triangle metric key ``"i,j"``."""
+    path = f"metric.{key}"
+    parts = str(key).split(",")
+    if len(parts) != 2:
+        raise ChartError.at(path, "keys must look like 'i,j'")
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ChartError.at(path, "indices must be integers") from None
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ChartError(f"metric key {key!r}: index out of range 1..{n}")
+        raise ChartError.at(path, f"index out of range 1..{n}")
     if i > j:
-        raise ChartError(f"metric key {key!r}: lower-triangle key, use '{j},{i}'")
+        raise ChartError.at(path, f"lower-triangle key; use '{j},{i}'")
     return i - 1, j - 1
 
 
-def compile_chart(spec: ChartInput) -> MetricChart:
-    """Compile and validate a chart description.
+def _entries(path: str, value, count: int, what: str) -> list:
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ChartError.at(path, f"expected {count} {what}")
+    return list(value)
 
-    Parses every expression, checks the coordinate/parameter declarations,
-    and validates invertibility and the declared signature at a probe point.
+
+def _real(path: str, value) -> float:
+    """A real number (not a bool) as a float; a huge integer is infinite."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ChartError.at(path, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(path: str, value) -> float:
+    x = _real(path, value)
+    if not math.isfinite(x):
+        raise ChartError.at(path, f"expected a finite number, got {x}")
+    return x
+
+
+def _declare(path: str, name, taken) -> str:
+    """A coordinate or parameter name: an identifier that is neither a
+    function nor one of the coordinates in ``taken``."""
+    if not isinstance(name, str) or not _IDENT.fullmatch(name):
+        raise ChartError.at(path, f"{name!r} is not a valid identifier")
+    if name in FUNCTIONS:
+        raise ChartError.at(path, f"{name!r} shadows a built-in function")
+    if name in taken:
+        raise ChartError.at(path, f"{name!r} already names a coordinate")
+    return name
+
+
+def _expr(path: str, text, coords, pnames) -> Expr:
+    if not isinstance(text, str):
+        raise ChartError.at(path, "expected an expression string")
+    try:
+        return parse(text, coords, pnames)
+    except ParseError as err:
+        raise ChartError.at(path, str(err)) from None
+
+
+def compile_chart(spec: ChartInput) -> MetricChart:
+    """Validate and compile a chart description.
+
+    Every rule on the description's values is checked here, for spec files
+    and for charts built in code alike; a ``ChartError`` names the field at
+    fault. Parses every expression and validates invertibility and the
+    declared signature at a probe point.
     """
+    if not isinstance(spec.name, str):
+        raise ChartError.at("name", "expected a string")
     n = spec.dimension
-    if not isinstance(n, int) or n < 2:
-        raise ChartError(f"dimension must be an integer >= 2, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ChartError.at("dimension", "must be an integer >= 2")
     if spec.signature not in (LORENTZIAN, RIEMANNIAN):
-        raise ChartError(f"signature must be '{LORENTZIAN}' or '{RIEMANNIAN}'")
-    coords = list(spec.coordinates)
-    if len(coords) != n:
-        raise ChartError(f"expected {n} coordinate names, got {len(coords)}")
-    if len(set(coords)) != n:
-        raise ChartError("coordinate names must be unique")
-    for name in list(coords) + list(spec.parameters):
-        if name in FUNCTIONS:
-            raise ChartError(f"name {name!r} shadows a built-in function")
-    params = {k: float(v) for k, v in spec.parameters.items()}
+        raise ChartError.at("signature",
+                            f"must be '{LORENTZIAN}' or '{RIEMANNIAN}'")
+    coords = _entries("coordinates", spec.coordinates, n, "names")
+    for k, name in enumerate(coords):
+        _declare(f"coordinates[{k}]", name, coords[:k])
+    params = {_declare(f"parameters.{name}", name, coords):
+              _finite(f"parameters.{name}", value)
+              for name, value in spec.parameters.items()}
     pnames = tuple(params)
 
     grid = [[None] * n for _ in range(n)]
     for key, text in spec.metric.items():
         i, j = _parse_metric_key(key, n)
-        try:
-            e = parse(str(text), coords, pnames)
-        except ParseError as err:
-            raise ChartError(f"metric[{key}]: {err}") from None
-        grid[i][j] = grid[j][i] = e
+        if grid[i][j] is not None:
+            raise ChartError.at(f"metric.{key}",
+                                f"component {i + 1},{j + 1} given twice")
+        grid[i][j] = grid[j][i] = _expr(f"metric.{key}", text, coords, pnames)
     zero = parse("0", coords, pnames)
-    for i in range(n):
-        for j in range(n):
-            if grid[i][j] is None:
-                grid[i][j] = zero
-    metric = tuple(tuple(row) for row in grid)
+    metric = tuple(tuple(zero if e is None else e for e in row)
+                   for row in grid)
 
     ranges = []
     for name in coords:
+        path = f"domain.ranges.{name}"
         if name not in spec.ranges:
-            raise ChartError(f"domain.ranges missing coordinate {name!r}")
-        lo, hi = (float(v) for v in spec.ranges[name])
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ChartError(f"domain.ranges[{name}]: need finite lo < hi")
+            raise ChartError.at(path, "missing range")
+        lo, hi = (_real(path, v)
+                  for v in _entries(path, spec.ranges[name], 2, "numbers"))
+        if not (lo < hi and math.isfinite(hi - lo)):     # sampled uniformly
+            raise ChartError.at(path, "expected [lo, hi] with finite lo < hi")
         ranges.append((lo, hi))
 
     exclusions = []
-    for k, entry in enumerate(spec.exclusions):
-        if isinstance(entry, Mapping):
-            text, margin = entry["expr"], float(entry.get("margin", 0.0))
-        else:
-            text, margin = entry[0], float(entry[1]) if len(entry) > 1 else 0.0
-        try:
-            e = parse(str(text), coords, pnames)
-        except ParseError as err:
-            raise ChartError(f"exclusions[{k}]: {err}") from None
-        exclusions.append(Exclusion(str(text), e, margin))
+    for k, (text, margin) in enumerate(spec.exclusions):
+        path = f"domain.exclusions[{k}]"
+        exclusions.append(Exclusion(
+            text, _expr(f"{path}.expr", text, coords, pnames),
+            _finite(f"{path}.margin", margin)))
 
     velocity = None
     if spec.velocity_field is not None:
-        if len(spec.velocity_field) != n:
-            raise ChartError(f"velocity_field must have {n} components")
-        comps = []
-        for k, text in enumerate(spec.velocity_field):
-            try:
-                comps.append(parse(str(text), coords, pnames))
-            except ParseError as err:
-                raise ChartError(f"velocity_field[{k}]: {err}") from None
-        velocity = VectorField(tuple(comps))
+        velocity = VectorField(tuple(
+            _expr(f"velocity_field[{k}]", text, coords, pnames)
+            for k, text in enumerate(_entries(
+                "velocity_field", spec.velocity_field, n,
+                "expression strings"))))
 
-    basepoint = None
-    if spec.basepoint is not None:
-        basepoint = validate_basepoint(spec.basepoint, coords, ranges)
+    basepoint = (None if spec.basepoint is None else
+                 validate_basepoint(spec.basepoint, coords, ranges))
 
     chart = MetricChart(name=spec.name, n=n, signature=spec.signature,
                         coordinates=coords, metric=metric, params=params,
                         ranges=ranges, exclusions=exclusions,
                         velocity=velocity, basepoint=basepoint)
-    probe = _probe_point(chart)
-    validate_signature(chart, probe)
+    validate_signature(chart, _probe_point(chart))
     return chart
 
 
 def validate_basepoint(values, coordinates, ranges) -> tuple[float, ...]:
-    """One entry per coordinate, each inside its range (NaN is not)."""
-    if len(values) != len(coordinates):
-        raise ChartError(f"basepoint must have {len(coordinates)} entries")
-    basepoint = tuple(float(v) for v in values)
+    """One number per coordinate, each inside its range (NaN is not)."""
+    if (not isinstance(values, (list, tuple))
+            or len(values) != len(coordinates)):
+        raise ChartError("basepoint",
+                         f"basepoint must have {len(coordinates)} entries")
+    basepoint = tuple(_real("basepoint", v) for v in values)
     for x, (lo, hi), name in zip(basepoint, ranges, coordinates):
         if not (lo <= x <= hi):
             raise ChartError(
+                "basepoint",
                 f"basepoint[{name}] = {x} outside range [{lo}, {hi}]")
     return basepoint
 
@@ -238,26 +289,29 @@ def _probe_point(chart: MetricChart) -> ChartPoint:
     try:
         point = sample_points(chart, 1, seed=0)[0]
     except SamplingExhaustedError:
-        raise ChartError("no probe point found inside the domain") from None
+        raise ChartError.at("domain", "no probe point found inside the "
+                                      "domain") from None
     return ChartPoint(tuple(float(x) for x in point.coords))
 
 
 def validate_signature(chart: MetricChart, point: ChartPoint) -> None:
     """Check invertibility and eigenvalue signs of g at one point."""
     g = chart.metric_values(point)
+    if not np.all(np.isfinite(g)):
+        raise NonInvertibleError.at("metric", f"not finite at {point.coords}")
     eigs = np.linalg.eigvalsh(g)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.abs(eigs)) < _SINGULAR_TOL * scale:
-        raise NonInvertibleError(
-            f"{chart.name}: metric not invertible at {point.coords}")
+        raise NonInvertibleError.at("metric",
+                                    f"not invertible at {point.coords}")
     negatives = int(np.sum(eigs < 0))
     if chart.signature == LORENTZIAN and negatives != 1:
-        raise SignatureError(
-            f"{chart.name}: expected one negative eigenvalue, found {negatives}")
+        raise SignatureError.at("signature", f"expected one negative "
+                                             f"eigenvalue, found {negatives}")
     if chart.signature == RIEMANNIAN and negatives != 0:
-        raise SignatureError(
-            f"{chart.name}: expected positive-definite metric, "
-            f"found {negatives} negative eigenvalue(s)")
+        raise SignatureError.at(
+            "signature", f"expected a positive-definite metric, found "
+                         f"{negatives} negative eigenvalue(s)")
 
 
 def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]:

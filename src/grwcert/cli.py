@@ -8,12 +8,10 @@ import argparse
 import sys
 
 from .certify import GROUPS, RunConfig, run_certify
-from .chart import ChartError, SamplingExhaustedError
-from .expr import ParseError
+from .chart import SamplingExhaustedError
 from .grw import catalog_get, catalog_names
 from .report import (DEGENERATE, INFORMATIONAL, PASS, SKIPPED,
                      emit_report, render_text)
-from .schema import SpecFileError
 
 
 def _add_run_flags(parser):
@@ -124,13 +122,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "certify":
-            report = run_certify(args.file, _config_from_args(args))
-            return _finish(report, args)
-        if args.command == "ladder":
-            config = _config_from_args(
-                args, checks=("sanity", "fluid", "hypotheses", "ladder"))
-            report = run_certify(args.file, config)
+        if args.command in ("certify", "ladder"):
+            checks = (("sanity", "fluid", "hypotheses", "ladder")
+                      if args.command == "ladder" else None)
+            report = run_certify(args.file, _config_from_args(args, checks))
             return _finish(report, args)
         if args.command == "catalog":
             if args.catalog_command == "list":
@@ -143,10 +138,7 @@ def main(argv=None) -> int:
                 print(err.args[0], file=sys.stderr)
                 return 2
             report = run_certify(entry.chart, _config_from_args(args))
-            if not args.quiet:
-                sys.stdout.write(render_text(report))
-            if args.json:
-                emit_report(report, "json", args.json)
+            _finish(report, args)
             problems = _expectation_mismatches(report, entry.expected)
             if problems:
                 print("expectation mismatches:", file=sys.stderr)
@@ -156,8 +148,9 @@ def main(argv=None) -> int:
             print(f"catalog {args.name}: outcomes match expectations")
             return 0
         parser.error(f"unknown command {args.command!r}")
-    except (SpecFileError, ChartError, ParseError, FileNotFoundError,
-            SamplingExhaustedError, ValueError) as err:
+    except (ValueError, OSError, SamplingExhaustedError) as err:
+        # ChartError, ParseError and the domain and singular-metric errors
+        # are ValueErrors; OSError: a file that cannot be read or written.
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

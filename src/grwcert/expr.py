@@ -220,11 +220,17 @@ class _Parser:
             if kind == "op" and text == "^":
                 self.advance()
                 exponent_node = self.exponent_atom()
-                folded = _fold_constant(exponent_node)
+                try:
+                    folded = _fold_constant(exponent_node)
+                except ArithmeticError:      # 10^400, 0^-1
+                    folded = math.inf
                 if folded is None:
                     raise ParseError(
                         "exponent must be a constant expression",
                         _node_offset(exponent_node))
+                if isinstance(folded, complex) or not math.isfinite(folded):
+                    raise ParseError("exponent is not a finite real number",
+                                     _node_offset(exponent_node))
                 node = Power(node, folded, offset)
             else:
                 return node
@@ -239,6 +245,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ParseError(f"literal {text!r} is not finite", offset)
             return Const(float(text), offset)
         if kind == "op" and text == "(":
             node = self.expression()
@@ -632,7 +640,10 @@ def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
                     raise
                 op = ("pow" if isinstance(node, Power) else
                       "div" if isinstance(node, Binary) else node.op)
-                raise EvalDomainError(op, node.offset, str(err)) from None
+                # pow's OverflowError carries an errno tuple, exp's a text.
+                detail = ("math range error" if isinstance(err, OverflowError)
+                          else str(err))
+                raise EvalDomainError(op, node.offset, detail) from None
             if one_row and bad[0]:
                 raise _domain_error(node, args)
             for k in frees[i]:

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
-                    compile_chart)
+                    _parse_metric_key, compile_chart)
 from .classify import fluid_decompose
 from .curvature import curvature_at, scale_free
 from .expr import eval_batch, eval_jet3, parse
@@ -85,11 +85,8 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
               t_range, basepoint=None, params=None) -> MetricChart:
     """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab."""
     params = dict(fiber.input.parameters) | dict(params or {})
-    fiber_coords = list(fiber.chart.coordinates)
-    if "t" in fiber_coords:
-        raise GRWBuildError("fiber coordinates may not shadow 't'")
     n = 1 + fiber.dim
-    coords = ["t"] + fiber_coords
+    coords = ["t"] + list(fiber.chart.coordinates)
 
     lo, hi = float(t_range[0]), float(t_range[1])
     warp_expr = parse(warp.text, ("t",), tuple(params))
@@ -103,17 +100,10 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
 
     metric = {"1,1": "-1"}
     for key, text in fiber.input.metric.items():
-        if isinstance(key, str):
-            i, j = (int(p) for p in key.split(","))
-        else:
-            i, j = key
+        i, j = _parse_metric_key(key, fiber.dim)
         src = str(text).strip()
         if src != "0":
-            metric[f"{i + 1},{j + 1}"] = f"({warp.text})^2*({src})"
-
-    ranges = {"t": (lo, hi)}
-    for cname in fiber_coords:
-        ranges[cname] = tuple(fiber.input.ranges[cname])
+            metric[f"{i + 2},{j + 2}"] = f"({warp.text})^2*({src})"
 
     spec = ChartInput(
         name=name,
@@ -121,7 +111,7 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
         signature="lorentzian",
         coordinates=coords,
         metric=metric,
-        ranges=ranges,
+        ranges=dict(fiber.input.ranges) | {"t": (lo, hi)},
         parameters=params,
         exclusions=[(e.source, e.margin) for e in fiber.chart.exclusions],
         velocity_field=["-1"] + ["0"] * fiber.dim,

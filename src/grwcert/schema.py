@@ -1,156 +1,78 @@
-"""Versioned JSON chart descriptions: validation that names field paths."""
+"""Versioned JSON chart descriptions: reading a spec file into a
+``ChartInput``. ``compile_chart`` checks the values."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .chart import ChartInput
+from .chart import ChartError, ChartInput
 
 SPEC_SCHEMA_VERSION = 1
 
-_IDENT = __import__("re").compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-
-class SpecFileError(ValueError):
-    """Schema violation; ``path`` names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+class SpecFileError(ChartError):
+    """A spec file that does not read as a chart description: not JSON, a
+    wrong schema version, a missing field, or a container of the wrong
+    type. ``path`` names the field."""
 
 
 def _require(data: dict, key: str, kind, where: str = ""):
     path = f"{where}.{key}" if where else key
     if key not in data:
-        raise SpecFileError(path, "missing required field")
-    value = data[key]
+        raise SpecFileError.at(path, "missing required field")
+    return _expect(path, data[key], kind)
+
+
+def _expect(path: str, value, kind):
     if kind is not None and not isinstance(value, kind):
-        raise SpecFileError(
-            path, f"expected {getattr(kind, '__name__', kind)}, "
-                  f"got {type(value).__name__}")
+        raise SpecFileError.at(path, f"expected {kind.__name__}, "
+                                     f"got {type(value).__name__}")
     return value
 
 
 def load_chart_input(source) -> ChartInput:
-    """Parse and validate a spec file (path, JSON text, or dict)."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise SpecFileError("(file)", f"not valid JSON: {err}") from None
-    elif isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as err:
-            raise SpecFileError("(input)", f"not valid JSON: {err}") from None
-    else:
-        data = source
+    """Read a spec: a path, JSON text starting with ``{``, or a dict.
+
+    Checks what reading needs: valid JSON, an object at the root, the
+    schema version, the required fields, and the objects and lists it
+    looks into. Every other rule is ``compile_chart``'s.
+    """
+    where = "(input)"
+    if isinstance(source, Path) or (isinstance(source, str)
+                                    and not source.lstrip().startswith("{")):
+        where, source = "(file)", Path(source).read_text(encoding="utf-8")
+    try:
+        data = json.loads(source) if isinstance(source, str) else source
+    except json.JSONDecodeError as err:
+        raise SpecFileError.at(where, f"not valid JSON: {err}") from None
     if not isinstance(data, dict):
-        raise SpecFileError("(root)", "spec must be a JSON object")
+        raise SpecFileError.at("(root)", "spec must be a JSON object")
 
     version = data.get("schema", SPEC_SCHEMA_VERSION)
     if version != SPEC_SCHEMA_VERSION:
-        raise SpecFileError("schema",
-                            f"unsupported version {version!r}, "
-                            f"expected {SPEC_SCHEMA_VERSION}")
-    name = _require(data, "name", str)
-    dimension = _require(data, "dimension", int)
-    if isinstance(dimension, bool) or dimension < 2:
-        raise SpecFileError("dimension", "must be an integer >= 2")
-    signature = _require(data, "signature", str)
-    if signature not in ("lorentzian", "riemannian"):
-        raise SpecFileError("signature",
-                            "must be 'lorentzian' or 'riemannian'")
-    coordinates = _require(data, "coordinates", list)
-    if len(coordinates) != dimension:
-        raise SpecFileError("coordinates",
-                            f"expected {dimension} names, got {len(coordinates)}")
-    for k, cname in enumerate(coordinates):
-        if not isinstance(cname, str) or not _IDENT.match(cname):
-            raise SpecFileError(f"coordinates[{k}]",
-                                f"{cname!r} is not a valid identifier")
-    if len(set(coordinates)) != dimension:
-        raise SpecFileError("coordinates", "names must be unique")
-
-    parameters = data.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise SpecFileError("parameters", "expected an object")
-    for pname, value in parameters.items():
-        if not _IDENT.match(str(pname)):
-            raise SpecFileError(f"parameters.{pname}", "not a valid identifier")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SpecFileError(f"parameters.{pname}", "expected a number")
-
+        raise SpecFileError.at("schema", f"unsupported version {version!r}, "
+                                         f"expected {SPEC_SCHEMA_VERSION}")
+    for key in ("name", "dimension", "signature", "coordinates"):
+        _require(data, key, None)
+    parameters = _expect("parameters", data.get("parameters", {}), dict)
     metric = _require(data, "metric", dict)
-    if not metric:
-        raise SpecFileError("metric", "at least one component is required")
-    for key, text in metric.items():
-        parts = str(key).split(",")
-        if len(parts) != 2:
-            raise SpecFileError(f"metric.{key}", "keys must look like 'i,j'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SpecFileError(f"metric.{key}",
-                                "indices must be integers") from None
-        if not (1 <= i <= dimension and 1 <= j <= dimension):
-            raise SpecFileError(f"metric.{key}",
-                                f"index out of range 1..{dimension}")
-        if i > j:
-            raise SpecFileError(f"metric.{key}",
-                                f"lower-triangle key; use '{j},{i}'")
-        if not isinstance(text, str):
-            raise SpecFileError(f"metric.{key}", "expected an expression string")
-
     domain = _require(data, "domain", dict)
     ranges = _require(domain, "ranges", dict, "domain")
-    for cname in coordinates:
-        if cname not in ranges:
-            raise SpecFileError(f"domain.ranges.{cname}", "missing range")
-        pair = ranges[cname]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-                or not pair[0] < pair[1]):
-            raise SpecFileError(f"domain.ranges.{cname}",
-                                "expected [lo, hi] with lo < hi")
-    exclusions = domain.get("exclusions", [])
-    if not isinstance(exclusions, list):
-        raise SpecFileError("domain.exclusions", "expected a list")
-    cooked_exclusions = []
+    exclusions = _expect("domain.exclusions", domain.get("exclusions", []),
+                         list)
     for k, entry in enumerate(exclusions):
         if not isinstance(entry, dict) or "expr" not in entry:
-            raise SpecFileError(f"domain.exclusions[{k}]",
-                                "expected {'expr': ..., 'margin': ...}")
-        margin = entry.get("margin", 0.0)
-        if not isinstance(margin, (int, float)) or isinstance(margin, bool):
-            raise SpecFileError(f"domain.exclusions[{k}].margin",
-                                "expected a number")
-        cooked_exclusions.append((str(entry["expr"]), float(margin)))
-
-    velocity = data.get("velocity_field")
-    if velocity is not None:
-        if not isinstance(velocity, list) or len(velocity) != dimension:
-            raise SpecFileError("velocity_field",
-                                f"expected {dimension} expression strings")
-        for k, text in enumerate(velocity):
-            if not isinstance(text, str):
-                raise SpecFileError(f"velocity_field[{k}]",
-                                    "expected an expression string")
-
-    basepoint = data.get("basepoint")
-    if basepoint is not None:
-        if (not isinstance(basepoint, list) or len(basepoint) != dimension
-                or not all(isinstance(v, (int, float)) for v in basepoint)):
-            raise SpecFileError("basepoint",
-                                f"expected {dimension} numbers")
+            raise SpecFileError.at(f"domain.exclusions[{k}]",
+                                   "expected {'expr': ..., 'margin': ...}")
 
     return ChartInput(
-        name=name, dimension=dimension, signature=signature,
-        coordinates=coordinates, metric=metric,
-        ranges={k: tuple(v) for k, v in ranges.items()},
-        parameters=parameters, exclusions=cooked_exclusions,
-        velocity_field=velocity, basepoint=basepoint)
+        name=data["name"], dimension=data["dimension"],
+        signature=data["signature"], coordinates=data["coordinates"],
+        metric=metric, ranges=ranges, parameters=parameters,
+        exclusions=[(e["expr"], e.get("margin", 0.0)) for e in exclusions],
+        velocity_field=data.get("velocity_field"),
+        basepoint=data.get("basepoint"))
 
 
 def chart_input_to_dict(spec: ChartInput) -> dict:

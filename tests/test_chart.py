@@ -56,7 +56,7 @@ class TestCompile:
         with pytest.raises(ChartError) as err:
             compile_chart(minkowski_input(
                 metric={"1,1": "-a", "2,2": "1", "3,3": "1", "4,4": "1"}))
-        assert "metric[1,1]" in str(err.value)
+        assert "metric.1,1" in str(err.value)
 
     def test_basepoint_out_of_range(self):
         with pytest.raises(ChartError):

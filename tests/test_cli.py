@@ -55,15 +55,15 @@ class TestSchema:
     def test_missing_range_names_coordinate(self):
         bad = json.loads(json.dumps(FRW_DUST_SPEC))
         del bad["domain"]["ranges"]["z"]
-        with pytest.raises(SpecFileError) as err:
-            load_chart_input(bad)
+        with pytest.raises(ChartError) as err:
+            compile_chart(load_chart_input(bad))
         assert err.value.path == "domain.ranges.z"
 
     def test_lower_triangle_metric_key(self):
         bad = json.loads(json.dumps(FRW_DUST_SPEC))
         bad["metric"]["2,1"] = "0"
-        with pytest.raises(SpecFileError) as err:
-            load_chart_input(bad)
+        with pytest.raises(ChartError) as err:
+            compile_chart(load_chart_input(bad))
         assert "metric.2,1" == err.value.path
 
     def test_bad_schema_version(self):
@@ -74,8 +74,8 @@ class TestSchema:
 
     def test_velocity_length_checked(self):
         bad = dict(FRW_DUST_SPEC, velocity_field=["-1", "0"])
-        with pytest.raises(SpecFileError):
-            load_chart_input(bad)
+        with pytest.raises(ChartError):
+            compile_chart(load_chart_input(bad))
 
     def test_round_trip_through_dict(self):
         spec = load_chart_input(dict(FRW_DUST_SPEC))

@@ -76,6 +76,26 @@ class TestGrammar:
     def test_scientific_literal(self):
         assert eval_value(parse("1e-3 + t", ["t"]), (0.0,), {}) == 1e-3
 
+    @pytest.mark.parametrize("text, offset", [
+        ("t^1e400", 2), ("1e400*t^(4/3)", 0), ("2 - 1E999", 4)])
+    def test_overflowing_literal_rejected(self, text, offset):
+        # float("1e400") is inf; a literal must be finite.
+        with pytest.raises(ParseError) as err:
+            parse(text, ["t"])
+        assert err.value.offset == offset
+        assert "is not finite" in str(err.value)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("t^(10^400)", 5), ("t^(0^-1)", 4), ("t^((-8)^(1/3))", 7),
+        ("t^(1e200*1e200)", 8)])
+    def test_non_finite_exponent_rejected(self, text, offset):
+        # Folding overflows, divides by zero, turns complex or reaches inf;
+        # the offset is the exponent's root operator.
+        with pytest.raises(ParseError) as err:
+            parse(text, ["t"])
+        assert err.value.offset == offset
+        assert "exponent is not a finite real number" in str(err.value)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError) as err:
             parse("t )", ["t"])
@@ -188,7 +208,8 @@ def _assert_same_error(expected, call):
     """``call`` raises the per-row path's error ``expected``: the same
     domain error or, for a math call's own error (the float division and
     overflow errors of the higher coefficients), the domain error of the
-    node whose call raised it."""
+    node whose call raised it. Every overflow reads ``math range error``,
+    pow's too, whose own message is an errno tuple."""
     with pytest.raises(EvalDomainError) as err:
         call()
     got = err.value
@@ -196,7 +217,9 @@ def _assert_same_error(expected, call):
         assert (got.op, got.offset, str(got)) == (
             expected.op, expected.offset, str(expected))
     else:
-        assert str(got) == f"{got.op} at offset {got.offset}: {expected}"
+        detail = ("math range error" if isinstance(expected, OverflowError)
+                  else expected)
+        assert str(got) == f"{got.op} at offset {got.offset}: {detail}"
     assert "np.float64" not in str(got)
     return got
 
