@@ -96,11 +96,9 @@ def run_certify(source, config: RunConfig | None = None) -> CertificationReport:
 
 def _basepoint(chart: MetricChart, config: RunConfig):
     if config.basepoint is not None:
-        return np.asarray(validate_basepoint(
-            config.basepoint, chart.coordinates, chart.ranges), dtype=float)
-    if chart.basepoint is not None:
-        return np.asarray(chart.basepoint, dtype=float)
-    return None
+        return validate_basepoint(config.basepoint, chart.coordinates,
+                                  chart.ranges)
+    return chart.basepoint
 
 
 def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
@@ -165,11 +163,11 @@ def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
 # ---------------------------------------------------------------------------
 
 def _refusal(err) -> str:
-    """A potential's point error. The staircase runs from the basepoint and
+    """A potential's point error. The path runs from the basepoint and
     may leave an expression's domain even when every sample point is valid;
     the message then names the path."""
     if isinstance(err, EvalDomainError):
-        return f"staircase from basepoint: {err}"
+        return f"path from basepoint: {err}"
     return str(err)
 
 
@@ -445,7 +443,7 @@ CHECKS = (
     Check("conclusions", "chen-vector", "∇_k X_l = ρ g_{kl}", "conc",
           velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
     Check("conclusions", "potential-path-independence",
-          "staircase orderings agree on ∫ω", 1e-10,
+          "segment and corner path agree on ∫ω", 1e-10,
           velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
     Check("conclusions", "ckv-gradient", "∇_j ρ = (A−B)/(1−n) X_j", "conc",
           velocity=True, basepoint=True, no_data=_NO_POTENTIAL),

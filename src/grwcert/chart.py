@@ -10,7 +10,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, FUNCTIONS, ParseError, eval_batch, parse
+from .expr import (EvalDomainError, Expr, FUNCTIONS, ParseError, eval_batch,
+                   parse)
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -53,9 +54,6 @@ class ChartPoint:
     """A point in chart coordinates (x1 = t, x2..xn spatial)."""
 
     coords: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
@@ -263,7 +261,21 @@ def compile_chart(spec: ChartInput) -> MetricChart:
                         coordinates=coords, metric=metric, params=params,
                         ranges=ranges, exclusions=exclusions,
                         velocity=velocity, basepoint=basepoint)
-    validate_signature(chart, _probe_point(chart))
+    try:
+        validate_signature(chart, _probe_point(chart))
+    except EvalDomainError as err:
+        # Name the first tree, in the order the probe evaluates them, that
+        # fails alone at the failing point.
+        named = [(f"domain.exclusions[{k}].expr", exc.expr)
+                 for k, exc in enumerate(exclusions)]
+        named += [(f"metric.{i + 1},{j + 1}", metric[i][j])
+                  for i in range(n) for j in range(i, n)]
+        for path, tree in named:
+            try:
+                eval_batch((tree,), [err.coords], params)
+            except EvalDomainError:
+                raise ChartError.at(path, str(err)) from None
+        raise
     return chart
 
 

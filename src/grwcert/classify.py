@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -35,7 +36,7 @@ LADDER_NAMES = (
     "gamma-aligned",
 )
 
-# Gauss-Legendre nodes per panel and coarse panel count of the staircase
+# Gauss-Legendre nodes per panel and coarse panel count of the potential
 # quadrature; the refinement pass doubles the panels.
 QUAD_ORDER = 8
 QUAD_PANELS = 4
@@ -319,64 +320,70 @@ def torse_decompose(nabla_u: np.ndarray, u: np.ndarray, g: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Potential reconstruction: axis-aligned staircase line integral.
+# Potential reconstruction: line integrals along straight segments.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(nodes), tuple(weights)
+    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch: the
+    eigenvalues of the Legendre recurrence's Jacobi matrix, and twice the
+    squared first components of its unit eigenvectors."""
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False   # cached
+    return nodes, weights
 
 
-def _staircase(integrand, base, target, axis_order, quad_order, panels) -> float:
-    """Composite Gauss-Legendre along one staircase ordering.
-
-    Each leg's ``panels * quad_order`` nodes go to the integrand in one
-    (N, n) call; the weighted terms are then summed node by node in path
-    order, so the value does not depend on the batching.
-    """
-    total = 0.0
-    current = np.asarray(base, dtype=float).copy()
-    target = np.asarray(target, dtype=float)
+def _leg(start, end, quad_order, panels):
+    """Rows and weights of composite Gauss-Legendre on the segment
+    start + s (end - start), s in [0, 1], in path order."""
     nodes, weights = _leggauss(quad_order)
-    for axis in axis_order:
-        a, b = current[axis], target[axis]
-        if a != b:
-            coords, scales = [], []
-            for panel in range(panels):
-                lo = a + (b - a) * panel / panels
-                hi = a + (b - a) * (panel + 1) / panels
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                coords.extend(mid + half * node for node in nodes)
-                scales.extend(weight * half for weight in weights)
-            leg = np.tile(current, (len(coords), 1))
-            leg[:, axis] = coords
-            for scale, value in zip(scales, integrand(leg)[:, axis].tolist()):
-                total += scale * value
-        current[axis] = b
-    return float(total)
+    half = 0.5 / panels
+    mid = (np.arange(panels) + 0.5) / panels
+    s = (mid[:, None] + half * nodes).ravel()
+    return start + s[:, None] * (end - start), np.tile(half * weights, panels)
 
 
 @dataclass
 class PotentialResult:
     value: float
-    path_defect: float         # ascending vs descending staircase orderings
-    refinement_error: float    # panel-doubling change on the ascending path
+    path_defect: float         # segment vs the path through the corner
+    refinement_error: float    # panel-doubling change on the segment
 
 
 def _integrate_form(integrand, n, base, target, quad_order, panels,
                     refine_tol=1e-8) -> PotentialResult:
-    ascending = tuple(range(n))
-    descending = tuple(reversed(ascending))
-    coarse = _staircase(integrand, base, target, ascending, quad_order, panels)
-    fine = _staircase(integrand, base, target, ascending, quad_order, 2 * panels)
+    """Integrate a closed 1-form along the segment from ``base`` to
+    ``target`` (the range box is convex), at ``panels`` and twice as many
+    panels, and along the path through the corner (target time, base
+    space) without its zero-length legs, for ``path_defect``. All rows go
+    to the integrand in one call; a node's term is its weight times the
+    in-order sum of form_k (end - start)_k, and each path sums its terms
+    in order."""
+    base = np.asarray(base, dtype=float)
+    target = np.asarray(target, dtype=float)
+    corner = np.concatenate((target[:1], base[1:]))
+    legs = [(base, target, panels), (base, target, 2 * panels)] + [
+        (a, b, 2 * panels) for a, b in ((base, corner), (corner, target))
+        if np.any(a != b)]
+    rows, weights = zip(*(_leg(a, b, quad_order, p) for a, b, p in legs))
+    values = integrand(np.concatenate(rows))
+    steps = np.repeat([b - a for a, b, _ in legs],
+                      [len(w) for w in weights], axis=0)
+    dots = values[:, 0] * steps[:, 0]
+    for k in range(1, n):
+        dots = dots + values[:, k] * steps[:, k]
+    terms = (np.concatenate(weights) * dots).tolist()
+    m = quad_order * panels
+    coarse, fine, other = (reduce(add, terms[i:j], 0.0) for i, j in
+                           ((0, m), (m, 3 * m), (3 * m, len(terms))))
     drift = abs(fine - coarse)
     if drift > refine_tol * (1.0 + abs(fine)):
         raise QuadratureError(
-            f"staircase quadrature did not converge (panel doubling moved "
+            f"segment quadrature did not converge (panel doubling moved "
             f"the value by {drift:.3e})")
-    other = _staircase(integrand, base, target, descending, quad_order,
-                       2 * panels)
     return PotentialResult(value=fine, path_defect=abs(fine - other),
                            refinement_error=drift)
 
@@ -384,18 +391,15 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
 def reconstruct_potential(chart: MetricChart, field: VectorField, basepoint,
                           point: ChartPoint, *,
                           closed_tol: float = 1e-6) -> PotentialResult:
-    """Line-integrate a closed covariant field from basepoint to point.
-
-    The path is the axis-aligned staircase taking coordinates in ascending
-    order; the defect against the descending ordering is always reported.
-    """
+    """Line-integrate a closed covariant field from basepoint to point
+    along the straight segment; the defect against the path through the
+    corner is always reported."""
     resid = closedness_residual(chart, field, point)
     if resid > closed_tol:
         raise NotClosedError(
             f"form is not closed (curl residual {resid:.3e} > {closed_tol})")
     return _integrate_form(_field_integrand(chart, field), chart.n,
-                           np.asarray(basepoint, dtype=float), point.array(),
-                           QUAD_ORDER, QUAD_PANELS)
+                           basepoint, point.array(), QUAD_ORDER, QUAD_PANELS)
 
 
 def _field_integrand(chart: MetricChart, field: VectorField):

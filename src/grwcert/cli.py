@@ -47,7 +47,14 @@ def _config_from_args(args, checks=None) -> RunConfig:
         checks = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     basepoint = None
     if args.basepoint:
-        basepoint = tuple(float(v) for v in args.basepoint.split(","))
+        basepoint = []
+        for k, text in enumerate(args.basepoint.split(",")):
+            try:
+                basepoint.append(float(text))
+            except ValueError:
+                raise ValueError(f"--basepoint: entry {k + 1}, {text!r}, is "
+                                 f"not a number") from None
+        basepoint = tuple(basepoint)
     return RunConfig(points=args.points, seed=args.seed,
                      hypothesis_tol=hyp, conclusion_tol=conc,
                      cluster_tol=args.cluster_tol, kappa=args.kappa,

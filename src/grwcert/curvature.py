@@ -28,15 +28,6 @@ from .chart import ChartPoint, MetricChart, VectorField
 from .expr import eval_jet3, eval_jet3_batch
 from .jets import TensorJet, contract, leibniz_level
 
-# div-Weyl / Cotton proportionality, one constant per dimension, determined
-# by a dev-time oracle run on non-conformally-flat metrics and then asserted
-# across the whole catalog (tests/test_curvature.py). In this module's slot
-# convention the combination carrying the (j,k) antisymmetry is
-#   cotton[j,k,l] = nabla_j R_{kl} - nabla_k R_{jl}
-#                   - (g_{kl} d_j R - g_{jl} d_k R) / (2(n-1)).
-COTTON_COEFF = {3: 0.0, 4: -0.5, 5: -2.0 / 3.0, 6: -0.75, 7: -0.8, 8: -5.0 / 6.0}
-
-
 def scale_free(residual, *references) -> float:
     """max-abs of residual over (1 + max-abs of the dominant inputs)."""
     r = float(np.max(np.abs(residual))) if np.size(residual) else 0.0
@@ -259,15 +250,6 @@ def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
     return nabla, dnabla
 
 
-def cotton_combination(cp: CurvaturePoint) -> np.ndarray:
-    """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl."""
-    n = cp.n
-    grad_term = np.einsum("kl,j->jkl", cp.g, cp.drs) - np.einsum(
-        "jl,k->jkl", cp.g, cp.drs)
-    return (np.einsum("jkl->jkl", cp.dricci) - np.einsum("kjl->jkl", cp.dricci)
-            - grad_term / (2.0 * (n - 1)))
-
-
 def first_bianchi_residual(cp: CurvaturePoint) -> float:
     cyc = (cp.riem + np.einsum("kljm->jklm", cp.riem)
            + np.einsum("ljkm->jklm", cp.riem))
@@ -285,19 +267,3 @@ def weyl_trace_residual(cp: CurvaturePoint) -> float:
         np.einsum("lm,jklm->jk", cp.g_inv, cp.weyl),
     ]
     return max(scale_free(t, cp.weyl) for t in traces)
-
-
-def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:
-    """Cyclic covariant derivative of the lowered Riemann tensor."""
-    cp = curvature_at(chart, point)
-    low = np.einsum("jklm,mp->jklp", cp.riem, cp.g)
-    dlow = (np.einsum("ajklm,mp->ajklp", cp.driem, cp.g)
-            + np.einsum("jklm,amp->ajklp", cp.riem, cp.dg))
-    nabla = (dlow
-             - np.einsum("baj,bklp->ajklp", cp.gamma, low)
-             - np.einsum("bak,jblp->ajklp", cp.gamma, low)
-             - np.einsum("bal,jkbp->ajklp", cp.gamma, low)
-             - np.einsum("bap,jklb->ajklp", cp.gamma, low))
-    cyc = (nabla + np.einsum("jkalp->ajklp", nabla)
-           + np.einsum("kajlp->ajklp", nabla))
-    return scale_free(cyc, nabla)

@@ -29,6 +29,10 @@ from .jets import (MAX_ORDER, TensorJet, jet_tables, pair_count,
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
+# Parentheses, calls and unary minus open at most this many levels at once,
+# and no tree is deeper: the parser and the tree walkers recurse.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax error, reported with the byte offset of the offending token."""
@@ -164,6 +168,8 @@ class _Parser:
         self.pos = 0
         self.coords = {name: i for i, name in enumerate(coords)}
         self.params = set(params)
+        self.level = 0
+        self.depths: dict[Expr, int] = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -179,6 +185,24 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", offset)
         return self.advance()
 
+    def nested(self, offset: int, parse):
+        """``parse()`` one level deeper."""
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
+        node = parse()
+        self.level -= 1
+        return node
+
+    def built(self, node: Expr) -> Expr:
+        """A new inner node, at most ``MAX_NESTING`` levels deep."""
+        depth = 1 + max(self.depths.get(kid, 1) for kid in _children(node))
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             node.offset)
+        self.depths[node] = depth
+        return node
+
     def parse(self) -> Expr:
         node = self.expression()
         kind, text, offset = self.peek()
@@ -192,7 +216,7 @@ class _Parser:
             kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = Binary(text, node, self.term(), offset)
+                node = self.built(Binary(text, node, self.term(), offset))
             else:
                 return node
 
@@ -202,7 +226,7 @@ class _Parser:
             kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = Binary(text, node, self.unary(), offset)
+                node = self.built(Binary(text, node, self.unary(), offset))
             else:
                 return node
 
@@ -210,7 +234,8 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.unary(), offset)
+            return self.built(Unary("neg", self.nested(offset, self.unary),
+                                    offset))
         return self.power()
 
     def power(self) -> Expr:
@@ -231,7 +256,7 @@ class _Parser:
                 if isinstance(folded, complex) or not math.isfinite(folded):
                     raise ParseError("exponent is not a finite real number",
                                      _node_offset(exponent_node))
-                node = Power(node, folded, offset)
+                node = self.built(Power(node, folded, offset))
             else:
                 return node
 
@@ -239,7 +264,8 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.exponent_atom(), offset)
+            return self.built(Unary(
+                "neg", self.nested(offset, self.exponent_atom), offset))
         return self.atom()
 
     def atom(self) -> Expr:
@@ -249,18 +275,18 @@ class _Parser:
                 raise ParseError(f"literal {text!r} is not finite", offset)
             return Const(float(text), offset)
         if kind == "op" and text == "(":
-            node = self.expression()
+            node = self.nested(offset, self.expression)
             self.expect_op(")")
             return node
         if kind == "ident":
             next_kind, next_text, _ = self.peek()
             if next_kind == "op" and next_text == "(":
                 self.advance()
-                arg = self.expression()
+                arg = self.nested(offset, self.expression)
                 self.expect_op(")")
                 if text not in FUNCTIONS:
                     raise UnknownSymbolError(text, offset)
-                return Unary(text, arg, offset)
+                return self.built(Unary(text, arg, offset))
             if text in self.coords:
                 return Coord(text, self.coords[text], offset)
             if text in self.params:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 REPORT_SCHEMA_VERSION = 1
@@ -80,21 +80,7 @@ def report_to_dict(report: CertificationReport) -> dict:
         "metric": report.metric_name,
         "environment": report.environment,
         "verdict": report.verdict,
-        "checks": [
-            {
-                "name": r.name,
-                "group": r.group,
-                "anchor": r.anchor,
-                "status": r.status,
-                "required": r.required,
-                "max_residual": r.max_residual,
-                "tolerance": r.tolerance,
-                "ok": r.ok,
-                "skipped_reason": r.skipped_reason,
-                "detail": r.detail,
-            }
-            for r in report.checks
-        ],
+        "checks": [asdict(r) for r in report.checks],
     }
 
 

@@ -13,6 +13,9 @@ from typing import Mapping
 
 import numpy as np
 
+from grwcert.chart import ChartPoint, MetricChart
+from grwcert.classify import _leggauss
+from grwcert.curvature import CurvaturePoint, curvature_at, scale_free
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
                           Power, Unary)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
@@ -243,10 +246,11 @@ H3_SCALAR = -6.0
 
 
 # ---------------------------------------------------------------------------
-# Per-node staircase quadrature: one integrand call per Gauss node, the
-# loop the engine ran before it batched each path leg. Integrands take one
-# coordinate vector; omega_per_node evaluates full order-3 metric and
-# velocity jets there, as that loop's integrand did.
+# Per-node path quadrature: one integrand call per Gauss node. Integrands
+# take one coordinate vector; omega_per_node evaluates full order-3 metric
+# and velocity jets there. segment_per_node repeats the engine's arithmetic
+# node by node on its Gauss nodes; staircase_per_node, the axis-aligned
+# staircase on numpy's Gauss nodes, is an independent path.
 # ---------------------------------------------------------------------------
 
 def staircase_per_node(integrand, base, target, axis_order, quad_order, panels):
@@ -269,16 +273,38 @@ def staircase_per_node(integrand, base, target, axis_order, quad_order, panels):
     return float(total)
 
 
+def segment_per_node(integrand, legs, quad_order, panels):
+    """Composite Gauss-Legendre along the segments (start, end) of
+    ``legs`` in turn, each parametrized by s in [0, 1]."""
+    total = 0.0
+    nodes, weights = _leggauss(quad_order)
+    for start, end in legs:
+        step = end - start
+        half = 0.5 / panels
+        for panel in range(panels):
+            mid = (panel + 0.5) / panels
+            for node, weight in zip(nodes, weights):
+                value = integrand(start + (mid + half * node) * step)
+                dot = value[0] * step[0]
+                for k in range(1, len(step)):
+                    dot = dot + value[k] * step[k]
+                total += half * weight * dot
+    return float(total)
+
+
 def integrate_per_node(integrand, n, base, target, quad_order=8, panels=4):
-    """(value, path_defect, refinement_error) of the engine's rule: coarse
-    and panel-doubled ascending staircases, then the descending one."""
-    ascending = tuple(range(n))
-    coarse = staircase_per_node(integrand, base, target, ascending,
-                                quad_order, panels)
-    fine = staircase_per_node(integrand, base, target, ascending,
-                              quad_order, 2 * panels)
-    other = staircase_per_node(integrand, base, target, ascending[::-1],
-                               quad_order, 2 * panels)
+    """(value, path_defect, refinement_error) of the engine's rule: the
+    segment at ``panels`` and twice as many panels, then the path through
+    the corner (target time, base space) without its zero-length legs."""
+    base = np.asarray(base, dtype=float)
+    target = np.asarray(target, dtype=float)
+    corner = np.concatenate((target[:1], base[1:]))
+    segment = [(base, target)]
+    coarse = segment_per_node(integrand, segment, quad_order, panels)
+    fine = segment_per_node(integrand, segment, quad_order, 2 * panels)
+    other = segment_per_node(
+        integrand, [(a, b) for a, b in ((base, corner), (corner, target))
+                    if np.any(a != b)], quad_order, 2 * panels)
     return fine, abs(fine - other), abs(fine - coarse)
 
 
@@ -861,3 +887,42 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
                 f"base {base!r} not positive for non-integer exponent {e!r}")
         return base ** e
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Curvature identities the report does not carry: the second Bianchi
+# identity, and the div-Weyl / Cotton proportionality.
+# ---------------------------------------------------------------------------
+
+# div-Weyl / Cotton proportionality, one constant per dimension, determined
+# by a dev-time oracle run on non-conformally-flat metrics and then asserted
+# across the whole catalog (tests/test_curvature.py). In the engine's slot
+# convention the combination carrying the (j,k) antisymmetry is
+#   cotton[j,k,l] = nabla_j R_{kl} - nabla_k R_{jl}
+#                   - (g_{kl} d_j R - g_{jl} d_k R) / (2(n-1)).
+COTTON_COEFF = {3: 0.0, 4: -0.5, 5: -2.0 / 3.0, 6: -0.75, 7: -0.8, 8: -5.0 / 6.0}
+
+
+def cotton_combination(cp: CurvaturePoint) -> np.ndarray:
+    """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl."""
+    n = cp.n
+    grad_term = np.einsum("kl,j->jkl", cp.g, cp.drs) - np.einsum(
+        "jl,k->jkl", cp.g, cp.drs)
+    return (np.einsum("jkl->jkl", cp.dricci) - np.einsum("kjl->jkl", cp.dricci)
+            - grad_term / (2.0 * (n - 1)))
+
+
+def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:
+    """Cyclic covariant derivative of the lowered Riemann tensor."""
+    cp = curvature_at(chart, point)
+    low = np.einsum("jklm,mp->jklp", cp.riem, cp.g)
+    dlow = (np.einsum("ajklm,mp->ajklp", cp.driem, cp.g)
+            + np.einsum("jklm,amp->ajklp", cp.riem, cp.dg))
+    nabla = (dlow
+             - np.einsum("baj,bklp->ajklp", cp.gamma, low)
+             - np.einsum("bak,jblp->ajklp", cp.gamma, low)
+             - np.einsum("bal,jkbp->ajklp", cp.gamma, low)
+             - np.einsum("bap,jklb->ajklp", cp.gamma, low))
+    cyc = (nabla + np.einsum("jkalp->ajklp", nabla)
+           + np.einsum("kajlp->ajklp", nabla))
+    return scale_free(cyc, nabla)

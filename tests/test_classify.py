@@ -7,19 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
-from grwcert.classify import (NotClosedError, OrientationTieError,
+from grwcert.classify import (QUAD_ORDER, QUAD_PANELS, NotClosedError,
+                              OrientationTieError,
                               SpacelikeAnomalyError, VelocityAnalysis,
                               chen_check, check_closed, check_geodesic,
                               fluid_decompose, identity_ladder,
                               reconstruct_potential, soliton_form_check, torse_decompose,
                               weyl_electric_check, _field_integrand,
-                              _integrate_form, _omega_integrand)
+                              _integrate_form, _leggauss, _omega_integrand)
 from grwcert.curvature import curvature_at
 from grwcert.expr import EvalDomainError, parse
 from grwcert.grw import catalog_get
 
 from .oracles import (eval_value, friedmann_scalars, integrate_per_node,
-                      omega_per_node)
+                      omega_per_node, staircase_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -327,22 +328,27 @@ def dense_pullback_chart(seed=5):
 
 
 class TestBatchedQuadrature:
-    """One integrand call per path leg gives the per-node rule's numbers
+    """One integrand call per potential gives the per-node rule's numbers
     exactly, and its errors."""
 
-    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere",
-                                      "dense-pullback"])
-    def test_matches_per_node_oracle(self, name):
+    CHARTS = ["frw-dust", "grw5-sphere", "dense-pullback"]
+
+    @staticmethod
+    def integrands(name):
         chart = (dense_pullback_chart() if name == "dense-pullback"
                  else catalog_get(name).chart)
         field = chart.velocity
-        integrands = (
+        return chart, (
             (_omega_integrand(chart, field),
              lambda x: omega_per_node(chart, field, x)),
             (_field_integrand(chart, field),
              lambda x: [eval_value(c, tuple(x), chart.params)
                         for c in field.components]),
         )
+
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_matches_per_node_oracle(self, name):
+        chart, integrands = self.integrands(name)
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
             for batched, per_node in integrands:
@@ -350,8 +356,44 @@ class TestBatchedQuadrature:
                 assert (got.value, got.path_defect, got.refinement_error) \
                     == integrate_per_node(per_node, chart.n, base, p.array())
 
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_segment_matches_staircase(self, name):
+        # An independent path on numpy's Gauss nodes: the descending
+        # staircase, one integrand row per node.
+        chart, integrands = self.integrands(name)
+        base = np.asarray(chart.basepoint)
+        for p in sample_points(chart, 2, seed=4):
+            for batched, _ in integrands:
+                sigma = _integrate_form(batched, chart.n, base, p.array(),
+                                        QUAD_ORDER, QUAD_PANELS).value
+                stair = staircase_per_node(
+                    lambda x: batched(x[None])[0], base, p.array(),
+                    tuple(reversed(range(chart.n))), QUAD_ORDER,
+                    2 * QUAD_PANELS)
+                assert abs(sigma - stair) <= 1e-12 * (1.0 + abs(sigma))
+
+    def test_gauss_nodes_match_numpy(self):
+        nodes, weights = _leggauss(QUAD_ORDER)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - want_weights)) <= 1e-15
+
+    def test_one_integrand_call_per_potential(self, frw_dust):
+        # Coarse and fine segment, then both legs of the corner path.
+        calls = []
+        integrand = _field_integrand(frw_dust, frw_dust.velocity)
+
+        def counted(x):
+            calls.append(x.shape)
+            return integrand(x)
+
+        target = sample_points(frw_dust, 1, seed=0)[0].array()
+        _integrate_form(counted, 4, frw_dust.basepoint, target, QUAD_ORDER,
+                        QUAD_PANELS)
+        assert calls == [(7 * QUAD_ORDER * QUAD_PANELS, 4)]
+
     def test_bad_path_keeps_per_node_error(self):
-        # Sampled points avoid t <= 0.5, but the staircase from the
+        # Sampled points avoid t <= 0.5, but the segment from the
         # basepoint at t = 0.1 crosses sqrt's domain edge at t = 0.2.
         chart = compile_chart(ChartInput(
             name="frw-dust-sqrt", dimension=4, signature="lorentzian",
@@ -376,7 +418,7 @@ class TestBatchedQuadrature:
         report = run_certify(chart, RunConfig(points=1, seed=0))
         chen = next(r for r in report.checks if r.name == "chen-vector")
         assert chen.detail["error"] == (
-            f"point 0: staircase from basepoint: {per_node.value}")
+            f"point 0: path from basepoint: {per_node.value}")
 
 
 class TestChen:

@@ -344,9 +344,9 @@ class TestReports:
                 f"positive at point {index}, coordinates {coords}\n")
             assert not json_path.exists()
 
-    def test_overflow_on_the_staircase_is_a_point_error(self):
+    def test_overflow_on_the_path_is_a_point_error(self):
         # Sampled points keep x < 1, where exp(700*x) is finite; the
-        # staircase starts at the basepoint's x = 1.05, where it overflows.
+        # path starts at the basepoint's x = 1.05, where it overflows.
         spec = json.loads(json.dumps(FRW_DUST_SPEC))
         spec["metric"]["2,2"] = "1 + 0*exp(700*x)"
         spec["domain"]["ranges"]["x"] = [-1, 1.1]
@@ -354,7 +354,7 @@ class TestReports:
         spec["basepoint"] = [1, 1.05, 0, 0]
         report = run_certify(spec, RunConfig(points=3))
         assert report.find("chen-vector").detail["error"] == (
-            "point 0: staircase from basepoint: exp at offset 6: "
+            "point 0: path from basepoint: exp at offset 6: "
             "math range error")
         # theta integrates u alone, which has no exp.
         soliton = report.find("soliton-form")
@@ -470,10 +470,43 @@ class TestCliCommands:
         ("1,0", "basepoint must have 4 entries"),
         ("1,0,0,5", "basepoint[z] = 5.0 outside range [-1.0, 1.0]"),
         ("1,0,0,nan", "basepoint[z] = nan outside range [-1.0, 1.0]"),
+        ("1,0,0,abc", "--basepoint: entry 4, 'abc', is not a number"),
     ])
     def test_bad_basepoint_exit_two(self, capsys, basepoint, message):
         assert main(["catalog", "run", "frw-dust", "--points", "3",
                      "--basepoint", basepoint]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, offset", [
+        ("t" + "+t" * 1500, 199), ("(" * 400 + "t" + ")" * 400, 100)],
+        ids=["long-chain", "deep-parentheses"])
+    def test_deep_expression_exit_two(self, tmp_path, capsys, text, offset):
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["metric"]["2,2"] = text
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(spec))
+        assert main(["certify", str(path), "--points", "2", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: metric.2,2: syntax error at offset {offset}: nesting "
+            f"deeper than 100 levels\n")
+
+    @pytest.mark.parametrize("field, message", [
+        ("metric", "metric.2,2: sqrt at offset 0: argument -1.5 is not "
+                   "positive"),
+        ("exclusion", "domain.exclusions[1].expr: ln at offset 0: "
+                      "argument -3.5 is not positive")])
+    def test_probe_point_domain_error_names_field(self, tmp_path, capsys,
+                                                  field, message):
+        # The probe point is the middle of the range box, t = 1.5.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        if field == "metric":
+            spec["metric"]["2,2"] = "sqrt(-t)"
+        else:
+            spec["domain"]["exclusions"] = [{"expr": "t", "margin": 0},
+                                            {"expr": "ln(t - 5)", "margin": 0}]
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(spec))
+        assert main(["certify", str(path), "--points", "2", "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tol_flag_applies(self, spec_file):

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
-from grwcert.curvature import (COTTON_COEFF, CurvaturePoint, JetStack,
-                               SingularMetricError,
-                               cotton_combination, curvature_at,
-                               first_bianchi_residual, grad_vector_at,
-                               scale_free, second_bianchi_residual,
+from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
+                               curvature_at, first_bianchi_residual,
+                               grad_vector_at, scale_free,
                                weyl_trace_residual)
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.jets import jet_tables
 
-from .oracles import (desitter_ricci, per_component_curvature,
+from .oracles import (COTTON_COEFF, cotton_combination, desitter_ricci,
+                      per_component_curvature, second_bianchi_residual,
                       sphere2_curvature, warped_flat_curvature,
                       warped_nabla_u)
 from .test_classify import dense_pullback_chart

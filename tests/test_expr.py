@@ -96,6 +96,27 @@ class TestGrammar:
         assert err.value.offset == offset
         assert "exponent is not a finite real number" in str(err.value)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("t" + "+t" * 1500, 199), ("(" * 400 + "t" + ")" * 400, 100),
+        ("-" * 400 + "t", 100), ("exp(" * 150 + "t" + ")" * 150, 400),
+        ("t^(" + "1+" * 300 + "1)", 202)],
+        ids=["chain", "parentheses", "minus", "calls", "exponent"])
+    def test_nesting_past_the_limit_rejected(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse(text, ["t"])
+        assert err.value.offset == offset
+        assert f"nesting deeper than {expr.MAX_NESTING} levels" \
+            in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "t" + "+t" * 99, "(" * 100 + "t" + ")" * 100,
+        "sin(" * 99 + "t" + ")" * 99])
+    def test_nesting_at_the_limit_evaluates(self, text):
+        tree = parse(text, ["t"])
+        assert depth(tree) <= expr.MAX_NESTING
+        levels = eval_jet3_batch([tree], [[0.5]], {})
+        assert np.isfinite(levels[0]).all()
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError) as err:
             parse("t )", ["t"])

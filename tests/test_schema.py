@@ -214,12 +214,13 @@ class TestExpressionOverflow:
 
     def test_pow_overflow_reads_plainly(self, tmp_path, capsys):
         # math.pow's OverflowError carries an errno tuple; the detail is
-        # the one exp's overflow gives.
+        # the one exp's overflow gives. It fails at the probe point, so the
+        # message names the component.
         path = write(tmp_path / "pow.json",
                      mutated(("metric", "2,2"), "t^(4/3) + 0*(2^2000)"))
         assert main(["certify", path, "--points", "2"]) == 2
         assert capsys.readouterr().err == (
-            "error: pow at offset 14: math range error\n")
+            "error: metric.2,2: pow at offset 14: math range error\n")
 
 
 # A bounded fuzz over spec files: one or two fields of FRW_DUST_SPEC take
