@@ -121,13 +121,18 @@ class MetricChart:
 
     def in_domain(self, point: ChartPoint) -> bool:
         """Inside every range and above every exclusion margin; the
-        exclusions are evaluated in order, up to the first one that fails."""
+        exclusions are evaluated in order, up to the first one that fails.
+        An exclusion undefined at the point is a ChartError naming it."""
         for x, (lo, hi) in zip(point.coords, self.ranges):
             if not (lo <= x <= hi):
                 return False
-        for exc in self.exclusions:
-            if eval_batch((exc.expr,), [point.coords],
-                          self.params)[0, 0] <= exc.margin:
+        for k, exc in enumerate(self.exclusions):
+            try:
+                value = eval_batch((exc.expr,), [point.coords], self.params)
+            except EvalDomainError as err:
+                raise ChartError.at(f"domain.exclusions[{k}].expr",
+                                    str(err)) from None
+            if value[0, 0] <= exc.margin:
                 return False
         return True
 
@@ -264,17 +269,15 @@ def compile_chart(spec: ChartInput) -> MetricChart:
     try:
         validate_signature(chart, _probe_point(chart))
     except EvalDomainError as err:
-        # Name the first tree, in the order the probe evaluates them, that
-        # fails alone at the failing point.
-        named = [(f"domain.exclusions[{k}].expr", exc.expr)
-                 for k, exc in enumerate(exclusions)]
-        named += [(f"metric.{i + 1},{j + 1}", metric[i][j])
-                  for i in range(n) for j in range(i, n)]
-        for path, tree in named:
-            try:
-                eval_batch((tree,), [err.coords], params)
-            except EvalDomainError:
-                raise ChartError.at(path, str(err)) from None
+        # in_domain names an exclusion undefined at the probe point; name
+        # the first metric component that fails alone at the failing point.
+        for i in range(n):
+            for j in range(i, n):
+                try:
+                    eval_batch((metric[i][j],), [err.coords], params)
+                except EvalDomainError:
+                    raise ChartError.at(f"metric.{i + 1},{j + 1}",
+                                        str(err)) from None
         raise
     return chart
 
@@ -361,6 +364,13 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
         except (ArithmeticError, ValueError):
             # An exclusion may be undefined where an earlier one already
             # rejects the candidate: test them in order, one by one.
-            keep = [chart.in_domain(p) for p in candidates]
+            keep = []
+            for p in candidates:
+                try:
+                    keep.append(chart.in_domain(p))
+                except ChartError as err:
+                    coords = tuple(float(x) for x in p.coords)
+                    raise ChartError(err.path, f"{err} at sample candidate "
+                                               f"{coords}") from None
         points += [p for p, ok in zip(candidates, keep) if ok]
     return points

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import JetStack, scale_free
-from .expr import Expr, eval_batch, eval_jet3
+from .expr import eval_batch, eval_jet3
 from .jets import TensorJet, contract
 
 LADDER_NAMES = (
@@ -221,14 +221,10 @@ class VelocityAnalysis:
     """Ties a covariant velocity field to the curvature stack."""
 
     def __init__(self, chart: MetricChart, field: VectorField | None = None,
-                 *, kappa: float = 1.0,
-                 perturb_b: Expr | None = None,
-                 perturb_p: Expr | None = None):
+                 *, kappa: float = 1.0):
         self.chart = chart
         self.field = field if field is not None else chart.velocity
         self.kappa = float(kappa)
-        self.perturb_b = perturb_b
-        self.perturb_p = perturb_p
 
     def at(self, point: ChartPoint, stack: JetStack | None = None) -> FieldPoint:
         chart = self.chart
@@ -248,15 +244,9 @@ class VelocityAnalysis:
                        contract("i,j->ij", u_up, u_up))
         a_jet = (stack.rs + ruu) * (1.0 / (n - 1))
         b_jet = ruu + a_jet
-        if self.perturb_b is not None:
-            b_jet = b_jet + eval_jet3((self.perturb_b,), point,
-                                      chart.params).at(0)
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * (1.0 / (2.0 * self.kappa))
         p_jet = b_jet * (1.0 / self.kappa) - mu_jet
-        if self.perturb_p is not None:
-            p_jet = p_jet + eval_jet3((self.perturb_p,), point,
-                                      chart.params).at(0)
         return FieldPoint(stack=stack, point=point, field=self.field,
                           u=u, u_up=u_up,
                           nabla=nabla, omega=omega, f_jet=f,
@@ -265,28 +255,9 @@ class VelocityAnalysis:
                           unit_residual=unit_residual)
 
 
-def closedness_residual(chart: MetricChart, field: VectorField,
-                        point: ChartPoint) -> float:
-    """Scale-free curl residual of a covariant field."""
-    return _curl_residual(
-        eval_jet3(field.components, point, chart.params).grad.T)
-
-
-def check_closed(chart: MetricChart, field: VectorField, points) -> float:
-    """Max residual of nabla_k u_j - nabla_j u_k over the points; for a
-    candidate gradient 1-form omega, the concircularity test."""
-    return max(closedness_residual(chart, field, p) for p in points)
-
-
 def geodesic_at(fp: FieldPoint) -> float:
     """Scale-free u^k nabla_k u_j at one point."""
     return scale_free(fp.accel, fp.nabla_u)
-
-
-def check_geodesic(chart: MetricChart, field: VectorField, points) -> float:
-    """Max residual of u^k nabla_k u_j over the points."""
-    analysis = VelocityAnalysis(chart, field)
-    return max((geodesic_at(analysis.at(p)) for p in points), default=0.0)
 
 
 @dataclass
@@ -388,20 +359,6 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
                            refinement_error=drift)
 
 
-def reconstruct_potential(chart: MetricChart, field: VectorField, basepoint,
-                          point: ChartPoint, *,
-                          closed_tol: float = 1e-6) -> PotentialResult:
-    """Line-integrate a closed covariant field from basepoint to point
-    along the straight segment; the defect against the path through the
-    corner is always reported."""
-    resid = closedness_residual(chart, field, point)
-    if resid > closed_tol:
-        raise NotClosedError(
-            f"form is not closed (curl residual {resid:.3e} > {closed_tol})")
-    return _integrate_form(_field_integrand(chart, field), chart.n,
-                           basepoint, point.array(), QUAD_ORDER, QUAD_PANELS)
-
-
 def _field_integrand(chart: MetricChart, field: VectorField):
     """Values of a covariant field at the rows of an (N, n) array."""
     return lambda x: eval_batch(field.components, x, chart.params)
@@ -454,17 +411,6 @@ class ChenPointData:
     grad_rho_norm: float
 
 
-@dataclass
-class ChenReport:
-    points: list
-    chen_residual: float
-    ckv_residual: float
-    omega_closed: float
-    path_defect: float
-    proper_count: int
-    homothetic_count: int
-
-
 def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
             branch_tol: float = 1e-7) -> ChenPointData:
     """The gradient laws at one point: sigma integrates the closed omega
@@ -474,34 +420,6 @@ def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
     pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
                           base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
     return _chen_point(fp, pot, branch_tol)
-
-
-def chen_check(chart: MetricChart, field: VectorField, basepoint, points, *,
-               closed_tol: float = 1e-6,
-               branch_tol: float = 1e-7) -> ChenReport:
-    """Rescale u by the reconstructed potential and test the gradient laws."""
-    analysis = VelocityAnalysis(chart, field)
-    base = np.asarray(basepoint, dtype=float)
-    data = [_at(chen_at, analysis.at(p), base, closed_tol=closed_tol,
-                branch_tol=branch_tol) for p in points]
-    return ChenReport(
-        points=data,
-        chen_residual=max(d.chen_residual for d in data),
-        ckv_residual=max(d.ckv_residual for d in data),
-        omega_closed=max(d.omega_closed for d in data),
-        path_defect=max(d.path_defect for d in data),
-        proper_count=sum(d.proper for d in data),
-        homothetic_count=sum(not d.proper for d in data),
-    )
-
-
-def _at(kernel, fp: FieldPoint, *args, **kwargs):
-    """A kernel's value for an adapter; a refusal names the point."""
-    try:
-        return kernel(fp, *args, **kwargs)
-    except NotClosedError as err:
-        coords = tuple(float(x) for x in fp.point.coords)
-        raise NotClosedError(f"at {coords}: {err}") from None
 
 
 def _chen_point(fp: FieldPoint, pot: PotentialResult,
@@ -546,15 +464,6 @@ def weyl_electric_check(cp, u_cov: np.ndarray) -> WeylElectricResult:
     return WeylElectricResult(
         electric_residual=scale_free(contracted, cp.weyl),
         weyl_norm=scale_free(cp.weyl, cp.riem))
-
-
-@dataclass
-class IdentityLadderReport:
-    residuals: dict
-    per_point: list
-
-    def worst(self) -> float:
-        return max(self.residuals.values())
 
 
 def ladder_residuals_at(fp: FieldPoint) -> dict:
@@ -611,24 +520,6 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     return out
 
 
-def identity_ladder(chart: MetricChart, field: VectorField, points, *,
-                    perturb_b: Expr | None = None) -> IdentityLadderReport:
-    analysis = VelocityAnalysis(chart, field, perturb_b=perturb_b)
-    per_point = [ladder_residuals_at(analysis.at(p)) for p in points]
-    residuals = {name: max(pp[name] for pp in per_point)
-                 for name in LADDER_NAMES}
-    return IdentityLadderReport(residuals=residuals, per_point=per_point)
-
-
-@dataclass
-class SolitonReport:
-    lam: list
-    eta: list
-    theta: list
-    residual: float
-    gradient_soliton: bool
-
-
 def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6):
     """(residual, lam, eta, theta) of the soliton form at one point, with
     theta integrating the closed u from the basepoint."""
@@ -637,23 +528,6 @@ def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6):
     pot = _integrate_form(_field_integrand(fp.stack.chart, fp.field), fp.n,
                           base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
     return _soliton_residual_at(fp) + (pot.value,)
-
-
-def soliton_form_check(chart: MetricChart, field: VectorField, basepoint,
-                       points, *, closed_tol: float = 1e-6) -> SolitonReport:
-    """Check Ricci + Hess(theta) - eta dtheta x dtheta = lam g with
-    lam = A + f, eta = B + f, theta the potential of the closed u.
-    ``gradient_soliton`` flags a constant lam and a vanishing eta (to 1e-7)."""
-    analysis = VelocityAnalysis(chart, field)
-    base = np.asarray(basepoint, dtype=float)
-    rows = [_at(soliton_at, analysis.at(p), base, closed_tol=closed_tol)
-            for p in points]
-    residuals, lams, etas, thetas = (list(col) for col in zip(*rows))
-    spread = max(lams) - min(lams)
-    gradient_soliton = spread < 1e-7 and max(abs(e) for e in etas) < 1e-7
-    return SolitonReport(lam=lams, eta=etas, theta=thetas,
-                         residual=max(residuals),
-                         gradient_soliton=gradient_soliton)
 
 
 def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:

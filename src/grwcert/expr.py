@@ -724,12 +724,6 @@ def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
     return _eval_levels(nodes, x, params, 0)[0]
 
 
-def eval_grad_batch(node: Expr, x, params: Mapping[str, float]):
-    """Value (N,) and gradient (N, n) of one tree at every row of ``x``."""
-    values, grads = eval_batch((node,), x, params, grad=True)
-    return values[:, 0], grads[:, 0]
-
-
 def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float]):
     """Order-3 jets of several trees at every row of ``x`` (shape (N, n)):
     value, gradient, packed Hessian and packed third level, of shapes

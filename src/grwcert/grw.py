@@ -11,9 +11,8 @@ import numpy as np
 
 from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     _parse_metric_key, compile_chart)
-from .classify import fluid_decompose
 from .curvature import curvature_at, scale_free
-from .expr import eval_batch, eval_jet3, parse
+from .expr import Expr, eval_batch, eval_jet3, parse
 
 # Resolution of the two candidate time-time Ricci rows for the warped
 # product: a hand-coded Christoffel assembly on q = t^2 (tests/oracles.py)
@@ -40,12 +39,6 @@ class WarpSpec:
 
     text: str
 
-    def jets(self, t: float, params=None):
-        """(q, q', q'', q''') at t."""
-        expr = parse(self.text, ("t",), tuple(params or ()))
-        jet = eval_jet3((expr,), (t,), params or {})    # one slot per level
-        return tuple(level.item() for level in jet.levels)
-
 
 @dataclass
 class FiberMetric:
@@ -65,19 +58,15 @@ class FiberMetric:
     def dim(self) -> int:
         return self.chart.n
 
-    def ricci_at(self, point: ChartPoint):
-        cp = curvature_at(self.chart, point)
-        return cp.g, cp.ricci, cp.rs
-
     def einstein_at(self, point: ChartPoint) -> tuple[float, float]:
         """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a point."""
-        g, ricci, rs = self.ricci_at(point)
-        return scale_free(ricci - (rs / self.dim) * g, ricci), rs
+        cp = curvature_at(self.chart, point)
+        return scale_free(cp.ricci - (cp.rs / self.dim) * cp.g, cp.ricci), cp.rs
 
 
 @dataclass
 class GRWStructure:
-    warp: WarpSpec
+    warp: Expr              # q(t), parsed once by build_grw
     fiber: FiberMetric
 
 
@@ -118,13 +107,8 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
         basepoint=basepoint,
     )
     chart = compile_chart(spec)
-    chart.grw = GRWStructure(warp=warp, fiber=fiber)
+    chart.grw = GRWStructure(warp=warp_expr, fiber=fiber)
     return chart
-
-
-def fiber_einstein_check(fiber: FiberMetric, points) -> float:
-    """Max residual of Ricci* - (R*/m) g* over fiber points (m = fiber dim)."""
-    return max((fiber.einstein_at(p)[0] for p in points), default=0.0)
 
 
 @dataclass
@@ -138,15 +122,6 @@ class ConverseRow:
     degenerate: bool = False
 
 
-@dataclass
-class ConverseReport:
-    rows: list
-    a_residual: float
-    b_residual: float | None
-    degenerate_points: int
-    resolution: str = RESOLUTION_NOTE
-
-
 def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
     """The warped-product formulas at one point, against the fluid
     decomposition ``dec`` of the chart's Ricci tensor when there is one.
@@ -157,7 +132,8 @@ def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
     fiber_residual, rstar = fiber.einstein_at(ChartPoint(point.coords[1:]))
-    q, qp, qpp, _ = warp.jets(point.coords[0], chart.params)
+    q, qp, qpp, _ = (level.item() for level in
+                     eval_jet3((warp,), point.coords[:1], chart.params).levels)
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
     b_formula = a_formula - (n - 1) * qpp / q
     row = ConverseRow(point=point, fiber_residual=fiber_residual,
@@ -168,24 +144,6 @@ def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
         if not dec.degenerate:
             row.b_residual = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
     return row
-
-
-def converse_check(chart: MetricChart, points, *,
-                   cluster_tol: float = 1e-6) -> ConverseReport:
-    """Compare the decomposed (A, B) against the warped-product formulas
-    (``converse_at``) at every point."""
-    if chart.grw is None:
-        raise GRWBuildError(f"{chart.name}: not a declared warped product")
-    rows = [converse_at(chart, p, fluid_decompose(curvature_at(chart, p),
-                                                  cluster_tol=cluster_tol))
-            for p in points]
-    b_residuals = [r.b_residual for r in rows if r.b_residual is not None]
-    return ConverseReport(
-        rows=rows,
-        a_residual=max(r.a_residual for r in rows),
-        b_residual=max(b_residuals) if b_residuals else None,
-        degenerate_points=sum(r.degenerate for r in rows),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Fluid variables from the geometric scalars and the equations of motion.
+"""The equations of motion, the equation of state and the homothetic
+triple, read off the fluid variables p and mu of a ``classify.FieldPoint``.
 
-Geometric units, c = 1. The coupling kappa only rescales pressure and
-energy density; it defaults to 1 and is configurable everywhere.
+Geometric units, c = 1. ``VelocityAnalysis`` forms p and mu from A and B
+with the coupling kappa, which only rescales them.
 """
 
 from __future__ import annotations
@@ -10,37 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import MetricChart, VectorField
-from .classify import FieldPoint, VelocityAnalysis
+from .classify import FieldPoint
 from .curvature import scale_free
-from .expr import Expr
-
-
-@dataclass
-class FluidState:
-    p: float
-    mu: float
-    kappa: float = 1.0
-    w: float | None = None
-
-
-def fluid_from_AB(a: float, b: float, kappa: float = 1.0,
-                  n: int = 4) -> FluidState:
-    """Invert A = kappa (p - mu)/(2 - n), B = kappa (p + mu)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if n < 4:
-        raise ValueError("dimension must be >= 4")
-    mu = ((n - 2) * a + b) / (2.0 * kappa)
-    p = b / kappa - mu
-    return FluidState(p=p, mu=mu, kappa=kappa)
-
-
-def AB_from_fluid(p: float, mu: float, kappa: float = 1.0,
-                  n: int = 4) -> tuple[float, float]:
-    a = kappa * (p - mu) / (2.0 - n)
-    b = kappa * (p + mu)
-    return a, b
 
 
 def motion_at(fp: FieldPoint) -> tuple[float, float]:
@@ -58,16 +30,6 @@ def motion_at(fp: FieldPoint) -> tuple[float, float]:
     force = p_plus_mu * fp.accel
     lhs2 = dp + fp.uv * float(fp.uupv @ dp) + force
     return r1, scale_free(lhs2, dp, force)
-
-
-def motion_residuals(chart: MetricChart, field: VectorField, points, *,
-                     kappa: float = 1.0,
-                     perturb_p: Expr | None = None) -> tuple[float, float]:
-    """Max over the points of the two ``motion_at`` residuals."""
-    analysis = VelocityAnalysis(chart, field, kappa=kappa, perturb_p=perturb_p)
-    rows = [motion_at(analysis.at(p)) for p in points]
-    return (max((r1 for r1, _ in rows), default=0.0),
-            max((r2 for _, r2 in rows), default=0.0))
 
 
 @dataclass

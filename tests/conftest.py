@@ -10,6 +10,12 @@ from grwcert.grw import catalog_get
 ACCEPTANCE_CONFIG = RunConfig(points=50, seed=0)
 
 
+def certified(chart, count, seed, *groups):
+    """The report of ``count`` sample points at ``seed``, on these groups."""
+    return run_certify(chart, RunConfig(points=count, seed=seed,
+                                        checks=groups))
+
+
 @pytest.fixture(scope="session")
 def catalog_report():
     cache = {}

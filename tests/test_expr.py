@@ -6,8 +6,7 @@ from grwcert import expr
 from grwcert.chart import ChartPoint
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, Unary, UnknownSymbolError,
-                          depth, eval_batch, eval_grad_batch, eval_jet3_batch,
-                          parse)
+                          depth, eval_batch, eval_jet3_batch, parse)
 from grwcert.jets import TensorJet
 
 from .oracles import eval_jet3, eval_value
@@ -250,13 +249,14 @@ class TestBatchEvaluation:
     @given(tree=expr_trees, rows=row_arrays)
     def test_grad_batch_matches_eval_jet3(self, tree, rows):
         expected = _per_row(eval_jet3, tree, rows)
-        call = lambda: eval_grad_batch(tree, np.array(rows), BATCH_PARAMS)
+        call = lambda: eval_batch((tree,), np.array(rows), BATCH_PARAMS,
+                                  grad=True)
         if isinstance(expected, EvalDomainError):
             _assert_same_error(expected, call)
             return
         values, grads = call()
-        assert _same(values, [jet.value for jet in expected])
-        assert _same(grads, [jet.grad for jet in expected])
+        assert _same(values[:, 0], [jet.value for jet in expected])
+        assert _same(grads[:, 0], [jet.grad for jet in expected])
 
     @settings(max_examples=400, deadline=None)
     @given(tree=expr_trees, rows=row_arrays)
@@ -290,7 +290,8 @@ class TestBatchEvaluation:
         # catches a batch path that uses them.
         tree = parse(text, ["t"])
         rows = np.linspace(0.05, 3.0, 1500)[:, None]
-        values, grads = eval_grad_batch(tree, rows, {})
+        values, grads = (a[:, 0] for a in
+                         eval_batch((tree,), rows, {}, grad=True))
         jets = [eval_jet3(tree, row, {}) for row in rows.tolist()]
         assert _same(values, [jet.value for jet in jets])
         assert _same(grads[:, 0], [jet.grad[0] for jet in jets])
@@ -303,7 +304,7 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as scalar:
             eval_jet3(tree, rows[2].tolist(), {})
         _assert_same_error(scalar.value,
-                           lambda: eval_grad_batch(tree, rows, {}))
+                           lambda: eval_batch((tree,), rows, {}, grad=True))
         assert str(scalar.value) == (
             f"sqrt at offset 6: argument {0.1 - 0.2!r} is not positive")
 

@@ -4,12 +4,24 @@ import pytest
 from grwcert.chart import ChartInput, ChartPoint, sample_points
 from grwcert.classify import fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
-from grwcert.grw import (FiberMetric, GRWBuildError, WarpSpec, build_grw,
-                         catalog_get, catalog_names, converse_check,
-                         fiber_einstein_check)
+from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
+                         WarpSpec, build_grw, catalog_get, catalog_names,
+                         converse_at)
 
+from .conftest import certified
 from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
                       warped_flat_curvature)
+
+
+def fiber_residual(fiber, points):
+    """Max over the fiber points of the Ricci* - (R*/m) g* residual."""
+    return max(fiber.einstein_at(p)[0] for p in points)
+
+
+def converse_rows(chart, points):
+    """``converse_at`` at each point, against the point's fluid split."""
+    return [converse_at(chart, p, fluid_decompose(curvature_at(chart, p)))
+            for p in points]
 
 
 def flat3():
@@ -68,29 +80,29 @@ class TestFiberEinstein:
     def test_unit_s3(self):
         fiber = catalog_get("einstein-static").chart.grw.fiber
         points = sample_points(fiber.chart, 10, seed=4)
-        assert fiber_einstein_check(fiber, points) < 1e-10
-        _, ricci, rs = fiber.ricci_at(points[0])
+        assert fiber_residual(fiber, points) < 1e-10
+        _, rs = fiber.einstein_at(points[0])
         assert rs == pytest.approx(SPHERE_SCALAR[3], abs=1e-10)
-        g, _, _ = fiber.ricci_at(points[0])
-        np.testing.assert_allclose(ricci, SPHERE_RICCI_FACTOR[3] * g,
+        cp = curvature_at(fiber.chart, points[0])
+        np.testing.assert_allclose(cp.ricci, SPHERE_RICCI_FACTOR[3] * cp.g,
                                    atol=1e-10)
 
     def test_flat_fiber(self):
         fiber = FiberMetric.from_input(flat3())
         points = sample_points(fiber.chart, 5, seed=5)
-        assert fiber_einstein_check(fiber, points) == 0.0
+        assert fiber_residual(fiber, points) == 0.0
 
     def test_hyperbolic_fiber(self):
         fiber = catalog_get("frw-k-1").chart.grw.fiber
         points = sample_points(fiber.chart, 5, seed=6)
-        assert fiber_einstein_check(fiber, points) < 1e-10
-        _, _, rs = fiber.ricci_at(points[0])
+        assert fiber_residual(fiber, points) < 1e-10
+        _, rs = fiber.einstein_at(points[0])
         assert rs == pytest.approx(H3_SCALAR, abs=1e-9)
 
     def test_product_fiber_not_einstein(self):
         fiber = catalog_get("grw-nonEinstein-fiber").chart.grw.fiber
         points = sample_points(fiber.chart, 20, seed=7)
-        residual = fiber_einstein_check(fiber, points)
+        residual = fiber_residual(fiber, points)
         # orthonormal Ricci diag(1, 1, 0): residual 2/3 against scale 1 + 1
         assert residual == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert residual >= 0.3
@@ -100,30 +112,27 @@ class TestConverse:
     def test_einstein_static_formulas(self):
         entry = catalog_get("einstein-static")
         points = sample_points(entry.chart, 5, seed=8)
-        report = converse_check(entry.chart, points)
-        assert report.a_residual < 1e-9
-        assert report.b_residual < 1e-9
-        for row in report.rows:
+        for row in converse_rows(entry.chart, points):
+            assert row.a_residual < 1e-9
+            assert row.b_residual < 1e-9
             assert row.a_formula == pytest.approx(2.0, abs=1e-10)
             assert row.b_formula == pytest.approx(2.0, abs=1e-10)
 
     def test_desitter_degenerate_branch(self):
         entry = catalog_get("desitter")
         points = sample_points(entry.chart, 5, seed=9)
-        report = converse_check(entry.chart, points)
-        assert report.degenerate_points == len(points)
-        assert report.b_residual is None
-        assert report.a_residual < 1e-9
-        for row in report.rows:
+        for row in converse_rows(entry.chart, points):
+            assert row.degenerate
+            assert row.b_residual is None
+            assert row.a_residual < 1e-9
             assert row.a_formula == pytest.approx(3.0, abs=1e-9)
 
     def test_grw5_sphere_formulas_match_decomposition(self):
         entry = catalog_get("grw5-sphere")
         points = sample_points(entry.chart, 5, seed=10)
-        report = converse_check(entry.chart, points)
-        assert report.a_residual < 1e-8
-        assert report.b_residual < 1e-8
-        for row in report.rows:
+        for row in converse_rows(entry.chart, points):
+            assert row.a_residual < 1e-8
+            assert row.b_residual < 1e-8
             t = row.point.coords[0]
             # closed forms: q = t^2, R* = 12, n = 5
             a_expected = (12.0 / 4.0 + (2 * t) ** 2 * 3 + t * t * 2) / t ** 4
@@ -132,11 +141,12 @@ class TestConverse:
                                                   rel=1e-10)
 
     def test_resolution_note_present(self):
-        entry = catalog_get("grw5-sphere")
-        report = converse_check(entry.chart,
-                                sample_points(entry.chart, 2, seed=11))
-        assert "q''" in report.resolution
-        assert "q = t^2" in report.resolution
+        report = certified(catalog_get("grw5-sphere").chart, 2, 11,
+                           "converse")
+        for name in ("grw-ricci-A", "grw-ricci-B"):
+            assert report.find(name).detail["resolution"] == RESOLUTION_NOTE
+        assert "q''" in RESOLUTION_NOTE
+        assert "q = t^2" in RESOLUTION_NOTE
 
     def test_first_derivative_variant_rejected_by_oracle(self):
         # On q = t^2 over a flat fiber the hand assembly pins the row.
@@ -149,9 +159,12 @@ class TestConverse:
             assert abs(ricci[0, 0] - first) > 0.5
 
     def test_not_grw_rejected(self):
-        chart = catalog_get("kasner-negative").chart
-        with pytest.raises(GRWBuildError):
-            converse_check(chart, sample_points(chart, 2, seed=12))
+        report = certified(catalog_get("kasner-negative").chart, 2, 12,
+                           "converse")
+        for name in ("fiber-einstein", "grw-ricci-A", "grw-ricci-B"):
+            rec = report.find(name)
+            assert rec.status == "skipped"
+            assert rec.skipped_reason == "not a declared warped product"
 
 
 class TestCatalog:
@@ -214,11 +227,12 @@ class TestCatalog:
             points = sample_points(chart, 5, seed=17)
             fiber = chart.grw.fiber
             fiber_points = sample_points(fiber.chart, 5, seed=17)
-            assert fiber_einstein_check(fiber, fiber_points) < 1e-10, name
+            assert fiber_residual(fiber, fiber_points) < 1e-10, name
             for p in points:
                 cp = curvature_at(chart, p)
                 assert scale_free(cp.divweyl, cp.driem) < 1e-8, name
-            report = converse_check(chart, points)
-            assert report.a_residual < 1e-8, name
-            if report.b_residual is not None:
-                assert report.b_residual < 1e-8, name
+            report = certified(chart, 5, 17, "converse")
+            assert report.find("grw-ricci-A").max_residual < 1e-8, name
+            b = report.find("grw-ricci-B").max_residual
+            if b is not None:
+                assert b < 1e-8, name

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwcert.certify import RunConfig
 from grwcert.chart import sample_points
-from grwcert.classify import (VelocityAnalysis, check_closed, check_geodesic,
-                              chen_check, weyl_electric_check)
-from grwcert.expr import parse
-from grwcert.grw import catalog_get
-from grwcert.physics import (AB_from_fluid, eos_check, fluid_from_AB,
-                             homothetic_check, motion_residuals)
+from grwcert.classify import VelocityAnalysis, chen_at, weyl_electric_check
+from grwcert.expr import eval_jet3, parse
+from grwcert.grw import WarpSpec, build_grw, catalog_get
+from grwcert.physics import eos_check, homothetic_check, motion_at
+
+from .conftest import certified
 
 
 def gathered_scalars(chart, points, kappa=1.0):
@@ -24,69 +27,99 @@ def gathered_scalars(chart, points, kappa=1.0):
     return rows
 
 
+def fluid_at(chart, kappa=1.0):
+    """A, B, p and mu of the chart's velocity at its first sample point
+    (seed 0), at coupling kappa."""
+    point = sample_points(chart, 1, seed=0)[0]
+    fp = VelocityAnalysis(chart, kappa=kappa).at(point)
+    return tuple(float(jet.value)
+                 for jet in (fp.a_jet, fp.b_jet, fp.p_jet, fp.mu_jet))
+
+
+def static_chart(n):
+    """The static warped product -dt^2 + g*, g* the unit (n-1)-sphere."""
+    if n == 4:
+        return catalog_get("einstein-static").chart
+    return build_grw(WarpSpec("1"), catalog_get("grw5-sphere").chart.grw.fiber,
+                     name="static-s4", t_range=(1, 2))
+
+
 class TestFluidMapping:
+    """``VelocityAnalysis`` maps A = kappa (p - mu)/(2 - n) and
+    B = kappa (p + mu) to mu = ((n-2) A + B)/(2 kappa), p = B/kappa - mu."""
+
     def test_worked_example(self):
-        state = fluid_from_AB(-1.0, 4.0, kappa=1.0, n=4)
-        assert state.mu == pytest.approx(1.0)
-        assert state.p == pytest.approx(3.0)
-        assert AB_from_fluid(3.0, 1.0) == pytest.approx((-1.0, 4.0))
+        # The static Einstein universe: A = B = 2 gives mu = 3, p = -1.
+        a, b, p, mu = fluid_at(static_chart(4))
+        assert (a, b) == pytest.approx((2.0, 2.0), abs=1e-9)
+        assert mu == pytest.approx(3.0)
+        assert p == pytest.approx(-1.0)
+        assert ((p - mu) / (2 - 4), p + mu) == pytest.approx((a, b))
 
     def test_equal_ab_gives_fixed_ratio(self):
-        for n in (4, 5, 6):
-            for a in (0.5, 2.0, -1.5):
-                state = fluid_from_AB(a, a, kappa=1.0, n=n)
-                assert state.p == pytest.approx((3.0 - n) / (n - 1.0) * state.mu,
-                                                rel=1e-12)
+        for n in (4, 5):
+            chart = static_chart(n)
+            for kappa in (0.5, 1.0, 2.5):
+                a, b, p, mu = fluid_at(chart, kappa)
+                assert a == pytest.approx(b, rel=1e-14)
+                assert p == pytest.approx((3.0 - n) / (n - 1.0) * mu,
+                                          rel=1e-12)
 
     def test_desitter_fluid(self):
-        state = fluid_from_AB(3.0, 0.0, kappa=1.0, n=4)
-        assert state.mu == pytest.approx(3.0)
-        assert state.p == pytest.approx(-3.0)
+        a, b, p, mu = fluid_at(catalog_get("desitter").chart)
+        assert (a, b) == pytest.approx((3.0, 0.0), abs=1e-9)
+        assert mu == pytest.approx(3.0)
+        assert p == pytest.approx(-3.0)
 
     def test_gamma_is_two_kappa_mu(self):
-        for a, b, kappa in ((1.3, -0.4, 1.0), (0.2, 2.2, 2.5)):
-            state = fluid_from_AB(a, b, kappa=kappa, n=4)
-            assert (4 - 2) * a + b == pytest.approx(2 * kappa * state.mu,
-                                                    rel=1e-12)
+        chart = catalog_get("frw-dust").chart
+        for kappa in (1.0, 2.5):
+            a, b, _, mu = fluid_at(chart, kappa)
+            assert (4 - 2) * a + b == pytest.approx(2 * kappa * mu, rel=1e-12)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            fluid_from_AB(1.0, 1.0, kappa=0.0)
-        with pytest.raises(ValueError):
-            fluid_from_AB(1.0, 1.0, n=3)
+        for kappa in (0.0, -1.0):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                RunConfig(kappa=kappa)
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.floats(-10, 10), mu=st.floats(-10, 10),
-       kappa=st.floats(0.1, 10), n=st.integers(4, 8))
-def test_round_trip_property(p, mu, kappa, n):
-    a, b = AB_from_fluid(p, mu, kappa, n)
-    state = fluid_from_AB(a, b, kappa, n)
-    assert abs(state.p - p) <= 1e-14 * (1 + abs(p))
-    assert abs(state.mu - mu) <= 1e-14 * (1 + abs(mu))
+@given(kappa=st.floats(0.1, 10),
+       name=st.sampled_from(["frw-dust", "frw-rad", "grw5-sphere"]))
+def test_round_trip_property(kappa, name):
+    chart = catalog_get(name).chart
+    a, b, p, mu = fluid_at(chart, kappa)
+    assert abs(kappa * (p - mu) / (2 - chart.n) - a) <= 1e-14 * (1 + abs(a))
+    assert abs(kappa * (p + mu) - b) <= 1e-14 * (1 + abs(b))
 
 
 class TestMotion:
+    @staticmethod
+    def motion(name, count, seed):
+        report = certified(catalog_get(name).chart, count, seed, "physics")
+        return (report.find("motion-energy").max_residual,
+                report.find("motion-euler").max_residual)
+
     def test_einstein_static_constants(self):
-        chart = catalog_get("einstein-static").chart
-        points = sample_points(chart, 5, seed=1)
-        r1, r2 = motion_residuals(chart, chart.velocity, points)
+        r1, r2 = self.motion("einstein-static", 5, 1)
         assert r1 < 1e-12
         assert r2 < 1e-12
 
     def test_frw_dust(self):
-        chart = catalog_get("frw-dust").chart
-        points = sample_points(chart, 10, seed=2)
-        r1, r2 = motion_residuals(chart, chart.velocity, points)
+        r1, r2 = self.motion("frw-dust", 10, 2)
         assert r1 < 1e-7
         assert r2 < 1e-7
 
     def test_perturbed_pressure_negative_control(self):
         chart = catalog_get("frw-dust").chart
-        points = sample_points(chart, 10, seed=3)
         perturb = parse("0.1*x^2", chart.coordinates)
-        _, r2 = motion_residuals(chart, chart.velocity, points,
-                                 perturb_p=perturb)
+        analysis = VelocityAnalysis(chart)
+        r2 = 0.0
+        for point in sample_points(chart, 10, seed=3):
+            fp = analysis.at(point)
+            p_jet = fp.p_jet + eval_jet3((perturb,), point,
+                                         chart.params).at(0)
+            r2 = max(r2, motion_at(replace(fp, p_jet=p_jet))[1])
         assert r2 > 1e-3
 
 
@@ -125,8 +158,9 @@ class TestHomothetic:
         chart = catalog_get(name).chart
         points = sample_points(chart, 5, seed=seed)
         rows = gathered_scalars(chart, points)
-        chen = chen_check(chart, chart.velocity, chart.basepoint, points)
-        grads = [row.grad_rho_norm for row in chen.points]
+        analysis = VelocityAnalysis(chart)
+        grads = [chen_at(analysis.at(p), chart.basepoint).grad_rho_norm
+                 for p in points]
         return rows, grads
 
     def test_einstein_static_triple_holds(self):
@@ -150,9 +184,10 @@ class TestHomothetic:
 
     def test_symbolic_equal_ab(self):
         # A = B forces p = -mu/3 in n = 4 identically
-        for a in (0.7, 1.9):
-            state = fluid_from_AB(a, a, n=4)
-            assert state.p == pytest.approx(-state.mu / 3.0, rel=1e-14)
+        for kappa in (0.7, 1.9):
+            a, b, p, mu = fluid_at(static_chart(4), kappa)
+            assert a == pytest.approx(b, rel=1e-14)
+            assert p == pytest.approx(-mu / 3.0, rel=1e-14)
 
 
 class TestPropositionConclusions:
@@ -167,8 +202,9 @@ class TestPropositionConclusions:
         points = sample_points(chart, 5, seed=9)
         rows = gathered_scalars(chart, points)
         assert all(abs(r["p"] + r["mu"]) > 1e-6 for r in rows)
-        assert check_closed(chart, chart.velocity, points) < 1e-7
-        assert check_geodesic(chart, chart.velocity, points) < 1e-7
+        report = certified(chart, 5, 9, "hypotheses", "physics")
+        assert report.find("u-closed").max_residual < 1e-7
+        assert report.find("geodesic").max_residual < 1e-7
         analysis = VelocityAnalysis(chart, chart.velocity)
         for p in points:
             fp = analysis.at(p)
