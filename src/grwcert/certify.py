@@ -104,11 +104,10 @@ def _basepoint(chart: MetricChart, config: RunConfig):
 def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     selected = config.selected()
     points = sample_points(chart, config.points, config.seed)
-    lorentzian = chart.signature == "lorentzian"
-    has_velocity = chart.velocity is not None and lorentzian
     base = _basepoint(chart, config)
     analysis = (VelocityAnalysis(chart, chart.velocity, kappa=config.kappa)
-                if has_velocity else None)
+                if chart.velocity is not None
+                and chart.signature == "lorentzian" else None)
 
     def work(index, stack):
         try:
@@ -132,8 +131,7 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
             views = [stack.at(i) for i in range(len(stack.points))]
             payloads += fan_out(work, range(start, start + len(views)), views)
 
-    records = _assemble(chart, config, selected, payloads,
-                        has_velocity=has_velocity, basepoint=base)
+    records = _assemble(chart, config, selected, payloads, basepoint=base)
     environment = {
         "points": config.points,
         "seed": config.seed,
@@ -161,15 +159,6 @@ def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
 # ---------------------------------------------------------------------------
 # Per-point computation (pure).
 # ---------------------------------------------------------------------------
-
-def _refusal(err) -> str:
-    """A potential's point error. The path runs from the basepoint and
-    may leave an expression's domain even when every sample point is valid;
-    the message then names the path."""
-    if isinstance(err, EvalDomainError):
-        return f"path from basepoint: {err}"
-    return str(err)
-
 
 def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     """Every per-point quantity of the report, from the point's stack."""
@@ -243,8 +232,7 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     out["dp"] = [float(v) for v in fp.p_jet.grad]
     out["dmu"] = [float(v) for v in fp.mu_jet.grad]
 
-    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm);
-    # theta feeds soliton-form only.
+    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm).
     closed_tol = config.hypothesis_tol * 10
     if base is not None and selected & {"conclusions", "physics"}:
         try:
@@ -255,14 +243,18 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
             out["potential-path-independence"] = chen.path_defect
             out["grad_rho_norm"] = chen.grad_rho_norm
             out["proper"] = bool(chen.proper)
-        except (NotClosedError, QuadratureError, EvalDomainError) as err:
-            out["errors"]["chen-vector"] = _refusal(err)
-    if base is not None and "conclusions" in selected:
+        except (NotClosedError, QuadratureError) as err:
+            out["errors"]["chen-vector"] = str(err)
+        except EvalDomainError as err:
+            # sigma's path may leave an expression's domain even when
+            # every sample point is valid: the message names the path.
+            out["errors"]["chen-vector"] = f"path from basepoint: {err}"
+    if "conclusions" in selected:
         try:
             out["soliton-form"], *_ = classify.soliton_at(
-                fp, base, closed_tol=closed_tol)
-        except (NotClosedError, QuadratureError, EvalDomainError) as err:
-            out["errors"]["soliton-form"] = _refusal(err)
+                fp, closed_tol=closed_tol)
+        except NotClosedError as err:
+            out["errors"]["soliton-form"] = str(err)
     return out
 
 
@@ -396,8 +388,11 @@ class Check:
     ``tol`` is 'hyp' or 'conc' (the run's hypothesis or conclusion
     tolerance), a fixed bar, or None for informational records.
     ``velocity`` and ``basepoint`` mark checks that need a velocity field
-    and a basepoint for the potentials. ``no_data`` is the
-    skip reason when the points carry nothing for the check.
+    and a basepoint for sigma. ``no_data`` is the skip reason when the
+    points carry nothing for the check. ``requires`` names what the check
+    rests on, in the order a failure is named: hypothesis records, and
+    ``_SCOPE``, the forward theorem's n ≥ 4. An evaluated record whose
+    requirement is not established is downgraded to informational.
     """
 
     group: str
@@ -408,9 +403,19 @@ class Check:
     basepoint: bool = False
     no_data: str = "no data"
     aggregate: Callable = _max_of_name
+    requires: tuple[str, ...] = ()
 
 
 _NO_POTENTIAL = "potential reconstruction unavailable"
+_NOT_EVALUABLE = "not evaluable: no velocity field declared"
+_SCOPE = "n ≥ 4"
+# The forward theorem: for n ≥ 4, a perfect fluid with closed u and
+# div C = 0. u-closed is named before fluid-form and u-unit, which share
+# its skip reason when no velocity field is declared.
+_THEOREM = (_SCOPE, "fluid-decompose", "u-closed", "fluid-form", "u-unit",
+            "div-weyl")
+# The converse formulas: a warped product with Einstein fiber and div C = 0.
+_CONVERSE = ("fiber-einstein", "div-weyl")
 
 # Report order.
 CHECKS = (
@@ -432,33 +437,38 @@ CHECKS = (
           velocity=True),
     Check("hypotheses", "div-weyl", "∇_m C_{jkl}^m = 0", "hyp"),
     Check("conclusions", "torse-forming", "∇_k u_j = ω_k u_j + f g_{kj}",
-          "conc", velocity=True),
+          "conc", velocity=True, requires=_THEOREM),
     Check("conclusions", "torse-f-consistency",
           "f = −u^m ∇_m γ / (2B(n−1))", "conc", velocity=True,
-          no_data="B vanishes: the cross formula is undefined"),
+          no_data="B vanishes: the cross formula is undefined",
+          requires=_THEOREM),
     Check("conclusions", "omega-aligned", "ω_k = f u_k", "conc",
-          velocity=True),
+          velocity=True, requires=_THEOREM),
     Check("conclusions", "omega-closed", "∇_j ω_k = ∇_k ω_j", "conc",
-          velocity=True),
+          velocity=True, requires=_THEOREM),
     Check("conclusions", "chen-vector", "∇_k X_l = ρ g_{kl}", "conc",
-          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+          velocity=True, basepoint=True, no_data=_NO_POTENTIAL,
+          requires=_THEOREM),
     Check("conclusions", "potential-path-independence",
-          "segment and corner path agree on ∫ω", 1e-10,
-          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+          "segment and corner path agree on ∫ω", 1e-10, velocity=True,
+          basepoint=True, no_data=_NO_POTENTIAL, requires=_THEOREM),
     Check("conclusions", "ckv-gradient", "∇_j ρ = (A−B)/(1−n) X_j", "conc",
-          velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+          velocity=True, basepoint=True, no_data=_NO_POTENTIAL,
+          requires=_THEOREM),
     Check("conclusions", "ckv-branch", "proper (A≠B) vs homothetic (A=B)",
-          None, velocity=True, basepoint=True, aggregate=_ckv_branch),
+          None, velocity=True, basepoint=True, aggregate=_ckv_branch,
+          requires=_THEOREM),
     Check("conclusions", "weyl-electric", "C_{jkl}{}^m u_m = 0", "conc",
           no_data="no velocity available (degenerate or anomalous "
-                  "decomposition)"),
+                  "decomposition)", requires=_THEOREM),
     Check("conclusions", "weyl-zero-n4", "C_{jklm} = 0 (n = 4)", "conc",
-          aggregate=_weyl_zero_n4),
+          aggregate=_weyl_zero_n4, requires=_THEOREM),
     Check("conclusions", "soliton-form",
           "R_{ij} + ∇_i∇_j θ − η(∇_iθ)(∇_jθ) = λ g_{ij}, λ = A+f, η = B+f",
-          "conc", velocity=True, basepoint=True, no_data=_NO_POTENTIAL),
+          "conc", velocity=True, requires=_THEOREM),
     *(Check("ladder", name, anchor, "conc", velocity=True,
-            no_data="scalar gradients unavailable") for name, anchor in (
+            no_data="scalar gradients unavailable", requires=_THEOREM)
+      for name, anchor in (
         ("bianchi-contract", "∇^m(B u_j u_m) = ½ ∇_j[(n−2)A − B]"),
         ("ricci-curl", "∇_k(B u_j u_l) − ∇_l(B u_j u_k) = "
                        "−[g_{jl}∇_k γ − g_{jk}∇_l γ]/(2(n−1))"),
@@ -472,33 +482,36 @@ CHECKS = (
                          "(u_j∇_k − g_{jk}u^l∇_l)γ / (2(n−1))"),
         ("bu-closed", "∇_k(B u_j) = ∇_j(B u_k)"),
         ("gamma-aligned", "u_j∇_k γ = u_k∇_j γ"))),
-    Check("physics", "geodesic", "u^k ∇_k u_j = 0", "conc", velocity=True),
+    Check("physics", "geodesic", "u^k ∇_k u_j = 0", "conc", velocity=True,
+          requires=_THEOREM),
     Check("physics", "motion-energy", "u^k∇_k μ + (p+μ) ∇_k u^k = 0",
-          "conc", velocity=True),
+          "conc", velocity=True, requires=_THEOREM),
     Check("physics", "motion-euler",
           "(∇_j + u_j u^k∇_k) p + (p+μ) u^k∇_k u_j = 0", "conc",
-          velocity=True),
+          velocity=True, requires=_THEOREM),
     Check("physics", "eos-parallel", "∇p ∧ ∇μ = 0", "conc", velocity=True,
-          no_data="no scalar gradients available", aggregate=_eos_parallel),
+          no_data="no scalar gradients available", aggregate=_eos_parallel,
+          requires=_THEOREM),
     Check("physics", "eos-slope", "p ≈ w μ (least-squares over points)",
-          None, velocity=True, aggregate=_eos_slope),
+          None, velocity=True, aggregate=_eos_slope, requires=_THEOREM),
     Check("physics", "energy-condition", "p + μ ≠ 0", None, velocity=True,
-          aggregate=_energy_condition),
+          aggregate=_energy_condition, requires=_THEOREM),
     Check("physics", "homothetic-triple",
           "A=B ⇔ ∇ρ=0 ⇔ p=(3−n)μ/(n−1)", "conc", velocity=True,
           no_data="no potential data (basepoint or closedness missing)",
-          aggregate=_homothetic_triple),
+          aggregate=_homothetic_triple, requires=_THEOREM),
     Check("converse", "fiber-einstein", "R*_{αβ} = (R*/(n−1)) g*_{αβ}",
           "hyp"),
     Check("converse", "grw-ricci-A", "A = [R*/(n−1) + q′²(n−2) + q q″]/q²",
           "conc", no_data="fluid decomposition unavailable",
-          aggregate=_grw_ricci),
+          aggregate=_grw_ricci, requires=_CONVERSE),
     Check("converse", "grw-ricci-B", "B = A − (n−1) q″/q", "conc",
-          no_data="fluid decomposition unavailable", aggregate=_grw_ricci),
+          no_data="fluid decomposition unavailable", aggregate=_grw_ricci,
+          requires=_CONVERSE),
 )
 
 
-def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
+def _assemble(chart, config, selected, payloads, *, basepoint):
     # The EOS report is read by the eos-slope, eos-parallel and
     # energy-condition records.
     run = _Run(chart, config, payloads,
@@ -522,8 +535,8 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
             reason = "not a declared warped product"
         else:
             rec.tolerance = tol.get(row.tol, row.tol)
-            if row.velocity and not has_velocity:
-                reason = "not evaluable: no velocity field declared"
+            if row.velocity and chart.velocity is None:
+                reason = _NOT_EVALUABLE
             elif row.basepoint and basepoint is None:
                 reason = "no basepoint declared for potential reconstruction"
             else:
@@ -539,7 +552,7 @@ def _assemble(chart, config, selected, payloads, *, has_velocity, basepoint):
             rec.skipped_reason = reason
         records.append(rec.finalize())
 
-    _apply_downgrades(records, has_velocity)
+    _apply_downgrades(records, chart.n)
     return records
 
 
@@ -555,40 +568,27 @@ def _eos(payloads):
                              [p["mu"] for p in rows])
 
 
-_HYPOTHESIS_CHECKS = ("fluid-decompose", "fluid-form", "u-unit", "u-closed",
-                      "div-weyl")
-_THEOREM2_HYPOTHESES = ("fiber-einstein", "div-weyl")
+def _apply_downgrades(records, n):
+    """Downgrade each evaluated record whose check ``requires`` something
+    that is not established; the first such requirement names the reason."""
+    unmet = {rec.name: _unmet(rec) for rec in records}
+    unmet[_SCOPE] = None if n >= 4 else "the theorem needs n ≥ 4"
+    for row, rec in zip(CHECKS, records):
+        why = next((unmet[r] for r in row.requires if unmet[r]), None)
+        if why is not None and rec.status in (PASS, FAIL):
+            rec.status = INFORMATIONAL
+            rec.required = False
+            rec.detail["downgraded"] = f"hypothesis not established: {why}"
 
 
-def _apply_downgrades(records, has_velocity):
-    by_name = {r.name: r for r in records}
-
-    def established(names):
-        for nm in names:
-            rec = by_name.get(nm)
-            if rec is None or rec.status == SKIPPED:
-                if nm in ("u-closed",) and not has_velocity:
-                    return False, f"{nm} not evaluable"
-                continue
-            if rec.status == DEGENERATE:
-                return False, f"{nm} degenerate"
-            if rec.ok is False:
-                return False, f"{nm} failed"
-        return True, ""
-
-    ok1, why1 = established(_HYPOTHESIS_CHECKS)
-    if not ok1:
-        for rec in records:
-            if rec.group in ("conclusions", "ladder", "physics") \
-                    and rec.status in (PASS, FAIL):
-                rec.status = INFORMATIONAL
-                rec.required = False
-                rec.detail["downgraded"] = f"hypothesis not established: {why1}"
-    ok2, why2 = established(_THEOREM2_HYPOTHESES)
-    if not ok2:
-        for rec in records:
-            if rec.name in ("grw-ricci-A", "grw-ricci-B") \
-                    and rec.status in (PASS, FAIL):
-                rec.status = INFORMATIONAL
-                rec.required = False
-                rec.detail["downgraded"] = f"hypothesis not established: {why2}"
+def _unmet(rec):
+    """Why a record does not establish its hypothesis, or None. A record
+    skipped for another reason than a missing velocity field (not
+    selected, say) asserts nothing and blocks nothing."""
+    if rec.status == SKIPPED:
+        if rec.skipped_reason == _NOT_EVALUABLE:
+            return f"{rec.name} not evaluable"
+        return None
+    if rec.status == DEGENERATE:
+        return f"{rec.name} degenerate"
+    return f"{rec.name} failed" if rec.ok is False else None

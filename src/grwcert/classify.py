@@ -154,7 +154,7 @@ class FieldPoint:
 
     stack: JetStack
     point: ChartPoint
-    field: VectorField         # the velocity, for the potentials' integrands
+    field: VectorField         # the velocity, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
     nabla: TensorJet           # [k, j] = nabla_k u_j
@@ -359,11 +359,6 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
                            refinement_error=drift)
 
 
-def _field_integrand(chart: MetricChart, field: VectorField):
-    """Values of a covariant field at the rows of an (N, n) array."""
-    return lambda x: eval_batch(field.components, x, chart.params)
-
-
 def _omega_integrand(chart: MetricChart, field: VectorField):
     """omega = f u - (nabla u) u^ at the rows of an (N, n) array.
 
@@ -520,14 +515,13 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     return out
 
 
-def soliton_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6):
-    """(residual, lam, eta, theta) of the soliton form at one point, with
-    theta integrating the closed u from the basepoint."""
+def soliton_at(fp: FieldPoint, *, closed_tol: float = 1e-6):
+    """(residual, lam, eta) of the soliton form at one point. The form
+    reads d theta = u and Hess(theta) only, so theta itself is never
+    integrated; u must be closed for theta to exist."""
     if fp.u_closed > closed_tol:
         raise NotClosedError(f"u not closed (residual {fp.u_closed:.3e})")
-    pot = _integrate_form(_field_integrand(fp.stack.chart, fp.field), fp.n,
-                          base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
-    return _soliton_residual_at(fp) + (pot.value,)
+    return _soliton_residual_at(fp)
 
 
 def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:

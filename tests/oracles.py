@@ -17,7 +17,7 @@ from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
 from grwcert.curvature import CurvaturePoint, curvature_at, scale_free
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
-                          Power, Unary)
+                          Power, Unary, eval_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
 
 # ---------------------------------------------------------------------------
@@ -252,6 +252,12 @@ H3_SCALAR = -6.0
 # node by node on its Gauss nodes; staircase_per_node, the axis-aligned
 # staircase on numpy's Gauss nodes, is an independent path.
 # ---------------------------------------------------------------------------
+
+def _field_integrand(chart: MetricChart, field):
+    """Values of a covariant field at the rows of an (N, n) array: the
+    batched integrand of the field's potential (theta, for the velocity)."""
+    return lambda x: eval_batch(field.components, x, chart.params)
+
 
 def staircase_per_node(integrand, base, target, axis_order, quad_order, panels):
     total = 0.0

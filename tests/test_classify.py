@@ -14,15 +14,14 @@ from grwcert.classify import (LADDER_NAMES, QUAD_ORDER, QUAD_PANELS,
                               chen_at, fluid_decompose, geodesic_at,
                               ladder_residuals_at, soliton_at,
                               torse_decompose, weyl_electric_check,
-                              _field_integrand, _integrate_form, _leggauss,
-                              _omega_integrand)
+                              _integrate_form, _leggauss, _omega_integrand)
 from grwcert.curvature import curvature_at
 from grwcert.expr import EvalDomainError, eval_jet3, parse
 from grwcert.grw import catalog_get
 
 from .conftest import certified
-from .oracles import (eval_value, friedmann_scalars, integrate_per_node,
-                      omega_per_node, staircase_per_node)
+from .oracles import (_field_integrand, eval_value, friedmann_scalars,
+                      integrate_per_node, omega_per_node, staircase_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -317,13 +316,19 @@ class TestReconstructPotential:
         assert pot.value == pytest.approx(0.7 * 0.9 - 0.0, abs=1e-11)
         assert pot.path_defect < 1e-10
 
+    def test_frw_dust_theta(self, frw_dust):
+        # theta, the potential of u = -dt from the basepoint at t = 1.
+        for p in sample_points(frw_dust, 5, seed=26):
+            pot = potential(frw_dust, frw_dust.velocity, frw_dust.basepoint, p)
+            assert pot.value == pytest.approx(-(p.coords[0] - 1.0), abs=1e-10)
+
     def test_not_closed_rejected(self, minkowski_chart):
-        # soliton_at integrates the field's own potential, theta.
+        # soliton_at refuses a field that has no potential theta.
         field = field_for(minkowski_chart, ("0", "z", "0", "0"))
         [fp] = field_points(minkowski_chart,
                             [ChartPoint((0.5, 0.5, 0.5, 0.5))], field)
         with pytest.raises(NotClosedError):
-            soliton_at(fp, (0.2, 0, 0, 0))
+            soliton_at(fp)
 
 
 def dense_pullback_chart(seed=5):
@@ -508,7 +513,7 @@ class TestChen:
             chen_at(fp, chart.basepoint)
         assert str(chen.value).startswith("ω not closed (residual ")
         with pytest.raises(NotClosedError) as soliton:
-            soliton_at(fp, chart.basepoint)
+            soliton_at(fp)
         assert str(soliton.value).startswith("u not closed (residual ")
         report = run_certify(chart, RunConfig(points=1, seed=19))
         for name, refusal in (("chen-vector", chen), ("soliton-form", soliton)):
@@ -603,10 +608,8 @@ class TestIdentityLadder:
 
 
 def soliton_rows(chart, points):
-    """Columns (residual, lam, eta, theta) of ``soliton_at`` over the
-    points, theta integrated from the chart's basepoint."""
-    return zip(*(soliton_at(fp, chart.basepoint)
-                 for fp in field_points(chart, points)))
+    """Columns (residual, lam, eta) of ``soliton_at`` over the points."""
+    return zip(*(soliton_at(fp) for fp in field_points(chart, points)))
 
 
 def gradient_soliton(lams, etas):
@@ -617,15 +620,13 @@ def gradient_soliton(lams, etas):
 class TestSolitonForm:
     def test_frw_dust(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=26)
-        residuals, lams, etas, thetas = soliton_rows(frw_dust, points)
+        residuals, lams, etas = soliton_rows(frw_dust, points)
         assert max(residuals) < 1e-7
         assert not gradient_soliton(lams, etas)
-        for theta, p in zip(thetas, points):
-            assert theta == pytest.approx(-(p.coords[0] - 1.0), abs=1e-10)
 
     def test_minkowski_flat_soliton(self, minkowski_chart):
         points = sample_points(minkowski_chart, 3, seed=27)
-        residuals, lams, etas, _ = soliton_rows(minkowski_chart, points)
+        residuals, lams, etas = soliton_rows(minkowski_chart, points)
         assert max(residuals) < 1e-12
         assert max(abs(v) for v in lams) < 1e-12
         assert max(abs(v) for v in etas) < 1e-12
@@ -633,7 +634,7 @@ class TestSolitonForm:
     def test_einstein_static_constants(self):
         chart = catalog_get("einstein-static").chart
         points = sample_points(chart, 3, seed=28)
-        residuals, lams, etas, _ = soliton_rows(chart, points)
+        residuals, lams, etas = soliton_rows(chart, points)
         assert max(residuals) < 1e-9
         for lam, eta in zip(lams, etas):
             assert lam == pytest.approx(2.0, abs=1e-9)

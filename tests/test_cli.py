@@ -111,7 +111,7 @@ class TestRunCertify:
         assert report.find("gamma-comoving").status == "pass"
 
     def test_unread_potentials_not_integrated(self, spec_file, monkeypatch):
-        # No record of these groups reads sigma or theta: no quadrature
+        # No record of these groups reads sigma: no quadrature
         # runs, and each selected record is the one a full run reports.
         groups = ("sanity", "fluid", "hypotheses", "ladder")
         full = report_to_dict(run_certify(spec_file, RunConfig(points=4)))
@@ -126,11 +126,11 @@ class TestRunCertify:
             == [c for c in full["checks"] if c["group"] in groups]
 
     @pytest.mark.parametrize("groups, potentials",
-                             [(("physics",), 1), (("conclusions",), 2)])
+                             [(("physics",), 1), (("conclusions",), 1)])
     def test_potentials_follow_selection(self, spec_file, monkeypatch,
                                          groups, potentials):
         # sigma feeds homothetic-triple (physics) and the conclusions;
-        # theta feeds soliton-form (conclusions) only.
+        # soliton-form reads no potential.
         calls = []
         integrate = classify._integrate_form
 
@@ -330,9 +330,26 @@ class TestReports:
         assert report.find("chen-vector").detail["error"] == (
             "point 0: path from basepoint: exp at offset 6: "
             "math range error")
-        # theta integrates u alone, which has no exp.
+        # soliton-form reads u and its derivatives at the point only.
         soliton = report.find("soliton-form")
         assert soliton.max_residual is not None
+        assert "error" not in soliton.detail
+
+    def test_velocity_off_its_domain_on_the_path(self):
+        # Sampled points keep x < 1, where ln(1 - x) is defined; sigma's
+        # path starts at the basepoint's x = 1.05, where the velocity is
+        # not. soliton-form reads no path.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["velocity_field"][0] = "-1 + 0*ln(1 - x)"
+        spec["domain"]["ranges"]["x"] = [-1, 1.1]
+        spec["domain"]["exclusions"] = [{"expr": "1 - x", "margin": 0}]
+        spec["basepoint"] = [1, 1.05, 0, 0]
+        report = run_certify(spec, RunConfig(points=3))
+        assert report.find("chen-vector").detail["error"].startswith(
+            "point 0: path from basepoint: ln at offset 7: argument ")
+        soliton = report.find("soliton-form")
+        assert soliton.status == "pass"
+        assert soliton.max_residual < 1e-12
         assert "error" not in soliton.detail
 
     def test_overflow_at_a_sample_point_names_it(self, tmp_path, capsys):
