@@ -196,33 +196,29 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     if chart.grw is not None and "converse" in selected:
         _converse_payload(chart, point, dec, out)
 
-    # Only the records of these groups read the velocity's jets. Without a
-    # velocity field the electric check reads the eigen-split's.
+    # Only the records of these groups read the velocity's jets.
     reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
     fp = (analysis.at(point, stack=stack)
           if analysis is not None and selected & reads_u else None)
-    u = fp.uv if fp is not None else (dec.u if dec is not None else None)
-    if u is not None:
-        elec = classify.weyl_electric_check(cp, u)
-        out["weyl-electric"] = elec.electric_residual
-        out["weyl_norm"] = elec.weyl_norm
+    if "conclusions" in selected:
+        out["weyl-zero-n4"] = scale_free(cp.weyl, cp.riem)
+        # Without a velocity field the electric check reads the eigen-split's.
+        u_up = (fp.uupv if fp is not None
+                else dec.u_up if dec is not None else None)
+        if u_up is not None:
+            out["weyl-electric"] = classify.weyl_electric_at(cp, u_up)
     if fp is None:
         return out
 
     out["u-unit"] = fp.unit_residual
     out["u-closed"] = fp.u_closed
     a, b = float(fp.a_jet.value), float(fp.b_jet.value)
-    model = a * fp.g + b * np.outer(fp.uv, fp.uv)
-    out["fluid-form"] = scale_free(cp.ricci - model, cp.ricci, model)
+    out["fluid-form"] = classify.fluid_form_residual(cp, a, b, fp.uv)
     out["scalar_a"] = a
     out["scalar_b"] = b
-
-    torse = classify.torse_decompose(fp.nabla_u, fp.uv, fp.g, fp.g_inv,
-                                     b=b, grad_gamma=np.array(fp.gamma_jet.grad))
-    out["torse-forming"] = torse.residual
-    out["omega-aligned"] = torse.alignment_residual
-    if torse.f_cross_residual is not None:
-        out["torse-f-consistency"] = torse.f_cross_residual
+    out["torse-forming"], out["omega-aligned"], f_cross = classify.torse_at(fp)
+    if f_cross is not None:
+        out["torse-f-consistency"] = f_cross
     out["omega-closed"] = fp.omega_closed
     out.update(classify.ladder_residuals_at(fp))
     out["geodesic"] = classify.geodesic_at(fp)
@@ -236,13 +232,11 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     closed_tol = config.hypothesis_tol * 10
     if base is not None and selected & {"conclusions", "physics"}:
         try:
-            chen = classify.chen_at(fp, base, closed_tol=closed_tol,
-                                    branch_tol=config.conclusion_tol)
+            chen = classify.chen_at(fp, base, closed_tol=closed_tol)
             out["chen-vector"] = chen.chen_residual
             out["ckv-gradient"] = chen.ckv_residual
             out["potential-path-independence"] = chen.path_defect
             out["grad_rho_norm"] = chen.grad_rho_norm
-            out["proper"] = bool(chen.proper)
         except (NotClosedError, QuadratureError) as err:
             out["errors"]["chen-vector"] = str(err)
         except EvalDomainError as err:
@@ -321,8 +315,12 @@ def _fluid_decompose(row, run, rec):
 
 
 def _ckv_branch(row, run, rec):
-    proper = sum(1 for p in run.payloads if p.get("proper") is True)
-    homothetic = sum(1 for p in run.payloads if p.get("proper") is False)
+    # The points with a potential, split by homothetic-triple's A = B test.
+    branches = [physics.homothetic(p["scalar_a"], p["scalar_b"],
+                                   run.config.conclusion_tol)
+                for p in run.payloads if "grad_rho_norm" in p]
+    homothetic = sum(branches)
+    proper = len(branches) - homothetic
     rec.status = INFORMATIONAL
     rec.detail["proper_points"] = proper
     rec.detail["homothetic_points"] = homothetic
@@ -331,10 +329,11 @@ def _ckv_branch(row, run, rec):
 
 
 def _weyl_zero_n4(row, run, rec):
-    rec.max_residual = run.max_over("weyl_norm")
-    if run.chart.n != 4:
+    # Below n = 4 the record is downgraded by the theorem's scope instead.
+    if run.chart.n > 4:
         rec.status = INFORMATIONAL
         rec.detail["note"] = "reported only: vanishing is not asserted for n > 4"
+    return _max_of_name(row, run, rec)
 
 
 def _eos_slope(row, run, rec):

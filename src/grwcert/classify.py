@@ -133,10 +133,15 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     if u_up[0] < 0.0:
         u_up = -u_up
     u = cp.g @ u_up
-    model = a * cp.g + b * np.outer(u, u)
-    residual = scale_free(cp.ricci - model, cp.ricci, model)
     return FluidDecomposition(a=a, b=b, u=u, u_up=u_up,
-                              residual=residual, degenerate=False)
+                              residual=fluid_form_residual(cp, a, b, u),
+                              degenerate=False)
+
+
+def fluid_form_residual(cp, a: float, b: float, u: np.ndarray) -> float:
+    """Scale-free R_{kl} - (A g_{kl} + B u_k u_l); ``cp`` exposes g, ricci."""
+    model = a * cp.g + b * np.outer(u, u)
+    return scale_free(cp.ricci - model, cp.ricci, model)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,11 @@ class FieldPoint:
     ``u`` is order 3; the others are order 1, which is all that is read.
     The scalar jets f, A, B, gamma, p and mu are shape (), so ``.value``
     is a 0-d array and ``.grad`` has shape (n,).
+
+    u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
+    ``geodesic_at``, ``ladder_residuals_at``, ``chen_at``, ``soliton_at``,
+    ``physics.motion_at``, ``fluid_form_residual`` and ``weyl_electric_at``
+    read them here.
     """
 
     stack: JetStack
@@ -260,34 +270,20 @@ def geodesic_at(fp: FieldPoint) -> float:
     return scale_free(fp.accel, fp.nabla_u)
 
 
-@dataclass
-class TorseFormingData:
-    f: float
-    omega: np.ndarray
-    residual: float
-    alignment_residual: float      # |(nabla_k u_j) u^j| = |omega - f u|
-    f_cross_residual: float | None  # against -u^m d_m gamma / (2B(n-1))
-
-
-def torse_decompose(nabla_u: np.ndarray, u: np.ndarray, g: np.ndarray,
-                    g_inv: np.ndarray, *, b: float | None = None,
-                    grad_gamma: np.ndarray | None = None) -> TorseFormingData:
-    """Split nabla u into f (g + u x u) and report the defect."""
-    n = len(u)
-    u_up = g_inv @ u
-    f = float(np.einsum("kj,kj->", g_inv, nabla_u)) / (n - 1)
-    misalign = nabla_u @ u_up          # (nabla_k u_j) u^j
-    omega = f * u - misalign
-    model = f * (np.outer(u, u) + g)
-    residual = scale_free(nabla_u - model, nabla_u, model)
-    alignment = scale_free(misalign, nabla_u)
-    f_cross = None
-    if b is not None and grad_gamma is not None and abs(b) > 1e-12:
-        f_ref = -float(u_up @ grad_gamma) / (2.0 * b * (n - 1))
-        f_cross = abs(f - f_ref) / (1.0 + abs(f))
-    return TorseFormingData(f=f, omega=omega, residual=residual,
-                            alignment_residual=alignment,
-                            f_cross_residual=f_cross)
+def torse_at(fp: FieldPoint) -> tuple[float, float, float | None]:
+    """(residual, alignment, f_cross) of nabla u = f (g + u x u). The
+    misalignment (nabla_k u_j) u^j is f u - omega; f_cross compares f with
+    -u^m d_m gamma / (2B(n-1)), None where B vanishes."""
+    f = float(fp.f_jet.value)
+    nabla = fp.nabla_u
+    model = f * (np.outer(fp.uv, fp.uv) + fp.g)
+    residual = scale_free(nabla - model, nabla, model)
+    alignment = scale_free(f * fp.uv - fp.omega.value, nabla)
+    b = float(fp.b_jet.value)
+    if abs(b) <= 1e-12:
+        return residual, alignment, None
+    f_ref = -float(fp.uupv @ fp.gamma_jet.grad) / (2.0 * b * (fp.n - 1))
+    return residual, alignment, abs(f - f_ref) / (1.0 + abs(f))
 
 
 # ---------------------------------------------------------------------------
@@ -394,31 +390,26 @@ def _omega_integrand(chart: MetricChart, field: VectorField):
 
 @dataclass
 class ChenPointData:
-    sigma: float
     rho: float
     x: np.ndarray                  # covariant Chen vector e^{-sigma} u
     chen_residual: float           # nabla_k X_l - rho g_kl
     ckv_residual: float            # nabla_j rho - (A-B)/(1-n) X_j
     timelike_residual: float       # X^j X_j + e^{-2 sigma}
     path_defect: float
-    omega_closed: float
-    proper: bool                   # |A - B| above tolerance
     grad_rho_norm: float
 
 
-def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6,
-            branch_tol: float = 1e-7) -> ChenPointData:
+def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6) -> ChenPointData:
     """The gradient laws at one point: sigma integrates the closed omega
     from the basepoint, X = e^{-sigma} u and rho = e^{-sigma} f."""
     if fp.omega_closed > closed_tol:
         raise NotClosedError(f"ω not closed (residual {fp.omega_closed:.3e})")
     pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
                           base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
-    return _chen_point(fp, pot, branch_tol)
+    return _chen_point(fp, pot)
 
 
-def _chen_point(fp: FieldPoint, pot: PotentialResult,
-                branch_tol: float) -> ChenPointData:
+def _chen_point(fp: FieldPoint, pot: PotentialResult) -> ChenPointData:
     # X = e^{-sigma} u and rho = e^{-sigma} f, with d sigma = omega read off
     # the closed form itself.
     n = fp.n
@@ -435,47 +426,35 @@ def _chen_point(fp: FieldPoint, pot: PotentialResult,
     a, b = float(fp.a_jet.value), float(fp.b_jet.value)
     ckv_rhs = ((a - b) / (1.0 - n)) * xv
     ckv_resid = scale_free(grad_rho - ckv_rhs, grad_rho, ckv_rhs)
-    proper = abs(a - b) > branch_tol * (1.0 + abs(a) + abs(b))
     x_norm = float(xv @ fp.g_inv @ xv)        # must be -e^{-2 sigma} < 0
     scale_sq = scaling * scaling
     timelike_resid = abs(x_norm + scale_sq) / (1.0 + scale_sq)
-    return ChenPointData(sigma=pot.value, rho=rho, x=xv,
-                         chen_residual=chen_resid, ckv_residual=ckv_resid,
+    return ChenPointData(rho=rho, x=xv, chen_residual=chen_resid,
+                         ckv_residual=ckv_resid,
                          timelike_residual=timelike_resid,
                          path_defect=pot.path_defect,
-                         omega_closed=fp.omega_closed, proper=proper,
                          grad_rho_norm=float(np.max(np.abs(grad_rho))))
 
 
-@dataclass
-class WeylElectricResult:
-    electric_residual: float   # C_{jkl}{}^m u_m
-    weyl_norm: float           # scale-free size of C itself
-
-
-def weyl_electric_check(cp, u_cov: np.ndarray) -> WeylElectricResult:
-    u_up = cp.g_inv @ np.asarray(u_cov, dtype=float)
-    contracted = np.einsum("jkla,a->jkl", cp.weyl, u_up)
-    return WeylElectricResult(
-        electric_residual=scale_free(contracted, cp.weyl),
-        weyl_norm=scale_free(cp.weyl, cp.riem))
+def weyl_electric_at(cp, u_up: np.ndarray) -> float:
+    """Scale-free C_{jkl}{}^m u_m, from the contravariant velocity."""
+    return scale_free(np.einsum("jkla,a->jkl", cp.weyl, u_up), cp.weyl)
 
 
 def ladder_residuals_at(fp: FieldPoint) -> dict:
     """All nine intermediate identities at one point, scale-free."""
-    n = fp.n
-    g = fp.g
-    u = fp.uv
-    u_up = fp.uupv
-    nabla = fp.nabla_u
-    a, b = fp.a_jet.value, fp.b_jet.value
-    da = np.array(fp.a_jet.grad)
-    db = np.array(fp.b_jet.grad)
-    dgam = np.array(fp.gamma_jet.grad)
+    n, g, u, u_up, nabla = fp.n, fp.g, fp.uv, fp.uupv, fp.nabla_u
+    b = fp.b_jet.value
+    da, db, dgam = (np.array(jet.grad)
+                    for jet in (fp.a_jet, fp.b_jet, fp.gamma_jet))
     divu = fp.f_jet.value * (n - 1)
     u_dot_db = float(u_up @ db)
     u_dot_dgam = float(u_up @ dgam)
     accel = fp.accel
+    # (nabla_k + u_k u^l nabla_l) B + B u^l nabla_l u_k and
+    # (nabla_k + u_k u^l nabla_l) gamma, which four rungs read.
+    b_moving = db + u * u_dot_db + b * accel
+    gam_moving = dgam + u * u_dot_dgam
     out = {}
 
     lhs = u_dot_db * u + b * accel + b * divu * u
@@ -490,18 +469,12 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
             - np.einsum("l,jk->kjl", dgam, g)) / (2 * (n - 1))
     out["ricci-curl"] = scale_free(lhs - rhs, lhs, rhs)
 
-    lhs = db + u * u_dot_db + b * accel
-    rhs = (dgam + u * u_dot_dgam) / (2 * (n - 1))
-    out["b-transport"] = scale_free(lhs - rhs, lhs, rhs)
-
-    rhs = 0.5 * (dgam + u * u_dot_dgam)
-    out["b-transport-half"] = scale_free(lhs - rhs, lhs, rhs)
-
-    resid = dgam + u * u_dot_dgam
-    out["gamma-comoving"] = scale_free(resid, dgam)
-
-    resid = db + u * u_dot_db + b * accel
-    out["b-comoving"] = scale_free(resid, db, b * accel)
+    rhs = gam_moving / (2 * (n - 1))
+    out["b-transport"] = scale_free(b_moving - rhs, b_moving, rhs)
+    rhs = 0.5 * gam_moving
+    out["b-transport-half"] = scale_free(b_moving - rhs, b_moving, rhs)
+    out["gamma-comoving"] = scale_free(gam_moving, dgam)
+    out["b-comoving"] = scale_free(b_moving, db, b * accel)
 
     lhs = b * (nabla + np.einsum("k,j->kj", u, accel))
     rhs = (np.einsum("j,k->kj", u, dgam) - g * u_dot_dgam) / (2 * (n - 1))
@@ -510,8 +483,9 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     m = np.einsum("k,j->kj", db, u) + b * nabla   # nabla_k (B u_j)
     out["bu-closed"] = scale_free(m - m.T, m)
 
-    resid = np.einsum("j,k->jk", u, dgam) - np.einsum("k,j->jk", u, dgam)
-    out["gamma-aligned"] = scale_free(resid, np.einsum("j,k->jk", u, dgam))
+    u_dgam = np.einsum("j,k->jk", u, dgam)
+    out["gamma-aligned"] = scale_free(
+        u_dgam - np.einsum("k,j->jk", u, dgam), u_dgam)
     return out
 
 

@@ -46,15 +46,11 @@ class CurvaturePoint:
     n: int
     g: np.ndarray          # (n, n)
     g_inv: np.ndarray      # (n, n)
-    dg: np.ndarray         # (n, n, n): dg[k, i, j] = d_k g_ij
     gamma: np.ndarray      # (n, n, n): gamma[m, j, k] = Gamma^m_{jk}
-    dgamma: np.ndarray     # (n, n, n, n): dgamma[a, m, j, k] = d_a Gamma^m_{jk}
     riem: np.ndarray       # (n, n, n, n): riem[j, k, l, m] = R_{jkl}{}^m
     driem: np.ndarray      # (n, n, n, n, n): driem[a, ...] = d_a R_{jkl}{}^m
     ricci: np.ndarray      # (n, n)
     rs: float              # scalar curvature
-    drs: np.ndarray        # (n,): nabla_j R = d_j R
-    dricci: np.ndarray     # (n, n, n): dricci[k, j, l] = nabla_k R_{jl}
     weyl: np.ndarray       # (n, n, n, n): C_{jklm}, zero grid for n < 3
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
 
@@ -154,24 +150,16 @@ class JetStack:
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        n = self.n
         g_inv, gamma = self.g_inv.value, self.gamma.value
-        ricci = self.ricci.value
-        dg = np.moveaxis(self.g.grad, -1, 0)
-        dricci = (np.moveaxis(self.ricci.grad, -1, 0)
-                  - np.einsum("akj,al->kjl", gamma, ricci)
-                  - np.einsum("akl,ja->kjl", gamma, ricci))
         weyl = self.weyl.value
         divweyl = self._divergence_weyl(
-            g_inv, gamma, weyl, np.moveaxis(self.weyl.grad, -1, 0), dg)
-        return CurvaturePoint(point=self.point, n=n, g=self.g.value,
-                              g_inv=g_inv, dg=dg, gamma=gamma,
-                              dgamma=np.moveaxis(self.gamma.grad, -1, 0),
-                              riem=self.riem.value,
+            g_inv, gamma, weyl, np.moveaxis(self.weyl.grad, -1, 0),
+            np.moveaxis(self.g.grad, -1, 0))
+        return CurvaturePoint(point=self.point, n=self.n, g=self.g.value,
+                              g_inv=g_inv, gamma=gamma, riem=self.riem.value,
                               driem=np.moveaxis(self.riem.grad, -1, 0),
-                              ricci=ricci, rs=float(self.rs.value),
-                              drs=self.rs.grad, dricci=dricci, weyl=weyl,
-                              divweyl=divweyl)
+                              ricci=self.ricci.value, rs=float(self.rs.value),
+                              weyl=weyl, divweyl=divweyl)
 
     @staticmethod
     def _divergence_weyl(g_inv, gamma, weyl, dweyl, dg):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     _parse_metric_key, compile_chart)
-from .curvature import curvature_at, scale_free
+from .curvature import JetStack, scale_free
 from .expr import Expr, eval_batch, eval_jet3, parse
 
 # Resolution of the two candidate time-time Ricci rows for the warped
@@ -31,13 +31,6 @@ WARP_FLOOR = 1e-6
 
 class GRWBuildError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class WarpSpec:
-    """Warp function q(t), positive on the declared range."""
-
-    text: str
 
 
 @dataclass
@@ -60,8 +53,9 @@ class FiberMetric:
 
     def einstein_at(self, point: ChartPoint) -> tuple[float, float]:
         """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a point."""
-        cp = curvature_at(self.chart, point)
-        return scale_free(cp.ricci - (cp.rs / self.dim) * cp.g, cp.ricci), cp.rs
+        stack = JetStack(self.chart, [point]).at(0)
+        ricci, rs = stack.ricci.value, float(stack.rs.value)
+        return scale_free(ricci - (rs / self.dim) * stack.g.value, ricci), rs
 
 
 @dataclass
@@ -70,21 +64,22 @@ class GRWStructure:
     fiber: FiberMetric
 
 
-def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
+def build_grw(warp: str, fiber: FiberMetric, *, name: str,
               t_range, basepoint=None, params=None) -> MetricChart:
-    """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab."""
+    """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab from
+    the text of the warp q(t), which must be positive on ``t_range``."""
     params = dict(fiber.input.parameters) | dict(params or {})
     n = 1 + fiber.dim
     coords = ["t"] + list(fiber.chart.coordinates)
 
     lo, hi = float(t_range[0]), float(t_range[1])
-    warp_expr = parse(warp.text, ("t",), tuple(params))
+    warp_expr = parse(warp, ("t",), tuple(params))
     ts = np.linspace(lo, hi, 33)
     values = eval_batch((warp_expr,), ts[:, None], params)[:, 0]
     for t, value in zip(ts, values):
         if value <= WARP_FLOOR:
             raise GRWBuildError(
-                f"warp {warp.text!r} is not positive at t = {t:.6g} "
+                f"warp {warp!r} is not positive at t = {t:.6g} "
                 f"(value {value:.3e} <= {WARP_FLOOR})")
 
     metric = {"1,1": "-1"}
@@ -92,7 +87,7 @@ def build_grw(warp: WarpSpec, fiber: FiberMetric, *, name: str,
         i, j = _parse_metric_key(key, fiber.dim)
         src = str(text).strip()
         if src != "0":
-            metric[f"{i + 2},{j + 2}"] = f"({warp.text})^2*({src})"
+            metric[f"{i + 2},{j + 2}"] = f"({warp})^2*({src})"
 
     spec = ChartInput(
         name=name,
@@ -200,7 +195,7 @@ class CatalogEntry:
 
 
 def _grw_entry(name, q, fiber_input, t_range, basepoint, expected) -> CatalogEntry:
-    chart = build_grw(WarpSpec(q), FiberMetric.from_input(fiber_input),
+    chart = build_grw(q, FiberMetric.from_input(fiber_input),
                       name=name, t_range=t_range, basepoint=basepoint)
     return CatalogEntry(name=name, chart=chart, expected=expected)
 

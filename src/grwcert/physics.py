@@ -81,23 +81,28 @@ class HomotheticReport:
     proper_points: int
 
 
+def homothetic(a: float, b: float, tol: float) -> bool:
+    """The homothetic branch A = B: |A - B| <= tol (1 + |A| + |B|)."""
+    return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+
+
 def homothetic_check(a_values, b_values, grad_rho_norms, p_values, mu_values,
                      n: int, *, tol: float = 1e-7) -> HomotheticReport:
     """Same verdict from |A-B|, |grad rho| and p = (3-n)/(n-1) mu at each point."""
     ratio = (3.0 - n) / (n - 1.0)
-    homothetic = proper = 0
+    homothetic_points = proper = 0
     consistent = True
     for a, b, gr, p, mu in zip(a_values, b_values, grad_rho_norms,
                                p_values, mu_values):
-        c1 = abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
+        c1 = homothetic(a, b, tol)
         c2 = gr <= tol * (1.0 + abs(a) + abs(b))
         c3 = abs(p - ratio * mu) <= tol * (1.0 + abs(p) + abs(mu))
         if c1 != c2 or c2 != c3:
             consistent = False
         if c1:
-            homothetic += 1
+            homothetic_points += 1
         else:
             proper += 1
     return HomotheticReport(consistent=consistent,
-                            homothetic_points=homothetic,
+                            homothetic_points=homothetic_points,
                             proper_points=proper)

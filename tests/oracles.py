@@ -15,7 +15,7 @@ import numpy as np
 
 from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
-from grwcert.curvature import CurvaturePoint, curvature_at, scale_free
+from grwcert.curvature import JetStack, scale_free
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
                           Power, Unary, eval_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
@@ -344,7 +344,8 @@ def omega_per_node(chart, field, coords):
 # ---------------------------------------------------------------------------
 # Per-component curvature stack: one Jet3 per tensor component, assembled in
 # nested loops with a jet Gauss-Jordan inverse, as the engine did before it
-# moved to tensor jets. Every CurvaturePoint field comes back as an array.
+# moved to tensor jets. Every CurvaturePoint field comes back as an array,
+# and so does each derivative of ``stack_derivatives``.
 # ---------------------------------------------------------------------------
 
 def jet_matrix_inverse(rows) -> list:
@@ -377,7 +378,8 @@ def jet_matrix_inverse(rows) -> list:
 
 
 def per_component_curvature(chart, point) -> dict:
-    """Every CurvaturePoint field at ``point`` from per-component jets."""
+    """Every CurvaturePoint field, each ``stack_derivatives`` entry and
+    d_a d_b Gamma at ``point``, from per-component jets."""
     n, rng = chart.n, range(chart.n)
     gj = [[None] * n for _ in rng]
     for i in rng:
@@ -909,21 +911,36 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
 COTTON_COEFF = {3: 0.0, 4: -0.5, 5: -2.0 / 3.0, 6: -0.75, 7: -0.8, 8: -5.0 / 6.0}
 
 
-def cotton_combination(cp: CurvaturePoint) -> np.ndarray:
-    """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl."""
-    n = cp.n
-    grad_term = np.einsum("kl,j->jkl", cp.g, cp.drs) - np.einsum(
-        "jl,k->jkl", cp.g, cp.drs)
-    return (np.einsum("jkl->jkl", cp.dricci) - np.einsum("kjl->jkl", cp.dricci)
+def stack_derivatives(stack: JetStack) -> dict:
+    """The derivatives a CurvaturePoint does not carry, off a one-point
+    stack's jets: d_k g_ij, d_a Gamma^m_{jk}, d_j R and nabla_k R_{jl}."""
+    gamma, ricci = stack.gamma.value, stack.ricci.value
+    dg, dgamma, dricci = (np.moveaxis(jet.grad, -1, 0) for jet in
+                          (stack.g, stack.gamma, stack.ricci))
+    return {"dg": dg, "dgamma": dgamma, "drs": stack.rs.grad,
+            "dricci": (dricci - np.einsum("akj,al->kjl", gamma, ricci)
+                       - np.einsum("akl,ja->kjl", gamma, ricci))}
+
+
+def cotton_combination(stack: JetStack) -> np.ndarray:
+    """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl,
+    at a one-point stack."""
+    n, g = stack.n, stack.g.value
+    d = stack_derivatives(stack)
+    grad_term = np.einsum("kl,j->jkl", g, d["drs"]) - np.einsum(
+        "jl,k->jkl", g, d["drs"])
+    return (d["dricci"] - np.einsum("kjl->jkl", d["dricci"])
             - grad_term / (2.0 * (n - 1)))
 
 
 def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:
     """Cyclic covariant derivative of the lowered Riemann tensor."""
-    cp = curvature_at(chart, point)
+    stack = JetStack(chart, [point]).at(0)
+    cp = stack.to_point()
     low = np.einsum("jklm,mp->jklp", cp.riem, cp.g)
     dlow = (np.einsum("ajklm,mp->ajklp", cp.driem, cp.g)
-            + np.einsum("jklm,amp->ajklp", cp.riem, cp.dg))
+            + np.einsum("jklm,amp->ajklp", cp.riem,
+                        stack_derivatives(stack)["dg"]))
     nabla = (dlow
              - np.einsum("baj,bklp->ajklp", cp.gamma, low)
              - np.einsum("bak,jblp->ajklp", cp.gamma, low)

@@ -12,12 +12,13 @@ from grwcert.classify import (LADDER_NAMES, QUAD_ORDER, QUAD_PANELS,
                               NotClosedError, OrientationTieError,
                               SpacelikeAnomalyError, VelocityAnalysis,
                               chen_at, fluid_decompose, geodesic_at,
-                              ladder_residuals_at, soliton_at,
-                              torse_decompose, weyl_electric_check,
-                              _integrate_form, _leggauss, _omega_integrand)
-from grwcert.curvature import curvature_at
+                              ladder_residuals_at, soliton_at, torse_at,
+                              weyl_electric_at, _integrate_form, _leggauss,
+                              _omega_integrand)
+from grwcert.curvature import curvature_at, scale_free
 from grwcert.expr import EvalDomainError, eval_jet3, parse
 from grwcert.grw import catalog_get
+from grwcert.physics import homothetic
 
 from .conftest import certified
 from .oracles import (_field_integrand, eval_value, friedmann_scalars,
@@ -232,33 +233,45 @@ class TestTorseForming:
         analysis = VelocityAnalysis(frw_dust, frw_dust.velocity)
         for p in sample_points(frw_dust, 5, seed=9):
             fp = analysis.at(p)
-            torse = torse_decompose(fp.nabla_u, fp.uv, fp.g, fp.g_inv,
-                                    b=fp.b_jet.value,
-                                    grad_gamma=np.array(fp.gamma_jet.grad))
+            residual, alignment, f_cross = torse_at(fp)
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            assert torse.f == pytest.approx(fs["f"], rel=1e-9)
-            assert torse.residual < 1e-9
-            assert torse.f_cross_residual < 1e-9
-            assert torse.alignment_residual < 1e-9
+            assert fp.f_jet.value == pytest.approx(fs["f"], rel=1e-9)
+            assert residual < 1e-9
+            assert f_cross < 1e-9
+            assert alignment < 1e-9
 
     def test_minkowski_constant_field(self, minkowski_chart):
         analysis = VelocityAnalysis(minkowski_chart, minkowski_chart.velocity)
         fp = analysis.at(ChartPoint((0.5, 0, 0, 0)))
-        torse = torse_decompose(fp.nabla_u, fp.uv, fp.g, fp.g_inv)
-        assert torse.f == 0.0
-        assert torse.residual == 0.0
+        residual, alignment, f_cross = torse_at(fp)
+        assert fp.f_jet.value == 0.0
+        assert residual == 0.0
+        assert alignment == 0.0
+        assert f_cross is None          # B = 0: the cross formula is undefined
 
     def test_einstein_static_f_zero_with_nonzero_b(self):
         chart = catalog_get("einstein-static").chart
         analysis = VelocityAnalysis(chart, chart.velocity)
         for p in sample_points(chart, 3, seed=10):
             fp = analysis.at(p)
-            torse = torse_decompose(fp.nabla_u, fp.uv, fp.g, fp.g_inv,
-                                    b=fp.b_jet.value,
-                                    grad_gamma=np.array(fp.gamma_jet.grad))
-            assert abs(torse.f) < 1e-10
+            _, _, f_cross = torse_at(fp)
+            assert abs(fp.f_jet.value) < 1e-10
             assert fp.b_jet.value == pytest.approx(2.0, abs=1e-9)
-            assert torse.f_cross_residual < 1e-9
+            assert f_cross < 1e-9
+
+    def test_sheared_velocity_misaligned(self, frw_dust):
+        # u = -dt + 0.3 y dx is neither unit nor torse-forming: the
+        # misalignment (nabla_k u_j) u^j = f u - omega is read off the
+        # FieldPoint's omega and agrees with its direct contraction.
+        field = field_for(frw_dust, ("-1", "0.3*y", "0", "0"))
+        for fp in field_points(frw_dust, sample_points(frw_dust, 3, seed=9),
+                               field):
+            residual, alignment, _ = torse_at(fp)
+            direct = fp.nabla_u @ fp.uupv
+            assert alignment > 1e-3 and residual > 1e-3
+            assert alignment == pytest.approx(
+                np.max(np.abs(direct)) / (1 + np.max(np.abs(fp.nabla_u))),
+                rel=1e-12)
 
 
 class TestConcircular:
@@ -455,15 +468,22 @@ def chen_rows(chart, points):
     return [chen_at(fp, chart.basepoint) for fp in field_points(chart, points)]
 
 
+def branch_homothetic(chart, points, tol=1e-7):
+    """The A = B test of ckv-branch and homothetic-triple at each point."""
+    return [homothetic(float(fp.a_jet.value), float(fp.b_jet.value), tol)
+            for fp in field_points(chart, points)]
+
+
 class TestChen:
     def test_frw_dust_chen_and_ckv(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=15)
         rows = chen_rows(frw_dust, points)
         assert max(row.chen_residual for row in rows) < 1e-10
         assert max(row.ckv_residual for row in rows) < 1e-10
-        assert max(row.omega_closed for row in rows) < 1e-12
+        assert max(fp.omega_closed
+                   for fp in field_points(frw_dust, points)) < 1e-12
         assert max(row.path_defect for row in rows) < 1e-10
-        assert all(row.proper for row in rows)
+        assert not any(branch_homothetic(frw_dust, points))
         for row, p in zip(rows, points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             assert row.rho == pytest.approx(fs["qp"], rel=1e-10)
@@ -483,19 +503,20 @@ class TestChen:
 
     def test_einstein_static_homothetic(self):
         chart = catalog_get("einstein-static").chart
-        rows = chen_rows(chart, sample_points(chart, 3, seed=17))
+        points = sample_points(chart, 3, seed=17)
+        rows = chen_rows(chart, points)
+        assert all(branch_homothetic(chart, points))
         for row in rows:
-            assert not row.proper
             assert abs(row.rho) < 1e-10
             assert row.grad_rho_norm < 1e-10
 
     def test_minkowski_all_zero(self, minkowski_chart):
-        rows = chen_rows(minkowski_chart,
-                         sample_points(minkowski_chart, 3, seed=18))
+        points = sample_points(minkowski_chart, 3, seed=18)
+        rows = chen_rows(minkowski_chart, points)
         for row in rows:
             assert row.chen_residual < 1e-12
             assert row.ckv_residual < 1e-12
-            assert not row.proper
+        assert all(branch_homothetic(minkowski_chart, points))
 
     def test_refusals_name_the_point(self):
         # The kernels refuse with the text that the report prefixes with
@@ -526,27 +547,25 @@ class TestWeylElectric:
         analysis = VelocityAnalysis(frw_dust, frw_dust.velocity)
         for p in sample_points(frw_dust, 5, seed=19):
             fp = analysis.at(p)
-            result = weyl_electric_check(fp.stack.to_point(), fp.uv)
-            assert result.electric_residual < 1e-8
-            assert result.weyl_norm < 1e-8  # n = 4: conformally flat
+            cp = fp.stack.to_point()
+            assert weyl_electric_at(cp, fp.uupv) < 1e-8
+            assert scale_free(cp.weyl, cp.riem) < 1e-8  # n = 4: conformally flat
 
     def test_minkowski_zero(self, minkowski_chart):
         cp = curvature_at(minkowski_chart, ChartPoint((0.5, 0, 0, 0)))
-        result = weyl_electric_check(cp, np.array([-1.0, 0, 0, 0]))
-        assert result.electric_residual == 0.0
+        assert weyl_electric_at(cp, np.array([1.0, 0, 0, 0])) == 0.0
 
     def test_grw5_sphere_fiber_electric(self):
         chart = catalog_get("grw5-sphere").chart
         analysis = VelocityAnalysis(chart, chart.velocity)
         for p in sample_points(chart, 5, seed=20):
             fp = analysis.at(p)
-            result = weyl_electric_check(fp.stack.to_point(), fp.uv)
-            assert result.electric_residual < 1e-8
+            assert weyl_electric_at(fp.stack.to_point(), fp.uupv) < 1e-8
 
     def test_einstein_but_not_constant_curvature_fiber(self):
         # S^2 x S^2 fiber: Einstein yet not a space form, so the warped
         # product has a genuinely nonzero Weyl tensor that u annihilates.
-        from grwcert.grw import FiberMetric, WarpSpec, build_grw
+        from grwcert.grw import FiberMetric, build_grw
         hi = math.pi - 0.3
         fiber = FiberMetric.from_input(ChartInput(
             name="s2xs2", dimension=4, signature="riemannian",
@@ -555,16 +574,19 @@ class TestWeylElectric:
                     "4,4": "sin(alpha)^2"},
             ranges={"theta": (0.3, hi), "phi": (0, 6.2),
                     "alpha": (0.3, hi), "beta": (0, 6.2)}))
-        chart = build_grw(WarpSpec("t^2"), fiber, name="grw5-s2xs2",
-                          t_range=(1, 2))
+        chart = build_grw("t^2", fiber, name="grw5-s2xs2", t_range=(1, 2))
         analysis = VelocityAnalysis(chart, chart.velocity)
         norms = []
         for p in sample_points(chart, 5, seed=21):
             fp = analysis.at(p)
-            result = weyl_electric_check(fp.stack.to_point(), fp.uv)
-            assert result.electric_residual < 1e-8
-            norms.append(result.weyl_norm)
+            cp = fp.stack.to_point()
+            assert weyl_electric_at(cp, fp.uupv) < 1e-8
+            norms.append(scale_free(cp.weyl, cp.riem))
         assert max(norms) > 1e-3
+        # The report's weyl-electric and weyl-zero-n4 read the same numbers.
+        report = run_certify(chart, RunConfig(points=5, seed=21,
+                                              checks=("conclusions",)))
+        assert report.find("weyl-zero-n4").max_residual == max(norms)
 
 
 class TestIdentityLadder:

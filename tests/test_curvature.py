@@ -15,8 +15,8 @@ from grwcert.jets import jet_tables
 
 from .oracles import (COTTON_COEFF, cotton_combination, desitter_ricci,
                       per_component_curvature, second_bianchi_residual,
-                      sphere2_curvature, warped_flat_curvature,
-                      warped_nabla_u)
+                      sphere2_curvature, stack_derivatives,
+                      warped_flat_curvature, warped_nabla_u)
 from .test_classify import dense_pullback_chart
 
 
@@ -108,17 +108,18 @@ class TestChristoffelDerivatives:
         # q = e^t: Gamma^t_{xx} = q q' = e^{2t}, Gamma^x_{tx} = q'/q = 1
         t0 = 0.3
         point = ChartPoint((t0, 0.1, -0.2, 0.4))
-        cp = curvature_at(desitter, point)
+        stack = JetStack(desitter, [point]).at(0)
+        cp = stack.to_point()
         q2 = np.exp(2 * t0)
         assert cp.gamma[0, 1, 1] == pytest.approx(q2, rel=1e-12)
         assert cp.gamma[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
         # first derivative along t and vanishing spatial derivatives
-        assert cp.dgamma[0, 0, 1, 1] == pytest.approx(2 * q2, rel=1e-12)
-        assert cp.dgamma[0, 1, 0, 1] == pytest.approx(0.0, abs=1e-12)
-        assert np.max(np.abs(cp.dgamma[1:])) < 1e-12
+        dgamma = stack_derivatives(stack)["dgamma"]
+        assert dgamma[0, 0, 1, 1] == pytest.approx(2 * q2, rel=1e-12)
+        assert dgamma[0, 1, 0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert np.max(np.abs(dgamma[1:])) < 1e-12
         # second derivative d_t d_t Gamma^t_{xx} = 4 e^{2t}
-        assert d2gamma(JetStack(desitter, [point]).at(0))[0, 0, 0, 1, 1] == \
-            pytest.approx(4 * q2, rel=1e-12)
+        assert d2gamma(stack)[0, 0, 0, 1, 1] == pytest.approx(4 * q2, rel=1e-12)
 
 
 class TestFlatness:
@@ -179,8 +180,8 @@ class TestInvariants:
         c = COTTON_COEFF[dim]
         assert c == -(dim - 3) / (dim - 2)
         for p in sample_points(chart, 10, seed=7):
-            cp = curvature_at(chart, p)
-            cot = cotton_combination(cp)
+            stack = JetStack(chart, [p]).at(0)
+            cp, cot = stack.to_point(), cotton_combination(stack)
             assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8
 
     def test_cotton_consistency_across_catalog(self):
@@ -189,8 +190,8 @@ class TestInvariants:
             chart = catalog_get(name).chart
             c = COTTON_COEFF[chart.n]
             for p in sample_points(chart, 5, seed=8):
-                cp = curvature_at(chart, p)
-                cot = cotton_combination(cp)
+                stack = JetStack(chart, [p]).at(0)
+                cp, cot = stack.to_point(), cotton_combination(stack)
                 assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8, name
 
 
@@ -223,19 +224,22 @@ class TestGradVector:
 
 class TestTensorJetStack:
     """The tensor-jet stack against the per-component Jet3 oracle, field by
-    field, and its exact antisymmetries."""
+    field (the derivatives a CurvaturePoint does not carry are read off
+    the stack's jets), and its exact antisymmetries."""
 
     FIELDS = {f.name for f in dataclasses.fields(CurvaturePoint)} - {"point", "n"}
+    DERIVATIVES = {"dg", "dgamma", "drs", "dricci"}
 
     def check(self, chart, points):
         for p in points:
             stack = JetStack(chart, [p]).at(0)
             cp = stack.to_point()
+            got = (dict(vars(cp)) | stack_derivatives(stack)
+                   | {"d2gamma": d2gamma(stack)})
             want = per_component_curvature(chart, p)
-            assert set(want) == self.FIELDS | {"d2gamma"}
+            assert set(want) == self.FIELDS | self.DERIVATIVES | {"d2gamma"}
             for name, ref in want.items():
-                got = d2gamma(stack) if name == "d2gamma" else getattr(cp, name)
-                gap = scale_free(np.asarray(got) - ref, ref)
+                gap = scale_free(np.asarray(got[name]) - ref, ref)
                 assert gap <= 1e-12, (name, p.coords, gap)
             assert type(cp.rs) is float
             assert np.array_equal(cp.riem, -cp.riem.swapaxes(0, 1))

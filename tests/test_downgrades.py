@@ -54,6 +54,25 @@ def test_no_velocity_u_closed_not_evaluable():
         assert report.find(name).required is False
 
 
+def test_no_velocity_einstein_chart_weyl_norm():
+    # de Sitter with no velocity field: the eigen-split is degenerate, so
+    # there is no u, yet C = 0 is still measured; the record stays
+    # downgraded for the degenerate split.
+    spec = {"schema": 1, "name": "desitter-no-velocity", "dimension": 4,
+            "signature": "lorentzian", "coordinates": ["t", "x", "y", "z"],
+            "parameters": {},
+            "metric": {"1,1": "-1", "2,2": "exp(2*t)", "3,3": "exp(2*t)",
+                       "4,4": "exp(2*t)"},
+            "domain": {"ranges": {"t": [0, 1], "x": [-1, 1], "y": [-1, 1],
+                                  "z": [-1, 1]}, "exclusions": []}}
+    rec = run_certify(spec, RunConfig(points=4, seed=0)).find("weyl-zero-n4")
+    assert rec.max_residual < 1e-12
+    assert rec.ok is True
+    assert rec.status == INFORMATIONAL
+    assert rec.detail["downgraded"] \
+        == "hypothesis not established: fluid-decompose degenerate"
+
+
 class TestGodel:
     """A negative control: a perfect fluid whose velocity is not closed."""
 
@@ -164,11 +183,12 @@ class TestScope:
         assert {rec.name for rec in records} >= {"torse-forming",
                                                  "geodesic"}
         for rec in records:
-            if rec.name == "weyl-zero-n4":      # reported only for n ≠ 4
-                continue
             assert rec.status == INFORMATIONAL, rec.name
             assert rec.detail["downgraded"] \
                 == "hypothesis not established: the theorem needs n ≥ 4"
+        # C ≡ 0 at n = 3: weyl-zero-n4 holds and gets no n > 4 note.
+        weyl_zero = report.find("weyl-zero-n4")
+        assert weyl_zero.ok is True and "note" not in weyl_zero.detail
         assert report.verdict == "pass"
 
     def test_four_dimensions_are_in_scope(self):

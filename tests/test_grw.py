@@ -5,8 +5,7 @@ from grwcert.chart import ChartInput, ChartPoint, sample_points
 from grwcert.classify import fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
-                         WarpSpec, build_grw, catalog_get, catalog_names,
-                         converse_at)
+                         build_grw, catalog_get, catalog_names, converse_at)
 
 from .conftest import certified
 from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
@@ -34,7 +33,7 @@ def flat3():
 
 class TestBuildGRW:
     def test_unit_warp_flat_fiber_is_flat(self):
-        chart = build_grw(WarpSpec("1"), FiberMetric.from_input(flat3()),
+        chart = build_grw("1", FiberMetric.from_input(flat3()),
                           name="mink", t_range=(-1, 1))
         for p in sample_points(chart, 10, seed=1):
             cp = curvature_at(chart, p)
@@ -42,7 +41,7 @@ class TestBuildGRW:
                 assert np.max(np.abs(arr)) < 1e-12
 
     def test_exponential_warp_is_einstein(self):
-        chart = build_grw(WarpSpec("exp(t)"), FiberMetric.from_input(flat3()),
+        chart = build_grw("exp(t)", FiberMetric.from_input(flat3()),
                           name="ds", t_range=(-0.5, 0.5))
         for p in sample_points(chart, 5, seed=2):
             cp = curvature_at(chart, p)
@@ -65,7 +64,7 @@ class TestBuildGRW:
 
     def test_nonpositive_warp_rejected(self):
         with pytest.raises(GRWBuildError):
-            build_grw(WarpSpec("t"), FiberMetric.from_input(flat3()),
+            build_grw("t", FiberMetric.from_input(flat3()),
                       name="bad", t_range=(-1, 1))
 
     def test_lorentzian_fiber_rejected(self):
@@ -98,6 +97,15 @@ class TestFiberEinstein:
         assert fiber_residual(fiber, points) < 1e-10
         _, rs = fiber.einstein_at(points[0])
         assert rs == pytest.approx(H3_SCALAR, abs=1e-9)
+
+    def test_same_numbers_as_the_full_curvature_point(self):
+        # einstein_at reads Ricci*, R* and g* off the fiber's stack, the
+        # arrays that curvature_at would wrap.
+        fiber = catalog_get("grw5-sphere").chart.grw.fiber
+        for p in sample_points(fiber.chart, 3, seed=8):
+            cp = curvature_at(fiber.chart, p)
+            want = scale_free(cp.ricci - (cp.rs / fiber.dim) * cp.g, cp.ricci)
+            assert fiber.einstein_at(p) == (want, cp.rs)
 
     def test_product_fiber_not_einstein(self):
         fiber = catalog_get("grw-nonEinstein-fiber").chart.grw.fiber

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from grwcert.certify import RunConfig
 from grwcert.chart import sample_points
-from grwcert.classify import VelocityAnalysis, chen_at, weyl_electric_check
+from grwcert.classify import VelocityAnalysis, chen_at, weyl_electric_at
 from grwcert.expr import eval_jet3, parse
-from grwcert.grw import WarpSpec, build_grw, catalog_get
+from grwcert.grw import build_grw, catalog_get
 from grwcert.physics import eos_check, homothetic_check, motion_at
 
 from .conftest import certified
@@ -40,7 +40,7 @@ def static_chart(n):
     """The static warped product -dt^2 + g*, g* the unit (n-1)-sphere."""
     if n == 4:
         return catalog_get("einstein-static").chart
-    return build_grw(WarpSpec("1"), catalog_get("grw5-sphere").chart.grw.fiber,
+    return build_grw("1", catalog_get("grw5-sphere").chart.grw.fiber,
                      name="static-s4", t_range=(1, 2))
 
 
@@ -182,6 +182,20 @@ class TestHomothetic:
         assert report.proper_points == len(rows)
         assert report.homothetic_points == 0
 
+    @pytest.mark.parametrize("name, branch", [("frw-dust", "proper_points"),
+                                              ("einstein-static",
+                                               "homothetic_points")])
+    def test_ckv_branch_counts_match_triple(self, name, branch):
+        # ckv-branch and homothetic-triple split the points by one A = B
+        # test, so their counts agree; every point is on one branch here.
+        report = certified(catalog_get(name).chart, 6, 3, "conclusions",
+                           "physics")
+        ckv = report.find("ckv-branch").detail
+        triple = report.find("homothetic-triple").detail
+        for key in ("proper_points", "homothetic_points"):
+            assert ckv[key] == triple[key], key
+        assert ckv[branch] == 6
+
     def test_symbolic_equal_ab(self):
         # A = B forces p = -mu/3 in n = 4 identically
         for kappa in (0.7, 1.9):
@@ -208,5 +222,4 @@ class TestPropositionConclusions:
         analysis = VelocityAnalysis(chart, chart.velocity)
         for p in points:
             fp = analysis.at(p)
-            res = weyl_electric_check(fp.stack.to_point(), fp.uv)
-            assert res.electric_residual < 1e-7
+            assert weyl_electric_at(fp.stack.to_point(), fp.uupv) < 1e-7
