@@ -37,9 +37,10 @@ LADDER_NAMES = (
 )
 
 # Gauss-Legendre nodes per panel and coarse panel count of the potential
-# quadrature; the refinement pass doubles the panels.
+# quadrature; doubling the panels may move it by at most REFINE_TOL relative.
 QUAD_ORDER = 8
 QUAD_PANELS = 4
+REFINE_TOL = 1e-8
 
 
 class FluidDecompositionError(ValueError):
@@ -198,17 +199,12 @@ class FieldPoint:
         return self.u_up.value
 
     @property
-    def du(self) -> np.ndarray:
-        """Raw partials d_k u_j."""
-        return self.u.grad.T
-
-    @property
     def nabla_u(self) -> np.ndarray:
         return self.nabla.value
 
     @cached_property
     def u_closed(self) -> float:
-        return _curl_residual(self.du)
+        return _curl_residual(self.u.grad.T)
 
     @cached_property
     def omega_closed(self) -> float:
@@ -320,8 +316,8 @@ class PotentialResult:
     refinement_error: float    # panel-doubling change on the segment
 
 
-def _integrate_form(integrand, n, base, target, quad_order, panels,
-                    refine_tol=1e-8) -> PotentialResult:
+def _integrate_form(integrand, n, base, target, quad_order,
+                    panels) -> PotentialResult:
     """Integrate a closed 1-form along the segment from ``base`` to
     ``target`` (the range box is convex), at ``panels`` and twice as many
     panels, and along the path through the corner (target time, base
@@ -347,7 +343,7 @@ def _integrate_form(integrand, n, base, target, quad_order, panels,
     coarse, fine, other = (reduce(add, terms[i:j], 0.0) for i, j in
                            ((0, m), (m, 3 * m), (3 * m, len(terms))))
     drift = abs(fine - coarse)
-    if drift > refine_tol * (1.0 + abs(fine)):
+    if drift > REFINE_TOL * (1.0 + abs(fine)):
         raise QuadratureError(
             f"segment quadrature did not converge (panel doubling moved "
             f"the value by {drift:.3e})")
@@ -394,7 +390,6 @@ class ChenPointData:
     x: np.ndarray                  # covariant Chen vector e^{-sigma} u
     chen_residual: float           # nabla_k X_l - rho g_kl
     ckv_residual: float            # nabla_j rho - (A-B)/(1-n) X_j
-    timelike_residual: float       # X^j X_j + e^{-2 sigma}
     path_defect: float
     grad_rho_norm: float
 
@@ -410,28 +405,21 @@ def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6) -> ChenPointData:
 
 
 def _chen_point(fp: FieldPoint, pot: PotentialResult) -> ChenPointData:
-    # X = e^{-sigma} u and rho = e^{-sigma} f, with d sigma = omega read off
-    # the closed form itself.
-    n = fp.n
+    # X = e^{-sigma} u and rho = e^{-sigma} f as jet products, with
+    # d sigma = omega read off the closed form itself.
     scaling = math.exp(-pot.value)
-    dscaling = scaling * -fp.omega.value
-    xv = scaling * fp.uv
-    dx = np.outer(dscaling, fp.uv) + scaling * fp.du
-    nabla_x = dx - np.einsum("akj,a->kj", fp.stack.gamma.value, xv)
-    f = float(fp.f_jet.value)
-    rho = scaling * f
-    grad_rho = dscaling * f + scaling * fp.f_jet.grad
-    g = fp.g
-    chen_resid = scale_free(nabla_x - rho * g, nabla_x, rho * g)
+    s = TensorJet(fp.n, [np.array(scaling), -scaling * fp.omega.value])
+    x = contract(",j->j", s, fp.u.truncated(1))
+    rho_jet = contract(",->", s, fp.f_jet)
+    nabla_x = x.deriv().value - np.einsum("akj,a->kj", fp.stack.gamma.value,
+                                          x.value)
+    rho, grad_rho = float(rho_jet.value), rho_jet.grad
+    chen_resid = scale_free(nabla_x - rho * fp.g, nabla_x, rho * fp.g)
     a, b = float(fp.a_jet.value), float(fp.b_jet.value)
-    ckv_rhs = ((a - b) / (1.0 - n)) * xv
+    ckv_rhs = ((a - b) / (1.0 - fp.n)) * x.value
     ckv_resid = scale_free(grad_rho - ckv_rhs, grad_rho, ckv_rhs)
-    x_norm = float(xv @ fp.g_inv @ xv)        # must be -e^{-2 sigma} < 0
-    scale_sq = scaling * scaling
-    timelike_resid = abs(x_norm + scale_sq) / (1.0 + scale_sq)
-    return ChenPointData(rho=rho, x=xv, chen_residual=chen_resid,
+    return ChenPointData(rho=rho, x=x.value, chen_residual=chen_resid,
                          ckv_residual=ckv_resid,
-                         timelike_residual=timelike_resid,
                          path_defect=pot.path_defect,
                          grad_rho_norm=float(np.max(np.abs(grad_rho))))
 
@@ -445,8 +433,7 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     """All nine intermediate identities at one point, scale-free."""
     n, g, u, u_up, nabla = fp.n, fp.g, fp.uv, fp.uupv, fp.nabla_u
     b = fp.b_jet.value
-    da, db, dgam = (np.array(jet.grad)
-                    for jet in (fp.a_jet, fp.b_jet, fp.gamma_jet))
+    da, db, dgam = fp.a_jet.grad, fp.b_jet.grad, fp.gamma_jet.grad
     divu = fp.f_jet.value * (n - 1)
     u_dot_db = float(u_up @ db)
     u_dot_dgam = float(u_up @ dgam)
@@ -499,10 +486,9 @@ def soliton_at(fp: FieldPoint, *, closed_tol: float = 1e-6):
 
 
 def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:
-    # d theta = u, so Hess(theta) is the symmetrized d u.
+    # d theta = u, so Hess(theta) is the symmetrized nabla u.
     grad_theta = fp.uv
-    hess_cov = 0.5 * (fp.du + fp.du.T) - np.einsum(
-        "aij,a->ij", fp.stack.gamma.value, grad_theta)
+    hess_cov = 0.5 * (fp.nabla_u + fp.nabla_u.T)
     f = float(fp.f_jet.value)
     lam = float(fp.a_jet.value) + f
     eta = float(fp.b_jet.value) + f

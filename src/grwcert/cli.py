@@ -70,6 +70,13 @@ def _finish(report, args) -> int:
     return 0 if report.verdict == PASS else 1
 
 
+# A declared scalar's record, the detail keys that carry it and the bar:
+# each key must lie within bar * (1 + |expected|) of the expected value.
+_SCALARS = {"A": ("fluid-decompose", ("A_min", "A_max"), 1e-8),
+            "B": ("fluid-decompose", ("B_min", "B_max"), 1e-8),
+            "w": ("eos-slope", ("w",), 1e-6)}
+
+
 def _expectation_mismatches(report, expected) -> list[str]:
     problems = []
     if "verdict" in expected and report.verdict != expected["verdict"]:
@@ -97,6 +104,23 @@ def _expectation_mismatches(report, expected) -> list[str]:
         if rec.status not in (INFORMATIONAL, SKIPPED):
             problems.append(f"{name}: expected informational, "
                             f"got status {rec.status}")
+    for scalar, want in expected.get("scalars", {}).items():
+        record, keys, bar = _SCALARS[scalar]
+        for key in keys:
+            got = report.find(record).detail.get(key)
+            if not (isinstance(got, float)
+                    and abs(got - want) <= bar * (1.0 + abs(want))):
+                problems.append(f"{record}: {key} = {got!r}, expected "
+                                f"{want!r} within {bar:g} (1 + |{want!r}|)")
+    if "branch" in expected:
+        # Every point that carries a potential is on the declared branch.
+        want = expected["branch"]
+        other = "homothetic" if want == "proper" else "proper"
+        detail = report.find("ckv-branch").detail
+        on, off = (detail.get(f"{b}_points", 0) for b in (want, other))
+        if not on or off:
+            problems.append(f"ckv-branch: {on} {want} and {off} {other} "
+                            f"points, expected every point {want}")
     return problems
 
 

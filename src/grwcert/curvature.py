@@ -42,7 +42,6 @@ def scale_free(residual, *references) -> float:
 class CurvaturePoint:
     """Every curvature object at one chart point, as plain arrays."""
 
-    point: ChartPoint
     n: int
     g: np.ndarray          # (n, n)
     g_inv: np.ndarray      # (n, n)
@@ -150,33 +149,20 @@ class JetStack:
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        g_inv, gamma = self.g_inv.value, self.gamma.value
-        weyl = self.weyl.value
-        divweyl = self._divergence_weyl(
-            g_inv, gamma, weyl, np.moveaxis(self.weyl.grad, -1, 0),
-            np.moveaxis(self.g.grad, -1, 0))
-        return CurvaturePoint(point=self.point, n=self.n, g=self.g.value,
-                              g_inv=g_inv, gamma=gamma, riem=self.riem.value,
-                              driem=np.moveaxis(self.riem.grad, -1, 0),
-                              ricci=self.ricci.value, rs=float(self.rs.value),
-                              weyl=weyl, divweyl=divweyl)
-
-    @staticmethod
-    def _divergence_weyl(g_inv, gamma, weyl, dweyl, dg):
-        """nabla_m C_{jkl}{}^m from C jets, raising the last slot exactly.
-
-        d_a g^{mp} = -g^{mb} (d_a g_bc) g^{cp}, so the partial term is
-        d_m (C_{jkla} g^{am}) = (d_m C_{jkla}) g^{am} + C_{jkla} d_m g^{am}.
-        """
-        dginv = -np.einsum("mb,abc,cp->amp", g_inv, dg, g_inv)
-        cup = np.einsum("jkla,am->jklm", weyl, g_inv)
-        partial = (np.einsum("mjkla,am->jkl", dweyl, g_inv)
-                   + np.einsum("jkla,mam->jkl", weyl, dginv))
-        corrections = (np.einsum("amj,aklm->jkl", gamma, cup)
-                       + np.einsum("amk,jalm->jkl", gamma, cup)
-                       + np.einsum("aml,jkam->jkl", gamma, cup))
-        trace = np.einsum("mma->a", gamma)
-        return partial - corrections + np.einsum("a,jkla->jkl", trace, cup)
+        gamma = self.gamma.value
+        # C_{jkl}{}^m as a jet: d_m C_{jkl}{}^m is the trace of its gradient.
+        cup = contract("jkla,am->jklm", self.weyl, self.g_inv.truncated(1))
+        c = cup.value
+        corrections = (np.einsum("amj,aklm->jkl", gamma, c)
+                       + np.einsum("amk,jalm->jkl", gamma, c)
+                       + np.einsum("aml,jkam->jkl", gamma, c))
+        divweyl = (np.einsum("jklmm->jkl", cup.grad) - corrections
+                   + np.einsum("a,jkla->jkl", np.einsum("mma->a", gamma), c))
+        return CurvaturePoint(
+            n=self.n, g=self.g.value, g_inv=self.g_inv.value, gamma=gamma,
+            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, 0),
+            ricci=self.ricci.value, rs=float(self.rs.value),
+            weyl=self.weyl.value, divweyl=divweyl)
 
 
 def _invertible(m: np.ndarray) -> bool:

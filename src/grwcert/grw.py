@@ -65,10 +65,10 @@ class GRWStructure:
 
 
 def build_grw(warp: str, fiber: FiberMetric, *, name: str,
-              t_range, basepoint=None, params=None) -> MetricChart:
+              t_range, basepoint=None) -> MetricChart:
     """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab from
     the text of the warp q(t), which must be positive on ``t_range``."""
-    params = dict(fiber.input.parameters) | dict(params or {})
+    params = dict(fiber.input.parameters)
     n = 1 + fiber.dim
     coords = ["t"] + list(fiber.chart.coordinates)
 
@@ -215,8 +215,7 @@ def _build_minkowski() -> CatalogEntry:
         {"verdict": "fail", "fluid": "degenerate",
          "ok": ["u-closed", "div-weyl", "fiber-einstein"],
          "informational": ["torse-forming", "chen-vector"],
-         "scalars": {"A": 0.0},
-         "flat": True})
+         "scalars": {"A": 0.0}})
 
 
 def _build_desitter() -> CatalogEntry:
@@ -231,8 +230,7 @@ def _build_desitter() -> CatalogEntry:
 def _build_einstein_static() -> CatalogEntry:
     base = (0.0, math.pi / 2, math.pi / 2, 1.0)
     expected = dict(_POSITIVE)
-    expected["scalars"] = {"A": 2.0, "B": 2.0, "gamma": 6.0,
-                           "mu": 3.0, "p": -1.0}
+    expected["scalars"] = {"A": 2.0, "B": 2.0}
     expected["branch"] = "homothetic"
     return _grw_entry("einstein-static", "1", _sphere(3), (-1, 1), base,
                       expected)

@@ -14,6 +14,9 @@ import numpy as np
 from .classify import FieldPoint
 from .curvature import scale_free
 
+# Gradients (and sums of mu squared) at or below this count as zero.
+DEGENERATE_TOL = 1e-10
+
 
 def motion_at(fp: FieldPoint) -> tuple[float, float]:
     """Scale-free residuals of the two projected conservation equations:
@@ -21,8 +24,7 @@ def motion_at(fp: FieldPoint) -> tuple[float, float]:
     r1:  u^k d_k mu + (p + mu) nabla_k u^k
     r2:  (d_j + u_j u^k d_k) p + (p + mu) u^k nabla_k u_j
     """
-    dmu = np.array(fp.mu_jet.grad)
-    dp = np.array(fp.p_jet.grad)
+    dmu, dp = fp.mu_jet.grad, fp.p_jet.grad
     p_plus_mu = float(fp.p_jet.value) + float(fp.mu_jet.value)
     transport = float(fp.uupv @ dmu)
     expansion = p_plus_mu * (float(fp.f_jet.value) * (fp.n - 1))  # (p+mu) div u
@@ -41,8 +43,7 @@ class EosReport:
     p_plus_mu_positive: bool
 
 
-def eos_check(grad_p, grad_mu, p_values, mu_values,
-              *, degenerate_tol: float = 1e-10) -> EosReport:
+def eos_check(grad_p, grad_mu, p_values, mu_values) -> EosReport:
     """Equation-of-state behaviour over the sampled points.
 
     ``grad_p``/``grad_mu`` are per-point gradient vectors; the parallelism
@@ -56,12 +57,12 @@ def eos_check(grad_p, grad_mu, p_values, mu_values,
         wedge = np.outer(dp, dmu) - np.outer(dmu, dp)
         np_, nm = float(np.max(np.abs(dp))), float(np.max(np.abs(dmu)))
         worst = max(worst, float(np.max(np.abs(wedge))) / (1.0 + np_ * nm))
-        if max(np_, nm) > degenerate_tol:
+        if max(np_, nm) > DEGENERATE_TOL:
             moving = True
     p_arr = np.asarray(list(p_values), dtype=float)
     mu_arr = np.asarray(list(mu_values), dtype=float)
     denom = float(mu_arr @ mu_arr)
-    if moving and denom > degenerate_tol:
+    if moving and denom > DEGENERATE_TOL:
         w = float(p_arr @ mu_arr) / denom
     else:
         w = None

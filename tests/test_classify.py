@@ -186,6 +186,8 @@ class TestScalarFields:
             assert float(fp.a_jet.value) == pytest.approx(2.0, abs=1e-9)
             assert float(fp.b_jet.value) == pytest.approx(2.0, abs=1e-9)
             assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
+            assert float(fp.mu_jet.value) == pytest.approx(3.0, abs=1e-9)
+            assert float(fp.p_jet.value) == pytest.approx(-1.0, abs=1e-9)
 
     def test_frw_dust_matches_friedmann_oracle(self, frw_dust):
         analysis = VelocityAnalysis(frw_dust)
@@ -484,11 +486,11 @@ class TestChen:
                    for fp in field_points(frw_dust, points)) < 1e-12
         assert max(row.path_defect for row in rows) < 1e-10
         assert not any(branch_homothetic(frw_dust, points))
-        for row, p in zip(rows, points):
+        for row, fp, p in zip(rows, field_points(frw_dust, points), points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             assert row.rho == pytest.approx(fs["qp"], rel=1e-10)
-            # X is time-like with X.X = -e^{-2 sigma}
-            assert row.timelike_residual < 1e-10
+            # X is time-like: X.X = -e^{-2 sigma} because u.u = -1
+            assert fp.unit_residual < 1e-10
             assert row.x[0] == pytest.approx(-fs["q"], rel=1e-10)
 
     def test_desitter_ckv_gradient_matches_second_derivative(self):

@@ -102,6 +102,18 @@ class TestRunCertify:
         assert report.find("fluid-decompose").ok
         assert report.find("weyl-electric").max_residual is not None
 
+    def test_signature_failure_record(self):
+        # g_22 = t changes sign on the range: the points at t < 0 have two
+        # negative eigenvalues, so the signature record fails the run.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["name"] = "sign-change"
+        spec["metric"] = {"1,1": "-1", "2,2": "t", "3,3": "1", "4,4": "1"}
+        spec["domain"]["ranges"]["t"] = [-1, 2]
+        report = run_certify(spec, RunConfig(points=6, seed=0))
+        rec = report.find("signature")
+        assert (rec.status, rec.ok, rec.max_residual) == ("fail", False, 1.0)
+        assert report.verdict == "fail"
+
     def test_check_selection(self, spec_file):
         report = run_certify(spec_file,
                              RunConfig(points=4, checks=("sanity", "ladder")))
@@ -444,6 +456,25 @@ class TestCliCommands:
         code = main(["catalog", "run", "kasner-negative", "--points", "4",
                      "--quiet"])
         assert code == 0
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_run_every_entry_matches(self, name):
+        assert main(["catalog", "run", name, "--points", "10",
+                     "--quiet"]) == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("scalars", {"w": 0.5}, "eos-slope: w = "),
+        ("scalars", {"A": 1.0}, "fluid-decompose: A_min = "),
+        ("branch", "homothetic",
+         "ckv-branch: 0 homothetic and 4 proper points, expected every "
+         "point homothetic"),
+    ])
+    def test_catalog_run_wrong_expectation(self, monkeypatch, capsys, key,
+                                           value, message):
+        monkeypatch.setitem(catalog_get("frw-dust").expected, key, value)
+        assert main(["catalog", "run", "frw-dust", "--points", "4",
+                     "--quiet"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_catalog_unknown_name(self, capsys):
         assert main(["catalog", "run", "schwarzschild"]) == 2

@@ -227,7 +227,7 @@ class TestTensorJetStack:
     field (the derivatives a CurvaturePoint does not carry are read off
     the stack's jets), and its exact antisymmetries."""
 
-    FIELDS = {f.name for f in dataclasses.fields(CurvaturePoint)} - {"point", "n"}
+    FIELDS = {f.name for f in dataclasses.fields(CurvaturePoint)} - {"n"}
     DERIVATIVES = {"dg", "dgamma", "drs", "dricci"}
 
     def check(self, chart, points):
