@@ -17,6 +17,7 @@ count.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -65,6 +66,16 @@ class RunConfig:
                 raise ValueError(f"{label} must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # An int: an np.int64 seed samples the points the int does, and
+        # the report's environment stays JSON.
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"not {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def selected(self) -> set[str]:
         if self.checks is None:

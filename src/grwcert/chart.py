@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from numbers import Real
@@ -329,6 +330,72 @@ def validate_signature(chart: MetricChart, point: ChartPoint) -> None:
                          f"{negatives} negative eigenvalue(s)")
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` stream, in pure Python.
+
+    SeedSequence hashes the seed's 32-bit words into a pool of four and
+    draws PCG64's 128-bit state and increment from it; each double is the
+    top 53 bits of one XSL-RR output (O'Neill 2014). Importing numpy.random
+    costs more than the few hundred draws a run takes.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {seed}")
+        words = [seed >> k & _M32
+                 for k in range(0, max(seed.bit_length(), 1), 32)]
+        mult = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal mult
+            value ^= mult
+            mult = mult * 0x931E8875 & _M32
+            value = value * mult & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        mult, out = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ mult
+            mult = mult * 0x58F38DED & _M32
+            value = value * mult & _M32
+            out.append(value ^ value >> 16)
+        # Two 128-bit numbers, each the high then the low little-endian
+        # uint64 of the eight words.
+        state, seq = (out[i] << 64 | out[i + 1] << 96 | out[i + 2]
+                      | out[i + 3] << 32 for i in (0, 4))
+        self._inc = (seq << 1 | 1) & _M128
+        self._state = ((self._inc + state) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, lows, highs, size) -> np.ndarray:
+        """``default_rng(seed).uniform(lows, highs, size)``, continuing the
+        stream: ``low + (high - low) * d`` in row-major order."""
+        state, inc, draws = self._state, self._inc, []
+        for _ in range(math.prod(size)):
+            state = (state * _PCG_MULT + inc) & _M128
+            word, rot = (state >> 64 ^ state) & _M64, state >> 122
+            draws.append((((word >> rot | word << 64 - rot) & _M64) >> 11)
+                         * 2.0 ** -53)
+        self._state = state
+        return lows + (highs - lows) * np.reshape(draws, size)
+
+
 def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]:
     """Seeded rejection sampling inside the domain box minus exclusions.
 
@@ -337,7 +404,7 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     lows = np.array([lo for lo, _ in chart.ranges])
     highs = np.array([hi for _, hi in chart.ranges])
     trees = [exc.expr for exc in chart.exclusions]

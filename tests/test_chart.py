@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grwcert.chart import (ChartError, ChartInput, ChartPoint,
+from grwcert.chart import (_PCG64, ChartError, ChartInput, ChartPoint,
                            NonInvertibleError, SamplingExhaustedError,
                            SignatureError, compile_chart, sample_points)
 from grwcert.grw import catalog_get
@@ -89,6 +89,40 @@ def per_candidate_points(chart, count, seed):
                         for e in chart.exclusions):
             points.append(p)
     return points
+
+
+class TestStream:
+    """The pure-Python generator draws numpy's ``default_rng(seed)`` stream
+    bit for bit; numpy.random is imported here as the oracle only."""
+
+    SEEDS = [0, 1, 31, 2**32 - 1, 2**32, 2**64 + 3,
+             0xB7E151628AED2A6ABF7158809CF4F3C762E7160F38B4DA56A7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_uniform_matches_numpy_bytes(self, seed, n):
+        lows = np.linspace(-2.5, 0.75, n)
+        highs = lows + np.linspace(0.125, 3.0, n)
+        mine, rng = _PCG64(seed), np.random.default_rng(seed)
+        for m in (3, 5):       # two successive blocks of one generator
+            assert mine.uniform(lows, highs, (m, n)).tobytes() == \
+                rng.uniform(lows, highs, (m, n)).tobytes()
+
+    @pytest.mark.parametrize("seed, doubles", [
+        (0, ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2",
+             "0x1.4fa7b529d9bd0p-5", "0x1.0ec9ed84d0bc0p-6"]),
+        (31, ["0x1.ce6c891d18cabp-1", "0x1.1535cd37e4a58p-4",
+              "0x1.58702c5b25215p-1", "0x1.e3e2c26850a5ap-2"]),
+    ])
+    def test_first_doubles_pinned(self, seed, doubles):
+        # numpy 2.4.6's default_rng(seed).random(4): the sample points stay
+        # these even if a later numpy changes its stream.
+        draws = _PCG64(seed).uniform(0.0, 1.0, (4,))
+        assert [float(d).hex() for d in draws] == doubles
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            _PCG64(-1)
 
 
 class TestSampling:

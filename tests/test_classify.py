@@ -349,6 +349,11 @@ class TestReconstructPotential:
 def dense_pullback_chart(seed=5):
     """frw-dust pulled back through x = A y + b, A = I + O(0.1): every
     metric component is non-zero. The basepoint sits at mapped t ~ 1.5."""
+    return compile_chart(dense_pullback_input(seed))
+
+
+def dense_pullback_input(seed=5):
+    """The uncompiled description of ``dense_pullback_chart(seed)``."""
     rng = np.random.default_rng(seed)
     a = np.eye(4) + rng.uniform(-0.1, 0.1, (4, 4))
     b = rng.uniform(-0.1, 0.1, 4)
@@ -361,13 +366,13 @@ def dense_pullback_chart(seed=5):
             space = float(a[1:, k] @ a[1:, l])
             metric[f"{k + 1},{l + 1}"] = (
                 f"({space!r})*{t}^(4/3) + ({float(-a[0, k] * a[0, l])!r})")
-    return compile_chart(ChartInput(
+    return ChartInput(
         name="frw-dust-dense", dimension=4, signature="lorentzian",
         coordinates=["t", "x", "y", "z"], metric=metric,
         ranges={"t": (0.5, 2.7), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
         exclusions=[(f"({t} - 1)*(2 - {t})", 0.0)],
         velocity_field=[repr(float(-a[0, k])) for k in range(4)],
-        basepoint=(1.5, 0.0, 0.0, 0.0)))
+        basepoint=(1.5, 0.0, 0.0, 0.0))
 
 
 class TestBatchedQuadrature:

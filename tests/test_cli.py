@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import grwcert
 from grwcert import certify, classify
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.chart import ChartError, compile_chart, sample_points
@@ -14,6 +19,8 @@ from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import motion_at
 from grwcert.report import render_json, render_text, report_to_dict
 from grwcert.schema import SpecFileError, chart_input_to_dict, load_chart_input
+
+from .test_classify import dense_pullback_input
 
 FRW_DUST_SPEC = {
     "schema": 1,
@@ -194,6 +201,21 @@ class TestRunCertify:
         for kappa in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 RunConfig(kappa=kappa)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative "
+                                             "integer, not "):
+            RunConfig(seed=seed)
+
+    def test_numpy_integer_seed_samples_the_int_points(self):
+        chart = catalog_get("frw-dust").chart
+        seed = 2**62 + 7
+        config = RunConfig(points=3, seed=np.int64(seed), checks=("sanity",))
+        assert type(config.seed) is int
+        want = run_certify(chart, RunConfig(points=3, seed=seed,
+                                            checks=("sanity",)))
+        assert render_json(run_certify(chart, config)) == render_json(want)
 
     @pytest.mark.parametrize("basepoint, message", [
         ((1.0, 0.0), "basepoint must have 4 entries"),
@@ -475,6 +497,51 @@ class TestCliCommands:
         assert main(["catalog", "run", "frw-dust", "--points", "4",
                      "--quiet"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere"])
+    @pytest.mark.parametrize("checks", [
+        "sanity,fluid,hypotheses,ladder", "conclusions", "converse",
+        "physics"])
+    def test_catalog_run_subset_matches(self, name, checks):
+        # Only the expectations on the selected groups are compared.
+        assert main(["catalog", "run", name, "--points", "4", "--quiet",
+                     "--checks", checks]) == 0
+
+    def test_catalog_run_subset_wrong_expectation(self, monkeypatch, capsys):
+        argv = ["catalog", "run", "frw-dust", "--points", "4", "--quiet",
+                "--checks", "sanity,fluid,hypotheses"]
+        assert main(argv) == 0
+        expected = catalog_get("frw-dust").expected
+        monkeypatch.setitem(expected, "scalars", {"w": 0.5})   # physics
+        assert main(argv) == 0
+        monkeypatch.setitem(expected, "scalars", {"A": 1.0})   # fluid
+        assert main(argv) == 1
+        assert "fluid-decompose: A_min = " in capsys.readouterr().err
+
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["catalog", "run", "frw-dust", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, not -1\n")
+
+    def test_numpy_random_never_imported(self, tmp_path):
+        # Sampling draws numpy's stream without importing numpy.random,
+        # whose import costs more than a small run's whole sampling.
+        spec = tmp_path / "dense.json"
+        spec.write_text(json.dumps(chart_input_to_dict(
+            dense_pullback_input())))
+        runs = [["catalog", "run", "frw-dust", "--points", "2", "--quiet"],
+                ["certify", str(spec), "--points", "3", "--quiet"]]
+        script = ("import sys\n"
+                  "from grwcert.cli import main\n"
+                  f"for argv in {runs!r}:\n"
+                  "    assert main(argv) == 0, argv\n"
+                  "    assert 'numpy.random' not in sys.modules, argv\n")
+        src = str(Path(grwcert.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
     def test_catalog_unknown_name(self, capsys):
         assert main(["catalog", "run", "schwarzschild"]) == 2
