@@ -81,9 +81,10 @@ class RunConfig:
         if self.checks is None:
             return set(GROUPS)
         unknown = set(self.checks) - set(GROUPS)
-        if unknown:
-            raise ValueError(f"unknown check groups: {sorted(unknown)}; "
-                             f"valid groups: {', '.join(GROUPS)}")
+        if unknown or not self.checks:     # an empty run would check nothing
+            what = (f"unknown check groups: {sorted(unknown)}" if unknown
+                    else "no check groups selected")
+            raise ValueError(f"{what}; valid groups: {', '.join(GROUPS)}")
         return set(self.checks)
 
 
@@ -250,9 +251,9 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
             out["grad_rho_norm"] = chen.grad_rho_norm
         except (NotClosedError, QuadratureError) as err:
             out["errors"]["chen-vector"] = str(err)
-        except EvalDomainError as err:
-            # sigma's path may leave an expression's domain even when
-            # every sample point is valid: the message names the path.
+        except (EvalDomainError, SingularMetricError) as err:
+            # sigma's path may leave an expression's domain or cross a
+            # singular metric where no sample point does: name the path.
             out["errors"]["chen-vector"] = f"path from basepoint: {err}"
     if "conclusions" in selected:
         try:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .expr import (EvalDomainError, Expr, FUNCTIONS, ParseError, eval_batch,
                    parse)
+from .jets import jet_tables
 
 LORENTZIAN = "lorentzian"
 RIEMANNIAN = "riemannian"
@@ -105,6 +106,8 @@ class MetricChart:
         self.signature = signature
         self.coordinates = tuple(coordinates)
         self.metric = metric              # n x n tuple grid of Expr (symmetric)
+        pairs = jet_tables(n)     # the unordered pairs (i <= j), packed
+        self.upper = tuple(metric[i][j] for i, j in zip(pairs.i2, pairs.j2))
         self.params = dict(params)
         self.ranges = tuple(ranges)       # per-coordinate (lo, hi)
         self.exclusions = tuple(exclusions)
@@ -112,13 +115,14 @@ class MetricChart:
         self.basepoint = basepoint
         self.grw = None                   # set by grw.build_grw for warped products
 
+    def symmetric(self, level: np.ndarray) -> np.ndarray:
+        """The symmetric metric from a level of ``upper``'s trees on axis 1
+        (a point axis comes first): (i, j) and (j, i) read one tree."""
+        return np.take(level, jet_tables(self.n).pair_pos, axis=1)
+
     def metric_values(self, point: ChartPoint) -> np.ndarray:
-        iu, ju = np.triu_indices(self.n)
-        g = np.empty((self.n, self.n))
-        g[iu, ju] = g[ju, iu] = eval_batch(
-            [self.metric[i][j] for i, j in zip(iu, ju)], [point.coords],
-            self.params)[0]
-        return g
+        return self.symmetric(eval_batch(self.upper, [point.coords],
+                                         self.params))[0]
 
     def in_domain(self, point: ChartPoint) -> bool:
         """Inside every range and above every exclusion margin; the

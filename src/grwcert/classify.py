@@ -20,7 +20,8 @@ from operator import add
 import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
-from .curvature import JetStack, scale_free
+from .curvature import (JetStack, SingularMetricError, christoffel,
+                        covariant_derivative, metric_inverse, scale_free)
 from .expr import eval_batch, eval_jet3
 from .jets import TensorJet, contract
 
@@ -238,14 +239,9 @@ class VelocityAnalysis:
         if stack is None:
             stack = JetStack(chart, [point]).at(0)
         u = eval_jet3(self.field.components, point, chart.params)
-        u1 = u.truncated(1)
-        g_inv = stack.g_inv.truncated(1)
-        u_up = contract("ij,j->i", g_inv, u1)
-        nabla = (u.deriv().truncated(1)
-                 - contract("akj,a->kj", stack.gamma.truncated(1), u1))
+        u_up, nabla, f, omega = _velocity_terms(
+            stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
         unit_residual = abs(float(u_up.value @ u.value) + 1.0)
-        f = contract("kj,kj->", g_inv, nabla) * (1.0 / (n - 1))
-        omega = contract(",k->k", f, u1) - contract("kj,j->k", nabla, u_up)
         ruu = contract("ij,ij->", stack.ricci,
                        contract("i,j->ij", u_up, u_up))
         a_jet = (stack.rs + ruu) * (1.0 / (n - 1))
@@ -253,12 +249,21 @@ class VelocityAnalysis:
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * (1.0 / (2.0 * self.kappa))
         p_jet = b_jet * (1.0 / self.kappa) - mu_jet
-        return FieldPoint(stack=stack, point=point, field=self.field,
-                          u=u, u_up=u_up,
-                          nabla=nabla, omega=omega, f_jet=f,
+        return FieldPoint(stack=stack, point=point, field=self.field, u=u,
+                          u_up=u_up, nabla=nabla, omega=omega, f_jet=f,
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
                           p_jet=p_jet, mu_jet=mu_jet,
                           unit_residual=unit_residual)
+
+
+def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
+    """u^, nabla u, f = nabla_k u^k / (n-1) and omega = f u - (nabla u) u^
+    of the covariant velocity u, to order min(u's - 1, g_inv's, gamma's)."""
+    u_up = contract("ij,j->i", g_inv, u)
+    nabla = covariant_derivative(u, gamma)
+    f = contract("kj,kj->", g_inv, nabla) * (1.0 / (u.n - 1))
+    omega = contract(",k->k", f, u) - contract("kj,j->k", nabla, u_up)
+    return u_up, nabla, f, omega
 
 
 def geodesic_at(fp: FieldPoint) -> float:
@@ -352,34 +357,22 @@ def _integrate_form(integrand, n, base, target, quad_order,
 
 
 def _omega_integrand(chart: MetricChart, field: VectorField):
-    """omega = f u - (nabla u) u^ at the rows of an (N, n) array.
-
-    The Christoffels need metric first derivatives only, so one
-    value-and-gradient pass over the metric and velocity trees feeds
-    batched array algebra over (N, n, n) blocks.
-    """
-    n = chart.n
-    iu, ju = np.triu_indices(n)
-    pairs = len(iu)
-    trees = tuple(chart.metric[i][j] for i, j in zip(iu, ju)) + field.components
+    """omega at the rows of an (N, n) array by the FieldPoint's formula at
+    order 0: the Christoffels need metric first derivatives only, so one
+    value-and-gradient walk over the metric and velocity trees feeds it."""
+    trees, pairs = chart.upper + field.components, len(chart.upper)
 
     def integrand(x):
-        values, grads = eval_batch(trees, x, chart.params, grad=True)
-        rows = len(values)
-        g = np.empty((rows, n, n))
-        g[:, iu, ju] = g[:, ju, iu] = values[:, :pairs]
-        dg = np.empty((rows, n, n, n))             # dg[r, k, i, j] = d_k g_ij
-        dg[:, :, iu, ju] = dg[:, :, ju, iu] = grads[:, :pairs].transpose(0, 2, 1)
-        u = np.ascontiguousarray(values[:, pairs:])
-        du = np.ascontiguousarray(grads[:, pairs:].transpose(0, 2, 1))
-        g_inv = np.linalg.inv(g)
-        gamma = 0.5 * np.einsum(
-            "rml,rjlk->rmjk", g_inv,
-            dg + np.einsum("rklj->rjlk", dg) - np.einsum("rljk->rjlk", dg))
-        nabla = du - np.einsum("rakj,ra->rkj", gamma, u)
-        u_up = (g_inv @ u[..., None])[..., 0]
-        f = np.einsum("rkj,rkj->r", g_inv, nabla) / (n - 1)
-        return f[:, None] * u - (nabla @ u_up[..., None])[..., 0]
+        levels = eval_batch(trees, x, chart.params, grad=True)
+        g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
+                                for level in levels], 1)
+        u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)
+        try:
+            g_inv = metric_inverse(g.truncated(0))
+        except SingularMetricError as err:
+            err.coords = x[err.index]
+            raise
+        return _velocity_terms(g_inv, christoffel(g, g_inv), u)[3].value
 
     return integrand
 
@@ -411,8 +404,7 @@ def _chen_point(fp: FieldPoint, pot: PotentialResult) -> ChenPointData:
     s = TensorJet(fp.n, [np.array(scaling), -scaling * fp.omega.value])
     x = contract(",j->j", s, fp.u.truncated(1))
     rho_jet = contract(",->", s, fp.f_jet)
-    nabla_x = x.deriv().value - np.einsum("akj,a->kj", fp.stack.gamma.value,
-                                          x.value)
+    nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
     rho, grad_rho = float(rho_jet.value), rho_jet.grad
     chen_resid = scale_free(nabla_x - rho * fp.g, nabla_x, rho * fp.g)
     a, b = float(fp.a_jet.value), float(fp.b_jet.value)

@@ -28,9 +28,6 @@ def _add_run_flags(parser):
                         help="gravitational coupling (default 1)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads for point evaluation")
-    parser.add_argument("--checks", type=str, default=None,
-                        help=f"comma list of groups to run "
-                             f"(default all: {','.join(GROUPS)})")
     parser.add_argument("--basepoint", type=str, default=None,
                         help="comma list of coordinates overriding the "
                              "spec-file basepoint")
@@ -40,11 +37,9 @@ def _add_run_flags(parser):
                         help="suppress the text report on stdout")
 
 
-def _config_from_args(args, checks=None) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     hyp = args.tol if args.tol is not None else args.hypothesis_tol
     conc = args.tol if args.tol is not None else args.conclusion_tol
-    if checks is None and args.checks:
-        checks = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     basepoint = None
     if args.basepoint:
         basepoint = []
@@ -58,7 +53,7 @@ def _config_from_args(args, checks=None) -> RunConfig:
     return RunConfig(points=args.points, seed=args.seed,
                      hypothesis_tol=hyp, conclusion_tol=conc,
                      cluster_tol=args.cluster_tol, kappa=args.kappa,
-                     workers=args.workers, checks=checks,
+                     workers=args.workers, checks=args.checks,
                      basepoint=basepoint)
 
 
@@ -158,13 +153,17 @@ def main(argv=None) -> int:
                        "identity ladder on a chart file")
     p_ladder.add_argument("file")
     _add_run_flags(p_ladder)
+    p_ladder.set_defaults(checks=("sanity", "fluid", "hypotheses", "ladder"))
+    for p in (p_certify, p_run):
+        p.add_argument("--checks", default=None, type=lambda text: tuple(
+            s.strip() for s in text.split(",") if s.strip()),
+            help=f"comma list of groups to run (default all: "
+                 f"{','.join(GROUPS)})")
 
     args = parser.parse_args(argv)
     try:
         if args.command in ("certify", "ladder"):
-            checks = (("sanity", "fluid", "hypotheses", "ladder")
-                      if args.command == "ladder" else None)
-            report = run_certify(args.file, _config_from_args(args, checks))
+            report = run_certify(args.file, _config_from_args(args))
             return _finish(report, args)
         if args.command == "catalog":
             if args.catalog_command == "list":

@@ -56,7 +56,7 @@ class CurvaturePoint:
 
 class SingularMetricError(np.linalg.LinAlgError):
     """The metric is singular at a point: ``index`` names the point within
-    its stack, and the stack fills in its ``coords``."""
+    its batch, and the batch's owner fills in its ``coords``."""
 
     def __init__(self, index: int, coords=()):
         super().__init__(index, coords)
@@ -89,24 +89,14 @@ class JetStack:
         rows = [p.coords for p in self.points]
 
         # One batched walk of the metric's upper triangle, mirrored.
-        iu, ju = np.triu_indices(n)
-        slot = np.empty((n, n), dtype=np.intp)
-        slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
-        levels = eval_jet3_batch([chart.metric[i][j] for i, j in zip(iu, ju)],
-                                 rows, chart.params)
-        g = self.g = TensorJet(n, [np.take(level, slot, axis=1)
-                                   for level in levels], 1)
+        levels = eval_jet3_batch(chart.upper, rows, chart.params)
+        g = self.g = TensorJet(n, list(map(chart.symmetric, levels)), 1)
         try:
             g_inv = self.g_inv = metric_inverse(g.truncated(2))
         except SingularMetricError as err:
             err.coords = rows[err.index]
             raise
-
-        # Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk)
-        dg = g.deriv()                               # dg[a, i, j] = d_a g_ij
-        combo = dg.map("jlk->ljk") + dg.map("klj->ljk") - dg
-        gamma = self.gamma = contract("ml,ljk->mjk", g_inv, combo) * 0.5
-        del dg, combo    # the temporaries of a batch add up: free them early
+        gamma = self.gamma = christoffel(g, g_inv)
 
         # R = X - X with j and k swapped: exactly antisymmetric in (j, k).
         gamma1 = gamma.truncated(1)
@@ -165,6 +155,20 @@ class JetStack:
             weyl=self.weyl.value, divweyl=divweyl)
 
 
+def christoffel(g: TensorJet, g_inv: TensorJet) -> TensorJet:
+    """Gamma^m_{jk} = 1/2 g^{ml} (d_j g_lk + d_k g_lj - d_l g_jk) as
+    ``[m, j, k]``, at the lower of g_inv's order and g's order less one."""
+    dg = g.deriv()                                   # dg[a, i, j] = d_a g_ij
+    combo = dg.map("jlk->ljk") + dg.map("klj->ljk") - dg
+    return contract("ml,ljk->mjk", g_inv, combo) * 0.5
+
+
+def covariant_derivative(v: TensorJet, gamma: TensorJet) -> TensorJet:
+    """nabla_k v_j = d_k v_j - Gamma^a_{kj} v_a of a covector as
+    ``[k, j]``, at the lower of v's order less one and gamma's order."""
+    return v.deriv() - contract("akj,a->kj", gamma, v)
+
+
 def _invertible(m: np.ndarray) -> bool:
     try:
         return bool(np.max(np.abs(np.linalg.inv(m))) < 1e14)
@@ -212,8 +216,7 @@ def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
     stack = JetStack(chart, [point]).at(0)
     v = eval_jet3(field.components, point, chart.params).truncated(2)
     curl = v.grad.T                              # curl[k, j] = d_k v_j
-    jet = (v.deriv().truncated(1)
-           - contract("akj,a->kj", stack.gamma.truncated(1), v.truncated(1)))
+    jet = covariant_derivative(v, stack.gamma.truncated(1))
     nabla, dnabla = jet.value, np.moveaxis(jet.grad, -1, 0)
     anti_cov = nabla - nabla.T
     anti_partial = curl - curl.T

@@ -336,9 +336,9 @@ def omega_per_node(chart, field, coords):
         u[j] = jet.value
         du[:, j] = jet.grad
     nabla = du - np.einsum("akj,a->kj", gamma, u)
-    u_up = g_inv @ u
-    f = float(np.einsum("kj,kj->", g_inv, nabla)) / (n - 1)
-    return f * u - nabla @ u_up
+    u_up = np.einsum("ij,j->i", g_inv, u)
+    f = np.einsum("kj,kj->", g_inv, nabla) * (1.0 / (n - 1))
+    return f * u - np.einsum("kj,j->k", nabla, u_up)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from grwcert.classify import (LADDER_NAMES, QUAD_ORDER, QUAD_PANELS,
                               ladder_residuals_at, soliton_at, torse_at,
                               weyl_electric_at, _integrate_form, _leggauss,
                               _omega_integrand)
-from grwcert.curvature import curvature_at, scale_free
+from grwcert.curvature import (JetStack, SingularMetricError, curvature_at,
+                               scale_free)
 from grwcert.expr import EvalDomainError, eval_jet3, parse
 from grwcert.grw import catalog_get
 from grwcert.physics import homothetic
+from grwcert.report import DEGENERATE
 
 from .conftest import certified
 from .oracles import (_field_integrand, eval_value, friedmann_scalars,
@@ -404,6 +406,20 @@ class TestBatchedQuadrature:
                 assert (got.value, got.path_defect, got.refinement_error) \
                     == integrate_per_node(per_node, chart.n, base, p.array())
 
+    @pytest.mark.parametrize("name", CHARTS + ["frw-k+1", "frw-k-1"])
+    def test_integrand_is_the_field_point_formula(self, name):
+        # sigma's integrand forms omega with the FieldPoint's function at
+        # order 0: the same bits at the same points.
+        chart, _ = self.integrands(name)
+        points = sample_points(chart, 10, seed=0)
+        stack = JetStack(chart, points)
+        analysis = VelocityAnalysis(chart)
+        rows = _omega_integrand(chart, chart.velocity)(
+            np.array([p.coords for p in points]))
+        for i, p in enumerate(points):
+            omega = analysis.at(p, stack=stack.at(i)).omega.value
+            assert rows[i].tobytes() == omega.tobytes()
+
     @pytest.mark.parametrize("name", CHARTS)
     def test_segment_matches_staircase(self, name):
         # An independent path on numpy's Gauss nodes: the descending
@@ -467,6 +483,32 @@ class TestBatchedQuadrature:
         chen = next(r for r in report.checks if r.name == "chen-vector")
         assert chen.detail["error"] == (
             f"point 0: path from basepoint: {per_node.value}")
+
+    def test_singular_path_names_its_row(self):
+        # g = diag(-1, x^2, 1, 1) is singular on x = 0. The exclusion keeps
+        # the sample points off it, but the corner path's first leg runs
+        # along it from the basepoint.
+        chart = compile_chart(ChartInput(
+            name="flat-x2", dimension=4, signature="lorentzian",
+            coordinates=["t", "x", "y", "z"],
+            metric={"1,1": "-1", "2,2": "x^2", "3,3": "1", "4,4": "1"},
+            ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1),
+                    "z": (-1, 1)},
+            exclusions=[("x^2", 0.01)],
+            velocity_field=["-1", "0", "0", "0"],
+            basepoint=(1.0, 0.0, 0.0, 0.0)))
+        target = sample_points(chart, 1, seed=0)[0].array()
+        with pytest.raises(SingularMetricError) as singular:
+            _integrate_form(_omega_integrand(chart, chart.velocity), chart.n,
+                            chart.basepoint, target, QUAD_ORDER, QUAD_PANELS)
+        # The leg's first row follows the coarse and fine segments.
+        assert singular.value.index == 3 * QUAD_ORDER * QUAD_PANELS
+        t, *space = singular.value.coords
+        assert 1.0 < t < target[0] and space == [0.0, 0.0, 0.0]
+        report = run_certify(chart, RunConfig(points=4, seed=0))
+        assert report.find("fluid-decompose").status == DEGENERATE
+        assert report.find("chen-vector").detail["error"] == (
+            f"point 0: path from basepoint: {singular.value}")
 
 
 def chen_rows(chart, points):

@@ -191,6 +191,12 @@ class TestRunCertify:
         with pytest.raises(ValueError):
             run_certify(spec_file, RunConfig(checks=("nonsense",)))
 
+    def test_empty_selection_rejected(self, spec_file):
+        # A run that selects no group checks nothing and must not pass.
+        with pytest.raises(ValueError, match="no check groups selected; "
+                                             "valid groups: sanity, fluid"):
+            run_certify(spec_file, RunConfig(checks=()))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(points=0)
@@ -523,6 +529,14 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "error: seed must be a non-negative integer, not -1\n")
 
+    @pytest.mark.parametrize("checks", [",", " ", ""])
+    def test_empty_checks_exit_two(self, capsys, checks):
+        assert main(["catalog", "run", "kasner-negative", "--points", "2",
+                     "--checks", checks]) == 2
+        assert capsys.readouterr().err == (
+            "error: no check groups selected; valid groups: sanity, fluid, "
+            "hypotheses, conclusions, ladder, physics, converse\n")
+
     def test_numpy_random_never_imported(self, tmp_path):
         # Sampling draws numpy's stream without importing numpy.random,
         # whose import costs more than a small run's whole sampling.
@@ -549,6 +563,16 @@ class TestCliCommands:
     def test_ladder_subcommand(self, spec_file, capsys):
         assert main(["ladder", str(spec_file), "--points", "4",
                      "--quiet"]) == 0
+
+    def test_ladder_offers_no_checks(self, spec_file, capsys):
+        # ladder runs its own four groups; a --checks it ignored would
+        # claim a selection it never made.
+        with pytest.raises(SystemExit) as exit_:
+            main(["ladder", str(spec_file), "--points", "4",
+                  "--checks", "physics"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --checks physics" in (
+            capsys.readouterr().err)
 
     def test_kappa_zero_exit_two(self, capsys):
         assert main(["catalog", "run", "frw-dust", "--points", "3",
