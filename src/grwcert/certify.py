@@ -8,19 +8,22 @@ warped-product converse formulas for declared warped products. A failed or
 degenerate hypothesis downgrades the downstream checks to informational;
 they still run and are reported.
 
-The curvature stack is built for fixed-size chunks of points at a time;
-the per-point work on each chunk's point views is pure and may fan out to
-worker threads. Every aggregation is a max or an ordered reduction over
-the point index, so reports are byte-identical regardless of the worker
-count.
+The points go in fixed-size chunks: each chunk's curvature stack and
+every kernel that needs no per-point branch run once for the chunk, on
+its point axis; the per-point rest (the fluid eigen-split, sigma) is pure
+and may fan out to worker threads. Every aggregation is a max or an
+ordered reduction over the point index, so reports are byte-identical
+regardless of the worker count and the chunk size.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,7 +34,7 @@ from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
 from .classify import (FluidDecompositionError, NotClosedError,
                        QuadratureError, VelocityAnalysis, fluid_decompose)
 from .curvature import (JetStack, SingularMetricError,
-                        first_bianchi_residual, scale_free,
+                        first_bianchi_residual, scale_free_at,
                         weyl_trace_residual)
 from .expr import EvalDomainError
 from .grw import RESOLUTION_NOTE, converse_at
@@ -88,9 +91,10 @@ class RunConfig:
         return set(self.checks)
 
 
-# Points per JetStack. One batched stack pays numpy's per-operation
-# overhead once per chunk instead of once per point; the size bounds the
-# memory the stack's arrays take. The chunks never depend on --workers.
+# Points per chunk. One batched stack and kernel pass pays numpy's
+# per-operation overhead once per chunk instead of once per point; the
+# size bounds the memory the stack's arrays take. The chunks never depend
+# on --workers.
 CHUNK_POINTS = 10
 
 
@@ -121,27 +125,23 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                 if chart.velocity is not None
                 and chart.signature == "lorentzian" else None)
 
-    def work(index, stack):
-        try:
-            return _point_payload(chart, analysis, stack, config, base,
-                                  selected)
-        except EvalDomainError as err:
-            raise _at_point(err, index, stack.point.coords) from None
-
     payloads = []
     with (ThreadPoolExecutor(max_workers=config.workers)
           if config.workers > 1 else nullcontext()) as pool:
         fan_out = pool.map if pool else map
         for start in range(0, len(points), CHUNK_POINTS):
+            chunk = points[start:start + CHUNK_POINTS]
             try:
-                stack = JetStack(chart, points[start:start + CHUNK_POINTS])
+                shared = _chunk_values(chart, analysis,
+                                       JetStack(chart, chunk), selected)
             except SingularMetricError as err:
                 err.index += start       # name the point by its run index
                 raise
             except EvalDomainError as err:
-                raise _at_point(err, start + err.index, err.coords) from None
-            views = [stack.at(i) for i in range(len(stack.points))]
-            payloads += fan_out(work, range(start, start + len(views)), views)
+                raise _at_point(err, start + err.index,
+                                chunk[err.index].coords) from None
+            payloads += fan_out(partial(_point_payload, chart, shared, config,
+                                        base, selected), range(len(chunk)))
 
     records = _assemble(chart, config, selected, payloads, basepoint=base)
     environment = {
@@ -169,25 +169,64 @@ def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
 
 
 # ---------------------------------------------------------------------------
-# Per-point computation (pure).
+# Per-chunk and per-point computation (pure).
 # ---------------------------------------------------------------------------
 
-def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
-    """Every per-point quantity of the report, from the point's stack."""
-    out: dict = {"errors": {}}
-    point = stack.point
-    cp = stack.to_point()
-
+def _chunk_values(chart, analysis, stack, selected):
+    """What a chunk's points share, formed once for the chunk: the plain
+    curvature arrays, the velocity's jets, the converse's formulas, and
+    each payload key that needs no per-point branch as an array over the
+    points (a max over every axis but the point axis)."""
+    cp, fp, converse = stack.to_point(), None, None
     eigs = np.linalg.eigvalsh(cp.g)
-    negatives = int(np.sum(eigs < 0))
     expected = 1 if chart.signature == "lorentzian" else 0
-    out["signature"] = (0.0 if negatives == expected
-                        and np.min(np.abs(eigs)) > 1e-12 else 1.0)
-    out["ricci-symmetric"] = scale_free(cp.ricci - cp.ricci.T, cp.ricci)
-    out["bianchi-first"] = first_bianchi_residual(cp)
-    out["weyl-tracefree"] = weyl_trace_residual(cp)
-    out["div-weyl"] = scale_free(cp.divweyl, cp.driem)
+    values = {
+        "signature": np.where((np.sum(eigs < 0, axis=-1) == expected)
+                              & (np.min(np.abs(eigs), axis=-1) > 1e-12),
+                              0.0, 1.0),
+        "ricci-symmetric": scale_free_at(
+            1, cp.ricci - np.swapaxes(cp.ricci, -1, -2), cp.ricci),
+        "bianchi-first": first_bianchi_residual(cp),
+        "weyl-tracefree": weyl_trace_residual(cp),
+        "div-weyl": scale_free_at(1, cp.divweyl, cp.driem),
+    }
+    if chart.signature != "lorentzian":
+        return cp, fp, converse, values
+    if "conclusions" in selected:
+        values["weyl-zero-n4"] = scale_free_at(1, cp.weyl, cp.riem)
 
+    # Only the records of these groups read the velocity's jets.
+    reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
+    if analysis is not None and selected & reads_u:
+        fp = analysis.at(stack.points, stack=stack)
+        a, b = fp.a_jet.value, fp.b_jet.value
+        values["u-unit"], values["u-closed"] = fp.unit_residual, fp.u_closed
+        values["fluid-form"] = classify.fluid_form_residual(cp, a, b, fp.uv)
+        values["scalar_a"], values["scalar_b"] = a, b
+        (values["torse-forming"], values["omega-aligned"],
+         values["torse-f-consistency"]) = classify.torse_at(fp)
+        values["omega-closed"] = fp.omega_closed
+        values.update(classify.ladder_residuals_at(fp))
+        values["geodesic"] = classify.geodesic_at(fp)
+        values["motion-energy"], values["motion-euler"] = physics.motion_at(fp)
+        values["p"], values["mu"] = fp.p_jet.value, fp.mu_jet.value
+        values["dp"], values["dmu"] = fp.p_jet.grad, fp.mu_jet.grad
+        if "conclusions" in selected:
+            values["weyl-electric"] = classify.weyl_electric_at(cp, fp.uupv)
+            values["soliton-form"] = classify._soliton_residual_at(fp)[0]
+
+    if chart.grw is not None and "converse" in selected:
+        converse = _converse_payload(chart, stack.points)
+    return cp, fp, converse, values
+
+
+def _point_payload(chart, shared, config, base, selected, i) -> dict:
+    """Every per-point quantity of the report at point i of a chunk: its
+    row of the chunk's values, then the work that branches per point: the
+    fluid eigen-split, the converse's comparison with it, and sigma."""
+    cp, fp, converse, values = shared
+    out: dict = {"errors": {}}
+    out.update((key, value[i].tolist()) for key, value in values.items())
     if chart.signature != "lorentzian":
         return out
 
@@ -195,7 +234,7 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
     dec = None
     if selected & {"fluid", "conclusions", "converse"}:
         try:
-            dec = fluid_decompose(cp, cluster_tol=config.cluster_tol)
+            dec = fluid_decompose(cp.at(i), cluster_tol=config.cluster_tol)
             out["fluid_branch"] = ("degenerate" if dec.degenerate
                                    else "nondegenerate")
             out["fluid_residual"] = dec.residual
@@ -205,46 +244,34 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
             out["fluid_branch"] = "anomalous"
             out["errors"]["fluid-decompose"] = str(err)
 
-    if chart.grw is not None and "converse" in selected:
-        _converse_payload(chart, point, dec, out)
-
-    # Only the records of these groups read the velocity's jets.
-    reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
-    fp = (analysis.at(point, stack=stack)
-          if analysis is not None and selected & reads_u else None)
-    if "conclusions" in selected:
-        out["weyl-zero-n4"] = scale_free(cp.weyl, cp.riem)
-        # Without a velocity field the electric check reads the eigen-split's.
-        u_up = (fp.uupv if fp is not None
-                else dec.u_up if dec is not None else None)
-        if u_up is not None:
-            out["weyl-electric"] = classify.weyl_electric_at(cp, u_up)
+    if converse is not None:
+        row = converse.at(i, dec)
+        out["fiber-einstein"] = row.fiber_residual
+        if row.a_residual is not None:
+            out["grw-ricci-A"] = row.a_residual
+        if row.b_residual is not None:
+            out["grw-ricci-B"] = row.b_residual
     if fp is None:
+        # Without a velocity field the electric check reads the eigen-split's.
+        if "conclusions" in selected and dec is not None \
+                and dec.u_up is not None:
+            out["weyl-electric"] = classify.weyl_electric_at(cp.at(i),
+                                                             dec.u_up)
         return out
 
-    out["u-unit"] = fp.unit_residual
-    out["u-closed"] = fp.u_closed
-    a, b = float(fp.a_jet.value), float(fp.b_jet.value)
-    out["fluid-form"] = classify.fluid_form_residual(cp, a, b, fp.uv)
-    out["scalar_a"] = a
-    out["scalar_b"] = b
-    out["torse-forming"], out["omega-aligned"], f_cross = classify.torse_at(fp)
-    if f_cross is not None:
-        out["torse-f-consistency"] = f_cross
-    out["omega-closed"] = fp.omega_closed
-    out.update(classify.ladder_residuals_at(fp))
-    out["geodesic"] = classify.geodesic_at(fp)
-    out["motion-energy"], out["motion-euler"] = physics.motion_at(fp)
-    out["p"] = float(fp.p_jet.value)
-    out["mu"] = float(fp.mu_jet.value)
-    out["dp"] = [float(v) for v in fp.p_jet.grad]
-    out["dmu"] = [float(v) for v in fp.mu_jet.grad]
-
-    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm).
+    if math.isnan(out["torse-f-consistency"]):    # B vanishes
+        del out["torse-f-consistency"]
     closed_tol = config.hypothesis_tol * 10
+    if "soliton-form" in out:
+        try:
+            classify.require_closed("u", out["u-closed"], closed_tol)
+        except NotClosedError as err:
+            del out["soliton-form"]
+            out["errors"]["soliton-form"] = str(err)
+    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm).
     if base is not None and selected & {"conclusions", "physics"}:
         try:
-            chen = classify.chen_at(fp, base, closed_tol=closed_tol)
+            chen = classify.chen_at(fp.at(i), base, closed_tol=closed_tol)
             out["chen-vector"] = chen.chen_residual
             out["ckv-gradient"] = chen.ckv_residual
             out["potential-path-independence"] = chen.path_defect
@@ -255,22 +282,12 @@ def _point_payload(chart, analysis, stack, config, base, selected) -> dict:
             # sigma's path may leave an expression's domain or cross a
             # singular metric where no sample point does: name the path.
             out["errors"]["chen-vector"] = f"path from basepoint: {err}"
-    if "conclusions" in selected:
-        try:
-            out["soliton-form"], *_ = classify.soliton_at(
-                fp, closed_tol=closed_tol)
-        except NotClosedError as err:
-            out["errors"]["soliton-form"] = str(err)
     return out
 
 
-def _converse_payload(chart, point, dec, out):
-    row = converse_at(chart, point, dec)
-    out["fiber-einstein"] = row.fiber_residual
-    if row.a_residual is not None:
-        out["grw-ricci-A"] = row.a_residual
-    if row.b_residual is not None:
-        out["grw-ricci-B"] = row.b_residual
+def _converse_payload(chart, points):
+    """The converse's formulas at a chunk's points: one fiber stack."""
+    return converse_at(chart, points, None)
 
 
 # ---------------------------------------------------------------------------

@@ -421,10 +421,13 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
             raise SamplingExhaustedError(
                 f"{chart.name}: rejection sampling failed "
                 f"({attempts} attempts for {count} points)")
-        # The candidates still missing, drawn as one block: the same stream
-        # as one draw per candidate, and every one of them is tested.
-        block = rng.uniform(lows, highs, (min(count - len(points),
-                                              limit - attempts), chart.n))
+        # A block of twice the candidates the acceptance so far needs: the
+        # same stream as one draw per candidate; the first accepted are kept.
+        missing = count - len(points)
+        size = (-(-2 * missing * attempts // max(len(points), 1)) if attempts
+                else missing)
+        block = rng.uniform(lows, highs, (min(size, limit - attempts),
+                                          chart.n))
         attempts += len(block)
         candidates = [ChartPoint(tuple(row)) for row in block]
         try:
@@ -435,13 +438,16 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
         except (ArithmeticError, ValueError):
             # An exclusion may be undefined where an earlier one already
             # rejects the candidate: test them in order, one by one.
-            keep = []
+            keep, found = [], 0
             for p in candidates:
+                if found == missing:
+                    break
                 try:
                     keep.append(chart.in_domain(p))
                 except ChartError as err:
                     coords = tuple(float(x) for x in p.coords)
                     raise ChartError(err.path, f"{err} at sample candidate "
                                                f"{coords}") from None
-        points += [p for p, ok in zip(candidates, keep) if ok]
+                found += keep[-1]
+        points += [p for p, ok in zip(candidates, keep) if ok][:missing]
     return points

@@ -13,7 +13,7 @@ itself, not from differencing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache, reduce
 from operator import add
 
@@ -21,8 +21,9 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import (JetStack, SingularMetricError, christoffel,
-                        covariant_derivative, metric_inverse, scale_free)
-from .expr import eval_batch, eval_jet3
+                        covariant_derivative, metric_inverse, scale_free,
+                        scale_free_at)
+from .expr import eval_batch, eval_jet3, eval_jet3_batch
 from .jets import TensorJet, contract
 
 LADDER_NAMES = (
@@ -140,10 +141,16 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
                               degenerate=False)
 
 
-def fluid_form_residual(cp, a: float, b: float, u: np.ndarray) -> float:
-    """Scale-free R_{kl} - (A g_{kl} + B u_k u_l); ``cp`` exposes g, ricci."""
-    model = a * cp.g + b * np.outer(u, u)
-    return scale_free(cp.ricci - model, cp.ricci, model)
+def fluid_form_residual(cp, a, b, u: np.ndarray):
+    """Scale-free R_{kl} - (A g_{kl} + B u_k u_l); ``cp`` exposes g, ricci.
+    One residual per point when u has a point axis (as A, B and cp do)."""
+    model = (np.asarray(a)[..., None, None] * cp.g
+             + np.asarray(b)[..., None, None] * _outer(u, u))
+    return scale_free_at(u.ndim - 1, cp.ricci - model, cp.ricci, model)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,9 @@ def fluid_form_residual(cp, a: float, b: float, u: np.ndarray) -> float:
 
 @dataclass
 class FieldPoint:
-    """Tensor jets of every velocity-derived object at one point.
+    """Tensor jets of every velocity-derived object at one point, or at
+    each point of a batch: then ``stack`` is the batch's, ``point`` its
+    points, every jet has a point axis and ``at(i)`` is point i's.
 
     ``u`` is order 3; the others are order 1, which is all that is read.
     The scalar jets f, A, B, gamma, p and mu are shape (), so ``.value``
@@ -161,11 +170,11 @@ class FieldPoint:
     u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
     ``geodesic_at``, ``ladder_residuals_at``, ``chen_at``, ``soliton_at``,
     ``physics.motion_at``, ``fluid_form_residual`` and ``weyl_electric_at``
-    read them here.
+    read them here, all but ``chen_at`` also as a batch.
     """
 
     stack: JetStack
-    point: ChartPoint
+    point: ChartPoint | tuple
     field: VectorField         # the velocity, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
@@ -177,19 +186,18 @@ class FieldPoint:
     gamma_jet: TensorJet
     p_jet: TensorJet
     mu_jet: TensorJet
-    unit_residual: float
 
     @property
     def n(self) -> int:
         return self.stack.n
 
     @property
-    def g(self) -> np.ndarray:
-        return self.stack.g.value
+    def batch(self) -> int:
+        return self.u.batch
 
     @property
-    def g_inv(self) -> np.ndarray:
-        return self.stack.g_inv.value
+    def g(self) -> np.ndarray:
+        return self.stack.g.value
 
     @property
     def uv(self) -> np.ndarray:
@@ -204,24 +212,44 @@ class FieldPoint:
         return self.nabla.value
 
     @cached_property
-    def u_closed(self) -> float:
-        return _curl_residual(self.u.grad.T)
+    def u_closed(self):
+        return _curl_residual(self.u.grad)
 
     @cached_property
-    def omega_closed(self) -> float:
-        return _curl_residual(self.omega.grad.T)
+    def omega_closed(self):
+        return _curl_residual(self.omega.grad)
+
+    @cached_property
+    def unit_residual(self):
+        return abs(self.along_u(self.uv) + 1.0)
 
     @cached_property
     def accel(self) -> np.ndarray:
         """u^k nabla_k u_j."""
-        return self.uupv @ self.nabla_u
+        return self.along_u(self.nabla_u)
+
+    def along_u(self, v: np.ndarray):
+        """u^k v_k... (u^ on v's first axis) at each point: one ``@`` per
+        point, since BLAS sums a dot product in another order than a
+        batched matmul or einsum does."""
+        if not self.batch:
+            return self.uupv @ v
+        return np.array([x @ y for x, y in zip(self.uupv, v)])
+
+    def at(self, i: int) -> "FieldPoint":
+        """Point i of a batch; its jets are views into the batch's."""
+        jets = {f.name: getattr(self, f.name).at(i) for f in fields(self)
+                if isinstance(getattr(self, f.name), TensorJet)}
+        return replace(self, stack=self.stack.at(i), point=self.point[i],
+                       **jets)
 
 
-def _curl_residual(d: np.ndarray) -> float:
-    """Scale-free curl of a covector from its raw partials d[k, j] = d_k w_j.
+def _curl_residual(grad: np.ndarray):
+    """Scale-free curl of a covector from its partials grad[j, k] = d_k w_j.
 
     The covariant curl equals the partial curl (symmetric connection)."""
-    return scale_free(d - d.T, d)
+    return scale_free_at(grad.ndim - 2, grad - np.swapaxes(grad, -1, -2),
+                         grad)
 
 
 class VelocityAnalysis:
@@ -233,15 +261,21 @@ class VelocityAnalysis:
         self.field = field if field is not None else chart.velocity
         self.kappa = float(kappa)
 
-    def at(self, point: ChartPoint, stack: JetStack | None = None) -> FieldPoint:
-        chart = self.chart
+    def at(self, point, stack: JetStack | None = None) -> FieldPoint:
+        """The FieldPoint at a ChartPoint, or at each of a sequence of
+        points, with their batched ``stack``, from one walk of the
+        velocity's trees (whose domain error names the point's ``index``)."""
+        chart, comps = self.chart, self.field.components
         n = chart.n
-        if stack is None:
-            stack = JetStack(chart, [point]).at(0)
-        u = eval_jet3(self.field.components, point, chart.params)
+        if isinstance(point, ChartPoint):
+            stack = stack or JetStack(chart, [point]).at(0)
+            u = eval_jet3(comps, point, chart.params)
+        else:
+            stack = stack or JetStack(chart, point)
+            u = TensorJet(n, eval_jet3_batch(
+                comps, [p.coords for p in point], chart.params), 1)
         u_up, nabla, f, omega = _velocity_terms(
             stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
-        unit_residual = abs(float(u_up.value @ u.value) + 1.0)
         ruu = contract("ij,ij->", stack.ricci,
                        contract("i,j->ij", u_up, u_up))
         a_jet = (stack.rs + ruu) * (1.0 / (n - 1))
@@ -252,8 +286,7 @@ class VelocityAnalysis:
         return FieldPoint(stack=stack, point=point, field=self.field, u=u,
                           u_up=u_up, nabla=nabla, omega=omega, f_jet=f,
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
-                          p_jet=p_jet, mu_jet=mu_jet,
-                          unit_residual=unit_residual)
+                          p_jet=p_jet, mu_jet=mu_jet)
 
 
 def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
@@ -266,25 +299,28 @@ def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
     return u_up, nabla, f, omega
 
 
-def geodesic_at(fp: FieldPoint) -> float:
-    """Scale-free u^k nabla_k u_j at one point."""
-    return scale_free(fp.accel, fp.nabla_u)
+def geodesic_at(fp: FieldPoint):
+    """Scale-free u^k nabla_k u_j at one point, or at each of a batch."""
+    return scale_free_at(fp.batch, fp.accel, fp.nabla_u)
 
 
-def torse_at(fp: FieldPoint) -> tuple[float, float, float | None]:
+def torse_at(fp: FieldPoint):
     """(residual, alignment, f_cross) of nabla u = f (g + u x u). The
     misalignment (nabla_k u_j) u^j is f u - omega; f_cross compares f with
-    -u^m d_m gamma / (2B(n-1)), None where B vanishes."""
-    f = float(fp.f_jet.value)
-    nabla = fp.nabla_u
-    model = f * (np.outer(fp.uv, fp.uv) + fp.g)
-    residual = scale_free(nabla - model, nabla, model)
-    alignment = scale_free(f * fp.uv - fp.omega.value, nabla)
-    b = float(fp.b_jet.value)
-    if abs(b) <= 1e-12:
-        return residual, alignment, None
-    f_ref = -float(fp.uupv @ fp.gamma_jet.grad) / (2.0 * b * (fp.n - 1))
-    return residual, alignment, abs(f - f_ref) / (1.0 + abs(f))
+    -u^m d_m gamma / (2B(n-1)), None where B vanishes. A batch gives
+    arrays over its points, with NaN for None."""
+    f, b, nabla = fp.f_jet.value, fp.b_jet.value, fp.nabla_u
+    model = f[..., None, None] * (_outer(fp.uv, fp.uv) + fp.g)
+    residual = scale_free_at(fp.batch, nabla - model, nabla, model)
+    alignment = scale_free_at(fp.batch, f[..., None] * fp.uv
+                              - fp.omega.value, nabla)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_ref = -fp.along_u(fp.gamma_jet.grad) / (2.0 * b * (fp.n - 1))
+        cross = np.where(np.abs(b) <= 1e-12, np.nan,
+                         abs(f - f_ref) / (1.0 + abs(f)))
+    if not fp.batch:
+        cross = None if np.isnan(cross) else float(cross)
+    return residual, alignment, cross
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +406,7 @@ def _omega_integrand(chart: MetricChart, field: VectorField):
         try:
             g_inv = metric_inverse(g.truncated(0))
         except SingularMetricError as err:
-            err.coords = x[err.index]
+            err.coords, err.place = x[err.index], "path row"
             raise
         return _velocity_terms(g_inv, christoffel(g, g_inv), u)[3].value
 
@@ -387,11 +423,17 @@ class ChenPointData:
     grad_rho_norm: float
 
 
+def require_closed(form: str, residual: float, tol: float) -> None:
+    """Refuse, with ``NotClosedError``, a form whose closedness residual
+    exceeds ``tol``: it has no potential."""
+    if residual > tol:
+        raise NotClosedError(f"{form} not closed (residual {residual:.3e})")
+
+
 def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6) -> ChenPointData:
     """The gradient laws at one point: sigma integrates the closed omega
     from the basepoint, X = e^{-sigma} u and rho = e^{-sigma} f."""
-    if fp.omega_closed > closed_tol:
-        raise NotClosedError(f"ω not closed (residual {fp.omega_closed:.3e})")
+    require_closed("ω", fp.omega_closed, closed_tol)
     pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
                           base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
     return _chen_point(fp, pot)
@@ -416,19 +458,23 @@ def _chen_point(fp: FieldPoint, pot: PotentialResult) -> ChenPointData:
                          grad_rho_norm=float(np.max(np.abs(grad_rho))))
 
 
-def weyl_electric_at(cp, u_up: np.ndarray) -> float:
-    """Scale-free C_{jkl}{}^m u_m, from the contravariant velocity."""
-    return scale_free(np.einsum("jkla,a->jkl", cp.weyl, u_up), cp.weyl)
+def weyl_electric_at(cp, u_up: np.ndarray):
+    """Scale-free C_{jkl}{}^m u_m, from the contravariant velocity; one
+    residual per point when u_up and cp have a point axis."""
+    return scale_free_at(u_up.ndim - 1,
+                         np.einsum("...jkla,...a->...jkl", cp.weyl, u_up),
+                         cp.weyl)
 
 
 def ladder_residuals_at(fp: FieldPoint) -> dict:
-    """All nine intermediate identities at one point, scale-free."""
-    n, g, u, u_up, nabla = fp.n, fp.g, fp.uv, fp.uupv, fp.nabla_u
-    b = fp.b_jet.value
+    """All nine intermediate identities, scale-free: floats at one point,
+    arrays over the points of a batch."""
+    n, g, u, nabla = fp.n, fp.g, fp.uv, fp.nabla_u
+    b = fp.b_jet.value[..., None]                   # scales a vector
     da, db, dgam = fp.a_jet.grad, fp.b_jet.grad, fp.gamma_jet.grad
-    divu = fp.f_jet.value * (n - 1)
-    u_dot_db = float(u_up @ db)
-    u_dot_dgam = float(u_up @ dgam)
+    divu = fp.f_jet.value[..., None] * (n - 1)
+    u_dot_db = fp.along_u(db)[..., None]
+    u_dot_dgam = fp.along_u(dgam)[..., None]
     accel = fp.accel
     # (nabla_k + u_k u^l nabla_l) B + B u^l nabla_l u_k and
     # (nabla_k + u_k u^l nabla_l) gamma, which four rungs read.
@@ -436,35 +482,38 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     gam_moving = dgam + u * u_dot_dgam
     out = {}
 
+    def put(name, residual, *references):
+        out[name] = scale_free_at(fp.batch, residual, *references)
+
     lhs = u_dot_db * u + b * accel + b * divu * u
     rhs = 0.5 * ((n - 2) * da - db)
-    out["bianchi-contract"] = scale_free(lhs - rhs, lhs, rhs)
+    put("bianchi-contract", lhs - rhs, lhs, rhs)
 
-    t3 = (np.einsum("k,j,l->kjl", db, u, u)
-          + b * np.einsum("kj,l->kjl", nabla, u)
-          + b * np.einsum("j,kl->kjl", u, nabla))
-    lhs = t3 - np.einsum("ljk->kjl", t3)      # nabla_k(Bu_ju_l) - nabla_l(Bu_ju_k)
-    rhs = -(np.einsum("k,jl->kjl", dgam, g)
-            - np.einsum("l,jk->kjl", dgam, g)) / (2 * (n - 1))
-    out["ricci-curl"] = scale_free(lhs - rhs, lhs, rhs)
+    t3 = (np.einsum("...k,...j,...l->...kjl", db, u, u)
+          + b[..., None, None] * np.einsum("...kj,...l->...kjl", nabla, u)
+          + b[..., None, None] * np.einsum("...j,...kl->...kjl", u, nabla))
+    # nabla_k(Bu_ju_l) - nabla_l(Bu_ju_k)
+    lhs = t3 - np.einsum("...ljk->...kjl", t3)
+    rhs = -(np.einsum("...k,...jl->...kjl", dgam, g)
+            - np.einsum("...l,...jk->...kjl", dgam, g)) / (2 * (n - 1))
+    put("ricci-curl", lhs - rhs, lhs, rhs)
 
     rhs = gam_moving / (2 * (n - 1))
-    out["b-transport"] = scale_free(b_moving - rhs, b_moving, rhs)
+    put("b-transport", b_moving - rhs, b_moving, rhs)
     rhs = 0.5 * gam_moving
-    out["b-transport-half"] = scale_free(b_moving - rhs, b_moving, rhs)
-    out["gamma-comoving"] = scale_free(gam_moving, dgam)
-    out["b-comoving"] = scale_free(b_moving, db, b * accel)
+    put("b-transport-half", b_moving - rhs, b_moving, rhs)
+    put("gamma-comoving", gam_moving, dgam)
+    put("b-comoving", b_moving, db, b * accel)
 
-    lhs = b * (nabla + np.einsum("k,j->kj", u, accel))
-    rhs = (np.einsum("j,k->kj", u, dgam) - g * u_dot_dgam) / (2 * (n - 1))
-    out["torse-source"] = scale_free(lhs - rhs, lhs, rhs)
+    lhs = b[..., None] * (nabla + _outer(u, accel))
+    rhs = (_outer(dgam, u) - g * u_dot_dgam[..., None]) / (2 * (n - 1))
+    put("torse-source", lhs - rhs, lhs, rhs)
 
-    m = np.einsum("k,j->kj", db, u) + b * nabla   # nabla_k (B u_j)
-    out["bu-closed"] = scale_free(m - m.T, m)
+    m = _outer(db, u) + b[..., None] * nabla   # nabla_k (B u_j)
+    put("bu-closed", m - np.swapaxes(m, -1, -2), m)
 
-    u_dgam = np.einsum("j,k->jk", u, dgam)
-    out["gamma-aligned"] = scale_free(
-        u_dgam - np.einsum("k,j->jk", u, dgam), u_dgam)
+    u_dgam = _outer(u, dgam)
+    put("gamma-aligned", u_dgam - np.swapaxes(u_dgam, -1, -2), u_dgam)
     return out
 
 
@@ -472,18 +521,19 @@ def soliton_at(fp: FieldPoint, *, closed_tol: float = 1e-6):
     """(residual, lam, eta) of the soliton form at one point. The form
     reads d theta = u and Hess(theta) only, so theta itself is never
     integrated; u must be closed for theta to exist."""
-    if fp.u_closed > closed_tol:
-        raise NotClosedError(f"u not closed (residual {fp.u_closed:.3e})")
+    require_closed("u", fp.u_closed, closed_tol)
     return _soliton_residual_at(fp)
 
 
-def _soliton_residual_at(fp: FieldPoint) -> tuple[float, float, float]:
+def _soliton_residual_at(fp: FieldPoint):
+    """(residual, lam, eta), closed u or not; arrays over a batch."""
     # d theta = u, so Hess(theta) is the symmetrized nabla u.
     grad_theta = fp.uv
-    hess_cov = 0.5 * (fp.nabla_u + fp.nabla_u.T)
-    f = float(fp.f_jet.value)
-    lam = float(fp.a_jet.value) + f
-    eta = float(fp.b_jet.value) + f
-    lhs = fp.stack.ricci.value + hess_cov - eta * np.outer(grad_theta, grad_theta)
-    rhs = lam * fp.g
-    return scale_free(lhs - rhs, lhs, rhs), lam, eta
+    hess_cov = 0.5 * (fp.nabla_u + np.swapaxes(fp.nabla_u, -1, -2))
+    f = fp.f_jet.value
+    lam = fp.a_jet.value + f
+    eta = fp.b_jet.value + f
+    lhs = (fp.stack.ricci.value + hess_cov
+           - eta[..., None, None] * _outer(grad_theta, grad_theta))
+    rhs = lam[..., None, None] * fp.g
+    return scale_free_at(fp.batch, lhs - rhs, lhs, rhs), lam, eta

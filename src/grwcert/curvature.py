@@ -20,7 +20,8 @@ order 0. No finite differences anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -30,17 +31,25 @@ from .jets import TensorJet, contract, leibniz_level
 
 def scale_free(residual, *references) -> float:
     """max-abs of residual over (1 + max-abs of the dominant inputs)."""
-    r = float(np.max(np.abs(residual))) if np.size(residual) else 0.0
-    s = 0.0
-    for ref in references:
-        if np.size(ref):
-            s = max(s, float(np.max(np.abs(ref))))
-    return r / (1.0 + s)
+    return scale_free_at(0, residual, *references)
+
+
+def scale_free_at(batch: int, residual, *references):
+    """``scale_free`` at each point of ``batch`` (0 or 1) leading point
+    axes, with maxima over every other axis: a float for one point, an
+    array over a batch's points. A reference's NaN entries are passed over."""
+    def peak(x):
+        return (np.max(np.abs(x), axis=tuple(range(batch, np.ndim(x))))
+                if np.size(x) else 0.0)
+
+    out = peak(residual) / (1.0 + reduce(np.fmax, map(peak, references), 0.0))
+    return out if batch else float(out)
 
 
 @dataclass
 class CurvaturePoint:
-    """Every curvature object at one chart point, as plain arrays."""
+    """Every curvature object at one chart point, or at each point of a
+    batch (a leading point axis on every array), as plain arrays."""
 
     n: int
     g: np.ndarray          # (n, n)
@@ -49,31 +58,43 @@ class CurvaturePoint:
     riem: np.ndarray       # (n, n, n, n): riem[j, k, l, m] = R_{jkl}{}^m
     driem: np.ndarray      # (n, n, n, n, n): driem[a, ...] = d_a R_{jkl}{}^m
     ricci: np.ndarray      # (n, n)
-    rs: float              # scalar curvature
+    rs: float | np.ndarray  # scalar curvature; (P,) for a batch
     weyl: np.ndarray       # (n, n, n, n): C_{jklm}, zero grid for n < 3
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
+
+    @property
+    def batch(self) -> int:
+        return self.g.ndim - 2
+
+    def at(self, i: int) -> "CurvaturePoint":
+        """Point i of a batch; its arrays are views into the batch's."""
+        return CurvaturePoint(self.n, *(getattr(self, f.name)[i]
+                                        for f in fields(self)[1:]))
 
 
 class SingularMetricError(np.linalg.LinAlgError):
     """The metric is singular at a point: ``index`` names the point within
-    its batch, and the batch's owner fills in its ``coords``."""
+    its batch, and the batch's owner fills in its ``coords`` and, for
+    sigma's integration path, ``place`` (``"path row"``)."""
 
     def __init__(self, index: int, coords=()):
         super().__init__(index, coords)
         self.index = index
         self.coords = coords
+        self.place = "point"
 
     def __str__(self) -> str:
-        return (f"metric matrix is singular at point {self.index}, "
+        return (f"metric matrix is singular at {self.place} {self.index}, "
                 f"coordinates {tuple(float(c) for c in self.coords)}")
 
 
 class JetStack:
-    """Tensor jets of the curvature stack; built eagerly, shared.
+    """Tensor jets of the curvature stack, shared.
 
     ``g`` (order 3), ``g_inv`` (order 2), ``gamma`` (``[m, j, k]`` =
     Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
     ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
+    ``weyl`` is formed on its first read: a fiber's stack never forms it.
 
     Every tensor carries a leading axis over ``points``, and ``at(i)`` is
     the i-th point's stack (one point's stack is
@@ -106,22 +127,25 @@ class JetStack:
         del x
         ricci = self.ricci = riem.map("jmlm->jl")
         self.rs = contract("jl,jl->", g_inv.truncated(1), ricci)
-        if n >= 3:
-            self.weyl = self._weyl(g.truncated(1))
-        else:
-            self.weyl = TensorJet(n, [np.zeros_like(level)
-                                      for level in riem.levels], 1)
+        self._whole = None
 
     def at(self, i: int) -> "JetStack":
         """Point i's stack; its tensors are views into this stack's."""
         view = object.__new__(JetStack)
         view.chart, view.n, view.point = self.chart, self.n, self.points[i]
-        for name in self.TENSORS:
+        view._whole, view._index = self, i
+        for name in self.TENSORS[:-1]:
             setattr(view, name, getattr(self, name).at(i))
         return view
 
-    def _weyl(self, g: TensorJet) -> TensorJet:
-        n, ricci = self.n, self.ricci
+    @cached_property
+    def weyl(self) -> TensorJet:
+        if self._whole is not None:      # a point's view of a batch
+            return self._whole.weyl.at(self._index)
+        n, ricci, g = self.n, self.ricci, self.g.truncated(1)
+        if n < 3:
+            return TensorJet(n, [np.zeros_like(level)
+                                 for level in self.riem.levels], 1)
         swap_jk = "kjlm->jklm"
         mixed = (contract("jm,kl->jklm", g, ricci)
                  + contract("jm,kl->jklm", ricci, g))
@@ -139,19 +163,22 @@ class JetStack:
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        gamma = self.gamma.value
+        """The plain arrays, with the stack's point axis if it has one."""
+        gamma, batch = self.gamma.value, self.g.batch
         # C_{jkl}{}^m as a jet: d_m C_{jkl}{}^m is the trace of its gradient.
         cup = contract("jkla,am->jklm", self.weyl, self.g_inv.truncated(1))
         c = cup.value
-        corrections = (np.einsum("amj,aklm->jkl", gamma, c)
-                       + np.einsum("amk,jalm->jkl", gamma, c)
-                       + np.einsum("aml,jkam->jkl", gamma, c))
-        divweyl = (np.einsum("jklmm->jkl", cup.grad) - corrections
-                   + np.einsum("a,jkla->jkl", np.einsum("mma->a", gamma), c))
+        corrections = (np.einsum("...amj,...aklm->...jkl", gamma, c)
+                       + np.einsum("...amk,...jalm->...jkl", gamma, c)
+                       + np.einsum("...aml,...jkam->...jkl", gamma, c))
+        divweyl = (np.einsum("...jklmm->...jkl", cup.grad) - corrections
+                   + np.einsum("...a,...jkla->...jkl",
+                               np.einsum("...mma->...a", gamma), c))
+        rs = self.rs.value
         return CurvaturePoint(
             n=self.n, g=self.g.value, g_inv=self.g_inv.value, gamma=gamma,
-            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, 0),
-            ricci=self.ricci.value, rs=float(self.rs.value),
+            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, batch),
+            ricci=self.ricci.value, rs=rs if batch else float(rs),
             weyl=self.weyl.value, divweyl=divweyl)
 
 
@@ -227,20 +254,16 @@ def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
     return nabla, dnabla
 
 
-def first_bianchi_residual(cp: CurvaturePoint) -> float:
-    cyc = (cp.riem + np.einsum("kljm->jklm", cp.riem)
-           + np.einsum("ljkm->jklm", cp.riem))
-    return scale_free(cyc, cp.riem)
+def first_bianchi_residual(cp: CurvaturePoint):
+    cyc = (cp.riem + np.einsum("...kljm->...jklm", cp.riem)
+           + np.einsum("...ljkm->...jklm", cp.riem))
+    return scale_free_at(cp.batch, cyc, cp.riem)
 
 
-def weyl_trace_residual(cp: CurvaturePoint) -> float:
+def weyl_trace_residual(cp: CurvaturePoint):
     """Max over all six g-traces of C; each should vanish identically."""
-    traces = [
-        np.einsum("jm,jklm->kl", cp.g_inv, cp.weyl),
-        np.einsum("jl,jklm->km", cp.g_inv, cp.weyl),
-        np.einsum("jk,jklm->lm", cp.g_inv, cp.weyl),
-        np.einsum("kl,jklm->jm", cp.g_inv, cp.weyl),
-        np.einsum("km,jklm->jl", cp.g_inv, cp.weyl),
-        np.einsum("lm,jklm->jk", cp.g_inv, cp.weyl),
-    ]
-    return max(scale_free(t, cp.weyl) for t in traces)
+    traces = [np.einsum(f"...{spec}", cp.g_inv, cp.weyl) for spec in (
+        "jm,...jklm->...kl", "jl,...jklm->...km", "jk,...jklm->...lm",
+        "kl,...jklm->...jm", "km,...jklm->...jl", "lm,...jklm->...jk")]
+    return reduce(np.fmax, (scale_free_at(cp.batch, t, cp.weyl)
+                            for t in traces))

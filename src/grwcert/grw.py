@@ -11,8 +11,9 @@ import numpy as np
 
 from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     _parse_metric_key, compile_chart)
-from .curvature import JetStack, scale_free
-from .expr import Expr, eval_batch, eval_jet3, parse
+from .curvature import JetStack, scale_free_at
+# eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
+from .expr import Expr, eval_batch, eval_jet3, eval_jet3_batch, parse  # noqa: F401
 
 # Resolution of the two candidate time-time Ricci rows for the warped
 # product: a hand-coded Christoffel assembly on q = t^2 (tests/oracles.py)
@@ -51,11 +52,16 @@ class FiberMetric:
     def dim(self) -> int:
         return self.chart.n
 
-    def einstein_at(self, point: ChartPoint) -> tuple[float, float]:
-        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a point."""
-        stack = JetStack(self.chart, [point]).at(0)
-        ricci, rs = stack.ricci.value, float(stack.rs.value)
-        return scale_free(ricci - (rs / self.dim) * stack.g.value, ricci), rs
+    def einstein_at(self, point):
+        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a
+        ChartPoint, or arrays of both over a sequence of points: one stack,
+        whose Weyl jets are never formed."""
+        one = isinstance(point, ChartPoint)
+        stack = JetStack(self.chart, [point] if one else point)
+        ricci, rs = stack.ricci.value, stack.rs.value
+        residual = scale_free_at(
+            1, ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
+        return (float(residual[0]), float(rs[0])) if one else (residual, rs)
 
 
 @dataclass
@@ -108,37 +114,51 @@ def build_grw(warp: str, fiber: FiberMetric, *, name: str,
 
 @dataclass
 class ConverseRow:
-    point: ChartPoint
-    fiber_residual: float
-    a_formula: float
-    b_formula: float
+    """The converse at one point, or at a batch's points (arrays over
+    them), whose row for point i is ``at(i, dec)``."""
+
+    point: ChartPoint | tuple
+    fiber_residual: float | np.ndarray
+    a_formula: float | np.ndarray
+    b_formula: float | np.ndarray
     a_residual: float | None = None     # None: no fluid decomposition
     b_residual: float | None = None     # None also on the degenerate branch
     degenerate: bool = False
 
+    def at(self, i: int, dec) -> "ConverseRow":
+        """Point i's row of a batch, against that point's fluid
+        decomposition ``dec`` when there is one."""
+        a, b = float(self.a_formula[i]), float(self.b_formula[i])
+        row = ConverseRow(self.point[i], float(self.fiber_residual[i]), a, b)
+        if dec is not None:
+            row.a_residual = abs(dec.a - a) / (1.0 + abs(a))
+            row.degenerate = dec.degenerate
+            if not dec.degenerate:
+                row.b_residual = abs(dec.b - b) / (1.0 + abs(b))
+        return row
 
-def converse_at(chart: MetricChart, point: ChartPoint, dec) -> ConverseRow:
-    """The warped-product formulas at one point, against the fluid
-    decomposition ``dec`` of the chart's Ricci tensor when there is one.
+
+def converse_at(chart: MetricChart, point, dec) -> ConverseRow:
+    """The warped-product formulas at a ChartPoint, against the fluid
+    decomposition ``dec`` of the chart's Ricci tensor when there is one;
+    or, given a sequence of points and no ``dec``, the batch's row.
 
     A = [R*/(n-1) + q'^2 (n-2) + q q''] / q^2 and B = A - (n-1) q''/q, with
-    R* computed by running the curvature engine on the fiber chart.
+    R* computed by running the curvature engine on the fiber chart: one
+    fiber stack and one walk of q's tree for all the points.
     """
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
-    fiber_residual, rstar = fiber.einstein_at(ChartPoint(point.coords[1:]))
-    q, qp, qpp, _ = (level.item() for level in
-                     eval_jet3((warp,), point.coords[:1], chart.params).levels)
+    points = (point,) if isinstance(point, ChartPoint) else tuple(point)
+    fiber_residual, rstar = fiber.einstein_at(
+        [ChartPoint(p.coords[1:]) for p in points])
+    q, qp, qpp, _ = (level.reshape(len(points)) for level in eval_jet3_batch(
+        (warp,), [p.coords[:1] for p in points], chart.params))
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
     b_formula = a_formula - (n - 1) * qpp / q
-    row = ConverseRow(point=point, fiber_residual=fiber_residual,
+    row = ConverseRow(point=points, fiber_residual=fiber_residual,
                       a_formula=a_formula, b_formula=b_formula)
-    if dec is not None:
-        row.a_residual = abs(dec.a - a_formula) / (1.0 + abs(a_formula))
-        row.degenerate = dec.degenerate
-        if not dec.degenerate:
-            row.b_residual = abs(dec.b - b_formula) / (1.0 + abs(b_formula))
-    return row
+    return row.at(0, dec) if isinstance(point, ChartPoint) else row
 
 
 # ---------------------------------------------------------------------------

@@ -12,26 +12,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import FieldPoint
-from .curvature import scale_free
+from .curvature import scale_free_at
 
 # Gradients (and sums of mu squared) at or below this count as zero.
 DEGENERATE_TOL = 1e-10
 
 
-def motion_at(fp: FieldPoint) -> tuple[float, float]:
+def motion_at(fp: FieldPoint):
     """Scale-free residuals of the two projected conservation equations:
 
     r1:  u^k d_k mu + (p + mu) nabla_k u^k
     r2:  (d_j + u_j u^k d_k) p + (p + mu) u^k nabla_k u_j
+
+    at one point, or arrays over the points of a batch.
     """
     dmu, dp = fp.mu_jet.grad, fp.p_jet.grad
-    p_plus_mu = float(fp.p_jet.value) + float(fp.mu_jet.value)
-    transport = float(fp.uupv @ dmu)
-    expansion = p_plus_mu * (float(fp.f_jet.value) * (fp.n - 1))  # (p+mu) div u
+    p_plus_mu = fp.p_jet.value + fp.mu_jet.value
+    transport = fp.along_u(dmu)
+    expansion = p_plus_mu * (fp.f_jet.value * (fp.n - 1))  # (p+mu) div u
     r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
-    force = p_plus_mu * fp.accel
-    lhs2 = dp + fp.uv * float(fp.uupv @ dp) + force
-    return r1, scale_free(lhs2, dp, force)
+    force = p_plus_mu[..., None] * fp.accel
+    lhs2 = dp + fp.uv * fp.along_u(dp)[..., None] + force
+    return r1, scale_free_at(fp.batch, lhs2, dp, force)
 
 
 @dataclass

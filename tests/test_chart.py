@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,13 @@ from grwcert.chart import (_PCG64, ChartError, ChartInput, ChartPoint,
                            NonInvertibleError, SamplingExhaustedError,
                            SignatureError, compile_chart, sample_points)
 from grwcert.grw import catalog_get
+from grwcert.schema import load_chart_input
 
 from .oracles import eval_value
 from .test_classify import dense_pullback_chart
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py, through sys.path)
 
 
 def minkowski_input(**overrides):
@@ -141,6 +148,31 @@ class TestSampling:
         for count, seed in ((1, 0), (7, 3), (40, 11)):
             got = sample_points(chart, count, seed)
             want = per_candidate_points(chart, count, seed)
+            assert np.array([p.coords for p in got]).tobytes() == \
+                np.array([p.coords for p in want]).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 31, 101, 7])
+    def test_blocks_sized_by_the_acceptance(self, monkeypatch, seed):
+        # After a first block of the points asked for, each block is sized
+        # by the acceptance so far: the per-candidate points in at most 3
+        # blocks on the dense pull-back (about half its candidates fall
+        # outside the mapped time range) and at 5 % acceptance.
+        blocks = []
+        uniform = _PCG64.uniform
+
+        def counted(rng, lows, highs, size):
+            blocks.append(size[0])
+            return uniform(rng, lows, highs, size)
+
+        monkeypatch.setattr(_PCG64, "uniform", counted)
+        dense = compile_chart(load_chart_input(workloads.dense_spec(seed)))
+        five_percent = compile_chart(minkowski_input(
+            exclusions=[("t - 0.9", 0.0)]))
+        for chart in (dense, five_percent):
+            blocks.clear()
+            got = sample_points(chart, 20, seed)
+            assert len(blocks) <= 3, blocks
+            want = per_candidate_points(chart, 20, seed)
             assert np.array([p.coords for p in got]).tobytes() == \
                 np.array([p.coords for p in want]).tobytes()
 

@@ -502,9 +502,14 @@ class TestBatchedQuadrature:
             _integrate_form(_omega_integrand(chart, chart.velocity), chart.n,
                             chart.basepoint, target, QUAD_ORDER, QUAD_PANELS)
         # The leg's first row follows the coarse and fine segments.
-        assert singular.value.index == 3 * QUAD_ORDER * QUAD_PANELS
+        row = 3 * QUAD_ORDER * QUAD_PANELS
+        assert singular.value.index == row
         t, *space = singular.value.coords
         assert 1.0 < t < target[0] and space == [0.0, 0.0, 0.0]
+        # The row is named as a row of the path, not as a sample point.
+        assert str(singular.value).startswith(
+            f"metric matrix is singular at path row {row}, coordinates (")
+        assert f"at point {row}" not in str(singular.value)
         report = run_certify(chart, RunConfig(points=4, seed=0))
         assert report.find("fluid-decompose").status == DEGENERATE
         assert report.find("chen-vector").detail["error"] == (

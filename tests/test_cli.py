@@ -169,6 +169,7 @@ class TestRunCertify:
     def test_point_work_follows_selection(self, monkeypatch, groups, split,
                                           velocity):
         # No sanity record reads the fluid split or the velocity's jets.
+        # The split runs per point, the velocity's jets once per chunk.
         calls = {"split": 0, "velocity": 0}
 
         def counted(key, fn):
@@ -184,8 +185,9 @@ class TestRunCertify:
         points = 12 if groups == ("sanity",) else 3
         run_certify(catalog_get("frw-dust").chart,
                     RunConfig(points=points, checks=groups))
+        chunks = -(-points // CHUNK_POINTS)
         assert calls == {"split": split * points,
-                         "velocity": velocity * points}
+                         "velocity": velocity * chunks}
 
     def test_unknown_group_rejected(self, spec_file):
         with pytest.raises(ValueError):
@@ -295,6 +297,26 @@ class TestReports:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["environment"]["points"] == int(points)
+
+    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere",
+                                      "dense-pullback", "godel"])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch,
+                                                      name):
+        # A point gets the same bits from any chunk it is in: one point,
+        # three, or the default ten (13 points end on a partial chunk).
+        from .test_downgrades import GODEL_SPEC
+        chart = {
+            "frw-dust": lambda: catalog_get("frw-dust").chart,
+            "grw5-sphere": lambda: catalog_get("grw5-sphere").chart,
+            "dense-pullback": lambda: compile_chart(dense_pullback_input()),
+            "godel": lambda: compile_chart(load_chart_input(GODEL_SPEC)),
+        }[name]()
+        reports = []
+        for size in (1, 3, 10):
+            monkeypatch.setattr(certify, "CHUNK_POINTS", size)
+            reports.append(render_json(run_certify(
+                chart, RunConfig(points=13, seed=5))))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_singular_metric_names_the_run_point(self, tmp_path, capsys):
         # The second chunk's first point is singular: the error names its

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, sample_points
-from grwcert.classify import fluid_decompose
+from grwcert.classify import FluidDecompositionError, fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
                          build_grw, catalog_get, catalog_names, converse_at)
@@ -244,3 +244,24 @@ class TestCatalog:
             b = report.find("grw-ricci-B").max_residual
             if b is not None:
                 assert b < 1e-8, name
+
+
+@pytest.mark.parametrize("name", ["grw5-sphere", "frw-k+1",
+                                  "grw-nonEinstein-fiber"])
+def test_one_point_converse_is_its_row_of_the_chunk(name):
+    # certify_chart forms the converse once per chunk: a point's one-point
+    # converse and fiber residual are its row of that, bit for bit.
+    chart = catalog_get(name).chart
+    fiber = chart.grw.fiber
+    points = sample_points(chart, 7, seed=3)
+    chunk = converse_at(chart, points, None)
+    residuals, rstars = fiber.einstein_at(
+        [ChartPoint(p.coords[1:]) for p in points])
+    for i, p in enumerate(points):
+        try:
+            dec = fluid_decompose(curvature_at(chart, p))
+        except FluidDecompositionError:     # a non-Einstein fiber's split
+            dec = None
+        assert converse_at(chart, p, dec) == chunk.at(i, dec)
+        assert fiber.einstein_at(ChartPoint(p.coords[1:])) \
+            == (residuals[i], rstars[i])
