@@ -9,7 +9,7 @@ from .classify import (FluidDecomposition, NotClosedError, QuadratureError,
                        VelocityAnalysis, chen_at, fluid_decompose,
                        fluid_form_residual, geodesic_at, ladder_residuals_at,
                        soliton_at, torse_at, weyl_electric_at)
-from .curvature import CurvaturePoint, JetStack, curvature_at, grad_vector_at
+from .curvature import CurvaturePoint, JetStack, curvature_at
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
                    eval_batch, eval_jet3, eval_jet3_batch, parse)
 from .grw import (FiberMetric, GRWStructure, build_grw, catalog_get,

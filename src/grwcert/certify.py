@@ -245,12 +245,12 @@ def _point_payload(chart, shared, config, base, selected, i) -> dict:
             out["errors"]["fluid-decompose"] = str(err)
 
     if converse is not None:
-        row = converse.at(i, dec)
-        out["fiber-einstein"] = row.fiber_residual
-        if row.a_residual is not None:
-            out["grw-ricci-A"] = row.a_residual
-        if row.b_residual is not None:
-            out["grw-ricci-B"] = row.b_residual
+        fiber, a, b = (float(column[i]) for column in converse)
+        out["fiber-einstein"] = fiber
+        if dec is not None:
+            out["grw-ricci-A"] = abs(dec.a - a) / (1.0 + abs(a))
+            if not dec.degenerate:
+                out["grw-ricci-B"] = abs(dec.b - b) / (1.0 + abs(b))
     if fp is None:
         # Without a velocity field the electric check reads the eigen-split's.
         if "conclusions" in selected and dec is not None \
@@ -287,7 +287,7 @@ def _point_payload(chart, shared, config, base, selected, i) -> dict:
 
 def _converse_payload(chart, points):
     """The converse's formulas at a chunk's points: one fiber stack."""
-    return converse_at(chart, points, None)
+    return converse_at(chart, points)
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +303,23 @@ class _Run:
     payloads: list
     eos: physics.EosReport | None
 
-    def max_over(self, key):
-        values = [p[key] for p in self.payloads if key in p]
-        return max(values) if values else None
+    def max_over(self, key, rec):
+        """The largest ``key`` over the points that carry it, or None. A NaN
+        at any point is the maximum, and ``rec`` names its run index:
+        Python's ``max`` keeps a NaN only when it comes first."""
+        values = {i: p[key] for i, p in enumerate(self.payloads) if key in p}
+        nan = next((i for i, v in values.items() if math.isnan(v)), None)
+        if nan is not None:
+            rec.detail["error"] = f"point {nan}: the residual is NaN"
+            return math.nan
+        return max(values.values()) if values else None
 
 
 # An aggregator fills a check's record from the run and returns the skip
 # reason when the points carry no data for it, else None.
 
 def _max_of_name(row, run, rec):
-    rec.max_residual = run.max_over(row.name)
+    rec.max_residual = run.max_over(row.name, rec)
     return row.no_data if rec.max_residual is None else None
 
 
@@ -325,7 +332,7 @@ def _fluid_decompose(row, run, rec):
         if values:
             rec.detail[f"{label}_min"] = min(values)
             rec.detail[f"{label}_max"] = max(values)
-    rec.max_residual = run.max_over("fluid_residual")
+    rec.max_residual = run.max_over("fluid_residual", rec)
     if "anomalous" in branches:
         rec.ok = False
         rec.status = FAIL
@@ -396,7 +403,7 @@ def _homothetic_triple(row, run, rec):
 
 
 def _grw_ricci(row, run, rec):
-    rec.max_residual = run.max_over(row.name)
+    rec.max_residual = run.max_over(row.name, rec)
     rec.detail["resolution"] = RESOLUTION_NOTE
     if rec.max_residual is None:
         if any(p.get("fluid_branch") == "anomalous" for p in run.payloads):

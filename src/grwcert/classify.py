@@ -23,7 +23,8 @@ from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import (JetStack, SingularMetricError, christoffel,
                         covariant_derivative, metric_inverse, scale_free,
                         scale_free_at)
-from .expr import eval_batch, eval_jet3, eval_jet3_batch
+# eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
+from .expr import eval_batch, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract
 
 LADDER_NAMES = (
@@ -79,8 +80,7 @@ class FluidDecomposition:
 
     a: float
     b: float
-    u: np.ndarray | None          # covariant components, unit, u^1 > 0
-    u_up: np.ndarray | None
+    u_up: np.ndarray | None       # contravariant components, unit, u^1 > 0
     residual: float
     degenerate: bool
 
@@ -104,8 +104,8 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     if svals[-1] - svals[0] < cluster_tol * scale:
         a = float(np.mean(svals))
         residual = scale_free(cp.ricci - a * cp.g, cp.ricci, a * cp.g)
-        return FluidDecomposition(a=a, b=0.0, u=None, u_up=None,
-                                  residual=residual, degenerate=True)
+        return FluidDecomposition(a=a, b=0.0, u_up=None, residual=residual,
+                                  degenerate=True)
 
     def split_ok(idx_distinct, idx_cluster):
         cluster = svals[idx_cluster]
@@ -135,10 +135,9 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
         raise OrientationTieError("u^1 = 0; cannot orient the velocity")
     if u_up[0] < 0.0:
         u_up = -u_up
-    u = cp.g @ u_up
-    return FluidDecomposition(a=a, b=b, u=u, u_up=u_up,
-                              residual=fluid_form_residual(cp, a, b, u),
-                              degenerate=False)
+    return FluidDecomposition(
+        a=a, b=b, u_up=u_up, degenerate=False,
+        residual=fluid_form_residual(cp, a, b, cp.g @ u_up))
 
 
 def fluid_form_residual(cp, a, b, u: np.ndarray):
@@ -159,18 +158,18 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FieldPoint:
-    """Tensor jets of every velocity-derived object at one point, or at
-    each point of a batch: then ``stack`` is the batch's, ``point`` its
-    points, every jet has a point axis and ``at(i)`` is point i's.
+    """Tensor jets of every velocity-derived object at each point of a
+    batch: ``stack`` is the batch's, ``point`` its points, every jet has a
+    leading point axis, and ``at(i)`` is point i's alone.
 
     ``u`` is order 3; the others are order 1, which is all that is read.
-    The scalar jets f, A, B, gamma, p and mu are shape (), so ``.value``
-    is a 0-d array and ``.grad`` has shape (n,).
+    The scalar jets f, A, B, gamma, p and mu are shape () per point, so
+    ``.value`` has shape (P,) and ``.grad`` (P, n).
 
     u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
-    ``geodesic_at``, ``ladder_residuals_at``, ``chen_at``, ``soliton_at``,
+    ``geodesic_at``, ``ladder_residuals_at``, ``soliton_at``,
     ``physics.motion_at``, ``fluid_form_residual`` and ``weyl_electric_at``
-    read them here, all but ``chen_at`` also as a batch.
+    read them on the batch, ``chen_at`` on one point's ``at(i)``.
     """
 
     stack: JetStack
@@ -190,10 +189,6 @@ class FieldPoint:
     @property
     def n(self) -> int:
         return self.stack.n
-
-    @property
-    def batch(self) -> int:
-        return self.u.batch
 
     @property
     def g(self) -> np.ndarray:
@@ -232,16 +227,20 @@ class FieldPoint:
         """u^k v_k... (u^ on v's first axis) at each point: one ``@`` per
         point, since BLAS sums a dot product in another order than a
         batched matmul or einsum does."""
-        if not self.batch:
-            return self.uupv @ v
         return np.array([x @ y for x, y in zip(self.uupv, v)])
 
     def at(self, i: int) -> "FieldPoint":
-        """Point i of a batch; its jets are views into the batch's."""
+        """Point i of the batch; its jets are views into the batch's, and
+        the residuals the batch has formed (``omega_closed``, ...) are
+        their rows, not formed again."""
         jets = {f.name: getattr(self, f.name).at(i) for f in fields(self)
                 if isinstance(getattr(self, f.name), TensorJet)}
-        return replace(self, stack=self.stack.at(i), point=self.point[i],
+        view = replace(self, stack=self.stack.at(i), point=self.point[i],
                        **jets)
+        view.__dict__.update(
+            (name, value[i]) for name, value in vars(self).items()
+            if isinstance(getattr(FieldPoint, name, None), cached_property))
+        return view
 
 
 def _curl_residual(grad: np.ndarray):
@@ -261,19 +260,16 @@ class VelocityAnalysis:
         self.field = field if field is not None else chart.velocity
         self.kappa = float(kappa)
 
-    def at(self, point, stack: JetStack | None = None) -> FieldPoint:
-        """The FieldPoint at a ChartPoint, or at each of a sequence of
-        points, with their batched ``stack``, from one walk of the
-        velocity's trees (whose domain error names the point's ``index``)."""
-        chart, comps = self.chart, self.field.components
+    def at(self, points, stack: JetStack | None = None) -> FieldPoint:
+        """The FieldPoint at a sequence of points, with their batched
+        ``stack``, from one walk of the velocity's trees (whose domain
+        error names the point's ``index``)."""
+        chart = self.chart
         n = chart.n
-        if isinstance(point, ChartPoint):
-            stack = stack or JetStack(chart, [point]).at(0)
-            u = eval_jet3(comps, point, chart.params)
-        else:
-            stack = stack or JetStack(chart, point)
-            u = TensorJet(n, eval_jet3_batch(
-                comps, [p.coords for p in point], chart.params), 1)
+        stack = stack or JetStack(chart, points)
+        u = TensorJet(n, eval_jet3_batch(
+            self.field.components, [p.coords for p in points], chart.params),
+            1)
         u_up, nabla, f, omega = _velocity_terms(
             stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
         ruu = contract("ij,ij->", stack.ricci,
@@ -283,7 +279,7 @@ class VelocityAnalysis:
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * (1.0 / (2.0 * self.kappa))
         p_jet = b_jet * (1.0 / self.kappa) - mu_jet
-        return FieldPoint(stack=stack, point=point, field=self.field, u=u,
+        return FieldPoint(stack=stack, point=points, field=self.field, u=u,
                           u_up=u_up, nabla=nabla, omega=omega, f_jet=f,
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
                           p_jet=p_jet, mu_jet=mu_jet)
@@ -300,27 +296,23 @@ def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
 
 
 def geodesic_at(fp: FieldPoint):
-    """Scale-free u^k nabla_k u_j at one point, or at each of a batch."""
-    return scale_free_at(fp.batch, fp.accel, fp.nabla_u)
+    """Scale-free u^k nabla_k u_j at each point of the batch."""
+    return scale_free_at(1, fp.accel, fp.nabla_u)
 
 
 def torse_at(fp: FieldPoint):
-    """(residual, alignment, f_cross) of nabla u = f (g + u x u). The
-    misalignment (nabla_k u_j) u^j is f u - omega; f_cross compares f with
-    -u^m d_m gamma / (2B(n-1)), None where B vanishes. A batch gives
-    arrays over its points, with NaN for None."""
+    """(residual, alignment, f_cross) of nabla u = f (g + u x u), arrays
+    over the batch's points. The misalignment (nabla_k u_j) u^j is
+    f u - omega; f_cross compares f with -u^m d_m gamma / (2B(n-1)), NaN
+    where B vanishes."""
     f, b, nabla = fp.f_jet.value, fp.b_jet.value, fp.nabla_u
     model = f[..., None, None] * (_outer(fp.uv, fp.uv) + fp.g)
-    residual = scale_free_at(fp.batch, nabla - model, nabla, model)
-    alignment = scale_free_at(fp.batch, f[..., None] * fp.uv
-                              - fp.omega.value, nabla)
+    residual = scale_free_at(1, nabla - model, nabla, model)
+    alignment = scale_free_at(1, f[..., None] * fp.uv - fp.omega.value, nabla)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_ref = -fp.along_u(fp.gamma_jet.grad) / (2.0 * b * (fp.n - 1))
-        cross = np.where(np.abs(b) <= 1e-12, np.nan,
-                         abs(f - f_ref) / (1.0 + abs(f)))
-    if not fp.batch:
-        cross = None if np.isnan(cross) else float(cross)
-    return residual, alignment, cross
+        return residual, alignment, np.where(
+            np.abs(b) <= 1e-12, np.nan, abs(f - f_ref) / (1.0 + abs(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +459,8 @@ def weyl_electric_at(cp, u_up: np.ndarray):
 
 
 def ladder_residuals_at(fp: FieldPoint) -> dict:
-    """All nine intermediate identities, scale-free: floats at one point,
-    arrays over the points of a batch."""
+    """All nine intermediate identities, scale-free, as arrays over the
+    batch's points."""
     n, g, u, nabla = fp.n, fp.g, fp.uv, fp.nabla_u
     b = fp.b_jet.value[..., None]                   # scales a vector
     da, db, dgam = fp.a_jet.grad, fp.b_jet.grad, fp.gamma_jet.grad
@@ -483,7 +475,7 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     out = {}
 
     def put(name, residual, *references):
-        out[name] = scale_free_at(fp.batch, residual, *references)
+        out[name] = scale_free_at(1, residual, *references)
 
     lhs = u_dot_db * u + b * accel + b * divu * u
     rhs = 0.5 * ((n - 2) * da - db)
@@ -518,15 +510,16 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
 
 
 def soliton_at(fp: FieldPoint, *, closed_tol: float = 1e-6):
-    """(residual, lam, eta) of the soliton form at one point. The form
-    reads d theta = u and Hess(theta) only, so theta itself is never
-    integrated; u must be closed for theta to exist."""
-    require_closed("u", fp.u_closed, closed_tol)
+    """(residual, lam, eta) of the soliton form, arrays over the batch's
+    points. The form reads d theta = u and Hess(theta) only, so theta
+    itself is never integrated; u must be closed at every point for theta
+    to exist."""
+    require_closed("u", float(np.max(fp.u_closed)), closed_tol)
     return _soliton_residual_at(fp)
 
 
 def _soliton_residual_at(fp: FieldPoint):
-    """(residual, lam, eta), closed u or not; arrays over a batch."""
+    """(residual, lam, eta), closed u or not."""
     # d theta = u, so Hess(theta) is the symmetrized nabla u.
     grad_theta = fp.uv
     hess_cov = 0.5 * (fp.nabla_u + np.swapaxes(fp.nabla_u, -1, -2))
@@ -536,4 +529,4 @@ def _soliton_residual_at(fp: FieldPoint):
     lhs = (fp.stack.ricci.value + hess_cov
            - eta[..., None, None] * _outer(grad_theta, grad_theta))
     rhs = lam[..., None, None] * fp.g
-    return scale_free_at(fp.batch, lhs - rhs, lhs, rhs), lam, eta
+    return scale_free_at(1, lhs - rhs, lhs, rhs), lam, eta

@@ -25,8 +25,9 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .chart import ChartPoint, MetricChart, VectorField
-from .expr import eval_jet3, eval_jet3_batch
+from .chart import ChartPoint, MetricChart
+# eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
+from .expr import eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract, leibniz_level
 
 def scale_free(residual, *references) -> float:
@@ -231,27 +232,6 @@ def metric_inverse(g: TensorJet) -> TensorJet:
 def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:
     """Full curvature stack at one point (pure; safe to run in parallel)."""
     return JetStack(chart, [point]).at(0).to_point()
-
-
-def grad_vector_at(chart: MetricChart, field: VectorField, point: ChartPoint):
-    """Covariant derivative of a covariant field.
-
-    Returns (nabla[k, j] = nabla_k v_j, dnabla[a, k, j] = d_a nabla_k v_j).
-    The antisymmetric part of nabla v equals the partial curl exactly
-    (Christoffel symmetry); this is asserted before returning.
-    """
-    stack = JetStack(chart, [point]).at(0)
-    v = eval_jet3(field.components, point, chart.params).truncated(2)
-    curl = v.grad.T                              # curl[k, j] = d_k v_j
-    jet = covariant_derivative(v, stack.gamma.truncated(1))
-    nabla, dnabla = jet.value, np.moveaxis(jet.grad, -1, 0)
-    anti_cov = nabla - nabla.T
-    anti_partial = curl - curl.T
-    gap = scale_free(anti_cov - anti_partial, anti_partial)
-    if gap > 1e-10:
-        raise AssertionError(
-            f"covariant curl deviates from partial curl by {gap:.3e}")
-    return nabla, dnabla
 
 
 def first_bianchi_residual(cp: CurvaturePoint):

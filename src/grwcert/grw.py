@@ -52,16 +52,14 @@ class FiberMetric:
     def dim(self) -> int:
         return self.chart.n
 
-    def einstein_at(self, point):
-        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R* at a
-        ChartPoint, or arrays of both over a sequence of points: one stack,
-        whose Weyl jets are never formed."""
-        one = isinstance(point, ChartPoint)
-        stack = JetStack(self.chart, [point] if one else point)
+    def einstein_at(self, points):
+        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R*, as arrays
+        over the points: one stack, whose Weyl jets are never formed."""
+        stack = JetStack(self.chart, points)
         ricci, rs = stack.ricci.value, stack.rs.value
         residual = scale_free_at(
             1, ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
-        return (float(residual[0]), float(rs[0])) if one else (residual, rs)
+        return residual, rs
 
 
 @dataclass
@@ -112,36 +110,9 @@ def build_grw(warp: str, fiber: FiberMetric, *, name: str,
     return chart
 
 
-@dataclass
-class ConverseRow:
-    """The converse at one point, or at a batch's points (arrays over
-    them), whose row for point i is ``at(i, dec)``."""
-
-    point: ChartPoint | tuple
-    fiber_residual: float | np.ndarray
-    a_formula: float | np.ndarray
-    b_formula: float | np.ndarray
-    a_residual: float | None = None     # None: no fluid decomposition
-    b_residual: float | None = None     # None also on the degenerate branch
-    degenerate: bool = False
-
-    def at(self, i: int, dec) -> "ConverseRow":
-        """Point i's row of a batch, against that point's fluid
-        decomposition ``dec`` when there is one."""
-        a, b = float(self.a_formula[i]), float(self.b_formula[i])
-        row = ConverseRow(self.point[i], float(self.fiber_residual[i]), a, b)
-        if dec is not None:
-            row.a_residual = abs(dec.a - a) / (1.0 + abs(a))
-            row.degenerate = dec.degenerate
-            if not dec.degenerate:
-                row.b_residual = abs(dec.b - b) / (1.0 + abs(b))
-        return row
-
-
-def converse_at(chart: MetricChart, point, dec) -> ConverseRow:
-    """The warped-product formulas at a ChartPoint, against the fluid
-    decomposition ``dec`` of the chart's Ricci tensor when there is one;
-    or, given a sequence of points and no ``dec``, the batch's row.
+def converse_at(chart: MetricChart, points):
+    """(fiber residual, A, B), arrays over the points: the residual of the
+    fiber's Einstein condition and the warped-product formulas
 
     A = [R*/(n-1) + q'^2 (n-2) + q q''] / q^2 and B = A - (n-1) q''/q, with
     R* computed by running the curvature engine on the fiber chart: one
@@ -149,16 +120,12 @@ def converse_at(chart: MetricChart, point, dec) -> ConverseRow:
     """
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
-    points = (point,) if isinstance(point, ChartPoint) else tuple(point)
     fiber_residual, rstar = fiber.einstein_at(
         [ChartPoint(p.coords[1:]) for p in points])
     q, qp, qpp, _ = (level.reshape(len(points)) for level in eval_jet3_batch(
         (warp,), [p.coords[:1] for p in points], chart.params))
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
-    b_formula = a_formula - (n - 1) * qpp / q
-    row = ConverseRow(point=points, fiber_residual=fiber_residual,
-                      a_formula=a_formula, b_formula=b_formula)
-    return row.at(0, dec) if isinstance(point, ChartPoint) else row
+    return fiber_residual, a_formula, a_formula - (n - 1) * qpp / q
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def motion_at(fp: FieldPoint):
     r1:  u^k d_k mu + (p + mu) nabla_k u^k
     r2:  (d_j + u_j u^k d_k) p + (p + mu) u^k nabla_k u_j
 
-    at one point, or arrays over the points of a batch.
+    as arrays over the points of the batch.
     """
     dmu, dp = fp.mu_jet.grad, fp.p_jet.grad
     p_plus_mu = fp.p_jet.value + fp.mu_jet.value
@@ -33,7 +33,7 @@ def motion_at(fp: FieldPoint):
     r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
     force = p_plus_mu[..., None] * fp.accel
     lhs2 = dp + fp.uv * fp.along_u(dp)[..., None] + force
-    return r1, scale_free_at(fp.batch, lhs2, dp, force)
+    return r1, scale_free_at(1, lhs2, dp, force)
 
 
 @dataclass

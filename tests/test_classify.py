@@ -15,9 +15,9 @@ from grwcert.classify import (LADDER_NAMES, QUAD_ORDER, QUAD_PANELS,
                               ladder_residuals_at, soliton_at, torse_at,
                               weyl_electric_at, _integrate_form, _leggauss,
                               _omega_integrand)
-from grwcert.curvature import (JetStack, SingularMetricError, curvature_at,
-                               scale_free)
-from grwcert.expr import EvalDomainError, eval_jet3, parse
+from grwcert.curvature import SingularMetricError, curvature_at, scale_free_at
+from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
+from grwcert.jets import TensorJet
 from grwcert.grw import catalog_get
 from grwcert.physics import homothetic
 from grwcert.report import DEGENERATE
@@ -39,15 +39,14 @@ def field_for(chart, comps):
 
 
 def field_points(chart, points, field=None):
-    """The ``FieldPoint`` of ``field`` (default: the chart's velocity) at
-    each point, for the per-point kernels."""
-    analysis = VelocityAnalysis(chart, field)
-    return [analysis.at(p) for p in points]
+    """The batched ``FieldPoint`` of ``field`` (default: the chart's
+    velocity) at the points, for the kernels."""
+    return VelocityAnalysis(chart, field).at(points)
 
 
 def curl(chart, field, points):
     """Max over the points of the field's scale-free curl."""
-    return max(fp.u_closed for fp in field_points(chart, points, field))
+    return max(field_points(chart, points, field).u_closed)
 
 
 def potential(chart, field, base, target):
@@ -76,11 +75,12 @@ class TestFluidDecompose:
         u = np.array([-1.0, 0, 0, 0])
         ricci = 2.0 * MINK_G + 5.0 * np.outer(u, u)
         np.testing.assert_allclose(np.diag(ricci), [3, 2, 2, 2])
-        dec = fluid_decompose(synthetic_point(ricci))
+        cp = synthetic_point(ricci)
+        dec = fluid_decompose(cp)
         assert dec.a == pytest.approx(2.0, abs=1e-12)
         assert dec.b == pytest.approx(5.0, abs=1e-12)
         assert dec.u_up[0] > 0
-        np.testing.assert_allclose(dec.u, u, atol=1e-12)
+        np.testing.assert_allclose(cp.g @ dec.u_up, u, atol=1e-12)
         assert dec.residual < 1e-14
         assert not dec.degenerate
 
@@ -88,7 +88,7 @@ class TestFluidDecompose:
         dec = fluid_decompose(synthetic_point(2.0 * MINK_G))
         assert dec.degenerate
         assert dec.b == 0.0
-        assert dec.u is None
+        assert dec.u_up is None
         assert dec.a == pytest.approx(2.0, abs=1e-12)
 
     def test_spacelike_anomaly(self):
@@ -105,9 +105,10 @@ class TestFluidDecompose:
         u = np.array([-1.0, 0.3, 0, 0])
         u = u / math.sqrt(-u @ np.linalg.inv(MINK_G) @ u)
         ricci = 1.5 * MINK_G + 2.5 * np.outer(u, u)
-        first = fluid_decompose(synthetic_point(ricci))
-        second = fluid_decompose(synthetic_point(ricci))
-        np.testing.assert_array_equal(first.u, second.u)
+        cp = synthetic_point(ricci)
+        first = fluid_decompose(cp)
+        second = fluid_decompose(cp)
+        np.testing.assert_array_equal(cp.g @ first.u_up, cp.g @ second.u_up)
         assert first.u_up[0] > 0
 
     def test_orientation_tie_is_an_error(self):
@@ -146,7 +147,7 @@ def test_decomposition_round_trip_property(a, b, phi, eps):
     assert dec.a == pytest.approx(a, abs=1e-10 * (1 + abs(a)))
     assert dec.b == pytest.approx(b, abs=1e-10 * (1 + abs(b)))
     sign = 1.0 if u_up[0] > 0 else -1.0
-    np.testing.assert_allclose(dec.u, sign * u, atol=1e-9)
+    np.testing.assert_allclose(g @ dec.u_up, sign * u, atol=1e-9)
 
 
 class TestScalarFields:
@@ -154,14 +155,15 @@ class TestScalarFields:
     mu and p at kappa = 1."""
 
     def test_frw_dust_jets_match_friedmann_oracle(self, frw_dust):
-        analysis = VelocityAnalysis(frw_dust)
+        points = sample_points(frw_dust, 5, seed=3)
+        batch = VelocityAnalysis(frw_dust).at(points)
         h = 1e-5
-        for p in sample_points(frw_dust, 5, seed=3):
+        for i, p in enumerate(points):
             t = p.coords[0]
             fs = friedmann_scalars(2.0 / 3.0, t)
             ahead = friedmann_scalars(2.0 / 3.0, t + h)
             behind = friedmann_scalars(2.0 / 3.0, t - h)
-            fp = analysis.at(p)
+            fp = batch.at(i)
             for key, jet in (("gamma", fp.gamma_jet), ("mu", fp.mu_jet),
                              ("p", fp.p_jet)):
                 assert float(jet.value) == pytest.approx(fs[key], rel=1e-10)
@@ -171,9 +173,9 @@ class TestScalarFields:
 
     def test_desitter_scalars(self):
         chart = catalog_get("desitter").chart
-        analysis = VelocityAnalysis(chart)
-        for p in sample_points(chart, 5, seed=1):
-            fp = analysis.at(p)
+        batch = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=1))
+        for i in range(5):
+            fp = batch.at(i)
             assert float(fp.a_jet.value) == pytest.approx(3.0, abs=1e-9)
             assert float(fp.b_jet.value) == pytest.approx(0.0, abs=1e-9)
             assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
@@ -182,9 +184,9 @@ class TestScalarFields:
 
     def test_einstein_static_scalars(self):
         chart = catalog_get("einstein-static").chart
-        analysis = VelocityAnalysis(chart)
-        for p in sample_points(chart, 5, seed=2):
-            fp = analysis.at(p)
+        batch = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=2))
+        for i in range(5):
+            fp = batch.at(i)
             assert float(fp.a_jet.value) == pytest.approx(2.0, abs=1e-9)
             assert float(fp.b_jet.value) == pytest.approx(2.0, abs=1e-9)
             assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
@@ -192,10 +194,11 @@ class TestScalarFields:
             assert float(fp.p_jet.value) == pytest.approx(-1.0, abs=1e-9)
 
     def test_frw_dust_matches_friedmann_oracle(self, frw_dust):
-        analysis = VelocityAnalysis(frw_dust)
-        for p in sample_points(frw_dust, 5, seed=3):
+        points = sample_points(frw_dust, 5, seed=3)
+        batch = VelocityAnalysis(frw_dust).at(points)
+        for i, p in enumerate(points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            fp = analysis.at(p)
+            fp = batch.at(i)
             assert float(fp.a_jet.value) == pytest.approx(fs["A"], rel=1e-10)
             assert float(fp.b_jet.value) == pytest.approx(fs["B"], rel=1e-10)
 
@@ -215,8 +218,10 @@ class TestClosedAndGeodesic:
     def test_decomposed_velocity_closed_on_catalog(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=6)
         for p in points:
-            dec = fluid_decompose(curvature_at(frw_dust, p))
-            np.testing.assert_allclose(dec.u, [-1, 0, 0, 0], atol=1e-9)
+            cp = curvature_at(frw_dust, p)
+            dec = fluid_decompose(cp)
+            np.testing.assert_allclose(cp.g @ dec.u_up, [-1, 0, 0, 0],
+                                       atol=1e-9)
         report = certified(frw_dust, 5, 6, "hypotheses")
         assert report.find("u-closed").max_residual < 1e-9
 
@@ -228,39 +233,39 @@ class TestClosedAndGeodesic:
         field = field_for(minkowski_chart,
                           ("-1/sqrt(1-t^2)", "t/sqrt(1-t^2)", "0", "0"))
         points = sample_points(minkowski_chart, 10, seed=8)
-        assert max(geodesic_at(fp) for fp in
-                   field_points(minkowski_chart, points, field)) > 0.1
+        assert max(geodesic_at(
+            field_points(minkowski_chart, points, field))) > 0.1
 
 
 class TestTorseForming:
     def test_frw_dust_f_equals_qprime_over_q(self, frw_dust):
-        analysis = VelocityAnalysis(frw_dust, frw_dust.velocity)
-        for p in sample_points(frw_dust, 5, seed=9):
-            fp = analysis.at(p)
-            residual, alignment, f_cross = torse_at(fp)
+        points = sample_points(frw_dust, 5, seed=9)
+        fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(points)
+        for p, f, residual, alignment, f_cross in zip(
+                points, fp.f_jet.value, *torse_at(fp)):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            assert fp.f_jet.value == pytest.approx(fs["f"], rel=1e-9)
+            assert f == pytest.approx(fs["f"], rel=1e-9)
             assert residual < 1e-9
             assert f_cross < 1e-9
             assert alignment < 1e-9
 
     def test_minkowski_constant_field(self, minkowski_chart):
         analysis = VelocityAnalysis(minkowski_chart, minkowski_chart.velocity)
-        fp = analysis.at(ChartPoint((0.5, 0, 0, 0)))
-        residual, alignment, f_cross = torse_at(fp)
-        assert fp.f_jet.value == 0.0
+        fp = analysis.at([ChartPoint((0.5, 0, 0, 0))])
+        [residual], [alignment], [f_cross] = torse_at(fp)
+        assert fp.f_jet.value[0] == 0.0
         assert residual == 0.0
         assert alignment == 0.0
-        assert f_cross is None          # B = 0: the cross formula is undefined
+        assert math.isnan(f_cross)      # B = 0: the cross formula is undefined
 
     def test_einstein_static_f_zero_with_nonzero_b(self):
         chart = catalog_get("einstein-static").chart
-        analysis = VelocityAnalysis(chart, chart.velocity)
-        for p in sample_points(chart, 3, seed=10):
-            fp = analysis.at(p)
-            _, _, f_cross = torse_at(fp)
-            assert abs(fp.f_jet.value) < 1e-10
-            assert fp.b_jet.value == pytest.approx(2.0, abs=1e-9)
+        fp = VelocityAnalysis(chart, chart.velocity).at(
+            sample_points(chart, 3, seed=10))
+        for f, b, f_cross in zip(fp.f_jet.value, fp.b_jet.value,
+                                 torse_at(fp)[2]):
+            assert abs(f) < 1e-10
+            assert b == pytest.approx(2.0, abs=1e-9)
             assert f_cross < 1e-9
 
     def test_sheared_velocity_misaligned(self, frw_dust):
@@ -268,13 +273,13 @@ class TestTorseForming:
         # misalignment (nabla_k u_j) u^j = f u - omega is read off the
         # FieldPoint's omega and agrees with its direct contraction.
         field = field_for(frw_dust, ("-1", "0.3*y", "0", "0"))
-        for fp in field_points(frw_dust, sample_points(frw_dust, 3, seed=9),
-                               field):
-            residual, alignment, _ = torse_at(fp)
-            direct = fp.nabla_u @ fp.uupv
+        fp = field_points(frw_dust, sample_points(frw_dust, 3, seed=9), field)
+        for nabla, u_up, residual, alignment in zip(
+                fp.nabla_u, fp.uupv, *torse_at(fp)[:2]):
+            direct = nabla @ u_up
             assert alignment > 1e-3 and residual > 1e-3
             assert alignment == pytest.approx(
-                np.max(np.abs(direct)) / (1 + np.max(np.abs(fp.nabla_u))),
+                np.max(np.abs(direct)) / (1 + np.max(np.abs(nabla))),
                 rel=1e-12)
 
 
@@ -342,8 +347,8 @@ class TestReconstructPotential:
     def test_not_closed_rejected(self, minkowski_chart):
         # soliton_at refuses a field that has no potential theta.
         field = field_for(minkowski_chart, ("0", "z", "0", "0"))
-        [fp] = field_points(minkowski_chart,
-                            [ChartPoint((0.5, 0.5, 0.5, 0.5))], field)
+        fp = field_points(minkowski_chart,
+                          [ChartPoint((0.5, 0.5, 0.5, 0.5))], field)
         with pytest.raises(NotClosedError):
             soliton_at(fp)
 
@@ -412,13 +417,11 @@ class TestBatchedQuadrature:
         # order 0: the same bits at the same points.
         chart, _ = self.integrands(name)
         points = sample_points(chart, 10, seed=0)
-        stack = JetStack(chart, points)
-        analysis = VelocityAnalysis(chart)
+        omega = VelocityAnalysis(chart).at(points).omega.value
         rows = _omega_integrand(chart, chart.velocity)(
             np.array([p.coords for p in points]))
-        for i, p in enumerate(points):
-            omega = analysis.at(p, stack=stack.at(i)).omega.value
-            assert rows[i].tobytes() == omega.tobytes()
+        for i in range(len(points)):
+            assert rows[i].tobytes() == omega[i].tobytes()
 
     @pytest.mark.parametrize("name", CHARTS)
     def test_segment_matches_staircase(self, name):
@@ -519,13 +522,15 @@ class TestBatchedQuadrature:
 def chen_rows(chart, points):
     """``chen_at`` at each point, sigma integrated from the chart's
     basepoint."""
-    return [chen_at(fp, chart.basepoint) for fp in field_points(chart, points)]
+    fp = field_points(chart, points)
+    return [chen_at(fp.at(i), chart.basepoint) for i in range(len(points))]
 
 
 def branch_homothetic(chart, points, tol=1e-7):
     """The A = B test of ckv-branch and homothetic-triple at each point."""
-    return [homothetic(float(fp.a_jet.value), float(fp.b_jet.value), tol)
-            for fp in field_points(chart, points)]
+    fp = field_points(chart, points)
+    return [homothetic(float(a), float(b), tol)
+            for a, b in zip(fp.a_jet.value, fp.b_jet.value)]
 
 
 class TestChen:
@@ -534,15 +539,15 @@ class TestChen:
         rows = chen_rows(frw_dust, points)
         assert max(row.chen_residual for row in rows) < 1e-10
         assert max(row.ckv_residual for row in rows) < 1e-10
-        assert max(fp.omega_closed
-                   for fp in field_points(frw_dust, points)) < 1e-12
+        fp = field_points(frw_dust, points)
+        assert max(fp.omega_closed) < 1e-12
         assert max(row.path_defect for row in rows) < 1e-10
         assert not any(branch_homothetic(frw_dust, points))
-        for row, fp, p in zip(rows, field_points(frw_dust, points), points):
+        for row, unit_residual, p in zip(rows, fp.unit_residual, points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             assert row.rho == pytest.approx(fs["qp"], rel=1e-10)
             # X is time-like: X.X = -e^{-2 sigma} because u.u = -1
-            assert fp.unit_residual < 1e-10
+            assert unit_residual < 1e-10
             assert row.x[0] == pytest.approx(-fs["q"], rel=1e-10)
 
     def test_desitter_ckv_gradient_matches_second_derivative(self):
@@ -583,9 +588,9 @@ class TestChen:
             ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
             velocity_field=["-1", "0.3*y", "0", "0"],
             basepoint=[1, 0, 0, 0]))
-        [fp] = field_points(chart, sample_points(chart, 1, seed=19))
+        fp = field_points(chart, sample_points(chart, 1, seed=19))
         with pytest.raises(NotClosedError) as chen:
-            chen_at(fp, chart.basepoint)
+            chen_at(fp.at(0), chart.basepoint)
         assert str(chen.value).startswith("ω not closed (residual ")
         with pytest.raises(NotClosedError) as soliton:
             soliton_at(fp)
@@ -598,12 +603,12 @@ class TestChen:
 
 class TestWeylElectric:
     def test_frw_dust_both_residuals(self, frw_dust):
-        analysis = VelocityAnalysis(frw_dust, frw_dust.velocity)
-        for p in sample_points(frw_dust, 5, seed=19):
-            fp = analysis.at(p)
-            cp = fp.stack.to_point()
-            assert weyl_electric_at(cp, fp.uupv) < 1e-8
-            assert scale_free(cp.weyl, cp.riem) < 1e-8  # n = 4: conformally flat
+        fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(
+            sample_points(frw_dust, 5, seed=19))
+        cp = fp.stack.to_point()
+        assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
+        # n = 4: conformally flat
+        assert max(scale_free_at(1, cp.weyl, cp.riem)) < 1e-8
 
     def test_minkowski_zero(self, minkowski_chart):
         cp = curvature_at(minkowski_chart, ChartPoint((0.5, 0, 0, 0)))
@@ -611,10 +616,9 @@ class TestWeylElectric:
 
     def test_grw5_sphere_fiber_electric(self):
         chart = catalog_get("grw5-sphere").chart
-        analysis = VelocityAnalysis(chart, chart.velocity)
-        for p in sample_points(chart, 5, seed=20):
-            fp = analysis.at(p)
-            assert weyl_electric_at(fp.stack.to_point(), fp.uupv) < 1e-8
+        fp = VelocityAnalysis(chart, chart.velocity).at(
+            sample_points(chart, 5, seed=20))
+        assert max(weyl_electric_at(fp.stack.to_point(), fp.uupv)) < 1e-8
 
     def test_einstein_but_not_constant_curvature_fiber(self):
         # S^2 x S^2 fiber: Einstein yet not a space form, so the warped
@@ -629,13 +633,11 @@ class TestWeylElectric:
             ranges={"theta": (0.3, hi), "phi": (0, 6.2),
                     "alpha": (0.3, hi), "beta": (0, 6.2)}))
         chart = build_grw("t^2", fiber, name="grw5-s2xs2", t_range=(1, 2))
-        analysis = VelocityAnalysis(chart, chart.velocity)
-        norms = []
-        for p in sample_points(chart, 5, seed=21):
-            fp = analysis.at(p)
-            cp = fp.stack.to_point()
-            assert weyl_electric_at(cp, fp.uupv) < 1e-8
-            norms.append(scale_free(cp.weyl, cp.riem))
+        fp = VelocityAnalysis(chart, chart.velocity).at(
+            sample_points(chart, 5, seed=21))
+        cp = fp.stack.to_point()
+        assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
+        norms = scale_free_at(1, cp.weyl, cp.riem)
         assert max(norms) > 1e-3
         # The report's weyl-electric and weyl-zero-n4 read the same numbers.
         report = run_certify(chart, RunConfig(points=5, seed=21,
@@ -662,14 +664,14 @@ class TestIdentityLadder:
         # B + 0.1 x^2 is no longer comoving: gamma = (n-2) A + B moves
         # with it, and the contracted Bianchi identity fails.
         perturb = parse("0.1*x^2", frw_dust.coordinates)
-        worst = 0.0
-        for fp in field_points(frw_dust, sample_points(frw_dust, 5, seed=24)):
-            b_jet = fp.b_jet + eval_jet3((perturb,), fp.point,
-                                         frw_dust.params).at(0)
-            perturbed = replace(fp, b_jet=b_jet,
-                                gamma_jet=fp.a_jet * float(fp.n - 2) + b_jet)
-            worst = max(worst,
-                        ladder_residuals_at(perturbed)["bianchi-contract"])
+        points = sample_points(frw_dust, 5, seed=24)
+        fp = field_points(frw_dust, points)
+        levels = eval_jet3_batch((perturb,), [p.coords for p in points],
+                                 frw_dust.params)
+        b_jet = fp.b_jet + TensorJet(fp.n, [lv[:, 0] for lv in levels], 1)
+        perturbed = replace(fp, b_jet=b_jet,
+                            gamma_jet=fp.a_jet * float(fp.n - 2) + b_jet)
+        worst = max(ladder_residuals_at(perturbed)["bianchi-contract"])
         assert worst > 1e-2
 
     def test_ladder_from_hypotheses_across_catalog(self):
@@ -685,7 +687,7 @@ class TestIdentityLadder:
 
 def soliton_rows(chart, points):
     """Columns (residual, lam, eta) of ``soliton_at`` over the points."""
-    return zip(*(soliton_at(fp) for fp in field_points(chart, points)))
+    return soliton_at(field_points(chart, points))
 
 
 def gradient_soliton(lams, etas):

@@ -189,6 +189,22 @@ class TestRunCertify:
         assert calls == {"split": split * points,
                          "velocity": velocity * chunks}
 
+    def test_curls_once_per_chunk(self, monkeypatch):
+        # u's and omega's closedness are formed on the chunk; sigma's
+        # refusal reads omega's row of it instead of forming it again.
+        calls = []
+        curl = classify._curl_residual
+
+        def counted(grad):
+            calls.append(grad.shape)
+            return curl(grad)
+
+        monkeypatch.setattr(classify, "_curl_residual", counted)
+        report = run_certify(catalog_get("frw-dust").chart,
+                             RunConfig(points=13, seed=5))
+        assert report.find("chen-vector").status == "pass"
+        assert calls == [(10, 4, 4)] * 2 + [(3, 4, 4)] * 2
+
     def test_unknown_group_rejected(self, spec_file):
         with pytest.raises(ValueError):
             run_certify(spec_file, RunConfig(checks=("nonsense",)))
@@ -238,9 +254,8 @@ class TestRunCertify:
 
 
 class TestKernelsEqualRecords:
-    """A report's record is the max of its per-point kernel over the sample
-    points: the chunked stack gives each point the numbers of its own
-    one-point stack."""
+    """A report's record is the max of its kernel over the sample points:
+    the chunked stack gives each point the numbers of a stack of its own."""
 
     def test_accelerated_velocity(self, tmp_path):
         # The catalog's comoving velocities are geodesic to the last bit;
@@ -252,21 +267,22 @@ class TestKernelsEqualRecords:
         report = run_certify(str(path), RunConfig(points=10, seed=0))
         chart = compile_chart(load_chart_input(str(path)))
         analysis = VelocityAnalysis(chart)
-        fps = [analysis.at(p) for p in sample_points(chart, 10, 0)]
+        # Each point in a batch of its own.
+        fps = [analysis.at([p]) for p in sample_points(chart, 10, 0)]
 
         def record(check):
             return report.find(check).max_residual
 
         geodesic = record("geodesic")
         assert geodesic > 0.01
-        assert max(geodesic_at(fp) for fp in fps) == geodesic
-        motion = [motion_at(fp) for fp in fps]
-        assert (max(r1 for r1, _ in motion), max(r2 for _, r2 in motion)) \
+        assert max(geodesic_at(fp)[0] for fp in fps) == geodesic
+        r1, r2 = zip(*(motion_at(fp) for fp in fps))
+        assert (max(r[0] for r in r1), max(r[0] for r in r2)) \
             == (record("motion-energy"), record("motion-euler"))
         ladder = [ladder_residuals_at(fp) for fp in fps]
         for check in LADDER_NAMES:
-            assert max(rungs[check] for rungs in ladder) == record(check), \
-                check
+            assert max(rungs[check][0] for rungs in ladder) \
+                == record(check), check
 
 
 class TestReports:
@@ -299,24 +315,44 @@ class TestReports:
         assert json.loads(outputs[0])["environment"]["points"] == int(points)
 
     @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere",
-                                      "dense-pullback", "godel"])
+                                      "dense-pullback", "godel", "frw-k+1",
+                                      "grw-nonEinstein-fiber"])
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch,
                                                       name):
         # A point gets the same bits from any chunk it is in: one point,
         # three, or the default ten (13 points end on a partial chunk).
         from .test_downgrades import GODEL_SPEC
         chart = {
-            "frw-dust": lambda: catalog_get("frw-dust").chart,
-            "grw5-sphere": lambda: catalog_get("grw5-sphere").chart,
             "dense-pullback": lambda: compile_chart(dense_pullback_input()),
             "godel": lambda: compile_chart(load_chart_input(GODEL_SPEC)),
-        }[name]()
+        }.get(name, lambda: catalog_get(name).chart)()
         reports = []
         for size in (1, 3, 10):
             monkeypatch.setattr(certify, "CHUNK_POINTS", size)
             reports.append(render_json(run_certify(
                 chart, RunConfig(points=13, seed=5))))
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("power, point", [(100, 4), (120, 0)])
+    def test_nan_residual_fails_at_any_point(self, tmp_path, power, point):
+        # g = t^k diag(-1, 1, 1, 1) overflows the Weyl divergence's jets to
+        # NaN at large t: at k = 100 first at run point 4 (t = 34.66...),
+        # at k = 120 already at point 0. Either way the record fails and
+        # names the point.
+        spec = dict(FRW_DUST_SPEC, name=f"t{power}",
+                    metric={f"{i},{i}": ("-" if i == 1 else "") + f"t^{power}"
+                            for i in range(1, 5)},
+                    velocity_field=[f"-t^{power // 2}", "0", "0", "0"])
+        spec["domain"] = dict(spec["domain"], ranges=dict(
+            spec["domain"]["ranges"], t=[1, 40]))
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(spec))
+        with np.errstate(all="ignore"):
+            report = run_certify(str(path), RunConfig(points=10, seed=0))
+        rec = report.find("div-weyl")
+        assert rec.status == "fail" and math.isnan(rec.max_residual)
+        assert rec.detail["error"] == f"point {point}: the residual is NaN"
+        assert report.verdict == "fail"
 
     def test_singular_metric_names_the_run_point(self, tmp_path, capsys):
         # The second chunk's first point is singular: the error names its

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
+from grwcert.classify import VelocityAnalysis
 from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
                                curvature_at, first_bianchi_residual,
-                               grad_vector_at, scale_free,
-                               weyl_trace_residual)
+                               scale_free, weyl_trace_residual)
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
@@ -195,31 +195,39 @@ class TestInvariants:
                 assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8, name
 
 
+def grad_vector(chart, comps, point):
+    """The jet of nabla_k v_j (``[k, j]``, order 1) of the covector with
+    these components at one point, and its partials d_k v_j, as the
+    FieldPoint forms them (``curvature.covariant_derivative``)."""
+    field = VectorField(components=tuple(
+        parse(s, chart.coordinates) for s in comps))
+    fp = VelocityAnalysis(chart, field).at([point])
+    return fp.nabla.at(0), fp.u.grad[0].T
+
+
 class TestGradVector:
     def test_constant_field_on_minkowski(self, minkowski):
-        field = VectorField(components=tuple(
-            parse(s, minkowski.coordinates) for s in ("-1", "0", "0", "0")))
-        nabla, dnabla = grad_vector_at(minkowski, field,
-                                       ChartPoint((0.5, 0.1, 0.2, 0.3)))
-        assert np.max(np.abs(nabla)) == 0.0
-        assert np.max(np.abs(dnabla)) == 0.0
+        nabla, _ = grad_vector(minkowski, ("-1", "0", "0", "0"),
+                               ChartPoint((0.5, 0.1, 0.2, 0.3)))
+        assert np.max(np.abs(nabla.value)) == 0.0
+        assert np.max(np.abs(nabla.grad)) == 0.0
 
     def test_grw_torse_forming_gradient(self, desitter):
-        field = VectorField(components=tuple(
-            parse(s, desitter.coordinates) for s in ("-1", "0", "0", "0")))
         p = ChartPoint((0.25, 0.4, -0.1, 0.7))
-        nabla, _ = grad_vector_at(desitter, field, p)
+        nabla, _ = grad_vector(desitter, ("-1", "0", "0", "0"), p)
         q = np.exp(0.25)
         expected = warped_nabla_u(4, q, q)   # (q'/q)(g + u u) with q = e^t
-        np.testing.assert_allclose(nabla, expected, atol=1e-11)
+        np.testing.assert_allclose(nabla.value, expected, atol=1e-11)
 
     def test_curl_component_value(self, minkowski):
-        field = VectorField(components=tuple(
-            parse(s, minkowski.coordinates) for s in ("-1", "t", "0", "0")))
         p = ChartPoint((1.0 - 1e-9, 0.0, 0.0, 0.0))
-        nabla, _ = grad_vector_at(minkowski, field, p)
+        nabla, partial = grad_vector(minkowski, ("-1", "t", "0", "0"), p)
+        nabla = nabla.value
         # d_1 v_2 - d_2 v_1 = 1 exactly
         assert nabla[0, 1] - nabla[1, 0] == pytest.approx(1.0, abs=1e-14)
+        # The covariant curl is the partial curl (symmetric connection).
+        assert scale_free((nabla - nabla.T) - (partial - partial.T),
+                          partial - partial.T) <= 1e-10
 
 
 class TestTensorJetStack:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, sample_points
-from grwcert.classify import FluidDecompositionError, fluid_decompose
+from grwcert.classify import fluid_decompose
 from grwcert.curvature import curvature_at, scale_free
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
                          build_grw, catalog_get, catalog_names, converse_at)
@@ -14,13 +14,20 @@ from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
 
 def fiber_residual(fiber, points):
     """Max over the fiber points of the Ricci* - (R*/m) g* residual."""
-    return max(fiber.einstein_at(p)[0] for p in points)
+    return max(fiber.einstein_at(points)[0])
 
 
 def converse_rows(chart, points):
-    """``converse_at`` at each point, against the point's fluid split."""
-    return [converse_at(chart, p, fluid_decompose(curvature_at(chart, p)))
-            for p in points]
+    """(fluid split, A formula, B formula) of ``converse_at`` at each
+    point."""
+    _, a_formula, b_formula = converse_at(chart, points)
+    return [(fluid_decompose(curvature_at(chart, p)), a, b)
+            for p, a, b in zip(points, a_formula, b_formula)]
+
+
+def relative(value, formula):
+    """The report's comparison of the fluid split with a formula."""
+    return abs(value - formula) / (1.0 + abs(formula))
 
 
 def flat3():
@@ -80,7 +87,7 @@ class TestFiberEinstein:
         fiber = catalog_get("einstein-static").chart.grw.fiber
         points = sample_points(fiber.chart, 10, seed=4)
         assert fiber_residual(fiber, points) < 1e-10
-        _, rs = fiber.einstein_at(points[0])
+        rs = fiber.einstein_at(points)[1][0]
         assert rs == pytest.approx(SPHERE_SCALAR[3], abs=1e-10)
         cp = curvature_at(fiber.chart, points[0])
         np.testing.assert_allclose(cp.ricci, SPHERE_RICCI_FACTOR[3] * cp.g,
@@ -95,17 +102,18 @@ class TestFiberEinstein:
         fiber = catalog_get("frw-k-1").chart.grw.fiber
         points = sample_points(fiber.chart, 5, seed=6)
         assert fiber_residual(fiber, points) < 1e-10
-        _, rs = fiber.einstein_at(points[0])
+        rs = fiber.einstein_at(points)[1][0]
         assert rs == pytest.approx(H3_SCALAR, abs=1e-9)
 
     def test_same_numbers_as_the_full_curvature_point(self):
         # einstein_at reads Ricci*, R* and g* off the fiber's stack, the
         # arrays that curvature_at would wrap.
         fiber = catalog_get("grw5-sphere").chart.grw.fiber
-        for p in sample_points(fiber.chart, 3, seed=8):
+        points = sample_points(fiber.chart, 3, seed=8)
+        for p, residual, rs in zip(points, *fiber.einstein_at(points)):
             cp = curvature_at(fiber.chart, p)
             want = scale_free(cp.ricci - (cp.rs / fiber.dim) * cp.g, cp.ricci)
-            assert fiber.einstein_at(p) == (want, cp.rs)
+            assert (residual, rs) == (want, cp.rs)
 
     def test_product_fiber_not_einstein(self):
         fiber = catalog_get("grw-nonEinstein-fiber").chart.grw.fiber
@@ -120,33 +128,36 @@ class TestConverse:
     def test_einstein_static_formulas(self):
         entry = catalog_get("einstein-static")
         points = sample_points(entry.chart, 5, seed=8)
-        for row in converse_rows(entry.chart, points):
-            assert row.a_residual < 1e-9
-            assert row.b_residual < 1e-9
-            assert row.a_formula == pytest.approx(2.0, abs=1e-10)
-            assert row.b_formula == pytest.approx(2.0, abs=1e-10)
+        for dec, a, b in converse_rows(entry.chart, points):
+            assert relative(dec.a, a) < 1e-9
+            assert relative(dec.b, b) < 1e-9
+            assert a == pytest.approx(2.0, abs=1e-10)
+            assert b == pytest.approx(2.0, abs=1e-10)
 
     def test_desitter_degenerate_branch(self):
         entry = catalog_get("desitter")
         points = sample_points(entry.chart, 5, seed=9)
-        for row in converse_rows(entry.chart, points):
-            assert row.degenerate
-            assert row.b_residual is None
-            assert row.a_residual < 1e-9
-            assert row.a_formula == pytest.approx(3.0, abs=1e-9)
+        for dec, a, _ in converse_rows(entry.chart, points):
+            assert dec.degenerate
+            assert relative(dec.a, a) < 1e-9
+            assert a == pytest.approx(3.0, abs=1e-9)
+        # On the degenerate branch B is not compared.
+        report = certified(entry.chart, 5, 9, "converse")
+        assert report.find("grw-ricci-B").skipped_reason \
+            == "degenerate fluid: B ≈ 0, only A compared"
 
     def test_grw5_sphere_formulas_match_decomposition(self):
         entry = catalog_get("grw5-sphere")
         points = sample_points(entry.chart, 5, seed=10)
-        for row in converse_rows(entry.chart, points):
-            assert row.a_residual < 1e-8
-            assert row.b_residual < 1e-8
-            t = row.point.coords[0]
+        for p, (dec, a, b) in zip(points,
+                                  converse_rows(entry.chart, points)):
+            assert relative(dec.a, a) < 1e-8
+            assert relative(dec.b, b) < 1e-8
+            t = p.coords[0]
             # closed forms: q = t^2, R* = 12, n = 5
             a_expected = (12.0 / 4.0 + (2 * t) ** 2 * 3 + t * t * 2) / t ** 4
-            assert row.a_formula == pytest.approx(a_expected, rel=1e-10)
-            assert row.b_formula == pytest.approx(a_expected - 8.0 / t ** 2,
-                                                  rel=1e-10)
+            assert a == pytest.approx(a_expected, rel=1e-10)
+            assert b == pytest.approx(a_expected - 8.0 / t ** 2, rel=1e-10)
 
     def test_resolution_note_present(self):
         report = certified(catalog_get("grw5-sphere").chart, 2, 11,
@@ -244,24 +255,3 @@ class TestCatalog:
             b = report.find("grw-ricci-B").max_residual
             if b is not None:
                 assert b < 1e-8, name
-
-
-@pytest.mark.parametrize("name", ["grw5-sphere", "frw-k+1",
-                                  "grw-nonEinstein-fiber"])
-def test_one_point_converse_is_its_row_of_the_chunk(name):
-    # certify_chart forms the converse once per chunk: a point's one-point
-    # converse and fiber residual are its row of that, bit for bit.
-    chart = catalog_get(name).chart
-    fiber = chart.grw.fiber
-    points = sample_points(chart, 7, seed=3)
-    chunk = converse_at(chart, points, None)
-    residuals, rstars = fiber.einstein_at(
-        [ChartPoint(p.coords[1:]) for p in points])
-    for i, p in enumerate(points):
-        try:
-            dec = fluid_decompose(curvature_at(chart, p))
-        except FluidDecompositionError:     # a non-Einstein fiber's split
-            dec = None
-        assert converse_at(chart, p, dec) == chunk.at(i, dec)
-        assert fiber.einstein_at(ChartPoint(p.coords[1:])) \
-            == (residuals[i], rstars[i])
