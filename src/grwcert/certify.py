@@ -9,11 +9,12 @@ degenerate hypothesis downgrades the downstream checks to informational;
 they still run and are reported.
 
 The points go in fixed-size chunks: each chunk's curvature stack and
-every kernel that needs no per-point branch run once for the chunk, on
-its point axis; the per-point rest (the fluid eigen-split, sigma) is pure
-and may fan out to worker threads. Every aggregation is a max or an
-ordered reduction over the point index, so reports are byte-identical
-regardless of the worker count and the chunk size.
+every kernel, the fluid eigen-split and the Chen vector included, run once
+for the chunk, on its point axis. Only sigma, one quadrature per point, is
+pure per-point work, and it may fan out to worker threads. Every
+aggregation is a max or an ordered reduction over the point index, so
+reports are byte-identical regardless of the worker count and the chunk
+size.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 from . import classify, physics
 from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
                     validate_basepoint)
-from .classify import (FluidDecompositionError, NotClosedError,
-                       QuadratureError, VelocityAnalysis, fluid_decompose)
+from .classify import (ANOMALOUS, NONDEGENERATE, NotClosedError,
+                       PotentialResult, QuadratureError, VelocityAnalysis,
+                       fluid_decompose)
 from .curvature import (JetStack, SingularMetricError,
                         first_bianchi_residual, scale_free_at,
                         weyl_trace_residual)
@@ -126,22 +128,25 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                 and chart.signature == "lorentzian" else None)
 
     payloads = []
-    with (ThreadPoolExecutor(max_workers=config.workers)
-          if config.workers > 1 else nullcontext()) as pool:
+    # Overflow and NaN in the jets reach the report as NaN residuals, which
+    # fail their records and name the point: numpy's warnings add nothing.
+    with np.errstate(all="ignore"), (
+            ThreadPoolExecutor(max_workers=config.workers,
+                               initializer=partial(np.seterr, all="ignore"))
+            if config.workers > 1 else nullcontext()) as pool:
         fan_out = pool.map if pool else map
         for start in range(0, len(points), CHUNK_POINTS):
             chunk = points[start:start + CHUNK_POINTS]
             try:
-                shared = _chunk_values(chart, analysis,
-                                       JetStack(chart, chunk), selected)
+                payloads += _chunk_values(chart, analysis,
+                                          JetStack(chart, chunk), config,
+                                          base, selected, fan_out)
             except SingularMetricError as err:
                 err.index += start       # name the point by its run index
                 raise
             except EvalDomainError as err:
                 raise _at_point(err, start + err.index,
                                 chunk[err.index].coords) from None
-            payloads += fan_out(partial(_point_payload, chart, shared, config,
-                                        base, selected), range(len(chunk)))
 
     records = _assemble(chart, config, selected, payloads, basepoint=base)
     environment = {
@@ -172,12 +177,13 @@ def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
 # Per-chunk and per-point computation (pure).
 # ---------------------------------------------------------------------------
 
-def _chunk_values(chart, analysis, stack, selected):
-    """What a chunk's points share, formed once for the chunk: the plain
-    curvature arrays, the velocity's jets, the converse's formulas, and
-    each payload key that needs no per-point branch as an array over the
-    points (a max over every axis but the point axis)."""
-    cp, fp, converse = stack.to_point(), None, None
+def _chunk_values(chart, analysis, stack, config, base, selected,
+                  fan_out) -> list[dict]:
+    """The payloads of a chunk's points: every per-point quantity of the
+    report, each formed once for the chunk as an array over its points (a
+    max over every axis but the point axis), except sigma, which
+    ``_point_payload`` integrates per point, fanned out over the workers."""
+    cp, fp, count = stack.to_point(), None, len(stack.points)
     eigs = np.linalg.eigvalsh(cp.g)
     expected = 1 if chart.signature == "lorentzian" else 0
     values = {
@@ -185,17 +191,20 @@ def _chunk_values(chart, analysis, stack, selected):
                               & (np.min(np.abs(eigs), axis=-1) > 1e-12),
                               0.0, 1.0),
         "ricci-symmetric": scale_free_at(
-            1, cp.ricci - np.swapaxes(cp.ricci, -1, -2), cp.ricci),
+            cp.ricci - np.swapaxes(cp.ricci, -1, -2), cp.ricci),
         "bianchi-first": first_bianchi_residual(cp),
         "weyl-tracefree": weyl_trace_residual(cp),
-        "div-weyl": scale_free_at(1, cp.divweyl, cp.driem),
+        "div-weyl": scale_free_at(cp.divweyl, cp.driem),
     }
-    if chart.signature != "lorentzian":
-        return cp, fp, converse, values
-    if "conclusions" in selected:
-        values["weyl-zero-n4"] = scale_free_at(1, cp.weyl, cp.riem)
+    # The points that carry a key, for the keys that not every point does.
+    present: dict[str, np.ndarray] = {}
+    errors = [{} for _ in range(count)]
+    lorentzian = chart.signature == "lorentzian"
+    if lorentzian and "conclusions" in selected:
+        values["weyl-zero-n4"] = scale_free_at(cp.weyl, cp.riem)
 
-    # Only the records of these groups read the velocity's jets.
+    # Only the records of these groups read the velocity's jets (analysis
+    # is None on a Riemannian chart).
     reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
     if analysis is not None and selected & reads_u:
         fp = analysis.at(stack.points, stack=stack)
@@ -205,6 +214,8 @@ def _chunk_values(chart, analysis, stack, selected):
         values["scalar_a"], values["scalar_b"] = a, b
         (values["torse-forming"], values["omega-aligned"],
          values["torse-f-consistency"]) = classify.torse_at(fp)
+        present["torse-f-consistency"] = ~np.isnan(   # B vanishes
+            values["torse-f-consistency"])
         values["omega-closed"] = fp.omega_closed
         values.update(classify.ladder_residuals_at(fp))
         values["geodesic"] = classify.geodesic_at(fp)
@@ -214,75 +225,89 @@ def _chunk_values(chart, analysis, stack, selected):
         if "conclusions" in selected:
             values["weyl-electric"] = classify.weyl_electric_at(cp, fp.uupv)
             values["soliton-form"] = classify._soliton_residual_at(fp)[0]
-
-    if chart.grw is not None and "converse" in selected:
-        converse = _converse_payload(chart, stack.points)
-    return cp, fp, converse, values
-
-
-def _point_payload(chart, shared, config, base, selected, i) -> dict:
-    """Every per-point quantity of the report at point i of a chunk: its
-    row of the chunk's values, then the work that branches per point: the
-    fluid eigen-split, the converse's comparison with it, and sigma."""
-    cp, fp, converse, values = shared
-    out: dict = {"errors": {}}
-    out.update((key, value[i].tolist()) for key, value in values.items())
-    if chart.signature != "lorentzian":
-        return out
+            # The soliton form needs a potential of u.
+            refused = fp.u_closed > config.hypothesis_tol * 10
+            present["soliton-form"] = ~refused
+            for i in np.flatnonzero(refused):
+                errors[i]["soliton-form"] = classify.not_closed(
+                    "u", fp.u_closed[i])
 
     # Only the records of these groups read the fluid split.
-    dec = None
-    if selected & {"fluid", "conclusions", "converse"}:
-        try:
-            dec = fluid_decompose(cp.at(i), cluster_tol=config.cluster_tol)
-            out["fluid_branch"] = ("degenerate" if dec.degenerate
-                                   else "nondegenerate")
-            out["fluid_residual"] = dec.residual
-            out["fluid_a"] = dec.a
-            out["fluid_b"] = dec.b
-        except FluidDecompositionError as err:
-            out["fluid_branch"] = "anomalous"
-            out["errors"]["fluid-decompose"] = str(err)
+    if lorentzian and selected & {"fluid", "conclusions", "converse"}:
+        dec = fluid_decompose(cp, cluster_tol=config.cluster_tol)
+        split = dec.branch != ANOMALOUS
+        values["fluid_branch"] = dec.branch
+        for key, column in (("fluid_residual", dec.residual),
+                            ("fluid_a", dec.a), ("fluid_b", dec.b)):
+            values[key], present[key] = column, split
+        for i in np.flatnonzero(~split):
+            errors[i]["fluid-decompose"] = dec.error[i]
+        if fp is None and "conclusions" in selected:
+            # Without a velocity field the electric check reads the split's.
+            values["weyl-electric"] = classify.weyl_electric_at(cp,
+                                                                dec.u_up)
+            present["weyl-electric"] = dec.branch == NONDEGENERATE
+        if chart.grw is not None and "converse" in selected:
+            fiber, a, b = _converse_payload(chart, stack.points)
+            values["fiber-einstein"] = fiber
+            values["grw-ricci-A"] = np.abs(dec.a - a) / (1.0 + np.abs(a))
+            values["grw-ricci-B"] = np.abs(dec.b - b) / (1.0 + np.abs(b))
+            present["grw-ricci-A"] = split
+            present["grw-ricci-B"] = dec.branch == NONDEGENERATE
 
-    if converse is not None:
-        fiber, a, b = (float(column[i]) for column in converse)
-        out["fiber-einstein"] = fiber
-        if dec is not None:
-            out["grw-ricci-A"] = abs(dec.a - a) / (1.0 + abs(a))
-            if not dec.degenerate:
-                out["grw-ricci-B"] = abs(dec.b - b) / (1.0 + abs(b))
-    if fp is None:
-        # Without a velocity field the electric check reads the eigen-split's.
-        if "conclusions" in selected and dec is not None \
-                and dec.u_up is not None:
-            out["weyl-electric"] = classify.weyl_electric_at(cp.at(i),
-                                                             dec.u_up)
-        return out
+    # sigma per point, then the Chen vector's laws on the chunk.
+    integrand = (None if fp is None
+                 else classify._omega_integrand(chart, fp.field))
+    potentials = list(fan_out(partial(_point_payload, chart,
+                                      (fp, integrand), config, base,
+                                      selected), range(count)))
+    for i, refusal in enumerate(potentials):
+        if isinstance(refusal, str):
+            errors[i]["chen-vector"] = refusal
+    has = np.array([isinstance(p, PotentialResult) for p in potentials])
+    if has.any():
+        # NaN where a point has no potential; those rows are dropped.
+        sigma, defect = (np.array([getattr(p, key, math.nan)
+                                   for p in potentials])
+                         for key in ("value", "path_defect"))
+        (values["chen-vector"], values["ckv-gradient"],
+         values["grad_rho_norm"]) = classify._chen_point(fp, sigma)
+        values["potential-path-independence"] = defect
+        present.update(dict.fromkeys(
+            ("chen-vector", "ckv-gradient", "grad_rho_norm",
+             "potential-path-independence"), has))
 
-    if math.isnan(out["torse-f-consistency"]):    # B vanishes
-        del out["torse-f-consistency"]
-    closed_tol = config.hypothesis_tol * 10
-    if "soliton-form" in out:
-        try:
-            classify.require_closed("u", out["u-closed"], closed_tol)
-        except NotClosedError as err:
-            del out["soliton-form"]
-            out["errors"]["soliton-form"] = str(err)
+    payloads = [{"errors": e} for e in errors]
+    for key, column in values.items():
+        keep = present.get(key)
+        for i, value in enumerate(column.tolist()):
+            if keep is None or keep[i]:
+                payloads[i][key] = value
+    return payloads
+
+
+def _point_payload(chart, shared, config, base, selected, i):
+    """sigma at point i of a chunk, the one step that runs per point: the
+    potential of the closed omega from the basepoint, the refusal's text,
+    or None when no record reads sigma. ``shared`` is the chunk's
+    FieldPoint (None without a velocity) and sigma's integrand."""
+    fp, integrand = shared
     # sigma feeds the conclusions and homothetic-triple (grad_rho_norm).
-    if base is not None and selected & {"conclusions", "physics"}:
-        try:
-            chen = classify.chen_at(fp.at(i), base, closed_tol=closed_tol)
-            out["chen-vector"] = chen.chen_residual
-            out["ckv-gradient"] = chen.ckv_residual
-            out["potential-path-independence"] = chen.path_defect
-            out["grad_rho_norm"] = chen.grad_rho_norm
-        except (NotClosedError, QuadratureError) as err:
-            out["errors"]["chen-vector"] = str(err)
-        except (EvalDomainError, SingularMetricError) as err:
-            # sigma's path may leave an expression's domain or cross a
-            # singular metric where no sample point does: name the path.
-            out["errors"]["chen-vector"] = f"path from basepoint: {err}"
-    return out
+    if fp is None or base is None or not selected & {"conclusions",
+                                                     "physics"}:
+        return None
+    try:
+        classify.require_closed("ω", fp.omega_closed[i],
+                                config.hypothesis_tol * 10)
+        return classify._integrate_form(
+            integrand, chart.n, base, fp.point[i].coords,
+            classify.QUAD_ORDER, classify.QUAD_PANELS)
+    except (NotClosedError, QuadratureError) as err:
+        return str(err)
+    except (EvalDomainError, SingularMetricError) as err:
+        # sigma's path may leave an expression's domain or cross a
+        # singular metric where no sample point does: name the path.
+        return f"path from basepoint: {err}"
 
 
 def _converse_payload(chart, points):

@@ -13,7 +13,7 @@ itself, not from differencing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import add
 
@@ -21,8 +21,7 @@ import numpy as np
 
 from .chart import ChartPoint, MetricChart, VectorField
 from .curvature import (JetStack, SingularMetricError, christoffel,
-                        covariant_derivative, metric_inverse, scale_free,
-                        scale_free_at)
+                        covariant_derivative, metric_inverse, scale_free_at)
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
 from .expr import eval_batch, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract
@@ -46,22 +45,6 @@ QUAD_PANELS = 4
 REFINE_TOL = 1e-8
 
 
-class FluidDecompositionError(ValueError):
-    pass
-
-
-class SpacelikeAnomalyError(FluidDecompositionError):
-    """The distinguished eigendirection of R^i_j is not timelike."""
-
-
-class UnclusteredError(FluidDecompositionError):
-    """Eigenvalues split neither as (n-1)+1 nor as a single cluster."""
-
-
-class OrientationTieError(FluidDecompositionError):
-    """u^1 = 0: the chart cannot orient the velocity deterministically."""
-
-
 class NotClosedError(ValueError):
     """Potential reconstruction refused: the 1-form is not closed."""
 
@@ -70,82 +53,102 @@ class QuadratureError(RuntimeError):
     """Composite Gauss-Legendre refinement failed to converge."""
 
 
+# The eigen-split's branches, as the report names them.
+NONDEGENERATE, DEGENERATE, ANOMALOUS = "nondegenerate", "degenerate", "anomalous"
+
+
 @dataclass
 class FluidDecomposition:
-    """A, B and the unit timelike velocity extracted from the Ricci tensor.
+    """A, B and the unit time-like velocity extracted from the Ricci tensor
+    at each point of a batch, as arrays over the points.
 
-    ``degenerate`` marks the Einstein case (all eigenvalues coincide):
-    B is set to 0 and no velocity is defined.
+    ``branch`` is NONDEGENERATE, DEGENERATE (the Einstein case: all
+    eigenvalues coincide, B is 0 and no velocity is defined) or ANOMALOUS,
+    where ``error`` says why and a, b and the residual mean nothing. u_up
+    is 0 off the nondegenerate branch.
     """
 
-    a: float
-    b: float
-    u_up: np.ndarray | None       # contravariant components, unit, u^1 > 0
-    residual: float
-    degenerate: bool
+    a: np.ndarray
+    b: np.ndarray
+    u_up: np.ndarray              # contravariant components, unit, u^1 > 0
+    residual: np.ndarray
+    branch: np.ndarray
+    error: list[str | None]
 
 
 def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
-    """Eigen-split the mixed Ricci tensor R^i_j into (n-1)-fold A and A-B.
+    """Eigen-split the mixed Ricci tensor R^i_j into (n-1)-fold A and A-B
+    at each point of a batch, with one ``np.linalg.eig`` for all of them.
 
-    Works on anything exposing ``g``, ``g_inv``, ``ricci`` and ``n``.
+    Works on anything exposing ``g``, ``g_inv``, ``ricci`` and ``n`` with a
+    leading point axis.
     """
-    n = cp.n
-    mixed = cp.g_inv @ cp.ricci
-    eigvals, eigvecs = np.linalg.eig(mixed)
-    scale = max(1.0, float(np.max(np.abs(eigvals.real))))
-    if np.max(np.abs(eigvals.imag)) > 1e-9 * scale:
-        raise UnclusteredError(
-            f"complex eigenvalues of R^i_j (max imag {np.max(np.abs(eigvals.imag)):.3e})")
-    vals = eigvals.real
-    order = np.argsort(vals)
-    svals = vals[order]
+    n, g = cp.n, cp.g
+    eigvals, eigvecs = np.linalg.eig(cp.g_inv @ cp.ricci)
+    vals, imag = eigvals.real, np.max(np.abs(eigvals.imag), axis=-1)
+    scale = np.fmax(1.0, np.max(np.abs(vals), axis=-1))
+    tol = cluster_tol * scale
+    order = np.argsort(vals, axis=-1)
+    svals = np.take_along_axis(vals, order, -1)
 
-    if svals[-1] - svals[0] < cluster_tol * scale:
-        a = float(np.mean(svals))
-        residual = scale_free(cp.ricci - a * cp.g, cp.ricci, a * cp.g)
-        return FluidDecomposition(a=a, b=0.0, u_up=None, residual=residual,
-                                  degenerate=True)
+    def split(distinguished, cluster):
+        """Whether the points split as cluster + distinguished, and the
+        cluster's mean."""
+        mean = np.mean(cluster, axis=-1)
+        spread = np.max(cluster, axis=-1) - np.min(cluster, axis=-1)
+        return (spread < tol) & (np.abs(distinguished - mean) > tol), mean
 
-    def split_ok(idx_distinct, idx_cluster):
-        cluster = svals[idx_cluster]
-        spread = float(cluster.max() - cluster.min())
-        gap = abs(float(svals[idx_distinct] - np.mean(cluster)))
-        return spread < cluster_tol * scale and gap > cluster_tol * scale
+    low_ok, low_a = split(svals[:, 0], svals[:, 1:])
+    high_ok, high_a = split(svals[:, -1], svals[:, :-1])
+    points = np.arange(len(vals))
+    pos = np.where(low_ok, 0, n - 1)
+    a = np.where(low_ok, low_a, high_a)
+    b = a - svals[points, pos]
+    # Each distinguished eigenvector as the column view that eig returns:
+    # BLAS sums g(v, v) in another order for a contiguous copy.
+    vec = [np.real(e[:, k]) for e, k in zip(eigvecs, order[points, pos])]
+    norm = np.array([v @ m @ v for v, m in zip(vec, g)])
+    u_up = np.array(vec) / np.sqrt(np.where(norm < 0.0, -norm, 1.0))[:, None]
+    u_up = np.where(u_up[:, :1] < 0.0, -u_up, u_up)
 
-    low_ok = split_ok(0, slice(1, n))
-    high_ok = split_ok(n - 1, slice(0, n - 1))
-    if low_ok == high_ok:
-        raise UnclusteredError(
-            f"eigenvalues {np.sort(vals)} match neither an Einstein point "
-            f"nor an (n-1)+1 split at tolerance {cluster_tol}")
-    pos = 0 if low_ok else n - 1
-    distinguished = float(svals[pos])
-    cluster_vals = np.delete(svals, pos)
-    a = float(np.mean(cluster_vals))
-    b = a - distinguished
+    # Each point's branch, and for an anomalous one the first test it fails.
+    branch, error = np.full(len(vals), NONDEGENERATE, dtype=object), []
+    for i in points:
+        why = None
+        if imag[i] > 1e-9 * scale[i]:
+            why = f"complex eigenvalues of R^i_j (max imag {imag[i]:.3e})"
+        elif svals[i, -1] - svals[i, 0] < tol[i]:
+            branch[i] = DEGENERATE
+        elif low_ok[i] == high_ok[i]:
+            why = (f"eigenvalues {np.sort(vals[i])} match neither an "
+                   f"Einstein point nor an (n-1)+1 split at tolerance "
+                   f"{cluster_tol}")
+        elif norm[i] >= 0.0:
+            why = (f"distinguished eigendirection has g(v, v) = "
+                   f"{norm[i]:.6g} >= 0")
+        elif abs(u_up[i, 0]) < 1e-12:
+            why = "u^1 = 0; cannot orient the velocity"
+        if why is not None:
+            branch[i] = ANOMALOUS
+        error.append(why)
 
-    vec = np.real(eigvecs[:, order[pos]])
-    norm = float(vec @ cp.g @ vec)
-    if norm >= 0.0:
-        raise SpacelikeAnomalyError(
-            f"distinguished eigendirection has g(v, v) = {norm:.6g} >= 0")
-    u_up = vec / np.sqrt(-norm)
-    if abs(u_up[0]) < 1e-12:
-        raise OrientationTieError("u^1 = 0; cannot orient the velocity")
-    if u_up[0] < 0.0:
-        u_up = -u_up
-    return FluidDecomposition(
-        a=a, b=b, u_up=u_up, degenerate=False,
-        residual=fluid_form_residual(cp, a, b, cp.g @ u_up))
+    degenerate, nondegenerate = branch == DEGENERATE, branch == NONDEGENERATE
+    a = np.where(degenerate, np.mean(svals, axis=-1), a)
+    b = np.where(nondegenerate, b, 0.0)
+    u_up = np.where(nondegenerate[:, None], u_up, 0.0)
+    # B = 0 and u = 0 off the split leave the Einstein residual R - A g.
+    # u = g u^ is one @ per point, as in ``FieldPoint.along_u``.
+    u = np.array([m @ v for m, v in zip(g, u_up)])
+    return FluidDecomposition(a=a, b=b, u_up=u_up, branch=branch,
+                              error=error,
+                              residual=fluid_form_residual(cp, a, b, u))
 
 
 def fluid_form_residual(cp, a, b, u: np.ndarray):
-    """Scale-free R_{kl} - (A g_{kl} + B u_k u_l); ``cp`` exposes g, ricci.
-    One residual per point when u has a point axis (as A, B and cp do)."""
-    model = (np.asarray(a)[..., None, None] * cp.g
-             + np.asarray(b)[..., None, None] * _outer(u, u))
-    return scale_free_at(u.ndim - 1, cp.ricci - model, cp.ricci, model)
+    """Scale-free R_{kl} - (A g_{kl} + B u_k u_l) at each point of a batch;
+    ``cp`` exposes g and ricci."""
+    model = a[:, None, None] * cp.g + b[:, None, None] * _outer(u, u)
+    return scale_free_at(cp.ricci - model, cp.ricci, model)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,8 +162,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class FieldPoint:
     """Tensor jets of every velocity-derived object at each point of a
-    batch: ``stack`` is the batch's, ``point`` its points, every jet has a
-    leading point axis, and ``at(i)`` is point i's alone.
+    batch: ``stack`` is the batch's, ``point`` its points, and every jet
+    has a leading point axis.
 
     ``u`` is order 3; the others are order 1, which is all that is read.
     The scalar jets f, A, B, gamma, p and mu are shape () per point, so
@@ -168,12 +171,12 @@ class FieldPoint:
 
     u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
     ``geodesic_at``, ``ladder_residuals_at``, ``soliton_at``,
-    ``physics.motion_at``, ``fluid_form_residual`` and ``weyl_electric_at``
-    read them on the batch, ``chen_at`` on one point's ``at(i)``.
+    ``physics.motion_at``, ``fluid_form_residual``, ``weyl_electric_at``
+    and ``_chen_point`` read them on the batch.
     """
 
     stack: JetStack
-    point: ChartPoint | tuple
+    point: tuple[ChartPoint, ...]
     field: VectorField         # the velocity, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
@@ -229,26 +232,12 @@ class FieldPoint:
         batched matmul or einsum does."""
         return np.array([x @ y for x, y in zip(self.uupv, v)])
 
-    def at(self, i: int) -> "FieldPoint":
-        """Point i of the batch; its jets are views into the batch's, and
-        the residuals the batch has formed (``omega_closed``, ...) are
-        their rows, not formed again."""
-        jets = {f.name: getattr(self, f.name).at(i) for f in fields(self)
-                if isinstance(getattr(self, f.name), TensorJet)}
-        view = replace(self, stack=self.stack.at(i), point=self.point[i],
-                       **jets)
-        view.__dict__.update(
-            (name, value[i]) for name, value in vars(self).items()
-            if isinstance(getattr(FieldPoint, name, None), cached_property))
-        return view
-
 
 def _curl_residual(grad: np.ndarray):
     """Scale-free curl of a covector from its partials grad[j, k] = d_k w_j.
 
     The covariant curl equals the partial curl (symmetric connection)."""
-    return scale_free_at(grad.ndim - 2, grad - np.swapaxes(grad, -1, -2),
-                         grad)
+    return scale_free_at(grad - np.swapaxes(grad, -1, -2), grad)
 
 
 class VelocityAnalysis:
@@ -297,7 +286,7 @@ def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
 
 def geodesic_at(fp: FieldPoint):
     """Scale-free u^k nabla_k u_j at each point of the batch."""
-    return scale_free_at(1, fp.accel, fp.nabla_u)
+    return scale_free_at(fp.accel, fp.nabla_u)
 
 
 def torse_at(fp: FieldPoint):
@@ -307,12 +296,11 @@ def torse_at(fp: FieldPoint):
     where B vanishes."""
     f, b, nabla = fp.f_jet.value, fp.b_jet.value, fp.nabla_u
     model = f[..., None, None] * (_outer(fp.uv, fp.uv) + fp.g)
-    residual = scale_free_at(1, nabla - model, nabla, model)
-    alignment = scale_free_at(1, f[..., None] * fp.uv - fp.omega.value, nabla)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_ref = -fp.along_u(fp.gamma_jet.grad) / (2.0 * b * (fp.n - 1))
-        return residual, alignment, np.where(
-            np.abs(b) <= 1e-12, np.nan, abs(f - f_ref) / (1.0 + abs(f)))
+    residual = scale_free_at(nabla - model, nabla, model)
+    alignment = scale_free_at(f[..., None] * fp.uv - fp.omega.value, nabla)
+    f_ref = np.divide(-fp.along_u(fp.gamma_jet.grad), 2.0 * b * (fp.n - 1),
+                      out=np.full_like(f, np.nan), where=np.abs(b) > 1e-12)
+    return residual, alignment, abs(f - f_ref) / (1.0 + abs(f))
 
 
 # ---------------------------------------------------------------------------
@@ -405,56 +393,42 @@ def _omega_integrand(chart: MetricChart, field: VectorField):
     return integrand
 
 
-@dataclass
-class ChenPointData:
-    rho: float
-    x: np.ndarray                  # covariant Chen vector e^{-sigma} u
-    chen_residual: float           # nabla_k X_l - rho g_kl
-    ckv_residual: float            # nabla_j rho - (A-B)/(1-n) X_j
-    path_defect: float
-    grad_rho_norm: float
+def not_closed(form: str, residual) -> str:
+    """The refusal of a form whose closedness residual is ``residual``."""
+    return f"{form} not closed (residual {residual:.3e})"
 
 
 def require_closed(form: str, residual: float, tol: float) -> None:
     """Refuse, with ``NotClosedError``, a form whose closedness residual
     exceeds ``tol``: it has no potential."""
     if residual > tol:
-        raise NotClosedError(f"{form} not closed (residual {residual:.3e})")
+        raise NotClosedError(not_closed(form, residual))
 
 
-def chen_at(fp: FieldPoint, base, *, closed_tol: float = 1e-6) -> ChenPointData:
-    """The gradient laws at one point: sigma integrates the closed omega
-    from the basepoint, X = e^{-sigma} u and rho = e^{-sigma} f."""
-    require_closed("ω", fp.omega_closed, closed_tol)
-    pot = _integrate_form(_omega_integrand(fp.stack.chart, fp.field), fp.n,
-                          base, fp.point.array(), QUAD_ORDER, QUAD_PANELS)
-    return _chen_point(fp, pot)
-
-
-def _chen_point(fp: FieldPoint, pot: PotentialResult) -> ChenPointData:
-    # X = e^{-sigma} u and rho = e^{-sigma} f as jet products, with
-    # d sigma = omega read off the closed form itself.
-    scaling = math.exp(-pot.value)
-    s = TensorJet(fp.n, [np.array(scaling), -scaling * fp.omega.value])
+def _chen_point(fp: FieldPoint, sigma: np.ndarray):
+    """(Chen-vector residual, CKV-gradient residual, max |grad rho|) of
+    X = e^{-sigma} u and rho = e^{-sigma} f, as arrays over the batch's
+    points, from sigma at each point: the jet products take d sigma = omega
+    off the closed form itself."""
+    # math.exp, point by point: np.exp may differ from libm in the last bit.
+    scaling = np.array([math.exp(-value) for value in sigma])
+    s = TensorJet(fp.n, [scaling, -scaling[:, None] * fp.omega.value], 1)
     x = contract(",j->j", s, fp.u.truncated(1))
     rho_jet = contract(",->", s, fp.f_jet)
     nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
-    rho, grad_rho = float(rho_jet.value), rho_jet.grad
-    chen_resid = scale_free(nabla_x - rho * fp.g, nabla_x, rho * fp.g)
-    a, b = float(fp.a_jet.value), float(fp.b_jet.value)
-    ckv_rhs = ((a - b) / (1.0 - fp.n)) * x.value
-    ckv_resid = scale_free(grad_rho - ckv_rhs, grad_rho, ckv_rhs)
-    return ChenPointData(rho=rho, x=x.value, chen_residual=chen_resid,
-                         ckv_residual=ckv_resid,
-                         path_defect=pot.path_defect,
-                         grad_rho_norm=float(np.max(np.abs(grad_rho))))
+    rho_g = rho_jet.value[:, None, None] * fp.g
+    grad_rho = rho_jet.grad
+    ckv_rhs = ((fp.a_jet.value - fp.b_jet.value)
+               / (1.0 - fp.n))[:, None] * x.value
+    return (scale_free_at(nabla_x - rho_g, nabla_x, rho_g),
+            scale_free_at(grad_rho - ckv_rhs, grad_rho, ckv_rhs),
+            np.max(np.abs(grad_rho), axis=-1))
 
 
 def weyl_electric_at(cp, u_up: np.ndarray):
-    """Scale-free C_{jkl}{}^m u_m, from the contravariant velocity; one
-    residual per point when u_up and cp have a point axis."""
-    return scale_free_at(u_up.ndim - 1,
-                         np.einsum("...jkla,...a->...jkl", cp.weyl, u_up),
+    """Scale-free C_{jkl}{}^m u_m at each point of a batch, from the
+    contravariant velocity."""
+    return scale_free_at(np.einsum("...jkla,...a->...jkl", cp.weyl, u_up),
                          cp.weyl)
 
 
@@ -475,7 +449,7 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     out = {}
 
     def put(name, residual, *references):
-        out[name] = scale_free_at(1, residual, *references)
+        out[name] = scale_free_at(residual, *references)
 
     lhs = u_dot_db * u + b * accel + b * divu * u
     rhs = 0.5 * ((n - 2) * da - db)
@@ -529,4 +503,4 @@ def _soliton_residual_at(fp: FieldPoint):
     lhs = (fp.stack.ricci.value + hess_cov
            - eta[..., None, None] * _outer(grad_theta, grad_theta))
     rhs = lam[..., None, None] * fp.g
-    return scale_free_at(1, lhs - rhs, lhs, rhs), lam, eta
+    return scale_free_at(lhs - rhs, lhs, rhs), lam, eta

@@ -27,7 +27,8 @@ def _add_run_flags(parser):
     parser.add_argument("--kappa", type=float, default=1.0,
                         help="gravitational coupling (default 1)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for point evaluation")
+                        help="worker threads for sigma's quadrature, the "
+                             "one step that runs per point")
     parser.add_argument("--basepoint", type=str, default=None,
                         help="comma list of coordinates overriding the "
                              "spec-file basepoint")

@@ -1,5 +1,5 @@
-"""Curvature stack at a point, or at a batch of points: metric jets
-through the Weyl divergence.
+"""Curvature stack at a batch of points: metric jets through the Weyl
+divergence.
 
 Index conventions, pinned by the oracle suite before any theorem-level
 check (unit round sphere: scalar curvature +2; exponential warp, n=4:
@@ -30,27 +30,22 @@ from .chart import ChartPoint, MetricChart
 from .expr import eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract, leibniz_level
 
-def scale_free(residual, *references) -> float:
-    """max-abs of residual over (1 + max-abs of the dominant inputs)."""
-    return scale_free_at(0, residual, *references)
-
-
-def scale_free_at(batch: int, residual, *references):
-    """``scale_free`` at each point of ``batch`` (0 or 1) leading point
-    axes, with maxima over every other axis: a float for one point, an
-    array over a batch's points. A reference's NaN entries are passed over."""
+def scale_free_at(residual, *references):
+    """max-abs of residual over (1 + max-abs of the dominant inputs) at
+    each point of a batch: maxima over every axis but the leading point
+    axis. A reference's NaN entries are passed over."""
     def peak(x):
-        return (np.max(np.abs(x), axis=tuple(range(batch, np.ndim(x))))
+        return (np.max(np.abs(x), axis=tuple(range(1, np.ndim(x))))
                 if np.size(x) else 0.0)
 
-    out = peak(residual) / (1.0 + reduce(np.fmax, map(peak, references), 0.0))
-    return out if batch else float(out)
+    return peak(residual) / (1.0 + reduce(np.fmax, map(peak, references),
+                                          0.0))
 
 
 @dataclass
 class CurvaturePoint:
-    """Every curvature object at one chart point, or at each point of a
-    batch (a leading point axis on every array), as plain arrays."""
+    """Every curvature object at each point of a batch (a leading point
+    axis on every array), as plain arrays; ``at(i)`` is point i's alone."""
 
     n: int
     g: np.ndarray          # (n, n)
@@ -59,16 +54,12 @@ class CurvaturePoint:
     riem: np.ndarray       # (n, n, n, n): riem[j, k, l, m] = R_{jkl}{}^m
     driem: np.ndarray      # (n, n, n, n, n): driem[a, ...] = d_a R_{jkl}{}^m
     ricci: np.ndarray      # (n, n)
-    rs: float | np.ndarray  # scalar curvature; (P,) for a batch
+    rs: np.ndarray         # scalar curvature
     weyl: np.ndarray       # (n, n, n, n): C_{jklm}, zero grid for n < 3
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
 
-    @property
-    def batch(self) -> int:
-        return self.g.ndim - 2
-
     def at(self, i: int) -> "CurvaturePoint":
-        """Point i of a batch; its arrays are views into the batch's."""
+        """Point i; its arrays are views into the batch's."""
         return CurvaturePoint(self.n, *(getattr(self, f.name)[i]
                                         for f in fields(self)[1:]))
 
@@ -96,13 +87,8 @@ class JetStack:
     Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
     ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
     ``weyl`` is formed on its first read: a fiber's stack never forms it.
-
-    Every tensor carries a leading axis over ``points``, and ``at(i)`` is
-    the i-th point's stack (one point's stack is
-    ``JetStack(chart, [point]).at(0)``).
+    Every tensor carries a leading axis over ``points``.
     """
-
-    TENSORS = ("g", "g_inv", "gamma", "riem", "ricci", "rs", "weyl")
 
     def __init__(self, chart: MetricChart, points):
         self.chart = chart
@@ -128,21 +114,9 @@ class JetStack:
         del x
         ricci = self.ricci = riem.map("jmlm->jl")
         self.rs = contract("jl,jl->", g_inv.truncated(1), ricci)
-        self._whole = None
-
-    def at(self, i: int) -> "JetStack":
-        """Point i's stack; its tensors are views into this stack's."""
-        view = object.__new__(JetStack)
-        view.chart, view.n, view.point = self.chart, self.n, self.points[i]
-        view._whole, view._index = self, i
-        for name in self.TENSORS[:-1]:
-            setattr(view, name, getattr(self, name).at(i))
-        return view
 
     @cached_property
     def weyl(self) -> TensorJet:
-        if self._whole is not None:      # a point's view of a batch
-            return self._whole.weyl.at(self._index)
         n, ricci, g = self.n, self.ricci, self.g.truncated(1)
         if n < 3:
             return TensorJet(n, [np.zeros_like(level)
@@ -164,8 +138,8 @@ class JetStack:
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        """The plain arrays, with the stack's point axis if it has one."""
-        gamma, batch = self.gamma.value, self.g.batch
+        """The plain arrays, with the stack's point axis."""
+        gamma = self.gamma.value
         # C_{jkl}{}^m as a jet: d_m C_{jkl}{}^m is the trace of its gradient.
         cup = contract("jkla,am->jklm", self.weyl, self.g_inv.truncated(1))
         c = cup.value
@@ -175,12 +149,11 @@ class JetStack:
         divweyl = (np.einsum("...jklmm->...jkl", cup.grad) - corrections
                    + np.einsum("...a,...jkla->...jkl",
                                np.einsum("...mma->...a", gamma), c))
-        rs = self.rs.value
         return CurvaturePoint(
             n=self.n, g=self.g.value, g_inv=self.g_inv.value, gamma=gamma,
-            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, batch),
-            ricci=self.ricci.value, rs=rs if batch else float(rs),
-            weyl=self.weyl.value, divweyl=divweyl)
+            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, 1),
+            ricci=self.ricci.value, rs=self.rs.value, weyl=self.weyl.value,
+            divweyl=divweyl)
 
 
 def christoffel(g: TensorJet, g_inv: TensorJet) -> TensorJet:
@@ -231,13 +204,13 @@ def metric_inverse(g: TensorJet) -> TensorJet:
 
 def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:
     """Full curvature stack at one point (pure; safe to run in parallel)."""
-    return JetStack(chart, [point]).at(0).to_point()
+    return JetStack(chart, [point]).to_point().at(0)
 
 
 def first_bianchi_residual(cp: CurvaturePoint):
     cyc = (cp.riem + np.einsum("...kljm->...jklm", cp.riem)
            + np.einsum("...ljkm->...jklm", cp.riem))
-    return scale_free_at(cp.batch, cyc, cp.riem)
+    return scale_free_at(cyc, cp.riem)
 
 
 def weyl_trace_residual(cp: CurvaturePoint):
@@ -245,5 +218,4 @@ def weyl_trace_residual(cp: CurvaturePoint):
     traces = [np.einsum(f"...{spec}", cp.g_inv, cp.weyl) for spec in (
         "jm,...jklm->...kl", "jl,...jklm->...km", "jk,...jklm->...lm",
         "kl,...jklm->...jm", "km,...jklm->...jl", "lm,...jklm->...jk")]
-    return reduce(np.fmax, (scale_free_at(cp.batch, t, cp.weyl)
-                            for t in traces))
+    return reduce(np.fmax, (scale_free_at(t, cp.weyl) for t in traces))

@@ -58,7 +58,7 @@ class FiberMetric:
         stack = JetStack(self.chart, points)
         ricci, rs = stack.ricci.value, stack.rs.value
         residual = scale_free_at(
-            1, ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
+            ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
         return residual, rs
 
 

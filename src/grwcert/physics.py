@@ -33,7 +33,7 @@ def motion_at(fp: FieldPoint):
     r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
     force = p_plus_mu[..., None] * fp.accel
     lhs2 = dp + fp.uv * fp.along_u(dp)[..., None] + force
-    return r1, scale_free_at(1, lhs2, dp, force)
+    return r1, scale_free_at(lhs2, dp, force)
 
 
 @dataclass

@@ -15,10 +15,17 @@ import numpy as np
 
 from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
-from grwcert.curvature import JetStack, scale_free
+from grwcert.curvature import JetStack
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
                           Power, Unary, eval_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
+
+def scale_free(residual, *references) -> float:
+    """max-abs of residual over (1 + max-abs of the dominant inputs), at
+    one point."""
+    peak = max((float(np.max(np.abs(r))) for r in references), default=0.0)
+    return float(np.max(np.abs(residual))) / (1.0 + peak)
+
 
 # ---------------------------------------------------------------------------
 # Divided-difference oracle for jets (5-point, 4th-order first-derivative
@@ -914,10 +921,10 @@ COTTON_COEFF = {3: 0.0, 4: -0.5, 5: -2.0 / 3.0, 6: -0.75, 7: -0.8, 8: -5.0 / 6.0
 def stack_derivatives(stack: JetStack) -> dict:
     """The derivatives a CurvaturePoint does not carry, off a one-point
     stack's jets: d_k g_ij, d_a Gamma^m_{jk}, d_j R and nabla_k R_{jl}."""
-    gamma, ricci = stack.gamma.value, stack.ricci.value
-    dg, dgamma, dricci = (np.moveaxis(jet.grad, -1, 0) for jet in
+    gamma, ricci = stack.gamma.value[0], stack.ricci.value[0]
+    dg, dgamma, dricci = (np.moveaxis(jet.grad[0], -1, 0) for jet in
                           (stack.g, stack.gamma, stack.ricci))
-    return {"dg": dg, "dgamma": dgamma, "drs": stack.rs.grad,
+    return {"dg": dg, "dgamma": dgamma, "drs": stack.rs.grad[0],
             "dricci": (dricci - np.einsum("akj,al->kjl", gamma, ricci)
                        - np.einsum("akl,ja->kjl", gamma, ricci))}
 
@@ -925,7 +932,7 @@ def stack_derivatives(stack: JetStack) -> dict:
 def cotton_combination(stack: JetStack) -> np.ndarray:
     """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl,
     at a one-point stack."""
-    n, g = stack.n, stack.g.value
+    n, g = stack.n, stack.g.value[0]
     d = stack_derivatives(stack)
     grad_term = np.einsum("kl,j->jkl", g, d["drs"]) - np.einsum(
         "jl,k->jkl", g, d["drs"])
@@ -935,8 +942,8 @@ def cotton_combination(stack: JetStack) -> np.ndarray:
 
 def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:
     """Cyclic covariant derivative of the lowered Riemann tensor."""
-    stack = JetStack(chart, [point]).at(0)
-    cp = stack.to_point()
+    stack = JetStack(chart, [point])
+    cp = stack.to_point().at(0)
     low = np.einsum("jklm,mp->jklp", cp.riem, cp.g)
     dlow = (np.einsum("ajklm,mp->ajklp", cp.driem, cp.g)
             + np.einsum("jklm,amp->ajklp", cp.riem,

@@ -13,8 +13,8 @@ import numpy as np
 
 from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, compile_chart, sample_points
-from grwcert.classify import VelocityAnalysis, chen_at, fluid_decompose
-from grwcert.curvature import curvature_at, scale_free
+from grwcert.classify import DEGENERATE, VelocityAnalysis, fluid_decompose
+from grwcert.curvature import JetStack, curvature_at
 from grwcert.expr import eval_jet3, parse
 from grwcert.grw import catalog_get
 from grwcert.report import render_json
@@ -22,7 +22,8 @@ from grwcert.report import render_json
 from .conftest import ACCEPTANCE_CONFIG
 from .oracles import (as_jet3, dd_gradient, dd_hessian, dd_third,
                       desitter_ricci, eval_value, expression_corpus,
-                      friedmann_scalars, sphere2_curvature)
+                      friedmann_scalars, scale_free, sphere2_curvature)
+from .test_classify import chen_rows
 
 N_POINTS = ACCEPTANCE_CONFIG.points
 SEED = ACCEPTANCE_CONFIG.seed
@@ -124,12 +125,12 @@ def test_criterion_4_forward_chain_frw_dust(catalog_report):
         # f = q'/q and rho = q' pointwise, both to 1e-8
         chart = catalog_get("frw-dust").chart
         points = sample_points(chart, N_POINTS, SEED)
-        batch = VelocityAnalysis(chart, chart.velocity).at(points[:10])
-        for i, p in enumerate(points[:10]):
+        fp = VelocityAnalysis(chart, chart.velocity).at(points[:10])
+        for p, f, row in zip(points, fp.f_jet.value,
+                             chen_rows(chart, points[:10])):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            fp = batch.at(i)
-            assert abs(fp.f_jet.value - fs["f"]) < 1e-8
-            assert abs(chen_at(fp, chart.basepoint).rho - fs["qp"]) < 1e-8
+            assert abs(f - fs["f"]) < 1e-8
+            assert abs(row.rho - fs["qp"]) < 1e-8
 
 
 def test_criterion_5_converse_grw5(catalog_report):
@@ -202,11 +203,12 @@ def test_criterion_8_degeneracy(catalog_report):
     with criterion(8, "exponential warp: degenerate branch taken, no "
                       "velocity emitted, A = 3 +- 1e-9"):
         chart = catalog_get("desitter").chart
-        for p in sample_points(chart, N_POINTS, SEED):
-            dec = fluid_decompose(curvature_at(chart, p))
-            assert dec.degenerate
-            assert dec.u_up is None
-            assert abs(dec.a - 3.0) < 1e-9
+        points = sample_points(chart, N_POINTS, SEED)
+        dec = fluid_decompose(JetStack(chart, points).to_point())
+        for branch, u_up, a in zip(dec.branch, dec.u_up, dec.a):
+            assert branch == DEGENERATE
+            assert not u_up.any()       # no velocity
+            assert abs(a - 3.0) < 1e-9
         report = catalog_report("desitter")
         rec = report.find("fluid-decompose")
         assert rec.status == "degenerate"

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
-from grwcert.classify import (LADDER_NAMES, QUAD_ORDER, QUAD_PANELS,
-                              NotClosedError, OrientationTieError,
-                              SpacelikeAnomalyError, VelocityAnalysis,
-                              chen_at, fluid_decompose, geodesic_at,
-                              ladder_residuals_at, soliton_at, torse_at,
-                              weyl_electric_at, _integrate_form, _leggauss,
+from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
+                              LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
+                              QUAD_PANELS, NotClosedError, VelocityAnalysis,
+                              fluid_decompose, geodesic_at,
+                              ladder_residuals_at, require_closed,
+                              soliton_at, torse_at, weyl_electric_at,
+                              _chen_point, _integrate_form, _leggauss,
                               _omega_integrand)
-from grwcert.curvature import SingularMetricError, curvature_at, scale_free_at
+from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
 from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
 from grwcert.grw import catalog_get
@@ -29,8 +30,16 @@ from .oracles import (_field_integrand, eval_value, friedmann_scalars,
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
+def synthetic_chunk(riccis, gs):
+    """A CurvaturePoint-like batch of the given Ricci tensors and metrics."""
+    g = np.array(gs)
+    return SimpleNamespace(n=g.shape[-1], g=g, g_inv=np.linalg.inv(g),
+                           ricci=np.array(riccis))
+
+
 def synthetic_point(ricci, g=MINK_G):
-    return SimpleNamespace(n=len(g), g=g, g_inv=np.linalg.inv(g), ricci=ricci)
+    """A batch of one point."""
+    return synthetic_chunk([ricci], [g])
 
 
 def field_for(chart, comps):
@@ -70,55 +79,115 @@ def minkowski_chart():
         velocity_field=["-1", "0", "0", "0"], basepoint=[0.2, 0, 0, 0]))
 
 
+# The one-point cases of the eigen-split, as (Ricci, g): what each point
+# must give is asserted by TestFluidDecompose, one point per batch, and by
+# test_mixed_chunk, all of them in one batch.
+_U = np.array([-1.0, 0.3, 0, 0]) / math.sqrt(1.0 - 0.3 ** 2)
+_TIE_G = np.diag([1.0, -1.0, 1.0, 1.0])
+_TIE_U = _TIE_G @ np.array([0.0, 1.0, 0.0, 0.0])
+SPLIT_CASES = {
+    "einstein": (2.0 * MINK_G, MINK_G),
+    "low": (2.0 * MINK_G + 5.0 * np.outer([-1.0, 0, 0, 0], [-1.0, 0, 0, 0]),
+            MINK_G),
+    "high": (2.0 * MINK_G - 5.0 * np.outer(_U, _U), MINK_G),
+    "complex": (np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+                          [0, 0, 0, 0]]), MINK_G),
+    "unclustered": (np.diag([-1.0, 2.0, 3.0, 4.0]), MINK_G),
+    "spacelike": (np.diag([-2.0, 5.0, 2.0, 2.0]), MINK_G),
+    "tie": (1.5 * _TIE_G + 2.5 * np.outer(_TIE_U, _TIE_U), _TIE_G),
+    "oriented": (1.5 * MINK_G + 2.5 * np.outer(_U, _U), MINK_G),
+}
+
+
+def split_of(case):
+    """The eigen-split of one SPLIT_CASES entry, as a batch of one."""
+    return fluid_decompose(synthetic_point(*SPLIT_CASES[case]))
+
+
 class TestFluidDecompose:
     def test_constructed_fluid_recovers(self):
         u = np.array([-1.0, 0, 0, 0])
-        ricci = 2.0 * MINK_G + 5.0 * np.outer(u, u)
+        ricci, g = SPLIT_CASES["low"]
         np.testing.assert_allclose(np.diag(ricci), [3, 2, 2, 2])
-        cp = synthetic_point(ricci)
-        dec = fluid_decompose(cp)
-        assert dec.a == pytest.approx(2.0, abs=1e-12)
-        assert dec.b == pytest.approx(5.0, abs=1e-12)
-        assert dec.u_up[0] > 0
-        np.testing.assert_allclose(cp.g @ dec.u_up, u, atol=1e-12)
-        assert dec.residual < 1e-14
-        assert not dec.degenerate
+        dec = split_of("low")
+        assert dec.a[0] == pytest.approx(2.0, abs=1e-12)
+        assert dec.b[0] == pytest.approx(5.0, abs=1e-12)
+        assert dec.u_up[0, 0] > 0
+        np.testing.assert_allclose(g @ dec.u_up[0], u, atol=1e-12)
+        assert dec.residual[0] < 1e-14
+        assert dec.branch[0] == NONDEGENERATE and dec.error == [None]
 
     def test_einstein_degenerate(self):
-        dec = fluid_decompose(synthetic_point(2.0 * MINK_G))
-        assert dec.degenerate
-        assert dec.b == 0.0
-        assert dec.u_up is None
-        assert dec.a == pytest.approx(2.0, abs=1e-12)
+        dec = split_of("einstein")
+        assert dec.branch[0] == SPLIT_DEGENERATE
+        assert dec.b[0] == 0.0
+        assert not dec.u_up[0].any()        # no velocity
+        assert dec.a[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_spacelike_anomaly(self):
-        ricci = np.diag([-2.0, 5.0, 2.0, 2.0])
-        with pytest.raises(SpacelikeAnomalyError):
-            fluid_decompose(synthetic_point(ricci))
+        dec = split_of("spacelike")
+        assert dec.branch[0] == ANOMALOUS
+        assert dec.error[0] == ("distinguished eigendirection has "
+                                "g(v, v) = 1 >= 0")
 
     def test_unclustered(self):
-        ricci = np.diag([-1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(Exception):
-            fluid_decompose(synthetic_point(ricci))
+        dec = split_of("unclustered")
+        assert dec.branch[0] == ANOMALOUS
+        assert dec.error[0] == (
+            "eigenvalues [1. 2. 3. 4.] match neither an Einstein point "
+            "nor an (n-1)+1 split at tolerance 1e-06")
 
     def test_orientation_deterministic(self):
-        u = np.array([-1.0, 0.3, 0, 0])
-        u = u / math.sqrt(-u @ np.linalg.inv(MINK_G) @ u)
-        ricci = 1.5 * MINK_G + 2.5 * np.outer(u, u)
-        cp = synthetic_point(ricci)
-        first = fluid_decompose(cp)
-        second = fluid_decompose(cp)
-        np.testing.assert_array_equal(cp.g @ first.u_up, cp.g @ second.u_up)
-        assert first.u_up[0] > 0
+        ricci, g = SPLIT_CASES["oriented"]
+        first, second = split_of("oriented"), split_of("oriented")
+        np.testing.assert_array_equal(g @ first.u_up[0], g @ second.u_up[0])
+        assert first.u_up[0, 0] > 0
 
     def test_orientation_tie_is_an_error(self):
         # time-like direction along the second coordinate: u^1 = 0 exactly
-        g = np.diag([1.0, -1.0, 1.0, 1.0])
-        u_up = np.array([0.0, 1.0, 0.0, 0.0])
-        u = g @ u_up
-        ricci = 1.5 * g + 2.5 * np.outer(u, u)
-        with pytest.raises(OrientationTieError):
-            fluid_decompose(synthetic_point(ricci, g=g))
+        dec = split_of("tie")
+        assert dec.branch[0] == ANOMALOUS
+        assert dec.error[0] == "u^1 = 0; cannot orient the velocity"
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        """The shapes ``np.linalg.eig`` is called on."""
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(m):
+            calls.append(m.shape)
+            return eig(m)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        return calls
+
+    def test_mixed_chunk(self, eig_calls):
+        # Every branch in one batch, with one eig call: each point gets the
+        # bits and the message of its batch of one.
+        riccis, gs = zip(*SPLIT_CASES.values())
+        dec = fluid_decompose(synthetic_chunk(riccis, gs))
+        assert eig_calls == [(len(SPLIT_CASES), 4, 4)]
+        assert list(dec.branch) == [
+            SPLIT_DEGENERATE, NONDEGENERATE, NONDEGENERATE, ANOMALOUS,
+            ANOMALOUS, ANOMALOUS, ANOMALOUS, NONDEGENERATE]
+        assert dec.error[3] == "complex eigenvalues of R^i_j (max imag 1.000e+00)"
+        # The high split: A = 2 on the cluster, A - B = 7 on u.
+        i = list(SPLIT_CASES).index("high")
+        assert (dec.a[i], dec.b[i]) == pytest.approx((2.0, -5.0), abs=1e-12)
+        np.testing.assert_allclose(MINK_G @ dec.u_up[i], _U, atol=1e-12)
+        for i, case in enumerate(SPLIT_CASES):
+            one = split_of(case)
+            assert dec.branch[i] == one.branch[0], case
+            assert dec.error[i] == one.error[0], case
+            if dec.branch[i] != ANOMALOUS:
+                for key in ("a", "b", "u_up", "residual"):
+                    assert getattr(dec, key)[i].tobytes() \
+                        == getattr(one, key)[0].tobytes(), (case, key)
+
+    def test_one_eig_call_per_chunk(self, eig_calls, frw_dust):
+        run_certify(frw_dust, RunConfig(points=13, seed=5))
+        assert eig_calls == [(10, 4, 4), (3, 4, 4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,13 +210,12 @@ def test_decomposition_round_trip_property(a, b, phi, eps):
     if abs(u_up[0]) < 1e-6:
         return
     ricci = a * g + b * np.outer(u, u)
-    dec = fluid_decompose(SimpleNamespace(n=4, g=g, g_inv=np.linalg.inv(g),
-                                          ricci=ricci))
-    assert not dec.degenerate
-    assert dec.a == pytest.approx(a, abs=1e-10 * (1 + abs(a)))
-    assert dec.b == pytest.approx(b, abs=1e-10 * (1 + abs(b)))
+    dec = fluid_decompose(synthetic_point(ricci, g))
+    assert dec.branch[0] == NONDEGENERATE
+    assert dec.a[0] == pytest.approx(a, abs=1e-10 * (1 + abs(a)))
+    assert dec.b[0] == pytest.approx(b, abs=1e-10 * (1 + abs(b)))
     sign = 1.0 if u_up[0] > 0 else -1.0
-    np.testing.assert_allclose(g @ dec.u_up, sign * u, atol=1e-9)
+    np.testing.assert_allclose(g @ dec.u_up[0], sign * u, atol=1e-9)
 
 
 class TestScalarFields:
@@ -163,44 +231,41 @@ class TestScalarFields:
             fs = friedmann_scalars(2.0 / 3.0, t)
             ahead = friedmann_scalars(2.0 / 3.0, t + h)
             behind = friedmann_scalars(2.0 / 3.0, t - h)
-            fp = batch.at(i)
-            for key, jet in (("gamma", fp.gamma_jet), ("mu", fp.mu_jet),
-                             ("p", fp.p_jet)):
-                assert float(jet.value) == pytest.approx(fs[key], rel=1e-10)
+            for key, jet in (("gamma", batch.gamma_jet), ("mu", batch.mu_jet),
+                             ("p", batch.p_jet)):
+                value, grad = jet.value[i], jet.grad[i]
+                assert value == pytest.approx(fs[key], rel=1e-10)
                 slope = (ahead[key] - behind[key]) / (2.0 * h)
-                assert abs(jet.grad[0] - slope) <= 1e-6 * (1.0 + abs(slope))
-                assert np.all(jet.grad[1:] == 0.0), (key, jet.grad)
+                assert abs(grad[0] - slope) <= 1e-6 * (1.0 + abs(slope))
+                assert np.all(grad[1:] == 0.0), (key, grad)
 
     def test_desitter_scalars(self):
         chart = catalog_get("desitter").chart
-        batch = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=1))
+        fp = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=1))
         for i in range(5):
-            fp = batch.at(i)
-            assert float(fp.a_jet.value) == pytest.approx(3.0, abs=1e-9)
-            assert float(fp.b_jet.value) == pytest.approx(0.0, abs=1e-9)
-            assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
-            assert np.max(np.abs(fp.a_jet.grad)) < 1e-9
-            assert np.max(np.abs(fp.gamma_jet.grad)) < 1e-9
+            assert fp.a_jet.value[i] == pytest.approx(3.0, abs=1e-9)
+            assert fp.b_jet.value[i] == pytest.approx(0.0, abs=1e-9)
+            assert fp.gamma_jet.value[i] == pytest.approx(6.0, abs=1e-9)
+            assert np.max(np.abs(fp.a_jet.grad[i])) < 1e-9
+            assert np.max(np.abs(fp.gamma_jet.grad[i])) < 1e-9
 
     def test_einstein_static_scalars(self):
         chart = catalog_get("einstein-static").chart
-        batch = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=2))
+        fp = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=2))
         for i in range(5):
-            fp = batch.at(i)
-            assert float(fp.a_jet.value) == pytest.approx(2.0, abs=1e-9)
-            assert float(fp.b_jet.value) == pytest.approx(2.0, abs=1e-9)
-            assert float(fp.gamma_jet.value) == pytest.approx(6.0, abs=1e-9)
-            assert float(fp.mu_jet.value) == pytest.approx(3.0, abs=1e-9)
-            assert float(fp.p_jet.value) == pytest.approx(-1.0, abs=1e-9)
+            assert fp.a_jet.value[i] == pytest.approx(2.0, abs=1e-9)
+            assert fp.b_jet.value[i] == pytest.approx(2.0, abs=1e-9)
+            assert fp.gamma_jet.value[i] == pytest.approx(6.0, abs=1e-9)
+            assert fp.mu_jet.value[i] == pytest.approx(3.0, abs=1e-9)
+            assert fp.p_jet.value[i] == pytest.approx(-1.0, abs=1e-9)
 
     def test_frw_dust_matches_friedmann_oracle(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=3)
-        batch = VelocityAnalysis(frw_dust).at(points)
+        fp = VelocityAnalysis(frw_dust).at(points)
         for i, p in enumerate(points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
-            fp = batch.at(i)
-            assert float(fp.a_jet.value) == pytest.approx(fs["A"], rel=1e-10)
-            assert float(fp.b_jet.value) == pytest.approx(fs["B"], rel=1e-10)
+            assert fp.a_jet.value[i] == pytest.approx(fs["A"], rel=1e-10)
+            assert fp.b_jet.value[i] == pytest.approx(fs["B"], rel=1e-10)
 
 
 class TestClosedAndGeodesic:
@@ -216,12 +281,10 @@ class TestClosedAndGeodesic:
         assert resid == pytest.approx(0.5, abs=1e-12)
 
     def test_decomposed_velocity_closed_on_catalog(self, frw_dust):
-        points = sample_points(frw_dust, 5, seed=6)
-        for p in points:
-            cp = curvature_at(frw_dust, p)
-            dec = fluid_decompose(cp)
-            np.testing.assert_allclose(cp.g @ dec.u_up, [-1, 0, 0, 0],
-                                       atol=1e-9)
+        cp = JetStack(frw_dust, sample_points(frw_dust, 5, seed=6)).to_point()
+        dec = fluid_decompose(cp)
+        for g, u_up in zip(cp.g, dec.u_up):
+            np.testing.assert_allclose(g @ u_up, [-1, 0, 0, 0], atol=1e-9)
         report = certified(frw_dust, 5, 6, "hypotheses")
         assert report.find("u-closed").max_residual < 1e-9
 
@@ -520,10 +583,21 @@ class TestBatchedQuadrature:
 
 
 def chen_rows(chart, points):
-    """``chen_at`` at each point, sigma integrated from the chart's
-    basepoint."""
+    """The Chen vector's laws at the points, with sigma integrated from the
+    chart's basepoint as the report does: the columns of ``_chen_point``,
+    the path defects, and rho = e^{-sigma} f and X = e^{-sigma} u."""
     fp = field_points(chart, points)
-    return [chen_at(fp.at(i), chart.basepoint) for i in range(len(points))]
+    pots = [_integrate_form(_omega_integrand(chart, fp.field), chart.n,
+                            chart.basepoint, p.array(), QUAD_ORDER,
+                            QUAD_PANELS) for p in points]
+    sigma = np.array([pot.value for pot in pots])
+    chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
+    scaling = np.exp(-sigma)
+    return [SimpleNamespace(chen_residual=c, ckv_residual=k,
+                            grad_rho_norm=r, path_defect=pot.path_defect,
+                            rho=s * f, x=s * u)
+            for c, k, r, pot, s, f, u in zip(chen, ckv, grad_rho_norm, pots,
+                                             scaling, fp.f_jet.value, fp.uv)]
 
 
 def branch_homothetic(chart, points, tol=1e-7):
@@ -590,7 +664,7 @@ class TestChen:
             basepoint=[1, 0, 0, 0]))
         fp = field_points(chart, sample_points(chart, 1, seed=19))
         with pytest.raises(NotClosedError) as chen:
-            chen_at(fp.at(0), chart.basepoint)
+            require_closed("ω", fp.omega_closed[0], 1e-6)
         assert str(chen.value).startswith("ω not closed (residual ")
         with pytest.raises(NotClosedError) as soliton:
             soliton_at(fp)
@@ -608,11 +682,11 @@ class TestWeylElectric:
         cp = fp.stack.to_point()
         assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
         # n = 4: conformally flat
-        assert max(scale_free_at(1, cp.weyl, cp.riem)) < 1e-8
+        assert max(scale_free_at(cp.weyl, cp.riem)) < 1e-8
 
     def test_minkowski_zero(self, minkowski_chart):
-        cp = curvature_at(minkowski_chart, ChartPoint((0.5, 0, 0, 0)))
-        assert weyl_electric_at(cp, np.array([1.0, 0, 0, 0])) == 0.0
+        cp = JetStack(minkowski_chart, [ChartPoint((0.5, 0, 0, 0))]).to_point()
+        assert weyl_electric_at(cp, np.array([[1.0, 0, 0, 0]])) == [0.0]
 
     def test_grw5_sphere_fiber_electric(self):
         chart = catalog_get("grw5-sphere").chart
@@ -637,7 +711,7 @@ class TestWeylElectric:
             sample_points(chart, 5, seed=21))
         cp = fp.stack.to_point()
         assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
-        norms = scale_free_at(1, cp.weyl, cp.riem)
+        norms = scale_free_at(cp.weyl, cp.riem)
         assert max(norms) > 1e-3
         # The report's weyl-electric and weyl-zero-n4 read the same numbers.
         report = run_certify(chart, RunConfig(points=5, seed=21,

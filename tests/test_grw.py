@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, sample_points
-from grwcert.classify import fluid_decompose
-from grwcert.curvature import curvature_at, scale_free
+from grwcert.classify import DEGENERATE, fluid_decompose
+from grwcert.curvature import JetStack, curvature_at
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
                          build_grw, catalog_get, catalog_names, converse_at)
 
 from .conftest import certified
 from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
-                      warped_flat_curvature)
+                      scale_free, warped_flat_curvature)
 
 
 def fiber_residual(fiber, points):
@@ -17,12 +17,17 @@ def fiber_residual(fiber, points):
     return max(fiber.einstein_at(points)[0])
 
 
+def split_rows(chart, points):
+    """(branch, A, B) of the fluid split at each point."""
+    dec = fluid_decompose(JetStack(chart, points).to_point())
+    return list(zip(dec.branch, dec.a, dec.b))
+
+
 def converse_rows(chart, points):
-    """(fluid split, A formula, B formula) of ``converse_at`` at each
-    point."""
+    """((branch, A, B) of the fluid split, A formula, B formula) of
+    ``converse_at`` at each point."""
     _, a_formula, b_formula = converse_at(chart, points)
-    return [(fluid_decompose(curvature_at(chart, p)), a, b)
-            for p, a, b in zip(points, a_formula, b_formula)]
+    return list(zip(split_rows(chart, points), a_formula, b_formula))
 
 
 def relative(value, formula):
@@ -56,11 +61,10 @@ class TestBuildGRW:
 
     def test_static_sphere_fiber(self):
         entry = catalog_get("einstein-static")
-        for p in sample_points(entry.chart, 5, seed=3):
-            cp = curvature_at(entry.chart, p)
-            dec = fluid_decompose(cp)
-            assert dec.a == pytest.approx(2.0, abs=1e-9)
-            assert dec.b == pytest.approx(2.0, abs=1e-9)
+        points = sample_points(entry.chart, 5, seed=3)
+        for _, a, b in split_rows(entry.chart, points):
+            assert a == pytest.approx(2.0, abs=1e-9)
+            assert b == pytest.approx(2.0, abs=1e-9)
 
     def test_metric_block_structure(self):
         chart = catalog_get("frw-dust").chart
@@ -128,18 +132,18 @@ class TestConverse:
     def test_einstein_static_formulas(self):
         entry = catalog_get("einstein-static")
         points = sample_points(entry.chart, 5, seed=8)
-        for dec, a, b in converse_rows(entry.chart, points):
-            assert relative(dec.a, a) < 1e-9
-            assert relative(dec.b, b) < 1e-9
+        for (_, dec_a, dec_b), a, b in converse_rows(entry.chart, points):
+            assert relative(dec_a, a) < 1e-9
+            assert relative(dec_b, b) < 1e-9
             assert a == pytest.approx(2.0, abs=1e-10)
             assert b == pytest.approx(2.0, abs=1e-10)
 
     def test_desitter_degenerate_branch(self):
         entry = catalog_get("desitter")
         points = sample_points(entry.chart, 5, seed=9)
-        for dec, a, _ in converse_rows(entry.chart, points):
-            assert dec.degenerate
-            assert relative(dec.a, a) < 1e-9
+        for (branch, dec_a, _), a, _ in converse_rows(entry.chart, points):
+            assert branch == DEGENERATE
+            assert relative(dec_a, a) < 1e-9
             assert a == pytest.approx(3.0, abs=1e-9)
         # On the degenerate branch B is not compared.
         report = certified(entry.chart, 5, 9, "converse")
@@ -149,10 +153,10 @@ class TestConverse:
     def test_grw5_sphere_formulas_match_decomposition(self):
         entry = catalog_get("grw5-sphere")
         points = sample_points(entry.chart, 5, seed=10)
-        for p, (dec, a, b) in zip(points,
-                                  converse_rows(entry.chart, points)):
-            assert relative(dec.a, a) < 1e-8
-            assert relative(dec.b, b) < 1e-8
+        for p, ((_, dec_a, dec_b), a, b) in zip(
+                points, converse_rows(entry.chart, points)):
+            assert relative(dec_a, a) < 1e-8
+            assert relative(dec_b, b) < 1e-8
             t = p.coords[0]
             # closed forms: q = t^2, R* = 12, n = 5
             a_expected = (12.0 / 4.0 + (2 * t) ** 2 * 3 + t * t * 2) / t ** 4
@@ -212,11 +216,11 @@ class TestCatalog:
 
     def test_kasner_is_vacuum(self):
         chart = catalog_get("kasner-negative").chart
-        for p in sample_points(chart, 5, seed=14):
+        points = sample_points(chart, 5, seed=14)
+        for p, (branch, _, _) in zip(points, split_rows(chart, points)):
             cp = curvature_at(chart, p)
             assert np.max(np.abs(cp.ricci)) < 1e-10
-            dec = fluid_decompose(cp)
-            assert dec.degenerate
+            assert branch == DEGENERATE
 
     def test_non_einstein_fiber_divweyl_large(self):
         chart = catalog_get("grw-nonEinstein-fiber").chart

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from grwcert.certify import RunConfig
 from grwcert.chart import sample_points
-from grwcert.classify import VelocityAnalysis, chen_at, weyl_electric_at
+from grwcert.classify import VelocityAnalysis, weyl_electric_at
 from grwcert.expr import eval_jet3_batch, parse
 from grwcert.grw import build_grw, catalog_get
 from grwcert.jets import TensorJet
 from grwcert.physics import eos_check, homothetic_check, motion_at
 
 from .conftest import certified
+from .test_classify import chen_rows
 
 
 def gathered_scalars(chart, points, kappa=1.0):
@@ -152,9 +153,7 @@ class TestHomothetic:
         chart = catalog_get(name).chart
         points = sample_points(chart, 5, seed=seed)
         rows = gathered_scalars(chart, points)
-        fp = VelocityAnalysis(chart).at(points)
-        grads = [chen_at(fp.at(i), chart.basepoint).grad_rho_norm
-                 for i in range(len(points))]
+        grads = [row.grad_rho_norm for row in chen_rows(chart, points)]
         return rows, grads
 
     def test_einstein_static_triple_holds(self):

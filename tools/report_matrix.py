@@ -6,7 +6,8 @@ compared with ``diff -r``.
 
 The matrix is each catalog entry at (points, seed) = (1, 0), (2, 31),
 (13, 5) and (25, 7), and ``perfbench/workloads.dense_spec`` at seeds 1,
-31 and 101 with 20 points. Reports are byte-identical at any worker count
+31 and 101 with 20 points, with its velocity field and without it (then
+weyl-electric reads the eigen-split's velocity). Reports are byte-identical at any worker count
 (and any chunk size), so ``OUT`` depends only on the source tree it ran.
 """
 
@@ -38,8 +39,13 @@ def matrix():
         for points, seed in CATALOG_RUNS:
             yield f"{name}-p{points}-s{seed}.json", chart, points, seed
     for seed in DENSE_SEEDS:
-        chart = compile_chart(load_chart_input(dense_spec(seed)))
+        spec = dense_spec(seed)
+        chart = compile_chart(load_chart_input(spec))
         yield f"dense-s{seed}-p{DENSE_POINTS}.json", chart, DENSE_POINTS, seed
+        del spec["velocity_field"]
+        chart = compile_chart(load_chart_input(spec))
+        yield (f"dense-novelocity-s{seed}-p{DENSE_POINTS}.json", chart,
+               DENSE_POINTS, seed)
 
 
 def main(argv=None) -> int:
