@@ -6,9 +6,9 @@ from .chart import (ChartInput, ChartPoint, Exclusion, MetricChart,
                     VectorField, compile_chart, sample_points)
 from .classify import (FluidDecomposition, NotClosedError, QuadratureError,
                        VelocityAnalysis, fluid_decompose, fluid_form_residual,
-                       geodesic_at, ladder_residuals_at, soliton_at, torse_at,
+                       geodesic_at, ladder_residuals_at, torse_at,
                        weyl_electric_at)
-from .curvature import CurvaturePoint, JetStack, curvature_at
+from .curvature import CurvaturePoint, JetStack
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
                    eval_batch, eval_jet3, eval_jet3_batch, parse)
 from .grw import (FiberMetric, GRWStructure, build_grw, catalog_get,

@@ -170,7 +170,7 @@ class FieldPoint:
     ``.value`` has shape (P,) and ``.grad`` (P, n).
 
     u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
-    ``geodesic_at``, ``ladder_residuals_at``, ``soliton_at``,
+    ``geodesic_at``, ``ladder_residuals_at``, ``_soliton_residual_at``,
     ``physics.motion_at``, ``fluid_form_residual``, ``weyl_electric_at``
     and ``_chen_point`` read them on the batch.
     """
@@ -483,17 +483,11 @@ def ladder_residuals_at(fp: FieldPoint) -> dict:
     return out
 
 
-def soliton_at(fp: FieldPoint, *, closed_tol: float = 1e-6):
+def _soliton_residual_at(fp: FieldPoint):
     """(residual, lam, eta) of the soliton form, arrays over the batch's
     points. The form reads d theta = u and Hess(theta) only, so theta
-    itself is never integrated; u must be closed at every point for theta
-    to exist."""
-    require_closed("u", float(np.max(fp.u_closed)), closed_tol)
-    return _soliton_residual_at(fp)
-
-
-def _soliton_residual_at(fp: FieldPoint):
-    """(residual, lam, eta), closed u or not."""
+    itself is never integrated; it exists only where u is closed, and the
+    caller refuses the other points (``not_closed``)."""
     # d theta = u, so Hess(theta) is the symmetrized nabla u.
     grad_theta = fp.uv
     hess_cov = 0.5 * (fp.nabla_u + np.swapaxes(fp.nabla_u, -1, -2))

@@ -20,12 +20,12 @@ order 0. No finite differences anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .chart import ChartPoint, MetricChart
+from .chart import MetricChart
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
 from .expr import eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract, leibniz_level
@@ -45,7 +45,7 @@ def scale_free_at(residual, *references):
 @dataclass
 class CurvaturePoint:
     """Every curvature object at each point of a batch (a leading point
-    axis on every array), as plain arrays; ``at(i)`` is point i's alone."""
+    axis on every array), as plain arrays."""
 
     n: int
     g: np.ndarray          # (n, n)
@@ -57,11 +57,6 @@ class CurvaturePoint:
     rs: np.ndarray         # scalar curvature
     weyl: np.ndarray       # (n, n, n, n): C_{jklm}, zero grid for n < 3
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
-
-    def at(self, i: int) -> "CurvaturePoint":
-        """Point i; its arrays are views into the batch's."""
-        return CurvaturePoint(self.n, *(getattr(self, f.name)[i]
-                                        for f in fields(self)[1:]))
 
 
 class SingularMetricError(np.linalg.LinAlgError):
@@ -200,11 +195,6 @@ def metric_inverse(g: TensorJet) -> TensorJet:
                              levels + [np.zeros_like(g.levels[k])], k)
         levels.append(-np.einsum("...ij,...jkZ->...ikZ", h0, rest))
     return TensorJet(g.n, levels, g.batch)
-
-
-def curvature_at(chart: MetricChart, point: ChartPoint) -> CurvaturePoint:
-    """Full curvature stack at one point (pure; safe to run in parallel)."""
-    return JetStack(chart, [point]).to_point().at(0)
 
 
 def first_bianchi_residual(cp: CurvaturePoint):

@@ -155,25 +155,6 @@ def _sphere(m: int) -> ChartInput:
         | {names[-1]: (0, 6.2)})
 
 
-def _hyperbolic3() -> ChartInput:
-    hi = math.pi - _POLE
-    return ChartInput(
-        name="h3", dimension=3, signature=RIEMANNIAN,
-        coordinates=["chi", "theta", "phi"],
-        metric={"1,1": "1", "2,2": "sinh(chi)^2",
-                "3,3": "sinh(chi)^2*sin(theta)^2"},
-        ranges={"chi": (0.5, 1.5), "theta": (_POLE, hi), "phi": (0, 6.2)})
-
-
-def _product_s2_s1() -> ChartInput:
-    hi = math.pi - _POLE
-    return ChartInput(
-        name="s2xs1", dimension=3, signature=RIEMANNIAN,
-        coordinates=["theta", "phi", "z"],
-        metric={"1,1": "1", "2,2": "sin(theta)^2", "3,3": "1"},
-        ranges={"theta": (_POLE, hi), "phi": (0, 6.2), "z": (-1, 1)})
-
-
 @dataclass
 class CatalogEntry:
     name: str
@@ -181,139 +162,91 @@ class CatalogEntry:
     expected: dict
 
 
-def _grw_entry(name, q, fiber_input, t_range, basepoint, expected) -> CatalogEntry:
-    chart = build_grw(q, FiberMetric.from_input(fiber_input),
-                      name=name, t_range=t_range, basepoint=basepoint)
-    return CatalogEntry(name=name, chart=chart, expected=expected)
-
-
 _POSITIVE = {
     "verdict": "pass",
     "fluid": "nondegenerate",
-    "ok": ["u-closed", "div-weyl", "fiber-einstein", "torse-forming",
+    "ok": ("u-closed", "div-weyl", "fiber-einstein", "torse-forming",
            "omega-closed", "chen-vector", "ckv-gradient", "weyl-electric",
-           "geodesic"],
+           "geodesic"),
+}
+# Ricci is a multiple of g (or zero), so the fluid split is degenerate.
+_DEGENERATE = {
+    "verdict": "fail",
+    "fluid": "degenerate",
+    "ok": ("u-closed", "div-weyl", "fiber-einstein"),
+    "informational": ("torse-forming", "chen-vector"),
 }
 
-
-def _build_minkowski() -> CatalogEntry:
-    return _grw_entry(
-        "minkowski", "1", _flat3(), (-1, 1), (0, 0, 0, 0),
-        {"verdict": "fail", "fluid": "degenerate",
-         "ok": ["u-closed", "div-weyl", "fiber-einstein"],
-         "informational": ["torse-forming", "chen-vector"],
-         "scalars": {"A": 0.0}})
-
-
-def _build_desitter() -> CatalogEntry:
-    return _grw_entry(
-        "desitter", "exp(t)", _flat3(), (-0.5, 0.5), (0, 0, 0, 0),
-        {"verdict": "fail", "fluid": "degenerate",
-         "ok": ["u-closed", "div-weyl", "fiber-einstein"],
-         "informational": ["torse-forming", "chen-vector"],
-         "scalars": {"A": 3.0}})
-
-
-def _build_einstein_static() -> CatalogEntry:
-    base = (0.0, math.pi / 2, math.pi / 2, 1.0)
-    expected = dict(_POSITIVE)
-    expected["scalars"] = {"A": 2.0, "B": 2.0}
-    expected["branch"] = "homothetic"
-    return _grw_entry("einstein-static", "1", _sphere(3), (-1, 1), base,
-                      expected)
-
-
-def _build_frw_dust() -> CatalogEntry:
-    expected = dict(_POSITIVE)
-    expected["scalars"] = {"w": 0.0}
-    expected["branch"] = "proper"
-    return _grw_entry("frw-dust", "t^(2/3)", _flat3(), (1, 2), (1, 0, 0, 0),
-                      expected)
-
-
-def _build_frw_rad() -> CatalogEntry:
-    expected = dict(_POSITIVE)
-    expected["scalars"] = {"w": 1.0 / 3.0}
-    expected["branch"] = "proper"
-    return _grw_entry("frw-rad", "t^(1/2)", _flat3(), (1, 2), (1, 0, 0, 0),
-                      expected)
-
-
-def _build_frw_closed() -> CatalogEntry:
-    base = (1.0, math.pi / 2, math.pi / 2, 1.0)
-    return _grw_entry("frw-k+1", "1+0.1*t^2", _sphere(3), (1, 2), base,
-                      dict(_POSITIVE))
-
-
-def _build_frw_open() -> CatalogEntry:
-    base = (1.0, 1.0, math.pi / 2, 1.0)
-    return _grw_entry("frw-k-1", "exp(0.3*t)", _hyperbolic3(), (1, 2), base,
-                      dict(_POSITIVE))
-
-
-def _build_grw5_sphere() -> CatalogEntry:
-    base = (1.0, math.pi / 2, math.pi / 2, math.pi / 2, 1.0)
-    expected = dict(_POSITIVE)
-    expected["branch"] = "proper"
-    return _grw_entry("grw5-sphere", "t^2", _sphere(4), (1, 2), base, expected)
-
-
-def _build_non_einstein_fiber() -> CatalogEntry:
-    base = (1.0, math.pi / 2, 1.0, 0.0)
-    # The product fiber breaks the perfect-fluid form itself, so the
-    # eigen-split lands in the anomalous (unclustered) branch.
-    return _grw_entry(
-        "grw-nonEinstein-fiber", "1+0.1*t^2", _product_s2_s1(), (1, 2), base,
+# name -> (warp q(t), fiber, t range, basepoint, expectations) of the chart
+# -dt^2 + q(t)^2 fiber. A row whose warp is None is a plain chart: its
+# ChartInput is compiled as it stands.
+_CATALOG = {
+    "minkowski": ("1", _flat3(), (-1, 1), (0, 0, 0, 0),
+                  _DEGENERATE | {"scalars": {"A": 0.0}}),
+    "desitter": ("exp(t)", _flat3(), (-0.5, 0.5), (0, 0, 0, 0),
+                 _DEGENERATE | {"scalars": {"A": 3.0}}),
+    "einstein-static": (
+        "1", _sphere(3), (-1, 1), (0.0, math.pi / 2, math.pi / 2, 1.0),
+        _POSITIVE | {"scalars": {"A": 2.0, "B": 2.0}, "branch": "homothetic"}),
+    "frw-dust": ("t^(2/3)", _flat3(), (1, 2), (1, 0, 0, 0),
+                 _POSITIVE | {"scalars": {"w": 0.0}, "branch": "proper"}),
+    "frw-rad": ("t^(1/2)", _flat3(), (1, 2), (1, 0, 0, 0),
+                _POSITIVE | {"scalars": {"w": 1.0 / 3.0}, "branch": "proper"}),
+    "frw-k+1": ("1+0.1*t^2", _sphere(3), (1, 2),
+                (1.0, math.pi / 2, math.pi / 2, 1.0), dict(_POSITIVE)),
+    "frw-k-1": ("exp(0.3*t)", ChartInput(
+        name="h3", dimension=3, signature=RIEMANNIAN,
+        coordinates=["chi", "theta", "phi"],
+        metric={"1,1": "1", "2,2": "sinh(chi)^2",
+                "3,3": "sinh(chi)^2*sin(theta)^2"},
+        ranges={"chi": (0.5, 1.5), "theta": (_POLE, math.pi - _POLE),
+                "phi": (0, 6.2)}),
+        (1, 2), (1.0, 1.0, math.pi / 2, 1.0), dict(_POSITIVE)),
+    "grw5-sphere": ("t^2", _sphere(4), (1, 2),
+                    (1.0, math.pi / 2, math.pi / 2, math.pi / 2, 1.0),
+                    _POSITIVE | {"branch": "proper"}),
+    # The product fiber S2 x S1 breaks the perfect-fluid form itself, so
+    # the eigen-split lands in the anomalous (unclustered) branch.
+    "grw-nonEinstein-fiber": ("1+0.1*t^2", ChartInput(
+        name="s2xs1", dimension=3, signature=RIEMANNIAN,
+        coordinates=["theta", "phi", "z"],
+        metric={"1,1": "1", "2,2": "sin(theta)^2", "3,3": "1"},
+        ranges={"theta": (_POLE, math.pi - _POLE), "phi": (0, 6.2),
+                "z": (-1, 1)}),
+        (1, 2), (1.0, math.pi / 2, 1.0, 0.0),
         {"verdict": "fail", "fluid": "anomalous",
-         "ok": ["u-closed"],
-         "not_ok": ["fiber-einstein", "div-weyl", "fluid-form"],
-         "informational": ["torse-forming", "chen-vector", "weyl-electric"]})
-
-
-def _build_kasner() -> CatalogEntry:
+         "ok": ("u-closed",),
+         "not_ok": ("fiber-einstein", "div-weyl", "fluid-form"),
+         "informational": ("torse-forming", "chen-vector", "weyl-electric")}),
     # Vacuum anisotropic exponents (2/3, 2/3, -1/3): Ricci = 0, so the
     # fluid decomposition lands in the degenerate branch and the
     # torse-forming conclusion genuinely fails for the constant u.
-    spec = ChartInput(
+    "kasner-negative": (None, ChartInput(
         name="kasner-negative", dimension=4, signature="lorentzian",
         coordinates=["t", "x", "y", "z"],
         metric={"1,1": "-1", "2,2": "t^(4/3)", "3,3": "t^(4/3)",
                 "4,4": "t^(-2/3)"},
         ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
         velocity_field=["-1", "0", "0", "0"],
-        basepoint=[1, 0, 0, 0])
-    return CatalogEntry(
-        name="kasner-negative", chart=compile_chart(spec),
-        expected={"verdict": "fail", "fluid": "degenerate",
-                  "ok": ["u-closed", "div-weyl"],
-                  "informational": ["torse-forming", "chen-vector"]})
-
-
-_CATALOG_BUILDERS = {
-    "minkowski": _build_minkowski,
-    "desitter": _build_desitter,
-    "einstein-static": _build_einstein_static,
-    "frw-dust": _build_frw_dust,
-    "frw-rad": _build_frw_rad,
-    "frw-k+1": _build_frw_closed,
-    "frw-k-1": _build_frw_open,
-    "grw5-sphere": _build_grw5_sphere,
-    "grw-nonEinstein-fiber": _build_non_einstein_fiber,
-    "kasner-negative": _build_kasner,
+        basepoint=[1, 0, 0, 0]),
+        None, None, _DEGENERATE | {"ok": ("u-closed", "div-weyl")}),
 }
 
 
 def catalog_names() -> list[str]:
-    return list(_CATALOG_BUILDERS)
+    return list(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def catalog_get(name: str) -> CatalogEntry:
     """Compiled catalog chart plus its machine-readable expectations."""
     try:
-        builder = _CATALOG_BUILDERS[name]
+        warp, spec, t_range, basepoint, expected = _CATALOG[name]
     except KeyError:
         raise KeyError(
             f"unknown catalog metric {name!r}; "
-            f"choose from {', '.join(_CATALOG_BUILDERS)}") from None
-    return builder()
+            f"choose from {', '.join(_CATALOG)}") from None
+    chart = (compile_chart(spec) if warp is None else
+             build_grw(warp, FiberMetric.from_input(spec), name=name,
+                       t_range=t_range, basepoint=basepoint))
+    return CatalogEntry(name=name, chart=chart, expected=expected)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 from typing import Mapping
 
 import numpy as np
 
 from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
-from grwcert.curvature import JetStack
+from grwcert.curvature import CurvaturePoint, JetStack
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
                           Power, Unary, eval_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
@@ -25,6 +26,19 @@ def scale_free(residual, *references) -> float:
     one point."""
     peak = max((float(np.max(np.abs(r))) for r in references), default=0.0)
     return float(np.max(np.abs(residual))) / (1.0 + peak)
+
+
+def point_rows(cp: CurvaturePoint) -> list[CurvaturePoint]:
+    """The points of a batched ``CurvaturePoint``, each without the point
+    axis (its arrays are views into the batch's)."""
+    rest = fields(cp)[1:]
+    return [CurvaturePoint(cp.n, *(getattr(cp, f.name)[i] for f in rest))
+            for i in range(len(cp.rs))]
+
+
+def curvature_rows(chart: MetricChart, points) -> list[CurvaturePoint]:
+    """Each point's curvature, read off one batched stack."""
+    return point_rows(JetStack(chart, points).to_point())
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +957,7 @@ def cotton_combination(stack: JetStack) -> np.ndarray:
 def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:
     """Cyclic covariant derivative of the lowered Riemann tensor."""
     stack = JetStack(chart, [point])
-    cp = stack.to_point().at(0)
+    cp, = point_rows(stack.to_point())
     low = np.einsum("jklm,mp->jklp", cp.riem, cp.g)
     dlow = (np.einsum("ajklm,mp->ajklp", cp.driem, cp.g)
             + np.einsum("jklm,amp->ajklp", cp.riem,

@@ -14,15 +14,16 @@ import numpy as np
 from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, compile_chart, sample_points
 from grwcert.classify import DEGENERATE, VelocityAnalysis, fluid_decompose
-from grwcert.curvature import JetStack, curvature_at
+from grwcert.curvature import JetStack
 from grwcert.expr import eval_jet3, parse
 from grwcert.grw import catalog_get
 from grwcert.report import render_json
 
 from .conftest import ACCEPTANCE_CONFIG
-from .oracles import (as_jet3, dd_gradient, dd_hessian, dd_third,
-                      desitter_ricci, eval_value, expression_corpus,
-                      friedmann_scalars, scale_free, sphere2_curvature)
+from .oracles import (as_jet3, curvature_rows, dd_gradient, dd_hessian,
+                      dd_third, desitter_ricci, eval_value,
+                      expression_corpus, friedmann_scalars, scale_free,
+                      sphere2_curvature)
 from .test_classify import chen_rows
 
 N_POINTS = ACCEPTANCE_CONFIG.points
@@ -42,8 +43,7 @@ def criterion(number, description):
 def test_criterion_1_flat_sanity(catalog_report):
     with criterion(1, "Minkowski: every curvature object and residual < 1e-12"):
         chart = catalog_get("minkowski").chart
-        for p in sample_points(chart, N_POINTS, SEED):
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, sample_points(chart, N_POINTS, SEED)):
             for arr in (cp.gamma, cp.riem, cp.ricci, cp.weyl, cp.divweyl):
                 assert np.max(np.abs(arr)) < 1e-12
             assert abs(cp.rs) < 1e-12
@@ -88,15 +88,15 @@ def test_criterion_3_convention_pin():
             coordinates=["theta", "phi"],
             metric={"1,1": "1", "2,2": "sin(theta)^2"},
             ranges={"theta": (0.3, 2.84), "phi": (0, 6.2)}))
-        for p in sample_points(s2, 20, SEED):
-            cp = curvature_at(s2, p)
+        points = sample_points(s2, 20, SEED)
+        for p, cp in zip(points, curvature_rows(s2, points)):
             assert abs(cp.rs - 2.0) < 1e-10
             _, _, ricci_o, scalar_o = sphere2_curvature(p.coords[0])
             assert abs(cp.rs - scalar_o) < 1e-10
             assert np.max(np.abs(cp.ricci - ricci_o)) < 1e-10
         ds = catalog_get("desitter").chart
-        for p in sample_points(ds, 20, SEED):
-            cp = curvature_at(ds, p)
+        points = sample_points(ds, 20, SEED)
+        for p, cp in zip(points, curvature_rows(ds, points)):
             scale = np.max(np.abs(cp.g))
             assert np.max(np.abs(cp.ricci - 3.0 * cp.g)) / scale < 1e-9
             _, ricci_o = desitter_ricci(4, p.coords[0])
@@ -161,8 +161,7 @@ def test_criterion_6_negative_controls(catalog_report):
         points = sample_points(chart, N_POINTS, SEED)
         tol = ACCEPTANCE_CONFIG.hypothesis_tol
         hits = 0
-        for p in points:
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, points):
             if scale_free(cp.divweyl, cp.driem) > 10 * tol:
                 hits += 1
         assert hits >= 0.9 * len(points)

@@ -12,10 +12,10 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
                               QUAD_PANELS, NotClosedError, VelocityAnalysis,
                               fluid_decompose, geodesic_at,
-                              ladder_residuals_at, require_closed,
-                              soliton_at, torse_at, weyl_electric_at,
+                              ladder_residuals_at, not_closed,
+                              require_closed, torse_at, weyl_electric_at,
                               _chen_point, _integrate_form, _leggauss,
-                              _omega_integrand)
+                              _omega_integrand, _soliton_residual_at)
 from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
 from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
@@ -408,12 +408,12 @@ class TestReconstructPotential:
             assert pot.value == pytest.approx(-(p.coords[0] - 1.0), abs=1e-10)
 
     def test_not_closed_rejected(self, minkowski_chart):
-        # soliton_at refuses a field that has no potential theta.
+        # A field that has no potential theta is refused.
         field = field_for(minkowski_chart, ("0", "z", "0", "0"))
         fp = field_points(minkowski_chart,
                           [ChartPoint((0.5, 0.5, 0.5, 0.5))], field)
         with pytest.raises(NotClosedError):
-            soliton_at(fp)
+            require_closed("u", fp.u_closed[0], 1e-6)
 
 
 def dense_pullback_chart(seed=5):
@@ -667,7 +667,7 @@ class TestChen:
             require_closed("ω", fp.omega_closed[0], 1e-6)
         assert str(chen.value).startswith("ω not closed (residual ")
         with pytest.raises(NotClosedError) as soliton:
-            soliton_at(fp)
+            require_closed("u", fp.u_closed[0], 1e-6)
         assert str(soliton.value).startswith("u not closed (residual ")
         report = run_certify(chart, RunConfig(points=1, seed=19))
         for name, refusal in (("chen-vector", chen), ("soliton-form", soliton)):
@@ -760,8 +760,11 @@ class TestIdentityLadder:
 
 
 def soliton_rows(chart, points):
-    """Columns (residual, lam, eta) of ``soliton_at`` over the points."""
-    return soliton_at(field_points(chart, points))
+    """Columns (residual, lam, eta) of the soliton form over the points,
+    where u must be closed: the report refuses the form elsewhere."""
+    fp = field_points(chart, points)
+    assert max(fp.u_closed) <= 1e-6, not_closed("u", max(fp.u_closed))
+    return _soliton_residual_at(fp)
 
 
 def gradient_soliton(lams, etas):

@@ -6,16 +6,15 @@ import pytest
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.classify import VelocityAnalysis
 from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
-                               curvature_at, first_bianchi_residual,
-                               weyl_trace_residual)
+                               first_bianchi_residual, weyl_trace_residual)
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.jets import jet_tables
 
-from .oracles import (COTTON_COEFF, cotton_combination, desitter_ricci,
-                      per_component_curvature, scale_free,
-                      second_bianchi_residual, sphere2_curvature,
+from .oracles import (COTTON_COEFF, cotton_combination, curvature_rows,
+                      desitter_ricci, per_component_curvature, point_rows,
+                      scale_free, second_bianchi_residual, sphere2_curvature,
                       stack_derivatives, warped_flat_curvature,
                       warped_nabla_u)
 from .test_classify import dense_pullback_chart
@@ -61,27 +60,26 @@ class TestConventionPins:
     """Hand-coded Christoffel oracles fix the sign conventions."""
 
     def test_unit_sphere_scalar_curvature_is_two(self, sphere2):
-        for p in sample_points(sphere2, 10, seed=1):
-            cp = curvature_at(sphere2, p)
+        for cp in curvature_rows(sphere2, sample_points(sphere2, 10, seed=1)):
             assert cp.rs == pytest.approx(2.0, abs=1e-10)
 
     def test_sphere_matches_oracle_tensors(self, sphere2):
         p = ChartPoint((1.2, 0.4))
-        cp = curvature_at(sphere2, p)
+        cp, = curvature_rows(sphere2, [p])
         _, riem_o, ricci_o, scalar_o = sphere2_curvature(1.2)
         np.testing.assert_allclose(cp.riem, riem_o, atol=1e-12)
         np.testing.assert_allclose(cp.ricci, ricci_o, atol=1e-12)
         assert cp.rs == pytest.approx(scalar_o, abs=1e-12)
 
     def test_desitter_ricci_is_three_g(self, desitter):
-        for p in sample_points(desitter, 10, seed=2):
-            cp = curvature_at(desitter, p)
+        for cp in curvature_rows(desitter,
+                                 sample_points(desitter, 10, seed=2)):
             resid = np.max(np.abs(cp.ricci - 3.0 * cp.g)) / np.max(np.abs(cp.g))
             assert resid < 1e-9
 
     def test_desitter_matches_oracle(self, desitter):
         p = ChartPoint((0.3, 0.1, -0.2, 0.4))
-        cp = curvature_at(desitter, p)
+        cp, = curvature_rows(desitter, [p])
         _, ricci_o = desitter_ricci(4, 0.3)
         np.testing.assert_allclose(cp.ricci, ricci_o, atol=1e-12)
 
@@ -91,8 +89,9 @@ class TestConventionPins:
                             "4,4": "t^4"},
                            {"t": (1, 2), "x": (-1, 1), "y": (-1, 1),
                             "z": (-1, 1)})
-        for t0 in (1.2, 1.5, 1.9):
-            cp = curvature_at(chart, ChartPoint((t0, 0.3, -0.2, 0.9)))
+        points = [ChartPoint((t0, 0.3, -0.2, 0.9)) for t0 in (1.2, 1.5, 1.9)]
+        for p, cp in zip(points, curvature_rows(chart, points)):
+            t0 = p.coords[0]
             _, riem_o, ricci_o = warped_flat_curvature(
                 4, t0 ** 2, 2 * t0, 2.0)
             np.testing.assert_allclose(cp.riem, riem_o, atol=1e-12)
@@ -110,7 +109,7 @@ class TestChristoffelDerivatives:
         t0 = 0.3
         point = ChartPoint((t0, 0.1, -0.2, 0.4))
         stack = JetStack(desitter, [point])
-        cp = stack.to_point().at(0)
+        cp, = point_rows(stack.to_point())
         q2 = np.exp(2 * t0)
         assert cp.gamma[0, 1, 1] == pytest.approx(q2, rel=1e-12)
         assert cp.gamma[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -125,8 +124,8 @@ class TestChristoffelDerivatives:
 
 class TestFlatness:
     def test_minkowski_everything_vanishes(self, minkowski):
-        for p in sample_points(minkowski, 10, seed=3):
-            cp = curvature_at(minkowski, p)
+        for cp in curvature_rows(minkowski,
+                                 sample_points(minkowski, 10, seed=3)):
             for arr in (cp.riem, cp.ricci, cp.weyl, cp.divweyl, cp.gamma):
                 assert np.max(np.abs(arr)) < 1e-12
             assert abs(cp.rs) < 1e-12
@@ -150,8 +149,7 @@ class TestInvariants:
     def test_ricci_symmetry_and_weyl_traces(self):
         chart = self._generic4()
         points = sample_points(chart, 10, seed=5)
-        for p in points:
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, points):
             assert scale_free(cp.ricci - cp.ricci.T, cp.ricci) < 1e-12
         cp = JetStack(chart, points).to_point()
         assert max(weyl_trace_residual(cp)) < 1e-12
@@ -184,7 +182,7 @@ class TestInvariants:
         assert c == -(dim - 3) / (dim - 2)
         for p in sample_points(chart, 10, seed=7):
             stack = JetStack(chart, [p])
-            cp, cot = stack.to_point().at(0), cotton_combination(stack)
+            (cp,), cot = point_rows(stack.to_point()), cotton_combination(stack)
             assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8
 
     def test_cotton_consistency_across_catalog(self):
@@ -194,7 +192,8 @@ class TestInvariants:
             c = COTTON_COEFF[chart.n]
             for p in sample_points(chart, 5, seed=8):
                 stack = JetStack(chart, [p])
-                cp, cot = stack.to_point().at(0), cotton_combination(stack)
+                (cp,), cot = (point_rows(stack.to_point()),
+                              cotton_combination(stack))
                 assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8, name
 
 
@@ -244,7 +243,7 @@ class TestTensorJetStack:
     def check(self, chart, points):
         for p in points:
             stack = JetStack(chart, [p])
-            cp = stack.to_point().at(0)
+            cp, = point_rows(stack.to_point())
             got = (dict(vars(cp)) | stack_derivatives(stack)
                    | {"d2gamma": d2gamma(stack)})
             want = per_component_curvature(chart, p)
@@ -293,7 +292,7 @@ class TestBatchedJetStack:
     def check(self, chart, points):
         batch = JetStack(chart, points)
         assert batch.points == tuple(points)
-        whole = batch.to_point()
+        rows = point_rows(batch.to_point())
         for i, p in enumerate(points):
             one = JetStack(chart, [p])
             assert one.n == batch.n
@@ -304,7 +303,7 @@ class TestBatchedJetStack:
                 for k, (a, b) in enumerate(zip(mine.levels, want.levels)):
                     assert a[i].shape == b[0].shape, (name, k)
                     assert a[i].tobytes() == b[0].tobytes(), (name, k, p.coords)
-            mine, want = whole.at(i), one.to_point().at(0)
+            mine, (want,) = rows[i], point_rows(one.to_point())
             for field in dataclasses.fields(CurvaturePoint):
                 a, b = getattr(mine, field.name), getattr(want, field.name)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name

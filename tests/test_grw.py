@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, sample_points
-from grwcert.classify import DEGENERATE, fluid_decompose
-from grwcert.curvature import JetStack, curvature_at
+from grwcert.certify import CHECKS
+from grwcert.classify import (ANOMALOUS, DEGENERATE, NONDEGENERATE,
+                              fluid_decompose)
+from grwcert.cli import _SCALARS
+from grwcert.curvature import JetStack
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
                          build_grw, catalog_get, catalog_names, converse_at)
 
 from .conftest import certified
 from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
-                      scale_free, warped_flat_curvature)
+                      curvature_rows, scale_free, warped_flat_curvature)
 
 
 def fiber_residual(fiber, points):
@@ -47,16 +50,14 @@ class TestBuildGRW:
     def test_unit_warp_flat_fiber_is_flat(self):
         chart = build_grw("1", FiberMetric.from_input(flat3()),
                           name="mink", t_range=(-1, 1))
-        for p in sample_points(chart, 10, seed=1):
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, sample_points(chart, 10, seed=1)):
             for arr in (cp.riem, cp.ricci, cp.weyl, cp.divweyl):
                 assert np.max(np.abs(arr)) < 1e-12
 
     def test_exponential_warp_is_einstein(self):
         chart = build_grw("exp(t)", FiberMetric.from_input(flat3()),
                           name="ds", t_range=(-0.5, 0.5))
-        for p in sample_points(chart, 5, seed=2):
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, sample_points(chart, 5, seed=2)):
             assert scale_free(cp.ricci - 3.0 * cp.g, cp.ricci) < 1e-9
 
     def test_static_sphere_fiber(self):
@@ -93,7 +94,7 @@ class TestFiberEinstein:
         assert fiber_residual(fiber, points) < 1e-10
         rs = fiber.einstein_at(points)[1][0]
         assert rs == pytest.approx(SPHERE_SCALAR[3], abs=1e-10)
-        cp = curvature_at(fiber.chart, points[0])
+        cp = curvature_rows(fiber.chart, points)[0]
         np.testing.assert_allclose(cp.ricci, SPHERE_RICCI_FACTOR[3] * cp.g,
                                    atol=1e-10)
 
@@ -111,11 +112,11 @@ class TestFiberEinstein:
 
     def test_same_numbers_as_the_full_curvature_point(self):
         # einstein_at reads Ricci*, R* and g* off the fiber's stack, the
-        # arrays that curvature_at would wrap.
+        # arrays that to_point returns.
         fiber = catalog_get("grw5-sphere").chart.grw.fiber
         points = sample_points(fiber.chart, 3, seed=8)
-        for p, residual, rs in zip(points, *fiber.einstein_at(points)):
-            cp = curvature_at(fiber.chart, p)
+        for cp, residual, rs in zip(curvature_rows(fiber.chart, points),
+                                    *fiber.einstein_at(points)):
             want = scale_free(cp.ricci - (cp.rs / fiber.dim) * cp.g, cp.ricci)
             assert (residual, rs) == (want, cp.rs)
 
@@ -214,11 +215,25 @@ class TestCatalog:
         assert entry.expected["scalars"]["w"] == 0.0
         assert entry.chart.n == 4
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_expectations_name_known_records(self, name):
+        # A typo here would reach the CLI's comparison as a KeyError.
+        expected = catalog_get(name).expected
+        assert set(expected) <= {"verdict", "fluid", "ok", "not_ok",
+                                 "informational", "scalars", "branch"}
+        records = {check.name for check in CHECKS}
+        for key in ("ok", "not_ok", "informational"):
+            assert set(expected.get(key, ())) <= records, key
+        assert set(expected.get("scalars", {})) <= set(_SCALARS)
+        assert expected["verdict"] in ("pass", "fail")
+        assert expected["fluid"] in (NONDEGENERATE, DEGENERATE, ANOMALOUS)
+        assert expected.get("branch", "proper") in ("proper", "homothetic")
+
     def test_kasner_is_vacuum(self):
         chart = catalog_get("kasner-negative").chart
         points = sample_points(chart, 5, seed=14)
-        for p, (branch, _, _) in zip(points, split_rows(chart, points)):
-            cp = curvature_at(chart, p)
+        for cp, (branch, _, _) in zip(curvature_rows(chart, points),
+                                      split_rows(chart, points)):
             assert np.max(np.abs(cp.ricci)) < 1e-10
             assert branch == DEGENERATE
 
@@ -226,8 +241,7 @@ class TestCatalog:
         chart = catalog_get("grw-nonEinstein-fiber").chart
         points = sample_points(chart, 20, seed=15)
         count = 0
-        for p in points:
-            cp = curvature_at(chart, p)
+        for cp in curvature_rows(chart, points):
             if scale_free(cp.divweyl, cp.driem) > 10 * 1e-7:
                 count += 1
         assert count >= 0.9 * len(points)
@@ -236,8 +250,7 @@ class TestCatalog:
         for name in ("frw-dust", "frw-rad", "frw-k+1", "frw-k-1",
                      "grw5-sphere", "einstein-static"):
             chart = catalog_get(name).chart
-            for p in sample_points(chart, 5, seed=16):
-                cp = curvature_at(chart, p)
+            for cp in curvature_rows(chart, sample_points(chart, 5, seed=16)):
                 assert scale_free(cp.divweyl, cp.driem) < 1e-8, name
 
     def test_converse_property_every_einstein_fiber_entry(self):
@@ -251,8 +264,7 @@ class TestCatalog:
             fiber = chart.grw.fiber
             fiber_points = sample_points(fiber.chart, 5, seed=17)
             assert fiber_residual(fiber, fiber_points) < 1e-10, name
-            for p in points:
-                cp = curvature_at(chart, p)
+            for cp in curvature_rows(chart, points):
                 assert scale_free(cp.divweyl, cp.driem) < 1e-8, name
             report = certified(chart, 5, 17, "converse")
             assert report.find("grw-ricci-A").max_residual < 1e-8, name

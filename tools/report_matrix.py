@@ -1,19 +1,25 @@
-"""Write the JSON report of every catalog entry and of three dense pull-back
-charts into one directory, so that two trees or two worker counts can be
-compared with ``diff -r``.
+"""Write the JSON report of every catalog entry and of six dense
+pull-back reports, and the compiled catalog itself, into one directory, so
+that two trees or two worker counts can be compared with ``diff -r``.
 
     python tools/report_matrix.py OUT --workers W
 
 The matrix is each catalog entry at (points, seed) = (1, 0), (2, 31),
 (13, 5) and (25, 7), and ``perfbench/workloads.dense_spec`` at seeds 1,
 31 and 101 with 20 points, with its velocity field and without it (then
-weyl-electric reads the eigen-split's velocity). Reports are byte-identical at any worker count
-(and any chunk size), so ``OUT`` depends only on the source tree it ran.
+weyl-electric reads the eigen-split's velocity). Reports are
+byte-identical at any worker count (and any chunk size), so ``OUT``
+depends only on the source tree it ran. ``catalog.json`` holds each
+entry's expectation record and the ``repr`` of its compiled signature,
+coordinates, metric trees, ranges, parameters, exclusions, basepoint,
+velocity, warp and fiber metric, so the diff covers the catalog table
+as well as the reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -48,6 +54,28 @@ def matrix():
                DENSE_POINTS, seed)
 
 
+def catalog():
+    """Each catalog entry's expectations and compiled chart, as text."""
+    out = {}
+    for name in catalog_names():
+        entry = catalog_get(name)
+        chart, grw = entry.chart, entry.chart.grw
+        out[name] = {
+            "expected": entry.expected,
+            "chart": {key: repr(value) for key, value in (
+                ("signature", chart.signature),
+                ("coordinates", chart.coordinates),
+                ("metric", chart.upper), ("ranges", chart.ranges),
+                ("parameters", chart.params),
+                ("exclusions", chart.exclusions),
+                ("basepoint", chart.basepoint),
+                ("velocity", chart.velocity),
+                ("warp", grw and grw.warp),
+                ("fiber", grw and grw.fiber.chart.upper))},
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="directory for the reports")
@@ -55,6 +83,9 @@ def main(argv=None) -> int:
                         help="worker threads per run")
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "catalog.json").write_text(
+        json.dumps(catalog(), indent=1, ensure_ascii=False) + "\n",
+        encoding="utf-8")
     for filename, chart, points, seed in matrix():
         report = certify_chart(chart, RunConfig(points=points, seed=seed,
                                                 workers=args.workers))
