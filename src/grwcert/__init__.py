@@ -14,7 +14,7 @@ from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
 from .grw import (FiberMetric, GRWStructure, build_grw, catalog_get,
                   catalog_names, converse_at)
 from .jets import TensorJet
-from .physics import (EosReport, HomotheticReport, eos_check,
+from .physics import (EosReport, HomotheticReport, eos_check, eos_parallel_at,
                       homothetic, homothetic_check, motion_at)
 from .report import CertificationReport, CheckRecord, emit_report
 from .schema import SpecFileError, chart_input_to_dict, load_chart_input

@@ -24,7 +24,7 @@ import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -127,7 +127,7 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                 if chart.velocity is not None
                 and chart.signature == "lorentzian" else None)
 
-    payloads = []
+    columns, masks, first_error = [], [], {}
     # Overflow and NaN in the jets reach the report as NaN residuals, which
     # fail their records and name the point: numpy's warnings add nothing.
     with np.errstate(all="ignore"), (
@@ -138,17 +138,22 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
         for start in range(0, len(points), CHUNK_POINTS):
             chunk = points[start:start + CHUNK_POINTS]
             try:
-                payloads += _chunk_values(chart, analysis,
-                                          JetStack(chart, chunk), config,
-                                          base, selected, fan_out)
+                values, present, refusals = _chunk_values(
+                    chart, analysis, JetStack(chart, chunk), config, base,
+                    selected, fan_out)
+                columns.append(values)
+                masks.append(present)
             except SingularMetricError as err:
                 err.index += start       # name the point by its run index
                 raise
             except EvalDomainError as err:
                 raise _at_point(err, start + err.index,
                                 chunk[err.index].coords) from None
+            for i, name, message in refusals:
+                first_error.setdefault(name, f"point {start + i}: {message}")
 
-    records = _assemble(chart, config, selected, payloads, basepoint=base)
+    records = _assemble(_Run(chart, config, _join(columns), _join(masks)),
+                        selected, first_error, basepoint=base)
     environment = {
         "points": config.points,
         "seed": config.seed,
@@ -166,6 +171,13 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     return report.settle_verdict()
 
 
+def _join(chunks: list[dict]) -> dict:
+    """Each key's arrays over the chunks joined in point order: every chunk
+    of a run carries the same keys."""
+    return {key: np.concatenate([chunk[key] for chunk in chunks])
+            for key in chunks[0]}
+
+
 def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
     """A domain error named by the run index and coordinates of its point."""
     coords = tuple(float(c) for c in coords)
@@ -177,12 +189,12 @@ def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
 # Per-chunk and per-point computation (pure).
 # ---------------------------------------------------------------------------
 
-def _chunk_values(chart, analysis, stack, config, base, selected,
-                  fan_out) -> list[dict]:
-    """The payloads of a chunk's points: every per-point quantity of the
-    report, each formed once for the chunk as an array over its points (a
-    max over every axis but the point axis), except sigma, which
-    ``_point_payload`` integrates per point, fanned out over the workers."""
+def _chunk_values(chart, analysis, stack, config, base, selected, fan_out):
+    """A chunk's columns (key -> array over its points, a max over every
+    other axis), masks of the points that carry each key that not every
+    point does, and refusals as (point, record, message). The keys depend
+    on the run only. Each column is formed once for the chunk except
+    sigma, which ``_point_payload`` integrates per point, fanned out."""
     cp, fp, count = stack.to_point(), None, len(stack.points)
     eigs = np.linalg.eigvalsh(cp.g)
     expected = 1 if chart.signature == "lorentzian" else 0
@@ -198,7 +210,7 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
     }
     # The points that carry a key, for the keys that not every point does.
     present: dict[str, np.ndarray] = {}
-    errors = [{} for _ in range(count)]
+    refusals = []
     lorentzian = chart.signature == "lorentzian"
     if lorentzian and "conclusions" in selected:
         values["weyl-zero-n4"] = scale_free_at(cp.weyl, cp.riem)
@@ -220,6 +232,7 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
         values.update(classify.ladder_residuals_at(fp))
         values["geodesic"] = classify.geodesic_at(fp)
         values["motion-energy"], values["motion-euler"] = physics.motion_at(fp)
+        values["eos-parallel"] = physics.eos_parallel_at(fp)
         values["p"], values["mu"] = fp.p_jet.value, fp.mu_jet.value
         values["dp"], values["dmu"] = fp.p_jet.grad, fp.mu_jet.grad
         if "conclusions" in selected:
@@ -228,9 +241,9 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
             # The soliton form needs a potential of u.
             refused = fp.u_closed > config.hypothesis_tol * 10
             present["soliton-form"] = ~refused
-            for i in np.flatnonzero(refused):
-                errors[i]["soliton-form"] = classify.not_closed(
-                    "u", fp.u_closed[i])
+            refusals += [(i, "soliton-form",
+                          classify.not_closed("u", fp.u_closed[i]))
+                         for i in np.flatnonzero(refused)]
 
     # Only the records of these groups read the fluid split.
     if lorentzian and selected & {"fluid", "conclusions", "converse"}:
@@ -240,8 +253,8 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
         for key, column in (("fluid_residual", dec.residual),
                             ("fluid_a", dec.a), ("fluid_b", dec.b)):
             values[key], present[key] = column, split
-        for i in np.flatnonzero(~split):
-            errors[i]["fluid-decompose"] = dec.error[i]
+        refusals += [(i, "fluid-decompose", dec.error[i])
+                     for i in np.flatnonzero(~split)]
         if fp is None and "conclusions" in selected:
             # Without a velocity field the electric check reads the split's.
             values["weyl-electric"] = classify.weyl_electric_at(cp,
@@ -261,12 +274,12 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
     potentials = list(fan_out(partial(_point_payload, chart,
                                       (fp, integrand), config, base,
                                       selected), range(count)))
-    for i, refusal in enumerate(potentials):
-        if isinstance(refusal, str):
-            errors[i]["chen-vector"] = refusal
-    has = np.array([isinstance(p, PotentialResult) for p in potentials])
-    if has.any():
-        # NaN where a point has no potential; those rows are dropped.
+    refusals += [(i, "chen-vector", refusal)
+                 for i, refusal in enumerate(potentials)
+                 if isinstance(refusal, str)]
+    if potentials[0] is not None:  # sigma's gate is per run, not per point
+        has = np.array([isinstance(p, PotentialResult) for p in potentials])
+        # NaN where a point has no potential; its mask drops it.
         sigma, defect = (np.array([getattr(p, key, math.nan)
                                    for p in potentials])
                          for key in ("value", "path_defect"))
@@ -276,14 +289,7 @@ def _chunk_values(chart, analysis, stack, config, base, selected,
         present.update(dict.fromkeys(
             ("chen-vector", "ckv-gradient", "grad_rho_norm",
              "potential-path-independence"), has))
-
-    payloads = [{"errors": e} for e in errors]
-    for key, column in values.items():
-        keep = present.get(key)
-        for i, value in enumerate(column.tolist()):
-            if keep is None or keep[i]:
-                payloads[i][key] = value
-    return payloads
+    return values, present, refusals
 
 
 def _point_payload(chart, shared, config, base, selected, i):
@@ -321,23 +327,51 @@ def _converse_payload(chart, points):
 
 @dataclass
 class _Run:
-    """What the aggregators read: the run and its per-point payloads."""
+    """What the aggregators read: the run, its columns over the points and
+    ``present``, the masks of the keys that not every point carries."""
 
     chart: MetricChart
     config: RunConfig
-    payloads: list
-    eos: physics.EosReport | None
+    columns: dict
+    present: dict
+
+    def carried(self, key):
+        """The run indices of the points that carry ``key``, and its
+        values there."""
+        column = self.columns.get(key, np.zeros(0))
+        keep = self.present.get(key)
+        if keep is None:
+            return np.arange(len(column)), column
+        index = np.flatnonzero(keep)
+        return index, column[index]
 
     def max_over(self, key, rec):
         """The largest ``key`` over the points that carry it, or None. A NaN
-        at any point is the maximum, and ``rec`` names its run index:
-        Python's ``max`` keeps a NaN only when it comes first."""
-        values = {i: p[key] for i, p in enumerate(self.payloads) if key in p}
-        nan = next((i for i, v in values.items() if math.isnan(v)), None)
-        if nan is not None:
-            rec.detail["error"] = f"point {nan}: the residual is NaN"
-            return math.nan
-        return max(values.values()) if values else None
+        at any point is the maximum, and ``rec`` names its run index."""
+        index, values = self.carried(key)
+        if not values.size:
+            return None
+        largest = float(values.max())
+        if math.isnan(largest):
+            rec.detail["error"] = (f"point {index[np.isnan(values).argmax()]}"
+                                   f": the residual is NaN")
+        return largest
+
+    @cached_property
+    def eos(self) -> physics.EosReport:
+        """The EOS report: its records need a velocity, so dp is a column."""
+        return physics.eos_check(*(self.columns[key]
+                                   for key in ("dp", "dmu", "p", "mu")))
+
+    @cached_property
+    def homothetic(self) -> physics.HomotheticReport:
+        """The A = B split of the points with a potential, which ckv-branch
+        and homothetic-triple both report."""
+        index, grad_rho = self.carried("grad_rho_norm")
+        a, b, p, mu = (self.columns[key][index]
+                       for key in ("scalar_a", "scalar_b", "p", "mu"))
+        return physics.homothetic_check(a, b, grad_rho, p, mu, self.chart.n,
+                                        tol=self.config.conclusion_tol)
 
 
 # An aggregator fills a check's record from the run and returns the skip
@@ -349,19 +383,18 @@ def _max_of_name(row, run, rec):
 
 
 def _fluid_decompose(row, run, rec):
-    payloads = run.payloads
-    branches = [p.get("fluid_branch", "anomalous") for p in payloads]
+    branches = run.columns["fluid_branch"].tolist()
     rec.detail["branches"] = {b: branches.count(b) for b in sorted(set(branches))}
     for label, key in (("A", "fluid_a"), ("B", "fluid_b")):
-        values = [p[key] for p in payloads if key in p]
-        if values:
-            rec.detail[f"{label}_min"] = min(values)
-            rec.detail[f"{label}_max"] = max(values)
+        values = run.carried(key)[1]
+        if values.size:
+            rec.detail[f"{label}_min"] = float(values.min())
+            rec.detail[f"{label}_max"] = float(values.max())
     rec.max_residual = run.max_over("fluid_residual", rec)
-    if "anomalous" in branches:
+    if ANOMALOUS in branches:
         rec.ok = False
         rec.status = FAIL
-    elif "degenerate" in branches:
+    elif classify.DEGENERATE in branches:
         rec.ok = False
         rec.status = DEGENERATE
         rec.detail["note"] = "Einstein case: B ≈ 0, velocity undefined"
@@ -371,16 +404,11 @@ def _fluid_decompose(row, run, rec):
 
 
 def _ckv_branch(row, run, rec):
-    # The points with a potential, split by homothetic-triple's A = B test.
-    branches = [physics.homothetic(p["scalar_a"], p["scalar_b"],
-                                   run.config.conclusion_tol)
-                for p in run.payloads if "grad_rho_norm" in p]
-    homothetic = sum(branches)
-    proper = len(branches) - homothetic
+    hom = run.homothetic
     rec.status = INFORMATIONAL
-    rec.detail["proper_points"] = proper
-    rec.detail["homothetic_points"] = homothetic
-    if proper and homothetic:
+    rec.detail["proper_points"] = hom.proper_points
+    rec.detail["homothetic_points"] = hom.homothetic_points
+    if hom.proper_points and hom.homothetic_points:
         rec.detail["note"] = "mixed branches across points"
 
 
@@ -394,33 +422,20 @@ def _weyl_zero_n4(row, run, rec):
 
 def _eos_slope(row, run, rec):
     rec.status = INFORMATIONAL
-    if run.eos is not None:
-        rec.detail["w"] = run.eos.w if run.eos.w is not None else "undefined"
-        rec.detail["degenerate_fit"] = run.eos.degenerate_fit
-
-
-def _eos_parallel(row, run, rec):
-    if run.eos is None:
-        return row.no_data
-    rec.max_residual = run.eos.parallel_residual
+    rec.detail["w"] = run.eos.w if run.eos.w is not None else "undefined"
+    rec.detail["degenerate_fit"] = run.eos.degenerate_fit
 
 
 def _energy_condition(row, run, rec):
     rec.status = INFORMATIONAL
-    if run.eos is not None:
-        rec.detail["min_abs_p_plus_mu"] = run.eos.min_p_plus_mu
-        rec.detail["p_plus_mu_positive"] = run.eos.p_plus_mu_positive
+    rec.detail["min_abs_p_plus_mu"] = run.eos.min_p_plus_mu
+    rec.detail["p_plus_mu_positive"] = run.eos.p_plus_mu_positive
 
 
 def _homothetic_triple(row, run, rec):
-    rows = [p for p in run.payloads if "grad_rho_norm" in p]
-    if not rows:
+    if not run.carried("grad_rho_norm")[0].size:
         return row.no_data
-    hom = physics.homothetic_check(
-        [p["scalar_a"] for p in rows], [p["scalar_b"] for p in rows],
-        [p["grad_rho_norm"] for p in rows],
-        [p["p"] for p in rows], [p["mu"] for p in rows],
-        run.chart.n, tol=run.config.conclusion_tol)
+    hom = run.homothetic
     rec.ok = hom.consistent
     rec.max_residual = 0.0 if hom.consistent else 1.0
     rec.detail["homothetic_points"] = hom.homothetic_points
@@ -431,7 +446,7 @@ def _grw_ricci(row, run, rec):
     rec.max_residual = run.max_over(row.name, rec)
     rec.detail["resolution"] = RESOLUTION_NOTE
     if rec.max_residual is None:
-        if any(p.get("fluid_branch") == "anomalous" for p in run.payloads):
+        if ANOMALOUS in run.columns["fluid_branch"].tolist():
             return row.no_data
         return "degenerate fluid: B ≈ 0, only A compared"
 
@@ -544,8 +559,7 @@ CHECKS = (
           "(∇_j + u_j u^k∇_k) p + (p+μ) u^k∇_k u_j = 0", "conc",
           velocity=True, requires=_THEOREM),
     Check("physics", "eos-parallel", "∇p ∧ ∇μ = 0", "conc", velocity=True,
-          no_data="no scalar gradients available", aggregate=_eos_parallel,
-          requires=_THEOREM),
+          no_data="no scalar gradients available", requires=_THEOREM),
     Check("physics", "eos-slope", "p ≈ w μ (least-squares over points)",
           None, velocity=True, aggregate=_eos_slope, requires=_THEOREM),
     Check("physics", "energy-condition", "p + μ ≠ 0", None, velocity=True,
@@ -565,19 +579,13 @@ CHECKS = (
 )
 
 
-def _assemble(chart, config, selected, payloads, *, basepoint):
-    # The EOS report is read by the eos-slope, eos-parallel and
-    # energy-condition records.
-    run = _Run(chart, config, payloads,
-               _eos(payloads) if "physics" in selected else None)
+def _assemble(run, selected, first_error, *, basepoint):
+    """The report's records from the run's columns and each record's first
+    refusal, already named by its point."""
+    chart, config = run.chart, run.config
     tol = {"hyp": config.hypothesis_tol, "conc": config.conclusion_tol}
     lorentzian = chart.signature == "lorentzian"
     records = []
-
-    first_error = {}
-    for idx, payload in enumerate(payloads):
-        for name, message in payload["errors"].items():
-            first_error.setdefault(name, f"point {idx}: {message}")
 
     for row in CHECKS:
         rec = CheckRecord(name=row.name, group=row.group, anchor=row.anchor)
@@ -608,18 +616,6 @@ def _assemble(chart, config, selected, payloads, *, basepoint):
 
     _apply_downgrades(records, chart.n)
     return records
-
-
-def _eos(payloads):
-    """The equation-of-state report over the points that carry scalar
-    gradients, or None when none does."""
-    rows = [p for p in payloads if "dp" in p]
-    if not rows:
-        return None
-    return physics.eos_check([p["dp"] for p in rows],
-                             [p["dmu"] for p in rows],
-                             [p["p"] for p in rows],
-                             [p["mu"] for p in rows])
 
 
 def _apply_downgrades(records, n):

@@ -20,9 +20,10 @@ def _add_run_flags(parser):
     parser.add_argument("--seed", type=int, default=0,
                         help="sampling seed (default 0)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override both hypothesis and conclusion tolerances")
-    parser.add_argument("--hypothesis-tol", type=float, default=1e-7)
-    parser.add_argument("--conclusion-tol", type=float, default=1e-7)
+                        help="set both hypothesis and conclusion tolerances "
+                             "(not with --hypothesis-tol or --conclusion-tol)")
+    parser.add_argument("--hypothesis-tol", type=float, default=None)
+    parser.add_argument("--conclusion-tol", type=float, default=None)
     parser.add_argument("--cluster-tol", type=float, default=1e-6)
     parser.add_argument("--kappa", type=float, default=1.0,
                         help="gravitational coupling (default 1)")
@@ -39,10 +40,17 @@ def _add_run_flags(parser):
 
 
 def _config_from_args(args) -> RunConfig:
-    hyp = args.tol if args.tol is not None else args.hypothesis_tol
-    conc = args.tol if args.tol is not None else args.conclusion_tol
+    tols = {"hypothesis_tol": args.hypothesis_tol,
+            "conclusion_tol": args.conclusion_tol}
+    if args.tol is not None:
+        for key, value in tols.items():
+            if value is not None:
+                flag = "--" + key.replace("_", "-")
+                raise ValueError(f"--tol cannot be combined with {flag}: "
+                                 f"--tol sets both tolerances")
+        tols = dict.fromkeys(tols, args.tol)
     basepoint = None
-    if args.basepoint:
+    if args.basepoint is not None:
         basepoint = []
         for k, text in enumerate(args.basepoint.split(",")):
             try:
@@ -52,10 +60,10 @@ def _config_from_args(args) -> RunConfig:
                                  f"not a number") from None
         basepoint = tuple(basepoint)
     return RunConfig(points=args.points, seed=args.seed,
-                     hypothesis_tol=hyp, conclusion_tol=conc,
                      cluster_tol=args.cluster_tol, kappa=args.kappa,
                      workers=args.workers, checks=args.checks,
-                     basepoint=basepoint)
+                     basepoint=basepoint,
+                     **{key: v for key, v in tols.items() if v is not None})
 
 
 def _finish(report, args) -> int:

@@ -36,9 +36,18 @@ def motion_at(fp: FieldPoint):
     return r1, scale_free_at(lhs2, dp, force)
 
 
+def eos_parallel_at(fp: FieldPoint):
+    """|grad p ^ grad mu| / (1 + |grad p| |grad mu|), each size a max over
+    components, as an array over the points of the batch: the equation of
+    state's p = p(mu) needs the two gradients parallel."""
+    dp, dmu = fp.p_jet.grad, fp.mu_jet.grad
+    wedge = dp[:, :, None] * dmu[:, None, :] - dmu[:, :, None] * dp[:, None, :]
+    size_p, size_mu = (np.max(np.abs(v), axis=-1) for v in (dp, dmu))
+    return np.max(np.abs(wedge), axis=(-2, -1)) / (1.0 + size_p * size_mu)
+
+
 @dataclass
 class EosReport:
-    parallel_residual: float   # size of grad p wedge grad mu
     w: float | None            # least-squares slope of p against mu
     degenerate_fit: bool       # both gradients vanish: slope undefined
     min_p_plus_mu: float
@@ -46,23 +55,12 @@ class EosReport:
 
 
 def eos_check(grad_p, grad_mu, p_values, mu_values) -> EosReport:
-    """Equation-of-state behaviour over the sampled points.
-
-    ``grad_p``/``grad_mu`` are per-point gradient vectors; the parallelism
-    residual is max |dp ^ dmu| / (1 + |dp||dmu|).
-    """
-    worst = 0.0
-    moving = False
-    for dp, dmu in zip(grad_p, grad_mu):
-        dp = np.asarray(dp)
-        dmu = np.asarray(dmu)
-        wedge = np.outer(dp, dmu) - np.outer(dmu, dp)
-        np_, nm = float(np.max(np.abs(dp))), float(np.max(np.abs(dmu)))
-        worst = max(worst, float(np.max(np.abs(wedge))) / (1.0 + np_ * nm))
-        if max(np_, nm) > DEGENERATE_TOL:
-            moving = True
-    p_arr = np.asarray(list(p_values), dtype=float)
-    mu_arr = np.asarray(list(mu_values), dtype=float)
+    """Equation-of-state behaviour over the sampled points, from the
+    gradients (one row per point) and the values of p and mu."""
+    moving = any(np.any(np.abs(np.asarray(grad, dtype=float))
+                        > DEGENERATE_TOL) for grad in (grad_p, grad_mu))
+    p_arr = np.asarray(p_values, dtype=float)
+    mu_arr = np.asarray(mu_values, dtype=float)
     denom = float(mu_arr @ mu_arr)
     if moving and denom > DEGENERATE_TOL:
         w = float(p_arr @ mu_arr) / denom
@@ -70,7 +68,6 @@ def eos_check(grad_p, grad_mu, p_values, mu_values) -> EosReport:
         w = None
     p_plus_mu = p_arr + mu_arr
     return EosReport(
-        parallel_residual=worst,
         w=w,
         degenerate_fit=not moving,
         min_p_plus_mu=float(np.min(np.abs(p_plus_mu))),
@@ -84,28 +81,22 @@ class HomotheticReport:
     proper_points: int
 
 
-def homothetic(a: float, b: float, tol: float) -> bool:
-    """The homothetic branch A = B: |A - B| <= tol (1 + |A| + |B|)."""
+def homothetic(a, b, tol: float):
+    """The homothetic branch A = B: |A - B| <= tol (1 + |A| + |B|), at one
+    point or at each point of arrays."""
     return abs(a - b) <= tol * (1.0 + abs(a) + abs(b))
 
 
 def homothetic_check(a_values, b_values, grad_rho_norms, p_values, mu_values,
                      n: int, *, tol: float = 1e-7) -> HomotheticReport:
     """Same verdict from |A-B|, |grad rho| and p = (3-n)/(n-1) mu at each point."""
+    a, b, grad_rho, p, mu = (np.asarray(v, dtype=float) for v in (
+        a_values, b_values, grad_rho_norms, p_values, mu_values))
     ratio = (3.0 - n) / (n - 1.0)
-    homothetic_points = proper = 0
-    consistent = True
-    for a, b, gr, p, mu in zip(a_values, b_values, grad_rho_norms,
-                               p_values, mu_values):
-        c1 = homothetic(a, b, tol)
-        c2 = gr <= tol * (1.0 + abs(a) + abs(b))
-        c3 = abs(p - ratio * mu) <= tol * (1.0 + abs(p) + abs(mu))
-        if c1 != c2 or c2 != c3:
-            consistent = False
-        if c1:
-            homothetic_points += 1
-        else:
-            proper += 1
-    return HomotheticReport(consistent=consistent,
+    c1 = homothetic(a, b, tol)
+    c2 = grad_rho <= tol * (1.0 + abs(a) + abs(b))
+    c3 = abs(p - ratio * mu) <= tol * (1.0 + abs(p) + abs(mu))
+    homothetic_points = int(np.count_nonzero(c1))
+    return HomotheticReport(consistent=bool(np.all((c1 == c2) & (c2 == c3))),
                             homothetic_points=homothetic_points,
-                            proper_points=proper)
+                            proper_points=c1.size - homothetic_points)

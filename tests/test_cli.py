@@ -319,21 +319,29 @@ class TestReports:
     @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere",
                                       "dense-pullback", "godel", "frw-k+1",
                                       "grw-nonEinstein-fiber", "desitter",
-                                      "dense-no-velocity"])
+                                      "dense-no-velocity", "sigma-slab"])
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch,
                                                       name):
         # A point gets the same bits from any chunk it is in: one point,
         # three, or the default ten (13 points end on a partial chunk).
         # desitter takes the degenerate split, where B is not compared; the
         # dense chart without a velocity reads weyl-electric through the
-        # split's u.
+        # split's u. On sigma-slab, sigma's path from x = 0.5 leaves ln's
+        # domain at the 6 points across the excluded slab |x| < 0.1, so
+        # chunks with sigma at every point, at some and at none are joined.
         from .test_downgrades import GODEL_SPEC
         no_velocity = dataclasses.replace(dense_pullback_input(),
                                           velocity_field=None)
+        slab = dict(FRW_DUST_SPEC, name="sigma-slab",
+                    metric={"1,1": "-1", "2,2": "1 + 0*ln(x^2 - 0.005)",
+                            "3,3": "1", "4,4": "1"}, basepoint=[1, 0.5, 0, 0])
+        slab["domain"] = dict(slab["domain"], exclusions=[
+            {"expr": "x^2", "margin": 0.01}])
         chart = {
             "dense-pullback": lambda: compile_chart(dense_pullback_input()),
             "dense-no-velocity": lambda: compile_chart(no_velocity),
             "godel": lambda: compile_chart(load_chart_input(GODEL_SPEC)),
+            "sigma-slab": lambda: compile_chart(load_chart_input(slab)),
         }.get(name, lambda: catalog_get(name).chart)()
         reports = []
         for size in (1, 3, 10):
@@ -652,6 +660,7 @@ class TestCliCommands:
         ("1,0,0,5", "basepoint[z] = 5.0 outside range [-1.0, 1.0]"),
         ("1,0,0,nan", "basepoint[z] = nan outside range [-1.0, 1.0]"),
         ("1,0,0,abc", "--basepoint: entry 4, 'abc', is not a number"),
+        ("", "--basepoint: entry 1, '', is not a number"),
     ])
     def test_bad_basepoint_exit_two(self, capsys, basepoint, message):
         assert main(["catalog", "run", "frw-dust", "--points", "3",
@@ -711,3 +720,13 @@ class TestCliCommands:
         # an absurdly tight tolerance flips the verdict
         assert main(["certify", str(spec_file), "--points", "4",
                      "--tol", "1e-30", "--quiet"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--hypothesis-tol", "--conclusion-tol"])
+    def test_tol_with_a_per_kind_tol_exit_two(self, spec_file, capsys, flag):
+        # --tol sets both tolerances: an explicit per-kind one beside it
+        # would be dropped, so the pair is refused.
+        assert main(["certify", str(spec_file), "--points", "2", "--quiet",
+                     "--tol", "1e-5", flag, "1e-9"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --tol cannot be combined with {flag}: --tol sets both "
+            f"tolerances\n")

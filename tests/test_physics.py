@@ -1,5 +1,8 @@
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,8 @@ from grwcert.classify import VelocityAnalysis, weyl_electric_at
 from grwcert.expr import eval_jet3_batch, parse
 from grwcert.grw import build_grw, catalog_get
 from grwcert.jets import TensorJet
-from grwcert.physics import eos_check, homothetic_check, motion_at
+from grwcert.physics import (eos_check, eos_parallel_at, homothetic,
+                             homothetic_check, motion_at)
 
 from .conftest import certified
 from .test_classify import chen_rows
@@ -118,13 +122,19 @@ class TestMotion:
         assert r2 > 1e-3
 
 
+def eos_parallel(chart, points):
+    """The largest eos-parallel residual over the points."""
+    return max(eos_parallel_at(VelocityAnalysis(chart).at(points)))
+
+
 class TestEos:
     def test_frw_dust_w_zero(self):
         chart = catalog_get("frw-dust").chart
-        rows = gathered_scalars(chart, sample_points(chart, 20, seed=4))
+        points = sample_points(chart, 20, seed=4)
+        rows = gathered_scalars(chart, points)
         report = eos_check([r["dp"] for r in rows], [r["dmu"] for r in rows],
                            [r["p"] for r in rows], [r["mu"] for r in rows])
-        assert report.parallel_residual < 1e-8
+        assert eos_parallel(chart, points) < 1e-8
         assert report.w == pytest.approx(0.0, abs=1e-6)
         assert report.p_plus_mu_positive
         assert report.min_p_plus_mu > 0
@@ -132,20 +142,50 @@ class TestEos:
 
     def test_frw_rad_w_third(self):
         chart = catalog_get("frw-rad").chart
-        rows = gathered_scalars(chart, sample_points(chart, 20, seed=5))
+        points = sample_points(chart, 20, seed=5)
+        rows = gathered_scalars(chart, points)
         report = eos_check([r["dp"] for r in rows], [r["dmu"] for r in rows],
                            [r["p"] for r in rows], [r["mu"] for r in rows])
         assert report.w == pytest.approx(1.0 / 3.0, abs=1e-6)
-        assert report.parallel_residual < 1e-8
+        assert eos_parallel(chart, points) < 1e-8
 
     def test_einstein_static_degenerate_fit(self):
         chart = catalog_get("einstein-static").chart
-        rows = gathered_scalars(chart, sample_points(chart, 10, seed=6))
+        points = sample_points(chart, 10, seed=6)
+        rows = gathered_scalars(chart, points)
         report = eos_check([r["dp"] for r in rows], [r["dmu"] for r in rows],
                            [r["p"] for r in rows], [r["mu"] for r in rows])
         assert report.degenerate_fit
         assert report.w is None
-        assert report.parallel_residual < 1e-12
+        assert eos_parallel(chart, points) < 1e-12
+
+    def test_parallel_matches_the_per_point_formula(self):
+        # The batched kernel against the per-point outer products it
+        # replaced: the same arithmetic, so the same bits.
+        dp, dmu = np.random.default_rng(0).normal(size=(2, 6, 4))
+        dmu[2] = 3.0 * dp[2]
+        grads = SimpleNamespace(p_jet=SimpleNamespace(grad=dp),
+                                mu_jet=SimpleNamespace(grad=dmu))
+        for r, p, m in zip(eos_parallel_at(grads), dp, dmu):
+            wedge = np.outer(p, m) - np.outer(m, p)
+            assert r == float(np.max(np.abs(wedge))) / (
+                1.0 + float(np.max(np.abs(p))) * float(np.max(np.abs(m))))
+
+    def test_nan_gradient_fails_and_names_its_point(self, monkeypatch):
+        # A NaN gradient of p at run point 1 fails eos-parallel there, as
+        # every max-over-points record fails on a NaN, wherever it falls.
+        at = VelocityAnalysis.at
+
+        def nan_at_point_one(self, points, stack=None):
+            fp = at(self, points, stack=stack)
+            fp.p_jet.grad[1] = math.nan
+            return fp
+
+        monkeypatch.setattr(VelocityAnalysis, "at", nan_at_point_one)
+        rec = certified(catalog_get("frw-dust").chart, 3, 0,
+                        "physics").find("eos-parallel")
+        assert rec.status == "fail" and math.isnan(rec.max_residual)
+        assert rec.detail["error"] == "point 1: the residual is NaN"
 
 
 class TestHomothetic:
@@ -188,6 +228,29 @@ class TestHomothetic:
         for key in ("proper_points", "homothetic_points"):
             assert ckv[key] == triple[key], key
         assert ckv[branch] == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arrays_match_the_per_point_tests(self, seed):
+        # The array form against the three tests applied point by point,
+        # on points split evenly between A = B and A != B; each of the
+        # three conditions agrees with the split at 80 % of the points.
+        rng = np.random.default_rng(seed)
+        a, noise = rng.normal(size=(2, 12))
+        split = rng.random(12) < 0.5
+        agree = np.where(rng.random((3, 12)) < 0.8, split, ~split)
+        b = a + np.where(agree[0], 1e-12, 0.5)
+        grad_rho = np.where(agree[1], 0.0, 0.5 + noise ** 2)
+        mu = rng.normal(size=12)
+        p = np.where(agree[2], -mu / 3.0, mu)
+        report = homothetic_check(a, b, grad_rho, p, mu, n=4)
+        conditions = [(homothetic(float(a_), float(b_), 1e-7),
+                       gr <= 1e-7 * (1.0 + abs(a_) + abs(b_)),
+                       abs(p_ + m / 3.0) <= 1e-7 * (1.0 + abs(p_) + abs(m)))
+                      for a_, b_, gr, p_, m in zip(a, b, grad_rho, p, mu)]
+        assert report.consistent == all(c1 == c2 == c3
+                                        for c1, c2, c3 in conditions)
+        assert report.homothetic_points == sum(c[0] for c in conditions)
+        assert report.proper_points == 12 - report.homothetic_points
 
     def test_symbolic_equal_ab(self):
         # A = B forces p = -mu/3 in n = 4 identically
