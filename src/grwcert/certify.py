@@ -162,7 +162,7 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                        "cluster": config.cluster_tol},
         "kappa": config.kappa,
         "quadrature": {"order": classify.QUAD_ORDER,
-                       "panels": classify.QUAD_PANELS},
+                       "panels": list(classify.QUAD_PANELS)},
         "basepoint": None if base is None else [float(v) for v in base],
         "checks": sorted(selected),
     }
@@ -305,9 +305,8 @@ def _point_payload(chart, shared, config, base, selected, i):
     try:
         classify.require_closed("ω", fp.omega_closed[i],
                                 config.hypothesis_tol * 10)
-        return classify._integrate_form(
-            integrand, chart.n, base, fp.point[i].coords,
-            classify.QUAD_ORDER, classify.QUAD_PANELS)
+        return classify._integrate_form(integrand, chart.n, base,
+                                        fp.point[i].coords)
     except (NotClosedError, QuadratureError) as err:
         return str(err)
     except (EvalDomainError, SingularMetricError) as err:

@@ -38,10 +38,11 @@ LADDER_NAMES = (
     "gamma-aligned",
 )
 
-# Gauss-Legendre nodes per panel and coarse panel count of the potential
-# quadrature; doubling the panels may move it by at most REFINE_TOL relative.
+# Gauss-Legendre nodes per panel of the potential quadrature, and its
+# ladder of coarse panel counts: a rung whose panel doubling moves the
+# segment by more than REFINE_TOL relative gives way to the next.
 QUAD_ORDER = 8
-QUAD_PANELS = 4
+QUAD_PANELS = (1, 2, 4)
 REFINE_TOL = 1e-8
 
 
@@ -320,14 +321,24 @@ def _leggauss(order: int):
     return nodes, weights
 
 
-def _leg(start, end, quad_order, panels):
-    """Rows and weights of composite Gauss-Legendre on the segment
-    start + s (end - start), s in [0, 1], in path order."""
-    nodes, weights = _leggauss(quad_order)
+@lru_cache(maxsize=None)
+def _composite(panels: int):
+    """Nodes s in [0, 1], as a column, and weights of composite
+    Gauss-Legendre of order QUAD_ORDER at ``panels`` panels, in order."""
+    nodes, weights = _leggauss(QUAD_ORDER)
     half = 0.5 / panels
     mid = (np.arange(panels) + 0.5) / panels
-    s = (mid[:, None] + half * nodes).ravel()
-    return start + s[:, None] * (end - start), np.tile(half * weights, panels)
+    s = (mid[:, None] + half * nodes).ravel()[:, None]
+    weights = np.tile(half * weights, panels)
+    s.flags.writeable = weights.flags.writeable = False   # cached
+    return s, weights
+
+
+def _leg(start, end, panels):
+    """Rows and weights of composite Gauss-Legendre on the segment
+    start + s (end - start), s in [0, 1], in path order."""
+    s, weights = _composite(panels)
+    return start + s * (end - start), weights
 
 
 @dataclass
@@ -337,39 +348,42 @@ class PotentialResult:
     refinement_error: float    # panel-doubling change on the segment
 
 
-def _integrate_form(integrand, n, base, target, quad_order,
-                    panels) -> PotentialResult:
+def _integrate_form(integrand, n, base, target) -> PotentialResult:
     """Integrate a closed 1-form along the segment from ``base`` to
-    ``target`` (the range box is convex), at ``panels`` and twice as many
-    panels, and along the path through the corner (target time, base
-    space) without its zero-length legs, for ``path_defect``. All rows go
-    to the integrand in one call; a node's term is its weight times the
-    in-order sum of form_k (end - start)_k, and each path sums its terms
-    in order."""
+    ``target`` (the range box is convex), at p and 2p panels, and along
+    the path through the corner (target time, base space) without its
+    zero-length legs at 2p panels, for ``path_defect``. Each p of
+    QUAD_PANELS is tried in turn until the doubling converges. A rung's
+    rows go to the integrand in one call; a node's term is its weight
+    times the in-order sum of form_k (end - start)_k, and each path sums
+    its terms in order."""
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
     corner = np.concatenate((target[:1], base[1:]))
-    legs = [(base, target, panels), (base, target, 2 * panels)] + [
-        (a, b, 2 * panels) for a, b in ((base, corner), (corner, target))
+    paths = [(base, target)] + [
+        (a, b) for a, b in ((base, corner), (corner, target))
         if np.any(a != b)]
-    rows, weights = zip(*(_leg(a, b, quad_order, p) for a, b, p in legs))
-    values = integrand(np.concatenate(rows))
-    steps = np.repeat([b - a for a, b, _ in legs],
-                      [len(w) for w in weights], axis=0)
-    dots = values[:, 0] * steps[:, 0]
-    for k in range(1, n):
-        dots = dots + values[:, k] * steps[:, k]
-    terms = (np.concatenate(weights) * dots).tolist()
-    m = quad_order * panels
-    coarse, fine, other = (reduce(add, terms[i:j], 0.0) for i, j in
-                           ((0, m), (m, 3 * m), (3 * m, len(terms))))
-    drift = abs(fine - coarse)
-    if drift > REFINE_TOL * (1.0 + abs(fine)):
-        raise QuadratureError(
-            f"segment quadrature did not converge (panel doubling moved "
-            f"the value by {drift:.3e})")
-    return PotentialResult(value=fine, path_defect=abs(fine - other),
-                           refinement_error=drift)
+    for p in QUAD_PANELS:
+        legs = [(base, target, p)] + [(a, b, 2 * p) for a, b in paths]
+        rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
+        values = integrand(np.concatenate(rows))
+        steps = np.repeat([b - a for a, b, _ in legs],
+                          [len(w) for w in weights], axis=0)
+        dots = values[:, 0] * steps[:, 0]
+        for k in range(1, n):
+            dots = dots + values[:, k] * steps[:, k]
+        terms = (np.concatenate(weights) * dots).tolist()
+        m = QUAD_ORDER * p
+        coarse, fine, other = (reduce(add, terms[i:j], 0.0) for i, j in
+                               ((0, m), (m, 3 * m), (3 * m, len(terms))))
+        drift = abs(fine - coarse)
+        # Not "<=": a NaN drift ends the ladder with its NaN value.
+        if not drift > REFINE_TOL * (1.0 + abs(fine)):
+            return PotentialResult(value=fine, path_defect=abs(fine - other),
+                                   refinement_error=drift)
+    raise QuadratureError(
+        f"segment quadrature did not converge (panel doubling moved "
+        f"the value by {drift:.3e})")
 
 
 def _omega_integrand(chart: MetricChart, field: VectorField):

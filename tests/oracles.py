@@ -319,10 +319,11 @@ def segment_per_node(integrand, legs, quad_order, panels):
     return float(total)
 
 
-def integrate_per_node(integrand, n, base, target, quad_order=8, panels=4):
-    """(value, path_defect, refinement_error) of the engine's rule: the
-    segment at ``panels`` and twice as many panels, then the path through
-    the corner (target time, base space) without its zero-length legs."""
+def integrate_per_node(integrand, n, base, target, quad_order=8, panels=1):
+    """(value, path_defect, refinement_error) of one rung of the engine's
+    ladder (by default its first): the segment at ``panels`` and twice as
+    many panels, then the path through the corner (target time, base
+    space) without its zero-length legs, at twice as many panels."""
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
     corner = np.concatenate((target[:1], base[1:]))
@@ -333,6 +334,19 @@ def integrate_per_node(integrand, n, base, target, quad_order=8, panels=4):
         integrand, [(a, b) for a, b in ((base, corner), (corner, target))
                     if np.any(a != b)], quad_order, 2 * panels)
     return fine, abs(fine - other), abs(fine - coarse)
+
+
+def segment_reference(integrand, base, target, quad_order=20, panels=32):
+    """The line integral of a batched integrand along the segment from
+    ``base`` to ``target`` by composite Gauss-Legendre on numpy's nodes,
+    far finer than the engine's rule: an accuracy reference for it."""
+    base = np.asarray(base, dtype=float)
+    step = np.asarray(target, dtype=float) - base
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    half = 0.5 / panels
+    s = ((np.arange(panels) + 0.5)[:, None] / panels + half * nodes).ravel()
+    values = integrand(base + s[:, None] * step)
+    return float(np.tile(half * weights, panels) @ (values @ step))
 
 
 def omega_per_node(chart, field, coords):

@@ -10,7 +10,8 @@ from grwcert.certify import RunConfig, run_certify
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
-                              QUAD_PANELS, NotClosedError, VelocityAnalysis,
+                              QUAD_PANELS, REFINE_TOL, NotClosedError,
+                              QuadratureError, VelocityAnalysis,
                               fluid_decompose, geodesic_at,
                               ladder_residuals_at, not_closed,
                               require_closed, torse_at, weyl_electric_at,
@@ -19,13 +20,14 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
 from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
 from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
-from grwcert.grw import catalog_get
+from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import homothetic
 from grwcert.report import DEGENERATE
 
 from .conftest import certified
 from .oracles import (_field_integrand, eval_value, friedmann_scalars,
-                      integrate_per_node, omega_per_node, staircase_per_node)
+                      integrate_per_node, omega_per_node, segment_reference,
+                      staircase_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -61,7 +63,7 @@ def curl(chart, field, points):
 def potential(chart, field, base, target):
     """The line integral of a closed field from ``base`` to ``target``."""
     return _integrate_form(_field_integrand(chart, field), chart.n, base,
-                           target.array(), QUAD_ORDER, QUAD_PANELS)
+                           target.array())
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +472,7 @@ class TestBatchedQuadrature:
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
             for batched, per_node in integrands:
-                got = _integrate_form(batched, chart.n, base, p.array(), 8, 4)
+                got = _integrate_form(batched, chart.n, base, p.array())
                 assert (got.value, got.path_defect, got.refinement_error) \
                     == integrate_per_node(per_node, chart.n, base, p.array())
 
@@ -494,12 +496,12 @@ class TestBatchedQuadrature:
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
             for batched, _ in integrands:
-                sigma = _integrate_form(batched, chart.n, base, p.array(),
-                                        QUAD_ORDER, QUAD_PANELS).value
+                sigma = _integrate_form(batched, chart.n, base,
+                                        p.array()).value
                 stair = staircase_per_node(
                     lambda x: batched(x[None])[0], base, p.array(),
                     tuple(reversed(range(chart.n))), QUAD_ORDER,
-                    2 * QUAD_PANELS)
+                    2 * QUAD_PANELS[-1])
                 assert abs(sigma - stair) <= 1e-12 * (1.0 + abs(sigma))
 
     def test_gauss_nodes_match_numpy(self):
@@ -509,7 +511,8 @@ class TestBatchedQuadrature:
         assert np.max(np.abs(weights - want_weights)) <= 1e-15
 
     def test_one_integrand_call_per_potential(self, frw_dust):
-        # Coarse and fine segment, then both legs of the corner path.
+        # Coarse and fine segment, then both legs of the corner path, on
+        # the ladder's first rung, where frw-dust converges.
         calls = []
         integrand = _field_integrand(frw_dust, frw_dust.velocity)
 
@@ -518,9 +521,8 @@ class TestBatchedQuadrature:
             return integrand(x)
 
         target = sample_points(frw_dust, 1, seed=0)[0].array()
-        _integrate_form(counted, 4, frw_dust.basepoint, target, QUAD_ORDER,
-                        QUAD_PANELS)
-        assert calls == [(7 * QUAD_ORDER * QUAD_PANELS, 4)]
+        _integrate_form(counted, 4, frw_dust.basepoint, target)
+        assert calls == [(7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
 
     def test_bad_path_keeps_per_node_error(self):
         # Sampled points avoid t <= 0.5, but the segment from the
@@ -542,7 +544,7 @@ class TestBatchedQuadrature:
                                chart.n, chart.basepoint, target)
         with pytest.raises(EvalDomainError) as batched:
             _integrate_form(_omega_integrand(chart, field), chart.n,
-                            chart.basepoint, target, 8, 4)
+                            chart.basepoint, target)
         assert str(batched.value) == str(per_node.value)
         assert str(batched.value).startswith("sqrt at offset 8: argument ")
         report = run_certify(chart, RunConfig(points=1, seed=0))
@@ -566,9 +568,10 @@ class TestBatchedQuadrature:
         target = sample_points(chart, 1, seed=0)[0].array()
         with pytest.raises(SingularMetricError) as singular:
             _integrate_form(_omega_integrand(chart, chart.velocity), chart.n,
-                            chart.basepoint, target, QUAD_ORDER, QUAD_PANELS)
-        # The leg's first row follows the coarse and fine segments.
-        row = 3 * QUAD_ORDER * QUAD_PANELS
+                            chart.basepoint, target)
+        # The leg's first row follows the first rung's coarse and fine
+        # segments.
+        row = 3 * QUAD_ORDER * QUAD_PANELS[0]
         assert singular.value.index == row
         t, *space = singular.value.coords
         assert 1.0 < t < target[0] and space == [0.0, 0.0, 0.0]
@@ -582,14 +585,108 @@ class TestBatchedQuadrature:
             f"point 0: path from basepoint: {singular.value}")
 
 
+def step_chart(steepness):
+    """An FRW chart whose Hubble rate H = tanh(steepness (t - 1.3)) steps
+    between the basepoint at t = 1 and the top of the range at t = 2:
+    a^2 = cosh(steepness (t - 1.3))^(2 / steepness), u = -dt and
+    omega = -H dt, which the quadrature resolves worse as the step
+    steepens."""
+    a2 = f"cosh({steepness}*(t - 1.3))^({2 / steepness!r})"
+    return compile_chart(ChartInput(
+        name=f"step-{steepness}", dimension=4, signature="lorentzian",
+        coordinates=["t", "x", "y", "z"],
+        metric={"1,1": "-1", "2,2": a2, "3,3": a2, "4,4": a2},
+        ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
+        velocity_field=["-1", "0", "0", "0"],
+        basepoint=(1.0, 0.0, 0.0, 0.0)))
+
+
+class TestQuadratureLadder:
+    """sigma starts on the ladder's first rung and climbs only where a
+    panel doubling moves it by more than REFINE_TOL."""
+
+    TARGET = np.array([2.0, 0.3, -0.2, 0.1])
+
+    @staticmethod
+    def counted(chart, target):
+        """The row counts of each integrand call of sigma's quadrature to
+        ``target``, and its result or its QuadratureError."""
+        calls, integrand = [], _omega_integrand(chart, chart.velocity)
+
+        def counted(x):
+            calls.append(x.shape)
+            return integrand(x)
+
+        try:
+            result = _integrate_form(counted, chart.n, chart.basepoint,
+                                     target)
+        except QuadratureError as err:
+            result = err
+        return calls, result
+
+    @staticmethod
+    def per_node(chart, target, panels):
+        return integrate_per_node(
+            lambda x: omega_per_node(chart, chart.velocity, x), chart.n,
+            chart.basepoint, target, panels=panels)
+
+    def test_second_rung_converges(self):
+        chart = step_chart(4)
+        calls, got = self.counted(chart, self.TARGET)
+        assert calls == [(7 * QUAD_ORDER * p, 4) for p in QUAD_PANELS[:2]]
+        # The first rung's doubling moved the value past REFINE_TOL.
+        *_, first = self.per_node(chart, self.TARGET, QUAD_PANELS[0])
+        assert first > REFINE_TOL
+        assert (got.value, got.path_defect, got.refinement_error) == \
+            self.per_node(chart, self.TARGET, QUAD_PANELS[1])
+
+    def test_no_rung_converges(self):
+        chart = step_chart(20)
+        calls, got = self.counted(chart, self.TARGET)
+        assert calls == [(7 * QUAD_ORDER * p, 4) for p in QUAD_PANELS]
+        assert calls[-1] == (224, 4)
+        *_, drift = self.per_node(chart, self.TARGET, QUAD_PANELS[-1])
+        assert isinstance(got, QuadratureError)
+        assert str(got) == ("segment quadrature did not converge (panel "
+                            f"doubling moved the value by {drift:.3e})")
+        # The report refuses sigma at the first point whose path crosses
+        # the step, with the same text.
+        results = [self.counted(chart, p.array())[1]
+                   for p in sample_points(chart, 6, seed=0)]
+        first = next(i for i, result in enumerate(results)
+                     if isinstance(result, QuadratureError))
+        report = run_certify(chart, RunConfig(points=6, seed=0))
+        assert report.find("chen-vector").detail["error"] == \
+            f"point {first}: {results[first]}"
+
+    SIGMA_CHARTS = [name for name in catalog_names()
+                    if catalog_get(name).chart.velocity is not None
+                    and catalog_get(name).chart.basepoint is not None]
+
+    @pytest.mark.parametrize("chart, count", [
+        *((name, 10) for name in SIGMA_CHARTS),
+        *((f"dense-pullback-{seed}", 20) for seed in (5, 7, 2))])
+    def test_sigma_matches_a_finer_rule(self, chart, count):
+        # An independent accuracy oracle: numpy's 20-node rule at 32
+        # panels, against the engine's ladder.
+        chart = (dense_pullback_chart(int(chart.rsplit("-", 1)[1]))
+                 if chart.startswith("dense-pullback")
+                 else catalog_get(chart).chart)
+        integrand = _omega_integrand(chart, chart.velocity)
+        for p in sample_points(chart, count, seed=0):
+            sigma = _integrate_form(integrand, chart.n, chart.basepoint,
+                                    p.array()).value
+            want = segment_reference(integrand, chart.basepoint, p.array())
+            assert abs(sigma - want) <= 1e-14 * (1.0 + abs(sigma))
+
+
 def chen_rows(chart, points):
     """The Chen vector's laws at the points, with sigma integrated from the
     chart's basepoint as the report does: the columns of ``_chen_point``,
     the path defects, and rho = e^{-sigma} f and X = e^{-sigma} u."""
     fp = field_points(chart, points)
     pots = [_integrate_form(_omega_integrand(chart, fp.field), chart.n,
-                            chart.basepoint, p.array(), QUAD_ORDER,
-                            QUAD_PANELS) for p in points]
+                            chart.basepoint, p.array()) for p in points]
     sigma = np.array([pot.value for pot in pots])
     chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
     scaling = np.exp(-sigma)

@@ -1,8 +1,10 @@
 """Write the JSON report of every catalog entry and of six dense
 pull-back reports, and the compiled catalog itself, into one directory, so
-that two trees or two worker counts can be compared with ``diff -r``.
+that two trees or two worker counts can be compared with ``diff -r``; or
+compare two such directories record by record.
 
     python tools/report_matrix.py OUT --workers W
+    python tools/report_matrix.py --compare DIR_A DIR_B
 
 The matrix is each catalog entry at (points, seed) = (1, 0), (2, 31),
 (13, 5) and (25, 7), and ``perfbench/workloads.dense_spec`` at seeds 1,
@@ -14,13 +16,22 @@ entry's expectation record and the ``repr`` of its compiled signature,
 coordinates, metric trees, ranges, parameters, exclusions, basepoint,
 velocity, warp and fiber metric, so the diff covers the catalog table
 as well as the reports.
+
+``--compare`` reads the JSON files of two directories. It prints each
+change that is not a float move (a verdict, status, ``ok``, string, int,
+list length, missing key or file, or a NaN), grouped over the files it
+occurs in, and for each record the largest float move
+|a - b| / (1 + max(|a|, |b|)), the measure of the report contract's
+1e-12 bar. It exits 1 when anything other than a float moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,12 +87,91 @@ def catalog():
     return out
 
 
+_MISSING = "<missing>"
+
+
+def _differences(a, b, record, path):
+    """(record, path, a, b) at each leaf where two JSON trees differ. A
+    list of named dicts (a report's checks) is matched by name, and each
+    name is the record of what lies under it."""
+    if isinstance(a, list) and isinstance(b, list) and all(
+            isinstance(x, dict) and "name" in x for x in a + b):
+        a, b = ({x["name"]: x for x in side} for side in (a, b))
+        for name in sorted(a.keys() | b.keys(), key=str):
+            yield from _differences(a.get(name, _MISSING),
+                                    b.get(name, _MISSING), name,
+                                    f"{path}[{name}]")
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _differences(a.get(key, _MISSING),
+                                    b.get(key, _MISSING), record or key,
+                                    f"{path}.{key}" if path else key)
+    elif (isinstance(a, list) and isinstance(b, list)
+          and len(a) == len(b)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _differences(x, y, record, f"{path}[{i}]")
+    elif type(a) is not type(b) or (a != b and not (
+            isinstance(a, float) and math.isnan(a) and math.isnan(b))):
+        yield record, path, a, b
+
+
+def _float_move(a, b):
+    """The relative move of two finite floats, or None for any other
+    pair."""
+    if (type(a) is float and type(b) is float and math.isfinite(a)
+            and math.isfinite(b)):
+        return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+    return None
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print what moved from ``dir_a``'s JSON files to ``dir_b``'s; 1 when
+    anything but a float moved."""
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.json")})
+    changes = defaultdict(list)     # (path, a, b) -> files
+    moves = {}                      # record -> (move, file, path)
+    for name in names:
+        a, b = (json.loads((d / name).read_text(encoding="utf-8"))
+                if (d / name).exists() else _MISSING
+                for d in (dir_a, dir_b))
+        if a is _MISSING or b is _MISSING:
+            changes["<file>", *("missing" if side is _MISSING else "present"
+                                for side in (a, b))].append(name)
+            continue
+        for record, path, x, y in _differences(a, b, None, ""):
+            move = _float_move(x, y)
+            if move is None:
+                changes[path, repr(x), repr(y)].append(name)
+            elif move > moves.get(record, (-1.0,))[0]:
+                moves[record] = (move, name, path)
+    for (path, x, y), files in sorted(changes.items()):
+        print(f"changed {path}: {x} -> {y} in {len(files)} file(s), "
+              f"first {files[0]}")
+    if moves:
+        print("largest float move per record, |a - b| / (1 + max(|a|, |b|)):")
+    for record, (move, name, path) in sorted(moves.items()):
+        print(f"  {record}: {move:.3e} at {path} in {name}")
+    print(f"{len(names)} files: {len(changes)} non-float change(s), "
+          f"float moves in {len(moves)} record(s)")
+    return 1 if changes else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", type=Path, help="directory for the reports")
-    parser.add_argument("--workers", type=int, required=True,
+    parser.add_argument("out", type=Path, nargs="?",
+                        help="directory for the reports")
+    parser.add_argument("--workers", type=int,
                         help="worker threads per run")
+    parser.add_argument("--compare", type=Path, nargs=2,
+                        metavar=("DIR_A", "DIR_B"),
+                        help="compare two report directories instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.out or args.workers is not None:
+            parser.error("--compare takes no OUT or --workers")
+        return compare(*args.compare)
+    if args.out is None or args.workers is None:
+        parser.error("OUT and --workers are required")
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "catalog.json").write_text(
         json.dumps(catalog(), indent=1, ensure_ascii=False) + "\n",
