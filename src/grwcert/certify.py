@@ -20,6 +20,7 @@ size.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -55,32 +56,33 @@ class RunConfig:
     hypothesis_tol: float = 1e-7
     conclusion_tol: float = 1e-7
     cluster_tol: float = 1e-6
-    kappa: float = 1.0
     workers: int = 1
     checks: tuple[str, ...] | None = None   # subset of GROUPS; None = all
     basepoint: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("points must be >= 1")
-        for label, value in (("hypothesis_tol", self.hypothesis_tol),
-                             ("conclusion_tol", self.conclusion_tol),
-                             ("cluster_tol", self.cluster_tol),
-                             ("kappa", self.kappa)):
-            if not value > 0:
-                raise ValueError(f"{label} must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        # An int: an np.int64 seed samples the points the int does, and
-        # the report's environment stays JSON.
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, "
-                             f"not {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        # Stored as int and float: an np.int64 seed samples the points the
+        # int does, and the report's environment stays JSON. A bool is
+        # neither a count nor a tolerance.
+        for label, least in (("points", 1), ("seed", 0), ("workers", 1)):
+            value = getattr(self, label)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if isinstance(value, bool) or number is None or number < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{label} must be a {kind} integer, "
+                                 f"not {value!r}")
+            object.__setattr__(self, label, number)
+        for label in ("hypothesis_tol", "conclusion_tol", "cluster_tol"):
+            value = getattr(self, label)
+            tol = (float(value) if isinstance(value, numbers.Real)
+                   and not isinstance(value, bool) else math.nan)
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"{label} must be a positive finite "
+                                 f"number, not {value!r}")
+            object.__setattr__(self, label, tol)
 
     def selected(self) -> set[str]:
         if self.checks is None:
@@ -123,7 +125,7 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     selected = config.selected()
     points = sample_points(chart, config.points, config.seed)
     base = _basepoint(chart, config)
-    analysis = (VelocityAnalysis(chart, chart.velocity, kappa=config.kappa)
+    analysis = (VelocityAnalysis(chart, chart.velocity)
                 if chart.velocity is not None
                 and chart.signature == "lorentzian" else None)
 
@@ -160,7 +162,6 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
         "tolerances": {"hypothesis": config.hypothesis_tol,
                        "conclusion": config.conclusion_tol,
                        "cluster": config.cluster_tol},
-        "kappa": config.kappa,
         "quadrature": {"order": classify.QUAD_ORDER,
                        "panels": list(classify.QUAD_PANELS)},
         "basepoint": None if base is None else [float(v) for v in base],

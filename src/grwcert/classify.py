@@ -244,11 +244,9 @@ def _curl_residual(grad: np.ndarray):
 class VelocityAnalysis:
     """Ties a covariant velocity field to the curvature stack."""
 
-    def __init__(self, chart: MetricChart, field: VectorField | None = None,
-                 *, kappa: float = 1.0):
+    def __init__(self, chart: MetricChart, field: VectorField | None = None):
         self.chart = chart
         self.field = field if field is not None else chart.velocity
-        self.kappa = float(kappa)
 
     def at(self, points, stack: JetStack | None = None) -> FieldPoint:
         """The FieldPoint at a sequence of points, with their batched
@@ -267,8 +265,8 @@ class VelocityAnalysis:
         a_jet = (stack.rs + ruu) * (1.0 / (n - 1))
         b_jet = ruu + a_jet
         gamma_jet = a_jet * float(n - 2) + b_jet
-        mu_jet = gamma_jet * (1.0 / (2.0 * self.kappa))
-        p_jet = b_jet * (1.0 / self.kappa) - mu_jet
+        mu_jet = gamma_jet * 0.5
+        p_jet = b_jet - mu_jet
         return FieldPoint(stack=stack, point=points, field=self.field, u=u,
                           u_up=u_up, nabla=nabla, omega=omega, f_jet=f,
                           a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,

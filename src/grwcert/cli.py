@@ -25,8 +25,6 @@ def _add_run_flags(parser):
     parser.add_argument("--hypothesis-tol", type=float, default=None)
     parser.add_argument("--conclusion-tol", type=float, default=None)
     parser.add_argument("--cluster-tol", type=float, default=1e-6)
-    parser.add_argument("--kappa", type=float, default=1.0,
-                        help="gravitational coupling (default 1)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads for sigma's quadrature, the "
                              "one step that runs per point")
@@ -60,9 +58,8 @@ def _config_from_args(args) -> RunConfig:
                                  f"not a number") from None
         basepoint = tuple(basepoint)
     return RunConfig(points=args.points, seed=args.seed,
-                     cluster_tol=args.cluster_tol, kappa=args.kappa,
-                     workers=args.workers, checks=args.checks,
-                     basepoint=basepoint,
+                     cluster_tol=args.cluster_tol, workers=args.workers,
+                     checks=args.checks, basepoint=basepoint,
                      **{key: v for key, v in tols.items() if v is not None})
 
 

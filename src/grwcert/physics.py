@@ -1,8 +1,8 @@
 """The equations of motion, the equation of state and the homothetic
 triple, read off the fluid variables p and mu of a ``classify.FieldPoint``.
 
-Geometric units, c = 1. ``VelocityAnalysis`` forms p and mu from A and B
-with the coupling kappa, which only rescales them.
+Geometric units, c = 1, with p and mu in units where Einstein's coupling
+is 1: ``VelocityAnalysis`` forms mu = ((n-2) A + B)/2 and p = B - mu.
 """
 
 from __future__ import annotations

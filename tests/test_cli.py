@@ -218,17 +218,18 @@ class TestRunCertify:
             run_certify(spec_file, RunConfig(checks=()))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(points=0)
-        with pytest.raises(ValueError):
-            RunConfig(hypothesis_tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(workers=0)
-        for kappa in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="kappa must be positive"):
-                RunConfig(kappa=kappa)
+        for label in ("points", "workers"):
+            for value in (0, -1, 1.5, "3", None, True):
+                with pytest.raises(ValueError, match=f"^{label} must be a "
+                                   f"positive integer, not "):
+                    RunConfig(**{label: value})
+        for label in ("hypothesis_tol", "conclusion_tol", "cluster_tol"):
+            for value in (0.0, -1.0, math.nan, math.inf, "1e-7", None, True):
+                with pytest.raises(ValueError, match=f"^{label} must be a "
+                                   f"positive finite number, not "):
+                    RunConfig(**{label: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="^seed must be a non-negative "
                                              "integer, not "):
@@ -241,6 +242,20 @@ class TestRunCertify:
         assert type(config.seed) is int
         want = run_certify(chart, RunConfig(points=3, seed=seed,
                                             checks=("sanity",)))
+        assert render_json(run_certify(chart, config)) == render_json(want)
+
+    def test_numpy_settings_give_the_python_report(self):
+        # Stored as int and float, numpy settings give the report of the
+        # Python numbers byte for byte, and one that serializes at all.
+        chart = catalog_get("frw-dust").chart
+        config = RunConfig(points=np.int64(3), workers=np.int64(2),
+                           hypothesis_tol=np.float64(1e-7),
+                           conclusion_tol=np.float64(1e-7),
+                           cluster_tol=np.float64(1e-6))
+        assert [type(config.points), type(config.workers)] == [int, int]
+        assert [type(config.hypothesis_tol), type(config.conclusion_tol),
+                type(config.cluster_tol)] == [float] * 3
+        want = run_certify(chart, RunConfig(points=3, workers=2))
         assert render_json(run_certify(chart, config)) == render_json(want)
 
     @pytest.mark.parametrize("basepoint, message", [
@@ -650,10 +665,15 @@ class TestCliCommands:
         assert "unrecognized arguments: --checks physics" in (
             capsys.readouterr().err)
 
-    def test_kappa_zero_exit_two(self, capsys):
-        assert main(["catalog", "run", "frw-dust", "--points", "3",
-                     "--kappa", "0"]) == 2
-        assert capsys.readouterr().err == "error: kappa must be positive\n"
+    def test_kappa_is_not_an_option(self, capsys):
+        # p and mu are in units with kappa = 1: a coupling would only
+        # rescale them, and moves no verdict.
+        with pytest.raises(SystemExit) as exit_:
+            main(["catalog", "run", "frw-dust", "--points", "3",
+                  "--kappa", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --kappa 1" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("basepoint, message", [
         ("1,0", "basepoint must have 4 entries"),
@@ -720,6 +740,18 @@ class TestCliCommands:
         # an absurdly tight tolerance flips the verdict
         assert main(["certify", str(spec_file), "--points", "4",
                      "--tol", "1e-30", "--quiet"]) == 1
+
+    @pytest.mark.parametrize("flag, label", [
+        ("--tol", "hypothesis_tol"), ("--hypothesis-tol", "hypothesis_tol"),
+        ("--conclusion-tol", "conclusion_tol"),
+        ("--cluster-tol", "cluster_tol")])
+    def test_infinite_tolerance_exit_two(self, capsys, flag, label):
+        # An infinite bar passes every residual: on grw-nonEinstein-fiber
+        # it would turn fiber-einstein, div-weyl and fluid-form into passes.
+        assert main(["catalog", "run", "grw-nonEinstein-fiber", "--points",
+                     "2", "--quiet", flag, "inf"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {label} must be a positive finite number, not inf\n")
 
     @pytest.mark.parametrize("flag", ["--hypothesis-tol", "--conclusion-tol"])
     def test_tol_with_a_per_kind_tol_exit_two(self, spec_file, capsys, flag):

@@ -19,19 +19,18 @@ from .conftest import certified
 from .test_classify import chen_rows
 
 
-def gathered_scalars(chart, points, kappa=1.0):
-    fp = VelocityAnalysis(chart, chart.velocity, kappa=kappa).at(points)
+def gathered_scalars(chart, points):
+    fp = VelocityAnalysis(chart, chart.velocity).at(points)
     keys = ("a", "b", "p", "mu", "dp", "dmu")
     return [dict(zip(keys, row)) for row in zip(
         fp.a_jet.value, fp.b_jet.value, fp.p_jet.value, fp.mu_jet.value,
         fp.p_jet.grad, fp.mu_jet.grad)]
 
 
-def fluid_at(chart, kappa=1.0):
+def fluid_at(chart):
     """A, B, p and mu of the chart's velocity at its first sample point
-    (seed 0), at coupling kappa."""
-    fp = VelocityAnalysis(chart, kappa=kappa).at(sample_points(chart, 1,
-                                                               seed=0))
+    (seed 0)."""
+    fp = VelocityAnalysis(chart).at(sample_points(chart, 1, seed=0))
     return tuple(float(jet.value[0])
                  for jet in (fp.a_jet, fp.b_jet, fp.p_jet, fp.mu_jet))
 
@@ -45,8 +44,8 @@ def static_chart(n):
 
 
 class TestFluidMapping:
-    """``VelocityAnalysis`` maps A = kappa (p - mu)/(2 - n) and
-    B = kappa (p + mu) to mu = ((n-2) A + B)/(2 kappa), p = B/kappa - mu."""
+    """``VelocityAnalysis`` maps A = (p - mu)/(2 - n) and B = p + mu to
+    mu = ((n-2) A + B)/2, p = B - mu: p and mu in units with kappa = 1."""
 
     def test_worked_example(self):
         # The static Einstein universe: A = B = 2 gives mu = 3, p = -1.
@@ -59,11 +58,9 @@ class TestFluidMapping:
     def test_equal_ab_gives_fixed_ratio(self):
         for n in (4, 5):
             chart = static_chart(n)
-            for kappa in (0.5, 1.0, 2.5):
-                a, b, p, mu = fluid_at(chart, kappa)
-                assert a == pytest.approx(b, rel=1e-14)
-                assert p == pytest.approx((3.0 - n) / (n - 1.0) * mu,
-                                          rel=1e-12)
+            a, b, p, mu = fluid_at(chart)
+            assert a == pytest.approx(b, rel=1e-14)
+            assert p == pytest.approx((3.0 - n) / (n - 1.0) * mu, rel=1e-12)
 
     def test_desitter_fluid(self):
         a, b, p, mu = fluid_at(catalog_get("desitter").chart)
@@ -71,26 +68,25 @@ class TestFluidMapping:
         assert mu == pytest.approx(3.0)
         assert p == pytest.approx(-3.0)
 
-    def test_gamma_is_two_kappa_mu(self):
-        chart = catalog_get("frw-dust").chart
-        for kappa in (1.0, 2.5):
-            a, b, _, mu = fluid_at(chart, kappa)
-            assert (4 - 2) * a + b == pytest.approx(2 * kappa * mu, rel=1e-12)
+    def test_gamma_is_two_mu(self):
+        a, b, _, mu = fluid_at(catalog_get("frw-dust").chart)
+        assert (4 - 2) * a + b == pytest.approx(2 * mu, rel=1e-12)
 
     def test_invalid_inputs(self):
-        for kappa in (0.0, -1.0):
-            with pytest.raises(ValueError, match="kappa must be positive"):
-                RunConfig(kappa=kappa)
+        # Neither the run nor the analysis takes a coupling.
+        with pytest.raises(TypeError):
+            RunConfig(kappa=1.0)
+        with pytest.raises(TypeError):
+            VelocityAnalysis(catalog_get("frw-dust").chart, kappa=1.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(kappa=st.floats(0.1, 10),
-       name=st.sampled_from(["frw-dust", "frw-rad", "grw5-sphere"]))
-def test_round_trip_property(kappa, name):
+@given(name=st.sampled_from(["frw-dust", "frw-rad", "grw5-sphere"]))
+def test_round_trip_property(name):
     chart = catalog_get(name).chart
-    a, b, p, mu = fluid_at(chart, kappa)
-    assert abs(kappa * (p - mu) / (2 - chart.n) - a) <= 1e-14 * (1 + abs(a))
-    assert abs(kappa * (p + mu) - b) <= 1e-14 * (1 + abs(b))
+    a, b, p, mu = fluid_at(chart)
+    assert abs((p - mu) / (2 - chart.n) - a) <= 1e-14 * (1 + abs(a))
+    assert abs((p + mu) - b) <= 1e-14 * (1 + abs(b))
 
 
 class TestMotion:
@@ -254,10 +250,9 @@ class TestHomothetic:
 
     def test_symbolic_equal_ab(self):
         # A = B forces p = -mu/3 in n = 4 identically
-        for kappa in (0.7, 1.9):
-            a, b, p, mu = fluid_at(static_chart(4), kappa)
-            assert a == pytest.approx(b, rel=1e-14)
-            assert p == pytest.approx(-mu / 3.0, rel=1e-14)
+        a, b, p, mu = fluid_at(static_chart(4))
+        assert a == pytest.approx(b, rel=1e-14)
+        assert p == pytest.approx(-mu / 3.0, rel=1e-14)
 
 
 class TestPropositionConclusions:
