@@ -4,10 +4,9 @@
 from .certify import GROUPS, RunConfig, certify_chart, run_certify
 from .chart import (ChartInput, ChartPoint, Exclusion, MetricChart,
                     VectorField, compile_chart, sample_points)
-from .classify import (FluidDecomposition, NotClosedError, QuadratureError,
-                       VelocityAnalysis, fluid_decompose, fluid_form_residual,
-                       geodesic_at, ladder_residuals_at, torse_at,
-                       weyl_electric_at)
+from .classify import (FluidDecomposition, QuadratureError, VelocityAnalysis,
+                       fluid_decompose, fluid_form_residual, geodesic_at,
+                       ladder_residuals_at, torse_at, weyl_electric_at)
 from .curvature import CurvaturePoint, JetStack
 from .expr import (EvalDomainError, Expr, ParseError, UnknownSymbolError,
                    eval_batch, eval_jet3, eval_jet3_batch, parse)

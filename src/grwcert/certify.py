@@ -10,11 +10,11 @@ they still run and are reported.
 
 The points go in fixed-size chunks: each chunk's curvature stack and
 every kernel, the fluid eigen-split and the Chen vector included, run once
-for the chunk, on its point axis. Only sigma, one quadrature per point, is
-pure per-point work, and it may fan out to worker threads. Every
-aggregation is a max or an ordered reduction over the point index, so
-reports are byte-identical regardless of the worker count and the chunk
-size.
+for the chunk, on its point axis. Only sigma, one quadrature per point,
+runs point by point within its chunk. The chunk is the unit that worker
+threads map over. Every aggregation is a max or an ordered reduction over
+the point index, so reports are byte-identical regardless of the worker
+count and the chunk size.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ import numpy as np
 from . import classify, physics
 from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
                     validate_basepoint)
-from .classify import (ANOMALOUS, NONDEGENERATE, NotClosedError,
-                       PotentialResult, QuadratureError, VelocityAnalysis,
-                       fluid_decompose)
+from .classify import (ANOMALOUS, NONDEGENERATE, PotentialResult,
+                       QuadratureError, VelocityAnalysis, fluid_decompose)
 from .curvature import (JetStack, SingularMetricError,
                         first_bianchi_residual, scale_free_at,
                         weyl_trace_residual)
@@ -83,16 +82,21 @@ class RunConfig:
                 raise ValueError(f"{label} must be a positive finite "
                                  f"number, not {value!r}")
             object.__setattr__(self, label, tol)
+        # Stored as a tuple, so that the config hashes. A string is one
+        # name, not a collection of its letters.
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a collection of group names, "
+                             f"not {self.checks!r}")
+        if self.checks is not None:
+            object.__setattr__(self, "checks", tuple(self.checks))
+            unknown = set(self.checks) - set(GROUPS)
+            if unknown or not self.checks:   # an empty run checks nothing
+                what = (f"unknown check groups: {sorted(unknown)}" if unknown
+                        else "no check groups selected")
+                raise ValueError(f"{what}; valid groups: {', '.join(GROUPS)}")
 
     def selected(self) -> set[str]:
-        if self.checks is None:
-            return set(GROUPS)
-        unknown = set(self.checks) - set(GROUPS)
-        if unknown or not self.checks:     # an empty run would check nothing
-            what = (f"unknown check groups: {sorted(unknown)}" if unknown
-                    else "no check groups selected")
-            raise ValueError(f"{what}; valid groups: {', '.join(GROUPS)}")
-        return set(self.checks)
+        return set(GROUPS if self.checks is None else self.checks)
 
 
 # Points per chunk. One batched stack and kernel pass pays numpy's
@@ -129,28 +133,32 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
                 if chart.velocity is not None
                 and chart.signature == "lorentzian" else None)
 
+    starts = range(0, len(points), CHUNK_POINTS)
+    chunks = [points[start:start + CHUNK_POINTS] for start in starts]
+    solve = partial(_chunk_values, chart, analysis, config, base, selected)
+    workers = min(config.workers, len(chunks))
     columns, masks, first_error = [], [], {}
     # Overflow and NaN in the jets reach the report as NaN residuals, which
     # fail their records and name the point: numpy's warnings add nothing.
     with np.errstate(all="ignore"), (
-            ThreadPoolExecutor(max_workers=config.workers,
+            ThreadPoolExecutor(max_workers=workers,
                                initializer=partial(np.seterr, all="ignore"))
-            if config.workers > 1 else nullcontext()) as pool:
-        fan_out = pool.map if pool else map
-        for start in range(0, len(points), CHUNK_POINTS):
-            chunk = points[start:start + CHUNK_POINTS]
+            if workers > 1 else nullcontext()) as pool:
+        # In chunk order: the first failing chunk of the run names its point.
+        results = (pool.map if pool else map)(solve, chunks)
+        for start, chunk in zip(starts, chunks):
             try:
-                values, present, refusals = _chunk_values(
-                    chart, analysis, JetStack(chart, chunk), config, base,
-                    selected, fan_out)
-                columns.append(values)
-                masks.append(present)
+                values, present, refusals = next(results)
             except SingularMetricError as err:
                 err.index += start       # name the point by its run index
                 raise
-            except EvalDomainError as err:
-                raise _at_point(err, start + err.index,
-                                chunk[err.index].coords) from None
+            except EvalDomainError as err:     # name the point likewise
+                coords = tuple(float(c) for c in chunk[err.index].coords)
+                raise EvalDomainError(err.op, err.offset, (
+                    f"{err.detail} at point {start + err.index}, "
+                    f"coordinates {coords}")) from None
+            columns.append(values)
+            masks.append(present)
             for i, name, message in refusals:
                 first_error.setdefault(name, f"point {start + i}: {message}")
 
@@ -179,24 +187,19 @@ def _join(chunks: list[dict]) -> dict:
             for key in chunks[0]}
 
 
-def _at_point(err: EvalDomainError, index: int, coords) -> EvalDomainError:
-    """A domain error named by the run index and coordinates of its point."""
-    coords = tuple(float(c) for c in coords)
-    return EvalDomainError(err.op, err.offset, f"{err.detail} at point "
-                           f"{index}, coordinates {coords}")
-
-
 # ---------------------------------------------------------------------------
 # Per-chunk and per-point computation (pure).
 # ---------------------------------------------------------------------------
 
-def _chunk_values(chart, analysis, stack, config, base, selected, fan_out):
+def _chunk_values(chart, analysis, config, base, selected, chunk):
     """A chunk's columns (key -> array over its points, a max over every
     other axis), masks of the points that carry each key that not every
     point does, and refusals as (point, record, message). The keys depend
-    on the run only. Each column is formed once for the chunk except
-    sigma, which ``_point_payload`` integrates per point, fanned out."""
-    cp, fp, count = stack.to_point(), None, len(stack.points)
+    on the run only. Each column is formed once for the chunk, on its
+    curvature stack, except sigma, which ``_point_payload`` integrates
+    point by point."""
+    stack = JetStack(chart, chunk)
+    cp, fp = stack.to_point(), None
     eigs = np.linalg.eigvalsh(cp.g)
     expected = 1 if chart.signature == "lorentzian" else 0
     values = {
@@ -269,16 +272,18 @@ def _chunk_values(chart, analysis, stack, config, base, selected, fan_out):
             present["grw-ricci-A"] = split
             present["grw-ricci-B"] = dec.branch == NONDEGENERATE
 
-    # sigma per point, then the Chen vector's laws on the chunk.
-    integrand = (None if fp is None
-                 else classify._omega_integrand(chart, fp.field))
-    potentials = list(fan_out(partial(_point_payload, chart,
-                                      (fp, integrand), config, base,
-                                      selected), range(count)))
+    # sigma per point, then the Chen vector's laws on the chunk. sigma
+    # feeds the conclusions and homothetic-triple (grad_rho_norm).
+    integrand = (classify._omega_integrand(chart, fp.field)
+                 if fp is not None and base is not None
+                 and selected & {"conclusions", "physics"} else None)
+    limit = config.hypothesis_tol * 10
+    potentials = [_point_payload(integrand, fp, base, limit, i)
+                  for i in range(len(chunk))]
     refusals += [(i, "chen-vector", refusal)
                  for i, refusal in enumerate(potentials)
                  if isinstance(refusal, str)]
-    if potentials[0] is not None:  # sigma's gate is per run, not per point
+    if integrand is not None:
         has = np.array([isinstance(p, PotentialResult) for p in potentials])
         # NaN where a point has no potential; its mask drops it.
         sigma, defect = (np.array([getattr(p, key, math.nan)
@@ -293,26 +298,25 @@ def _chunk_values(chart, analysis, stack, config, base, selected, fan_out):
     return values, present, refusals
 
 
-def _point_payload(chart, shared, config, base, selected, i):
+def _point_payload(integrand, fp, base, limit, i):
     """sigma at point i of a chunk, the one step that runs per point: the
-    potential of the closed omega from the basepoint, the refusal's text,
-    or None when no record reads sigma. ``shared`` is the chunk's
-    FieldPoint (None without a velocity) and sigma's integrand."""
-    fp, integrand = shared
-    # sigma feeds the conclusions and homothetic-triple (grad_rho_norm).
-    if fp is None or base is None or not selected & {"conclusions",
-                                                     "physics"}:
+    potential of the chunk's omega from the basepoint, the refusal's text
+    (omega's curl above ``limit``, say), or None without an integrand."""
+    if integrand is None:
         return None
+    if fp.omega_closed[i] > limit:
+        return classify.not_closed("ω", fp.omega_closed[i])
     try:
-        classify.require_closed("ω", fp.omega_closed[i],
-                                config.hypothesis_tol * 10)
-        return classify._integrate_form(integrand, chart.n, base,
+        return classify._integrate_form(integrand, fp.n, base,
                                         fp.point[i].coords)
-    except (NotClosedError, QuadratureError) as err:
+    except QuadratureError as err:
         return str(err)
-    except (EvalDomainError, SingularMetricError) as err:
+    except EvalDomainError as err:
         # sigma's path may leave an expression's domain or cross a
-        # singular metric where no sample point does: name the path.
+        # singular metric where no sample point does: name the path's row.
+        return (f"path from basepoint: {err} at path row {err.index}, "
+                f"coordinates {err.coords}")
+    except SingularMetricError as err:
         return f"path from basepoint: {err}"
 
 

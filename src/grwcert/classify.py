@@ -46,10 +46,6 @@ QUAD_PANELS = (1, 2, 4)
 REFINE_TOL = 1e-8
 
 
-class NotClosedError(ValueError):
-    """Potential reconstruction refused: the 1-form is not closed."""
-
-
 class QuadratureError(RuntimeError):
     """Composite Gauss-Legendre refinement failed to converge."""
 
@@ -82,10 +78,13 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     at each point of a batch, with one ``np.linalg.eig`` for all of them.
 
     Works on anything exposing ``g``, ``g_inv``, ``ricci`` and ``n`` with a
-    leading point axis.
+    leading point axis. A point whose R^i_j is not finite is anomalous.
     """
     n, g = cp.n, cp.g
-    eigvals, eigvecs = np.linalg.eig(cp.g_inv @ cp.ricci)
+    mixed = cp.g_inv @ cp.ricci
+    finite = np.isfinite(mixed).all(axis=(-2, -1))
+    # eig refuses a batch with any inf or NaN: it sees zeros there instead.
+    eigvals, eigvecs = np.linalg.eig(np.where(finite[:, None, None], mixed, 0))
     vals, imag = eigvals.real, np.max(np.abs(eigvals.imag), axis=-1)
     scale = np.fmax(1.0, np.max(np.abs(vals), axis=-1))
     tol = cluster_tol * scale
@@ -116,7 +115,9 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     branch, error = np.full(len(vals), NONDEGENERATE, dtype=object), []
     for i in points:
         why = None
-        if imag[i] > 1e-9 * scale[i]:
+        if not finite[i]:
+            why = "R^i_j is not finite"
+        elif imag[i] > 1e-9 * scale[i]:
             why = f"complex eigenvalues of R^i_j (max imag {imag[i]:.3e})"
         elif svals[i, -1] - svals[i, 0] < tol[i]:
             branch[i] = DEGENERATE
@@ -408,13 +409,6 @@ def _omega_integrand(chart: MetricChart, field: VectorField):
 def not_closed(form: str, residual) -> str:
     """The refusal of a form whose closedness residual is ``residual``."""
     return f"{form} not closed (residual {residual:.3e})"
-
-
-def require_closed(form: str, residual: float, tol: float) -> None:
-    """Refuse, with ``NotClosedError``, a form whose closedness residual
-    exceeds ``tol``: it has no potential."""
-    if residual > tol:
-        raise NotClosedError(not_closed(form, residual))
 
 
 def _chen_point(fp: FieldPoint, sigma: np.ndarray):

@@ -26,8 +26,8 @@ def _add_run_flags(parser):
     parser.add_argument("--conclusion-tol", type=float, default=None)
     parser.add_argument("--cluster-tol", type=float, default=1e-6)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sigma's quadrature, the "
-                             "one step that runs per point")
+                        help="worker threads, each certifying whole chunks "
+                             "of points")
     parser.add_argument("--basepoint", type=str, default=None,
                         help="comma list of coordinates overriding the "
                              "spec-file basepoint")

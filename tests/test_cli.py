@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -228,6 +229,22 @@ class TestRunCertify:
                 with pytest.raises(ValueError, match=f"^{label} must be a "
                                    f"positive finite number, not "):
                     RunConfig(**{label: value})
+        # checks: a string is refused, any other iterable is stored as a
+        # tuple (so the config hashes), and the group names are checked
+        # when the config is made, not when it runs.
+        with pytest.raises(ValueError, match="^checks must be a collection "
+                           "of group names, not 'sanity'$"):
+            RunConfig(checks="sanity")
+        config = RunConfig(checks=["sanity", "fluid"])
+        assert config.checks == ("sanity", "fluid")
+        assert hash(config) == hash(RunConfig(checks=("sanity", "fluid")))
+        for value, message in (
+                (["sanity", "nonsense"],
+                 r"unknown check groups: \['nonsense'\]"),
+                ((), "no check groups selected")):
+            with pytest.raises(ValueError, match=f"^{message}; valid groups: "
+                               f"sanity, fluid"):
+                RunConfig(checks=value)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -319,7 +336,7 @@ class TestReports:
     def test_chunk_boundary_identical_across_worker_counts(self, spec_file,
                                                             tmp_path):
         # Two full chunks of points and one more: the stacks are built per
-        # chunk, the point work fans out within each.
+        # chunk, and the two workers map over the chunks.
         points = str(2 * CHUNK_POINTS + 1)
         outputs = []
         for workers in ("1", "2"):
@@ -338,7 +355,8 @@ class TestReports:
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch,
                                                       name):
         # A point gets the same bits from any chunk it is in: one point,
-        # three, or the default ten (13 points end on a partial chunk).
+        # three, or the default ten (13 points end on a partial chunk),
+        # and from any worker: 13 chunks over 3 threads, 5 over 2.
         # desitter takes the degenerate split, where B is not compared; the
         # dense chart without a velocity reads weyl-electric through the
         # split's u. On sigma-slab, sigma's path from x = 0.5 leaves ln's
@@ -359,11 +377,11 @@ class TestReports:
             "sigma-slab": lambda: compile_chart(load_chart_input(slab)),
         }.get(name, lambda: catalog_get(name).chart)()
         reports = []
-        for size in (1, 3, 10):
+        for size, workers in ((1, 1), (3, 1), (10, 1), (1, 3), (3, 2)):
             monkeypatch.setattr(certify, "CHUNK_POINTS", size)
             reports.append(render_json(run_certify(
-                chart, RunConfig(points=13, seed=5))))
-        assert reports[0] == reports[1] == reports[2]
+                chart, RunConfig(points=13, seed=5, workers=workers))))
+        assert reports[1:] == reports[:1] * 4
 
     @pytest.mark.parametrize("power, point", [(100, 4), (120, 0)])
     def test_nan_residual_fails_at_any_point(self, tmp_path, power, point):
@@ -410,8 +428,8 @@ class TestReports:
         assert f"{x!r}" in err and "np.float64" not in err
 
     @pytest.mark.parametrize("t_low, seed", [
-        (-1, 0),          # the first bad point is in the first chunk
-        (-0.3, 2),        # ... in the second
+        (-1, 0),          # bad points in both chunks, the first in the first
+        (-0.3, 2),        # one bad point, in the second chunk
     ])
     def test_bad_sample_point_names_itself(self, tmp_path, capsys, t_low,
                                            seed):
@@ -424,16 +442,21 @@ class TestReports:
         path.write_text(json.dumps(spec))
         points = sample_points(compile_chart(load_chart_input(str(path))),
                                20, seed)
-        index = next(i for i, p in enumerate(points) if p.coords[0] <= 0)
-        assert (index < CHUNK_POINTS) == (t_low == -1)
+        bad = [i for i, p in enumerate(points) if p.coords[0] <= 0]
+        index = bad[0]
+        assert (index < CHUNK_POINTS <= bad[-1]) == (t_low == -1)
         coords = tuple(float(c) for c in points[index].coords)
         json_path = tmp_path / "bad-report.json"
-        assert main(["certify", str(path), "--points", "20", "--seed",
-                     str(seed), "--quiet", "--json", str(json_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: sqrt at offset 2: argument {coords[0]!r} is not "
-            f"positive at point {index}, coordinates {coords}\n")
-        assert not json_path.exists()
+        # With a worker per chunk, the first bad point in run order is
+        # named, whichever chunk fails first.
+        for workers in ("1", "2"):
+            assert main(["certify", str(path), "--points", "20", "--seed",
+                         str(seed), "--workers", workers, "--quiet",
+                         "--json", str(json_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: sqrt at offset 2: argument {coords[0]!r} is not "
+                f"positive at point {index}, coordinates {coords}\n")
+            assert not json_path.exists()
 
         # The same points with a flat metric and the square root in the
         # velocity: the per-point walk names the point the same way.
@@ -449,6 +472,25 @@ class TestReports:
                 f"positive at point {index}, coordinates {coords}\n")
             assert not json_path.exists()
 
+    def test_non_finite_ricci_fails_the_split(self, tmp_path, capsys):
+        # sin(1e155 x) is finite, but its second derivative overflows: R^i_j
+        # is not finite at any point. The run still writes its report, in
+        # which the eigen-split fails and names the point.
+        spec = json.loads(json.dumps(FRW_DUST_SPEC))
+        spec["metric"] = {"1,1": "-1", "2,2": "2 + sin(1e155*x)", "3,3": "1",
+                          "4,4": "1"}
+        path, json_path = tmp_path / "spike.json", tmp_path / "report.json"
+        path.write_text(json.dumps(spec))
+        assert main(["certify", str(path), "--points", "3", "--quiet",
+                     "--json", str(json_path)]) == 1
+        assert capsys.readouterr().err == ""
+        records = {rec["name"]: rec
+                   for rec in json.loads(json_path.read_text())["checks"]}
+        split = records["fluid-decompose"]
+        assert split["status"] == "fail"
+        assert split["detail"]["error"] == "point 0: R^i_j is not finite"
+        assert split["detail"]["branches"] == {"anomalous": 3}
+
     def test_overflow_on_the_path_is_a_point_error(self):
         # Sampled points keep x < 1, where exp(700*x) is finite; the
         # path starts at the basepoint's x = 1.05, where it overflows.
@@ -458,9 +500,13 @@ class TestReports:
         spec["domain"]["exclusions"] = [{"expr": "1 - x", "margin": 0}]
         spec["basepoint"] = [1, 1.05, 0, 0]
         report = run_certify(spec, RunConfig(points=3))
-        assert report.find("chen-vector").detail["error"] == (
-            "point 0: path from basepoint: exp at offset 6: "
-            "math range error")
+        error = report.find("chen-vector").detail["error"]
+        head = ("point 0: path from basepoint: exp at offset 6: "
+                "math range error at path row 0, coordinates (")
+        assert error.startswith(head)
+        # Row 0, the segment's first node, lies where exp(700*x) overflows.
+        coords = ast.literal_eval(error[len(head) - 1:])
+        assert coords[1] > math.log(sys.float_info.max) / 700
         # soliton-form reads u and its derivatives at the point only.
         soliton = report.find("soliton-form")
         assert soliton.max_residual is not None
