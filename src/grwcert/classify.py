@@ -167,7 +167,7 @@ class FieldPoint:
     batch: ``stack`` is the batch's, ``point`` its points, and every jet
     has a leading point axis.
 
-    ``u`` is order 3; the others are order 1, which is all that is read.
+    ``u`` is order 2; the others are order 1, which is all that is read.
     The scalar jets f, A, B, gamma, p and mu are shape () per point, so
     ``.value`` has shape (P,) and ``.grad`` (P, n).
 
@@ -251,14 +251,14 @@ class VelocityAnalysis:
 
     def at(self, points, stack: JetStack | None = None) -> FieldPoint:
         """The FieldPoint at a sequence of points, with their batched
-        ``stack``, from one walk of the velocity's trees (whose domain
-        error names the point's ``index``)."""
+        ``stack``, from one order-2 walk of the velocity's trees (whose
+        domain error names the point's ``index``)."""
         chart = self.chart
         n = chart.n
         stack = stack or JetStack(chart, points)
         u = TensorJet(n, eval_jet3_batch(
-            self.field.components, [p.coords for p in points], chart.params),
-            1)
+            self.field.components, [p.coords for p in points], chart.params,
+            order=2), 1)
         u_up, nabla, f, omega = _velocity_terms(
             stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
         ruu = contract("ij,ij->", stack.ricci,

@@ -179,7 +179,7 @@ def main(argv=None) -> int:
             try:
                 entry = catalog_get(args.name)
             except KeyError as err:
-                print(err.args[0], file=sys.stderr)
+                print(f"error: {err.args[0]}", file=sys.stderr)
                 return 2
             report = run_certify(entry.chart, _config_from_args(args))
             _finish(report, args)

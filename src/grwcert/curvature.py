@@ -12,16 +12,17 @@ Ricci = +3 g):
                   + R_{jm}g_{kl} - R_{km}g_{jl}]/(n-2)
                   - R [g_{jm}g_{kl} - g_{mk}g_{jl}] / ((n-1)(n-2))
     divWeyl[j,k,l] = nabla_m C_{jkl}{}^m   (divergence on the 4th slot)
+                   = -(n-3)/(n-2) [nabla_j R_{kl} - nabla_k R_{jl}
+                     - (g_{kl} d_j R - g_{jl} d_k R) / (2(n-1))]   (n > 3)
 
-Everything runs in jet arithmetic: metric jets to order 3 give Christoffel
-jets to order 2, Riemann/Weyl jets to order 1, and the Weyl divergence at
-order 0. No finite differences anywhere.
+Exact jets, no finite differences: g to order 3, Gamma to order 2, Riemann,
+Ricci and R to order 1, then C and div C as values (by the identity above).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -78,77 +79,75 @@ class SingularMetricError(np.linalg.LinAlgError):
 class JetStack:
     """Tensor jets of the curvature stack, shared.
 
-    ``g`` (order 3), ``g_inv`` (order 2), ``gamma`` (``[m, j, k]`` =
-    Gamma^m_{jk}, order 2), ``riem`` (R_{jkl}{}^m), ``ricci``, ``rs`` and
-    ``weyl`` (C_{jklm}, zero for n < 3), the last four at order 1.
-    ``weyl`` is formed on its first read: a fiber's stack never forms it.
-    Every tensor carries a leading axis over ``points``.
+    ``g`` to ``order`` (3; a fiber's stack, which reads values only, takes
+    2), ``g_inv`` and ``gamma`` (``[m, j, k]`` = Gamma^m_{jk}) at ``order -
+    1``, and ``riem`` (R_{jkl}{}^m), ``ricci`` and ``rs`` at ``order - 2``.
+    Level k is formed from the levels below it only, so the values are the
+    same bytes at any order. Every tensor has a leading axis over ``points``.
     """
 
-    def __init__(self, chart: MetricChart, points):
+    def __init__(self, chart: MetricChart, points, *, order: int = 3):
         self.chart = chart
         n = self.n = chart.n
         self.points = tuple(points)
         rows = [p.coords for p in self.points]
 
         # One batched walk of the metric's upper triangle, mirrored.
-        levels = eval_jet3_batch(chart.upper, rows, chart.params)
+        levels = eval_jet3_batch(chart.upper, rows, chart.params, order=order)
         g = self.g = TensorJet(n, list(map(chart.symmetric, levels)), 1)
         try:
-            g_inv = self.g_inv = metric_inverse(g.truncated(2))
+            g_inv = self.g_inv = metric_inverse(g.truncated(order - 1))
         except SingularMetricError as err:
             err.coords = rows[err.index]
             raise
         gamma = self.gamma = christoffel(g, g_inv)
 
         # R = X - X with j and k swapped: exactly antisymmetric in (j, k).
-        gamma1 = gamma.truncated(1)
+        low = gamma.truncated(order - 2)
         x = (gamma.deriv().map("kmjl->jklm")
-             + contract("bjl,mkb->jklm", gamma1, gamma1))
+             + contract("bjl,mkb->jklm", low, low))
         riem = self.riem = x - x.map("kjlm->jklm")
         del x
         ricci = self.ricci = riem.map("jmlm->jl")
-        self.rs = contract("jl,jl->", g_inv.truncated(1), ricci)
-
-    @cached_property
-    def weyl(self) -> TensorJet:
-        n, ricci, g = self.n, self.ricci, self.g.truncated(1)
-        if n < 3:
-            return TensorJet(n, [np.zeros_like(level)
-                                 for level in self.riem.levels], 1)
-        swap_jk = "kjlm->jklm"
-        mixed = (contract("jm,kl->jklm", g, ricci)
-                 + contract("jm,kl->jklm", ricci, g))
-        weyl = (contract("jkla,am->jklm", self.riem, g)
-                + (mixed - mixed.map(swap_jk)) * (1.0 / (n - 2)))
-        del mixed
-        gg = contract("jm,kl->jklm", g, g)
-        weyl = weyl - (contract(",jklm->jklm", self.rs, gg - gg.map(swap_jk))
-                       * (1.0 / ((n - 1) * (n - 2))))
-        del gg
-        # Every term above is exactly antisymmetric in (j, k); the
-        # half-difference makes C exactly antisymmetric in (l, m) as well.
-        return (weyl - weyl.map("jkml->jklm")) * 0.5
+        self.rs = contract("jl,jl->", g_inv, ricci)
 
     # -- plain-array extraction ------------------------------------------
 
     def to_point(self) -> CurvaturePoint:
-        """The plain arrays, with the stack's point axis."""
-        gamma = self.gamma.value
-        # C_{jkl}{}^m as a jet: d_m C_{jkl}{}^m is the trace of its gradient.
-        cup = contract("jkla,am->jklm", self.weyl, self.g_inv.truncated(1))
-        c = cup.value
-        corrections = (np.einsum("...amj,...aklm->...jkl", gamma, c)
-                       + np.einsum("...amk,...jalm->...jkl", gamma, c)
-                       + np.einsum("...aml,...jkam->...jkl", gamma, c))
-        divweyl = (np.einsum("...jklmm->...jkl", cup.grad) - corrections
-                   + np.einsum("...a,...jkla->...jkl",
-                               np.einsum("...mma->...a", gamma), c))
+        """The plain arrays, with the stack's point axis: C (zero for n < 3)
+        from values, div C (zero for n <= 3) from the Ricci and R jets."""
+        n, gamma = self.n, self.gamma.value
+        riem, ricci, rs, g = (jet.truncated(0) for jet in (
+            self.riem, self.ricci, self.rs, self.g))
+        weyl, divweyl = np.zeros_like(riem.value), np.zeros_like(gamma)
+        if n >= 3:
+            mixed = (contract("jm,kl->jklm", g, ricci)
+                     + contract("jm,kl->jklm", ricci, g))
+            gg = contract("jm,kl->jklm", g, g)
+            c = (contract("jkla,am->jklm", riem, g)
+                 + (mixed - mixed.map("kjlm->jklm")) * (1.0 / (n - 2))
+                 - contract(",jklm->jklm", rs, gg - gg.map("kjlm->jklm"))
+                 * (1.0 / ((n - 1) * (n - 2))))
+            # Every term above is exactly antisymmetric in (j, k); the
+            # half-difference makes C exactly antisymmetric in (l, m) too.
+            weyl = ((c - c.map("jkml->jklm")) * 0.5).value
+        if n > 3:
+            # nabla_j R_{kl} as [j, k, l], less the d_j R term.
+            x = (np.moveaxis(self.ricci.grad, -1, 1)
+                 - np.einsum("...ajk,...al->...jkl", gamma, ricci.value)
+                 - np.einsum("...ajl,...ka->...jkl", gamma, ricci.value)
+                 - np.einsum("...kl,...j->...jkl", g.value, self.rs.grad)
+                 / (2.0 * (n - 1)))
+            divweyl = (x - np.swapaxes(x, -3, -2)) * cotton_factor(n)
         return CurvaturePoint(
-            n=self.n, g=self.g.value, g_inv=self.g_inv.value, gamma=gamma,
-            riem=self.riem.value, driem=np.moveaxis(self.riem.grad, -1, 1),
-            ricci=self.ricci.value, rs=self.rs.value, weyl=self.weyl.value,
-            divweyl=divweyl)
+            n=n, g=g.value, g_inv=self.g_inv.value, gamma=gamma,
+            riem=riem.value, driem=np.moveaxis(self.riem.grad, -1, 1),
+            ricci=ricci.value, rs=rs.value, weyl=weyl, divweyl=divweyl)
+
+
+def cotton_factor(n: int) -> float:
+    """c(n) = -(n-3)/(n-2) of the module docstring's div C identity."""
+    return -(n - 3) / (n - 2)
 
 
 def christoffel(g: TensorJet, g_inv: TensorJet) -> TensorJet:

@@ -356,7 +356,7 @@ def depth(node: Expr) -> int:
 # the array per slot and one column per coordinate row. Every row is
 # bit-identical to the per-node scalar evaluators kept in tests/oracles.py:
 # products sum their Leibniz terms in one fixed order, ``/`` is
-# ``a * reciprocal(b)`` at orders 1 and 3 and plain ``/`` at order 0, and
+# ``a * reciprocal(b)`` at orders 1 to 3 and plain ``/`` at order 0, and
 # function and power coefficients go through ``math`` row by row, because
 # numpy's vectorized exp, log, pow, tan, ... may differ from the C library
 # in the last bit.
@@ -724,13 +724,14 @@ def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
     return _eval_levels(nodes, x, params, 0)[0]
 
 
-def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float]):
-    """Order-3 jets of several trees at every row of ``x`` (shape (N, n)):
-    value, gradient, packed Hessian and packed third level, of shapes
-    (N, K), (N, K, n), (N, K, pairs) and (N, K, triples).
-    A failure raises what a one-row walk raises first, rows in order.
+def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
+                    *, order: int = MAX_ORDER):
+    """Jets to ``order`` (3 by default) of several trees at every row of
+    ``x`` (N, n): levels of shapes (N, K), (N, K, n), (N, K, pairs) and
+    (N, K, triples), the same bytes at any order from 1 up. A failure
+    raises what a one-row walk raises first, rows in order.
     """
-    return _eval_levels(nodes, x, params, MAX_ORDER)
+    return _eval_levels(nodes, x, params, order)
 
 
 def eval_jet3(nodes: Sequence[Expr], point,

@@ -54,8 +54,8 @@ class FiberMetric:
 
     def einstein_at(self, points):
         """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R*, as arrays
-        over the points: one stack, whose Weyl jets are never formed."""
-        stack = JetStack(self.chart, points)
+        over the points: one order-2 stack, whose values are all it reads."""
+        stack = JetStack(self.chart, points, order=2)
         ricci, rs = stack.ricci.value, stack.rs.value
         residual = scale_free_at(
             ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
@@ -116,14 +116,14 @@ def converse_at(chart: MetricChart, points):
 
     A = [R*/(n-1) + q'^2 (n-2) + q q''] / q^2 and B = A - (n-1) q''/q, with
     R* computed by running the curvature engine on the fiber chart: one
-    fiber stack and one walk of q's tree for all the points.
+    order-2 fiber stack and one order-2 walk of q's tree for all points.
     """
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
     fiber_residual, rstar = fiber.einstein_at(
         [ChartPoint(p.coords[1:]) for p in points])
-    q, qp, qpp, _ = (level.reshape(len(points)) for level in eval_jet3_batch(
-        (warp,), [p.coords[:1] for p in points], chart.params))
+    q, qp, qpp = (level.reshape(len(points)) for level in eval_jet3_batch(
+        (warp,), [p.coords[:1] for p in points], chart.params, order=2))
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
     return fiber_residual, a_formula, a_formula - (n - 1) * qpp / q
 

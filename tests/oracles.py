@@ -934,15 +934,17 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
 
 # ---------------------------------------------------------------------------
 # Curvature identities the report does not carry: the second Bianchi
-# identity, and the div-Weyl / Cotton proportionality.
+# identity, and the factor of the contracted one.
 # ---------------------------------------------------------------------------
 
-# div-Weyl / Cotton proportionality, one constant per dimension, determined
-# by a dev-time oracle run on non-conformally-flat metrics and then asserted
-# across the whole catalog (tests/test_curvature.py). In the engine's slot
-# convention the combination carrying the (j,k) antisymmetry is
-#   cotton[j,k,l] = nabla_j R_{kl} - nabla_k R_{jl}
-#                   - (g_{kl} d_j R - g_{jl} d_k R) / (2(n-1)).
+# c(n) of the contracted second Bianchi identity, one constant per
+# dimension, determined by a dev-time oracle run on non-conformally-flat
+# metrics, in the engine's slot convention:
+#   nabla_m C_{jkl}^m = c(n) [nabla_j R_{kl} - nabla_k R_{jl}
+#                             - (g_{kl} d_j R - g_{jl} d_k R) / (2(n-1))].
+# The engine computes div C by this identity; tests/test_curvature.py pins
+# its factor here and its result against per_component_curvature's direct
+# divergence of C.
 COTTON_COEFF = {3: 0.0, 4: -0.5, 5: -2.0 / 3.0, 6: -0.75, 7: -0.8, 8: -5.0 / 6.0}
 
 
@@ -955,17 +957,6 @@ def stack_derivatives(stack: JetStack) -> dict:
     return {"dg": dg, "dgamma": dgamma, "drs": stack.rs.grad[0],
             "dricci": (dricci - np.einsum("akj,al->kjl", gamma, ricci)
                        - np.einsum("akl,ja->kjl", gamma, ricci))}
-
-
-def cotton_combination(stack: JetStack) -> np.ndarray:
-    """The (j,k)-antisymmetric Ricci-gradient combination matching divWeyl,
-    at a one-point stack."""
-    n, g = stack.n, stack.g.value[0]
-    d = stack_derivatives(stack)
-    grad_term = np.einsum("kl,j->jkl", g, d["drs"]) - np.einsum(
-        "jl,k->jkl", g, d["drs"])
-    return (d["dricci"] - np.einsum("kjl->jkl", d["dricci"])
-            - grad_term / (2.0 * (n - 1)))
 
 
 def second_bianchi_residual(chart: MetricChart, point: ChartPoint) -> float:

@@ -383,27 +383,50 @@ class TestReports:
                 chart, RunConfig(points=13, seed=5, workers=workers))))
         assert reports[1:] == reports[:1] * 4
 
-    @pytest.mark.parametrize("power, point", [(100, 4), (120, 0)])
-    def test_nan_residual_fails_at_any_point(self, tmp_path, power, point):
-        # g = t^k diag(-1, 1, 1, 1) overflows the Weyl divergence's jets to
-        # NaN at large t: at k = 100 first at run point 4 (t = 34.66...),
-        # at k = 120 already at point 0. Either way the record fails and
-        # names the point, and numpy prints no warning beside it.
+    @staticmethod
+    def _power_spec(tmp_path, power, t_range):
+        """g = t^power diag(-1, 1, 1, 1) on t in ``t_range``, basepoint at
+        its lower end: a conformally flat metric, so div C = 0."""
         spec = dict(FRW_DUST_SPEC, name=f"t{power}",
                     metric={f"{i},{i}": ("-" if i == 1 else "") + f"t^{power}"
                             for i in range(1, 5)},
-                    velocity_field=[f"-t^{power // 2}", "0", "0", "0"])
+                    velocity_field=[f"-t^{power // 2}", "0", "0", "0"],
+                    basepoint=[t_range[0], 0, 0, 0])
         spec["domain"] = dict(spec["domain"], ranges=dict(
-            spec["domain"]["ranges"], t=[1, 40]))
+            spec["domain"]["ranges"], t=t_range))
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(spec))
+        return str(path)
+
+    @pytest.mark.parametrize("power, t_lo, t_hi, point",
+                             [(199, 1, 40, 3), (199, 34, 35, 0)])
+    def test_nan_residual_fails_at_any_point(self, tmp_path, power, t_lo,
+                                             t_hi, point):
+        # At k = 199 the Ricci gradient overflows to NaN from about
+        # t = 34.4 on (C is formed from values only): on t in [1, 40]
+        # first at run point 3 (t = 34.43...), on [34, 35] already at
+        # point 0. Either way the record fails and names the point, and
+        # numpy prints no warning beside it.
+        path = self._power_spec(tmp_path, power, [t_lo, t_hi])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run_certify(str(path), RunConfig(points=10, seed=0))
+            report = run_certify(path, RunConfig(points=10, seed=0))
         rec = report.find("div-weyl")
         assert rec.status == "fail" and math.isnan(rec.max_residual)
         assert rec.detail["error"] == f"point {point}: the residual is NaN"
         assert report.verdict == "fail"
+
+    def test_conformally_flat_power_keeps_div_weyl_finite(self, tmp_path):
+        # div C is formed from the Ricci and R gradients, never from
+        # derivatives of C itself, which overflow here: at k = 100 it
+        # reads the round-off of a conformally flat metric.
+        path = self._power_spec(tmp_path, 100, [1, 40])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run_certify(path, RunConfig(points=10, seed=0)).find(
+                "div-weyl")
+        assert math.isfinite(rec.max_residual)
+        assert rec.max_residual <= 1e-12 and rec.status == "pass"
 
     def test_singular_metric_names_the_run_point(self, tmp_path, capsys):
         # The second chunk's first point is singular: the error names its
@@ -610,6 +633,15 @@ class TestCliCommands:
         assert main(["catalog", "list"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == catalog_names()
+
+    def test_catalog_run_unknown_name_exit_two(self, capsys):
+        # Refused like every other exit-2 error, with its "error: " prefix.
+        assert main(["catalog", "run", "nope", "--points", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown catalog metric 'nope'; choose from "
+            f"{', '.join(catalog_names())}\n")
 
     def test_catalog_run_positive(self, capsys):
         code = main(["catalog", "run", "frw-dust", "--points", "5",

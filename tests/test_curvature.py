@@ -6,15 +6,16 @@ import pytest
 from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
 from grwcert.classify import VelocityAnalysis
 from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
-                               first_bianchi_residual, weyl_trace_residual)
+                               cotton_factor, first_bianchi_residual,
+                               weyl_trace_residual)
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.jets import jet_tables
 
-from .oracles import (COTTON_COEFF, cotton_combination, curvature_rows,
-                      desitter_ricci, per_component_curvature, point_rows,
-                      scale_free, second_bianchi_residual, sphere2_curvature,
+from .oracles import (COTTON_COEFF, curvature_rows, desitter_ricci,
+                      per_component_curvature, point_rows, scale_free,
+                      second_bianchi_residual, sphere2_curvature,
                       stack_derivatives, warped_flat_curvature,
                       warped_nabla_u)
 from .test_classify import dense_pullback_chart
@@ -166,6 +167,10 @@ class TestInvariants:
             for p in sample_points(chart, 20, seed=6):
                 assert second_bianchi_residual(chart, p) < 1e-9, name
 
+    # The engine forms div C from the contracted second Bianchi identity;
+    # these compare it with the oracle's direct divergence of C, whose
+    # d_a g^{mp} is -g^{mb} (d_a g_bc) g^{cp}, at the identity's own bar.
+
     @pytest.mark.parametrize("dim", [4, 5])
     def test_cotton_consistency_generic(self, dim):
         metric = {"1,1": "-1", "2,2": "t^2*(1+0.3*x^2)", "3,3": "t^4",
@@ -178,23 +183,22 @@ class TestInvariants:
             ranges["w"] = (-1, 1)
         chart = make_chart(f"generic{dim}", dim, "lorentzian", coords,
                            metric, ranges)
-        c = COTTON_COEFF[dim]
-        assert c == -(dim - 3) / (dim - 2)
+        assert cotton_factor(dim) == COTTON_COEFF[dim] == -(dim - 3) / (dim - 2)
         for p in sample_points(chart, 10, seed=7):
-            stack = JetStack(chart, [p])
-            (cp,), cot = point_rows(stack.to_point()), cotton_combination(stack)
-            assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8
+            cp, = point_rows(JetStack(chart, [p]).to_point())
+            want = per_component_curvature(chart, p)["divweyl"]
+            assert scale_free(cp.divweyl - want, want, cp.divweyl) < 1e-8
 
     def test_cotton_consistency_across_catalog(self):
-        from grwcert.grw import catalog_get, catalog_names
         for name in catalog_names():
             chart = catalog_get(name).chart
-            c = COTTON_COEFF[chart.n]
             for p in sample_points(chart, 5, seed=8):
-                stack = JetStack(chart, [p])
-                (cp,), cot = (point_rows(stack.to_point()),
-                              cotton_combination(stack))
-                assert scale_free(cp.divweyl - c * cot, cot, cp.divweyl) < 1e-8, name
+                cp, = point_rows(JetStack(chart, [p]).to_point())
+                want = per_component_curvature(chart, p)["divweyl"]
+                assert scale_free(cp.divweyl - want, want, cp.divweyl) < 1e-8, name
+                if name == "grw-nonEinstein-fiber":
+                    # Not conformally flat: div C is far from round-off.
+                    assert scale_free(want, cp.driem) > 1e-2
 
 
 def grad_vector(chart, comps, point):
@@ -287,7 +291,7 @@ class TestBatchedJetStack:
     batch, level by level and in every CurvaturePoint array, byte for
     byte: a point gets the same bits from any batch it is in."""
 
-    TENSORS = ("g", "g_inv", "gamma", "riem", "ricci", "rs", "weyl")
+    TENSORS = ("g", "g_inv", "gamma", "riem", "ricci", "rs")
 
     def check(self, chart, points):
         batch = JetStack(chart, points)

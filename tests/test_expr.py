@@ -423,6 +423,49 @@ class TestJet3Batch:
         assert (err.value.index, err.value.coords) == (1, (1e-200,))
 
 
+class TestWalkOrder:
+    """A walk to order k >= 1 forms level k from levels up to k only: its
+    levels are the order-3 walk's, byte for byte. (An order-0 walk, the
+    values of ``eval_batch``, divides with plain ``/``.)"""
+
+    @staticmethod
+    def _assert_prefix(tree, rows, params, order):
+        full = eval_jet3_batch((tree,), rows, params)
+        low = eval_jet3_batch((tree,), rows, params, order=order)
+        assert len(low) == order + 1
+        for k, (a, b) in enumerate(zip(low, full)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=expr_trees, rows=row_arrays, order=st.integers(1, 2))
+    def test_matches_order_3_bytes(self, tree, rows, order):
+        rows = np.array(rows)
+        try:
+            with np.errstate(all="ignore"):
+                eval_jet3_batch((tree,), rows, BATCH_PARAMS)
+        except (ArithmeticError, ValueError):
+            # A third-level coefficient may overflow where the lower ones
+            # do not; there is nothing to compare.
+            return
+        self._assert_prefix(tree, rows, BATCH_PARAMS, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("text", [f"{fn}(0.6*t*x + 0.05)" for fn in FUNCTIONS]
+                             + [f"(t + x)^({e!r})" for e in EXPONENTS]
+                             + ["t/x", "(1 + t^2)/(x - t)", "-x/(t*t)"])
+    def test_functions_powers_and_division_on_a_grid(self, text, order):
+        grid = np.linspace(0.05, 2.0, 12)
+        rows = np.stack(np.meshgrid(grid, grid[::-1] + 0.013), -1).reshape(-1, 2)
+        self._assert_prefix(parse(text, ["t", "x"]), rows, {}, order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_powers_of_signed_zero(self, order):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -0.0]])
+        for e in (0.0, 1.0, 2.0, 3.0, 4.0):
+            tree = parse(f"(t*x)^({e!r}) - x^({e!r})", ["t", "x"])
+            self._assert_prefix(tree, rows, {}, order)
+
+
 # ---------------------------------------------------------------------------
 # One point: expr.eval_jet3 is the one-row eval_jet3_batch, as a TensorJet.
 # ---------------------------------------------------------------------------

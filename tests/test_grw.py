@@ -6,7 +6,7 @@ from grwcert.certify import CHECKS
 from grwcert.classify import (ANOMALOUS, DEGENERATE, NONDEGENERATE,
                               fluid_decompose)
 from grwcert.cli import _SCALARS
-from grwcert.curvature import JetStack
+from grwcert.curvature import JetStack, scale_free_at
 from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
                          build_grw, catalog_get, catalog_names, converse_at)
 
@@ -119,6 +119,29 @@ class TestFiberEinstein:
                                     *fiber.einstein_at(points)):
             want = scale_free(cp.ricci - (cp.rs / fiber.dim) * cp.g, cp.ricci)
             assert (residual, rs) == (want, cp.rs)
+
+    @pytest.mark.parametrize("fiber_of", [
+        "flat3", "einstein-static", "frw-k-1", "grw5-sphere",
+        "grw-nonEinstein-fiber"])
+    def test_order_2_stack_keeps_the_bytes(self, fiber_of):
+        # The fiber's stack stops at order 2; its Ricci*, R* and g* values
+        # are those of a full order-3 stack, byte for byte (flat3, S3, H3,
+        # S4 and S2 x S1).
+        fiber = (FiberMetric.from_input(flat3()) if fiber_of == "flat3"
+                 else catalog_get(fiber_of).chart.grw.fiber)
+        points = sample_points(fiber.chart, 4, seed=9)
+        low, full = (JetStack(fiber.chart, points, order=order)
+                     for order in (2, 3))
+        assert (low.g.order, low.g_inv.order, low.ricci.order) == (2, 1, 0)
+        for name in ("g", "ricci", "rs"):
+            assert (getattr(low, name).value.tobytes()
+                    == getattr(full, name).value.tobytes()), name
+        ricci, rs = full.ricci.value, full.rs.value
+        want = scale_free_at(
+            ricci - (rs[:, None, None] / fiber.dim) * full.g.value, ricci)
+        residual, got_rs = fiber.einstein_at(points)
+        assert residual.tobytes() == want.tobytes()
+        assert got_rs.tobytes() == rs.tobytes()
 
     def test_product_fiber_not_einstein(self):
         fiber = catalog_get("grw-nonEinstein-fiber").chart.grw.fiber

@@ -46,7 +46,28 @@ def test_float_moves_only(report_matrix, tmp_path, capsys):
     assert f"  chen-vector: {move:.3e} at checks[chen-vector]" in out
     assert "signature" not in out
     assert out.endswith("2 files: 0 non-float change(s), float moves in "
-                        "1 record(s)\n")
+                        "1 record(s), 0 past the bar\n")
+
+
+def test_float_move_past_the_bar_fails(report_matrix, tmp_path, capsys):
+    # The report contract's bar: |a - b| <= 1e-12 (1 + max(|a|, |b|)).
+    a = write(tmp_path / "a", {"x.json": report(chen=0.5),
+                               "y.json": report(chen=0.5)})
+    b = write(tmp_path / "b", {"x.json": report(chen=0.5 + 1e-12),
+                               "y.json": report(chen=1.0)})
+    assert report_matrix.compare(a, b) == 1
+    out = capsys.readouterr().out
+    move = 0.5 / 2.0
+    # The record's largest move over its floats: worst[1] equals the
+    # residual and comes first in key order.
+    assert (f"float move past 1e-12: chen-vector by {move:.3e} at "
+            "checks[chen-vector].detail.worst[1] in y.json") in out
+    assert out.endswith("2 files: 0 non-float change(s), float moves in "
+                        "1 record(s), 1 past the bar\n")
+    # A move within the bar passes.
+    c = write(tmp_path / "c", {"x.json": report(chen=0.5 + 1e-12),
+                               "y.json": report(chen=0.5)})
+    assert report_matrix.compare(a, c) == 0
 
 
 def test_status_and_environment_changes_fail(report_matrix, tmp_path,

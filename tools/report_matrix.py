@@ -22,7 +22,8 @@ change that is not a float move (a verdict, status, ``ok``, string, int,
 list length, missing key or file, or a NaN), grouped over the files it
 occurs in, and for each record the largest float move
 |a - b| / (1 + max(|a|, |b|)), the measure of the report contract's
-1e-12 bar. It exits 1 when anything other than a float moved.
+1e-12 bar. It exits 1 when anything other than a float moved, or when a
+float moved past that bar; each such record is named with its file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from workloads import dense_spec  # noqa: E402
 CATALOG_RUNS = ((1, 0), (2, 31), (13, 5), (25, 7))
 DENSE_SEEDS = (1, 31, 101)
 DENSE_POINTS = 20
+# tests/test_report_contract.py's bar on a float move.
+FLOAT_BAR = 1e-12
 
 
 def matrix():
@@ -126,7 +129,7 @@ def _float_move(a, b):
 
 def compare(dir_a: Path, dir_b: Path) -> int:
     """Print what moved from ``dir_a``'s JSON files to ``dir_b``'s; 1 when
-    anything but a float moved."""
+    anything but a float moved, or a float moved past ``FLOAT_BAR``."""
     names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.json")})
     changes = defaultdict(list)     # (path, a, b) -> files
     moves = {}                      # record -> (move, file, path)
@@ -151,9 +154,15 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         print("largest float move per record, |a - b| / (1 + max(|a|, |b|)):")
     for record, (move, name, path) in sorted(moves.items()):
         print(f"  {record}: {move:.3e} at {path} in {name}")
+    over = sorted(record for record, (move, _, _) in moves.items()
+                  if move > FLOAT_BAR)
+    for record in over:
+        move, name, path = moves[record]
+        print(f"float move past {FLOAT_BAR:g}: {record} by {move:.3e} at "
+              f"{path} in {name}")
     print(f"{len(names)} files: {len(changes)} non-float change(s), "
-          f"float moves in {len(moves)} record(s)")
-    return 1 if changes else 0
+          f"float moves in {len(moves)} record(s), {len(over)} past the bar")
+    return 1 if changes or over else 0
 
 
 def main(argv=None) -> int:
