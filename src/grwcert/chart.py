@@ -11,8 +11,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (EvalDomainError, Expr, FUNCTIONS, ParseError, eval_batch,
-                   parse)
+from .expr import (EvalDomainError, Expr, FUNCTIONS, ParseError,
+                   eval_jet3_batch, parse)
 from .jets import jet_tables
 
 LORENTZIAN = "lorentzian"
@@ -70,13 +70,6 @@ class Exclusion:
     margin: float
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Covariant field: one closed-form expression per component."""
-
-    components: tuple[Expr, ...]
-
-
 @dataclass
 class ChartInput:
     """Raw textual description of a chart, ready to compile."""
@@ -111,7 +104,7 @@ class MetricChart:
         self.params = dict(params)
         self.ranges = tuple(ranges)       # per-coordinate (lo, hi)
         self.exclusions = tuple(exclusions)
-        self.velocity = velocity
+        self.velocity = velocity          # covariant u_j: n Expr, or None
         self.basepoint = basepoint
         self.grw = None                   # set by grw.build_grw for warped products
 
@@ -121,8 +114,8 @@ class MetricChart:
         return np.take(level, jet_tables(self.n).pair_pos, axis=1)
 
     def metric_values(self, point: ChartPoint) -> np.ndarray:
-        return self.symmetric(eval_batch(self.upper, [point.coords],
-                                         self.params))[0]
+        return self.symmetric(eval_jet3_batch(
+            self.upper, [point.coords], self.params, order=0)[0])[0]
 
     def in_domain(self, point: ChartPoint) -> bool:
         """Inside every range and above every exclusion margin; the
@@ -133,7 +126,8 @@ class MetricChart:
                 return False
         for k, exc in enumerate(self.exclusions):
             try:
-                value = eval_batch((exc.expr,), [point.coords], self.params)
+                value = eval_jet3_batch((exc.expr,), [point.coords],
+                                        self.params, order=0)[0]
             except EvalDomainError as err:
                 raise ChartError.at(f"domain.exclusions[{k}].expr",
                                     str(err)) from None
@@ -258,11 +252,11 @@ def compile_chart(spec: ChartInput) -> MetricChart:
 
     velocity = None
     if spec.velocity_field is not None:
-        velocity = VectorField(tuple(
+        velocity = tuple(
             _expr(f"velocity_field[{k}]", text, coords, pnames)
             for k, text in enumerate(_entries(
                 "velocity_field", spec.velocity_field, n,
-                "expression strings"))))
+                "expression strings")))
 
     basepoint = (None if spec.basepoint is None else
                  validate_basepoint(spec.basepoint, coords, ranges))
@@ -279,7 +273,8 @@ def compile_chart(spec: ChartInput) -> MetricChart:
         for i in range(n):
             for j in range(i, n):
                 try:
-                    eval_batch((metric[i][j],), [err.coords], params)
+                    eval_jet3_batch((metric[i][j],), [err.coords], params,
+                                    order=0)
                 except EvalDomainError:
                     raise ChartError.at(f"metric.{i + 1},{j + 1}",
                                         str(err)) from None
@@ -433,8 +428,8 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
         try:
             keep = np.all((lows <= block) & (block <= highs), axis=1)
             if trees:
-                keep &= ~np.any(eval_batch(trees, block, chart.params)
-                                <= margins, axis=1)
+                keep &= ~np.any(eval_jet3_batch(trees, block, chart.params,
+                                                order=0)[0] <= margins, axis=1)
         except (ArithmeticError, ValueError):
             # An exclusion may be undefined where an earlier one already
             # rejects the candidate: test them in order, one by one.

@@ -19,11 +19,11 @@ from operator import add
 
 import numpy as np
 
-from .chart import ChartPoint, MetricChart, VectorField
+from .chart import ChartPoint, MetricChart
 from .curvature import (JetStack, SingularMetricError, christoffel,
                         covariant_derivative, metric_inverse, scale_free_at)
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
-from .expr import eval_batch, eval_jet3, eval_jet3_batch  # noqa: F401
+from .expr import Expr, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract
 
 LADDER_NAMES = (
@@ -179,7 +179,7 @@ class FieldPoint:
 
     stack: JetStack
     point: tuple[ChartPoint, ...]
-    field: VectorField         # the velocity, for sigma's integrand
+    field: tuple[Expr, ...]    # the velocity's trees, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
     nabla: TensorJet           # [k, j] = nabla_k u_j
@@ -245,7 +245,8 @@ def _curl_residual(grad: np.ndarray):
 class VelocityAnalysis:
     """Ties a covariant velocity field to the curvature stack."""
 
-    def __init__(self, chart: MetricChart, field: VectorField | None = None):
+    def __init__(self, chart: MetricChart,
+                 field: tuple[Expr, ...] | None = None):
         self.chart = chart
         self.field = field if field is not None else chart.velocity
 
@@ -257,7 +258,7 @@ class VelocityAnalysis:
         n = chart.n
         stack = stack or JetStack(chart, points)
         u = TensorJet(n, eval_jet3_batch(
-            self.field.components, [p.coords for p in points], chart.params,
+            self.field, [p.coords for p in points], chart.params,
             order=2), 1)
         u_up, nabla, f, omega = _velocity_terms(
             stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
@@ -385,14 +386,14 @@ def _integrate_form(integrand, n, base, target) -> PotentialResult:
         f"the value by {drift:.3e})")
 
 
-def _omega_integrand(chart: MetricChart, field: VectorField):
+def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):
     """omega at the rows of an (N, n) array by the FieldPoint's formula at
     order 0: the Christoffels need metric first derivatives only, so one
     value-and-gradient walk over the metric and velocity trees feeds it."""
-    trees, pairs = chart.upper + field.components, len(chart.upper)
+    trees, pairs = chart.upper + field, len(chart.upper)
 
     def integrand(x):
-        levels = eval_batch(trees, x, chart.params, grad=True)
+        levels = eval_jet3_batch(trees, x, chart.params, order=1)
         g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
                                 for level in levels], 1)
         u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .certify import GROUPS, RunConfig, run_certify
 from .chart import SamplingExhaustedError
 from .grw import catalog_get, catalog_names
-from .report import (DEGENERATE, INFORMATIONAL, PASS, SKIPPED,
-                     emit_report, render_text)
+from .report import (DEGENERATE, INFORMATIONAL, PASS, SKIPPED, render_json,
+                     render_text)
 
 
 def _add_run_flags(parser):
@@ -67,7 +68,7 @@ def _finish(report, args) -> int:
     if not args.quiet:
         sys.stdout.write(render_text(report))
     if args.json:
-        emit_report(report, "json", args.json)
+        Path(args.json).write_text(render_json(report), encoding="utf-8")
     return 0 if report.verdict == PASS else 1
 
 

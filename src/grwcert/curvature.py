@@ -203,8 +203,12 @@ def first_bianchi_residual(cp: CurvaturePoint):
 
 
 def weyl_trace_residual(cp: CurvaturePoint):
-    """Max over all six g-traces of C; each should vanish identically."""
+    """Max over all six g-traces of C; each should vanish identically.
+    They cancel C's Ricci terms, so they are measured against Ricci as
+    well as C: on a conformally flat chart C is round-off itself, and
+    the traces' round-off grows with the scale of g."""
     traces = [np.einsum(f"...{spec}", cp.g_inv, cp.weyl) for spec in (
         "jm,...jklm->...kl", "jl,...jklm->...km", "jk,...jklm->...lm",
         "kl,...jklm->...jm", "km,...jklm->...jl", "lm,...jklm->...jk")]
-    return reduce(np.fmax, (scale_free_at(t, cp.weyl) for t in traces))
+    return reduce(np.fmax, (scale_free_at(t, cp.weyl, cp.ricci)
+                            for t in traces))

@@ -8,9 +8,9 @@ Precedence: ``^`` > unary minus > ``* /`` > ``+ -``; binary operators
 associate left. Exponents must fold to constants at parse time.
 
 Trees are immutable; evaluation is pure. One tape walker evaluates them:
-values (``eval_batch``), values and gradients, or order-3 jets
-(``eval_jet3_batch``, and ``eval_jet3`` at one point) of several trees at
-the rows of a coordinate array.
+``eval_jet3_batch`` gives the values (order 0), values and gradients
+(order 1), or jets up to order 3 of several trees at the rows of a
+coordinate array, and ``eval_jet3`` the order-3 jets at one point.
 """
 
 from __future__ import annotations
@@ -677,9 +677,12 @@ def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
     return [jets[r] for r in roots]
 
 
-def _eval_levels(nodes: Sequence[Expr], x, params, order: int) -> list:
-    """Levels 0..order of several trees at every row of ``x`` (N, n):
-    level k has shape (N, K) + the packed shape of level k.
+def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
+                    *, order: int = MAX_ORDER) -> list:
+    """Jets to ``order`` (3 by default) of several trees at every row of
+    ``x`` (N, n): levels 0..order of shapes (N, K), (N, K, n),
+    (N, K, pairs) and (N, K, triples), the same bytes at any order from 1
+    up (order 0, the values alone, divides with plain ``/``).
 
     A failure raises what a one-row walk raises first, rows in order (and
     within a row, the trees in order): the rows up to the first flagged
@@ -710,28 +713,6 @@ def _eval_levels(nodes: Sequence[Expr], x, params, order: int) -> list:
     return [np.ascontiguousarray(flat[:, 0].T)] + [
         np.ascontiguousarray(flat[:, lo:hi].transpose(2, 0, 1))
         for lo, hi in zip(bounds, bounds[1:])]
-
-
-def eval_batch(nodes: Sequence[Expr], x, params: Mapping[str, float], *,
-               grad: bool = False):
-    """Evaluate several trees at every row of ``x`` (shape (N, n)).
-
-    Returns values of shape (N, K) and, with ``grad``, gradients of shape
-    (N, K, n). A failure raises what a one-row walk raises first.
-    """
-    if grad:
-        return tuple(_eval_levels(nodes, x, params, 1))
-    return _eval_levels(nodes, x, params, 0)[0]
-
-
-def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
-                    *, order: int = MAX_ORDER):
-    """Jets to ``order`` (3 by default) of several trees at every row of
-    ``x`` (N, n): levels of shapes (N, K), (N, K, n), (N, K, pairs) and
-    (N, K, triples), the same bytes at any order from 1 up. A failure
-    raises what a one-row walk raises first, rows in order.
-    """
-    return _eval_levels(nodes, x, params, order)
 
 
 def eval_jet3(nodes: Sequence[Expr], point,

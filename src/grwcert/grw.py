@@ -13,7 +13,7 @@ from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
                     _parse_metric_key, compile_chart)
 from .curvature import JetStack, scale_free_at
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
-from .expr import Expr, eval_batch, eval_jet3, eval_jet3_batch, parse  # noqa: F401
+from .expr import Expr, eval_jet3, eval_jet3_batch, parse  # noqa: F401
 
 # Resolution of the two candidate time-time Ricci rows for the warped
 # product: a hand-coded Christoffel assembly on q = t^2 (tests/oracles.py)
@@ -79,7 +79,8 @@ def build_grw(warp: str, fiber: FiberMetric, *, name: str,
     lo, hi = float(t_range[0]), float(t_range[1])
     warp_expr = parse(warp, ("t",), tuple(params))
     ts = np.linspace(lo, hi, 33)
-    values = eval_batch((warp_expr,), ts[:, None], params)[:, 0]
+    values = eval_jet3_batch((warp_expr,), ts[:, None], params,
+                             order=0)[0][:, 0]
     for t, value in zip(ts, values):
         if value <= WARP_FLOOR:
             raise GRWBuildError(

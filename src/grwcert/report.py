@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -75,18 +75,31 @@ class CertificationReport:
 
 
 def report_to_dict(report: CertificationReport) -> dict:
-    return {
+    """The report as JSON data: a NaN or infinite float becomes None."""
+    return _finite_or_none({
         "schema": report.schema,
         "metric": report.metric_name,
         "environment": report.environment,
         "verdict": report.verdict,
         "checks": [asdict(r) for r in report.checks],
-    }
+    })
+
+
+def _finite_or_none(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
 
 
 def render_json(report: CertificationReport) -> str:
-    """Stable-key-ordered JSON; byte-identical for identical runs."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    """Stable-key-ordered JSON; byte-identical for identical runs. A
+    non-finite float is written as null, never as a bare NaN token."""
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def render_text(report: CertificationReport) -> str:
@@ -129,16 +142,3 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
-
-
-def emit_report(report: CertificationReport, format: str, path) -> Path:
-    """Write the report to ``path`` as 'text' or 'json'; returns the path."""
-    path = Path(path)
-    if format == "json":
-        payload = render_json(report)
-    elif format == "text":
-        payload = render_text(report)
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    path.write_text(payload, encoding="utf-8")
-    return path

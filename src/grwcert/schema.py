@@ -73,24 +73,3 @@ def load_chart_input(source) -> ChartInput:
         exclusions=[(e["expr"], e.get("margin", 0.0)) for e in exclusions],
         velocity_field=data.get("velocity_field"),
         basepoint=data.get("basepoint"))
-
-
-def chart_input_to_dict(spec: ChartInput) -> dict:
-    """Serializable form of a chart description (schema version included)."""
-    return {
-        "schema": SPEC_SCHEMA_VERSION,
-        "name": spec.name,
-        "dimension": spec.dimension,
-        "signature": spec.signature,
-        "coordinates": list(spec.coordinates),
-        "parameters": dict(spec.parameters),
-        "metric": {str(k): str(v) for k, v in spec.metric.items()},
-        "domain": {
-            "ranges": {k: list(v) for k, v in spec.ranges.items()},
-            "exclusions": [{"expr": e, "margin": m}
-                           for e, m in spec.exclusions],
-        },
-        **({"velocity_field": list(spec.velocity_field)}
-           if spec.velocity_field else {}),
-        **({"basepoint": list(spec.basepoint)} if spec.basepoint else {}),
-    }

@@ -18,7 +18,7 @@ from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
 from grwcert.curvature import CurvaturePoint, JetStack
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
-                          Power, Unary, eval_batch)
+                          Power, Unary, eval_jet3_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
 
 def scale_free(residual, *references) -> float:
@@ -277,7 +277,7 @@ H3_SCALAR = -6.0
 def _field_integrand(chart: MetricChart, field):
     """Values of a covariant field at the rows of an (N, n) array: the
     batched integrand of the field's potential (theta, for the velocity)."""
-    return lambda x: eval_batch(field.components, x, chart.params)
+    return lambda x: eval_jet3_batch(field, x, chart.params, order=0)[0]
 
 
 def staircase_per_node(integrand, base, target, axis_order, quad_order, panels):
@@ -367,7 +367,7 @@ def omega_per_node(chart, field, coords):
     u = np.empty(n)
     du = np.empty((n, n))
     for j in range(n):
-        jet = eval_jet3(field.components[j], point, chart.params)
+        jet = eval_jet3(field[j], point, chart.params)
         u[j] = jet.value
         du[:, j] = jet.grad
     nabla = du - np.einsum("akj,a->kj", gamma, u)

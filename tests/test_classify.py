@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grwcert.certify import RunConfig, run_certify
-from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
+from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
                               QUAD_PANELS, REFINE_TOL, QuadratureError,
@@ -45,8 +45,8 @@ def synthetic_point(ricci, g=MINK_G):
 
 
 def field_for(chart, comps):
-    return VectorField(components=tuple(
-        parse(s, chart.coordinates, tuple(chart.params)) for s in comps))
+    return tuple(parse(s, chart.coordinates, tuple(chart.params))
+                 for s in comps)
 
 
 def field_points(chart, points, field=None):
@@ -467,7 +467,7 @@ class TestBatchedQuadrature:
              lambda x: omega_per_node(chart, field, x)),
             (_field_integrand(chart, field),
              lambda x: [eval_value(c, tuple(x), chart.params)
-                        for c in field.components]),
+                        for c in field]),
         )
 
     @pytest.mark.parametrize("name", CHARTS)

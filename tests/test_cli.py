@@ -21,7 +21,7 @@ from grwcert.cli import main
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import motion_at
 from grwcert.report import render_json, render_text, report_to_dict
-from grwcert.schema import SpecFileError, chart_input_to_dict, load_chart_input
+from grwcert.schema import SpecFileError, load_chart_input
 
 from .test_classify import dense_pullback_input
 
@@ -84,12 +84,6 @@ class TestSchema:
         bad = dict(FRW_DUST_SPEC, velocity_field=["-1", "0"])
         with pytest.raises(ChartError):
             compile_chart(load_chart_input(bad))
-
-    def test_round_trip_through_dict(self):
-        spec = load_chart_input(dict(FRW_DUST_SPEC))
-        again = load_chart_input(chart_input_to_dict(spec))
-        assert again.metric == {k: str(v) for k, v in
-                                FRW_DUST_SPEC["metric"].items()}
 
 
 class TestRunCertify:
@@ -416,6 +410,27 @@ class TestReports:
         assert rec.detail["error"] == f"point {point}: the residual is NaN"
         assert report.verdict == "fail"
 
+    def test_nan_report_is_strict_json(self, tmp_path):
+        # A NaN residual is written as null, never as a bare NaN token: a
+        # strict parser reads the report, and each such record fails and
+        # names its point.
+        out = tmp_path / "report.json"
+        path = self._power_spec(tmp_path, 199, [34, 35])
+        assert main(["certify", path, "--points", "10", "--quiet",
+                     "--json", str(out)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        nulls = [rec for rec in payload["checks"]
+                 if rec["status"] == "fail" and rec["max_residual"] is None]
+        assert [rec["name"] for rec in nulls] == [
+            "ricci-symmetric", "bianchi-first", "weyl-tracefree",
+            "fluid-form", "div-weyl"]
+        for rec in nulls:
+            assert rec["detail"]["error"].endswith(": the residual is NaN")
+
     def test_conformally_flat_power_keeps_div_weyl_finite(self, tmp_path):
         # div C is formed from the Ricci and R gradients, never from
         # derivatives of C itself, which overflow here: at k = 100 it
@@ -585,16 +600,6 @@ class TestReports:
                                  RunConfig(points=3, seed=4))
             json.loads(render_json(report))
 
-    def test_emit_report_both_formats(self, spec_file, tmp_path):
-        from grwcert.report import emit_report
-        report = run_certify(spec_file, RunConfig(points=4))
-        json_path = emit_report(report, "json", tmp_path / "r.json")
-        text_path = emit_report(report, "text", tmp_path / "r.txt")
-        assert json.loads(json_path.read_text())["metric"] == "frw-dust-file"
-        assert "verdict" in text_path.read_text()
-        with pytest.raises(ValueError):
-            emit_report(report, "yaml", tmp_path / "r.yaml")
-
 
 class TestCliCommands:
     def test_certify_exit_zero_and_json(self, spec_file, tmp_path, capsys):
@@ -607,6 +612,7 @@ class TestCliCommands:
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "pass"
         assert payload["schema"] == 1
+        assert payload["metric"] == "frw-dust-file"
 
     def test_certify_failure_exit_one(self, tmp_path):
         spec = json.loads(json.dumps(FRW_DUST_SPEC))
@@ -709,9 +715,12 @@ class TestCliCommands:
     def test_numpy_random_never_imported(self, tmp_path):
         # Sampling draws numpy's stream without importing numpy.random,
         # whose import costs more than a small run's whole sampling.
-        spec = tmp_path / "dense.json"
-        spec.write_text(json.dumps(chart_input_to_dict(
-            dense_pullback_input())))
+        dense, spec = dense_pullback_input(), tmp_path / "dense.json"
+        spec.write_text(json.dumps(dict(
+            FRW_DUST_SPEC, name=dense.name, metric=dense.metric,
+            velocity_field=dense.velocity_field, basepoint=dense.basepoint,
+            domain={"ranges": dense.ranges, "exclusions": [
+                {"expr": e, "margin": m} for e, m in dense.exclusions]})))
         runs = [["catalog", "run", "frw-dust", "--points", "2", "--quiet"],
                 ["certify", str(spec), "--points", "3", "--quiet"]]
         script = ("import sys\n"

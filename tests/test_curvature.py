@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grwcert.chart import ChartInput, ChartPoint, VectorField, compile_chart, sample_points
+from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import VelocityAnalysis
 from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
                                cotton_factor, first_bianchi_residual,
@@ -205,8 +205,7 @@ def grad_vector(chart, comps, point):
     """The jet of nabla_k v_j (``[k, j]``, order 1) of the covector with
     these components at one point, and its partials d_k v_j, as the
     FieldPoint forms them (``curvature.covariant_derivative``)."""
-    field = VectorField(components=tuple(
-        parse(s, chart.coordinates) for s in comps))
+    field = tuple(parse(s, chart.coordinates) for s in comps)
     fp = VelocityAnalysis(chart, field).at([point])
     return fp.nabla.at(0), fp.u.grad[0].T
 

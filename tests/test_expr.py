@@ -6,7 +6,7 @@ from grwcert import expr
 from grwcert.chart import ChartPoint
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, Unary, UnknownSymbolError,
-                          depth, eval_batch, eval_jet3_batch, parse)
+                          depth, eval_jet3_batch, parse)
 from grwcert.jets import TensorJet
 
 from .oracles import eval_jet3, eval_value
@@ -249,8 +249,8 @@ class TestBatchEvaluation:
     @given(tree=expr_trees, rows=row_arrays)
     def test_grad_batch_matches_eval_jet3(self, tree, rows):
         expected = _per_row(eval_jet3, tree, rows)
-        call = lambda: eval_batch((tree,), np.array(rows), BATCH_PARAMS,
-                                  grad=True)
+        call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS,
+                                       order=1)
         if isinstance(expected, EvalDomainError):
             _assert_same_error(expected, call)
             return
@@ -262,7 +262,8 @@ class TestBatchEvaluation:
     @given(tree=expr_trees, rows=row_arrays)
     def test_value_batch_matches_eval_value(self, tree, rows):
         expected = _per_row(eval_value, tree, rows)
-        call = lambda: eval_batch((tree,), np.array(rows), BATCH_PARAMS)
+        call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS,
+                                       order=0)[0]
         if isinstance(expected, EvalDomainError):
             _assert_same_error(expected, call)
             return
@@ -274,13 +275,14 @@ class TestBatchEvaluation:
         x = Coord("x0", 0, 0)
         for value in (0.0, -0.0):
             tree = Binary("*", Const(value, 1), x, 2)
-            assert _same(eval_batch((tree,), [[1.0]], {})[:, 0],
-                         [eval_value(tree, (1.0,), {})])
+            values = eval_jet3_batch((tree,), [[1.0]], {}, order=0)[0]
+            assert _same(values[:, 0], [eval_value(tree, (1.0,), {})])
 
     def test_signed_zero_subtrees_stay_apart(self):
         x = Coord("x0", 0, 0)
         both = tuple(Binary("*", Const(v, 1), x, 2) for v in (0.0, -0.0))
-        assert _same(eval_batch(both, [[1.0]], {})[0], [0.0, -0.0])
+        values = eval_jet3_batch(both, [[1.0]], {}, order=0)[0]
+        assert _same(values[0], [0.0, -0.0])
 
     @pytest.mark.parametrize("text", [f"{fn}(t)" for fn in FUNCTIONS]
                              + [f"t^({e!r})" for e in EXPONENTS])
@@ -291,11 +293,11 @@ class TestBatchEvaluation:
         tree = parse(text, ["t"])
         rows = np.linspace(0.05, 3.0, 1500)[:, None]
         values, grads = (a[:, 0] for a in
-                         eval_batch((tree,), rows, {}, grad=True))
+                         eval_jet3_batch((tree,), rows, {}, order=1))
         jets = [eval_jet3(tree, row, {}) for row in rows.tolist()]
         assert _same(values, [jet.value for jet in jets])
         assert _same(grads[:, 0], [jet.grad[0] for jet in jets])
-        assert _same(eval_batch((tree,), rows, {})[:, 0],
+        assert _same(eval_jet3_batch((tree,), rows, {}, order=0)[0][:, 0],
                      [eval_value(tree, row, {}) for row in rows.tolist()])
 
     def test_domain_error_at_first_failing_row(self):
@@ -304,7 +306,7 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as scalar:
             eval_jet3(tree, rows[2].tolist(), {})
         _assert_same_error(scalar.value,
-                           lambda: eval_batch((tree,), rows, {}, grad=True))
+                           lambda: eval_jet3_batch((tree,), rows, {}, order=1))
         assert str(scalar.value) == (
             f"sqrt at offset 6: argument {0.1 - 0.2!r} is not positive")
 
@@ -315,16 +317,16 @@ class TestBatchEvaluation:
         second = parse("1/(t - 0.9)", ["t"])
         rows = np.array([[0.9], [0.3]])
         with pytest.raises(EvalDomainError) as err:
-            eval_batch((first, second), rows, {}, grad=True)
+            eval_jet3_batch((first, second), rows, {}, order=1)
         assert (err.value.op, err.value.offset) == ("div", 1)
         with pytest.raises(EvalDomainError) as err:
-            eval_batch((first, second), rows[::-1], {}, grad=True)
+            eval_jet3_batch((first, second), rows[::-1], {}, order=1)
         assert (err.value.op, err.value.offset) == ("ln", 0)
 
     def test_unbound_parameter(self):
         tree = parse("t + H", ["t"], ["H"])
         with pytest.raises(EvalDomainError) as err:
-            eval_batch((tree,), np.ones((4, 1)), {})
+            eval_jet3_batch((tree,), np.ones((4, 1)), {}, order=0)
         assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
 
 
@@ -426,7 +428,7 @@ class TestJet3Batch:
 class TestWalkOrder:
     """A walk to order k >= 1 forms level k from levels up to k only: its
     levels are the order-3 walk's, byte for byte. (An order-0 walk, the
-    values of ``eval_batch``, divides with plain ``/``.)"""
+    values alone, divides with plain ``/``.)"""
 
     @staticmethod
     def _assert_prefix(tree, rows, params, order):
@@ -507,7 +509,7 @@ class TestPointJets:
     def test_batch_error_names_its_row(self):
         tree = parse("t^2 + sqrt(t - 0.2)", ["t"])
         rows = np.array([[0.5], [0.9], [0.1], [0.0]])
-        for call in (lambda: eval_batch((tree,), rows, {}),
+        for call in (lambda: eval_jet3_batch((tree,), rows, {}, order=0)[0],
                      lambda: eval_jet3_batch((tree,), rows, {})):
             with pytest.raises(EvalDomainError) as err:
                 call()

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from grwcert.chart import ChartInput, ChartPoint, sample_points
-from grwcert.certify import CHECKS
+from grwcert.certify import CHECKS, RunConfig, run_certify
 from grwcert.classify import (ANOMALOUS, DEGENERATE, NONDEGENERATE,
                               fluid_decompose)
 from grwcert.cli import _SCALARS
@@ -85,6 +87,48 @@ class TestBuildGRW:
         spec.metric = {"1,1": "-1", "2,2": "1", "3,3": "1"}
         with pytest.raises(GRWBuildError):
             FiberMetric.from_input(spec)
+
+
+class TestWeylTracesAtScale:
+    """weyl-tracefree measures C's traces against C and against Ricci,
+    the terms they cancel: on a conformally flat chart C is round-off, so
+    C alone would make the bar depend on the units of the coordinates."""
+
+    @staticmethod
+    def _report(chart):
+        return run_certify(chart, RunConfig(points=10, seed=0))
+
+    @staticmethod
+    def _flat_fiber(warp, t_range=(1, 2), basepoint=(1, 0, 0, 0)):
+        return build_grw(warp, FiberMetric.from_input(flat3()), name=warp,
+                         t_range=t_range, basepoint=basepoint)
+
+    def test_rescaled_space_keeps_every_status(self):
+        # q = 1e3 t^(2/3) is frw-dust with x -> 1000 x: the same space-time.
+        want = self._report(catalog_get("frw-dust").chart)
+        got = self._report(self._flat_fiber("1e3*t^(2/3)"))
+        assert ([(rec.name, rec.status) for rec in got.checks]
+                == [(rec.name, rec.status) for rec in want.checks])
+
+    def test_long_de_sitter_range_is_trace_free(self):
+        chart = self._flat_fiber("exp(t)", (0, 16), (0, 0, 0, 0))
+        assert self._report(chart).find("weyl-tracefree").status == "pass"
+
+    @pytest.mark.parametrize("warp", ["t^(2/3)", "1e3*t^(2/3)"])
+    def test_trace_carrying_term_fails(self, monkeypatch, warp):
+        # C plus 1e-8 of its own Ricci term, whose traces do not vanish.
+        to_point = JetStack.to_point
+
+        def mutated(stack):
+            cp = to_point(stack)
+            mixed = (np.einsum("...jm,...kl->...jklm", cp.g, cp.ricci)
+                     + np.einsum("...jm,...kl->...jklm", cp.ricci, cp.g))
+            term = 1e-8 * (mixed - np.swapaxes(mixed, -4, -3))
+            return dataclasses.replace(cp, weyl=cp.weyl + term)
+
+        monkeypatch.setattr(JetStack, "to_point", mutated)
+        rec = self._report(self._flat_fiber(warp)).find("weyl-tracefree")
+        assert rec.status == "fail"
 
 
 class TestFiberEinstein:
