@@ -350,16 +350,16 @@ def depth(node: Expr) -> int:
 # The tape walker: evaluation over the rows of an (N, n) coordinate array.
 #
 # The trees of a call become one tape of their distinct subtrees (equal
-# subtrees, i.e. the same text at the same offset, appear once), and each
-# step is a few numpy operations over all rows. A step's result is a flat
-# jet: derivative levels 0..order in jet_tables' packed slots, one row of
-# the array per slot and one column per coordinate row. Every row is
-# bit-identical to the per-node scalar evaluators kept in tests/oracles.py:
-# products sum their Leibniz terms in one fixed order, ``/`` is
-# ``a * reciprocal(b)`` at orders 1 to 3 and plain ``/`` at order 0, and
-# function and power coefficients go through ``math`` row by row, because
-# numpy's vectorized exp, log, pow, tan, ... may differ from the C library
-# in the last bit.
+# subtrees appear once, at whatever text offset; the first occurrence
+# names their errors), and each step is a few numpy operations over all
+# rows. A step's result is a flat jet: derivative levels 0..order in
+# jet_tables' packed slots, one row of the array per slot and one column
+# per coordinate row. Every row is bit-identical to the per-node scalar
+# evaluators kept in tests/oracles.py: products sum their Leibniz terms in
+# one fixed order, ``-`` is ``a + -b``, ``/`` is ``a * reciprocal(b)`` at
+# orders 1 to 3 and plain ``/`` at order 0, and function and power
+# coefficients go through ``math`` row by row, because numpy's vectorized
+# exp, log, pow, tan, ... may differ from the C library in the last bit.
 # ---------------------------------------------------------------------------
 
 def _libm(fn, values, *args) -> np.ndarray:
@@ -554,18 +554,36 @@ def _children(node: Expr) -> tuple:
     return ()
 
 
+def _label(node: Expr):
+    """What a node adds to its children's steps: its value, with the sign
+    (0.0 == -0.0), index, name, operator or exponent."""
+    if isinstance(node, Const):
+        return node.value, node.negative
+    if isinstance(node, Coord):
+        return node.index
+    if isinstance(node, Param):
+        return node.name
+    if isinstance(node, Power):
+        return node.exponent, math.copysign(1.0, node.exponent) < 0.0
+    return node.op
+
+
 @lru_cache(maxsize=256)
 def _tape(nodes: tuple):
-    """The distinct subtrees of ``nodes`` in post-order, equal subtrees
-    once, as (node, child steps) steps; for each step, the earlier steps
-    whose last use it is; and the steps of the roots."""
+    """The distinct subtrees of ``nodes`` in post-order, as (node, child
+    steps) steps; for each step, the earlier steps whose last use it is;
+    and the steps of the roots. Equal subtrees are one step at any text
+    offset: a step is keyed on its node's class, label and child steps,
+    and keeps the first occurrence in walk order, whose offset its domain
+    errors name."""
     steps, index = [], {}
 
     def visit(node):
-        step = index.get(node)
+        kids = tuple(visit(child) for child in _children(node))
+        key = (type(node), _label(node), kids)
+        step = index.get(key)
         if step is None:
-            kids = tuple(visit(child) for child in _children(node))
-            step = index[node] = len(steps)
+            step = index[key] = len(steps)
             steps.append((node, kids))
         return step
 
@@ -608,7 +626,7 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
         if node.op == "+":
             return a + b
         if node.op == "-":
-            return a - b
+            return a + -b
         if node.op == "*":
             return _mul(a, b, _product_terms(n, order))
         v = _flag(bad, b[0], b[0] == 0.0)

@@ -1,15 +1,23 @@
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grwcert import expr
-from grwcert.chart import ChartPoint
+from grwcert.chart import ChartPoint, compile_chart
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, Unary, UnknownSymbolError,
                           depth, eval_jet3_batch, parse)
 from grwcert.jets import TensorJet
+from grwcert.schema import load_chart_input
 
 from .oracles import eval_jet3, eval_value
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import dense_spec  # noqa: E402  (perfbench/workloads.py)
 
 
 class TestGrammar:
@@ -360,6 +368,12 @@ def _assert_levels_match(levels, jets):
 class TestJet3Batch:
     @settings(max_examples=400, deadline=None)
     @given(tree=expr_trees, rows=row_arrays)
+    # 0 - k/1.28e-79 at k's zero derivatives: the third level is a NaN,
+    # whose sign bit a - b and Jet3's a + (-b) set differently.
+    @example(tree=Binary("-", Const(0.0, 0),
+                         Binary("/", Param("k", 0),
+                                Const(1.2760789298097679e-79, 0), 0), 0),
+             rows=[[0.0, 0.0, 0.0]])
     def test_matches_eval_jet3_bytes(self, tree, rows):
         expected = _jets_per_row(tree, rows)
         call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS)
@@ -423,6 +437,96 @@ class TestJet3Batch:
         assert (err.value.op, err.value.offset, err.value.detail) == (
             "div", 1, "float division by zero")
         assert (err.value.index, err.value.coords) == (1, (1e-200,))
+
+
+# ---------------------------------------------------------------------------
+# The tape: equal subtrees are one step at any offset.
+# ---------------------------------------------------------------------------
+
+def _shifted(node, by):
+    """A copy of ``node`` with every offset moved by ``by``."""
+    kids = {name: _shifted(getattr(node, name), by)
+            for name in ("arg", "base", "left", "right") if hasattr(node, name)}
+    return dataclasses.replace(node, offset=node.offset + by, **kids)
+
+
+def _steps(trees):
+    return len(expr._tape(tuple(trees))[0])
+
+
+class TestStructuralTape:
+    def test_dense_pull_back_steps(self):
+        # The shared time (A y + b)_0 of every component is one subtree.
+        chart = compile_chart(load_chart_input(dense_spec(1)))
+        assert _steps(chart.upper) == 62
+        assert _steps(exc.expr for exc in chart.exclusions) == 22
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=expr_trees, rows=row_arrays, by=st.integers(1, 60),
+           order=st.integers(1, 3))
+    def test_shifted_copy_matches_jet3_bytes(self, tree, rows, by, order):
+        copy = _shifted(tree, by)
+        assert _steps((tree, copy)) == _steps((tree,))
+        expected = _jets_per_row(tree, rows)
+        call = lambda: eval_jet3_batch((tree, copy), np.array(rows),
+                                       BATCH_PARAMS, order=order)
+        if isinstance(expected, Exception):
+            # A lower order may not form the coefficient that fails.
+            if order == 3:
+                _assert_same_error(expected, call)
+            return
+        levels = call()
+        assert len(levels) == order + 1
+        for k, name in enumerate(LEVELS[:order + 1]):
+            want = np.array([getattr(jet, name) for jet in expected], dtype=float)
+            assert levels[k][:, 0].tobytes() == want.tobytes(), name
+            assert levels[k][:, 1].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("trees, rows", [
+        ((Binary("*", Const(0.0, 1), Coord("t", 0, 0), 2),
+          Binary("*", Const(-0.0, 7), Coord("t", 0, 6), 8)),
+         [[0.0], [-0.0], [0.7]]),
+        ((parse("sin(t*x)", ["t", "x"]), parse("-sin(t*x)", ["t", "x"])),
+         [[0.0, 1.0], [-0.0, -0.0], [0.7, -1.3]]),
+        ((parse("(t + x)^2", ["t", "x"]), parse("(t + x)^(-2)", ["t", "x"])),
+         [[0.3, -0.0], [-0.0, 1.0], [0.7, -1.3]]),
+    ], ids=["signed-zero", "negation", "exponent-sign"])
+    def test_opposite_signs_stay_apart(self, trees, rows):
+        roots = expr._tape(trees)[2]
+        assert roots[0] != roots[1]
+        levels = eval_jet3_batch(trees, np.array(rows), {})
+        for k, tree in enumerate(trees):
+            _assert_levels_match([level[:, k:k + 1] for level in levels],
+                                 [eval_jet3(tree, row, {}) for row in rows])
+
+    def test_shared_steps_as_both_operands_and_roots(self):
+        # x*x's operands are one step, and that step is two roots too.
+        coords = ["t", "x"]
+        trees = [parse(text, coords)
+                 for text in ("(t*x)*(t*x)", "t*x", "  t*x", "t*x - (t*x)")]
+        steps, _, roots = expr._tape(tuple(trees))
+        assert len(steps) == 5 and roots[1] == roots[2]
+        assert steps[roots[0]][1] == steps[roots[3]][1] == (roots[1], roots[1])
+        rows = [[1.3, -0.4], [0.0, -0.0], [-2.0, 0.5]]
+        levels = eval_jet3_batch(trees, np.array(rows), {})
+        for k, tree in enumerate(trees):
+            _assert_levels_match([level[:, k:k + 1] for level in levels],
+                                 [eval_jet3(tree, row, {}) for row in rows])
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    @pytest.mark.parametrize("texts, offset", [
+        (("1 + sqrt(t - 2)", "sqrt(t - 2)*t"), 4),
+        (("sqrt(t - 2)*t", "1 + sqrt(t - 2)"), 0),
+    ])
+    def test_first_occurrence_names_the_error(self, texts, offset, order):
+        trees = [parse(text, ["t"]) for text in texts]
+        rows = np.array([[2.5], [3.0], [1.5], [0.5]])
+        with pytest.raises(EvalDomainError) as err:
+            eval_jet3_batch(trees, rows, {}, order=order)
+        assert (err.value.op, err.value.offset, err.value.index,
+                err.value.coords) == ("sqrt", offset, 2, (1.5,))
+        assert str(err.value) == (
+            f"sqrt at offset {offset}: argument {1.5 - 2!r} is not positive")
 
 
 class TestWalkOrder:
