@@ -10,11 +10,12 @@ they still run and are reported.
 
 The points go in fixed-size chunks: each chunk's curvature stack and
 every kernel, the fluid eigen-split and the Chen vector included, run once
-for the chunk, on its point axis. Only sigma, one quadrature per point,
-runs point by point within its chunk. The chunk is the unit that worker
-threads map over. Every aggregation is a max or an ordered reduction over
-the point index, so reports are byte-identical regardless of the worker
-count and the chunk size.
+for the chunk, on its point axis. sigma's quadrature makes one integrand
+call per rung of its panel ladder for all of the chunk's points, and
+falls back to one point at a time only when a path leaves the domain.
+The chunk is the unit that worker threads map over. Every aggregation is
+a max or an ordered reduction over the point index, so reports are
+byte-identical regardless of the worker count and the chunk size.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     other axis), masks of the points that carry each key that not every
     point does, and refusals as (point, record, message). The keys depend
     on the run only. Each column is formed once for the chunk, on its
-    curvature stack, except sigma, which ``_point_payload`` integrates
-    point by point."""
+    curvature stack; ``_point_payload`` integrates sigma at all of the
+    chunk's points at once."""
     stack = JetStack(chart, chunk)
     cp, fp = stack.to_point(), None
     eigs = np.linalg.eigvalsh(cp.g)
@@ -272,18 +273,17 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
             present["grw-ricci-A"] = split
             present["grw-ricci-B"] = dec.branch == NONDEGENERATE
 
-    # sigma per point, then the Chen vector's laws on the chunk. sigma
-    # feeds the conclusions and homothetic-triple (grad_rho_norm).
+    # sigma on the chunk, then the Chen vector's laws. sigma feeds the
+    # conclusions and homothetic-triple (grad_rho_norm).
     integrand = (classify._omega_integrand(chart, fp.field)
                  if fp is not None and base is not None
                  and selected & {"conclusions", "physics"} else None)
-    limit = config.hypothesis_tol * 10
-    potentials = [_point_payload(integrand, fp, base, limit, i)
-                  for i in range(len(chunk))]
-    refusals += [(i, "chen-vector", refusal)
-                 for i, refusal in enumerate(potentials)
-                 if isinstance(refusal, str)]
-    if integrand is not None:
+    potentials = _point_payload(integrand, fp, base,
+                                config.hypothesis_tol * 10)
+    if potentials is not None:
+        refusals += [(i, "chen-vector", refusal)
+                     for i, refusal in enumerate(potentials)
+                     if isinstance(refusal, str)]
         has = np.array([isinstance(p, PotentialResult) for p in potentials])
         # NaN where a point has no potential; its mask drops it.
         sigma, defect = (np.array([getattr(p, key, math.nan)
@@ -298,26 +298,38 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     return values, present, refusals
 
 
-def _point_payload(integrand, fp, base, limit, i):
-    """sigma at point i of a chunk, the one step that runs per point: the
-    potential of the chunk's omega from the basepoint, the refusal's text
-    (omega's curl above ``limit``, say), or None without an integrand."""
+def _point_payload(integrand, fp, base, limit):
+    """sigma at a chunk's points, or None without an integrand: at each
+    point the potential of the chunk's omega from the basepoint, or the
+    refusal's text (omega's curl above ``limit``, say). One quadrature
+    integrates every point whose omega is closed; if its rows leave an
+    expression's domain or meet a singular metric, each point is
+    integrated alone, and each refusal names its own path row."""
     if integrand is None:
         return None
-    if fp.omega_closed[i] > limit:
-        return classify.not_closed("ω", fp.omega_closed[i])
-    try:
-        return classify._integrate_form(integrand, fp.n, base,
-                                        fp.point[i].coords)
-    except QuadratureError as err:
-        return str(err)
-    except EvalDomainError as err:
-        # sigma's path may leave an expression's domain or cross a
-        # singular metric where no sample point does: name the path's row.
-        return (f"path from basepoint: {err} at path row {err.index}, "
-                f"coordinates {err.coords}")
-    except SingularMetricError as err:
-        return f"path from basepoint: {err}"
+
+    def integrate(targets):
+        try:
+            results = classify._integrate_form(integrand, fp.n, base,
+                                               targets)
+        except (EvalDomainError, SingularMetricError) as err:
+            if len(targets) > 1:
+                return [r for target in targets for r in integrate([target])]
+            # sigma's path may leave an expression's domain or cross a
+            # singular metric where no sample point does: name its row.
+            return [f"path from basepoint: {err}" + (
+                f" at path row {err.index}, coordinates {err.coords}"
+                if isinstance(err, EvalDomainError) else "")]
+        return [str(r) if isinstance(r, QuadratureError) else r
+                for r in results]
+
+    payload = [classify.not_closed("ω", curl) if curl > limit else None
+               for curl in fp.omega_closed]
+    closed = [i for i, refusal in enumerate(payload) if refusal is None]
+    for i, result in zip(closed, integrate([fp.point[i].coords
+                                            for i in closed])):
+        payload[i] = result
+    return payload
 
 
 def _converse_payload(chart, points):

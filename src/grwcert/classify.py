@@ -348,23 +348,33 @@ class PotentialResult:
     refinement_error: float    # panel-doubling change on the segment
 
 
-def _integrate_form(integrand, n, base, target) -> PotentialResult:
-    """Integrate a closed 1-form along the segment from ``base`` to
-    ``target`` (the range box is convex), at p and 2p panels, and along
-    the path through the corner (target time, base space) without its
-    zero-length legs at 2p panels, for ``path_defect``. Each p of
-    QUAD_PANELS is tried in turn until the doubling converges. A rung's
-    rows go to the integrand in one call; a node's term is its weight
-    times the in-order sum of form_k (end - start)_k, and each path sums
-    its terms in order."""
+def _integrate_form(integrand, n, base, targets) -> list:
+    """Integrate a closed 1-form along the segment from ``base`` to each
+    of ``targets`` (the range box is convex), at p and 2p panels, and
+    along the path through the corner (target time, base space) without
+    its zero-length legs at 2p panels, for ``path_defect``. Each p of
+    QUAD_PANELS is tried in turn until a target's doubling converges. A
+    rung's rows of every target still climbing go to the integrand in one
+    call; a node's term is its weight times the in-order sum of
+    form_k (end - start)_k, and each path of a target sums its own terms
+    in order. One result per target: its PotentialResult, or the
+    QuadratureError of a target whose top rung did not converge."""
     base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
-    corner = np.concatenate((target[:1], base[1:]))
-    paths = [(base, target)] + [
-        (a, b) for a, b in ((base, corner), (corner, target))
-        if np.any(a != b)]
+    paths = []    # each target's segment, then its corner path's legs
+    for target in np.asarray(targets, dtype=float):
+        corner = np.concatenate((target[:1], base[1:]))
+        paths.append([(base, target)] + [
+            (a, b) for a, b in ((base, corner), (corner, target))
+            if np.any(a != b)])
+    results = [None] * len(paths)
+    climbing = dict.fromkeys(range(len(paths)))   # target -> its drift
     for p in QUAD_PANELS:
-        legs = [(base, target, p)] + [(a, b, 2 * p) for a, b in paths]
+        if not climbing:
+            break
+        # Each climbing target's coarse segment, then its paths at 2p.
+        legs = [(a, b, q) for i in climbing
+                for (a, b), q in [(paths[i][0], p)]
+                + [(leg, 2 * p) for leg in paths[i]]]
         rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
         values = integrand(np.concatenate(rows))
         steps = np.repeat([b - a for a, b, _ in legs],
@@ -373,17 +383,27 @@ def _integrate_form(integrand, n, base, target) -> PotentialResult:
         for k in range(1, n):
             dots = dots + values[:, k] * steps[:, k]
         terms = (np.concatenate(weights) * dots).tolist()
-        m = QUAD_ORDER * p
-        coarse, fine, other = (reduce(add, terms[i:j], 0.0) for i, j in
-                               ((0, m), (m, 3 * m), (3 * m, len(terms))))
-        drift = abs(fine - coarse)
-        # Not "<=": a NaN drift ends the ladder with its NaN value.
-        if not drift > REFINE_TOL * (1.0 + abs(fine)):
-            return PotentialResult(value=fine, path_defect=abs(fine - other),
-                                   refinement_error=drift)
-    raise QuadratureError(
-        f"segment quadrature did not converge (panel doubling moved "
-        f"the value by {drift:.3e})")
+        m, start = QUAD_ORDER * p, 0
+        for i in list(climbing):
+            end = start + m * (1 + 2 * len(paths[i]))
+            coarse, fine, other = (
+                reduce(add, terms[j:k], 0.0) for j, k in
+                ((start, start + m), (start + m, start + 3 * m),
+                 (start + 3 * m, end)))
+            start, drift = end, abs(fine - coarse)
+            # Not "<=": a NaN drift ends the ladder with its NaN value.
+            if not drift > REFINE_TOL * (1.0 + abs(fine)):
+                results[i] = PotentialResult(value=fine,
+                                             path_defect=abs(fine - other),
+                                             refinement_error=drift)
+                del climbing[i]
+            else:
+                climbing[i] = drift
+    for i, drift in climbing.items():
+        results[i] = QuadratureError(
+            f"segment quadrature did not converge (panel doubling moved "
+            f"the value by {drift:.3e})")
+    return results
 
 
 def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):

@@ -34,9 +34,11 @@ from .jets import TensorJet, contract, leibniz_level
 def scale_free_at(residual, *references):
     """max-abs of residual over (1 + max-abs of the dominant inputs) at
     each point of a batch: maxima over every axis but the leading point
-    axis. A reference's NaN entries are passed over."""
+    axis. A NaN in the residual at a point is that point's result; a NaN
+    in a reference at a point drops that whole reference there, since
+    ``fmax`` passes over its NaN peak."""
     def peak(x):
-        return (np.max(np.abs(x), axis=tuple(range(1, np.ndim(x))))
+        return (np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
                 if np.size(x) else 0.0)
 
     return peak(residual) / (1.0 + reduce(np.fmax, map(peak, references),

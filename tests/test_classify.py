@@ -1,13 +1,13 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grwcert.certify import RunConfig, run_certify
+from grwcert.certify import RunConfig, _point_payload, run_certify
 from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
@@ -60,10 +60,35 @@ def curl(chart, field, points):
     return max(field_points(chart, points, field).u_closed)
 
 
+def sigma_at(integrand, n, base, target):
+    """``_integrate_form`` at one target: its PotentialResult, or its
+    QuadratureError."""
+    [result] = _integrate_form(integrand, n, base, [target])
+    return result
+
+
+def result_bits(result):
+    """A quadrature result's fields as bytes, or a QuadratureError's text."""
+    if isinstance(result, QuadratureError):
+        return str(result)
+    return [np.float64(v).tobytes() for v in astuple(result)]
+
+
+def counting(integrand):
+    """The integrand, and the shapes of the rows of each of its calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return integrand(x)
+
+    return counted, calls
+
+
 def potential(chart, field, base, target):
     """The line integral of a closed field from ``base`` to ``target``."""
-    return _integrate_form(_field_integrand(chart, field), chart.n, base,
-                           target.array())
+    return sigma_at(_field_integrand(chart, field), chart.n, base,
+                    target.array())
 
 
 @pytest.fixture(scope="module")
@@ -474,11 +499,12 @@ class TestBatchedQuadrature:
     def test_matches_per_node_oracle(self, name):
         chart, integrands = self.integrands(name)
         base = np.asarray(chart.basepoint)
-        for p in sample_points(chart, 2, seed=4):
-            for batched, per_node in integrands:
-                got = _integrate_form(batched, chart.n, base, p.array())
+        targets = [p.array() for p in sample_points(chart, 2, seed=4)]
+        for batched, per_node in integrands:
+            chunk = _integrate_form(batched, chart.n, base, targets)
+            for got, target in zip(chunk, targets):
                 assert (got.value, got.path_defect, got.refinement_error) \
-                    == integrate_per_node(per_node, chart.n, base, p.array())
+                    == integrate_per_node(per_node, chart.n, base, target)
 
     @pytest.mark.parametrize("name", CHARTS + ["frw-k+1", "frw-k-1"])
     def test_integrand_is_the_field_point_formula(self, name):
@@ -500,8 +526,7 @@ class TestBatchedQuadrature:
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
             for batched, _ in integrands:
-                sigma = _integrate_form(batched, chart.n, base,
-                                        p.array()).value
+                sigma = sigma_at(batched, chart.n, base, p.array()).value
                 stair = staircase_per_node(
                     lambda x: batched(x[None])[0], base, p.array(),
                     tuple(reversed(range(chart.n))), QUAD_ORDER,
@@ -517,15 +542,10 @@ class TestBatchedQuadrature:
     def test_one_integrand_call_per_potential(self, frw_dust):
         # Coarse and fine segment, then both legs of the corner path, on
         # the ladder's first rung, where frw-dust converges.
-        calls = []
-        integrand = _field_integrand(frw_dust, frw_dust.velocity)
-
-        def counted(x):
-            calls.append(x.shape)
-            return integrand(x)
-
+        counted, calls = counting(_field_integrand(frw_dust,
+                                                   frw_dust.velocity))
         target = sample_points(frw_dust, 1, seed=0)[0].array()
-        _integrate_form(counted, 4, frw_dust.basepoint, target)
+        sigma_at(counted, 4, frw_dust.basepoint, target)
         assert calls == [(7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
 
     def test_bad_path_keeps_per_node_error(self):
@@ -548,7 +568,7 @@ class TestBatchedQuadrature:
                                chart.n, chart.basepoint, target)
         with pytest.raises(EvalDomainError) as batched:
             _integrate_form(_omega_integrand(chart, field), chart.n,
-                            chart.basepoint, target)
+                            chart.basepoint, [target])
         assert str(batched.value) == str(per_node.value)
         assert str(batched.value).startswith("sqrt at offset 8: argument ")
         report = run_certify(chart, RunConfig(points=1, seed=0))
@@ -574,7 +594,7 @@ class TestBatchedQuadrature:
         target = sample_points(chart, 1, seed=0)[0].array()
         with pytest.raises(SingularMetricError) as singular:
             _integrate_form(_omega_integrand(chart, chart.velocity), chart.n,
-                            chart.basepoint, target)
+                            chart.basepoint, [target])
         # The leg's first row follows the first rung's coarse and fine
         # segments.
         row = 3 * QUAD_ORDER * QUAD_PANELS[0]
@@ -607,6 +627,16 @@ def step_chart(steepness):
         basepoint=(1.0, 0.0, 0.0, 0.0)))
 
 
+DENSE_SIGMA_CHARTS = [f"dense-pullback-{seed}" for seed in (5, 7, 2)]
+
+
+def sigma_chart(name):
+    """A catalog entry, or ``dense-pullback-SEED``."""
+    if name.startswith("dense-pullback"):
+        return dense_pullback_chart(int(name.rsplit("-", 1)[1]))
+    return catalog_get(name).chart
+
+
 class TestQuadratureLadder:
     """sigma starts on the ladder's first rung and climbs only where a
     panel doubling moves it by more than REFINE_TOL."""
@@ -617,18 +647,8 @@ class TestQuadratureLadder:
     def counted(chart, target):
         """The row counts of each integrand call of sigma's quadrature to
         ``target``, and its result or its QuadratureError."""
-        calls, integrand = [], _omega_integrand(chart, chart.velocity)
-
-        def counted(x):
-            calls.append(x.shape)
-            return integrand(x)
-
-        try:
-            result = _integrate_form(counted, chart.n, chart.basepoint,
-                                     target)
-        except QuadratureError as err:
-            result = err
-        return calls, result
+        counted, calls = counting(_omega_integrand(chart, chart.velocity))
+        return calls, sigma_at(counted, chart.n, chart.basepoint, target)
 
     @staticmethod
     def per_node(chart, target, panels):
@@ -671,19 +691,130 @@ class TestQuadratureLadder:
 
     @pytest.mark.parametrize("chart, count", [
         *((name, 10) for name in SIGMA_CHARTS),
-        *((f"dense-pullback-{seed}", 20) for seed in (5, 7, 2))])
+        *((name, 20) for name in DENSE_SIGMA_CHARTS)])
     def test_sigma_matches_a_finer_rule(self, chart, count):
         # An independent accuracy oracle: numpy's 20-node rule at 32
         # panels, against the engine's ladder.
-        chart = (dense_pullback_chart(int(chart.rsplit("-", 1)[1]))
-                 if chart.startswith("dense-pullback")
-                 else catalog_get(chart).chart)
+        chart = sigma_chart(chart)
         integrand = _omega_integrand(chart, chart.velocity)
-        for p in sample_points(chart, count, seed=0):
-            sigma = _integrate_form(integrand, chart.n, chart.basepoint,
-                                    p.array()).value
-            want = segment_reference(integrand, chart.basepoint, p.array())
-            assert abs(sigma - want) <= 1e-14 * (1.0 + abs(sigma))
+        targets = [p.array() for p in sample_points(chart, count, seed=0)]
+        for got, target in zip(_integrate_form(integrand, chart.n,
+                                               chart.basepoint, targets),
+                               targets):
+            want = segment_reference(integrand, chart.basepoint, target)
+            assert abs(got.value - want) <= 1e-14 * (1.0 + abs(got.value))
+
+
+def slab_chart():
+    """frw-dust with g_22 scaled by sqrt((x - 0.5)^2 - 0.04), which is
+    undefined on the slab 0.3 < x < 0.7. The exclusion keeps the sample
+    points out of it, but the paths from the basepoint at x = 0 to the
+    points beyond it cross it; omega = f u is closed, f a function of t."""
+    return compile_chart(ChartInput(
+        name="frw-dust-slab", dimension=4, signature="lorentzian",
+        coordinates=["t", "x", "y", "z"],
+        metric={"1,1": "-1", "2,2": "t^(4/3)*sqrt((x - 0.5)^2 - 0.04)",
+                "3,3": "t^(4/3)", "4,4": "t^(4/3)"},
+        ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
+        exclusions=[("(x - 0.5)^2 - 0.0625", 0.0)],
+        velocity_field=["-1", "0", "0", "0"],
+        basepoint=(1.0, 0.0, 0.0, 0.0)))
+
+
+class TestChunkQuadrature:
+    """sigma at all of a chunk's points, one integrand call per rung, gives
+    each point the bits and the texts of its one-point quadrature."""
+
+    @pytest.mark.parametrize(
+        "chart", TestQuadratureLadder.SIGMA_CHARTS + DENSE_SIGMA_CHARTS)
+    def test_chunk_matches_one_target_calls(self, chart):
+        chart = sigma_chart(chart)
+        integrand = _omega_integrand(chart, chart.velocity)
+        targets = [p.array() for p in sample_points(chart, 10, seed=3)]
+        chunk = _integrate_form(integrand, chart.n, chart.basepoint, targets)
+        assert [result_bits(r) for r in chunk] == [
+            result_bits(sigma_at(integrand, chart.n, chart.basepoint, t))
+            for t in targets]
+
+    def test_path_shapes_share_a_call(self, frw_dust):
+        # A target at the basepoint's time has no time leg, one at its
+        # space no space leg, and the basepoint itself neither: each sums
+        # its own rows of the one call.
+        base = np.asarray(frw_dust.basepoint, dtype=float)
+        targets = [np.array([1.5, 0.3, -0.2, 0.1]),
+                   np.concatenate((base[:1], [0.3, -0.2, 0.1])),
+                   np.concatenate(([1.5], base[1:])), base]
+        counted, calls = counting(_omega_integrand(frw_dust,
+                                                   frw_dust.velocity))
+        chunk = _integrate_form(counted, 4, base, targets)
+        assert calls == [((7 + 5 + 5 + 3) * QUAD_ORDER * QUAD_PANELS[0], 4)]
+        assert [result_bits(r) for r in chunk] == [
+            result_bits(sigma_at(counted, 4, base, t)) for t in targets]
+
+    def test_climbers_climb_together(self):
+        # On the steep step, t = 1.1 and 1.2 converge on the first rung,
+        # t = 1.5 on the last, and t = 2.0 on none: each rung's call holds
+        # the rows of the targets still climbing, in target order.
+        chart = step_chart(20)
+        integrand = _omega_integrand(chart, chart.velocity)
+        counted, calls = counting(integrand)
+        targets = [np.array([t, 0.3, -0.2, 0.1]) for t in (1.1, 1.5, 2.0, 1.2)]
+        chunk = _integrate_form(counted, chart.n, chart.basepoint, targets)
+        rows = [7 * QUAD_ORDER * p for p in QUAD_PANELS]
+        assert calls == [(4 * rows[0], 4), (2 * rows[1], 4), (2 * rows[2], 4)]
+        assert isinstance(chunk[2], QuadratureError)
+        assert [result_bits(r) for r in chunk] == [
+            result_bits(sigma_at(integrand, chart.n, chart.basepoint, t))
+            for t in targets]
+
+    def test_bad_path_keeps_the_other_points(self):
+        # One batched call leaves the domain; each point is then
+        # integrated alone, so the points whose paths stay inside keep
+        # their sigma, and each refusal names its own point and path row.
+        chart = slab_chart()
+        points = sample_points(chart, 10, seed=0)
+        fp = field_points(chart, points)
+        assert max(fp.omega_closed) < 1e-10
+        integrand = _omega_integrand(chart, chart.velocity)
+        payload = _point_payload(integrand, fp, chart.basepoint, 1e-6)
+        bad = []
+        for i, (point, got) in enumerate(zip(points, payload)):
+            try:
+                want = sigma_at(integrand, chart.n, chart.basepoint,
+                                point.array())
+            except EvalDomainError as err:
+                bad.append(i)
+                want = (f"path from basepoint: {err} at path row "
+                        f"{err.index}, coordinates {err.coords}")
+            assert got == want
+        assert 0 < len(bad) < len(points)
+        with pytest.raises(EvalDomainError):
+            _integrate_form(integrand, chart.n, chart.basepoint,
+                            [p.array() for p in points])
+        report = run_certify(chart, RunConfig(points=10, seed=0))
+        assert report.find("chen-vector").detail["error"] == \
+            f"point {bad[0]}: {payload[bad[0]]}"
+
+    def test_open_omega_is_never_integrated(self, frw_dust):
+        points = sample_points(frw_dust, 4, seed=0)
+        fp = field_points(frw_dust, points)
+        integrand = _omega_integrand(frw_dust, frw_dust.velocity)
+        counted, calls = counting(integrand)
+        fp.omega_closed = np.array([0.0, 0.5, 0.0, 1e-3])
+        payload = _point_payload(counted, fp, frw_dust.basepoint, 1e-6)
+        assert calls == [(2 * 7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
+        assert payload[1::2] == [not_closed("ω", 0.5), not_closed("ω", 1e-3)]
+        assert payload[::2] == [
+            sigma_at(integrand, 4, frw_dust.basepoint, p.array())
+            for p in points[::2]]
+        # A chunk without a closed omega calls no integrand.
+        calls.clear()
+        fp.omega_closed = np.full(4, 0.5)
+        assert _point_payload(counted, fp, frw_dust.basepoint, 1e-6) == \
+            [not_closed("ω", 0.5)] * 4
+        assert calls == []
+        # Without an integrand sigma is not formed.
+        assert _point_payload(None, None, None, 1e-6) is None
 
 
 def chen_rows(chart, points):
@@ -691,8 +822,8 @@ def chen_rows(chart, points):
     chart's basepoint as the report does: the columns of ``_chen_point``,
     the path defects, and rho = e^{-sigma} f and X = e^{-sigma} u."""
     fp = field_points(chart, points)
-    pots = [_integrate_form(_omega_integrand(chart, fp.field), chart.n,
-                            chart.basepoint, p.array()) for p in points]
+    pots = _integrate_form(_omega_integrand(chart, fp.field), chart.n,
+                           chart.basepoint, [p.array() for p in points])
     sigma = np.array([pot.value for pot in pots])
     chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
     scaling = np.exp(-sigma)

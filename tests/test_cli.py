@@ -146,17 +146,18 @@ class TestRunCertify:
     def test_potentials_follow_selection(self, spec_file, monkeypatch,
                                          groups, potentials):
         # sigma feeds homothetic-triple (physics) and the conclusions;
-        # soliton-form reads no potential.
-        calls = []
+        # soliton-form reads no potential. The chunk's points are
+        # integrated in one call.
+        targets = []
         integrate = classify._integrate_form
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            targets.append(len(args[3]))
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(classify, "_integrate_form", counted)
         report = run_certify(spec_file, RunConfig(points=3, checks=groups))
-        assert len(calls) == 3 * potentials
+        assert targets == [3 * potentials]
         if "physics" in groups:
             assert report.find("homothetic-triple").status == "pass"
 

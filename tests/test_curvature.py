@@ -7,7 +7,7 @@ from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import VelocityAnalysis
 from grwcert.curvature import (CurvaturePoint, JetStack, SingularMetricError,
                                cotton_factor, first_bianchi_residual,
-                               weyl_trace_residual)
+                               scale_free_at, weyl_trace_residual)
 from grwcert.expr import parse
 
 from grwcert.grw import catalog_get, catalog_names
@@ -130,6 +130,39 @@ class TestFlatness:
             for arr in (cp.riem, cp.ricci, cp.weyl, cp.divweyl, cp.gamma):
                 assert np.max(np.abs(arr)) < 1e-12
             assert abs(cp.rs) < 1e-12
+
+
+class TestScaleFree:
+    def test_matches_the_one_point_oracle(self):
+        rng = np.random.default_rng(3)
+        residual, ref_a, ref_b = (rng.normal(size=(5, 4, 4, 4))
+                                  for _ in range(3))
+        got = scale_free_at(residual, ref_a, ref_b)
+        assert got.tolist() == [scale_free(r, a, b) for r, a, b
+                                in zip(residual, ref_a, ref_b)]
+        # A column (one value per point) is its own peak.
+        assert scale_free_at(residual[:, 0, 0, 0]).tolist() == \
+            np.abs(residual[:, 0, 0, 0]).tolist()
+
+    def test_nan_in_residual_is_the_points_result(self):
+        residual = np.array([[1.0, np.nan], [2.0, 0.5]])
+        got = scale_free_at(residual, np.ones((2, 2)))
+        assert np.isnan(got[0]) and got[1] == 2.0 / 2.0
+
+    def test_nan_in_reference_drops_that_reference_at_the_point(self):
+        # fmax passes over the NaN peak: the other references, not the
+        # reference's finite entries, set point 0's scale.
+        residual = np.array([[3.0, 0.0], [3.0, 0.0]])
+        ref_a = np.array([[np.nan, 5.0], [0.0, 5.0]])
+        ref_b = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert scale_free_at(residual, ref_a, ref_b).tolist() == \
+            [3.0 / 2.0, 3.0 / 6.0]
+        # With no other reference the point is scaled by 1 alone.
+        assert scale_free_at(residual, ref_a).tolist() == [3.0, 3.0 / 6.0]
+
+    def test_empty_arrays_peak_at_zero(self):
+        assert scale_free_at(np.ones((2, 3)), np.zeros((2, 0))).tolist() == \
+            [1.0, 1.0]
 
 
 class TestInvariants:
