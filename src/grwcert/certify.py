@@ -34,8 +34,8 @@ import numpy as np
 from . import classify, physics
 from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
                     validate_basepoint)
-from .classify import (ANOMALOUS, NONDEGENERATE, PotentialResult,
-                       QuadratureError, VelocityAnalysis, fluid_decompose)
+from .classify import (ANOMALOUS, NONDEGENERATE, VelocityAnalysis,
+                       fluid_decompose)
 from .curvature import (JetStack, SingularMetricError,
                         first_bianchi_residual, scale_free_at,
                         weyl_trace_residual)
@@ -281,14 +281,12 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     potentials = _point_payload(integrand, fp, base,
                                 config.hypothesis_tol * 10)
     if potentials is not None:
-        refusals += [(i, "chen-vector", refusal)
-                     for i, refusal in enumerate(potentials)
-                     if isinstance(refusal, str)]
-        has = np.array([isinstance(p, PotentialResult) for p in potentials])
-        # NaN where a point has no potential; its mask drops it.
-        sigma, defect = (np.array([getattr(p, key, math.nan)
-                                   for p in potentials])
-                         for key in ("value", "path_defect"))
+        sigma, defect, refused = potentials
+        # In point order: the chunk's first refusal names the record's.
+        refusals += [(i, "chen-vector", refused[i]) for i in sorted(refused)]
+        # A refused point has no potential. A NaN sigma stays, and fails.
+        has = np.ones(len(sigma), dtype=bool)
+        has[list(refused)] = False
         (values["chen-vector"], values["ckv-gradient"],
          values["grad_rho_norm"]) = classify._chen_point(fp, sigma)
         values["potential-path-independence"] = defect
@@ -299,37 +297,40 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
 
 
 def _point_payload(integrand, fp, base, limit):
-    """sigma at a chunk's points, or None without an integrand: at each
-    point the potential of the chunk's omega from the basepoint, or the
-    refusal's text (omega's curl above ``limit``, say). One quadrature
-    integrates every point whose omega is closed; if its rows leave an
-    expression's domain or meet a singular metric, each point is
-    integrated alone, and each refusal names its own path row."""
+    """sigma at a chunk's points, or None without an integrand: (sigma,
+    path defect, refused), two arrays over the points, NaN where a point
+    has no potential, and each such point's refusal text by its index
+    (omega's curl above ``limit``, say). One quadrature integrates every
+    point whose omega is closed; if its rows leave an expression's domain
+    or meet a singular metric, each point is integrated alone, and each
+    refusal names its own path row."""
     if integrand is None:
         return None
+    points = fp.stack.points
+    sigma, defect = np.full((2, len(points)), math.nan)
+    refused = {i: classify.not_closed("ω", curl)
+               for i, curl in enumerate(fp.omega_closed) if curl > limit}
 
-    def integrate(targets):
+    def integrate(index):
         try:
-            results = classify._integrate_form(integrand, fp.n, base,
-                                               targets)
+            value, path_defect, failed = classify._integrate_form(
+                integrand, fp.n, base, [points[i].coords for i in index])
         except (EvalDomainError, SingularMetricError) as err:
-            if len(targets) > 1:
-                return [r for target in targets for r in integrate([target])]
+            if len(index) > 1:
+                for i in index:
+                    integrate([i])
+                return
             # sigma's path may leave an expression's domain or cross a
             # singular metric where no sample point does: name its row.
-            return [f"path from basepoint: {err}" + (
+            refused[index[0]] = f"path from basepoint: {err}" + (
                 f" at path row {err.index}, coordinates {err.coords}"
-                if isinstance(err, EvalDomainError) else "")]
-        return [str(r) if isinstance(r, QuadratureError) else r
-                for r in results]
+                if isinstance(err, EvalDomainError) else "")
+            return
+        sigma[index], defect[index] = value, path_defect
+        refused.update((index[k], text) for k, text in failed.items())
 
-    payload = [classify.not_closed("ω", curl) if curl > limit else None
-               for curl in fp.omega_closed]
-    closed = [i for i, refusal in enumerate(payload) if refusal is None]
-    for i, result in zip(closed, integrate([fp.point[i].coords
-                                            for i in closed])):
-        payload[i] = result
-    return payload
+    integrate([i for i in range(len(points)) if i not in refused])
+    return sigma, defect, refused
 
 
 def _converse_payload(chart, points):

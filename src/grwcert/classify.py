@@ -19,24 +19,12 @@ from operator import add
 
 import numpy as np
 
-from .chart import ChartPoint, MetricChart
+from .chart import MetricChart
 from .curvature import (JetStack, SingularMetricError, christoffel,
                         covariant_derivative, metric_inverse, scale_free_at)
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
 from .expr import Expr, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract
-
-LADDER_NAMES = (
-    "bianchi-contract",
-    "ricci-curl",
-    "b-transport",
-    "b-transport-half",
-    "gamma-comoving",
-    "b-comoving",
-    "torse-source",
-    "bu-closed",
-    "gamma-aligned",
-)
 
 # Gauss-Legendre nodes per panel of the potential quadrature, and its
 # ladder of coarse panel counts: a rung whose panel doubling moves the
@@ -44,10 +32,6 @@ LADDER_NAMES = (
 QUAD_ORDER = 8
 QUAD_PANELS = (1, 2, 4)
 REFINE_TOL = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    """Composite Gauss-Legendre refinement failed to converge."""
 
 
 # The eigen-split's branches, as the report names them.
@@ -164,8 +148,8 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class FieldPoint:
     """Tensor jets of every velocity-derived object at each point of a
-    batch: ``stack`` is the batch's, ``point`` its points, and every jet
-    has a leading point axis.
+    batch: ``stack`` is the batch's, and every jet has a leading point
+    axis.
 
     ``u`` is order 2; the others are order 1, which is all that is read.
     The scalar jets f, A, B, gamma, p and mu are shape () per point, so
@@ -178,7 +162,6 @@ class FieldPoint:
     """
 
     stack: JetStack
-    point: tuple[ChartPoint, ...]
     field: tuple[Expr, ...]    # the velocity's trees, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
@@ -269,10 +252,10 @@ class VelocityAnalysis:
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * 0.5
         p_jet = b_jet - mu_jet
-        return FieldPoint(stack=stack, point=points, field=self.field, u=u,
-                          u_up=u_up, nabla=nabla, omega=omega, f_jet=f,
-                          a_jet=a_jet, b_jet=b_jet, gamma_jet=gamma_jet,
-                          p_jet=p_jet, mu_jet=mu_jet)
+        return FieldPoint(stack=stack, field=self.field, u=u, u_up=u_up,
+                          nabla=nabla, omega=omega, f_jet=f, a_jet=a_jet,
+                          b_jet=b_jet, gamma_jet=gamma_jet, p_jet=p_jet,
+                          mu_jet=mu_jet)
 
 
 def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
@@ -341,24 +324,19 @@ def _leg(start, end, panels):
     return start + s * (end - start), weights
 
 
-@dataclass
-class PotentialResult:
-    value: float
-    path_defect: float         # segment vs the path through the corner
-    refinement_error: float    # panel-doubling change on the segment
-
-
-def _integrate_form(integrand, n, base, targets) -> list:
+def _integrate_form(integrand, n, base, targets):
     """Integrate a closed 1-form along the segment from ``base`` to each
     of ``targets`` (the range box is convex), at p and 2p panels, and
     along the path through the corner (target time, base space) without
-    its zero-length legs at 2p panels, for ``path_defect``. Each p of
+    its zero-length legs at 2p panels, for the path defect. Each p of
     QUAD_PANELS is tried in turn until a target's doubling converges. A
     rung's rows of every target still climbing go to the integrand in one
     call; a node's term is its weight times the in-order sum of
     form_k (end - start)_k, and each path of a target sums its own terms
-    in order. One result per target: its PotentialResult, or the
-    QuadratureError of a target whose top rung did not converge."""
+    in order. Returns (value, defect, refused): the segment's value and
+    its distance from the corner path's, arrays over the targets that are
+    NaN where the top rung did not converge, and the refusal text of each
+    such target by its index."""
     base = np.asarray(base, dtype=float)
     paths = []    # each target's segment, then its corner path's legs
     for target in np.asarray(targets, dtype=float):
@@ -366,7 +344,7 @@ def _integrate_form(integrand, n, base, targets) -> list:
         paths.append([(base, target)] + [
             (a, b) for a, b in ((base, corner), (corner, target))
             if np.any(a != b)])
-    results = [None] * len(paths)
+    value, defect = np.full((2, len(paths)), math.nan)
     climbing = dict.fromkeys(range(len(paths)))   # target -> its drift
     for p in QUAD_PANELS:
         if not climbing:
@@ -393,17 +371,14 @@ def _integrate_form(integrand, n, base, targets) -> list:
             start, drift = end, abs(fine - coarse)
             # Not "<=": a NaN drift ends the ladder with its NaN value.
             if not drift > REFINE_TOL * (1.0 + abs(fine)):
-                results[i] = PotentialResult(value=fine,
-                                             path_defect=abs(fine - other),
-                                             refinement_error=drift)
+                value[i], defect[i] = fine, abs(fine - other)
                 del climbing[i]
             else:
                 climbing[i] = drift
-    for i, drift in climbing.items():
-        results[i] = QuadratureError(
-            f"segment quadrature did not converge (panel doubling moved "
-            f"the value by {drift:.3e})")
-    return results
+    refused = {i: f"segment quadrature did not converge (panel doubling "
+                  f"moved the value by {drift:.3e})"
+               for i, drift in climbing.items()}
+    return value, defect, refused
 
 
 def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):

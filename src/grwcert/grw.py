@@ -34,47 +34,34 @@ class GRWBuildError(ValueError):
     pass
 
 
-@dataclass
-class FiberMetric:
-    """A Riemannian fiber chart plus its curvature evaluator."""
-
-    input: ChartInput
-    chart: MetricChart
-
-    @classmethod
-    def from_input(cls, spec: ChartInput) -> "FiberMetric":
-        chart = compile_chart(spec)
-        if chart.signature != RIEMANNIAN:
-            raise GRWBuildError("fiber metric must be declared riemannian")
-        return cls(input=spec, chart=chart)
-
-    @property
-    def dim(self) -> int:
-        return self.chart.n
-
-    def einstein_at(self, points):
-        """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R*, as arrays
-        over the points: one order-2 stack, whose values are all it reads."""
-        stack = JetStack(self.chart, points, order=2)
-        ricci, rs = stack.ricci.value, stack.rs.value
-        residual = scale_free_at(
-            ricci - (rs[:, None, None] / self.dim) * stack.g.value, ricci)
-        return residual, rs
+def einstein_at(fiber: MetricChart, points):
+    """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R*, as arrays
+    over the fiber's points: one order-2 stack, whose values are all it
+    reads."""
+    stack = JetStack(fiber, points, order=2)
+    ricci, rs = stack.ricci.value, stack.rs.value
+    residual = scale_free_at(
+        ricci - (rs[:, None, None] / fiber.n) * stack.g.value, ricci)
+    return residual, rs
 
 
 @dataclass
 class GRWStructure:
     warp: Expr              # q(t), parsed once by build_grw
-    fiber: FiberMetric
+    fiber: MetricChart      # the Riemannian fiber, compiled by build_grw
 
 
-def build_grw(warp: str, fiber: FiberMetric, *, name: str,
+def build_grw(warp: str, fiber: ChartInput, *, name: str,
               t_range, basepoint=None) -> MetricChart:
     """Assemble the Lorentzian chart g_11 = -1, g_ab = q(t)^2 g*_ab from
-    the text of the warp q(t), which must be positive on ``t_range``."""
-    params = dict(fiber.input.parameters)
-    n = 1 + fiber.dim
-    coords = ["t"] + list(fiber.chart.coordinates)
+    the text of the warp q(t), which must be positive on ``t_range``, and
+    the description of a Riemannian fiber g*."""
+    fiber_chart = compile_chart(fiber)
+    if fiber_chart.signature != RIEMANNIAN:
+        raise GRWBuildError("fiber metric must be declared riemannian")
+    params = dict(fiber.parameters)
+    m = fiber_chart.n
+    coords = ["t"] + list(fiber_chart.coordinates)
 
     lo, hi = float(t_range[0]), float(t_range[1])
     warp_expr = parse(warp, ("t",), tuple(params))
@@ -88,26 +75,26 @@ def build_grw(warp: str, fiber: FiberMetric, *, name: str,
                 f"(value {value:.3e} <= {WARP_FLOOR})")
 
     metric = {"1,1": "-1"}
-    for key, text in fiber.input.metric.items():
-        i, j = _parse_metric_key(key, fiber.dim)
+    for key, text in fiber.metric.items():
+        i, j = _parse_metric_key(key, m)
         src = str(text).strip()
         if src != "0":
             metric[f"{i + 2},{j + 2}"] = f"({warp})^2*({src})"
 
     spec = ChartInput(
         name=name,
-        dimension=n,
+        dimension=1 + m,
         signature="lorentzian",
         coordinates=coords,
         metric=metric,
-        ranges=dict(fiber.input.ranges) | {"t": (lo, hi)},
+        ranges=dict(fiber.ranges) | {"t": (lo, hi)},
         parameters=params,
-        exclusions=[(e.source, e.margin) for e in fiber.chart.exclusions],
-        velocity_field=["-1"] + ["0"] * fiber.dim,
+        exclusions=[(e.source, e.margin) for e in fiber_chart.exclusions],
+        velocity_field=["-1"] + ["0"] * m,
         basepoint=basepoint,
     )
     chart = compile_chart(spec)
-    chart.grw = GRWStructure(warp=warp_expr, fiber=fiber)
+    chart.grw = GRWStructure(warp=warp_expr, fiber=fiber_chart)
     return chart
 
 
@@ -121,8 +108,8 @@ def converse_at(chart: MetricChart, points):
     """
     n = chart.n
     warp, fiber = chart.grw.warp, chart.grw.fiber
-    fiber_residual, rstar = fiber.einstein_at(
-        [ChartPoint(p.coords[1:]) for p in points])
+    fiber_residual, rstar = einstein_at(
+        fiber, [ChartPoint(p.coords[1:]) for p in points])
     q, qp, qpp = (level.reshape(len(points)) for level in eval_jet3_batch(
         (warp,), [p.coords[:1] for p in points], chart.params, order=2))
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
@@ -248,6 +235,6 @@ def catalog_get(name: str) -> CatalogEntry:
             f"unknown catalog metric {name!r}; "
             f"choose from {', '.join(_CATALOG)}") from None
     chart = (compile_chart(spec) if warp is None else
-             build_grw(warp, FiberMetric.from_input(spec), name=name,
-                       t_range=t_range, basepoint=basepoint))
+             build_grw(warp, spec, name=name, t_range=t_range,
+                       basepoint=basepoint))
     return CatalogEntry(name=name, chart=chart, expected=expected)

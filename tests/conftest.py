@@ -4,10 +4,12 @@ computed once per session and shared."""
 
 import pytest
 
-from grwcert.certify import RunConfig, run_certify
+from grwcert.certify import CHECKS, RunConfig, run_certify
 from grwcert.grw import catalog_get
 
 ACCEPTANCE_CONFIG = RunConfig(points=50, seed=0)
+# The identity ladder's nine rungs, in report order.
+LADDER_RUNGS = tuple(row.name for row in CHECKS if row.group == "ladder")
 
 
 def certified(chart, count, seed, *groups):

@@ -320,7 +320,7 @@ def segment_per_node(integrand, legs, quad_order, panels):
 
 
 def integrate_per_node(integrand, n, base, target, quad_order=8, panels=1):
-    """(value, path_defect, refinement_error) of one rung of the engine's
+    """(value, path defect, doubling drift) of one rung of the engine's
     ladder (by default its first): the segment at ``panels`` and twice as
     many panels, then the path through the corner (target time, base
     space) without its zero-length legs, at twice as many panels."""

@@ -1,20 +1,20 @@
 import copy
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwcert import certify, classify
 from grwcert.certify import RunConfig, _point_payload, run_certify
 from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
-                              LADDER_NAMES, NONDEGENERATE, QUAD_ORDER,
-                              QUAD_PANELS, REFINE_TOL, QuadratureError,
-                              VelocityAnalysis, fluid_decompose, geodesic_at,
-                              ladder_residuals_at, not_closed, torse_at,
-                              weyl_electric_at,
+                              NONDEGENERATE, QUAD_ORDER, QUAD_PANELS,
+                              REFINE_TOL, VelocityAnalysis, fluid_decompose,
+                              geodesic_at, ladder_residuals_at, not_closed,
+                              torse_at, weyl_electric_at,
                               _chen_point, _integrate_form, _leggauss,
                               _omega_integrand, _soliton_residual_at)
 from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
@@ -24,7 +24,7 @@ from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import homothetic
 from grwcert.report import DEGENERATE
 
-from .conftest import certified
+from .conftest import LADDER_RUNGS, certified
 from .oracles import (_field_integrand, eval_value, friedmann_scalars,
                       integrate_per_node, omega_per_node, segment_reference,
                       staircase_per_node)
@@ -60,18 +60,26 @@ def curl(chart, field, points):
     return max(field_points(chart, points, field).u_closed)
 
 
+def per_target(columns):
+    """Each target's result in the columns of one ``_integrate_form``
+    call: its value and path defect, or its refusal text."""
+    value, defect, refused = columns
+    return [refused.get(i) or SimpleNamespace(value=v, path_defect=d)
+            for i, (v, d) in enumerate(zip(value, defect))]
+
+
 def sigma_at(integrand, n, base, target):
-    """``_integrate_form`` at one target: its PotentialResult, or its
-    QuadratureError."""
-    [result] = _integrate_form(integrand, n, base, [target])
-    return result
+    """``_integrate_form`` at one target: its value and path defect, or
+    its refusal text."""
+    return per_target(_integrate_form(integrand, n, base, [target]))[0]
 
 
 def result_bits(result):
-    """A quadrature result's fields as bytes, or a QuadratureError's text."""
-    if isinstance(result, QuadratureError):
-        return str(result)
-    return [np.float64(v).tobytes() for v in astuple(result)]
+    """A target's value and path defect as bytes, or its refusal text."""
+    if isinstance(result, str):
+        return result
+    return [np.float64(v).tobytes() for v in (result.value,
+                                              result.path_defect)]
 
 
 def counting(integrand):
@@ -502,9 +510,9 @@ class TestBatchedQuadrature:
         targets = [p.array() for p in sample_points(chart, 2, seed=4)]
         for batched, per_node in integrands:
             chunk = _integrate_form(batched, chart.n, base, targets)
-            for got, target in zip(chunk, targets):
-                assert (got.value, got.path_defect, got.refinement_error) \
-                    == integrate_per_node(per_node, chart.n, base, target)
+            for got, target in zip(per_target(chunk), targets):
+                assert (got.value, got.path_defect) == integrate_per_node(
+                    per_node, chart.n, base, target)[:2]
 
     @pytest.mark.parametrize("name", CHARTS + ["frw-k+1", "frw-k-1"])
     def test_integrand_is_the_field_point_formula(self, name):
@@ -646,9 +654,10 @@ class TestQuadratureLadder:
     @staticmethod
     def counted(chart, target):
         """The row counts of each integrand call of sigma's quadrature to
-        ``target``, and its result or its QuadratureError."""
+        ``target``, and the quadrature's columns."""
         counted, calls = counting(_omega_integrand(chart, chart.velocity))
-        return calls, sigma_at(counted, chart.n, chart.basepoint, target)
+        return calls, _integrate_form(counted, chart.n, chart.basepoint,
+                                      [target])
 
     @staticmethod
     def per_node(chart, target, panels):
@@ -658,32 +667,32 @@ class TestQuadratureLadder:
 
     def test_second_rung_converges(self):
         chart = step_chart(4)
-        calls, got = self.counted(chart, self.TARGET)
+        calls, (value, defect, refused) = self.counted(chart, self.TARGET)
         assert calls == [(7 * QUAD_ORDER * p, 4) for p in QUAD_PANELS[:2]]
         # The first rung's doubling moved the value past REFINE_TOL.
         *_, first = self.per_node(chart, self.TARGET, QUAD_PANELS[0])
         assert first > REFINE_TOL
-        assert (got.value, got.path_defect, got.refinement_error) == \
-            self.per_node(chart, self.TARGET, QUAD_PANELS[1])
+        assert refused == {}
+        assert (value[0], defect[0]) == \
+            self.per_node(chart, self.TARGET, QUAD_PANELS[1])[:2]
 
     def test_no_rung_converges(self):
         chart = step_chart(20)
-        calls, got = self.counted(chart, self.TARGET)
+        calls, (value, defect, refused) = self.counted(chart, self.TARGET)
         assert calls == [(7 * QUAD_ORDER * p, 4) for p in QUAD_PANELS]
         assert calls[-1] == (224, 4)
         *_, drift = self.per_node(chart, self.TARGET, QUAD_PANELS[-1])
-        assert isinstance(got, QuadratureError)
-        assert str(got) == ("segment quadrature did not converge (panel "
-                            f"doubling moved the value by {drift:.3e})")
+        assert refused == {0: ("segment quadrature did not converge (panel "
+                               f"doubling moved the value by {drift:.3e})")}
+        assert np.isnan(value[0]) and np.isnan(defect[0])
         # The report refuses sigma at the first point whose path crosses
         # the step, with the same text.
-        results = [self.counted(chart, p.array())[1]
+        results = [self.counted(chart, p.array())[1][2]
                    for p in sample_points(chart, 6, seed=0)]
-        first = next(i for i, result in enumerate(results)
-                     if isinstance(result, QuadratureError))
+        first = next(i for i, refused in enumerate(results) if refused)
         report = run_certify(chart, RunConfig(points=6, seed=0))
         assert report.find("chen-vector").detail["error"] == \
-            f"point {first}: {results[first]}"
+            f"point {first}: {results[first][0]}"
 
     SIGMA_CHARTS = [name for name in catalog_names()
                     if catalog_get(name).chart.velocity is not None
@@ -698,9 +707,8 @@ class TestQuadratureLadder:
         chart = sigma_chart(chart)
         integrand = _omega_integrand(chart, chart.velocity)
         targets = [p.array() for p in sample_points(chart, count, seed=0)]
-        for got, target in zip(_integrate_form(integrand, chart.n,
-                                               chart.basepoint, targets),
-                               targets):
+        for got, target in zip(per_target(_integrate_form(
+                integrand, chart.n, chart.basepoint, targets)), targets):
             want = segment_reference(integrand, chart.basepoint, target)
             assert abs(got.value - want) <= 1e-14 * (1.0 + abs(got.value))
 
@@ -732,7 +740,7 @@ class TestChunkQuadrature:
         integrand = _omega_integrand(chart, chart.velocity)
         targets = [p.array() for p in sample_points(chart, 10, seed=3)]
         chunk = _integrate_form(integrand, chart.n, chart.basepoint, targets)
-        assert [result_bits(r) for r in chunk] == [
+        assert [result_bits(r) for r in per_target(chunk)] == [
             result_bits(sigma_at(integrand, chart.n, chart.basepoint, t))
             for t in targets]
 
@@ -748,7 +756,7 @@ class TestChunkQuadrature:
                                                    frw_dust.velocity))
         chunk = _integrate_form(counted, 4, base, targets)
         assert calls == [((7 + 5 + 5 + 3) * QUAD_ORDER * QUAD_PANELS[0], 4)]
-        assert [result_bits(r) for r in chunk] == [
+        assert [result_bits(r) for r in per_target(chunk)] == [
             result_bits(sigma_at(counted, 4, base, t)) for t in targets]
 
     def test_climbers_climb_together(self):
@@ -762,8 +770,8 @@ class TestChunkQuadrature:
         chunk = _integrate_form(counted, chart.n, chart.basepoint, targets)
         rows = [7 * QUAD_ORDER * p for p in QUAD_PANELS]
         assert calls == [(4 * rows[0], 4), (2 * rows[1], 4), (2 * rows[2], 4)]
-        assert isinstance(chunk[2], QuadratureError)
-        assert [result_bits(r) for r in chunk] == [
+        assert list(chunk[2]) == [2]
+        assert [result_bits(r) for r in per_target(chunk)] == [
             result_bits(sigma_at(integrand, chart.n, chart.basepoint, t))
             for t in targets]
 
@@ -776,24 +784,30 @@ class TestChunkQuadrature:
         fp = field_points(chart, points)
         assert max(fp.omega_closed) < 1e-10
         integrand = _omega_integrand(chart, chart.velocity)
-        payload = _point_payload(integrand, fp, chart.basepoint, 1e-6)
+        sigma, defect, refused = _point_payload(integrand, fp,
+                                                chart.basepoint, 1e-6)
         bad = []
-        for i, (point, got) in enumerate(zip(points, payload)):
+        for i, point in enumerate(points):
             try:
-                want = sigma_at(integrand, chart.n, chart.basepoint,
-                                point.array())
+                want = result_bits(sigma_at(integrand, chart.n,
+                                            chart.basepoint, point.array()))
             except EvalDomainError as err:
                 bad.append(i)
-                want = (f"path from basepoint: {err} at path row "
-                        f"{err.index}, coordinates {err.coords}")
-            assert got == want
+                assert refused[i] == (f"path from basepoint: {err} at path "
+                                      f"row {err.index}, coordinates "
+                                      f"{err.coords}")
+                assert np.isnan(sigma[i]) and np.isnan(defect[i])
+            else:
+                got = SimpleNamespace(value=sigma[i], path_defect=defect[i])
+                assert result_bits(got) == want
+        assert sorted(refused) == bad
         assert 0 < len(bad) < len(points)
         with pytest.raises(EvalDomainError):
             _integrate_form(integrand, chart.n, chart.basepoint,
                             [p.array() for p in points])
         report = run_certify(chart, RunConfig(points=10, seed=0))
         assert report.find("chen-vector").detail["error"] == \
-            f"point {bad[0]}: {payload[bad[0]]}"
+            f"point {bad[0]}: {refused[bad[0]]}"
 
     def test_open_omega_is_never_integrated(self, frw_dust):
         points = sample_points(frw_dust, 4, seed=0)
@@ -801,20 +815,79 @@ class TestChunkQuadrature:
         integrand = _omega_integrand(frw_dust, frw_dust.velocity)
         counted, calls = counting(integrand)
         fp.omega_closed = np.array([0.0, 0.5, 0.0, 1e-3])
-        payload = _point_payload(counted, fp, frw_dust.basepoint, 1e-6)
+        sigma, defect, refused = _point_payload(counted, fp,
+                                                frw_dust.basepoint, 1e-6)
         assert calls == [(2 * 7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
-        assert payload[1::2] == [not_closed("ω", 0.5), not_closed("ω", 1e-3)]
-        assert payload[::2] == [
-            sigma_at(integrand, 4, frw_dust.basepoint, p.array())
-            for p in points[::2]]
+        assert refused == {1: not_closed("ω", 0.5), 3: not_closed("ω", 1e-3)}
+        assert np.isnan(sigma[1::2]).all() and np.isnan(defect[1::2]).all()
+        assert [result_bits(SimpleNamespace(value=v, path_defect=d))
+                for v, d in zip(sigma[::2], defect[::2])] == [
+            result_bits(sigma_at(integrand, 4, frw_dust.basepoint,
+                                 p.array())) for p in points[::2]]
         # A chunk without a closed omega calls no integrand.
         calls.clear()
         fp.omega_closed = np.full(4, 0.5)
-        assert _point_payload(counted, fp, frw_dust.basepoint, 1e-6) == \
-            [not_closed("ω", 0.5)] * 4
+        sigma, _, refused = _point_payload(counted, fp, frw_dust.basepoint,
+                                           1e-6)
+        assert refused == dict.fromkeys(range(4), not_closed("ω", 0.5))
+        assert np.isnan(sigma).all()
         assert calls == []
         # Without an integrand sigma is not formed.
         assert _point_payload(None, None, None, 1e-6) is None
+
+    def test_nan_rows_keep_their_point(self, frw_dust, monkeypatch):
+        # NaN rows make a NaN drift, which ends the ladder: sigma is NaN
+        # and not refused, so the point stays in the chen-vector column,
+        # whose record then fails on it.
+        points = sample_points(frw_dust, 4, seed=0)
+        times = [p.coords[0] for p in points]
+        last = int(np.argmax(times))
+        below = sorted(times)[-2]    # every other path stays below it
+        omega = _omega_integrand(frw_dust, frw_dust.velocity)
+
+        def nan_above(x):
+            return np.where(x[:, :1] > below, np.nan, omega(x))
+
+        fp = SimpleNamespace(n=4, omega_closed=np.zeros(4),
+                             stack=SimpleNamespace(points=points))
+        sigma, defect, refused = _point_payload(nan_above, fp,
+                                                frw_dust.basepoint, 1e-6)
+        assert refused == {}
+        assert np.flatnonzero(np.isnan(sigma)).tolist() == [last]
+        assert np.flatnonzero(np.isnan(defect)).tolist() == [last]
+        monkeypatch.setattr(classify, "_omega_integrand",
+                            lambda chart, field: nan_above)
+        report = run_certify(frw_dust, RunConfig(points=4, seed=0))
+        chen = report.find("chen-vector")
+        assert chen.status == "fail"
+        assert chen.detail["error"] == f"point {last}: the residual is NaN"
+
+    def test_refusals_come_in_point_order(self, monkeypatch):
+        # A path that leaves the domain at an earlier point, and an open
+        # omega at the last: the report names the earlier point, whatever
+        # order the refusals were found in.
+        chart = slab_chart()
+        points = sample_points(chart, 10, seed=0)
+        integrand = _omega_integrand(chart, chart.velocity)
+        curl = np.zeros(10)
+        curl[-1] = 0.5
+        fp = SimpleNamespace(n=4, omega_closed=curl,
+                             stack=SimpleNamespace(points=points))
+        _, _, refused = _point_payload(integrand, fp, chart.basepoint, 1e-6)
+        first = min(refused)
+        assert refused[first].startswith("path from basepoint: sqrt ")
+        assert first < 9 and refused[9] == not_closed("ω", 0.5)
+        payload = certify._point_payload
+
+        def open_last(integrand, fp, base, limit):
+            fp.omega_closed = np.where(np.arange(10) == 9, 0.5,
+                                       fp.omega_closed)
+            return payload(integrand, fp, base, limit)
+
+        monkeypatch.setattr(certify, "_point_payload", open_last)
+        report = run_certify(chart, RunConfig(points=10, seed=0))
+        assert report.find("chen-vector").detail["error"] == \
+            f"point {first}: {refused[first]}"
 
 
 def chen_rows(chart, points):
@@ -822,16 +895,17 @@ def chen_rows(chart, points):
     chart's basepoint as the report does: the columns of ``_chen_point``,
     the path defects, and rho = e^{-sigma} f and X = e^{-sigma} u."""
     fp = field_points(chart, points)
-    pots = _integrate_form(_omega_integrand(chart, fp.field), chart.n,
-                           chart.basepoint, [p.array() for p in points])
-    sigma = np.array([pot.value for pot in pots])
+    sigma, defect, refused = _integrate_form(
+        _omega_integrand(chart, fp.field), chart.n, chart.basepoint,
+        [p.array() for p in points])
+    assert refused == {}
     chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
     scaling = np.exp(-sigma)
     return [SimpleNamespace(chen_residual=c, ckv_residual=k,
-                            grad_rho_norm=r, path_defect=pot.path_defect,
-                            rho=s * f, x=s * u)
-            for c, k, r, pot, s, f, u in zip(chen, ckv, grad_rho_norm, pots,
-                                             scaling, fp.f_jet.value, fp.uv)]
+                            grad_rho_norm=r, path_defect=d, rho=s * f,
+                            x=s * u)
+            for c, k, r, d, s, f, u in zip(chen, ckv, grad_rho_norm, defect,
+                                           scaling, fp.f_jet.value, fp.uv)]
 
 
 def branch_homothetic(chart, points, tol=1e-7):
@@ -929,15 +1003,15 @@ class TestWeylElectric:
     def test_einstein_but_not_constant_curvature_fiber(self):
         # S^2 x S^2 fiber: Einstein yet not a space form, so the warped
         # product has a genuinely nonzero Weyl tensor that u annihilates.
-        from grwcert.grw import FiberMetric, build_grw
+        from grwcert.grw import build_grw
         hi = math.pi - 0.3
-        fiber = FiberMetric.from_input(ChartInput(
+        fiber = ChartInput(
             name="s2xs2", dimension=4, signature="riemannian",
             coordinates=["theta", "phi", "alpha", "beta"],
             metric={"1,1": "1", "2,2": "sin(theta)^2", "3,3": "1",
                     "4,4": "sin(alpha)^2"},
             ranges={"theta": (0.3, hi), "phi": (0, 6.2),
-                    "alpha": (0.3, hi), "beta": (0, 6.2)}))
+                    "alpha": (0.3, hi), "beta": (0, 6.2)})
         chart = build_grw("t^2", fiber, name="grw5-s2xs2", t_range=(1, 2))
         fp = VelocityAnalysis(chart, chart.velocity).at(
             sample_points(chart, 5, seed=21))
@@ -963,7 +1037,7 @@ class TestIdentityLadder:
 
     def test_minkowski_identically_zero(self, minkowski_chart):
         report = certified(minkowski_chart, 3, 23, "ladder")
-        for name in LADDER_NAMES:
+        for name in LADDER_RUNGS:
             assert report.find(name).max_residual == 0.0, name
 
     def test_perturbed_b_negative_control(self, frw_dust):
@@ -987,7 +1061,7 @@ class TestIdentityLadder:
             report = certified(catalog_get(name).chart, 5, 25,
                                "hypotheses", "ladder")
             assert report.find("u-closed").max_residual < 1e-9, name
-            for rung in LADDER_NAMES:
+            for rung in LADDER_RUNGS:
                 assert report.find(rung).max_residual < 1e-7, (name, rung)
 
 

@@ -15,7 +15,7 @@ import grwcert
 from grwcert import certify, classify
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.chart import ChartError, compile_chart, sample_points
-from grwcert.classify import (LADDER_NAMES, VelocityAnalysis, geodesic_at,
+from grwcert.classify import (VelocityAnalysis, geodesic_at,
                               ladder_residuals_at)
 from grwcert.cli import main
 from grwcert.grw import catalog_get, catalog_names
@@ -23,6 +23,7 @@ from grwcert.physics import motion_at
 from grwcert.report import render_json, render_text, report_to_dict
 from grwcert.schema import SpecFileError, load_chart_input
 
+from .conftest import LADDER_RUNGS
 from .test_classify import dense_pullback_input
 
 FRW_DUST_SPEC = {
@@ -309,7 +310,7 @@ class TestKernelsEqualRecords:
         assert (max(r[0] for r in r1), max(r[0] for r in r2)) \
             == (record("motion-energy"), record("motion-euler"))
         ladder = [ladder_residuals_at(fp) for fp in fps]
-        for check in LADDER_NAMES:
+        for check in LADDER_RUNGS:
             assert max(rungs[check][0] for rungs in ladder) \
                 == record(check), check
 

@@ -301,7 +301,7 @@ class TestTensorJetStack:
     @pytest.mark.parametrize("name", ["s2", "s3-fiber", "dense-pullback"])
     def test_other_dimensions_and_dense_chart(self, name, sphere2):
         chart = {"s2": lambda: sphere2,
-                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber.chart,
+                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber,
                  "dense-pullback": dense_pullback_chart}[name]()
         self.check(chart, sample_points(chart, 5, seed=22))
 
@@ -352,7 +352,7 @@ class TestBatchedJetStack:
     @pytest.mark.parametrize("name", ["s2", "s3-fiber", "dense-pullback"])
     def test_other_dimensions_and_dense_chart(self, name, sphere2):
         chart = {"s2": lambda: sphere2,
-                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber.chart,
+                 "s3-fiber": lambda: catalog_get("einstein-static").chart.grw.fiber,
                  "dense-pullback": dense_pullback_chart}[name]()
         self.check(chart, sample_points(chart, 5, seed=22))
 

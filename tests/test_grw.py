@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from grwcert.chart import ChartInput, ChartPoint, sample_points
+from grwcert.chart import (ChartInput, ChartPoint, compile_chart,
+                           sample_points)
 from grwcert.certify import CHECKS, RunConfig, run_certify
 from grwcert.classify import (ANOMALOUS, DEGENERATE, NONDEGENERATE,
                               fluid_decompose)
 from grwcert.cli import _SCALARS
 from grwcert.curvature import JetStack, scale_free_at
-from grwcert.grw import (RESOLUTION_NOTE, FiberMetric, GRWBuildError,
-                         build_grw, catalog_get, catalog_names, converse_at)
+from grwcert.grw import (RESOLUTION_NOTE, GRWBuildError, build_grw,
+                         catalog_get, catalog_names, converse_at, einstein_at)
 
 from .conftest import certified
 from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
@@ -19,7 +20,7 @@ from .oracles import (H3_SCALAR, SPHERE_RICCI_FACTOR, SPHERE_SCALAR,
 
 def fiber_residual(fiber, points):
     """Max over the fiber points of the Ricci* - (R*/m) g* residual."""
-    return max(fiber.einstein_at(points)[0])
+    return max(einstein_at(fiber, points)[0])
 
 
 def split_rows(chart, points):
@@ -50,14 +51,14 @@ def flat3():
 
 class TestBuildGRW:
     def test_unit_warp_flat_fiber_is_flat(self):
-        chart = build_grw("1", FiberMetric.from_input(flat3()),
+        chart = build_grw("1", flat3(),
                           name="mink", t_range=(-1, 1))
         for cp in curvature_rows(chart, sample_points(chart, 10, seed=1)):
             for arr in (cp.riem, cp.ricci, cp.weyl, cp.divweyl):
                 assert np.max(np.abs(arr)) < 1e-12
 
     def test_exponential_warp_is_einstein(self):
-        chart = build_grw("exp(t)", FiberMetric.from_input(flat3()),
+        chart = build_grw("exp(t)", flat3(),
                           name="ds", t_range=(-0.5, 0.5))
         for cp in curvature_rows(chart, sample_points(chart, 5, seed=2)):
             assert scale_free(cp.ricci - 3.0 * cp.g, cp.ricci) < 1e-9
@@ -78,15 +79,16 @@ class TestBuildGRW:
 
     def test_nonpositive_warp_rejected(self):
         with pytest.raises(GRWBuildError):
-            build_grw("t", FiberMetric.from_input(flat3()),
-                      name="bad", t_range=(-1, 1))
+            build_grw("t", flat3(), name="bad", t_range=(-1, 1))
 
     def test_lorentzian_fiber_rejected(self):
         spec = flat3()
         spec.signature = "lorentzian"
         spec.metric = {"1,1": "-1", "2,2": "1", "3,3": "1"}
-        with pytest.raises(GRWBuildError):
-            FiberMetric.from_input(spec)
+        # The fiber is refused before the warp, which is not positive here.
+        with pytest.raises(GRWBuildError, match="^fiber metric must be "
+                                                "declared riemannian$"):
+            build_grw("t", spec, name="bad", t_range=(-1, 1))
 
 
 class TestWeylTracesAtScale:
@@ -100,8 +102,8 @@ class TestWeylTracesAtScale:
 
     @staticmethod
     def _flat_fiber(warp, t_range=(1, 2), basepoint=(1, 0, 0, 0)):
-        return build_grw(warp, FiberMetric.from_input(flat3()), name=warp,
-                         t_range=t_range, basepoint=basepoint)
+        return build_grw(warp, flat3(), name=warp, t_range=t_range,
+                         basepoint=basepoint)
 
     def test_rescaled_space_keeps_every_status(self):
         # q = 1e3 t^(2/3) is frw-dust with x -> 1000 x: the same space-time.
@@ -134,34 +136,34 @@ class TestWeylTracesAtScale:
 class TestFiberEinstein:
     def test_unit_s3(self):
         fiber = catalog_get("einstein-static").chart.grw.fiber
-        points = sample_points(fiber.chart, 10, seed=4)
+        points = sample_points(fiber, 10, seed=4)
         assert fiber_residual(fiber, points) < 1e-10
-        rs = fiber.einstein_at(points)[1][0]
+        rs = einstein_at(fiber, points)[1][0]
         assert rs == pytest.approx(SPHERE_SCALAR[3], abs=1e-10)
-        cp = curvature_rows(fiber.chart, points)[0]
+        cp = curvature_rows(fiber, points)[0]
         np.testing.assert_allclose(cp.ricci, SPHERE_RICCI_FACTOR[3] * cp.g,
                                    atol=1e-10)
 
     def test_flat_fiber(self):
-        fiber = FiberMetric.from_input(flat3())
-        points = sample_points(fiber.chart, 5, seed=5)
+        fiber = compile_chart(flat3())
+        points = sample_points(fiber, 5, seed=5)
         assert fiber_residual(fiber, points) == 0.0
 
     def test_hyperbolic_fiber(self):
         fiber = catalog_get("frw-k-1").chart.grw.fiber
-        points = sample_points(fiber.chart, 5, seed=6)
+        points = sample_points(fiber, 5, seed=6)
         assert fiber_residual(fiber, points) < 1e-10
-        rs = fiber.einstein_at(points)[1][0]
+        rs = einstein_at(fiber, points)[1][0]
         assert rs == pytest.approx(H3_SCALAR, abs=1e-9)
 
     def test_same_numbers_as_the_full_curvature_point(self):
         # einstein_at reads Ricci*, R* and g* off the fiber's stack, the
         # arrays that to_point returns.
         fiber = catalog_get("grw5-sphere").chart.grw.fiber
-        points = sample_points(fiber.chart, 3, seed=8)
-        for cp, residual, rs in zip(curvature_rows(fiber.chart, points),
-                                    *fiber.einstein_at(points)):
-            want = scale_free(cp.ricci - (cp.rs / fiber.dim) * cp.g, cp.ricci)
+        points = sample_points(fiber, 3, seed=8)
+        for cp, residual, rs in zip(curvature_rows(fiber, points),
+                                    *einstein_at(fiber, points)):
+            want = scale_free(cp.ricci - (cp.rs / fiber.n) * cp.g, cp.ricci)
             assert (residual, rs) == (want, cp.rs)
 
     @pytest.mark.parametrize("fiber_of", [
@@ -171,10 +173,10 @@ class TestFiberEinstein:
         # The fiber's stack stops at order 2; its Ricci*, R* and g* values
         # are those of a full order-3 stack, byte for byte (flat3, S3, H3,
         # S4 and S2 x S1).
-        fiber = (FiberMetric.from_input(flat3()) if fiber_of == "flat3"
+        fiber = (compile_chart(flat3()) if fiber_of == "flat3"
                  else catalog_get(fiber_of).chart.grw.fiber)
-        points = sample_points(fiber.chart, 4, seed=9)
-        low, full = (JetStack(fiber.chart, points, order=order)
+        points = sample_points(fiber, 4, seed=9)
+        low, full = (JetStack(fiber, points, order=order)
                      for order in (2, 3))
         assert (low.g.order, low.g_inv.order, low.ricci.order) == (2, 1, 0)
         for name in ("g", "ricci", "rs"):
@@ -182,14 +184,14 @@ class TestFiberEinstein:
                     == getattr(full, name).value.tobytes()), name
         ricci, rs = full.ricci.value, full.rs.value
         want = scale_free_at(
-            ricci - (rs[:, None, None] / fiber.dim) * full.g.value, ricci)
-        residual, got_rs = fiber.einstein_at(points)
+            ricci - (rs[:, None, None] / fiber.n) * full.g.value, ricci)
+        residual, got_rs = einstein_at(fiber, points)
         assert residual.tobytes() == want.tobytes()
         assert got_rs.tobytes() == rs.tobytes()
 
     def test_product_fiber_not_einstein(self):
         fiber = catalog_get("grw-nonEinstein-fiber").chart.grw.fiber
-        points = sample_points(fiber.chart, 20, seed=7)
+        points = sample_points(fiber, 20, seed=7)
         residual = fiber_residual(fiber, points)
         # orthonormal Ricci diag(1, 1, 0): residual 2/3 against scale 1 + 1
         assert residual == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -329,7 +331,7 @@ class TestCatalog:
             chart = catalog_get(name).chart
             points = sample_points(chart, 5, seed=17)
             fiber = chart.grw.fiber
-            fiber_points = sample_points(fiber.chart, 5, seed=17)
+            fiber_points = sample_points(fiber, 5, seed=17)
             assert fiber_residual(fiber, fiber_points) < 1e-10, name
             for cp in curvature_rows(chart, points):
                 assert scale_free(cp.divweyl, cp.driem) < 1e-8, name

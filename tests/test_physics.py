@@ -10,7 +10,7 @@ from grwcert.certify import RunConfig
 from grwcert.chart import sample_points
 from grwcert.classify import VelocityAnalysis, weyl_electric_at
 from grwcert.expr import eval_jet3_batch, parse
-from grwcert.grw import build_grw, catalog_get
+from grwcert.grw import _sphere, build_grw, catalog_get
 from grwcert.jets import TensorJet
 from grwcert.physics import (eos_check, eos_parallel_at, homothetic,
                              homothetic_check, motion_at)
@@ -39,8 +39,7 @@ def static_chart(n):
     """The static warped product -dt^2 + g*, g* the unit (n-1)-sphere."""
     if n == 4:
         return catalog_get("einstein-static").chart
-    return build_grw("1", catalog_get("grw5-sphere").chart.grw.fiber,
-                     name="static-s4", t_range=(1, 2))
+    return build_grw("1", _sphere(4), name="static-s4", t_range=(1, 2))
 
 
 class TestFluidMapping:

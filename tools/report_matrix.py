@@ -85,7 +85,7 @@ def catalog():
                 ("basepoint", chart.basepoint),
                 ("velocity", chart.velocity),
                 ("warp", grw and grw.warp),
-                ("fiber", grw and grw.fiber.chart.upper))},
+                ("fiber", grw and grw.fiber.upper))},
         }
     return out
 
