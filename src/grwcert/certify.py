@@ -11,8 +11,9 @@ they still run and are reported.
 The points go in fixed-size chunks: each chunk's curvature stack and
 every kernel, the fluid eigen-split and the Chen vector included, run once
 for the chunk, on its point axis. sigma's quadrature makes one integrand
-call per rung of its panel ladder for all of the chunk's points, and
-falls back to one point at a time only when a path leaves the domain.
+call per rung of its panel ladder for all of the chunk's points; a point
+whose path leaves the domain is refused, and the rung walked again
+without it.
 The chunk is the unit that worker threads map over. Every aggregation is
 a max or an ordered reduction over the point index, so reports are
 byte-identical regardless of the worker count and the chunk size.
@@ -36,10 +37,9 @@ from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
                     validate_basepoint)
 from .classify import (ANOMALOUS, NONDEGENERATE, VelocityAnalysis,
                        fluid_decompose)
-from .curvature import (JetStack, SingularMetricError,
-                        first_bianchi_residual, scale_free_at,
+from .curvature import (JetStack, first_bianchi_residual, scale_free_at,
                         weyl_trace_residual)
-from .expr import EvalDomainError
+from .expr import RowError
 from .grw import RESOLUTION_NOTE, converse_at
 from .report import (DEGENERATE, FAIL, INFORMATIONAL, PASS, SKIPPED,
                      CertificationReport, CheckRecord)
@@ -150,14 +150,10 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
         for start, chunk in zip(starts, chunks):
             try:
                 values, present, refusals = next(results)
-            except SingularMetricError as err:
-                err.index += start       # name the point by its run index
+            except RowError as err:     # name the point by its run index
+                err.coords = chunk[err.index].coords
+                err.index, err.place = start + err.index, "point"
                 raise
-            except EvalDomainError as err:     # name the point likewise
-                coords = tuple(float(c) for c in chunk[err.index].coords)
-                raise EvalDomainError(err.op, err.offset, (
-                    f"{err.detail} at point {start + err.index}, "
-                    f"coordinates {coords}")) from None
             columns.append(values)
             masks.append(present)
             for i, name, message in refusals:
@@ -301,35 +297,19 @@ def _point_payload(integrand, fp, base, limit):
     path defect, refused), two arrays over the points, NaN where a point
     has no potential, and each such point's refusal text by its index
     (omega's curl above ``limit``, say). One quadrature integrates every
-    point whose omega is closed; if its rows leave an expression's domain
-    or meet a singular metric, each point is integrated alone, and each
-    refusal names its own path row."""
+    point whose omega is closed; a point whose path leaves an expression's
+    domain or meets a singular metric is refused with its own path row."""
     if integrand is None:
         return None
     points = fp.stack.points
     sigma, defect = np.full((2, len(points)), math.nan)
     refused = {i: classify.not_closed("ω", curl)
                for i, curl in enumerate(fp.omega_closed) if curl > limit}
-
-    def integrate(index):
-        try:
-            value, path_defect, failed = classify._integrate_form(
-                integrand, fp.n, base, [points[i].coords for i in index])
-        except (EvalDomainError, SingularMetricError) as err:
-            if len(index) > 1:
-                for i in index:
-                    integrate([i])
-                return
-            # sigma's path may leave an expression's domain or cross a
-            # singular metric where no sample point does: name its row.
-            refused[index[0]] = f"path from basepoint: {err}" + (
-                f" at path row {err.index}, coordinates {err.coords}"
-                if isinstance(err, EvalDomainError) else "")
-            return
-        sigma[index], defect[index] = value, path_defect
-        refused.update((index[k], text) for k, text in failed.items())
-
-    integrate([i for i in range(len(points)) if i not in refused])
+    closed = [i for i in range(len(points)) if i not in refused]
+    value, path_defect, failed = classify._integrate_form(
+        integrand, fp.n, base, [points[i].coords for i in closed])
+    sigma[closed], defect[closed] = value, path_defect
+    refused.update((closed[k], text) for k, text in failed.items())
     return sigma, defect, refused
 
 

@@ -20,10 +20,10 @@ from operator import add
 import numpy as np
 
 from .chart import MetricChart
-from .curvature import (JetStack, SingularMetricError, christoffel,
-                        covariant_derivative, metric_inverse, scale_free_at)
+from .curvature import (JetStack, christoffel, covariant_derivative,
+                        metric_inverse, scale_free_at)
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
-from .expr import Expr, eval_jet3, eval_jet3_batch  # noqa: F401
+from .expr import Expr, RowError, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract
 
 # Gauss-Legendre nodes per panel of the potential quadrature, and its
@@ -333,10 +333,12 @@ def _integrate_form(integrand, n, base, targets):
     rung's rows of every target still climbing go to the integrand in one
     call; a node's term is its weight times the in-order sum of
     form_k (end - start)_k, and each path of a target sums its own terms
-    in order. Returns (value, defect, refused): the segment's value and
-    its distance from the corner path's, arrays over the targets that are
-    NaN where the top rung did not converge, and the refusal text of each
-    such target by its index."""
+    in order. A target whose row fails in the integrand (a ``RowError``)
+    is refused with that error, its row counted among its own rows, and
+    the rung is walked again without it. Returns (value, defect,
+    refused): the segment's value and its distance from the corner path's,
+    arrays over the targets that are NaN where a target has no value, and
+    the refusal text of each such target by its index."""
     base = np.asarray(base, dtype=float)
     paths = []    # each target's segment, then its corner path's legs
     for target in np.asarray(targets, dtype=float):
@@ -346,22 +348,36 @@ def _integrate_form(integrand, n, base, targets):
             if np.any(a != b)])
     value, defect = np.full((2, len(paths)), math.nan)
     climbing = dict.fromkeys(range(len(paths)))   # target -> its drift
+    refused = {}
     for p in QUAD_PANELS:
-        if not climbing:
+        m = QUAD_ORDER * p
+        while climbing:
+            # Each climbing target's coarse segment, then its paths at 2p.
+            legs = [(a, b, q) for i in climbing
+                    for (a, b), q in [(paths[i][0], p)]
+                    + [(leg, 2 * p) for leg in paths[i]]]
+            rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
+            try:
+                values = integrand(np.concatenate(rows))
+                break
+            except RowError as err:
+                # Each target owns m (1 + 2 legs) rows, in target order.
+                for i in climbing:
+                    size = m * (1 + 2 * len(paths[i]))
+                    if err.index < size:
+                        break
+                    err.index -= size
+                refused[i] = f"path from basepoint: {err}"
+                del climbing[i]
+        else:       # no target is left to integrate
             break
-        # Each climbing target's coarse segment, then its paths at 2p.
-        legs = [(a, b, q) for i in climbing
-                for (a, b), q in [(paths[i][0], p)]
-                + [(leg, 2 * p) for leg in paths[i]]]
-        rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
-        values = integrand(np.concatenate(rows))
         steps = np.repeat([b - a for a, b, _ in legs],
                           [len(w) for w in weights], axis=0)
         dots = values[:, 0] * steps[:, 0]
         for k in range(1, n):
             dots = dots + values[:, k] * steps[:, k]
         terms = (np.concatenate(weights) * dots).tolist()
-        m, start = QUAD_ORDER * p, 0
+        start = 0
         for i in list(climbing):
             end = start + m * (1 + 2 * len(paths[i]))
             coarse, fine, other = (
@@ -375,9 +391,9 @@ def _integrate_form(integrand, n, base, targets):
                 del climbing[i]
             else:
                 climbing[i] = drift
-    refused = {i: f"segment quadrature did not converge (panel doubling "
-                  f"moved the value by {drift:.3e})"
-               for i, drift in climbing.items()}
+    refused.update(
+        (i, f"segment quadrature did not converge (panel doubling moved "
+            f"the value by {drift:.3e})") for i, drift in climbing.items())
     return value, defect, refused
 
 
@@ -388,15 +404,15 @@ def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):
     trees, pairs = chart.upper + field, len(chart.upper)
 
     def integrand(x):
-        levels = eval_jet3_batch(trees, x, chart.params, order=1)
-        g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
-                                for level in levels], 1)
-        u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)
         try:
+            levels = eval_jet3_batch(trees, x, chart.params, order=1)
+            g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
+                                    for level in levels], 1)
             g_inv = metric_inverse(g.truncated(0))
-        except SingularMetricError as err:
+        except RowError as err:
             err.coords, err.place = x[err.index], "path row"
             raise
+        u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)
         return _velocity_terms(g_inv, christoffel(g, g_inv), u)[3].value
 
     return integrand

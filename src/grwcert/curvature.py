@@ -28,7 +28,7 @@ import numpy as np
 
 from .chart import MetricChart
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
-from .expr import eval_jet3, eval_jet3_batch  # noqa: F401
+from .expr import RowError, eval_jet3, eval_jet3_batch  # noqa: F401
 from .jets import TensorJet, contract, leibniz_level
 
 def scale_free_at(residual, *references):
@@ -62,20 +62,14 @@ class CurvaturePoint:
     divweyl: np.ndarray    # (n, n, n): nabla_m C_{jkl}{}^m
 
 
-class SingularMetricError(np.linalg.LinAlgError):
+class SingularMetricError(RowError, np.linalg.LinAlgError):
     """The metric is singular at a point: ``index`` names the point within
     its batch, and the batch's owner fills in its ``coords`` and, for
-    sigma's integration path, ``place`` (``"path row"``)."""
+    sigma's integration path, ``place`` ("path row")."""
 
     def __init__(self, index: int, coords=()):
-        super().__init__(index, coords)
-        self.index = index
-        self.coords = coords
+        super().__init__("metric matrix is singular", index, coords)
         self.place = "point"
-
-    def __str__(self) -> str:
-        return (f"metric matrix is singular at {self.place} {self.index}, "
-                f"coordinates {tuple(float(c) for c in self.coords)}")
 
 
 class JetStack:

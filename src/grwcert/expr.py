@@ -5,7 +5,8 @@ decimal literals (optional fraction and exponent), binary operators
 ``+ - * / ^``, unary minus, parentheses, and single-argument calls
 ``name(arg)`` for exp, ln, sqrt, sin, cos, tan, sinh, cosh, tanh.
 Precedence: ``^`` > unary minus > ``* /`` > ``+ -``; binary operators
-associate left. Exponents must fold to constants at parse time.
+associate left. Exponents must be constant: the tape walker folds them
+at parse time.
 
 Trees are immutable; evaluation is pure. One tape walker evaluates them:
 ``eval_jet3_batch`` gives the values (order 0), values and gradients
@@ -52,17 +53,31 @@ class UnknownSymbolError(ParseError):
         self.offset = offset
 
 
-class EvalDomainError(ValueError):
-    """Evaluation left a function's domain; names the offending node, and
-    the failing row: ``index`` among the walked rows and its ``coords``."""
+class RowError(ValueError):
+    """A failure at one row of a walk: ``index`` among the walked rows,
+    their ``coords``, and ``place``, which the rows' owner sets ("point",
+    "path row"). Until then the error reads as its bare message."""
+
+    def __init__(self, message: str, index=None, coords=None):
+        super().__init__(message)
+        self.index, self.coords, self.place = index, coords, None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.place is None:
+            return message
+        coords = tuple(float(c) for c in self.coords)
+        return f"{message} at {self.place} {self.index}, coordinates {coords}"
+
+
+class EvalDomainError(RowError):
+    """Evaluation left a function's domain; names the offending node."""
 
     def __init__(self, op: str, offset: int, detail: str):
         super().__init__(f"{op} at offset {offset}: {detail}")
         self.op = op
         self.offset = offset
         self.detail = detail
-        self.index = None
-        self.coords = None
 
 
 class Expr:
@@ -244,21 +259,32 @@ class _Parser:
             kind, text, offset = self.peek()
             if kind == "op" and text == "^":
                 self.advance()
-                exponent_node = self.exponent_atom()
-                try:
-                    folded = _fold_constant(exponent_node)
-                except ArithmeticError:      # 10^400, 0^-1
-                    folded = math.inf
-                if folded is None:
-                    raise ParseError(
-                        "exponent must be a constant expression",
-                        _node_offset(exponent_node))
-                if isinstance(folded, complex) or not math.isfinite(folded):
-                    raise ParseError("exponent is not a finite real number",
-                                     _node_offset(exponent_node))
-                node = self.built(Power(node, folded, offset))
+                node = self.built(Power(node, self.exponent(), offset))
             else:
                 return node
+
+    def exponent(self) -> float:
+        """The exponent after a ``^``, folded by a one-row walk at order 0:
+        numbers, unary minus, ``+ - * /`` and powers only."""
+        root = self.exponent_atom()
+        tape = _tape((root,))
+        if not all(isinstance(node, (Const, Binary, Power))
+                   or isinstance(node, Unary) and node.op == "neg"
+                   for node, _ in tape[0]):
+            raise ParseError("exponent must be a constant expression",
+                             root.offset)
+        try:
+            value = _walk(tape, np.zeros((1, 1)), {}, 0,
+                          np.zeros(1, dtype=bool), one_row=True)[0].item()
+        except EvalDomainError as err:
+            if err.op == "div":
+                raise ParseError("division by zero in constant exponent",
+                                 err.offset) from None
+            value = math.nan       # 10^400, 0^-1, (-8)^(1/3)
+        if not math.isfinite(value):
+            raise ParseError("exponent is not a finite real number",
+                             root.offset)
+        return value
 
     def exponent_atom(self) -> Expr:
         kind, text, offset = self.peek()
@@ -295,38 +321,6 @@ class _Parser:
         if kind == "end":
             raise ParseError("unexpected end of input", offset)
         raise ParseError(f"unexpected token {text!r}", offset)
-
-
-def _node_offset(node: Expr) -> int:
-    return getattr(node, "offset", 0)
-
-
-def _fold_constant(node: Expr):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Unary) and node.op == "neg":
-        inner = _fold_constant(node.arg)
-        return None if inner is None else -inner
-    if isinstance(node, Binary):
-        left = _fold_constant(node.left)
-        right = _fold_constant(node.right)
-        if left is None or right is None:
-            return None
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0:
-                raise ParseError("division by zero in constant exponent",
-                                 node.offset)
-            return left / right
-    if isinstance(node, Power):
-        base = _fold_constant(node.base)
-        return None if base is None else base ** node.exponent
-    return None
 
 
 def parse(text: str, coords: Sequence[str], params: Sequence[str] = ()) -> Expr:
@@ -703,27 +697,27 @@ def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
     up (order 0, the values alone, divides with plain ``/``).
 
     A failure raises what a one-row walk raises first, rows in order (and
-    within a row, the trees in order): the rows up to the first flagged
-    one are walked again one at a time. A domain error names its row by
-    ``index`` and ``coords``.
+    within a row, the trees in order). The rows before the first flagged
+    one walked with no flag, so only that row is walked again; after a
+    math call's error the rows up to it are walked again one at a time.
+    A domain error names its row by ``index`` and ``coords``.
     """
     nodes, x = tuple(nodes), np.asarray(x, dtype=float)
     tape = _tape(nodes)
     bad = np.zeros(len(x), dtype=bool)
     try:
         jets = _walk(tape, x, params, order, bad)
-        failed = bool(bad.any())
+        again = np.flatnonzero(bad)[:1].tolist()
     except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
-        failed = True
-    if failed:
-        last = int(np.argmax(bad)) if bad.any() else len(x) - 1
-        for index in range(last + 1):
-            try:
-                _walk(tape, x[index:index + 1], params, order,
-                      np.zeros(1, dtype=bool), one_row=True)
-            except EvalDomainError as err:
-                err.index, err.coords = index, tuple(x[index].tolist())
-                raise
+        again = range(int(np.argmax(bad)) + 1 if bad.any() else len(x))
+    for index in again:
+        try:
+            _walk(tape, x[index:index + 1], params, order,
+                  np.zeros(1, dtype=bool), one_row=True)
+        except EvalDomainError as err:
+            err.index, err.coords = index, tuple(x[index].tolist())
+            raise
+    if again:
         raise RuntimeError("batched evaluation flagged a row that a "
                            "one-row walk evaluates")
     flat = np.stack(jets)

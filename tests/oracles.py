@@ -18,7 +18,7 @@ from grwcert.chart import ChartPoint, MetricChart
 from grwcert.classify import _leggauss
 from grwcert.curvature import CurvaturePoint, JetStack
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
-                          Power, Unary, eval_jet3_batch)
+                          ParseError, Power, Unary, _Parser, eval_jet3_batch)
 from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
 
 def scale_free(residual, *references) -> float:
@@ -930,6 +930,67 @@ def eval_value(node: Expr, coords, params: Mapping[str, float]) -> float:
                 f"base {base!r} not positive for non-integer exponent {e!r}")
         return base ** e
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Constant exponents folded by recursion in Python floats: the parser's
+# folding before the tape walker did it. A power of a base <= 0 to a
+# non-integer exponent folds to 0.0 or to a complex number here, which the
+# walker refuses; ``forbidden_power`` marks a parse that folded one.
+# ---------------------------------------------------------------------------
+
+def fold_constant(node: Expr, parser=None):
+    """The exponent tree's value as Python folds it, or None if it is not
+    constant; ParseError for a zero divisor, ArithmeticError on overflow."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Unary) and node.op == "neg":
+        inner = fold_constant(node.arg, parser)
+        return None if inner is None else -inner
+    if isinstance(node, Binary):
+        left = fold_constant(node.left, parser)
+        right = fold_constant(node.right, parser)
+        if left is None or right is None:
+            return None
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if right == 0:
+            raise ParseError("division by zero in constant exponent",
+                             node.offset)
+        return left / right
+    if isinstance(node, Power):
+        base = fold_constant(node.base, parser)
+        if base is None:
+            return None
+        if parser is not None and not float(node.exponent).is_integer() \
+                and (isinstance(base, complex) or base <= 0.0):
+            parser.forbidden_power = True
+        return base ** node.exponent
+    return None
+
+
+class FoldingParser(_Parser):
+    """The grammar's parser with ``fold_constant`` folding its exponents."""
+
+    forbidden_power = False
+
+    def exponent(self) -> float:
+        root = self.exponent_atom()
+        try:
+            folded = fold_constant(root, self)
+        except ArithmeticError:      # 10^400, 0^-1
+            folded = math.inf
+        if folded is None:
+            raise ParseError("exponent must be a constant expression",
+                             root.offset)
+        if isinstance(folded, complex) or not math.isfinite(folded):
+            raise ParseError("exponent is not a finite real number",
+                             root.offset)
+        return folded
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               REFINE_TOL, VelocityAnalysis, fluid_decompose,
                               geodesic_at, ladder_residuals_at, not_closed,
                               torse_at, weyl_electric_at,
-                              _chen_point, _integrate_form, _leggauss,
+                              _chen_point, _integrate_form, _leg, _leggauss,
                               _omega_integrand, _soliton_residual_at)
-from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
+from grwcert.curvature import JetStack, scale_free_at
 from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
 from grwcert.grw import catalog_get, catalog_names
@@ -574,17 +574,21 @@ class TestBatchedQuadrature:
         with pytest.raises(EvalDomainError) as per_node:
             integrate_per_node(lambda x: omega_per_node(chart, field, x),
                                chart.n, chart.basepoint, target)
-        with pytest.raises(EvalDomainError) as batched:
-            _integrate_form(_omega_integrand(chart, field), chart.n,
-                            chart.basepoint, [target])
-        assert str(batched.value) == str(per_node.value)
-        assert str(batched.value).startswith("sqrt at offset 8: argument ")
+        assert str(per_node.value).startswith("sqrt at offset 8: argument ")
+        # The target's rows open with the first rung's coarse segment: its
+        # first row at or below the domain edge is the one named.
+        segment, _ = _leg(np.asarray(chart.basepoint), target, QUAD_PANELS[0])
+        row = int(np.argmax(segment[:, 0] - 0.2 <= 0.0))
+        assert segment[row, 0] - 0.2 <= 0.0
+        value, defect, refused = _integrate_form(
+            _omega_integrand(chart, field), chart.n, chart.basepoint, [target])
+        assert refused == {0: (
+            f"path from basepoint: {per_node.value} at path row {row}, "
+            f"coordinates {tuple(segment[row].tolist())}")}
+        assert np.isnan(value[0]) and np.isnan(defect[0])
         report = run_certify(chart, RunConfig(points=1, seed=0))
         chen = next(r for r in report.checks if r.name == "chen-vector")
-        # The report names the path's row, which the batched walk sets.
-        assert chen.detail["error"] == (
-            f"point 0: path from basepoint: {per_node.value} at path row "
-            f"{batched.value.index}, coordinates {batched.value.coords}")
+        assert chen.detail["error"] == f"point 0: {refused[0]}"
 
     def test_singular_path_names_its_row(self):
         # g = diag(-1, x^2, 1, 1) is singular on x = 0. The exclusion keeps
@@ -600,23 +604,29 @@ class TestBatchedQuadrature:
             velocity_field=["-1", "0", "0", "0"],
             basepoint=(1.0, 0.0, 0.0, 0.0)))
         target = sample_points(chart, 1, seed=0)[0].array()
-        with pytest.raises(SingularMetricError) as singular:
-            _integrate_form(_omega_integrand(chart, chart.velocity), chart.n,
-                            chart.basepoint, [target])
-        # The leg's first row follows the first rung's coarse and fine
-        # segments.
-        row = 3 * QUAD_ORDER * QUAD_PANELS[0]
-        assert singular.value.index == row
-        t, *space = singular.value.coords
+        # The corner path's first leg, on x = 0, follows the first rung's
+        # coarse and fine segments, which leave x = 0 at once.
+        base = np.asarray(chart.basepoint)
+        corner = np.concatenate((target[:1], base[1:]))
+        rows = np.concatenate([_leg(a, b, p)[0] for a, b, p in (
+            (base, target, QUAD_PANELS[0]), (base, target, 2 * QUAD_PANELS[0]),
+            (base, corner, 2 * QUAD_PANELS[0]))])
+        row = int(np.argmax(rows[:, 1] == 0.0))
+        assert row == 3 * QUAD_ORDER * QUAD_PANELS[0]
+        t, *space = rows[row].tolist()
         assert 1.0 < t < target[0] and space == [0.0, 0.0, 0.0]
+        _, _, refused = _integrate_form(
+            _omega_integrand(chart, chart.velocity), chart.n,
+            chart.basepoint, [target])
         # The row is named as a row of the path, not as a sample point.
-        assert str(singular.value).startswith(
-            f"metric matrix is singular at path row {row}, coordinates (")
-        assert f"at point {row}" not in str(singular.value)
+        assert refused == {0: (
+            f"path from basepoint: metric matrix is singular at path row "
+            f"{row}, coordinates {tuple(rows[row].tolist())}")}
+        assert f"at point {row}" not in refused[0]
         report = run_certify(chart, RunConfig(points=4, seed=0))
         assert report.find("fluid-decompose").status == DEGENERATE
-        assert report.find("chen-vector").detail["error"] == (
-            f"point 0: path from basepoint: {singular.value}")
+        assert report.find("chen-vector").detail["error"] == \
+            f"point 0: {refused[0]}"
 
 
 def step_chart(steepness):
@@ -625,14 +635,19 @@ def step_chart(steepness):
     a^2 = cosh(steepness (t - 1.3))^(2 / steepness), u = -dt and
     omega = -H dt, which the quadrature resolves worse as the step
     steepens."""
+    return compile_chart(step_input(steepness))
+
+
+def step_input(steepness):
+    """``step_chart``'s spec."""
     a2 = f"cosh({steepness}*(t - 1.3))^({2 / steepness!r})"
-    return compile_chart(ChartInput(
+    return ChartInput(
         name=f"step-{steepness}", dimension=4, signature="lorentzian",
         coordinates=["t", "x", "y", "z"],
         metric={"1,1": "-1", "2,2": a2, "3,3": a2, "4,4": a2},
         ranges={"t": (1, 2), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)},
         velocity_field=["-1", "0", "0", "0"],
-        basepoint=(1.0, 0.0, 0.0, 0.0)))
+        basepoint=(1.0, 0.0, 0.0, 0.0))
 
 
 DENSE_SIGMA_CHARTS = [f"dense-pullback-{seed}" for seed in (5, 7, 2)]
@@ -776,9 +791,10 @@ class TestChunkQuadrature:
             for t in targets]
 
     def test_bad_path_keeps_the_other_points(self):
-        # One batched call leaves the domain; each point is then
-        # integrated alone, so the points whose paths stay inside keep
-        # their sigma, and each refusal names its own point and path row.
+        # The chunk's paths that leave the domain are refused one by one;
+        # the points whose paths stay inside keep their sigma, and each
+        # refusal names its own point and path row, as the point's
+        # one-target quadrature does.
         chart = slab_chart()
         points = sample_points(chart, 10, seed=0)
         fp = field_points(chart, points)
@@ -788,26 +804,48 @@ class TestChunkQuadrature:
                                                 chart.basepoint, 1e-6)
         bad = []
         for i, point in enumerate(points):
-            try:
-                want = result_bits(sigma_at(integrand, chart.n,
-                                            chart.basepoint, point.array()))
-            except EvalDomainError as err:
+            want = result_bits(sigma_at(integrand, chart.n, chart.basepoint,
+                                        point.array()))
+            if isinstance(want, str):
                 bad.append(i)
-                assert refused[i] == (f"path from basepoint: {err} at path "
-                                      f"row {err.index}, coordinates "
-                                      f"{err.coords}")
+                assert want.startswith("path from basepoint: sqrt ")
+                assert " at path row " in want
+                assert refused[i] == want
                 assert np.isnan(sigma[i]) and np.isnan(defect[i])
             else:
                 got = SimpleNamespace(value=sigma[i], path_defect=defect[i])
                 assert result_bits(got) == want
         assert sorted(refused) == bad
         assert 0 < len(bad) < len(points)
-        with pytest.raises(EvalDomainError):
-            _integrate_form(integrand, chart.n, chart.basepoint,
-                            [p.array() for p in points])
         report = run_certify(chart, RunConfig(points=10, seed=0))
         assert report.find("chen-vector").detail["error"] == \
             f"point {bad[0]}: {refused[bad[0]]}"
+
+    def test_path_that_fails_on_a_later_rung(self):
+        # ln((t - c)^2 - 1e-24) is undefined only at t = c, the t of a row
+        # of t = 1.5's second-rung fine segment, which no first-rung row
+        # meets. t = 1.1 converges on the first rung; t = 1.5 fails on the
+        # second, which is walked again for t = 2.0 alone; t = 2.0's third
+        # rung meets the same t at 8 panels and fails there.
+        base = np.array([1.0, 0.0, 0.0, 0.0])
+        targets = [np.array([t, 0.3, -0.2, 0.1]) for t in (1.1, 1.5, 2.0)]
+        c = float(_leg(base, targets[1], 4)[0][20, 0])
+        spec = step_input(20)
+        spec = replace(spec, metric={**spec.metric, "2,2": (
+            f"{spec.metric['2,2']}*(1 + 0*ln((t - {c!r})^2 - 1e-24))")})
+        chart = compile_chart(spec)
+        integrand = _omega_integrand(chart, chart.velocity)
+        counted, calls = counting(integrand)
+        chunk = _integrate_form(counted, chart.n, base, targets)
+        assert [rows for rows, _ in calls] == [168, 224, 112, 224]
+        results = per_target(chunk)
+        assert [result_bits(r) for r in results] == [
+            result_bits(sigma_at(integrand, chart.n, base, t))
+            for t in targets]
+        assert not isinstance(results[0], str)
+        for text, row in zip(results[1:], (36, 52)):
+            assert text.startswith("path from basepoint: ln at offset ")
+            assert f" at path row {row}, coordinates " in text
 
     def test_open_omega_is_never_integrated(self, frw_dust):
         points = sample_points(frw_dust, 4, seed=0)

@@ -14,7 +14,7 @@ from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
 from grwcert.jets import TensorJet
 from grwcert.schema import load_chart_input
 
-from .oracles import eval_jet3, eval_value
+from .oracles import FoldingParser, eval_jet3, eval_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import dense_spec  # noqa: E402  (perfbench/workloads.py)
@@ -77,6 +77,16 @@ class TestGrammar:
             parse("t^x", ["t", "x"])
         assert "constant" in str(err.value)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("t^(x + 1/0)", 5), ("t^(1/0 + x)", 7)])
+    def test_non_constant_exponent_named_before_folding(self, text, offset):
+        # A constant part that divides by zero is not reached: the
+        # exponent is refused as a whole, at its root.
+        with pytest.raises(ParseError) as err:
+            parse(text, ["t", "x"])
+        assert err.value.offset == offset
+        assert "exponent must be a constant expression" in str(err.value)
+
     def test_negative_exponent(self):
         assert eval_value(parse("t^-2", ["t"]), (2.0,), {}) == 0.25
 
@@ -136,6 +146,68 @@ class TestGrammar:
 
     def test_whitespace_tolerant(self):
         assert eval_value(parse("  1.5 *  ( t + 2 ) ", ["t"]), (1.0,), {}) == 4.5
+
+
+# ---------------------------------------------------------------------------
+# Constant exponents: the walker folds them as the recursive folder in
+# tests/oracles.py does, except a power of a base <= 0 to a non-integer
+# exponent, which the grammar forbids and the walker refuses.
+# ---------------------------------------------------------------------------
+
+EXPONENT_NUMBERS = st.sampled_from(
+    ["0", "0.0", "1", "2", "3", "0.5", "1.5", "0.3", "1e-300", "5e-324",
+     "1e300", "1.7e308", "1e-10", "7"])
+
+
+def _exponent_text(inner):
+    def binary(args):
+        a, op, b = args
+        return f"({a}){op}({b})"
+
+    return st.one_of(
+        inner.map(lambda a: f"-({a})"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(binary),
+        st.tuples(inner, inner).map(lambda ab: f"({ab[0]})^({ab[1]})"))
+
+
+exponent_texts = st.recursive(EXPONENT_NUMBERS, _exponent_text, max_leaves=8)
+
+
+def _folded(parser_type, text):
+    """The exponent of ``t^(text)``, or the ParseError's text and offset."""
+    try:
+        tree = parser_type(f"t^({text})", ["t"], ()).parse()
+    except ParseError as err:
+        return str(err), err.offset
+    return np.float64(tree.exponent).tobytes()
+
+
+class TestExponentFolding:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=exponent_texts)
+    def test_folds_as_python_floats(self, text):
+        oracle = FoldingParser(f"t^({text})", ["t"], ())
+        try:
+            oracle.parse()
+        except ParseError:
+            pass
+        assume(not oracle.forbidden_power)
+        assert _folded(expr._Parser, text) == _folded(FoldingParser, text)
+
+    @pytest.mark.parametrize("text, offset, before", [
+        ("0^0.5", 4, np.float64(0.0).tobytes()),
+        ("(-0)^0.5", 7, np.float64(0.0).tobytes()),
+        ("(-1.5)^0.5/0", 13,
+         ("syntax error at offset 13: division by zero in constant "
+          "exponent", 13))])
+    def test_powers_the_grammar_forbids(self, text, offset, before):
+        # Python folds 0^0.5 to 0.0 and (-1.5)^0.5 to a complex number;
+        # the walker refuses a base <= 0 for a non-integer exponent.
+        assert _folded(FoldingParser, text) == before
+        assert _folded(expr._Parser, text) == (
+            f"syntax error at offset {offset}: exponent is not a finite "
+            f"real number", offset)
 
 
 class TestEvaluation:
@@ -336,6 +408,29 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as err:
             eval_jet3_batch((tree,), np.ones((4, 1)), {}, order=0)
         assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
+
+    def test_one_row_walks_after_a_failure(self, monkeypatch):
+        # A flagged batch walks its first flagged row again, once; a math
+        # call's error leaves no flag, so the rows are walked again from
+        # row 0 up to the one that raises.
+        root, overflow = parse("sqrt(t)", ["t"]), parse("exp(700*t)", ["t"])
+        walk, one_row = expr._walk, []
+
+        def counted(*args, **kwargs):
+            one_row.append(kwargs.get("one_row", False))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(expr, "_walk", counted)
+        rows = np.linspace(1.0, 2.0, 200)[:, None]
+        rows[[150, 180]] = -1.0
+        with pytest.raises(EvalDomainError) as err:
+            eval_jet3_batch((root,), rows, {})
+        assert err.value.index == 150 and one_row.count(True) == 1
+        one_row.clear()
+        with pytest.raises(EvalDomainError) as err:
+            eval_jet3_batch((overflow,), np.linspace(0.0, 1.1, 200)[:, None],
+                            {})
+        assert err.value.index == 184 and one_row.count(True) == 185
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,24 @@ class TestConverse:
             assert rec.status == "skipped"
             assert rec.skipped_reason == "not a declared warped product"
 
+    def test_singular_fiber_names_the_point(self):
+        # g* = diag(x^8, 1, 1) is singular for the fiber's stack where
+        # x^8 < 1e-14, while q^2 = 1e8 keeps the full metric invertible:
+        # the error names the point by its run index and full coordinates.
+        fiber = ChartInput(name="thin", dimension=3, signature="riemannian",
+                           coordinates=["x", "y", "z"],
+                           metric={"1,1": "x^8", "2,2": "1", "3,3": "1"},
+                           ranges={"x": (0, 1), "y": (-1, 1), "z": (-1, 1)})
+        chart = build_grw("1e4", fiber, name="thin-fiber", t_range=(1, 2))
+        points = sample_points(chart, 30, seed=0)
+        index = next(i for i, p in enumerate(points) if p.coords[1] ** 8
+                     < 1e-14)
+        with pytest.raises(ValueError) as err:
+            run_certify(chart, RunConfig(points=30, seed=0))
+        coords = tuple(float(x) for x in points[index].coords)
+        assert str(err.value) == (f"metric matrix is singular at point "
+                                  f"{index}, coordinates {coords}")
+
 
 class TestCatalog:
     def test_names_stable(self):
