@@ -11,9 +11,9 @@ they still run and are reported.
 The points go in fixed-size chunks: each chunk's curvature stack and
 every kernel, the fluid eigen-split and the Chen vector included, run once
 for the chunk, on its point axis. sigma's quadrature makes one integrand
-call per rung of its panel ladder for all of the chunk's points; a point
-whose path leaves the domain is refused, and the rung walked again
-without it.
+call per rung of its panel ladder for all of the chunk's points; the points
+whose paths leave the domain are refused, and the rung walked once more
+without them.
 The chunk is the unit that worker threads map over. Every aggregation is
 a max or an ordered reduction over the point index, so reports are
 byte-identical regardless of the worker count and the chunk size.
@@ -101,10 +101,11 @@ class RunConfig:
 
 
 # Points per chunk. One batched stack and kernel pass pays numpy's
-# per-operation overhead once per chunk instead of once per point; the
-# size bounds the memory the stack's arrays take. The chunks never depend
-# on --workers.
-CHUNK_POINTS = 10
+# per-operation overhead once per chunk instead of once per point, so the
+# default 50-point run is one chunk. The size bounds the memory that the
+# stack's arrays and sigma's rows take (at most 224 rows per point). The
+# chunks never depend on --workers.
+CHUNK_POINTS = 64
 
 
 def run_certify(source, config: RunConfig | None = None) -> CertificationReport:

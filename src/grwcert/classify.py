@@ -333,9 +333,10 @@ def _integrate_form(integrand, n, base, targets):
     rung's rows of every target still climbing go to the integrand in one
     call; a node's term is its weight times the in-order sum of
     form_k (end - start)_k, and each path of a target sums its own terms
-    in order. A target whose row fails in the integrand (a ``RowError``)
-    is refused with that error, its row counted among its own rows, and
-    the rung is walked again without it. Returns (value, defect,
+    in order. When rows fail in the integrand (a ``RowError``), every
+    target that owns one is refused with its first failing row's error,
+    the row counted among its own rows, and the rung is walked again
+    without them. Returns (value, defect,
     refused): the segment's value and its distance from the corner path's,
     arrays over the targets that are NaN where a target has no value, and
     the refusal text of each such target by its index."""
@@ -357,18 +358,26 @@ def _integrate_form(integrand, n, base, targets):
                     for (a, b), q in [(paths[i][0], p)]
                     + [(leg, 2 * p) for leg in paths[i]]]
             rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
+            x = np.concatenate(rows)
             try:
-                values = integrand(np.concatenate(rows))
+                values = integrand(x)
                 break
             except RowError as err:
                 # Each target owns m (1 + 2 legs) rows, in target order.
-                for i in climbing:
-                    size = m * (1 + 2 * len(paths[i]))
-                    if err.index < size:
-                        break
-                    err.index -= size
-                refused[i] = f"path from basepoint: {err}"
-                del climbing[i]
+                # err.rows holds every failing row, in order.
+                order = list(climbing)
+                sizes = [m * (1 + 2 * len(paths[i])) for i in order]
+                ends = np.cumsum(sizes)
+                owners, firsts = np.unique(
+                    np.searchsorted(ends, err.rows, side="right"),
+                    return_index=True)
+                for k, row in zip(owners.tolist(),
+                                  err.rows[firsts].tolist()):
+                    error = (err if row == err.index
+                             else _row_error(integrand, x[row]))
+                    error.index = row - (int(ends[k]) - sizes[k])
+                    refused[order[k]] = f"path from basepoint: {error}"
+                    del climbing[order[k]]
         else:       # no target is left to integrate
             break
         steps = np.repeat([b - a for a, b, _ in legs],
@@ -395,6 +404,15 @@ def _integrate_form(integrand, n, base, targets):
         (i, f"segment quadrature did not converge (panel doubling moved "
             f"the value by {drift:.3e})") for i, drift in climbing.items())
     return value, defect, refused
+
+
+def _row_error(integrand, row):
+    """The ``RowError`` that ``integrand`` raises at one row alone."""
+    try:
+        integrand(row[None])
+    except RowError as err:
+        return err
+    raise RuntimeError("a row that failed in its batch passes alone")
 
 
 def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):

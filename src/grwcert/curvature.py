@@ -63,13 +63,18 @@ class CurvaturePoint:
 
 
 class SingularMetricError(RowError, np.linalg.LinAlgError):
-    """The metric is singular at a point: ``index`` names the point within
-    its batch, and the batch's owner fills in its ``coords`` and, for
-    sigma's integration path, ``place`` ("path row")."""
+    """The metric is singular at a point: ``index`` names the first such
+    point within its batch and ``rows`` all of them, and the batch's owner
+    fills in its ``coords`` and, for sigma's integration path, ``place``
+    ("path row")."""
 
-    def __init__(self, index: int, coords=()):
-        super().__init__("metric matrix is singular", index, coords)
+    def __init__(self, index: int, coords=(), rows=None):
+        super().__init__("metric matrix is singular", index, coords, rows)
         self.place = "point"
+
+    def __reduce__(self):
+        # Rebuilt from its constructor's arguments, not from the message.
+        return type(self), (self.index, self.coords, self.rows), self.__dict__
 
 
 class JetStack:
@@ -173,7 +178,7 @@ def metric_inverse(g: TensorJet) -> TensorJet:
     times level k of the product g g^{-1} taken without its g g^{-1}_k term.
 
     Raises ``SingularMetricError`` for the first point whose g is singular
-    (index 0 for a point jet).
+    (index 0 for a point jet), with every such point as its ``rows``.
     """
     # Entries of g^{-1} above 1e14 mean an eigenvalue of g below about
     # 1e-14, the pivot bound of the jet Gauss-Jordan this replaced.
@@ -183,7 +188,8 @@ def metric_inverse(g: TensorJet) -> TensorJet:
     except np.linalg.LinAlgError:    # fails for the whole batch: find the point
         ok = np.array([_invertible(m) for m in g.value.reshape(-1, g.n, g.n)])
     if not np.all(ok):
-        raise SingularMetricError(int(np.argmin(ok)))
+        rows = np.flatnonzero(~ok)
+        raise SingularMetricError(int(rows[0]), rows=rows)
     levels = [h0]
     for k in range(1, g.order + 1):
         rest = leibniz_level("ij,jk->ik", g.n, g.levels,

@@ -56,11 +56,13 @@ class UnknownSymbolError(ParseError):
 class RowError(ValueError):
     """A failure at one row of a walk: ``index`` among the walked rows,
     their ``coords``, and ``place``, which the rows' owner sets ("point",
-    "path row"). Until then the error reads as its bare message."""
+    "path row"). Until then the error reads as its bare message. ``rows``
+    holds every failing row of the walk, ``index`` the first of them."""
 
-    def __init__(self, message: str, index=None, coords=None):
+    def __init__(self, message: str, index=None, coords=None, rows=None):
         super().__init__(message)
         self.index, self.coords, self.place = index, coords, None
+        self.rows = rows
 
     def __str__(self) -> str:
         message = super().__str__()
@@ -78,6 +80,10 @@ class EvalDomainError(RowError):
         self.op = op
         self.offset = offset
         self.detail = detail
+
+    def __reduce__(self):
+        # Rebuilt from its constructor's arguments, not from the message.
+        return type(self), (self.op, self.offset, self.detail), self.__dict__
 
 
 class Expr:
@@ -274,8 +280,7 @@ class _Parser:
             raise ParseError("exponent must be a constant expression",
                              root.offset)
         try:
-            value = _walk(tape, np.zeros((1, 1)), {}, 0,
-                          np.zeros(1, dtype=bool), one_row=True)[0].item()
+            value = _walk(tape, np.zeros((1, 1)), {}, 0)[0].item()
         except EvalDomainError as err:
             if err.op == "div":
                 raise ParseError("division by zero in constant exponent",
@@ -356,16 +361,35 @@ def depth(node: Expr) -> int:
 # exp, log, pow, tan, ... may differ from the C library in the last bit.
 # ---------------------------------------------------------------------------
 
-def _libm(fn, values, *args) -> np.ndarray:
-    """``fn(v, *args)`` for each entry, through Python's math semantics."""
-    return np.fromiter(map(fn, values.tolist(), *(repeat(a) for a in args)),
-                       dtype=float, count=len(values))
+def _libm(fn, values, bad, *args) -> np.ndarray:
+    """``fn(v, *args)`` for each entry, through Python's math semantics.
+    An entry whose call fails (overflows, leaves the domain) flags its row
+    in ``bad`` and is NaN; without ``bad``, in a one-row walk, it raises."""
+    try:
+        return np.fromiter(map(fn, values.tolist(),
+                               *(repeat(a) for a in args)),
+                           dtype=float, count=len(values))
+    except (ArithmeticError, ValueError):
+        if bad is None:
+            raise
+    out = np.empty(len(values))
+    for row, v in enumerate(values.tolist()):
+        try:
+            out[row] = fn(v, *args)
+        except (ArithmeticError, ValueError):
+            out[row], bad[row] = math.nan, True
+    return out
 
 
-def _ratio(num: float, den: np.ndarray) -> np.ndarray:
-    """``num / den``, failing where Python's float division would."""
-    if np.any(den == 0.0):
-        raise ZeroDivisionError("float division by zero")
+def _ratio(num: float, den: np.ndarray, bad) -> np.ndarray:
+    """``num / den``, failing where Python's float division would: a zero
+    ``den`` flags its row in ``bad``, or raises in a one-row walk."""
+    zero = den == 0.0
+    if np.any(zero):
+        if bad is None:
+            raise ZeroDivisionError("float division by zero")
+        bad |= zero
+        return np.where(zero, np.nan, num / den)
     return num / den
 
 
@@ -373,76 +397,76 @@ def _ratio(num: float, den: np.ndarray) -> np.ndarray:
 # formed by a fixed formula; generators, so that a walk of order k forms
 # only c0..ck.
 
-def _exp(v):
-    c = _libm(math.exp, v)
+def _exp(v, bad):
+    c = _libm(math.exp, v, bad)
     yield from (c, c, c, c)
 
 
-def _ln(v):
-    yield _libm(math.log, v)
+def _ln(v, bad):
+    yield _libm(math.log, v, bad)
     yield 1.0 / v
-    yield _ratio(-1.0, _libm(pow, v, 2.0))
-    yield _ratio(2.0, _libm(pow, v, 3.0))
+    yield _ratio(-1.0, _libm(pow, v, bad, 2.0), bad)
+    yield _ratio(2.0, _libm(pow, v, bad, 3.0), bad)
 
 
-def _sqrt(v):
-    r = _libm(math.sqrt, v)
+def _sqrt(v, bad):
+    r = _libm(math.sqrt, v, bad)
     yield r
     yield 0.5 / r
-    yield _ratio(-0.25, v * r)
-    yield _ratio(0.375, v * v * r)
+    yield _ratio(-0.25, v * r, bad)
+    yield _ratio(0.375, v * v * r, bad)
 
 
-def _sin(v):
-    s = _libm(math.sin, v)
+def _sin(v, bad):
+    s = _libm(math.sin, v, bad)
     yield s
-    c = _libm(math.cos, v)
+    c = _libm(math.cos, v, bad)
     yield from (c, -s, -c)
 
 
-def _cos(v):
-    c = _libm(math.cos, v)
+def _cos(v, bad):
+    c = _libm(math.cos, v, bad)
     yield c
-    s = _libm(math.sin, v)
+    s = _libm(math.sin, v, bad)
     yield from (-s, -c, s)
 
 
-def _tan(v):
-    t = _libm(math.tan, v)
+def _tan(v, bad):
+    t = _libm(math.tan, v, bad)
     yield t
     s = 1.0 + t * t
     yield from (s, 2.0 * t * s, s * (2.0 + 6.0 * t * t))
 
 
-def _sinh(v):
-    s = _libm(math.sinh, v)
+def _sinh(v, bad):
+    s = _libm(math.sinh, v, bad)
     yield s
-    c = _libm(math.cosh, v)
+    c = _libm(math.cosh, v, bad)
     yield from (c, s, c)
 
 
-def _cosh(v):
-    c = _libm(math.cosh, v)
+def _cosh(v, bad):
+    c = _libm(math.cosh, v, bad)
     yield c
-    s = _libm(math.sinh, v)
+    s = _libm(math.sinh, v, bad)
     yield from (s, c, s)
 
 
-def _tanh(v):
-    t = _libm(math.tanh, v)
+def _tanh(v, bad):
+    t = _libm(math.tanh, v, bad)
     yield t
     s = 1.0 - t * t
     yield from (s, -2.0 * t * s, s * (6.0 * t * t - 2.0))
 
 
-def _reciprocal(v):
+def _reciprocal(v, bad):
     yield 1.0 / v
-    yield _ratio(-1.0, _libm(pow, v, 2.0))
-    yield _ratio(2.0, _libm(pow, v, 3.0))
-    yield _ratio(-6.0, _libm(pow, v, 4.0))
+    yield _ratio(-1.0, _libm(pow, v, bad, 2.0), bad)
+    yield _ratio(2.0, _libm(pow, v, bad, 3.0), bad)
+    yield _ratio(-6.0, _libm(pow, v, bad, 4.0), bad)
 
 
-def _power(v, e: float):
+def _power(v, e: float, bad):
     """The m-th derivative e(e-1)...(e-m+1) v^(e-m) of v^e for m = 0, 1,
     ...; integer powers of zero are pinned to unsigned values, not pow's
     signed zeros."""
@@ -454,7 +478,7 @@ def _power(v, e: float):
         if coeff == 0.0:
             yield np.zeros(len(v))
             continue
-        c = coeff * _libm(pow, v, e - m)
+        c = coeff * _libm(pow, v, bad, e - m)
         yield np.where(v == 0.0, coeff if e == m else 0.0, c) if integer else c
 
 
@@ -532,8 +556,17 @@ def _compose(f, coefficients, n: int, order: int):
     return out
 
 
-def _flag(bad: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mark ``mask`` rows as out of domain; they carry NaN from here on."""
+class _OutOfDomain(Exception):
+    """A one-row walk's row is out of a domain at the current step."""
+
+
+def _flag(bad, values: np.ndarray, mask) -> np.ndarray:
+    """Mark ``mask`` rows as out of domain; they carry NaN from here on.
+    Without ``bad``, in a one-row walk, a marked row raises instead."""
+    if bad is None:
+        if np.any(mask):
+            raise _OutOfDomain
+        return values
     bad |= mask
     return np.where(mask, np.nan, values)
 
@@ -605,8 +638,7 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
             try:
                 flat[0] = float(params[node.name])
             except KeyError:
-                bad[:] = True
-                flat[0] = np.nan
+                flat[0] = _flag(bad, flat[0], True)
         return flat
     if isinstance(node, Unary):
         if node.op == "neg":
@@ -614,7 +646,7 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
         v = args[0][0]
         if node.op in _POSITIVE_ARGUMENT:
             v = _flag(bad, v, v <= 0.0)
-        return _compose(args[0], _FUNCTIONS[node.op](v), n, order)
+        return _compose(args[0], _FUNCTIONS[node.op](v, bad), n, order)
     if isinstance(node, Binary):
         a, b = args
         if node.op == "+":
@@ -626,15 +658,15 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
         v = _flag(bad, b[0], b[0] == 0.0)
         if not order:
             return (a[0] / v)[None]
-        return _mul(a, _compose(b, _reciprocal(v), n, order),
+        return _mul(a, _compose(b, _reciprocal(v, bad), n, order),
                     _product_terms(n, order))
     if isinstance(node, Power):
         v, e = args[0][0], node.exponent
         v = _flag(bad, v, (v == 0.0) & (e < 0) if float(e).is_integer()
                   else v <= 0.0)
         if not order:
-            return _libm(pow, v, e)[None]
-        return _compose(args[0], _power(v, e), n, order)
+            return _libm(pow, v, bad, e)[None]
+        return _compose(args[0], _power(v, e, bad), n, order)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -658,12 +690,12 @@ def _domain_error(node: Expr, args) -> EvalDomainError:
         f"base {v!r} not positive for non-integer exponent {e!r}")
 
 
-def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
+def _walk(tape, x, params, order: int, bad=None) -> list:
     """The roots' flat jets (slots, N) over the rows of ``x``. Each
-    distinct subtree is evaluated once and kept until its last use. Rows
-    out of a domain are flagged in ``bad``; a one-row walk raises at the
-    step that flags it instead, and turns a math call's own error into
-    the ``EvalDomainError`` of its node."""
+    distinct subtree is evaluated once and kept until its last use. A row
+    that leaves a domain, or whose math call fails, is flagged in ``bad``;
+    a one-row walk (no ``bad``) raises the ``EvalDomainError`` of the step
+    that would flag it instead."""
     steps, frees, roots = tape
     cols = np.ascontiguousarray(x.T)            # (n, N)
     jets = [None] * len(steps)
@@ -672,18 +704,16 @@ def _walk(tape, x, params, order: int, bad, one_row: bool = False) -> list:
             args = [jets[k] for k in kids]
             try:
                 jets[i] = _evaluate(node, args, cols, params, order, bad)
+            except _OutOfDomain:
+                raise _domain_error(node, args) from None
             except (ArithmeticError, ValueError) as err:
-                # A math call overflowed or left its domain.
-                if not one_row:
-                    raise
+                # A one-row walk's math call overflowed or left its domain.
                 op = ("pow" if isinstance(node, Power) else
                       "div" if isinstance(node, Binary) else node.op)
                 # pow's OverflowError carries an errno tuple, exp's a text.
                 detail = ("math range error" if isinstance(err, OverflowError)
                           else str(err))
                 raise EvalDomainError(op, node.offset, detail) from None
-            if one_row and bad[0]:
-                raise _domain_error(node, args)
             for k in frees[i]:
                 jets[k] = None
     return [jets[r] for r in roots]
@@ -697,27 +727,25 @@ def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
     up (order 0, the values alone, divides with plain ``/``).
 
     A failure raises what a one-row walk raises first, rows in order (and
-    within a row, the trees in order). The rows before the first flagged
-    one walked with no flag, so only that row is walked again; after a
-    math call's error the rows up to it are walked again one at a time.
-    A domain error names its row by ``index`` and ``coords``.
+    within a row, the trees in order). The batch walk flags each row
+    whose one-row walk fails, and the rows before the first flagged one
+    walked as they do alone, so only that row is walked again. Its
+    ``EvalDomainError`` names the row by ``index`` and ``coords``, and
+    every flagged row by ``rows``.
     """
     nodes, x = tuple(nodes), np.asarray(x, dtype=float)
     tape = _tape(nodes)
     bad = np.zeros(len(x), dtype=bool)
-    try:
-        jets = _walk(tape, x, params, order, bad)
-        again = np.flatnonzero(bad)[:1].tolist()
-    except (ArithmeticError, ValueError):   # a math call overflowed or left its domain
-        again = range(int(np.argmax(bad)) + 1 if bad.any() else len(x))
-    for index in again:
+    jets = _walk(tape, x, params, order, bad)
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        index = int(rows[0])
         try:
-            _walk(tape, x[index:index + 1], params, order,
-                  np.zeros(1, dtype=bool), one_row=True)
+            _walk(tape, x[index:index + 1], params, order)
         except EvalDomainError as err:
-            err.index, err.coords = index, tuple(x[index].tolist())
+            err.index, err.coords, err.rows = (
+                index, tuple(x[index].tolist()), rows)
             raise
-    if again:
         raise RuntimeError("batched evaluation flagged a row that a "
                            "one-row walk evaluates")
     flat = np.stack(jets)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grwcert import certify, classify
-from grwcert.certify import RunConfig, _point_payload, run_certify
+from grwcert.certify import (CHUNK_POINTS, RunConfig, _point_payload,
+                             run_certify)
 from grwcert.chart import ChartInput, ChartPoint, compile_chart, sample_points
 from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               NONDEGENERATE, QUAD_ORDER, QUAD_PANELS,
@@ -221,8 +222,8 @@ class TestFluidDecompose:
                         == getattr(one, key)[0].tobytes(), (case, key)
 
     def test_one_eig_call_per_chunk(self, eig_calls, frw_dust):
-        run_certify(frw_dust, RunConfig(points=13, seed=5))
-        assert eig_calls == [(10, 4, 4), (3, 4, 4)]
+        run_certify(frw_dust, RunConfig(points=CHUNK_POINTS + 3, seed=5))
+        assert eig_calls == [(CHUNK_POINTS, 4, 4), (3, 4, 4)]
 
 
 @settings(max_examples=150, deadline=None)

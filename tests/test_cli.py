@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import grwcert
-from grwcert import certify, classify
+from grwcert import certify, classify, expr
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.chart import ChartError, compile_chart, sample_points
 from grwcert.classify import (VelocityAnalysis, geodesic_at,
@@ -40,6 +40,22 @@ FRW_DUST_SPEC = {
                           "z": [-1, 1]}, "exclusions": []},
     "basepoint": [1, 0, 0, 0],
 }
+
+# g22 of sigma-slab: frw-dust's flat sibling, sampled outside the slab
+# |x| < 0.1, with its basepoint at x = 0.5. sigma's path to a point with
+# x < -0.1 crosses the slab, where ln leaves its domain; on the overflow
+# slab exp overflows there instead.
+SIGMA_SLAB = "1 + 0*ln(x^2 - 0.005)"
+OVERFLOW_SLAB = "1 + 0*exp(100000*(0.01 - x^2))"
+
+
+def slab_chart(g22):
+    slab = dict(FRW_DUST_SPEC, name="sigma-slab",
+                metric={"1,1": "-1", "2,2": g22, "3,3": "1", "4,4": "1"},
+                basepoint=[1, 0.5, 0, 0])
+    slab["domain"] = dict(slab["domain"], exclusions=[
+        {"expr": "x^2", "margin": 0.01}])
+    return compile_chart(load_chart_input(slab))
 
 
 @pytest.fixture
@@ -200,9 +216,9 @@ class TestRunCertify:
 
         monkeypatch.setattr(classify, "_curl_residual", counted)
         report = run_certify(catalog_get("frw-dust").chart,
-                             RunConfig(points=13, seed=5))
+                             RunConfig(points=CHUNK_POINTS + 3, seed=5))
         assert report.find("chen-vector").status == "pass"
-        assert calls == [(10, 4, 4)] * 2 + [(3, 4, 4)] * 2
+        assert calls == [(CHUNK_POINTS, 4, 4)] * 2 + [(3, 4, 4)] * 2
 
     def test_unknown_group_rejected(self, spec_file):
         with pytest.raises(ValueError):
@@ -351,7 +367,7 @@ class TestReports:
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch,
                                                       name):
         # A point gets the same bits from any chunk it is in: one point,
-        # three, or the default ten (13 points end on a partial chunk),
+        # three, ten (13 points end on a partial chunk) or the default,
         # and from any worker: 13 chunks over 3 threads, 5 over 2.
         # desitter takes the degenerate split, where B is not compared; the
         # dense chart without a velocity reads weyl-electric through the
@@ -361,23 +377,68 @@ class TestReports:
         from .test_downgrades import GODEL_SPEC
         no_velocity = dataclasses.replace(dense_pullback_input(),
                                           velocity_field=None)
-        slab = dict(FRW_DUST_SPEC, name="sigma-slab",
-                    metric={"1,1": "-1", "2,2": "1 + 0*ln(x^2 - 0.005)",
-                            "3,3": "1", "4,4": "1"}, basepoint=[1, 0.5, 0, 0])
-        slab["domain"] = dict(slab["domain"], exclusions=[
-            {"expr": "x^2", "margin": 0.01}])
         chart = {
             "dense-pullback": lambda: compile_chart(dense_pullback_input()),
             "dense-no-velocity": lambda: compile_chart(no_velocity),
             "godel": lambda: compile_chart(load_chart_input(GODEL_SPEC)),
-            "sigma-slab": lambda: compile_chart(load_chart_input(slab)),
+            "sigma-slab": lambda: slab_chart(SIGMA_SLAB),
         }.get(name, lambda: catalog_get(name).chart)()
         reports = []
-        for size, workers in ((1, 1), (3, 1), (10, 1), (1, 3), (3, 2)):
+        for size, workers in ((1, 1), (3, 1), (10, 1), (CHUNK_POINTS, 1),
+                              (1, 3), (3, 2)):
             monkeypatch.setattr(certify, "CHUNK_POINTS", size)
             reports.append(render_json(run_certify(
                 chart, RunConfig(points=13, seed=5, workers=workers))))
-        assert reports[1:] == reports[:1] * 4
+        assert reports[1:] == reports[:1] * 5
+
+    @pytest.mark.parametrize("g22", [SIGMA_SLAB, OVERFLOW_SLAB],
+                             ids=["sigma-slab", "overflow-slab"])
+    def test_failing_paths_cost_linear_in_the_chunk(self, monkeypatch, g22):
+        # A full chunk of points, about half of them with a path across
+        # the slab, where ln leaves its domain or exp overflows. A rung's
+        # failing call refuses every target with a failing row at once,
+        # each from one one-row walk, and the rung is walked once more:
+        # the report is the one of 10-point chunks.
+        chart = slab_chart(g22)
+        walk, integrand = expr._walk, classify._omega_integrand
+        one_row, rows, refused = [], [], []
+
+        def counted_walk(tape, x, params, order, bad=None):
+            one_row.append(bad is None)
+            return walk(tape, x, params, order, bad)
+
+        def counted_integrand(chart, field):
+            inner = integrand(chart, field)
+
+            def counted(x):
+                rows.append(len(x))
+                return inner(x)
+            return counted
+
+        integrate = classify._integrate_form
+
+        def counted_integrate(*args):
+            result = integrate(*args)
+            refused.extend(text for text in result[2].values()
+                           if text.startswith("path from basepoint: "))
+            return result
+
+        monkeypatch.setattr(expr, "_walk", counted_walk)
+        monkeypatch.setattr(classify, "_omega_integrand", counted_integrand)
+        monkeypatch.setattr(classify, "_integrate_form", counted_integrate)
+        reports = []
+        for size in (10, CHUNK_POINTS):
+            monkeypatch.setattr(certify, "CHUNK_POINTS", size)
+            for counts in (one_row, rows, refused):
+                counts.clear()
+            reports.append(render_json(run_certify(
+                chart, RunConfig(points=CHUNK_POINTS, seed=5))))
+        assert reports[0] == reports[1]
+        assert 0 < len(refused) < CHUNK_POINTS
+        assert one_row.count(True) <= len(refused)
+        # 7 legs of QUAD_ORDER rows per point on the first rung, twice.
+        first_rung = 7 * classify.QUAD_ORDER * classify.QUAD_PANELS[0]
+        assert sum(rows) <= 2 * first_rung * CHUNK_POINTS + len(refused)
 
     @staticmethod
     def _power_spec(tmp_path, power, t_range):
@@ -469,7 +530,7 @@ class TestReports:
 
     @pytest.mark.parametrize("t_low, seed", [
         (-1, 0),          # bad points in both chunks, the first in the first
-        (-0.3, 2),        # one bad point, in the second chunk
+        (-0.02, 2),       # one bad point, in the second chunk
     ])
     def test_bad_sample_point_names_itself(self, tmp_path, capsys, t_low,
                                            seed):
@@ -480,18 +541,20 @@ class TestReports:
         spec["domain"]["ranges"]["t"] = [t_low, 3]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
+        count = 2 * CHUNK_POINTS
         points = sample_points(compile_chart(load_chart_input(str(path))),
-                               20, seed)
+                               count, seed)
         bad = [i for i, p in enumerate(points) if p.coords[0] <= 0]
         index = bad[0]
-        assert (index < CHUNK_POINTS <= bad[-1]) == (t_low == -1)
+        assert (index < CHUNK_POINTS <= bad[-1] if t_low == -1
+                else bad == [index] and index >= CHUNK_POINTS)
         coords = tuple(float(c) for c in points[index].coords)
         json_path = tmp_path / "bad-report.json"
         # With a worker per chunk, the first bad point in run order is
         # named, whichever chunk fails first.
         for workers in ("1", "2"):
-            assert main(["certify", str(path), "--points", "20", "--seed",
-                         str(seed), "--workers", workers, "--quiet",
+            assert main(["certify", str(path), "--points", str(count),
+                         "--seed", str(seed), "--workers", workers, "--quiet",
                          "--json", str(json_path)]) == 2
             assert capsys.readouterr().err == (
                 f"error: sqrt at offset 2: argument {coords[0]!r} is not "
@@ -504,8 +567,8 @@ class TestReports:
         spec["velocity_field"] = ["-1 + 0*sqrt(t)", "0", "0", "0"]
         path.write_text(json.dumps(spec))
         for workers in ("1", "2"):
-            assert main(["certify", str(path), "--points", "20", "--seed",
-                         str(seed), "--workers", workers, "--quiet",
+            assert main(["certify", str(path), "--points", str(count),
+                         "--seed", str(seed), "--workers", workers, "--quiet",
                          "--json", str(json_path)]) == 2
             assert capsys.readouterr().err == (
                 f"error: sqrt at offset 7: argument {coords[0]!r} is not "

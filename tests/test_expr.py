@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import sys
 from pathlib import Path
 
@@ -8,9 +10,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from grwcert import expr
 from grwcert.chart import ChartPoint, compile_chart
+from grwcert.curvature import SingularMetricError
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
-                          Param, ParseError, Power, Unary, UnknownSymbolError,
-                          depth, eval_jet3_batch, parse)
+                          Param, ParseError, Power, RowError, Unary,
+                          UnknownSymbolError, depth, eval_jet3_batch, parse)
 from grwcert.jets import TensorJet
 from grwcert.schema import load_chart_input
 
@@ -410,15 +413,16 @@ class TestBatchEvaluation:
         assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
 
     def test_one_row_walks_after_a_failure(self, monkeypatch):
-        # A flagged batch walks its first flagged row again, once; a math
-        # call's error leaves no flag, so the rows are walked again from
-        # row 0 up to the one that raises.
+        # A flagged batch walks its first flagged row again, once, and a
+        # math call's own error (exp overflows from row 184 on) flags its
+        # row as a domain edge does. One-row walks are the walks given no
+        # ``bad`` mask.
         root, overflow = parse("sqrt(t)", ["t"]), parse("exp(700*t)", ["t"])
         walk, one_row = expr._walk, []
 
-        def counted(*args, **kwargs):
-            one_row.append(kwargs.get("one_row", False))
-            return walk(*args, **kwargs)
+        def counted(tape, x, params, order, bad=None):
+            one_row.append(bad is None)
+            return walk(tape, x, params, order, bad)
 
         monkeypatch.setattr(expr, "_walk", counted)
         rows = np.linspace(1.0, 2.0, 200)[:, None]
@@ -426,11 +430,33 @@ class TestBatchEvaluation:
         with pytest.raises(EvalDomainError) as err:
             eval_jet3_batch((root,), rows, {})
         assert err.value.index == 150 and one_row.count(True) == 1
+        assert err.value.rows.tolist() == [150, 180]
         one_row.clear()
         with pytest.raises(EvalDomainError) as err:
             eval_jet3_batch((overflow,), np.linspace(0.0, 1.1, 200)[:, None],
                             {})
-        assert err.value.index == 184 and one_row.count(True) == 185
+        assert err.value.index == 184 and one_row.count(True) == 1
+        assert err.value.rows.tolist() == list(range(184, 200))
+
+    def test_row_errors_survive_pickling(self):
+        # A process worker would send its chunk's error back pickled: the
+        # round trip keeps the class, the attributes and the text, with
+        # and without a place.
+        rows = np.array([[4.0], [-1.0], [-2.0]])
+        with pytest.raises(EvalDomainError) as domain:
+            eval_jet3_batch((parse("sqrt(t)", ["t"]),), rows, {})
+        named = copy.copy(domain.value)
+        named.place = "path row"
+        errors = [RowError("metric.2,2: bad", 3, (1.0, 2.0)), domain.value,
+                  named, SingularMetricError(2, (0.5, 0.25), np.array([2]))]
+        for err in errors:
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is type(err) and str(back) == str(err)
+            for key in ("index", "coords", "place", "op", "offset", "detail"):
+                assert getattr(back, key, None) == getattr(err, key, None)
+            assert np.array_equal(back.rows, err.rows)
+        assert str(named).startswith(
+            "sqrt at offset 0: argument -1.0 is not positive at path row 1")
 
 
 # ---------------------------------------------------------------------------

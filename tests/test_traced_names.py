@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from grwcert.certify import CHUNK_POINTS
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402  (perfbench/spans.py, through sys.path)
 import workloads  # noqa: E402
@@ -38,10 +40,11 @@ def traced_metrics(tmp_path, args, points):
 
 
 def test_sigma_is_one_integrand_call_per_chunk(tmp_path):
-    # 13 points are two chunks, and every frw-dust point converges on the
-    # quadrature's first rung: one integrand call per chunk.
-    metrics = traced_metrics(tmp_path, ["catalog", "run", "frw-dust"], 13)
-    assert metrics["classify.quadrature.integrand_calls_per_pt"] == 2 / 13
+    # A chunk and 3 points more are two chunks, and every frw-dust point
+    # converges on the quadrature's first rung: one integrand call per chunk.
+    points = CHUNK_POINTS + 3
+    metrics = traced_metrics(tmp_path, ["catalog", "run", "frw-dust"], points)
+    assert metrics["classify.quadrature.integrand_calls_per_pt"] == 2 / points
 
 
 def test_point_span_without_sigma(tmp_path):

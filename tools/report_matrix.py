@@ -1,7 +1,8 @@
-"""Write the JSON report of every catalog entry and of six dense
-pull-back reports, and the compiled catalog itself, into one directory, so
-that two trees or two worker counts can be compared with ``diff -r``; or
-compare two such directories record by record.
+"""Write the JSON report of every catalog entry, of seven dense
+pull-back runs and of two more catalog runs, and the compiled catalog
+itself, into one directory, so that two trees or two worker counts can
+be compared with ``diff -r``; or compare two such directories record by
+record.
 
     python tools/report_matrix.py OUT --workers W
     python tools/report_matrix.py --compare DIR_A DIR_B
@@ -9,13 +10,16 @@ compare two such directories record by record.
 The matrix is each catalog entry at (points, seed) = (1, 0), (2, 31),
 (13, 5) and (25, 7), and ``perfbench/workloads.dense_spec`` at seeds 1,
 31 and 101 with 20 points, with its velocity field and without it (then
-weyl-electric reads the eigen-split's velocity). Reports are
-byte-identical at any worker count (and any chunk size), so ``OUT``
-depends only on the source tree it ran. ``catalog.json`` holds each
-entry's expectation record and the ``repr`` of its compiled signature,
-coordinates, metric trees, ranges, parameters, exclusions, basepoint,
-velocity, warp and fiber metric, so the diff covers the catalog table
-as well as the reports.
+weyl-electric reads the eigen-split's velocity). Each of these runs is
+one chunk of ``certify.CHUNK_POINTS``, so three runs of two chunks and
+a point, frw-dust and grw5-sphere at seed 11 and the dense pull-back at
+seed 1 with its velocity, are the ones that start a thread pool at two
+workers or more. Reports are byte-identical at any worker count (and any
+chunk size), so ``OUT`` depends only on the source tree it ran.
+``catalog.json`` holds each entry's expectation record and the ``repr``
+of its compiled signature, coordinates, metric trees, ranges,
+parameters, exclusions, basepoint, velocity, warp and fiber metric, so
+the diff covers the catalog table as well as the reports.
 
 ``--compare`` reads the JSON files of two directories. It prints each
 change that is not a float move (a verdict, status, ``ok``, string, int,
@@ -38,7 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from grwcert.certify import RunConfig, certify_chart  # noqa: E402
+from grwcert.certify import (CHUNK_POINTS, RunConfig,  # noqa: E402
+                             certify_chart)
 from grwcert.chart import compile_chart  # noqa: E402
 from grwcert.grw import catalog_get, catalog_names  # noqa: E402
 from grwcert.report import render_json  # noqa: E402
@@ -48,6 +53,9 @@ from workloads import dense_spec  # noqa: E402
 CATALOG_RUNS = ((1, 0), (2, 31), (13, 5), (25, 7))
 DENSE_SEEDS = (1, 31, 101)
 DENSE_POINTS = 20
+# Three chunks, the last of one point: the runs that reach the thread pool.
+POOL_ENTRIES = ("frw-dust", "grw5-sphere")
+POOL_POINTS, POOL_SEED = 2 * CHUNK_POINTS + 1, 11
 # tests/test_report_contract.py's bar on a float move.
 FLOAT_BAR = 1e-12
 
@@ -66,6 +74,12 @@ def matrix():
         chart = compile_chart(load_chart_input(spec))
         yield (f"dense-novelocity-s{seed}-p{DENSE_POINTS}.json", chart,
                DENSE_POINTS, seed)
+    for name in POOL_ENTRIES:
+        yield (f"{name}-p{POOL_POINTS}-s{POOL_SEED}.json",
+               catalog_get(name).chart, POOL_POINTS, POOL_SEED)
+    seed = DENSE_SEEDS[0]
+    chart = compile_chart(load_chart_input(dense_spec(seed)))
+    yield f"dense-s{seed}-p{POOL_POINTS}.json", chart, POOL_POINTS, seed
 
 
 def catalog():
