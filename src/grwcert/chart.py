@@ -117,24 +117,6 @@ class MetricChart:
         return self.symmetric(eval_jet3_batch(
             self.upper, [point.coords], self.params, order=0)[0])[0]
 
-    def in_domain(self, point: ChartPoint) -> bool:
-        """Inside every range and above every exclusion margin; the
-        exclusions are evaluated in order, up to the first one that fails.
-        An exclusion undefined at the point is a ChartError naming it."""
-        for x, (lo, hi) in zip(point.coords, self.ranges):
-            if not (lo <= x <= hi):
-                return False
-        for k, exc in enumerate(self.exclusions):
-            try:
-                value = eval_jet3_batch((exc.expr,), [point.coords],
-                                        self.params, order=0)[0]
-            except EvalDomainError as err:
-                raise ChartError.at(f"domain.exclusions[{k}].expr",
-                                    str(err)) from None
-            if value[0, 0] <= exc.margin:
-                return False
-        return True
-
 
 def _parse_metric_key(key, n: int) -> tuple[int, int]:
     """The 0-based (i, j) of an upper-triangle metric key ``"i,j"``."""
@@ -268,17 +250,11 @@ def compile_chart(spec: ChartInput) -> MetricChart:
     try:
         validate_signature(chart, _probe_point(chart))
     except EvalDomainError as err:
-        # in_domain names an exclusion undefined at the probe point; name
-        # the first metric component that fails alone at the failing point.
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    eval_jet3_batch((metric[i][j],), [err.coords], params,
-                                    order=0)
-                except EvalDomainError:
-                    raise ChartError.at(f"metric.{i + 1},{j + 1}",
-                                        str(err)) from None
-        raise
+        # The metric's walk at the probe point: its first tree that reaches
+        # the failing node is the first component that fails alone.
+        pairs = jet_tables(n)
+        raise ChartError.at(f"metric.{pairs.i2[err.tree] + 1},"
+                            f"{pairs.j2[err.tree] + 1}", str(err)) from None
     return chart
 
 
@@ -298,9 +274,12 @@ def validate_basepoint(values, coordinates, ranges) -> tuple[float, ...]:
 
 
 def _probe_point(chart: MetricChart) -> ChartPoint:
-    mid = ChartPoint(tuple((lo + hi) / 2.0 for lo, hi in chart.ranges))
-    if chart.in_domain(mid):
-        return mid
+    mid = [(lo + hi) / 2.0 for lo, hi in chart.ranges]
+    keep, undefined = _inside(chart, np.array([mid]), 1)
+    if undefined:
+        raise undefined[1]
+    if keep[0]:
+        return ChartPoint(tuple(mid))
     try:
         point = sample_points(chart, 1, seed=0)[0]
     except SamplingExhaustedError:
@@ -395,6 +374,33 @@ class _PCG64:
         return lows + (highs - lows) * np.reshape(draws, size)
 
 
+def _inside(chart: MetricChart, rows: np.ndarray, wanted: int):
+    """The mask of ``rows`` (N, n) in the domain: inside every range, then
+    above each exclusion's margin in order, each exclusion walked over the
+    rows still in. Where an exclusion is undefined at a row, the rows from
+    it on are out, and a row-by-row test that reaches the row raises a
+    ChartError naming the exclusion: it does if fewer than ``wanted`` rows
+    before it are in. Returns the mask and that (row, ChartError), or
+    None."""
+    lows, highs = np.array(chart.ranges).T
+    keep = np.all((lows <= rows) & (rows <= highs), axis=1)
+    undefined = None
+    for k, exc in enumerate(chart.exclusions):
+        while True:
+            kept = np.flatnonzero(keep)
+            try:
+                values = eval_jet3_batch((exc.expr,), rows[kept], chart.params,
+                                         order=0)[0][:, 0]
+                break
+            except EvalDomainError as err:
+                row = int(kept[err.index])
+                keep[row:] = False
+                undefined = row, ChartError.at(f"domain.exclusions[{k}].expr",
+                                               str(err))
+        keep[kept] = ~(values <= exc.margin)
+    return keep, None if np.count_nonzero(keep) >= wanted else undefined
+
+
 def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]:
     """Seeded rejection sampling inside the domain box minus exclusions.
 
@@ -404,10 +410,7 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _PCG64(seed)
-    lows = np.array([lo for lo, _ in chart.ranges])
-    highs = np.array([hi for _, hi in chart.ranges])
-    trees = [exc.expr for exc in chart.exclusions]
-    margins = np.array([exc.margin for exc in chart.exclusions])
+    lows, highs = np.array(chart.ranges).T
     points: list[ChartPoint] = []
     attempts = 0
     limit = 1000 * count
@@ -424,25 +427,10 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
         block = rng.uniform(lows, highs, (min(size, limit - attempts),
                                           chart.n))
         attempts += len(block)
-        candidates = [ChartPoint(tuple(row)) for row in block]
-        try:
-            keep = np.all((lows <= block) & (block <= highs), axis=1)
-            if trees:
-                keep &= ~np.any(eval_jet3_batch(trees, block, chart.params,
-                                                order=0)[0] <= margins, axis=1)
-        except (ArithmeticError, ValueError):
-            # An exclusion may be undefined where an earlier one already
-            # rejects the candidate: test them in order, one by one.
-            keep, found = [], 0
-            for p in candidates:
-                if found == missing:
-                    break
-                try:
-                    keep.append(chart.in_domain(p))
-                except ChartError as err:
-                    coords = tuple(float(x) for x in p.coords)
-                    raise ChartError(err.path, f"{err} at sample candidate "
-                                               f"{coords}") from None
-                found += keep[-1]
-        points += [p for p, ok in zip(candidates, keep) if ok][:missing]
+        keep, undefined = _inside(chart, block, missing)
+        if undefined:
+            row, err = undefined
+            raise ChartError(err.path, f"{err} at sample candidate "
+                                       f"{tuple(block[row].tolist())}")
+        points += [ChartPoint(tuple(row)) for row in block[keep][:missing]]
     return points

@@ -32,6 +32,9 @@ from .jets import TensorJet, contract
 QUAD_ORDER = 8
 QUAD_PANELS = (1, 2, 4)
 REFINE_TOL = 1e-8
+# The most rows of one integrand call, unless one target alone has more: a
+# rung's rows go to the integrand in calls of whole targets.
+CALL_ROWS = 8192
 
 
 # The eigen-split's branches, as the report names them.
@@ -330,14 +333,14 @@ def _integrate_form(integrand, n, base, targets):
     along the path through the corner (target time, base space) without
     its zero-length legs at 2p panels, for the path defect. Each p of
     QUAD_PANELS is tried in turn until a target's doubling converges. A
-    rung's rows of every target still climbing go to the integrand in one
-    call; a node's term is its weight times the in-order sum of
+    rung's rows of every target still climbing go to the integrand
+    together, in calls of whole targets of at most CALL_ROWS rows; a
+    node's term is its weight times the in-order sum of
     form_k (end - start)_k, and each path of a target sums its own terms
-    in order. When rows fail in the integrand (a ``RowError``), every
-    target that owns one is refused with its first failing row's error,
-    the row counted among its own rows, and the rung is walked again
-    without them. Returns (value, defect,
-    refused): the segment's value and its distance from the corner path's,
+    in order. When rows fail in a call (a ``RowError``), every target
+    that owns one is refused with its first failing row's own error, the
+    row counted among its own rows, and the rung is walked again without
+    them. Returns (value, defect, refused): the segment's value and its distance from the corner path's,
     arrays over the targets that are NaN where a target has no value, and
     the refusal text of each such target by its index."""
     base = np.asarray(base, dtype=float)
@@ -353,33 +356,37 @@ def _integrate_form(integrand, n, base, targets):
     for p in QUAD_PANELS:
         m = QUAD_ORDER * p
         while climbing:
-            # Each climbing target's coarse segment, then its paths at 2p.
-            legs = [(a, b, q) for i in climbing
+            # Each climbing target's coarse segment, then its paths at 2p:
+            # m (1 + 2 legs) rows, in target order.
+            order = list(climbing)
+            legs = [(a, b, q) for i in order
                     for (a, b), q in [(paths[i][0], p)]
                     + [(leg, 2 * p) for leg in paths[i]]]
             rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
             x = np.concatenate(rows)
+            sizes = [m * (1 + 2 * len(paths[i])) for i in order]
+            ends = np.cumsum(sizes)
             try:
-                values = integrand(x)
+                parts, start = [], 0
+                for end in _call_ends(ends.tolist()):
+                    parts.append(integrand(x[start:end]))
+                    start = end
                 break
             except RowError as err:
-                # Each target owns m (1 + 2 legs) rows, in target order.
-                # err.rows holds every failing row, in order.
-                order = list(climbing)
-                sizes = [m * (1 + 2 * len(paths[i])) for i in order]
-                ends = np.cumsum(sizes)
+                # err.rows holds every failing row of the call from start.
+                failing = start + err.rows
                 owners, firsts = np.unique(
-                    np.searchsorted(ends, err.rows, side="right"),
+                    np.searchsorted(ends, failing, side="right"),
                     return_index=True)
-                for k, row in zip(owners.tolist(),
-                                  err.rows[firsts].tolist()):
-                    error = (err if row == err.index
-                             else _row_error(integrand, x[row]))
+                for k, row in zip(owners.tolist(), failing[firsts].tolist()):
+                    error = err.at(row - start)
                     error.index = row - (int(ends[k]) - sizes[k])
+                    error.coords, error.place = x[row], "path row"
                     refused[order[k]] = f"path from basepoint: {error}"
                     del climbing[order[k]]
         else:       # no target is left to integrate
             break
+        values = np.concatenate(parts)
         steps = np.repeat([b - a for a, b, _ in legs],
                           [len(w) for w in weights], axis=0)
         dots = values[:, 0] * steps[:, 0]
@@ -406,13 +413,16 @@ def _integrate_form(integrand, n, base, targets):
     return value, defect, refused
 
 
-def _row_error(integrand, row):
-    """The ``RowError`` that ``integrand`` raises at one row alone."""
-    try:
-        integrand(row[None])
-    except RowError as err:
-        return err
-    raise RuntimeError("a row that failed in its batch passes alone")
+def _call_ends(ends: list) -> list:
+    """The end rows of the integrand calls over targets that end at
+    ``ends``: whole targets, at most CALL_ROWS rows a call unless one
+    target alone has more."""
+    cuts, start = [], 0
+    for prev, end in zip([0] + ends, ends):
+        if end - start > CALL_ROWS and prev > start:
+            cuts.append(prev)
+            start = prev
+    return cuts + ends[-1:]
 
 
 def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):
@@ -422,14 +432,10 @@ def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):
     trees, pairs = chart.upper + field, len(chart.upper)
 
     def integrand(x):
-        try:
-            levels = eval_jet3_batch(trees, x, chart.params, order=1)
-            g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
-                                    for level in levels], 1)
-            g_inv = metric_inverse(g.truncated(0))
-        except RowError as err:
-            err.coords, err.place = x[err.index], "path row"
-            raise
+        levels = eval_jet3_batch(trees, x, chart.params, order=1)
+        g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
+                                for level in levels], 1)
+        g_inv = metric_inverse(g.truncated(0))
         u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)
         return _velocity_terms(g_inv, christoffel(g, g_inv), u)[3].value
 

@@ -16,6 +16,7 @@ coordinate array, and ``eval_jet3`` the order-3 jets at one point.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field
@@ -57,12 +58,21 @@ class RowError(ValueError):
     """A failure at one row of a walk: ``index`` among the walked rows,
     their ``coords``, and ``place``, which the rows' owner sets ("point",
     "path row"). Until then the error reads as its bare message. ``rows``
-    holds every failing row of the walk, ``index`` the first of them."""
+    holds every failing row of the walk, ``index`` the first of them, and
+    ``at(row)`` is each one's own error."""
 
     def __init__(self, message: str, index=None, coords=None, rows=None):
         super().__init__(message)
         self.index, self.coords, self.place = index, coords, None
         self.rows = rows
+
+    def at(self, row: int) -> "RowError":
+        """Failing row ``row``'s own error: this one, named by ``row``,
+        whose ``coords`` the owner sets (every row of a singular batch
+        reads the same message)."""
+        error = copy.copy(self)
+        error.index, error.coords = row, None
+        return error
 
     def __str__(self) -> str:
         message = super().__str__()
@@ -73,13 +83,24 @@ class RowError(ValueError):
 
 
 class EvalDomainError(RowError):
-    """Evaluation left a function's domain; names the offending node."""
+    """Evaluation left a function's domain, or a math call failed: ``op``
+    and ``offset`` name the node, ``detail`` what failed there, and
+    ``tree`` the first of the walked trees that reaches that node. Each
+    flagged row's own error, as a walk of that row alone raises it, is
+    ``at(row)``."""
 
     def __init__(self, op: str, offset: int, detail: str):
         super().__init__(f"{op} at offset {offset}: {detail}")
         self.op = op
         self.offset = offset
         self.detail = detail
+        self.tree = None
+        self.errors = {}        # flagged row -> its own error
+
+    def at(self, row: int) -> "EvalDomainError":
+        error = copy.copy(self.errors[row])
+        error.place = self.place
+        return error
 
     def __reduce__(self):
         # Rebuilt from its constructor's arguments, not from the message.
@@ -270,17 +291,17 @@ class _Parser:
                 return node
 
     def exponent(self) -> float:
-        """The exponent after a ``^``, folded by a one-row walk at order 0:
-        numbers, unary minus, ``+ - * /`` and powers only."""
+        """The exponent after a ``^``, folded by the walker on one row at
+        order 0: numbers, unary minus, ``+ - * /`` and powers only."""
         root = self.exponent_atom()
-        tape = _tape((root,))
         if not all(isinstance(node, (Const, Binary, Power))
                    or isinstance(node, Unary) and node.op == "neg"
-                   for node, _ in tape[0]):
+                   for node, _, _ in _tape((root,))[0]):
             raise ParseError("exponent must be a constant expression",
                              root.offset)
         try:
-            value = _walk(tape, np.zeros((1, 1)), {}, 0)[0].item()
+            value = eval_jet3_batch((root,), np.zeros((1, 1)), {},
+                                    order=0)[0].item()
         except EvalDomainError as err:
             if err.op == "div":
                 raise ParseError("division by zero in constant exponent",
@@ -361,36 +382,44 @@ def depth(node: Expr) -> int:
 # exp, log, pow, tan, ... may differ from the C library in the last bit.
 # ---------------------------------------------------------------------------
 
+def _flag(bad: dict, values: np.ndarray, mask, detail: str) -> np.ndarray:
+    """Flag the ``mask`` rows in ``bad``, each with ``detail`` formatted
+    with its value unless an earlier failure of the step flagged it; they
+    carry NaN from here on."""
+    if not np.any(mask):
+        return values
+    rows = np.flatnonzero(mask)
+    for row, v in zip(rows.tolist(), values[rows].tolist()):
+        bad.setdefault(row, detail.format(v))
+    return np.where(mask, np.nan, values)
+
+
 def _libm(fn, values, bad, *args) -> np.ndarray:
     """``fn(v, *args)`` for each entry, through Python's math semantics.
-    An entry whose call fails (overflows, leaves the domain) flags its row
-    in ``bad`` and is NaN; without ``bad``, in a one-row walk, it raises."""
+    An entry whose call fails (overflows, leaves the domain) is NaN and
+    flags its row in ``bad`` with the call's message."""
     try:
         return np.fromiter(map(fn, values.tolist(),
                                *(repeat(a) for a in args)),
                            dtype=float, count=len(values))
     except (ArithmeticError, ValueError):
-        if bad is None:
-            raise
+        pass
     out = np.empty(len(values))
     for row, v in enumerate(values.tolist()):
         try:
             out[row] = fn(v, *args)
-        except (ArithmeticError, ValueError):
-            out[row], bad[row] = math.nan, True
+        except (ArithmeticError, ValueError) as err:
+            # pow's OverflowError carries an errno tuple, exp's a text.
+            out[row] = math.nan
+            bad.setdefault(row, "math range error"
+                           if isinstance(err, OverflowError) else str(err))
     return out
 
 
 def _ratio(num: float, den: np.ndarray, bad) -> np.ndarray:
     """``num / den``, failing where Python's float division would: a zero
-    ``den`` flags its row in ``bad``, or raises in a one-row walk."""
-    zero = den == 0.0
-    if np.any(zero):
-        if bad is None:
-            raise ZeroDivisionError("float division by zero")
-        bad |= zero
-        return np.where(zero, np.nan, num / den)
-    return num / den
+    ``den`` flags its row in ``bad``."""
+    return num / _flag(bad, den, den == 0.0, "float division by zero")
 
 
 # Derivatives c0, c1, c2, c3 of each function at the argument v, each
@@ -529,12 +558,13 @@ def _product_terms(n: int, order: int):
 
 def _mul(a, b, terms):
     """The Leibniz product of flat jets: one gather per operand, one
-    product, and a left-to-right running sum over the terms of each slot."""
+    product, and a left-to-right sum over the terms of each slot, started
+    at -0.0 (a sum of -0.0 terms stays -0.0)."""
     ia, ib = terms
     rows = a.shape[1]
     a = np.concatenate((a, np.full((1, rows), -0.0)))
     b = np.concatenate((b, np.ones((1, rows))))
-    return np.add.accumulate(a[ia] * b[ib])[-1]
+    return np.add.reduce(a[ia] * b[ib], axis=0, initial=-0.0)
 
 
 def _compose(f, coefficients, n: int, order: int):
@@ -554,21 +584,6 @@ def _compose(f, coefficients, n: int, order: int):
         out[third:] += c[2] * (h[t.p_ij] * gk + h[t.p_ik] * gj + h[t.p_jk] * gi)
         out[third:] += c[3] * gi * gj * gk
     return out
-
-
-class _OutOfDomain(Exception):
-    """A one-row walk's row is out of a domain at the current step."""
-
-
-def _flag(bad, values: np.ndarray, mask) -> np.ndarray:
-    """Mark ``mask`` rows as out of domain; they carry NaN from here on.
-    Without ``bad``, in a one-row walk, a marked row raises instead."""
-    if bad is None:
-        if np.any(mask):
-            raise _OutOfDomain
-        return values
-    bad |= mask
-    return np.where(mask, np.nan, values)
 
 
 def _children(node: Expr) -> tuple:
@@ -598,24 +613,25 @@ def _label(node: Expr):
 @lru_cache(maxsize=256)
 def _tape(nodes: tuple):
     """The distinct subtrees of ``nodes`` in post-order, as (node, child
-    steps) steps; for each step, the earlier steps whose last use it is;
-    and the steps of the roots. Equal subtrees are one step at any text
+    steps, tree) steps, ``tree`` the index of the first root that reaches
+    the step; for each step, the earlier steps whose last use it is; and
+    the steps of the roots. Equal subtrees are one step at any text
     offset: a step is keyed on its node's class, label and child steps,
     and keeps the first occurrence in walk order, whose offset its domain
     errors name."""
     steps, index = [], {}
 
-    def visit(node):
-        kids = tuple(visit(child) for child in _children(node))
+    def visit(node, tree):
+        kids = tuple(visit(child, tree) for child in _children(node))
         key = (type(node), _label(node), kids)
         step = index.get(key)
         if step is None:
             step = index[key] = len(steps)
-            steps.append((node, kids))
+            steps.append((node, kids, tree))
         return step
 
-    roots = tuple(visit(node) for node in nodes)
-    last = {kid: i for i, (_, kids) in enumerate(steps) for kid in kids}
+    roots = tuple(visit(node, tree) for tree, node in enumerate(nodes))
+    last = {kid: i for i, (_, kids, _) in enumerate(steps) for kid in kids}
     frees = [[] for _ in steps]
     for kid, i in last.items():
         if kid not in roots:
@@ -624,7 +640,8 @@ def _tape(nodes: tuple):
 
 
 def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
-    """The flat jet of one node from its children's flat jets ``args``."""
+    """The flat jet of one node from its children's flat jets ``args``.
+    Each row that fails here maps to its failure's detail in ``bad``."""
     n, rows = cols.shape
     if isinstance(node, (Const, Param, Coord)):
         flat = np.zeros((_slots(n, order), rows))
@@ -638,14 +655,15 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
             try:
                 flat[0] = float(params[node.name])
             except KeyError:
-                flat[0] = _flag(bad, flat[0], True)
+                flat[0] = _flag(bad, flat[0], np.ones(rows, dtype=bool),
+                                f"{node.name!r} is unbound")
         return flat
     if isinstance(node, Unary):
         if node.op == "neg":
             return -args[0]
         v = args[0][0]
         if node.op in _POSITIVE_ARGUMENT:
-            v = _flag(bad, v, v <= 0.0)
+            v = _flag(bad, v, v <= 0.0, "argument {!r} is not positive")
         return _compose(args[0], _FUNCTIONS[node.op](v, bad), n, order)
     if isinstance(node, Binary):
         a, b = args
@@ -655,68 +673,48 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
             return a + -b
         if node.op == "*":
             return _mul(a, b, _product_terms(n, order))
-        v = _flag(bad, b[0], b[0] == 0.0)
+        v = _flag(bad, b[0], b[0] == 0.0, "division by zero")
         if not order:
             return (a[0] / v)[None]
         return _mul(a, _compose(b, _reciprocal(v, bad), n, order),
                     _product_terms(n, order))
     if isinstance(node, Power):
-        v, e = args[0][0], node.exponent
-        v = _flag(bad, v, (v == 0.0) & (e < 0) if float(e).is_integer()
-                  else v <= 0.0)
+        v, e = args[0][0], float(node.exponent)
+        if e.is_integer():
+            v = _flag(bad, v, (v == 0.0) & (e < 0),
+                      f"0.0 raised to negative power {e}")
+        else:
+            v = _flag(bad, v, v <= 0.0, f"base {{!r}} not positive for "
+                                        f"non-integer exponent {e!r}")
         if not order:
             return _libm(pow, v, bad, e)[None]
         return _compose(args[0], _power(v, e, bad), n, order)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _domain_error(node: Expr, args) -> EvalDomainError:
-    """The error of the step that flagged a one-row walk."""
-    if isinstance(node, Param):
-        return EvalDomainError("parameter", node.offset,
-                               f"{node.name!r} is unbound")
-    if isinstance(node, Binary):
-        return EvalDomainError("div", node.offset, "division by zero")
-    v = args[0][0].item()
-    if isinstance(node, Unary):
-        return EvalDomainError(node.op, node.offset,
-                               f"argument {v!r} is not positive")
-    e = float(node.exponent)
-    if e.is_integer():
-        return EvalDomainError("pow", node.offset,
-                               f"0.0 raised to negative power {e}")
-    return EvalDomainError(
-        "pow", node.offset,
-        f"base {v!r} not positive for non-integer exponent {e!r}")
-
-
-def _walk(tape, x, params, order: int, bad=None) -> list:
-    """The roots' flat jets (slots, N) over the rows of ``x``. Each
-    distinct subtree is evaluated once and kept until its last use. A row
-    that leaves a domain, or whose math call fails, is flagged in ``bad``;
-    a one-row walk (no ``bad``) raises the ``EvalDomainError`` of the step
-    that would flag it instead."""
+def _walk(tape, x, params, order: int):
+    """The roots' flat jets (slots, N) over the rows of ``x``, and the
+    failing rows. Each distinct subtree is evaluated once and kept until
+    its last use. A row that leaves a domain, or whose math call fails,
+    maps to the step that failed it first and that failure's detail, and
+    carries NaN from there on."""
     steps, frees, roots = tape
     cols = np.ascontiguousarray(x.T)            # (n, N)
-    jets = [None] * len(steps)
+    jets, failed = [None] * len(steps), {}
     with np.errstate(all="ignore"):
-        for i, (node, kids) in enumerate(steps):
-            args = [jets[k] for k in kids]
-            try:
-                jets[i] = _evaluate(node, args, cols, params, order, bad)
-            except _OutOfDomain:
-                raise _domain_error(node, args) from None
-            except (ArithmeticError, ValueError) as err:
-                # A one-row walk's math call overflowed or left its domain.
-                op = ("pow" if isinstance(node, Power) else
-                      "div" if isinstance(node, Binary) else node.op)
-                # pow's OverflowError carries an errno tuple, exp's a text.
-                detail = ("math range error" if isinstance(err, OverflowError)
-                          else str(err))
-                raise EvalDomainError(op, node.offset, detail) from None
+        for i, (node, kids, _) in enumerate(steps):
+            bad = {}
+            jets[i] = _evaluate(node, [jets[k] for k in kids], cols, params,
+                                order, bad)
+            for row, detail in bad.items():
+                failed.setdefault(row, (i, detail))
             for k in frees[i]:
                 jets[k] = None
-    return [jets[r] for r in roots]
+    return [jets[r] for r in roots], failed
+
+
+# The op a failing node names, by class; a function names itself.
+_OPS = {Param: "parameter", Binary: "div", Power: "pow"}
 
 
 def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
@@ -726,28 +724,29 @@ def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
     (N, K, pairs) and (N, K, triples), the same bytes at any order from 1
     up (order 0, the values alone, divides with plain ``/``).
 
-    A failure raises what a one-row walk raises first, rows in order (and
-    within a row, the trees in order). The batch walk flags each row
-    whose one-row walk fails, and the rows before the first flagged one
-    walked as they do alone, so only that row is walked again. Its
-    ``EvalDomainError`` names the row by ``index`` and ``coords``, and
-    every flagged row by ``rows``.
+    One walk flags every failing row: a row fails at the first step (the
+    trees' distinct subtrees in post-order, tree by tree) that leaves a
+    domain or whose math call fails there, as a walk of that row alone
+    would. The first flagged row's ``EvalDomainError`` is raised. It names
+    the node by ``op`` and ``offset``, the row by ``index`` and
+    ``coords``, the first tree that reaches the node by ``tree``, and
+    every flagged row by ``rows``, each with its own error as ``at(row)``.
     """
     nodes, x = tuple(nodes), np.asarray(x, dtype=float)
     tape = _tape(nodes)
-    bad = np.zeros(len(x), dtype=bool)
-    jets = _walk(tape, x, params, order, bad)
-    if bad.any():
-        rows = np.flatnonzero(bad)
-        index = int(rows[0])
-        try:
-            _walk(tape, x[index:index + 1], params, order)
-        except EvalDomainError as err:
-            err.index, err.coords, err.rows = (
-                index, tuple(x[index].tolist()), rows)
-            raise
-        raise RuntimeError("batched evaluation flagged a row that a "
-                           "one-row walk evaluates")
+    jets, failed = _walk(tape, x, params, order)
+    if failed:
+        errors = {}
+        for row in sorted(failed):
+            step, detail = failed[row]
+            node, _, tree = tape[0][step]
+            error = errors[row] = EvalDomainError(
+                _OPS.get(type(node)) or node.op, node.offset, detail)
+            error.index, error.coords, error.tree = (
+                row, tuple(x[row].tolist()), tree)
+        first = copy.copy(next(iter(errors.values())))
+        first.rows, first.errors = np.array(list(errors)), errors
+        raise first
     flat = np.stack(jets)
     bounds = [_slots(x.shape[1], k) for k in range(order + 1)]
     return [np.ascontiguousarray(flat[:, 0].T)] + [

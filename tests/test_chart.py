@@ -48,6 +48,26 @@ class TestCompile:
             compile_chart(minkowski_input(
                 metric={"1,1": "0", "2,2": "1", "3,3": "1", "4,4": "1"}))
 
+    @pytest.mark.parametrize("metric, path, message", [
+        # 3,3 comes first in the spec, 2,2 first in the upper triangle.
+        ({"3,3": "ln(t - 1)", "2,2": "1/(t - t)"}, "metric.2,2",
+         "div at offset 1: division by zero"),
+        # One failing subtree in both: its first occurrence names it.
+        ({"2,2": "2 + sqrt(t - 1)", "3,3": "sqrt(t - 1)"}, "metric.2,2",
+         "sqrt at offset 4: argument -1.0 is not positive"),
+        ({"2,2": "ln(t - 1)", "1,3": "0*ln(t - 1)"}, "metric.1,3",
+         "ln at offset 2: argument -1.0 is not positive"),
+    ])
+    def test_probe_point_names_the_first_failing_component(self, metric,
+                                                           path, message):
+        # Two components fail at the probe point t = 0: the first of the
+        # upper triangle, row by row, is named.
+        with pytest.raises(ChartError) as err:
+            compile_chart(minkowski_input(
+                metric={"1,1": "-1", "2,2": "1", "3,3": "1", "4,4": "1",
+                        **metric}))
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
     def test_wrong_signature_rejected(self):
         with pytest.raises(SignatureError):
             compile_chart(minkowski_input(signature="riemannian"))

@@ -397,15 +397,16 @@ class TestReports:
         # A full chunk of points, about half of them with a path across
         # the slab, where ln leaves its domain or exp overflows. A rung's
         # failing call refuses every target with a failing row at once,
-        # each from one one-row walk, and the rung is walked once more:
-        # the report is the one of 10-point chunks.
+        # each with its row's error from that call's walk, with no one-row
+        # walk, and the rung is walked once more: the report is the one of
+        # 10-point chunks.
         chart = slab_chart(g22)
         walk, integrand = expr._walk, classify._omega_integrand
         one_row, rows, refused = [], [], []
 
-        def counted_walk(tape, x, params, order, bad=None):
-            one_row.append(bad is None)
-            return walk(tape, x, params, order, bad)
+        def counted_walk(tape, x, params, order):
+            one_row.append(len(x) == 1)
+            return walk(tape, x, params, order)
 
         def counted_integrand(chart, field):
             inner = integrand(chart, field)
@@ -435,10 +436,46 @@ class TestReports:
                 chart, RunConfig(points=CHUNK_POINTS, seed=5))))
         assert reports[0] == reports[1]
         assert 0 < len(refused) < CHUNK_POINTS
-        assert one_row.count(True) <= len(refused)
+        assert one_row.count(True) == 0
         # 7 legs of QUAD_ORDER rows per point on the first rung, twice.
         first_rung = 7 * classify.QUAD_ORDER * classify.QUAD_PANELS[0]
         assert sum(rows) <= 2 * first_rung * CHUNK_POINTS + len(refused)
+
+    @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere", "sigma-slab",
+                                      "overflow-slab"])
+    def test_reports_do_not_depend_on_the_call_rows(self, monkeypatch, name):
+        # A rung's rows go to sigma's integrand in calls of whole targets
+        # of at most classify.CALL_ROWS rows. A cap below one target's
+        # rows (a call a target), 997 rows and the default give the same
+        # report, on the normal ladder and with every point forced to the
+        # top rung, where the default cuts the chunk's rung in two.
+        chart = {"sigma-slab": lambda: slab_chart(SIGMA_SLAB),
+                 "overflow-slab": lambda: slab_chart(OVERFLOW_SLAB),
+                 }.get(name, lambda: catalog_get(name).chart)()
+        integrand, calls = classify._omega_integrand, []
+
+        def counted_integrand(chart, field):
+            inner = integrand(chart, field)
+
+            def counted(x):
+                calls.append(len(x))
+                return inner(x)
+            return counted
+
+        monkeypatch.setattr(classify, "_omega_integrand", counted_integrand)
+        top_rung = 7 * classify.QUAD_ORDER * classify.QUAD_PANELS[-1]
+        for tol in (classify.REFINE_TOL, -1.0):
+            monkeypatch.setattr(classify, "REFINE_TOL", tol)
+            reports = []
+            for cap in (1, 997, classify.CALL_ROWS):
+                monkeypatch.setattr(classify, "CALL_ROWS", cap)
+                calls.clear()
+                reports.append(render_json(run_certify(
+                    chart, RunConfig(points=CHUNK_POINTS, seed=5))))
+                assert max(calls) <= max(cap, top_rung)
+            assert reports[1:] == reports[:1] * 2
+        if "slab" not in name:      # every point climbs to the top rung
+            assert calls[-2:] == [8064, 6272]
 
     @staticmethod
     def _power_spec(tmp_path, power, t_range):

@@ -293,32 +293,42 @@ def _same(a, b):
 
 
 def _per_row(scalar, tree, rows):
-    """Per-row results, or the first error in row order."""
+    """Each row's result, or the error it raises alone."""
     out = []
     for row in rows:
         try:
-            out.append(scalar(tree, row, BATCH_PARAMS))
-        except EvalDomainError as err:
-            return err
-        except (ArithmeticError, ValueError):
-            # Overflow in math calls, or a higher jet level only the
-            # scalar order-3 path forms: outside the batch contract.
-            assume(False)
+            with np.errstate(all="ignore"):
+                out.append(scalar(tree, row, BATCH_PARAMS))
+        except (ArithmeticError, ValueError) as err:
+            out.append(err)
     return out
 
 
-def _assert_same_error(expected, call):
-    """``call`` raises the per-row path's error ``expected``: the same
-    domain error or, for a math call's own error (the float division and
+def _first_error(results):
+    return next((r for r in results if isinstance(r, Exception)), None)
+
+
+def _domain_errors_only(results):
+    """``results`` for a walk below order 3, or of the values alone,
+    against a per-row path of its own: a math call's own error there
+    (overflow in math calls, or a higher jet level only the scalar order-3
+    path forms) is outside the batch contract. It is assumed away as the
+    first failure, and not compared at a later row (None)."""
+    first = _first_error(results)
+    assume(first is None or isinstance(first, EvalDomainError))
+    return [None if isinstance(r, Exception)
+            and not isinstance(r, EvalDomainError) else r for r in results]
+
+
+def _assert_matches(expected, got):
+    """``got`` is the per-row path's error ``expected``: the same domain
+    error or, for a math call's own error (the float division and
     overflow errors of the higher coefficients), the domain error of the
     node whose call raised it. Every overflow reads ``math range error``,
     pow's too, whose own message is an errno tuple."""
-    with pytest.raises(EvalDomainError) as err:
-        call()
-    got = err.value
     if isinstance(expected, EvalDomainError):
-        assert (got.op, got.offset, str(got)) == (
-            expected.op, expected.offset, str(expected))
+        assert (got.op, got.offset, got.detail, str(got)) == (
+            expected.op, expected.offset, expected.detail, str(expected))
     else:
         detail = ("math range error" if isinstance(expected, OverflowError)
                   else expected)
@@ -327,15 +337,37 @@ def _assert_same_error(expected, call):
     return got
 
 
+def _assert_same_error(expected, call):
+    """``call`` raises the per-row path's error ``expected``."""
+    with pytest.raises(EvalDomainError) as err:
+        call()
+    return _assert_matches(expected, err.value)
+
+
+def _assert_row_errors(err, rows, results):
+    """The batch error ``err`` flags each row whose per-row result is an
+    error, with that error as the row's own (``at``), at the row's index
+    and coordinates, and no row that evaluates alone; a None result is not
+    compared."""
+    flagged = err.rows.tolist()
+    for index, (row, result) in enumerate(zip(rows, results)):
+        if isinstance(result, Exception):
+            got = _assert_matches(result, err.at(index))
+            assert (got.index, got.coords) == (index, tuple(map(float, row)))
+        elif result is not None:
+            assert index not in flagged, index
+
+
 class TestBatchEvaluation:
     @settings(max_examples=400, deadline=None)
     @given(tree=expr_trees, rows=row_arrays)
     def test_grad_batch_matches_eval_jet3(self, tree, rows):
-        expected = _per_row(eval_jet3, tree, rows)
+        expected = _domain_errors_only(_per_row(eval_jet3, tree, rows))
         call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS,
                                        order=1)
-        if isinstance(expected, EvalDomainError):
-            _assert_same_error(expected, call)
+        if _first_error(expected):
+            err = _assert_same_error(_first_error(expected), call)
+            _assert_row_errors(err, rows, expected)
             return
         values, grads = call()
         assert _same(values[:, 0], [jet.value for jet in expected])
@@ -344,11 +376,12 @@ class TestBatchEvaluation:
     @settings(max_examples=400, deadline=None)
     @given(tree=expr_trees, rows=row_arrays)
     def test_value_batch_matches_eval_value(self, tree, rows):
-        expected = _per_row(eval_value, tree, rows)
+        expected = _domain_errors_only(_per_row(eval_value, tree, rows))
         call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS,
                                        order=0)[0]
-        if isinstance(expected, EvalDomainError):
-            _assert_same_error(expected, call)
+        if _first_error(expected):
+            err = _assert_same_error(_first_error(expected), call)
+            _assert_row_errors(err, rows, expected)
             return
         assert _same(call()[:, 0], expected)
 
@@ -413,30 +446,34 @@ class TestBatchEvaluation:
         assert err.value.op == "parameter" and "'H' is unbound" in str(err.value)
 
     def test_one_row_walks_after_a_failure(self, monkeypatch):
-        # A flagged batch walks its first flagged row again, once, and a
-        # math call's own error (exp overflows from row 184 on) flags its
-        # row as a domain edge does. One-row walks are the walks given no
-        # ``bad`` mask.
+        # A flagged batch is walked once: every flagged row's error comes
+        # from that walk, and no row is walked again alone. A math call's
+        # own error (exp overflows from row 184 on) flags its row as a
+        # domain edge does.
         root, overflow = parse("sqrt(t)", ["t"]), parse("exp(700*t)", ["t"])
         walk, one_row = expr._walk, []
 
-        def counted(tape, x, params, order, bad=None):
-            one_row.append(bad is None)
-            return walk(tape, x, params, order, bad)
+        def counted(tape, x, params, order):
+            one_row.append(len(x) == 1)
+            return walk(tape, x, params, order)
 
         monkeypatch.setattr(expr, "_walk", counted)
         rows = np.linspace(1.0, 2.0, 200)[:, None]
         rows[[150, 180]] = -1.0
         with pytest.raises(EvalDomainError) as err:
             eval_jet3_batch((root,), rows, {})
-        assert err.value.index == 150 and one_row.count(True) == 1
+        assert err.value.index == 150 and one_row == [False]
         assert err.value.rows.tolist() == [150, 180]
+        assert str(err.value.at(180)) == (
+            "sqrt at offset 0: argument -1.0 is not positive")
         one_row.clear()
         with pytest.raises(EvalDomainError) as err:
             eval_jet3_batch((overflow,), np.linspace(0.0, 1.1, 200)[:, None],
                             {})
-        assert err.value.index == 184 and one_row.count(True) == 1
+        assert err.value.index == 184 and one_row == [False]
         assert err.value.rows.tolist() == list(range(184, 200))
+        assert {str(err.value.at(row)) for row in range(184, 200)} == {
+            "exp at offset 0: math range error"}
 
     def test_row_errors_survive_pickling(self):
         # A process worker would send its chunk's error back pickled: the
@@ -449,14 +486,28 @@ class TestBatchEvaluation:
         named.place = "path row"
         errors = [RowError("metric.2,2: bad", 3, (1.0, 2.0)), domain.value,
                   named, SingularMetricError(2, (0.5, 0.25), np.array([2]))]
+        keys = ("index", "coords", "place", "op", "offset", "detail", "tree")
         for err in errors:
             back = pickle.loads(pickle.dumps(err))
             assert type(back) is type(err) and str(back) == str(err)
-            for key in ("index", "coords", "place", "op", "offset", "detail"):
+            for key in keys:
                 assert getattr(back, key, None) == getattr(err, key, None)
             assert np.array_equal(back.rows, err.rows)
+            # Each failing row's own error survives the round trip too.
+            for row in [] if err.rows is None else err.rows.tolist():
+                mine, theirs = err.at(row), back.at(row)
+                if mine.coords is None:     # a singular batch's owner sets them
+                    mine.coords = theirs.coords = (0.5, 0.25)
+                assert type(theirs) is type(mine)
+                assert str(theirs) == str(mine)
+                for key in keys:
+                    assert getattr(theirs, key, None) == getattr(mine, key,
+                                                                 None)
         assert str(named).startswith(
             "sqrt at offset 0: argument -1.0 is not positive at path row 1")
+        assert str(named.at(2)) == (
+            "sqrt at offset 0: argument -2.0 is not positive at path row 2, "
+            "coordinates (-2.0,)")
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +515,6 @@ class TestBatchEvaluation:
 # ---------------------------------------------------------------------------
 
 LEVELS = ("value", "grad", "hess", "third")
-
-
-def _jets_per_row(tree, rows):
-    """Per-row jets, or the first exception in row order."""
-    out = []
-    for row in rows:
-        try:
-            with np.errstate(all="ignore"):
-                out.append(eval_jet3(tree, row, BATCH_PARAMS))
-        except (ArithmeticError, ValueError) as err:
-            return err
-    return out
 
 
 def _assert_levels_match(levels, jets):
@@ -496,10 +535,11 @@ class TestJet3Batch:
                                 Const(1.2760789298097679e-79, 0), 0), 0),
              rows=[[0.0, 0.0, 0.0]])
     def test_matches_eval_jet3_bytes(self, tree, rows):
-        expected = _jets_per_row(tree, rows)
+        expected = _per_row(eval_jet3, tree, rows)
         call = lambda: eval_jet3_batch((tree,), np.array(rows), BATCH_PARAMS)
-        if isinstance(expected, Exception):
-            _assert_same_error(expected, call)
+        if _first_error(expected):
+            err = _assert_same_error(_first_error(expected), call)
+            _assert_row_errors(err, rows, expected)
             return
         _assert_levels_match(call(), expected)
 
@@ -541,11 +581,17 @@ class TestJet3Batch:
         ("1/(t - t)", [[1.0]]),
     ])
     def test_first_failing_row_error(self, text, rows):
+        # The first failing row's error is raised, and every failing row's
+        # own error is the one the per-node path raises at it.
         tree = parse(text, ["t"])
-        expected = _jets_per_row(tree, rows)
-        assert isinstance(expected, EvalDomainError)
-        _assert_same_error(expected, lambda: eval_jet3_batch(
+        expected = _per_row(eval_jet3, tree, rows)
+        assert isinstance(_first_error(expected), EvalDomainError)
+        err = _assert_same_error(_first_error(expected), lambda: eval_jet3_batch(
             (tree,), np.array(rows), {}))
+        _assert_row_errors(err, rows, expected)
+        assert err.rows.tolist() == [
+            k for k, result in enumerate(expected)
+            if isinstance(result, Exception)]
 
     def test_higher_coefficient_division_error(self):
         # 1/t at t = 1e-200: the value and gradient exist, but t**2 in the
@@ -588,13 +634,16 @@ class TestStructuralTape:
     def test_shifted_copy_matches_jet3_bytes(self, tree, rows, by, order):
         copy = _shifted(tree, by)
         assert _steps((tree, copy)) == _steps((tree,))
-        expected = _jets_per_row(tree, rows)
+        expected = _per_row(eval_jet3, tree, rows)
         call = lambda: eval_jet3_batch((tree, copy), np.array(rows),
                                        BATCH_PARAMS, order=order)
-        if isinstance(expected, Exception):
+        if _first_error(expected):
             # A lower order may not form the coefficient that fails.
             if order == 3:
-                _assert_same_error(expected, call)
+                err = _assert_same_error(_first_error(expected), call)
+                _assert_row_errors(err, rows, expected)
+                # The copy's steps are all the first tree's.
+                assert {err.at(row).tree for row in err.rows.tolist()} == {0}
             return
         levels = call()
         assert len(levels) == order + 1
@@ -704,12 +753,13 @@ class TestPointJets:
     def test_matches_oracle_bytes(self, trees, rows):
         row = rows[0]
         expected = []
-        for tree in trees:
-            found = _jets_per_row(tree, [row])
-            if isinstance(found, Exception):
+        for k, tree in enumerate(trees):
+            found = _per_row(eval_jet3, tree, [row])
+            if _first_error(found):
                 got = _assert_same_error(
-                    found, lambda: expr.eval_jet3(trees, row, BATCH_PARAMS))
-                assert (got.index, got.coords) == (0, tuple(row))
+                    found[0], lambda: expr.eval_jet3(trees, row, BATCH_PARAMS))
+                # The first tree that fails alone names the error.
+                assert (got.index, got.coords, got.tree) == (0, tuple(row), k)
                 return
             expected += found
         jet = expr.eval_jet3(trees, row, BATCH_PARAMS)
