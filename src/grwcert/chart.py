@@ -99,8 +99,8 @@ class MetricChart:
         self.signature = signature
         self.coordinates = tuple(coordinates)
         self.metric = metric              # n x n tuple grid of Expr (symmetric)
-        pairs = jet_tables(n)     # the unordered pairs (i <= j), packed
-        self.upper = tuple(metric[i][j] for i, j in zip(pairs.i2, pairs.j2))
+        # The unordered pairs (i <= j), in packed order.
+        self.upper = tuple(metric[i][j] for i, j in jet_tables(n).tuples[2])
         self.params = dict(params)
         self.ranges = tuple(ranges)       # per-coordinate (lo, hi)
         self.exclusions = tuple(exclusions)
@@ -111,7 +111,7 @@ class MetricChart:
     def symmetric(self, level: np.ndarray) -> np.ndarray:
         """The symmetric metric from a level of ``upper``'s trees on axis 1
         (a point axis comes first): (i, j) and (j, i) read one tree."""
-        return np.take(level, jet_tables(self.n).pair_pos, axis=1)
+        return np.take(level, jet_tables(self.n).pos[2], axis=1)
 
     def metric_values(self, point: ChartPoint) -> np.ndarray:
         return self.symmetric(eval_jet3_batch(
@@ -252,9 +252,8 @@ def compile_chart(spec: ChartInput) -> MetricChart:
     except EvalDomainError as err:
         # The metric's walk at the probe point: its first tree that reaches
         # the failing node is the first component that fails alone.
-        pairs = jet_tables(n)
-        raise ChartError.at(f"metric.{pairs.i2[err.tree] + 1},"
-                            f"{pairs.j2[err.tree] + 1}", str(err)) from None
+        i, j = jet_tables(n).tuples[2][err.tree] + 1
+        raise ChartError.at(f"metric.{i},{j}", str(err)) from None
     return chart
 
 

@@ -20,14 +20,14 @@ import copy
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice, repeat
+from operator import add, mul
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import (MAX_ORDER, TensorJet, jet_tables, pair_count,
-                   triple_count)
+from .jets import MAX_ORDER, TensorJet, jet_tables
 
 FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh")
 
@@ -68,10 +68,11 @@ class RowError(ValueError):
 
     def at(self, row: int) -> "RowError":
         """Failing row ``row``'s own error: this one, named by ``row``,
-        whose ``coords`` the owner sets (every row of a singular batch
-        reads the same message)."""
+        whose ``coords`` and ``place`` the owner sets (every row of a
+        singular batch reads the same message). Until then it reads as its
+        bare message."""
         error = copy.copy(self)
-        error.index, error.coords = row, None
+        error.index, error.coords, error.place = row, None, None
         return error
 
     def __str__(self) -> str:
@@ -356,16 +357,6 @@ def parse(text: str, coords: Sequence[str], params: Sequence[str] = ()) -> Expr:
     return _Parser(text, coords, params).parse()
 
 
-def depth(node: Expr) -> int:
-    if isinstance(node, (Const, Coord, Param)):
-        return 1
-    if isinstance(node, Unary):
-        return 1 + depth(node.arg)
-    if isinstance(node, Power):
-        return 1 + depth(node.base)
-    return 1 + max(depth(node.left), depth(node.right))
-
-
 # ---------------------------------------------------------------------------
 # The tape walker: evaluation over the rows of an (N, n) coordinate array.
 #
@@ -422,20 +413,37 @@ def _ratio(num: float, den: np.ndarray, bad) -> np.ndarray:
     return num / _flag(bad, den, den == 0.0, "float division by zero")
 
 
-# Derivatives c0, c1, c2, c3 of each function at the argument v, each
-# formed by a fixed formula; generators, so that a walk of order k forms
-# only c0..ck.
+# Derivatives c0, c1, c2, c3 of each function at the argument v;
+# generators, so that a walk of order k forms only c0..ck. exp, sin, cos,
+# sinh and cosh cycle through f and f' with signs; 1/v is a falling
+# factorial, as v^e is, and ln is log, then 1/v's; sqrt, tan and tanh
+# keep fixed formulas.
 
-def _exp(v, bad):
-    c = _libm(math.exp, v, bad)
-    yield from (c, c, c, c)
+def _cyclic(f, df, signs: str):
+    """The derivatives of a function whose derivatives cycle: the m-th is
+    ``f`` at even m and ``df`` at odd m, with the sign ``signs[m % 4]``."""
+    def coefficients(v, bad):
+        c = _libm(f, v, bad)
+        yield c
+        dc = c if df is f else _libm(df, v, bad)   # exp: one call
+        for m in range(1, MAX_ORDER + 1):
+            cm = dc if m % 2 else c
+            yield -cm if signs[m % 4] == "-" else cm
+    return coefficients
+
+
+def _reciprocal(v, bad):
+    """The m-th derivative (-1)^m m! / v^(m+1) of 1/v for m = 0, 1, ..."""
+    yield 1.0 / v
+    coeff = 1.0
+    for m in range(1, MAX_ORDER + 1):
+        coeff *= -m
+        yield _ratio(coeff, _libm(pow, v, bad, m + 1.0), bad)
 
 
 def _ln(v, bad):
     yield _libm(math.log, v, bad)
-    yield 1.0 / v
-    yield _ratio(-1.0, _libm(pow, v, bad, 2.0), bad)
-    yield _ratio(2.0, _libm(pow, v, bad, 3.0), bad)
+    yield from _reciprocal(v, bad)
 
 
 def _sqrt(v, bad):
@@ -446,20 +454,6 @@ def _sqrt(v, bad):
     yield _ratio(0.375, v * v * r, bad)
 
 
-def _sin(v, bad):
-    s = _libm(math.sin, v, bad)
-    yield s
-    c = _libm(math.cos, v, bad)
-    yield from (c, -s, -c)
-
-
-def _cos(v, bad):
-    c = _libm(math.cos, v, bad)
-    yield c
-    s = _libm(math.sin, v, bad)
-    yield from (-s, -c, s)
-
-
 def _tan(v, bad):
     t = _libm(math.tan, v, bad)
     yield t
@@ -467,32 +461,11 @@ def _tan(v, bad):
     yield from (s, 2.0 * t * s, s * (2.0 + 6.0 * t * t))
 
 
-def _sinh(v, bad):
-    s = _libm(math.sinh, v, bad)
-    yield s
-    c = _libm(math.cosh, v, bad)
-    yield from (c, s, c)
-
-
-def _cosh(v, bad):
-    c = _libm(math.cosh, v, bad)
-    yield c
-    s = _libm(math.sinh, v, bad)
-    yield from (s, c, s)
-
-
 def _tanh(v, bad):
     t = _libm(math.tanh, v, bad)
     yield t
     s = 1.0 - t * t
     yield from (s, -2.0 * t * s, s * (6.0 * t * t - 2.0))
-
-
-def _reciprocal(v, bad):
-    yield 1.0 / v
-    yield _ratio(-1.0, _libm(pow, v, bad, 2.0), bad)
-    yield _ratio(2.0, _libm(pow, v, bad, 3.0), bad)
-    yield _ratio(-6.0, _libm(pow, v, bad, 4.0), bad)
 
 
 def _power(v, e: float, bad):
@@ -511,48 +484,31 @@ def _power(v, e: float, bad):
         yield np.where(v == 0.0, coeff if e == m else 0.0, c) if integer else c
 
 
-_FUNCTIONS = {"exp": _exp, "ln": _ln, "sqrt": _sqrt, "sin": _sin,
-              "cos": _cos, "tan": _tan, "sinh": _sinh, "cosh": _cosh,
-              "tanh": _tanh}
+_FUNCTIONS = {"exp": _cyclic(math.exp, math.exp, "++++"),
+              "sin": _cyclic(math.sin, math.cos, "++--"),
+              "cos": _cyclic(math.cos, math.sin, "+--+"),
+              "sinh": _cyclic(math.sinh, math.cosh, "++++"),
+              "cosh": _cyclic(math.cosh, math.sinh, "++++"),
+              "ln": _ln, "sqrt": _sqrt, "tan": _tan, "tanh": _tanh}
 _POSITIVE_ARGUMENT = ("ln", "sqrt")
-
-
-@lru_cache(maxsize=None)
-def _slots(n: int, order: int) -> int:
-    """Length of a flat jet of the given order: value, then the packed
-    gradient, Hessian and third-derivative slots."""
-    return (1, 1 + n, 1 + n + pair_count(n), 1 + n + pair_count(n)
-            + triple_count(n))[order]
 
 
 @lru_cache(maxsize=None)
 def _product_terms(n: int, order: int):
     """The Leibniz product as a table. Row r of the two (terms, slots)
     index arrays holds term r of every output slot, as an (a slot, b slot)
-    product, in ``leibniz_level``'s order. Slots with fewer terms are
-    padded with the slot past the end, which holds -0.0 in a and 1.0 in
-    b: adding -0.0
-    leaves every float as it is, signed zeros included."""
+    product of flat-jet slots, in ``jet_tables(n).leibniz``'s order. Slots
+    with fewer terms are padded with the slot past the end, which holds
+    -0.0 in a and 1.0 in b: adding -0.0 leaves every float as it is,
+    signed zeros included."""
     t = jet_tables(n)
-    g = 1 + np.arange(n)                        # the slots of each level
-    h = 1 + n + np.arange(pair_count(n))
-    c = 1 + n + pair_count(n) + np.arange(triple_count(n))
-    levels = [(1, [(0, 0)]),
-              (n, [(g, 0), (0, g)]),
-              (len(h), [(h, 0), (0, h),
-                        (g[t.i2], g[t.j2]), (g[t.j2], g[t.i2])]),
-              (len(c), [(c, 0), (0, c),
-                        (h[t.p_ij], g[t.k3]), (h[t.p_ik], g[t.j3]),
-                        (h[t.p_jk], g[t.i3]), (g[t.i3], h[t.p_jk]),
-                        (g[t.j3], h[t.p_ik]), (g[t.k3], h[t.p_ij])])][:order + 1]
-    pad = _slots(n, order)
-    ia, ib = np.full((2, len(levels[-1][1]), pad), pad, dtype=np.intp)
-    start = 0
-    for size, terms in levels:
-        for r, (sa, sb) in enumerate(terms):
-            ia[r, start:start + size] = sa
-            ib[r, start:start + size] = sb
-        start += size
+    pad, terms = t.offsets[order + 1], t.leibniz[:order + 1]
+    ia, ib = np.full((2, max(map(len, terms)), pad), pad, dtype=np.intp)
+    for k, level in enumerate(terms):
+        lo, hi = t.offsets[k], t.offsets[k + 1]
+        for r, ((i, si), (j, sj)) in enumerate(level):
+            ia[r, lo:hi] = t.offsets[i] + si
+            ib[r, lo:hi] = t.offsets[j] + sj
     return ia, ib
 
 
@@ -568,21 +524,26 @@ def _mul(a, b, terms):
 
 
 def _compose(f, coefficients, n: int, order: int):
-    """The chain rule on a flat jet: phi(f) from phi's derivatives."""
+    """The chain rule on a flat jet: phi(f) from phi's derivatives c_m.
+    Level k is c_1 f_k plus, for each group of ``jet_tables(n).chain[k]``
+    in order, c_m times its partitions' products of blocks: c_m folded
+    into a lone partition's product from the left, else c_m times the sum
+    of the products in order."""
     c = list(islice(coefficients, order + 1))
     if not order:
         return c[0][None]
+    t = jet_tables(n)
     out = c[1] * f           # c1 times every derivative level
     out[0] = c[0]
-    t, g, hess = jet_tables(n), f[1:1 + n], 1 + n
-    third = hess + pair_count(n)
-    if order > 1:
-        out[hess:third] += c[2] * g[t.i2] * g[t.j2]
-    if order > 2:
-        h = f[hess:third]
-        gi, gj, gk = g[t.i3], g[t.j3], g[t.k3]
-        out[third:] += c[2] * (h[t.p_ij] * gk + h[t.p_ik] * gj + h[t.p_jk] * gi)
-        out[third:] += c[3] * gi * gj * gk
+    # Levels 0 and 1 have no partition into two or more blocks.
+    for k, (slots, groups) in enumerate(t.chain[2:order + 1], 2):
+        blocks, level = f[slots], out[t.offsets[k]:t.offsets[k + 1]]
+        for m, partitions in groups:
+            products = [[blocks[b] for b in p] for p in partitions]
+            if len(products) == 1:
+                level += reduce(mul, products[0], c[m])
+            else:
+                level += c[m] * reduce(add, (reduce(mul, p) for p in products))
     return out
 
 
@@ -644,7 +605,7 @@ def _evaluate(node: Expr, args, cols, params, order: int, bad) -> np.ndarray:
     Each row that fails here maps to its failure's detail in ``bad``."""
     n, rows = cols.shape
     if isinstance(node, (Const, Param, Coord)):
-        flat = np.zeros((_slots(n, order), rows))
+        flat = np.zeros((jet_tables(n).offsets[order + 1], rows))
         if isinstance(node, Coord):
             flat[0] = cols[node.index]
             if order:
@@ -748,7 +709,7 @@ def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
         first.rows, first.errors = np.array(list(errors)), errors
         raise first
     flat = np.stack(jets)
-    bounds = [_slots(x.shape[1], k) for k in range(order + 1)]
+    bounds = jet_tables(x.shape[1]).offsets[1:order + 2]
     return [np.ascontiguousarray(flat[:, 0].T)] + [
         np.ascontiguousarray(flat[:, lo:hi].transpose(2, 0, 1))
         for lo, hi in zip(bounds, bounds[1:])]

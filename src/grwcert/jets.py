@@ -5,10 +5,12 @@ order 3 at a point. Arithmetic follows exact Leibniz and chain rules, so
 everything consumed downstream (metric through the Weyl divergence) is
 obtained by calculus, never by divided differences.
 
-Second and third derivative levels use packed symmetric storage: reading
-entry (i, j) or (j, i) resolves to the same slot, likewise every
-permutation of a third-order triple. Jets are immutable after
-construction and safe to share between threads.
+Level k of a jet is packed symmetric storage over the sorted k-tuples of
+coordinate indices: every ordering of a tuple reads the same slot. One
+enumeration of those tuples, ``jet_tables(n)``, fixes the layout and the
+term order of the product rule, the chain rule and the derivative, for
+every consumer (``TensorJet`` here, the tape walker in ``expr``). Jets are
+immutable after construction and safe to share between threads.
 
 ``TensorJet`` is the one jet type: it holds the jets of every component of
 an array-valued field (a scalar is shape ()), optionally at each point of a
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import (accumulate, combinations, combinations_with_replacement,
+                       groupby, permutations, product)
 
 import numpy as np
 
@@ -30,58 +33,96 @@ MAX_ORDER = 3
 
 @dataclass(frozen=True)
 class JetTables:
-    """Packed-index bookkeeping for one chart dimension."""
+    """The packed layout of jets in ``n`` coordinates, per level k =
+    0..MAX_ORDER, and the terms of the rules that act on it.
+
+    ``tuples[k]``: level k's slots as sorted index tuples, (slots, k), in
+    ``combinations_with_replacement`` order. ``pos[k]``: any ordering of
+    a k-tuple, (n,) * k, to its slot. A flat jet holds level k at
+    ``offsets[k]:offsets[k + 1]``. ``lifts[k - 2]`` (k >= 2): the level-k
+    slot of (a,) + each (k-1)-tuple, from which ``deriv`` reads d_a's
+    level k - 1 (its level 0 is level 1 as it stands).
+
+    A factor (j, s) reads level j at slots ``s``: for each k-tuple, the
+    j-tuple at some of its positions. ``leibniz[k]``: level k's product
+    terms as (a factor, b factor), a_k b_0, a_0 b_k, then a at each other
+    subset of the positions, larger first in ``combinations`` order, and
+    b at the rest. ``chain[k]``: level k's chain-rule terms past c_1 f_k
+    as (slots, groups). ``slots`` holds the flat-jet slots of each block
+    they read, once; ``groups`` are (m, partitions) in ascending m, the
+    partitions of the positions into m >= 2 blocks, sorted, each as rows
+    of ``slots``, larger blocks first.
+    """
 
     n: int
-    pair_pos: np.ndarray    # (n, n) -> packed slot of the unordered pair
-    i2: np.ndarray          # packed pair slot -> smaller index
-    j2: np.ndarray          # packed pair slot -> larger index
-    triple_pos: np.ndarray  # (n, n, n) -> packed slot of the unordered triple
-    i3: np.ndarray
-    j3: np.ndarray
-    k3: np.ndarray
-    p_ij: np.ndarray        # packed triple slot -> pair slot of (i, j), etc.
-    p_ik: np.ndarray
-    p_jk: np.ndarray
+    tuples: tuple
+    pos: tuple
+    offsets: tuple
+    lifts: tuple
+    leibniz: tuple
+    chain: tuple
+
+
+@lru_cache(maxsize=None)
+def _splits(k: int) -> tuple:
+    """``JetTables.leibniz[k]`` as (a's positions, b's positions)."""
+    sizes = dict.fromkeys((k, 0, *range(k - 1, 0, -1)))    # k = 0: once
+    return tuple((part, tuple(p for p in range(k) if p not in part))
+                 for size in sizes for part in combinations(range(k), size))
+
+
+@lru_cache(maxsize=None)
+def _partitions(k: int) -> tuple:
+    """``JetTables.chain[k]``'s blocks as positions, and its groups."""
+    found = set()
+    for labels in product(range(k), repeat=k):     # block of each position
+        blocks = (tuple(p for p in range(k) if labels[p] == label)
+                  for label in set(labels))
+        found.add(tuple(sorted(blocks, key=lambda block: (-len(block), block))))
+    ordered = sorted((p for p in found if len(p) >= 2),
+                     key=lambda p: (len(p), p))
+    blocks = list(dict.fromkeys(block for p in ordered for block in p))
+    return tuple(blocks), tuple(
+        (m, tuple(tuple(map(blocks.index, p)) for p in group))
+        for m, group in groupby(ordered, len))
 
 
 @lru_cache(maxsize=None)
 def jet_tables(n: int) -> JetTables:
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pair_pos = np.empty((n, n), dtype=np.intp)
-    for slot, (i, j) in enumerate(pairs):
-        pair_pos[i, j] = pair_pos[j, i] = slot
-    triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-    triple_pos = np.empty((n, n, n), dtype=np.intp)
-    for slot, t in enumerate(triples):
-        for perm in permutations(t):
-            triple_pos[perm] = slot
-    i2 = np.array([p[0] for p in pairs], dtype=np.intp)
-    j2 = np.array([p[1] for p in pairs], dtype=np.intp)
-    i3 = np.array([t[0] for t in triples], dtype=np.intp)
-    j3 = np.array([t[1] for t in triples], dtype=np.intp)
-    k3 = np.array([t[2] for t in triples], dtype=np.intp)
+    orders = range(MAX_ORDER + 1)
+    tuples, pos = [], []
+    for k in orders:
+        level = list(combinations_with_replacement(range(n), k))
+        slots = np.empty((n,) * k, dtype=np.intp)
+        for slot, index in enumerate(level):
+            for perm in permutations(index):
+                slots[perm] = slot
+        tuples.append(np.array(level, dtype=np.intp).reshape(len(level), k))
+        pos.append(slots)
+    # Level k's factors: the subtuple at each subset of the k positions.
+    factors = [{part: (len(part), pos[len(part)][tuple(t.T[p] for p in part)])
+                for size in range(k + 1)
+                for part in combinations(range(k), size)}
+               for k, t in zip(orders, tuples)]
+    offsets = (0, *accumulate(map(len, tuples)))
+
+    def chain(k, f):
+        blocks, groups = _partitions(k)
+        slots = [offsets[j] + s for j, s in map(f.get, blocks)]
+        shape = len(slots), len(tuples[k])
+        return np.array(slots, dtype=np.intp).reshape(shape), groups
+
     return JetTables(
         n=n,
-        pair_pos=pair_pos,
-        i2=i2,
-        j2=j2,
-        triple_pos=triple_pos,
-        i3=i3,
-        j3=j3,
-        k3=k3,
-        p_ij=pair_pos[i3, j3],
-        p_ik=pair_pos[i3, k3],
-        p_jk=pair_pos[j3, k3],
+        tuples=tuple(tuples),
+        pos=tuple(pos),
+        offsets=offsets,
+        lifts=tuple(pos[k][(slice(None), *tuples[k - 1].T)]
+                    for k in orders[2:]),
+        leibniz=tuple(tuple((f[a], f[b]) for a, b in _splits(k))
+                      for k, f in zip(orders, factors)),
+        chain=tuple(map(chain, orders, factors)),
     )
-
-
-def pair_count(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def triple_count(n: int) -> int:
-    return n * (n + 1) * (n + 2) // 6
 
 
 class TensorJet:
@@ -135,14 +176,10 @@ class TensorJet:
         component, order - 1."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        t, a = jet_tables(self.n), self.batch
-        levels = [np.moveaxis(self.levels[1], -1, a)]
-        if self.order >= 2:
-            levels.append(np.moveaxis(self.levels[2][..., t.pair_pos], -2, a))
-        if self.order >= 3:
-            levels.append(np.moveaxis(
-                self.levels[3][..., t.triple_pos[:, t.i2, t.j2]], -2, a))
-        return self._like(levels)
+        lifts, a = jet_tables(self.n).lifts, self.batch
+        return self._like([np.moveaxis(self.levels[1], -1, a)] + [
+            np.moveaxis(level[..., lift], -2, a)
+            for level, lift in zip(self.levels[2:], lifts)])
 
     def map(self, spec: str) -> "TensorJet":
         """A linear index map (axis permutation, trace) on every level."""
@@ -172,23 +209,15 @@ def contract(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
 
 def leibniz_level(spec: str, n: int, a, b, k: int) -> np.ndarray:
     """Level k of the product of the level sequences ``a`` and ``b``,
-    summed term by term in a fixed order: a_k b_0, a_0 b_k, then the cross
-    terms of lower levels (the order of ``expr``'s product table)."""
+    summed term by term in ``jet_tables(n).leibniz[k]``'s order: a_k b_0,
+    a_0 b_k, then the cross terms of lower levels."""
     src, out = spec.split("->")
     sa, sb = src.split(",")
-    if k == 0:
+    if not k:
         return np.einsum(f"...{sa},...{sb}->...{out}", a[0], b[0])
-    t = jet_tables(n)
-    cross = ()    # products of lower levels, as (a level, slots, b level, slots)
-    if k == 2:
-        cross = ((a[1], t.i2, b[1], t.j2), (a[1], t.j2, b[1], t.i2))
-    elif k == 3:
-        cross = ((a[2], t.p_ij, b[1], t.k3), (a[2], t.p_ik, b[1], t.j3),
-                 (a[2], t.p_jk, b[1], t.i3), (a[1], t.i3, b[2], t.p_jk),
-                 (a[1], t.j3, b[2], t.p_ik), (a[1], t.k3, b[2], t.p_ij))
     level = np.einsum(f"...{sa}Z,...{sb}->...{out}Z", a[k], b[0])
     level += np.einsum(f"...{sa},...{sb}Z->...{out}Z", a[0], b[k])
-    for x, i, y, j in cross:
+    for (i, si), (j, sj) in jet_tables(n).leibniz[k][2:]:
         level += np.einsum(f"...{sa}Z,...{sb}Z->...{out}Z",
-                           x[..., i], y[..., j])
+                           a[i][..., si], b[j][..., sj])
     return level

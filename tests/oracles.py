@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import fields
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -19,7 +21,7 @@ from grwcert.classify import _leggauss
 from grwcert.curvature import CurvaturePoint, JetStack
 from grwcert.expr import (Binary, Const, Coord, EvalDomainError, Expr, Param,
                           ParseError, Power, Unary, _Parser, eval_jet3_batch)
-from grwcert.jets import MAX_ORDER, jet_tables, pair_count, triple_count
+from grwcert.jets import MAX_ORDER, jet_tables
 
 def scale_free(residual, *references) -> float:
     """max-abs of residual over (1 + max-abs of the dominant inputs), at
@@ -489,7 +491,7 @@ def per_component_curvature(chart, point) -> dict:
         flat = np.array([jet.grad for jet in _flat(grid)])
         return np.moveaxis(flat.reshape(shape + (n,)), -1, 0)
 
-    pair_pos = jet_tables(n).pair_pos
+    pair_pos = _layout(n).pair_pos
     g = values(gj, (n, n))
     g_inv = values(ginvj, (n, n))
     dg = grads(gj, (n, n))
@@ -525,6 +527,27 @@ def _flat(grid):
             yield from _flat(row)
     else:
         yield grid
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> SimpleNamespace:
+    """``jet_tables(n)``'s packed slots under the names that the rules
+    written out below read: the pairs (i2, j2) and triples (i3, j3, k3)
+    of each slot, ``pair_pos`` and ``triple_pos`` of any index ordering,
+    and each triple's pair slots p_ij, p_ik and p_jk."""
+    t = jet_tables(n)
+    (i2, j2), (i3, j3, k3) = t.tuples[2].T, t.tuples[3].T
+    pair_pos = t.pos[2]
+    return SimpleNamespace(
+        pair_pos=pair_pos, triple_pos=t.pos[3], i2=i2, j2=j2, i3=i3, j3=j3,
+        k3=k3, p_ij=pair_pos[i3, j3], p_ik=pair_pos[i3, k3],
+        p_jk=pair_pos[j3, k3])
+
+
+def _zero_levels(n: int) -> tuple:
+    """Zero gradient, Hessian and third levels."""
+    t = _layout(n)
+    return np.zeros(n), np.zeros(len(t.i2)), np.zeros(len(t.i3))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +592,7 @@ class Jet3:
 
     @classmethod
     def empty(cls, n: int, order: int = MAX_ORDER) -> "Jet3":
-        return cls(n, order, 0.0,
-                   np.zeros(n), np.zeros(pair_count(n)), np.zeros(triple_count(n)))
+        return cls(n, order, 0.0, *_zero_levels(n))
 
     @classmethod
     def constant(cls, n: int, value: float) -> "Jet3":
@@ -602,7 +624,7 @@ class Jet3:
         """Coordinate derivative: an order-(k-1) jet of the i-th partial."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        t = jet_tables(self.n)
+        t = _layout(self.n)
         out = Jet3.empty(self.n, self.order - 1)
         out.value = float(self.grad[i])
         if out.order >= 1:
@@ -612,14 +634,14 @@ class Jet3:
         return out
 
     def third_tensor(self) -> np.ndarray:
-        t = jet_tables(self.n)
+        t = _layout(self.n)
         return self.third[t.triple_pos]
 
     def d2(self, i: int, j: int) -> float:
-        return float(self.hess[jet_tables(self.n).pair_pos[i, j]])
+        return float(self.hess[_layout(self.n).pair_pos[i, j]])
 
     def d3(self, i: int, j: int, k: int) -> float:
-        return float(self.third[jet_tables(self.n).triple_pos[i, j, k]])
+        return float(self.third[_layout(self.n).triple_pos[i, j, k]])
 
     def __repr__(self) -> str:
         return f"Jet3(n={self.n}, order={self.order}, value={self.value!r})"
@@ -683,7 +705,7 @@ class Jet3:
             return NotImplemented
         a, b = self, other
         order = min(a.order, b.order)
-        t = jet_tables(a.n)
+        t = _layout(a.n)
         out = Jet3.empty(a.n, order)
         out.value = a.value * b.value
         if order >= 1:
@@ -736,7 +758,7 @@ class Jet3:
 
     def _compose(self, c0: float, c1: float, c2: float, c3: float) -> "Jet3":
         """phi(self) for a scalar function with derivatives c0..c3 at value."""
-        t = jet_tables(self.n)
+        t = _layout(self.n)
         out = Jet3.empty(self.n, self.order)
         out.value = c0
         if self.order >= 1:
@@ -817,10 +839,8 @@ def _pow_term(v: float, e: float, m: int) -> float:
 
 def as_jet3(jet) -> Jet3:
     """A shape-() ``TensorJet`` as a scalar ``Jet3``."""
-    zeros = (np.zeros(jet.n), np.zeros(pair_count(jet.n)),
-             np.zeros(triple_count(jet.n)))
     return Jet3(jet.n, jet.order, float(jet.levels[0]),
-                *jet.levels[1:], *zeros[jet.order:])
+                *jet.levels[1:], *_zero_levels(jet.n)[jet.order:])
 
 
 def eval_jet3(node: Expr, point, params: Mapping[str, float]) -> Jet3:

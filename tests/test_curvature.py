@@ -24,7 +24,7 @@ from .test_classify import dense_pullback_chart
 def d2gamma(stack: JetStack) -> np.ndarray:
     """d_a d_b Gamma^m_{jk} as [a, b, m, j, k], unpacked from the packed
     Hessian level of a one-point stack's Christoffel jet."""
-    return np.moveaxis(stack.gamma.hess[0][..., jet_tables(stack.n).pair_pos],
+    return np.moveaxis(stack.gamma.hess[0][..., jet_tables(stack.n).pos[2]],
                        (-2, -1), (0, 1))
 
 

@@ -13,7 +13,7 @@ from grwcert.chart import ChartPoint, compile_chart
 from grwcert.curvature import SingularMetricError
 from grwcert.expr import (FUNCTIONS, Binary, Const, Coord, EvalDomainError,
                           Param, ParseError, Power, RowError, Unary,
-                          UnknownSymbolError, depth, eval_jet3_batch, parse)
+                          UnknownSymbolError, eval_jet3_batch, parse)
 from grwcert.jets import TensorJet
 from grwcert.schema import load_chart_input
 
@@ -21,6 +21,13 @@ from .oracles import FoldingParser, eval_jet3, eval_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import dense_spec  # noqa: E402  (perfbench/workloads.py)
+
+
+def depth(node) -> int:
+    """Levels of a tree: 1 for a leaf."""
+    kids = [getattr(node, name) for name in ("arg", "base", "left", "right")
+            if hasattr(node, name)]
+    return 1 + max(map(depth, kids), default=0)
 
 
 class TestGrammar:
@@ -508,6 +515,10 @@ class TestBatchEvaluation:
         assert str(named.at(2)) == (
             "sqrt at offset 0: argument -2.0 is not positive at path row 2, "
             "coordinates (-2.0,)")
+        # A row's own error reads its bare message until its owner sets
+        # the place.
+        singular = SingularMetricError(1, (1.0, 2.0), np.array([1, 3]))
+        assert str(singular.at(3)) == "metric matrix is singular"
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +554,21 @@ class TestJet3Batch:
             return
         _assert_levels_match(call(), expected)
 
-    @pytest.mark.parametrize("text", [f"{fn}(0.6*t*x + 0.05)" for fn in FUNCTIONS]
-                             + [f"(t + x)^({e!r})" for e in EXPONENTS]
-                             + ["t/x", "(1 + t^2)/(x - t)", "-x/(t*t)"])
-    def test_functions_powers_and_division_on_a_grid(self, text):
-        tree = parse(text, ["t", "x"])
-        grid = np.linspace(0.05, 2.0, 40)
-        rows = np.stack(np.meshgrid(grid, grid[::-1] + 0.013), -1).reshape(-1, 2)
+    # The bilinear arguments on the 2-D grid cannot tell the order of the
+    # chain rule's third-level terms apart; the cubic ones in 3-D do.
+    GRID_CASES = ([(f"{fn}(0.6*t*x + 0.05)", 2) for fn in FUNCTIONS]
+                  + [(f"(t + x)^({e!r})", 2) for e in EXPONENTS]
+                  + [("t/x", 2), ("(1 + t^2)/(x - t)", 2), ("-x/(t*t)", 2)]
+                  + [(f"{fn}(0.3*t*x*y + 0.2*t^2*x - 0.1*y^3 + 1.05)", 3)
+                     for fn in FUNCTIONS])
+
+    @pytest.mark.parametrize("text, dim", GRID_CASES,
+                             ids=[text for text, _ in GRID_CASES])
+    def test_functions_powers_and_division_on_a_grid(self, text, dim):
+        tree = parse(text, ["t", "x", "y"][:dim])
+        grid = np.linspace(0.05, 2.0, 40 if dim == 2 else 12)
+        axes = (grid, grid[::-1] + 0.013, grid + 0.007)[:dim]
+        rows = np.stack(np.meshgrid(*axes), -1).reshape(-1, dim)
         _assert_levels_match(eval_jet3_batch((tree,), rows, {}),
                              [eval_jet3(tree, row, {}) for row in rows.tolist()])
 
