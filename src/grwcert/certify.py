@@ -306,11 +306,11 @@ def _point_payload(integrand, fp, base, limit):
     sigma, defect = np.full((2, len(points)), math.nan)
     refused = {i: classify.not_closed("ω", curl)
                for i, curl in enumerate(fp.omega_closed) if curl > limit}
-    closed = [i for i in range(len(points)) if i not in refused]
+    closed = np.flatnonzero(~(fp.omega_closed > limit))     # NaN: closed
     value, path_defect, failed = classify._integrate_form(
-        integrand, fp.n, base, [points[i].coords for i in closed])
+        integrand, fp.n, base, np.array([p.coords for p in points])[closed])
     sigma[closed], defect[closed] = value, path_defect
-    refused.update((closed[k], text) for k, text in failed.items())
+    refused.update((int(closed[k]), text) for k, text in failed.items())
     return sigma, defect, refused
 
 

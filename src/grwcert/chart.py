@@ -280,11 +280,10 @@ def _probe_point(chart: MetricChart) -> ChartPoint:
     if keep[0]:
         return ChartPoint(tuple(mid))
     try:
-        point = sample_points(chart, 1, seed=0)[0]
+        return sample_points(chart, 1, seed=0)[0]
     except SamplingExhaustedError:
         raise ChartError.at("domain", "no probe point found inside the "
                                       "domain") from None
-    return ChartPoint(tuple(float(x) for x in point.coords))
 
 
 def validate_signature(chart: MetricChart, point: ChartPoint) -> None:
@@ -431,5 +430,6 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
             row, err = undefined
             raise ChartError(err.path, f"{err} at sample candidate "
                                        f"{tuple(block[row].tolist())}")
-        points += [ChartPoint(tuple(row)) for row in block[keep][:missing]]
+        points += [ChartPoint(tuple(row))
+                   for row in block[keep][:missing].tolist()]
     return points

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import add
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .jets import TensorJet, contract
 QUAD_ORDER = 8
 QUAD_PANELS = (1, 2, 4)
 REFINE_TOL = 1e-8
-# The most rows of one integrand call, unless one target alone has more: a
-# rung's rows go to the integrand in calls of whole targets.
+# The most slots of one integrand call, unless one target alone has more: a
+# call on rung p takes CALL_ROWS // 7m whole targets (m = QUAD_ORDER p).
 CALL_ROWS = 8192
 
 
@@ -308,121 +307,102 @@ def _leggauss(order: int):
 
 
 @lru_cache(maxsize=None)
-def _composite(panels: int):
-    """Nodes s in [0, 1], as a column, and weights of composite
-    Gauss-Legendre of order QUAD_ORDER at ``panels`` panels, in order."""
+def _slots(panels: int):
+    """The 7m slots of rung ``panels`` (m = QUAD_ORDER * panels): each one's
+    leg (0 the segment, 1 base to corner, 2 corner to target), node s in
+    [0, 1], as a column, and weight, of composite Gauss-Legendre of order
+    QUAD_ORDER. The coarse segment's m slots come first, then at twice the
+    panels the segment's and each leg's 2m, each in path order."""
     nodes, weights = _leggauss(QUAD_ORDER)
-    half = 0.5 / panels
-    mid = (np.arange(panels) + 0.5) / panels
-    s = (mid[:, None] + half * nodes).ravel()[:, None]
-    weights = np.tile(half * weights, panels)
-    s.flags.writeable = weights.flags.writeable = False   # cached
-    return s, weights
-
-
-def _leg(start, end, panels):
-    """Rows and weights of composite Gauss-Legendre on the segment
-    start + s (end - start), s in [0, 1], in path order."""
-    s, weights = _composite(panels)
-    return start + s * (end - start), weights
+    # Each panel's leg, midpoint and half-width, in slot order.
+    panel = np.array([(leg, (k + 0.5) / q, 0.5 / q) for leg, q in (
+        (0, panels), (0, 2 * panels), (1, 2 * panels), (2, 2 * panels))
+        for k in range(q)])
+    leg = np.repeat(panel[:, 0].astype(int), QUAD_ORDER)
+    s = (panel[:, 1:2] + panel[:, 2:3] * nodes).reshape(-1, 1)
+    weights = (panel[:, 2:3] * weights).ravel()
+    for table in (leg, s, weights):
+        table.flags.writeable = False       # cached
+    return leg, s, weights
 
 
 def _integrate_form(integrand, n, base, targets):
-    """Integrate a closed 1-form along the segment from ``base`` to each
-    of ``targets`` (the range box is convex), at p and 2p panels, and
-    along the path through the corner (target time, base space) without
-    its zero-length legs at 2p panels, for the path defect. Each p of
-    QUAD_PANELS is tried in turn until a target's doubling converges. A
-    rung's rows of every target still climbing go to the integrand
-    together, in calls of whole targets of at most CALL_ROWS rows; a
-    node's term is its weight times the in-order sum of
-    form_k (end - start)_k, and each path of a target sums its own terms
-    in order. When rows fail in a call (a ``RowError``), every target
-    that owns one is refused with its first failing row's own error, the
-    row counted among its own rows, and the rung is walked again without
-    them. Returns (value, defect, refused): the segment's value and its distance from the corner path's,
-    arrays over the targets that are NaN where a target has no value, and
-    the refusal text of each such target by its index."""
-    base = np.asarray(base, dtype=float)
-    paths = []    # each target's segment, then its corner path's legs
-    for target in np.asarray(targets, dtype=float):
-        corner = np.concatenate((target[:1], base[1:]))
-        paths.append([(base, target)] + [
-            (a, b) for a, b in ((base, corner), (corner, target))
-            if np.any(a != b)])
-    value, defect = np.full((2, len(paths)), math.nan)
-    climbing = dict.fromkeys(range(len(paths)))   # target -> its drift
-    refused = {}
+    """Integrate a closed 1-form from ``base`` to each of the (P, n)
+    ``targets`` along the segment (the range box is convex) and, for the
+    path defect, through the corner (target time, base space).
+
+    Each p of QUAD_PANELS is tried in turn until a target's panel doubling
+    converges. On rung p every target still climbing has the same 7m slots
+    (``_slots``), walked in calls of CALL_ROWS // 7m whole targets. A
+    zero-length leg's slots are dead: never walked, and their terms are
+    0.0. A node's term is its weight times the in-order sum of
+    form_k (end - start)_k, and each path sums its terms in order from 0.0.
+    A ``RowError`` in a call refuses every target that owns a failing row,
+    with its first failing row's own error at its slot (its path row), and
+    the rung is walked again without them.
+
+    Returns (value, defect, refused): the segment's value and its distance
+    from the corner path's, NaN where a target has no value, and each such
+    target's refusal text by its index."""
+    base, targets = np.asarray(base, dtype=float), np.asarray(targets, float)
+    corners = targets.copy()
+    corners[:, 1:] = base[1:]
+    starts = np.empty((len(targets), 3, n))
+    starts[:, :2], starts[:, 2] = base, corners
+    steps = np.stack((targets, corners, targets), axis=1) - starts
+    live = (steps != 0.0).any(axis=-1)
+    live[:, 0] = True           # the segment is walked even to the base
+    value, defect = np.full((2, len(targets)), math.nan)
+    climbing, drift, refused = np.arange(len(targets)), np.zeros(0), {}
     for p in QUAD_PANELS:
-        m = QUAD_ORDER * p
-        while climbing:
-            # Each climbing target's coarse segment, then its paths at 2p:
-            # m (1 + 2 legs) rows, in target order.
-            order = list(climbing)
-            legs = [(a, b, q) for i in order
-                    for (a, b), q in [(paths[i][0], p)]
-                    + [(leg, 2 * p) for leg in paths[i]]]
-            rows, weights = zip(*(_leg(a, b, q) for a, b, q in legs))
-            x = np.concatenate(rows)
-            sizes = [m * (1 + 2 * len(paths[i])) for i in order]
-            ends = np.cumsum(sizes)
+        leg, s, weights = _slots(p)
+        m, per_call = QUAD_ORDER * p, max(1, CALL_ROWS // len(leg))
+        while climbing.size:
+            slots = climbing[:, None], leg
+            step, alive = steps[slots], live[slots]
+            rows = starts[slots] + s * step
+            values = np.zeros_like(rows)    # dead slots' terms are 0.0
             try:
-                parts, start = [], 0
-                for end in _call_ends(ends.tolist()):
-                    parts.append(integrand(x[start:end]))
-                    start = end
+                for start in range(0, len(climbing), per_call):
+                    call = slice(start, start + per_call)
+                    values[call][alive[call]] = integrand(
+                        rows[call][alive[call]])
                 break
             except RowError as err:
-                # err.rows holds every failing row of the call from start.
-                failing = start + err.rows
-                owners, firsts = np.unique(
-                    np.searchsorted(ends, failing, side="right"),
-                    return_index=True)
-                for k, row in zip(owners.tolist(), failing[firsts].tolist()):
-                    error = err.at(row - start)
-                    error.index = row - (int(ends[k]) - sizes[k])
-                    error.coords, error.place = x[row], "path row"
-                    refused[order[k]] = f"path from basepoint: {error}"
-                    del climbing[order[k]]
+                # A dead leg's live twin repeats the segment's rows, so a
+                # target's first failing row is in its first 3m slots
+                # unless both legs are live: the slot is the path row.
+                owner, slot = np.nonzero(alive[call])
+                owners, firsts = np.unique(owner[err.rows], return_index=True)
+                for k, row in zip(owners.tolist(), err.rows[firsts].tolist()):
+                    error = err.at(row)
+                    error.index = int(slot[row])
+                    error.coords = rows[call][k, error.index]
+                    error.place = "path row"
+                    refused[int(climbing[start + k])] = \
+                        f"path from basepoint: {error}"
+                climbing = np.delete(climbing, start + owners)
         else:       # no target is left to integrate
             break
-        values = np.concatenate(parts)
-        steps = np.repeat([b - a for a, b, _ in legs],
-                          [len(w) for w in weights], axis=0)
-        dots = values[:, 0] * steps[:, 0]
+        dots = values[..., 0] * step[..., 0]
         for k in range(1, n):
-            dots = dots + values[:, k] * steps[:, k]
-        terms = (np.concatenate(weights) * dots).tolist()
-        start = 0
-        for i in list(climbing):
-            end = start + m * (1 + 2 * len(paths[i]))
-            coarse, fine, other = (
-                reduce(add, terms[j:k], 0.0) for j, k in
-                ((start, start + m), (start + m, start + 3 * m),
-                 (start + 3 * m, end)))
-            start, drift = end, abs(fine - coarse)
-            # Not "<=": a NaN drift ends the ladder with its NaN value.
-            if not drift > REFINE_TOL * (1.0 + abs(fine)):
-                value[i], defect[i] = fine, abs(fine - other)
-                del climbing[i]
-            else:
-                climbing[i] = drift
+            dots = dots + values[..., k] * step[..., k]
+        terms = weights * dots
+        # A running sum is the in-order one; "+ 0.0" starts it from 0.0.
+        coarse, fine, other = (
+            np.add.accumulate(terms[:, a:b], axis=1)[:, -1] + 0.0
+            for a, b in ((0, m), (m, 3 * m), (3 * m, 7 * m)))
+        drift = abs(fine - coarse)
+        # Not "<=": a NaN drift ends the ladder with its NaN value.
+        done = ~(drift > REFINE_TOL * (1.0 + abs(fine)))
+        value[climbing[done]] = fine[done]
+        defect[climbing[done]] = abs(fine - other)[done]
+        climbing, drift = climbing[~done], drift[~done]
     refused.update(
         (i, f"segment quadrature did not converge (panel doubling moved "
-            f"the value by {drift:.3e})") for i, drift in climbing.items())
+            f"the value by {d:.3e})")
+        for i, d in zip(climbing.tolist(), drift.tolist()))
     return value, defect, refused
-
-
-def _call_ends(ends: list) -> list:
-    """The end rows of the integrand calls over targets that end at
-    ``ends``: whole targets, at most CALL_ROWS rows a call unless one
-    target alone has more."""
-    cuts, start = [], 0
-    for prev, end in zip([0] + ends, ends):
-        if end - start > CALL_ROWS and prev > start:
-            cuts.append(prev)
-            start = prev
-    return cuts + ends[-1:]
 
 
 def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):

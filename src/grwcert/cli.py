@@ -79,6 +79,17 @@ _SCALARS = {"A": ("fluid-decompose", ("A_min", "A_max"), 1e-8),
             "w": ("eos-slope", ("w",), 1e-6)}
 
 
+# Each list of expected records: whether a record meets it, and the
+# mismatch's wording where it does not.
+_EXPECTED_RECORDS = (
+    ("ok", lambda rec: rec.status != SKIPPED and rec.ok is True,
+     "expected within tolerance, got status {rec.status} ok={rec.ok}"),
+    ("not_ok", lambda rec: rec.status != SKIPPED and rec.ok is False,
+     "expected out of tolerance, got status {rec.status} ok={rec.ok}"),
+    ("informational", lambda rec: rec.status in (INFORMATIONAL, SKIPPED),
+     "expected informational, got status {rec.status}"))
+
+
 def _expectation_mismatches(report, expected) -> list[str]:
     # The records of an unselected group are skipped: compare only the
     # expectations on groups that ran, and the verdict when every group ran.
@@ -99,21 +110,11 @@ def _expectation_mismatches(report, expected) -> list[str]:
         if branch != expected["fluid"]:
             problems.append(f"fluid branch {branch!r}, "
                             f"expected {expected['fluid']!r}")
-    for name in filter(selected, expected.get("ok", ())):
-        rec = report.find(name)
-        if rec.status == SKIPPED or rec.ok is not True:
-            problems.append(f"{name}: expected within tolerance, "
-                            f"got status {rec.status} ok={rec.ok}")
-    for name in filter(selected, expected.get("not_ok", ())):
-        rec = report.find(name)
-        if rec.status == SKIPPED or rec.ok is not False:
-            problems.append(f"{name}: expected out of tolerance, "
-                            f"got status {rec.status} ok={rec.ok}")
-    for name in filter(selected, expected.get("informational", ())):
-        rec = report.find(name)
-        if rec.status not in (INFORMATIONAL, SKIPPED):
-            problems.append(f"{name}: expected informational, "
-                            f"got status {rec.status}")
+    for key, meets, wording in _EXPECTED_RECORDS:
+        for name in filter(selected, expected.get(key, ())):
+            rec = report.find(name)
+            if not meets(rec):
+                problems.append(f"{name}: {wording.format(rec=rec)}")
     for scalar, want in expected.get("scalars", {}).items():
         record, keys, bar = _SCALARS[scalar]
         for key in keys if selected(record) else ():

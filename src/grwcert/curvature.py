@@ -65,12 +65,11 @@ class CurvaturePoint:
 class SingularMetricError(RowError, np.linalg.LinAlgError):
     """The metric is singular at a point: ``index`` names the first such
     point within its batch and ``rows`` all of them, and the batch's owner
-    fills in its ``coords`` and, for sigma's integration path, ``place``
-    ("path row")."""
+    fills in its ``coords`` and ``place`` ("point", or "path row" on
+    sigma's integration path)."""
 
     def __init__(self, index: int, coords=(), rows=None):
         super().__init__("metric matrix is singular", index, coords, rows)
-        self.place = "point"
 
     def __reduce__(self):
         # Rebuilt from its constructor's arguments, not from the message.
@@ -99,7 +98,7 @@ class JetStack:
         try:
             g_inv = self.g_inv = metric_inverse(g.truncated(order - 1))
         except SingularMetricError as err:
-            err.coords = rows[err.index]
+            err.coords, err.place = rows[err.index], "point"
             raise
         gamma = self.gamma = christoffel(g, g_inv)
 

@@ -321,6 +321,16 @@ def segment_per_node(integrand, legs, quad_order, panels):
     return float(total)
 
 
+def leg_rows(start, end, panels, quad_order=8):
+    """The nodes of ``segment_per_node`` on the segment (start, end), in
+    path order: sigma's rows there."""
+    nodes, _ = _leggauss(quad_order)
+    half = 0.5 / panels
+    return np.array([start + ((panel + 0.5) / panels + half * node)
+                     * (end - start)
+                     for panel in range(panels) for node in nodes])
+
+
 def integrate_per_node(integrand, n, base, target, quad_order=8, panels=1):
     """(value, path defect, doubling drift) of one rung of the engine's
     ladder (by default its first): the segment at ``panels`` and twice as

@@ -203,6 +203,11 @@ class TestSampling:
         second = sample_points(chart, 5, seed=7)
         assert first == second
         assert all(1 <= p.coords[0] <= 2 for p in first)
+        # Plain floats, whose repr is the number's.
+        assert all(type(x) is float for p in first for x in p.coords)
+        point = sample_points(catalog_get("frw-dust").chart, 1, 0)[0]
+        assert type(point.coords[0]) is float
+        assert "np.float64" not in repr(point)
 
     def test_different_seed_differs(self):
         chart = compile_chart(minkowski_input())

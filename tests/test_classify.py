@@ -16,9 +16,9 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               REFINE_TOL, VelocityAnalysis, fluid_decompose,
                               geodesic_at, ladder_residuals_at, not_closed,
                               torse_at, weyl_electric_at,
-                              _chen_point, _integrate_form, _leg, _leggauss,
+                              _chen_point, _integrate_form, _leggauss,
                               _omega_integrand, _soliton_residual_at)
-from grwcert.curvature import JetStack, scale_free_at
+from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
 from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
 from grwcert.grw import catalog_get, catalog_names
@@ -27,8 +27,8 @@ from grwcert.report import DEGENERATE
 
 from .conftest import LADDER_RUNGS, certified
 from .oracles import (_field_integrand, eval_value, friedmann_scalars,
-                      integrate_per_node, omega_per_node, segment_reference,
-                      staircase_per_node)
+                      integrate_per_node, leg_rows, omega_per_node,
+                      segment_reference, staircase_per_node)
 
 MINK_G = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -578,7 +578,7 @@ class TestBatchedQuadrature:
         assert str(per_node.value).startswith("sqrt at offset 8: argument ")
         # The target's rows open with the first rung's coarse segment: its
         # first row at or below the domain edge is the one named.
-        segment, _ = _leg(np.asarray(chart.basepoint), target, QUAD_PANELS[0])
+        segment = leg_rows(np.asarray(chart.basepoint), target, QUAD_PANELS[0])
         row = int(np.argmax(segment[:, 0] - 0.2 <= 0.0))
         assert segment[row, 0] - 0.2 <= 0.0
         value, defect, refused = _integrate_form(
@@ -609,21 +609,34 @@ class TestBatchedQuadrature:
         # coarse and fine segments, which leave x = 0 at once.
         base = np.asarray(chart.basepoint)
         corner = np.concatenate((target[:1], base[1:]))
-        rows = np.concatenate([_leg(a, b, p)[0] for a, b, p in (
+        rows = np.concatenate([leg_rows(a, b, p) for a, b, p in (
             (base, target, QUAD_PANELS[0]), (base, target, 2 * QUAD_PANELS[0]),
             (base, corner, 2 * QUAD_PANELS[0]))])
         row = int(np.argmax(rows[:, 1] == 0.0))
         assert row == 3 * QUAD_ORDER * QUAD_PANELS[0]
         t, *space = rows[row].tolist()
         assert 1.0 < t < target[0] and space == [0.0, 0.0, 0.0]
-        _, _, refused = _integrate_form(
-            _omega_integrand(chart, chart.velocity), chart.n,
-            chart.basepoint, [target])
+        # A target at the basepoint's time has a zero-length time leg, on
+        # x = 0 from the basepoint; it is never walked, and the target
+        # integrates to 0.0. With a time leg the same space is refused.
+        level, timed = (np.array([t, 0.5, 0.3, -0.2]) for t in (1.0, 1.4))
+        integrand = _omega_integrand(chart, chart.velocity)
+        value, defect, refused = _integrate_form(
+            integrand, chart.n, chart.basepoint, [target, level, timed])
         # The row is named as a row of the path, not as a sample point.
-        assert refused == {0: (
+        assert refused[0] == (
             f"path from basepoint: metric matrix is singular at path row "
-            f"{row}, coordinates {tuple(rows[row].tolist())}")}
+            f"{row}, coordinates {tuple(rows[row].tolist())}")
         assert f"at point {row}" not in refused[0]
+        assert sorted(refused) == [0, 2]
+        assert (value[1], defect[1]) == (0.0, 0.0)
+        assert refused[2].startswith(
+            f"path from basepoint: metric matrix is singular at path row "
+            f"{row}, coordinates (")
+        # Until its owner names the row, the error reads its bare message.
+        with pytest.raises(SingularMetricError) as bare:
+            integrand(np.array([chart.basepoint]))
+        assert str(bare.value) == "metric matrix is singular"
         report = run_certify(chart, RunConfig(points=4, seed=0))
         assert report.find("fluid-decompose").status == DEGENERATE
         assert report.find("chen-vector").detail["error"] == \
@@ -830,7 +843,7 @@ class TestChunkQuadrature:
         # rung meets the same t at 8 panels and fails there.
         base = np.array([1.0, 0.0, 0.0, 0.0])
         targets = [np.array([t, 0.3, -0.2, 0.1]) for t in (1.1, 1.5, 2.0)]
-        c = float(_leg(base, targets[1], 4)[0][20, 0])
+        c = float(leg_rows(base, targets[1], 4)[20, 0])
         spec = step_input(20)
         spec = replace(spec, metric={**spec.metric, "2,2": (
             f"{spec.metric['2,2']}*(1 + 0*ln((t - {c!r})^2 - 1e-24))")})

@@ -773,6 +773,12 @@ class TestCliCommands:
         ("branch", "homothetic",
          "ckv-branch: 0 homothetic and 4 proper points, expected every "
          "point homothetic"),
+        ("ok", ("ckv-branch",), "ckv-branch: expected within tolerance, "
+                                "got status informational ok=None"),
+        ("not_ok", ("u-closed",), "u-closed: expected out of tolerance, "
+                                  "got status pass ok=True"),
+        ("informational", ("u-closed",),
+         "u-closed: expected informational, got status pass"),
     ])
     def test_catalog_run_wrong_expectation(self, monkeypatch, capsys, key,
                                            value, message):
