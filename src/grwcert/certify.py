@@ -296,22 +296,16 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
 def _point_payload(integrand, fp, base, limit):
     """sigma at a chunk's points, or None without an integrand: (sigma,
     path defect, refused), two arrays over the points, NaN where a point
-    has no potential, and each such point's refusal text by its index
-    (omega's curl above ``limit``, say). One quadrature integrates every
-    point whose omega is closed; a point whose path leaves an expression's
-    domain or meets a singular metric is refused with its own path row."""
+    has no potential, and each such point's refusal text by its index.
+    Refuses each point whose omega's curl is above ``limit``; one
+    quadrature integrates the others, and refuses a point whose path leaves
+    an expression's domain or meets a singular metric with its path row."""
     if integrand is None:
         return None
-    points = fp.stack.points
-    sigma, defect = np.full((2, len(points)), math.nan)
     refused = {i: classify.not_closed("ω", curl)
                for i, curl in enumerate(fp.omega_closed) if curl > limit}
-    closed = np.flatnonzero(~(fp.omega_closed > limit))     # NaN: closed
-    value, path_defect, failed = classify._integrate_form(
-        integrand, fp.n, base, np.array([p.coords for p in points])[closed])
-    sigma[closed], defect[closed] = value, path_defect
-    refused.update((int(closed[k]), text) for k, text in failed.items())
-    return sigma, defect, refused
+    return classify._integrate_form(integrand, fp.n, base, np.array(
+        [p.coords for p in fp.stack.points]), refused)
 
 
 def _converse_payload(chart, points):

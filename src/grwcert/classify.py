@@ -326,24 +326,25 @@ def _slots(panels: int):
     return leg, s, weights
 
 
-def _integrate_form(integrand, n, base, targets):
+def _integrate_form(integrand, n, base, targets, refused):
     """Integrate a closed 1-form from ``base`` to each of the (P, n)
-    ``targets`` along the segment (the range box is convex) and, for the
-    path defect, through the corner (target time, base space).
+    ``targets`` but the ``refused`` ones (index: text) along the segment
+    (the range box is convex) and, for the path defect, through the corner
+    (target time, base space).
 
     Each p of QUAD_PANELS is tried in turn until a target's panel doubling
-    converges. On rung p every target still climbing has the same 7m slots
-    (``_slots``), walked in calls of CALL_ROWS // 7m whole targets. A
-    zero-length leg's slots are dead: never walked, and their terms are
-    0.0. A node's term is its weight times the in-order sum of
-    form_k (end - start)_k, and each path sums its terms in order from 0.0.
-    A ``RowError`` in a call refuses every target that owns a failing row,
-    with its first failing row's own error at its slot (its path row), and
-    the rung is walked again without them.
+    converges. On rung p the targets still climbing have the same 7m slots
+    (``_slots``), gathered once and walked in calls of CALL_ROWS // 7m
+    whole targets. A zero-length leg's slots are dead: never walked, and
+    their terms are 0.0. A node's term is its weight times the in-order sum
+    of form_k (end - start)_k, and each path sums its terms in order from
+    0.0. A ``RowError`` in a call refuses every target that owns a failing
+    row, with its first failing row's own error at its slot (its path row),
+    and that call alone is walked again without them.
 
-    Returns (value, defect, refused): the segment's value and its distance
-    from the corner path's, NaN where a target has no value, and each such
-    target's refusal text by its index."""
+    Returns (value, defect, refused) over every target: the segment's value
+    and its distance from the corner path's, NaN where a target has no
+    value, and each such target's refusal text by its index."""
     base, targets = np.asarray(base, dtype=float), np.asarray(targets, float)
     corners = targets.copy()
     corners[:, 1:] = base[1:]
@@ -353,37 +354,39 @@ def _integrate_form(integrand, n, base, targets):
     live = (steps != 0.0).any(axis=-1)
     live[:, 0] = True           # the segment is walked even to the base
     value, defect = np.full((2, len(targets)), math.nan)
-    climbing, drift, refused = np.arange(len(targets)), np.zeros(0), {}
+    climbing = np.flatnonzero([i not in refused for i in range(len(targets))])
+    drift, refused = np.zeros(0), dict(refused)
     for p in QUAD_PANELS:
+        if not climbing.size:   # no target is left to integrate
+            break
         leg, s, weights = _slots(p)
         m, per_call = QUAD_ORDER * p, max(1, CALL_ROWS // len(leg))
-        while climbing.size:
-            slots = climbing[:, None], leg
-            step, alive = steps[slots], live[slots]
-            rows = starts[slots] + s * step
-            values = np.zeros_like(rows)    # dead slots' terms are 0.0
-            try:
-                for start in range(0, len(climbing), per_call):
-                    call = slice(start, start + per_call)
-                    values[call][alive[call]] = integrand(
-                        rows[call][alive[call]])
-                break
-            except RowError as err:
-                # A dead leg's live twin repeats the segment's rows, so a
-                # target's first failing row is in its first 3m slots
-                # unless both legs are live: the slot is the path row.
-                owner, slot = np.nonzero(alive[call])
-                owners, firsts = np.unique(owner[err.rows], return_index=True)
-                for k, row in zip(owners.tolist(), err.rows[firsts].tolist()):
-                    error = err.at(row)
-                    error.index = int(slot[row])
-                    error.coords = rows[call][k, error.index]
-                    error.place = "path row"
-                    refused[int(climbing[start + k])] = \
-                        f"path from basepoint: {error}"
-                climbing = np.delete(climbing, start + owners)
-        else:       # no target is left to integrate
-            break
+        slots = climbing[:, None], leg
+        step, alive = steps[slots], live[slots]
+        rows = starts[slots] + s * step
+        values = np.zeros_like(rows)    # dead slots' terms are 0.0
+        for start in range(0, len(climbing), per_call):
+            call = slice(start, start + per_call)
+            while (walked := alive[call]).any():
+                try:
+                    values[call][walked] = integrand(rows[call][walked])
+                    break
+                except RowError as err:
+                    # A dead leg's live twin repeats the segment's rows, so a
+                    # target's first failing row is in its first 3m slots
+                    # unless both legs are live: the slot is the path row.
+                    owner, slot = np.nonzero(walked)
+                    owners, firsts = np.unique(owner[err.rows] + start,
+                                               return_index=True)
+                    for k, row in zip(owners.tolist(),
+                                      err.rows[firsts].tolist()):
+                        error = err.at(row)
+                        error.index = int(slot[row])
+                        error.coords = rows[k, error.index]
+                        error.place = "path row"
+                        refused[int(climbing[k])] = \
+                            f"path from basepoint: {error}"
+                    alive[owners], values[owners] = False, math.nan
         dots = values[..., 0] * step[..., 0]
         for k in range(1, n):
             dots = dots + values[..., k] * step[..., k]
@@ -393,7 +396,7 @@ def _integrate_form(integrand, n, base, targets):
             np.add.accumulate(terms[:, a:b], axis=1)[:, -1] + 0.0
             for a, b in ((0, m), (m, 3 * m), (3 * m, 7 * m)))
         drift = abs(fine - coarse)
-        # Not "<=": a NaN drift ends the ladder with its NaN value.
+        # Not "<=": a NaN drift (refused targets' too) ends at NaN values.
         done = ~(drift > REFINE_TOL * (1.0 + abs(fine)))
         value[climbing[done]] = fine[done]
         defect[climbing[done]] = abs(fine - other)[done]

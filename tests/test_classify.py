@@ -19,7 +19,7 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               _chen_point, _integrate_form, _leggauss,
                               _omega_integrand, _soliton_residual_at)
 from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
-from grwcert.expr import EvalDomainError, eval_jet3_batch, parse
+from grwcert.expr import EvalDomainError, RowError, eval_jet3_batch, parse
 from grwcert.jets import TensorJet
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import homothetic
@@ -72,7 +72,7 @@ def per_target(columns):
 def sigma_at(integrand, n, base, target):
     """``_integrate_form`` at one target: its value and path defect, or
     its refusal text."""
-    return per_target(_integrate_form(integrand, n, base, [target]))[0]
+    return per_target(_integrate_form(integrand, n, base, [target], {}))[0]
 
 
 def result_bits(result):
@@ -510,7 +510,7 @@ class TestBatchedQuadrature:
         base = np.asarray(chart.basepoint)
         targets = [p.array() for p in sample_points(chart, 2, seed=4)]
         for batched, per_node in integrands:
-            chunk = _integrate_form(batched, chart.n, base, targets)
+            chunk = _integrate_form(batched, chart.n, base, targets, {})
             for got, target in zip(per_target(chunk), targets):
                 assert (got.value, got.path_defect) == integrate_per_node(
                     per_node, chart.n, base, target)[:2]
@@ -582,7 +582,8 @@ class TestBatchedQuadrature:
         row = int(np.argmax(segment[:, 0] - 0.2 <= 0.0))
         assert segment[row, 0] - 0.2 <= 0.0
         value, defect, refused = _integrate_form(
-            _omega_integrand(chart, field), chart.n, chart.basepoint, [target])
+            _omega_integrand(chart, field), chart.n, chart.basepoint, [target],
+            {})
         assert refused == {0: (
             f"path from basepoint: {per_node.value} at path row {row}, "
             f"coordinates {tuple(segment[row].tolist())}")}
@@ -622,7 +623,7 @@ class TestBatchedQuadrature:
         level, timed = (np.array([t, 0.5, 0.3, -0.2]) for t in (1.0, 1.4))
         integrand = _omega_integrand(chart, chart.velocity)
         value, defect, refused = _integrate_form(
-            integrand, chart.n, chart.basepoint, [target, level, timed])
+            integrand, chart.n, chart.basepoint, [target, level, timed], {})
         # The row is named as a row of the path, not as a sample point.
         assert refused[0] == (
             f"path from basepoint: metric matrix is singular at path row "
@@ -686,7 +687,7 @@ class TestQuadratureLadder:
         ``target``, and the quadrature's columns."""
         counted, calls = counting(_omega_integrand(chart, chart.velocity))
         return calls, _integrate_form(counted, chart.n, chart.basepoint,
-                                      [target])
+                                      [target], {})
 
     @staticmethod
     def per_node(chart, target, panels):
@@ -737,7 +738,7 @@ class TestQuadratureLadder:
         integrand = _omega_integrand(chart, chart.velocity)
         targets = [p.array() for p in sample_points(chart, count, seed=0)]
         for got, target in zip(per_target(_integrate_form(
-                integrand, chart.n, chart.basepoint, targets)), targets):
+                integrand, chart.n, chart.basepoint, targets, {})), targets):
             want = segment_reference(integrand, chart.basepoint, target)
             assert abs(got.value - want) <= 1e-14 * (1.0 + abs(got.value))
 
@@ -768,7 +769,8 @@ class TestChunkQuadrature:
         chart = sigma_chart(chart)
         integrand = _omega_integrand(chart, chart.velocity)
         targets = [p.array() for p in sample_points(chart, 10, seed=3)]
-        chunk = _integrate_form(integrand, chart.n, chart.basepoint, targets)
+        chunk = _integrate_form(integrand, chart.n, chart.basepoint, targets,
+                                {})
         assert [result_bits(r) for r in per_target(chunk)] == [
             result_bits(sigma_at(integrand, chart.n, chart.basepoint, t))
             for t in targets]
@@ -783,7 +785,7 @@ class TestChunkQuadrature:
                    np.concatenate(([1.5], base[1:])), base]
         counted, calls = counting(_omega_integrand(frw_dust,
                                                    frw_dust.velocity))
-        chunk = _integrate_form(counted, 4, base, targets)
+        chunk = _integrate_form(counted, 4, base, targets, {})
         assert calls == [((7 + 5 + 5 + 3) * QUAD_ORDER * QUAD_PANELS[0], 4)]
         assert [result_bits(r) for r in per_target(chunk)] == [
             result_bits(sigma_at(counted, 4, base, t)) for t in targets]
@@ -796,7 +798,8 @@ class TestChunkQuadrature:
         integrand = _omega_integrand(chart, chart.velocity)
         counted, calls = counting(integrand)
         targets = [np.array([t, 0.3, -0.2, 0.1]) for t in (1.1, 1.5, 2.0, 1.2)]
-        chunk = _integrate_form(counted, chart.n, chart.basepoint, targets)
+        chunk = _integrate_form(counted, chart.n, chart.basepoint, targets,
+                                {})
         rows = [7 * QUAD_ORDER * p for p in QUAD_PANELS]
         assert calls == [(4 * rows[0], 4), (2 * rows[1], 4), (2 * rows[2], 4)]
         assert list(chunk[2]) == [2]
@@ -850,7 +853,7 @@ class TestChunkQuadrature:
         chart = compile_chart(spec)
         integrand = _omega_integrand(chart, chart.velocity)
         counted, calls = counting(integrand)
-        chunk = _integrate_form(counted, chart.n, base, targets)
+        chunk = _integrate_form(counted, chart.n, base, targets, {})
         assert [rows for rows, _ in calls] == [168, 224, 112, 224]
         results = per_target(chunk)
         assert [result_bits(r) for r in results] == [
@@ -886,6 +889,56 @@ class TestChunkQuadrature:
         assert calls == []
         # Without an integrand sigma is not formed.
         assert _point_payload(None, None, None, 1e-6) is None
+
+    def test_refused_targets_are_never_walked(self, frw_dust):
+        # A target refused before the quadrature (omega not closed) has no
+        # row in any call, keeps its text, and moves no other bit.
+        base = frw_dust.basepoint
+        targets = [p.array() for p in sample_points(frw_dust, 3, seed=0)]
+        counted, calls = counting(_omega_integrand(frw_dust,
+                                                   frw_dust.velocity))
+        text = not_closed("ω", 0.5)
+        value, defect, refused = _integrate_form(counted, 4, base, targets,
+                                                 {1: text})
+        assert calls == [(2 * 7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
+        assert refused == {1: text}
+        assert np.isnan(value[1]) and np.isnan(defect[1])
+        want, want_defect, _ = _integrate_form(counted, 4, base,
+                                               targets[::2], {})
+        assert value[::2].tobytes() == want.tobytes()
+        assert defect[::2].tobytes() == want_defect.tobytes()
+
+    def test_a_failing_call_is_walked_once(self, frw_dust, monkeypatch):
+        # Every target climbs to the top rung, whose 64 targets take two
+        # calls of 36 and 28. A failure at row 3 of the second call refuses
+        # its first target, 36, and that call alone is walked again without
+        # it: the first call's targets keep the values they were walked to.
+        monkeypatch.setattr(classify, "REFINE_TOL", -1.0)
+        base = frw_dust.basepoint
+        targets = [p.array() for p in sample_points(frw_dust, 64, seed=0)]
+        omega, calls = _omega_integrand(frw_dust, frw_dust.velocity), []
+
+        def stand_in(x):
+            calls.append(len(x))
+            # Once: on the call after the first 8064-row call.
+            if calls[-2:-1] == [8064] and 8064 not in calls[:-2]:
+                raise RowError("stand-in failure", index=3,
+                               rows=np.array([3]))
+            return omega(x)
+
+        value, defect, refused = _integrate_form(stand_in, 4, base, targets,
+                                                 {})
+        assert calls == [3584, 7168, 8064, 6272, 6048]
+        row = leg_rows(base, targets[36], QUAD_PANELS[-1])[3]
+        assert refused[36] == (
+            f"path from basepoint: stand-in failure at path row 3, "
+            f"coordinates {tuple(row.tolist())}")
+        # The others climb past the top rung, as they do without the
+        # failure, and each is refused with its own drift.
+        unfailed = _integrate_form(omega, 4, base, targets, {})[2]
+        assert sorted(unfailed) == list(range(64))
+        assert {**refused, 36: unfailed[36]} == unfailed
+        assert np.isnan(value).all() and np.isnan(defect).all()
 
     def test_nan_rows_keep_their_point(self, frw_dust, monkeypatch):
         # NaN rows make a NaN drift, which ends the ladder: sigma is NaN
@@ -949,7 +1002,7 @@ def chen_rows(chart, points):
     fp = field_points(chart, points)
     sigma, defect, refused = _integrate_form(
         _omega_integrand(chart, fp.field), chart.n, chart.basepoint,
-        [p.array() for p in points])
+        [p.array() for p in points], {})
     assert refused == {}
     chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
     scaling = np.exp(-sigma)

@@ -398,8 +398,8 @@ class TestReports:
         # the slab, where ln leaves its domain or exp overflows. A rung's
         # failing call refuses every target with a failing row at once,
         # each with its row's error from that call's walk, with no one-row
-        # walk, and the rung is walked once more: the report is the one of
-        # 10-point chunks.
+        # walk, and that call is walked once more without them: the report
+        # is the one of 10-point chunks.
         chart = slab_chart(g22)
         walk, integrand = expr._walk, classify._omega_integrand
         one_row, rows, refused = [], [], []
