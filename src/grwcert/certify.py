@@ -10,10 +10,11 @@ they still run and are reported.
 
 The points go in fixed-size chunks: each chunk's curvature stack and
 every kernel, the fluid eigen-split and the Chen vector included, run once
-for the chunk, on its point axis. sigma's quadrature makes one integrand
-call per rung of its panel ladder for all of the chunk's points; the points
-whose paths leave the domain are refused, and the rung walked once more
-without them.
+for the chunk, on its point axis. sigma's quadrature walks each rung of
+its panel ladder for all of the chunk's points in integrand calls of at
+most ``classify.CALL_ROWS`` rows; the points whose paths leave the domain
+are refused, and only the call that failed is walked once more without
+them.
 The chunk is the unit that worker threads map over. Every aggregation is
 a max or an ordered reduction over the point index, so reports are
 byte-identical regardless of the worker count and the chunk size.
@@ -265,8 +266,8 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
         if chart.grw is not None and "converse" in selected:
             fiber, a, b = _converse_payload(chart, stack.points)
             values["fiber-einstein"] = fiber
-            values["grw-ricci-A"] = np.abs(dec.a - a) / (1.0 + np.abs(a))
-            values["grw-ricci-B"] = np.abs(dec.b - b) / (1.0 + np.abs(b))
+            values["grw-ricci-A"] = scale_free_at(dec.a - a, a)
+            values["grw-ricci-B"] = scale_free_at(dec.b - b, b)
             present["grw-ricci-A"] = split
             present["grw-ricci-B"] = dec.branch == NONDEGENERATE
 

@@ -90,11 +90,9 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     pos = np.where(low_ok, 0, n - 1)
     a = np.where(low_ok, low_a, high_a)
     b = a - svals[points, pos]
-    # Each distinguished eigenvector as the column view that eig returns:
-    # BLAS sums g(v, v) in another order for a contiguous copy.
-    vec = [np.real(e[:, k]) for e, k in zip(eigvecs, order[points, pos])]
-    norm = np.array([v @ m @ v for v, m in zip(vec, g)])
-    u_up = np.array(vec) / np.sqrt(np.where(norm < 0.0, -norm, 1.0))[:, None]
+    vec = np.real(eigvecs[points, :, order[points, pos]])
+    norm = np.einsum("pi,pij,pj->p", vec, g, vec)
+    u_up = vec / np.sqrt(np.where(norm < 0.0, -norm, 1.0))[:, None]
     u_up = np.where(u_up[:, :1] < 0.0, -u_up, u_up)
 
     # Each point's branch, and for an anomalous one the first test it fails.
@@ -125,8 +123,7 @@ def fluid_decompose(cp, cluster_tol: float = 1e-6) -> FluidDecomposition:
     b = np.where(nondegenerate, b, 0.0)
     u_up = np.where(nondegenerate[:, None], u_up, 0.0)
     # B = 0 and u = 0 off the split leave the Einstein residual R - A g.
-    # u = g u^ is one @ per point, as in ``FieldPoint.along_u``.
-    u = np.array([m @ v for m, v in zip(g, u_up)])
+    u = np.einsum("pij,pj->pi", g, u_up)
     return FluidDecomposition(a=a, b=b, u_up=u_up, branch=branch,
                               error=error,
                               residual=fluid_form_residual(cp, a, b, u))
@@ -214,10 +211,8 @@ class FieldPoint:
         return self.along_u(self.nabla_u)
 
     def along_u(self, v: np.ndarray):
-        """u^k v_k... (u^ on v's first axis) at each point: one ``@`` per
-        point, since BLAS sums a dot product in another order than a
-        batched matmul or einsum does."""
-        return np.array([x @ y for x, y in zip(self.uupv, v)])
+        """u^k v_k... (u^ on v's first axis) at each point."""
+        return np.einsum("pk,pk...->p...", self.uupv, v)
 
 
 def _curl_residual(grad: np.ndarray):
@@ -286,7 +281,7 @@ def torse_at(fp: FieldPoint):
     alignment = scale_free_at(f[..., None] * fp.uv - fp.omega.value, nabla)
     f_ref = np.divide(-fp.along_u(fp.gamma_jet.grad), 2.0 * b * (fp.n - 1),
                       out=np.full_like(f, np.nan), where=np.abs(b) > 1e-12)
-    return residual, alignment, abs(f - f_ref) / (1.0 + abs(f))
+    return residual, alignment, scale_free_at(f - f_ref, f)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +428,16 @@ def not_closed(form: str, residual) -> str:
 def _chen_point(fp: FieldPoint, sigma: np.ndarray):
     """(Chen-vector residual, CKV-gradient residual, max |grad rho|) of
     X = e^{-sigma} u and rho = e^{-sigma} f, as arrays over the batch's
-    points, from sigma at each point: the jet products take d sigma = omega
-    off the closed form itself."""
-    # math.exp, point by point: np.exp may differ from libm in the last bit.
-    scaling = np.array([math.exp(-value) for value in sigma])
-    s = TensorJet(fp.n, [scaling, -scaling[:, None] * fp.omega.value], 1)
-    x = contract(",j->j", s, fp.u.truncated(1))
-    rho_jet = contract(",->", s, fp.f_jet)
-    nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
-    rho_g = rho_jet.value[:, None, None] * fp.g
-    grad_rho = rho_jet.grad
-    ckv_rhs = ((fp.a_jet.value - fp.b_jet.value)
-               / (1.0 - fp.n))[:, None] * x.value
+    points, from sigma at each point. Since d sigma = omega, nabla X is
+    e^{-sigma} (nabla u - omega x u) and grad rho is e^{-sigma}
+    (grad f - f omega), from what the FieldPoint holds."""
+    s = np.exp(-sigma)
+    omega, f = fp.omega.value, fp.f_jet.value
+    x = s[:, None] * fp.uv
+    nabla_x = s[:, None, None] * (fp.nabla_u - _outer(omega, fp.uv))
+    rho_g = (s * f)[:, None, None] * fp.g
+    grad_rho = s[:, None] * (fp.f_jet.grad - f[:, None] * omega)
+    ckv_rhs = ((fp.a_jet.value - fp.b_jet.value) / (1.0 - fp.n))[:, None] * x
     return (scale_free_at(nabla_x - rho_g, nabla_x, rho_g),
             scale_free_at(grad_rho - ckv_rhs, grad_rho, ckv_rhs),
             np.max(np.abs(grad_rho), axis=-1))

@@ -18,9 +18,10 @@ from grwcert.classify import (ANOMALOUS, DEGENERATE as SPLIT_DEGENERATE,
                               torse_at, weyl_electric_at,
                               _chen_point, _integrate_form, _leggauss,
                               _omega_integrand, _soliton_residual_at)
-from grwcert.curvature import JetStack, SingularMetricError, scale_free_at
+from grwcert.curvature import (JetStack, SingularMetricError,
+                               covariant_derivative, scale_free_at)
 from grwcert.expr import EvalDomainError, RowError, eval_jet3_batch, parse
-from grwcert.jets import TensorJet
+from grwcert.jets import TensorJet, contract
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import homothetic
 from grwcert.report import DEGENERATE
@@ -1055,6 +1056,35 @@ class TestChen:
         for row in rows:
             assert abs(row.rho) < 1e-10
             assert row.grad_rho_norm < 1e-10
+
+    @pytest.mark.parametrize("name", [
+        name for name in catalog_names()
+        if catalog_get(name).chart.basepoint is not None])
+    def test_matches_the_leibniz_route(self, name):
+        # The reference route: X = e^{-sigma} u and rho = e^{-sigma} f as
+        # jet products with (e^{-sigma}, -e^{-sigma} omega), and nabla X by
+        # the covariant derivative with the stack's Christoffels.
+        chart = catalog_get(name).chart
+        points = sample_points(chart, 10, seed=0)
+        fp = field_points(chart, points)
+        sigma = _integrate_form(
+            _omega_integrand(chart, fp.field), chart.n, chart.basepoint,
+            [p.array() for p in points], {})[0]
+        scaling = np.exp(-sigma)
+        s = TensorJet(fp.n, [scaling, -scaling[:, None] * fp.omega.value], 1)
+        x = contract(",j->j", s, fp.u.truncated(1))
+        rho = contract(",->", s, fp.f_jet)
+        nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
+        rho_g = rho.value[:, None, None] * fp.g
+        ckv_rhs = ((fp.a_jet.value - fp.b_jet.value)
+                   / (1.0 - fp.n))[:, None] * x.value
+        want = (scale_free_at(nabla_x - rho_g, nabla_x, rho_g),
+                scale_free_at(rho.grad - ckv_rhs, rho.grad, ckv_rhs),
+                np.max(np.abs(rho.grad), axis=-1))
+        for got, ref in zip(_chen_point(fp, sigma), want):
+            assert np.isnan(got).tolist() == np.isnan(ref).tolist()
+            move = np.abs(got - ref) / (1.0 + np.fmax(abs(got), abs(ref)))
+            assert np.nanmax(move, initial=0.0) <= 1e-15
 
     def test_minkowski_all_zero(self, minkowski_chart):
         points = sample_points(minkowski_chart, 3, seed=18)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import grwcert
-from grwcert import certify, classify, expr
+from grwcert import certify, classify, expr, grw
 from grwcert.certify import CHUNK_POINTS, RunConfig, run_certify
 from grwcert.chart import ChartError, compile_chart, sample_points
 from grwcert.classify import (VelocityAnalysis, geodesic_at,
@@ -142,6 +142,23 @@ class TestRunCertify:
         assert report.find("u-closed").status == "skipped"
         assert report.find("u-closed").skipped_reason == "not selected"
         assert report.find("gamma-comoving").status == "pass"
+
+    def test_riemannian_chart_runs_the_sanity_group_only(self):
+        # The unit S^3: every group past sanity reads a time-like velocity
+        # or the Lorentzian eigen-split, so each of its records is skipped.
+        chart = compile_chart(grw._sphere(3))
+        report = run_certify(chart, RunConfig(points=5))
+        assert report.verdict == "pass"
+        sanity = [rec for rec in report.checks if rec.group == "sanity"]
+        others = [rec for rec in report.checks if rec.group != "sanity"]
+        assert [rec.status for rec in sanity] == ["pass"] * 4
+        assert len(others) == 35
+        assert {(rec.status, rec.skipped_reason) for rec in others} == {
+            ("skipped", "riemannian chart: fluid pipeline not applicable")}
+        serial, threaded = (render_json(run_certify(chart, RunConfig(
+            points=CHUNK_POINTS + 1, seed=3, workers=workers)))
+            for workers in (1, 2))
+        assert serial == threaded
 
     def test_unread_potentials_not_integrated(self, spec_file, monkeypatch):
         # No record of these groups reads sigma: no quadrature
@@ -779,6 +796,9 @@ class TestCliCommands:
                                   "got status pass ok=True"),
         ("informational", ("u-closed",),
          "u-closed: expected informational, got status pass"),
+        ("verdict", "fail", "verdict 'pass', expected 'fail'"),
+        ("fluid", "degenerate",
+         "fluid branch 'nondegenerate', expected 'degenerate'"),
     ])
     def test_catalog_run_wrong_expectation(self, monkeypatch, capsys, key,
                                            value, message):
@@ -913,6 +933,27 @@ class TestCliCommands:
         path.write_text(json.dumps(spec))
         assert main(["certify", str(path), "--points", "2", "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("metric, message", [
+        ({"1,1": "-1", "2,2": "-1", "3,3": "1", "4,4": "1"},
+         "signature: expected one negative eigenvalue, found 2"),
+        (dict(FRW_DUST_SPEC["metric"], **{"2,2": "1e308*10"}),
+         "metric: not finite at (1.5, 0.0, 0.0, 0.0)")],
+        ids=["two-negative", "overflow"])
+    def test_probe_point_metric_refused(self, tmp_path, capsys, metric,
+                                        message):
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(dict(FRW_DUST_SPEC, metric=metric)))
+        assert main(["certify", str(path), "--points", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [[], ["catalog"]])
+    def test_missing_command_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "the following arguments are required" in (
+            capsys.readouterr().err)
 
     def test_sampling_domain_error_names_exclusion_and_candidate(
             self, tmp_path, capsys):
