@@ -386,19 +386,16 @@ def _fluid_decompose(row, run, rec):
     rec.max_residual = run.max_over("fluid_residual", rec)
     if ANOMALOUS in branches:
         rec.ok = False
-        rec.status = FAIL
     elif classify.DEGENERATE in branches:
         rec.ok = False
         rec.status = DEGENERATE
         rec.detail["note"] = "Einstein case: B ≈ 0, velocity undefined"
-    else:
-        rec.ok = (rec.max_residual is not None
-                  and rec.max_residual <= rec.tolerance)
 
 
 def _ckv_branch(row, run, rec):
+    if not run.carried("grad_rho_norm")[0].size:
+        return row.no_data
     hom = run.homothetic
-    rec.status = INFORMATIONAL
     rec.detail["proper_points"] = hom.proper_points
     rec.detail["homothetic_points"] = hom.homothetic_points
     if hom.proper_points and hom.homothetic_points:
@@ -414,13 +411,11 @@ def _weyl_zero_n4(row, run, rec):
 
 
 def _eos_slope(row, run, rec):
-    rec.status = INFORMATIONAL
     rec.detail["w"] = run.eos.w if run.eos.w is not None else "undefined"
     rec.detail["degenerate_fit"] = run.eos.degenerate_fit
 
 
 def _energy_condition(row, run, rec):
-    rec.status = INFORMATIONAL
     rec.detail["min_abs_p_plus_mu"] = run.eos.min_p_plus_mu
     rec.detail["p_plus_mu_positive"] = run.eos.p_plus_mu_positive
 
@@ -518,8 +513,8 @@ CHECKS = (
           velocity=True, basepoint=True, no_data=_NO_POTENTIAL,
           requires=_THEOREM),
     Check("conclusions", "ckv-branch", "proper (A≠B) vs homothetic (A=B)",
-          None, velocity=True, basepoint=True, aggregate=_ckv_branch,
-          requires=_THEOREM),
+          None, velocity=True, basepoint=True, no_data=_NO_POTENTIAL,
+          aggregate=_ckv_branch, requires=_THEOREM),
     Check("conclusions", "weyl-electric", "C_{jkl}{}^m u_m = 0", "conc",
           no_data="no velocity available (degenerate or anomalous "
                   "decomposition)", requires=_THEOREM),
@@ -590,6 +585,8 @@ def _assemble(run, selected, first_error, *, basepoint):
             reason = "not a declared warped product"
         else:
             rec.tolerance = tol.get(row.tol, row.tol)
+            if rec.tolerance is None:
+                rec.status = INFORMATIONAL
             if row.velocity and chart.velocity is None:
                 reason = _NOT_EVALUABLE
             elif row.basepoint and basepoint is None:
@@ -620,7 +617,6 @@ def _apply_downgrades(records, n):
         why = next((unmet[r] for r in row.requires if unmet[r]), None)
         if why is not None and rec.status in (PASS, FAIL):
             rec.status = INFORMATIONAL
-            rec.required = False
             rec.detail["downgraded"] = f"hypothesis not established: {why}"
 
 

@@ -89,7 +89,8 @@ class ChartInput:
 class MetricChart:
     """Compiled chart: symmetric Expr grid, parameters, sampling domain.
 
-    Immutable after compile_chart; safe to share across worker threads.
+    Immutable once compiled (and, for a warped product, once build_grw
+    has set ``grw``); safe to share across worker threads.
     """
 
     def __init__(self, *, name, n, signature, coordinates, metric, params,

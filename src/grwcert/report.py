@@ -23,28 +23,27 @@ class CheckRecord:
     group: str
     anchor: str
     status: str = PASS
-    required: bool = True
     max_residual: float | None = None
     tolerance: float | None = None
     ok: bool | None = None
     skipped_reason: str | None = None
     detail: dict = field(default_factory=dict)
 
+    @property
+    def required(self) -> bool:
+        """Whether the record counts toward the verdict."""
+        return self.status not in (INFORMATIONAL, SKIPPED)
+
     def finalize(self) -> "CheckRecord":
+        """The one place where ``ok`` becomes PASS or FAIL."""
         if self.max_residual is not None:
             self.max_residual = float(self.max_residual)
         if self.status == SKIPPED:
-            self.required = False
             self.ok = None
-            return self
-        if self.max_residual is not None and self.tolerance is not None \
-                and self.ok is None:
+        elif self.ok is None and self.max_residual is not None \
+                and self.tolerance is not None:
             self.ok = bool(self.max_residual <= self.tolerance)
-        if self.status == INFORMATIONAL:
-            self.required = False
-        elif self.status == DEGENERATE:
-            pass
-        elif self.ok is not None:
+        if self.status in (PASS, FAIL) and self.ok is not None:
             self.status = PASS if self.ok else FAIL
         return self
 
@@ -58,13 +57,8 @@ class CertificationReport:
     schema: int = REPORT_SCHEMA_VERSION
 
     def settle_verdict(self) -> "CertificationReport":
-        ok = True
-        for rec in self.checks:
-            if not rec.required or rec.status == SKIPPED:
-                continue
-            if rec.status == DEGENERATE or rec.ok is False:
-                ok = False
-        self.verdict = PASS if ok else FAIL
+        failed = any(rec.status in (FAIL, DEGENERATE) for rec in self.checks)
+        self.verdict = FAIL if failed else PASS
         return self
 
     def find(self, name: str) -> CheckRecord:
@@ -81,7 +75,8 @@ def report_to_dict(report: CertificationReport) -> dict:
         "metric": report.metric_name,
         "environment": report.environment,
         "verdict": report.verdict,
-        "checks": [asdict(r) for r in report.checks],
+        "checks": [asdict(r) | {"required": r.required}
+                   for r in report.checks],
     })
 
 

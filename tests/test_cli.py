@@ -112,6 +112,12 @@ class TestRunCertify:
         # no declared warp, so the converse suite is skipped
         assert report.find("fiber-einstein").status == "skipped"
 
+    def test_chart_input_runs_as_its_compiled_chart(self):
+        chart_input = load_chart_input(FRW_DUST_SPEC)
+        config = RunConfig(points=3, seed=2)
+        assert render_json(run_certify(chart_input, config)) == render_json(
+            run_certify(compile_chart(chart_input), config))
+
     def test_missing_velocity_marks_not_evaluable(self, tmp_path):
         spec = {k: v for k, v in FRW_DUST_SPEC.items()
                 if k != "velocity_field"}
@@ -806,6 +812,15 @@ class TestCliCommands:
         assert main(["catalog", "run", "frw-dust", "--points", "4",
                      "--quiet"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_catalog_run_fluid_branch_is_the_split(self, capsys):
+        # Every point splits nondegenerately: a bar of 1e-20 fails the
+        # residuals, not the branch.
+        assert main(["catalog", "run", "frw-dust", "--points", "4",
+                     "--quiet", "--tol", "1e-20"]) == 1
+        err = capsys.readouterr().err
+        assert "verdict 'fail', expected 'pass'" in err
+        assert "fluid branch" not in err
 
     @pytest.mark.parametrize("name", ["frw-dust", "grw5-sphere"])
     @pytest.mark.parametrize("checks", [

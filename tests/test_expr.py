@@ -144,6 +144,14 @@ class TestGrammar:
         levels = eval_jet3_batch([tree], [[0.5]], {})
         assert np.isfinite(levels[0]).all()
 
+    @pytest.mark.parametrize("text, message", [
+        ("sin(t", "syntax error at offset 5: expected ')'"),
+        ("t+)", "syntax error at offset 2: unexpected token ')'")])
+    def test_parse_error_names_what_it_expected(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, ["t"])
+        assert str(err.value) == message
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError) as err:
             parse("t )", ["t"])
