@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import classify, physics
-from .chart import (ChartInput, MetricChart, compile_chart, sample_points,
-                    validate_basepoint)
+from .chart import (LORENTZIAN, ChartInput, MetricChart, compile_chart,
+                    sample_points, validate_basepoint)
 from .classify import (ANOMALOUS, NONDEGENERATE, VelocityAnalysis,
                        fluid_decompose)
 from .curvature import (JetStack, first_bianchi_residual, scale_free_at,
@@ -121,20 +121,14 @@ def run_certify(source, config: RunConfig | None = None) -> CertificationReport:
     return certify_chart(chart, config)
 
 
-def _basepoint(chart: MetricChart, config: RunConfig):
-    if config.basepoint is not None:
-        return validate_basepoint(config.basepoint, chart.coordinates,
-                                  chart.ranges)
-    return chart.basepoint
-
-
 def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
     selected = config.selected()
     points = sample_points(chart, config.points, config.seed)
-    base = _basepoint(chart, config)
-    analysis = (VelocityAnalysis(chart, chart.velocity)
-                if chart.velocity is not None
-                and chart.signature == "lorentzian" else None)
+    base = (chart.basepoint if config.basepoint is None else
+            validate_basepoint(config.basepoint, chart.coordinates,
+                               chart.ranges))
+    analysis = (VelocityAnalysis(chart) if chart.velocity is not None
+                and chart.signature == LORENTZIAN else None)
 
     starts = range(0, len(points), CHUNK_POINTS)
     chunks = [points[start:start + CHUNK_POINTS] for start in starts]
@@ -200,9 +194,9 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     stack = JetStack(chart, chunk)
     cp, fp = stack.to_point(), None
     eigs = np.linalg.eigvalsh(cp.g)
-    expected = 1 if chart.signature == "lorentzian" else 0
+    lorentzian = chart.signature == LORENTZIAN
     values = {
-        "signature": np.where((np.sum(eigs < 0, axis=-1) == expected)
+        "signature": np.where((np.sum(eigs < 0, axis=-1) == int(lorentzian))
                               & (np.min(np.abs(eigs), axis=-1) > 1e-12),
                               0.0, 1.0),
         "ricci-symmetric": scale_free_at(
@@ -214,7 +208,6 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     # The points that carry a key, for the keys that not every point does.
     present: dict[str, np.ndarray] = {}
     refusals = []
-    lorentzian = chart.signature == "lorentzian"
     if lorentzian and "conclusions" in selected:
         values["weyl-zero-n4"] = scale_free_at(cp.weyl, cp.riem)
 
@@ -223,9 +216,10 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
     if analysis is not None and selected & reads_u:
         fp = analysis.at(stack.points, stack=stack)
-        a, b = fp.a_jet.value, fp.b_jet.value
-        values["u-unit"], values["u-closed"] = fp.unit_residual, fp.u_closed
-        values["fluid-form"] = classify.fluid_form_residual(cp, a, b, fp.uv)
+        a, b, u = fp.a_jet.value, fp.b_jet.value, fp.u.value
+        values["u-unit"] = abs(fp.along_u(u) + 1.0)
+        values["u-closed"] = fp.u_closed
+        values["fluid-form"] = classify.fluid_form_residual(cp, a, b, u)
         values["scalar_a"], values["scalar_b"] = a, b
         (values["torse-forming"], values["omega-aligned"],
          values["torse-f-consistency"]) = classify.torse_at(fp)
@@ -239,7 +233,8 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
         values["p"], values["mu"] = fp.p_jet.value, fp.mu_jet.value
         values["dp"], values["dmu"] = fp.p_jet.grad, fp.mu_jet.grad
         if "conclusions" in selected:
-            values["weyl-electric"] = classify.weyl_electric_at(cp, fp.uupv)
+            values["weyl-electric"] = classify.weyl_electric_at(
+                cp, fp.u_up.value)
             values["soliton-form"] = classify._soliton_residual_at(fp)[0]
             # The soliton form needs a potential of u.
             refused = fp.u_closed > config.hypothesis_tol * 10
@@ -273,7 +268,7 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
 
     # sigma on the chunk, then the Chen vector's laws. sigma feeds the
     # conclusions and homothetic-triple (grad_rho_norm).
-    integrand = (classify._omega_integrand(chart, fp.field)
+    integrand = (classify._omega_integrand(chart, chart.velocity)
                  if fp is not None and base is not None
                  and selected & {"conclusions", "physics"} else None)
     potentials = _point_payload(integrand, fp, base,
@@ -305,7 +300,7 @@ def _point_payload(integrand, fp, base, limit):
         return None
     refused = {i: classify.not_closed("ω", curl)
                for i, curl in enumerate(fp.omega_closed) if curl > limit}
-    return classify._integrate_form(integrand, fp.n, base, np.array(
+    return classify._integrate_form(integrand, fp.stack.n, base, np.array(
         [p.coords for p in fp.stack.points]), refused)
 
 
@@ -384,9 +379,8 @@ def _fluid_decompose(row, run, rec):
             rec.detail[f"{label}_min"] = float(values.min())
             rec.detail[f"{label}_max"] = float(values.max())
     rec.max_residual = run.max_over("fluid_residual", rec)
-    if ANOMALOUS in branches:
-        rec.ok = False
-    elif classify.DEGENERATE in branches:
+    # An anomalous point is refused, and its refusal fails the record.
+    if classify.DEGENERATE in branches and ANOMALOUS not in branches:
         rec.ok = False
         rec.status = DEGENERATE
         rec.detail["note"] = "Einstein case: B ≈ 0, velocity undefined"
@@ -572,7 +566,7 @@ def _assemble(run, selected, first_error, *, basepoint):
     refusal, already named by its point."""
     chart, config = run.chart, run.config
     tol = {"hyp": config.hypothesis_tol, "conc": config.conclusion_tol}
-    lorentzian = chart.signature == "lorentzian"
+    lorentzian = chart.signature == LORENTZIAN
     records = []
 
     for row in CHECKS:

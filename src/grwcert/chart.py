@@ -57,9 +57,6 @@ class ChartPoint:
 
     coords: tuple[float, ...]
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
 
 @dataclass(frozen=True)
 class Exclusion:
@@ -142,6 +139,13 @@ def _entries(path: str, value, count: int, what: str) -> list:
     return list(value)
 
 
+def _mapping(path: str, value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ChartError.at(path, f"expected a mapping, got "
+                                  f"{type(value).__name__}")
+    return value
+
+
 def _real(path: str, value) -> float:
     """A real number (not a bool) as a float; a huge integer is infinite."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -201,11 +205,12 @@ def compile_chart(spec: ChartInput) -> MetricChart:
         _declare(f"coordinates[{k}]", name, coords[:k])
     params = {_declare(f"parameters.{name}", name, coords):
               _finite(f"parameters.{name}", value)
-              for name, value in spec.parameters.items()}
+              for name, value in _mapping("parameters",
+                                          spec.parameters).items()}
     pnames = tuple(params)
 
     grid = [[None] * n for _ in range(n)]
-    for key, text in spec.metric.items():
+    for key, text in _mapping("metric", spec.metric).items():
         i, j = _parse_metric_key(key, n)
         if grid[i][j] is not None:
             raise ChartError.at(f"metric.{key}",
@@ -227,8 +232,9 @@ def compile_chart(spec: ChartInput) -> MetricChart:
         ranges.append((lo, hi))
 
     exclusions = []
-    for k, (text, margin) in enumerate(spec.exclusions):
+    for k, entry in enumerate(spec.exclusions):
         path = f"domain.exclusions[{k}]"
+        text, margin = _entries(path, entry, 2, "values (expression, margin)")
         exclusions.append(Exclusion(
             text, _expr(f"{path}.expr", text, coords, pnames),
             _finite(f"{path}.margin", margin)))

@@ -157,11 +157,11 @@ class FieldPoint:
     u^, nabla u, f, omega, A and B are formed here once; ``torse_at``,
     ``geodesic_at``, ``ladder_residuals_at``, ``_soliton_residual_at``,
     ``physics.motion_at``, ``fluid_form_residual``, ``weyl_electric_at``
-    and ``_chen_point`` read them on the batch.
+    and ``_chen_point`` read them on the batch. The metric is the stack's:
+    ``stack.n`` and ``stack.g``.
     """
 
     stack: JetStack
-    field: tuple[Expr, ...]    # the velocity's trees, for sigma's integrand
     u: TensorJet               # covariant components
     u_up: TensorJet
     nabla: TensorJet           # [k, j] = nabla_k u_j
@@ -173,26 +173,6 @@ class FieldPoint:
     p_jet: TensorJet
     mu_jet: TensorJet
 
-    @property
-    def n(self) -> int:
-        return self.stack.n
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.stack.g.value
-
-    @property
-    def uv(self) -> np.ndarray:
-        return self.u.value
-
-    @property
-    def uupv(self) -> np.ndarray:
-        return self.u_up.value
-
-    @property
-    def nabla_u(self) -> np.ndarray:
-        return self.nabla.value
-
     @cached_property
     def u_closed(self):
         return _curl_residual(self.u.grad)
@@ -202,17 +182,13 @@ class FieldPoint:
         return _curl_residual(self.omega.grad)
 
     @cached_property
-    def unit_residual(self):
-        return abs(self.along_u(self.uv) + 1.0)
-
-    @cached_property
     def accel(self) -> np.ndarray:
         """u^k nabla_k u_j."""
-        return self.along_u(self.nabla_u)
+        return self.along_u(self.nabla.value)
 
     def along_u(self, v: np.ndarray):
         """u^k v_k... (u^ on v's first axis) at each point."""
-        return np.einsum("pk,pk...->p...", self.uupv, v)
+        return np.einsum("pk,pk...->p...", self.u_up.value, v)
 
 
 def _curl_residual(grad: np.ndarray):
@@ -249,10 +225,9 @@ class VelocityAnalysis:
         gamma_jet = a_jet * float(n - 2) + b_jet
         mu_jet = gamma_jet * 0.5
         p_jet = b_jet - mu_jet
-        return FieldPoint(stack=stack, field=self.field, u=u, u_up=u_up,
-                          nabla=nabla, omega=omega, f_jet=f, a_jet=a_jet,
-                          b_jet=b_jet, gamma_jet=gamma_jet, p_jet=p_jet,
-                          mu_jet=mu_jet)
+        return FieldPoint(stack=stack, u=u, u_up=u_up, nabla=nabla,
+                          omega=omega, f_jet=f, a_jet=a_jet, b_jet=b_jet,
+                          gamma_jet=gamma_jet, p_jet=p_jet, mu_jet=mu_jet)
 
 
 def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
@@ -267,7 +242,7 @@ def _velocity_terms(g_inv: TensorJet, gamma: TensorJet, u: TensorJet):
 
 def geodesic_at(fp: FieldPoint):
     """Scale-free u^k nabla_k u_j at each point of the batch."""
-    return scale_free_at(fp.accel, fp.nabla_u)
+    return scale_free_at(fp.accel, fp.nabla.value)
 
 
 def torse_at(fp: FieldPoint):
@@ -275,11 +250,12 @@ def torse_at(fp: FieldPoint):
     over the batch's points. The misalignment (nabla_k u_j) u^j is
     f u - omega; f_cross compares f with -u^m d_m gamma / (2B(n-1)), NaN
     where B vanishes."""
-    f, b, nabla = fp.f_jet.value, fp.b_jet.value, fp.nabla_u
-    model = f[..., None, None] * (_outer(fp.uv, fp.uv) + fp.g)
+    f, b, nabla = fp.f_jet.value, fp.b_jet.value, fp.nabla.value
+    u, n = fp.u.value, fp.stack.n
+    model = f[..., None, None] * (_outer(u, u) + fp.stack.g.value)
     residual = scale_free_at(nabla - model, nabla, model)
-    alignment = scale_free_at(f[..., None] * fp.uv - fp.omega.value, nabla)
-    f_ref = np.divide(-fp.along_u(fp.gamma_jet.grad), 2.0 * b * (fp.n - 1),
+    alignment = scale_free_at(f[..., None] * u - fp.omega.value, nabla)
+    f_ref = np.divide(-fp.along_u(fp.gamma_jet.grad), 2.0 * b * (n - 1),
                       out=np.full_like(f, np.nan), where=np.abs(b) > 1e-12)
     return residual, alignment, scale_free_at(f - f_ref, f)
 
@@ -432,12 +408,13 @@ def _chen_point(fp: FieldPoint, sigma: np.ndarray):
     e^{-sigma} (nabla u - omega x u) and grad rho is e^{-sigma}
     (grad f - f omega), from what the FieldPoint holds."""
     s = np.exp(-sigma)
-    omega, f = fp.omega.value, fp.f_jet.value
-    x = s[:, None] * fp.uv
-    nabla_x = s[:, None, None] * (fp.nabla_u - _outer(omega, fp.uv))
-    rho_g = (s * f)[:, None, None] * fp.g
+    u, omega, f = fp.u.value, fp.omega.value, fp.f_jet.value
+    x = s[:, None] * u
+    nabla_x = s[:, None, None] * (fp.nabla.value - _outer(omega, u))
+    rho_g = (s * f)[:, None, None] * fp.stack.g.value
     grad_rho = s[:, None] * (fp.f_jet.grad - f[:, None] * omega)
-    ckv_rhs = ((fp.a_jet.value - fp.b_jet.value) / (1.0 - fp.n))[:, None] * x
+    ckv_rhs = ((fp.a_jet.value - fp.b_jet.value)
+               / (1.0 - fp.stack.n))[:, None] * x
     return (scale_free_at(nabla_x - rho_g, nabla_x, rho_g),
             scale_free_at(grad_rho - ckv_rhs, grad_rho, ckv_rhs),
             np.max(np.abs(grad_rho), axis=-1))
@@ -453,7 +430,7 @@ def weyl_electric_at(cp, u_up: np.ndarray):
 def ladder_residuals_at(fp: FieldPoint) -> dict:
     """All nine intermediate identities, scale-free, as arrays over the
     batch's points."""
-    n, g, u, nabla = fp.n, fp.g, fp.uv, fp.nabla_u
+    n, g, u, nabla = fp.stack.n, fp.stack.g.value, fp.u.value, fp.nabla.value
     b = fp.b_jet.value[..., None]                   # scales a vector
     da, db, dgam = fp.a_jet.grad, fp.b_jet.grad, fp.gamma_jet.grad
     divu = fp.f_jet.value[..., None] * (n - 1)
@@ -507,12 +484,12 @@ def _soliton_residual_at(fp: FieldPoint):
     itself is never integrated; it exists only where u is closed, and the
     caller refuses the other points (``not_closed``)."""
     # d theta = u, so Hess(theta) is the symmetrized nabla u.
-    grad_theta = fp.uv
-    hess_cov = 0.5 * (fp.nabla_u + np.swapaxes(fp.nabla_u, -1, -2))
+    grad_theta, nabla = fp.u.value, fp.nabla.value
+    hess_cov = 0.5 * (nabla + np.swapaxes(nabla, -1, -2))
     f = fp.f_jet.value
     lam = fp.a_jet.value + f
     eta = fp.b_jet.value + f
     lhs = (fp.stack.ricci.value + hess_cov
            - eta[..., None, None] * _outer(grad_theta, grad_theta))
-    rhs = lam[..., None, None] * fp.g
+    rhs = lam[..., None, None] * fp.stack.g.value
     return scale_free_at(lhs - rhs, lhs, rhs), lam, eta

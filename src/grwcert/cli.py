@@ -10,9 +10,9 @@ from pathlib import Path
 
 from .certify import GROUPS, RunConfig, run_certify
 from .chart import SamplingExhaustedError
+from .classify import ANOMALOUS, DEGENERATE, NONDEGENERATE
 from .grw import catalog_get, catalog_names
-from .report import (DEGENERATE, INFORMATIONAL, PASS, SKIPPED, render_json,
-                     render_text)
+from .report import INFORMATIONAL, PASS, SKIPPED, render_json, render_text
 
 
 def _add_run_flags(parser):
@@ -107,8 +107,8 @@ def _expectation_mismatches(report, expected) -> list[str]:
         # The split's branch, not its residual: one anomalous point makes
         # the run anomalous, else one degenerate point makes it degenerate.
         branches = report.find("fluid-decompose").detail.get("branches", {})
-        branch = next((b for b in ("anomalous", DEGENERATE) if b in branches),
-                      "nondegenerate")
+        branch = next((b for b in (ANOMALOUS, DEGENERATE) if b in branches),
+                      NONDEGENERATE)
         if branch != expected["fluid"]:
             problems.append(f"fluid branch {branch!r}, "
                             f"expected {expected['fluid']!r}")

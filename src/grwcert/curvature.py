@@ -87,7 +87,6 @@ class JetStack:
     """
 
     def __init__(self, chart: MetricChart, points, *, order: int = 3):
-        self.chart = chart
         n = self.n = chart.n
         self.points = tuple(points)
         rows = [p.coords for p in self.points]

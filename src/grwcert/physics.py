@@ -29,10 +29,10 @@ def motion_at(fp: FieldPoint):
     dmu, dp = fp.mu_jet.grad, fp.p_jet.grad
     p_plus_mu = fp.p_jet.value + fp.mu_jet.value
     transport = fp.along_u(dmu)
-    expansion = p_plus_mu * (fp.f_jet.value * (fp.n - 1))  # (p+mu) div u
+    expansion = p_plus_mu * (fp.f_jet.value * (fp.stack.n - 1))  # (p+mu) div u
     r1 = abs(transport + expansion) / (1.0 + abs(expansion) + abs(transport))
     force = p_plus_mu[..., None] * fp.accel
-    lhs2 = dp + fp.uv * fp.along_u(dp)[..., None] + force
+    lhs2 = dp + fp.u.value * fp.along_u(dp)[..., None] + force
     return r1, scale_free_at(lhs2, dp, force)
 
 

@@ -101,6 +101,20 @@ class TestCompile:
                 ranges={"t": (-1, 1), "x": (-1, 1), "y": (-1, 1)}))
         assert "z" in str(err.value)
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("parameters", [("a", 1.0)], "parameters"),
+        ("metric", [("1,1", "-1")], "metric"),
+        ("exclusions", [("x", 0.1, 3)], "domain.exclusions[0]"),
+        ("exclusions", [("t", 0.5), "x"], "domain.exclusions[1]"),
+    ])
+    def test_malformed_container_built_in_code(self, field, value, path):
+        # load_chart_input checks a spec file's containers; compile_chart
+        # checks those of a ChartInput built in code.
+        with pytest.raises(ChartError) as err:
+            compile_chart(minkowski_input(**{field: value}))
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: expected ")
+
 
 def per_candidate_points(chart, count, seed):
     """One draw per candidate, each tested as it comes: the ranges, then

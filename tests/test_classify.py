@@ -98,7 +98,7 @@ def counting(integrand):
 def potential(chart, field, base, target):
     """The line integral of a closed field from ``base`` to ``target``."""
     return sigma_at(_field_integrand(chart, field), chart.n, base,
-                    target.array())
+                    np.asarray(target.coords))
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +375,7 @@ class TestTorseForming:
         field = field_for(frw_dust, ("-1", "0.3*y", "0", "0"))
         fp = field_points(frw_dust, sample_points(frw_dust, 3, seed=9), field)
         for nabla, u_up, residual, alignment in zip(
-                fp.nabla_u, fp.uupv, *torse_at(fp)[:2]):
+                fp.nabla.value, fp.u_up.value, *torse_at(fp)[:2]):
             direct = nabla @ u_up
             assert alignment > 1e-3 and residual > 1e-3
             assert alignment == pytest.approx(
@@ -509,7 +509,8 @@ class TestBatchedQuadrature:
     def test_matches_per_node_oracle(self, name):
         chart, integrands = self.integrands(name)
         base = np.asarray(chart.basepoint)
-        targets = [p.array() for p in sample_points(chart, 2, seed=4)]
+        targets = [np.asarray(p.coords)
+                   for p in sample_points(chart, 2, seed=4)]
         for batched, per_node in integrands:
             chunk = _integrate_form(batched, chart.n, base, targets, {})
             for got, target in zip(per_target(chunk), targets):
@@ -536,9 +537,10 @@ class TestBatchedQuadrature:
         base = np.asarray(chart.basepoint)
         for p in sample_points(chart, 2, seed=4):
             for batched, _ in integrands:
-                sigma = sigma_at(batched, chart.n, base, p.array()).value
+                sigma = sigma_at(batched, chart.n, base,
+                                 np.asarray(p.coords)).value
                 stair = staircase_per_node(
-                    lambda x: batched(x[None])[0], base, p.array(),
+                    lambda x: batched(x[None])[0], base, np.asarray(p.coords),
                     tuple(reversed(range(chart.n))), QUAD_ORDER,
                     2 * QUAD_PANELS[-1])
                 assert abs(sigma - stair) <= 1e-12 * (1.0 + abs(sigma))
@@ -554,7 +556,7 @@ class TestBatchedQuadrature:
         # the ladder's first rung, where frw-dust converges.
         counted, calls = counting(_field_integrand(frw_dust,
                                                    frw_dust.velocity))
-        target = sample_points(frw_dust, 1, seed=0)[0].array()
+        target = np.asarray(sample_points(frw_dust, 1, seed=0)[0].coords)
         sigma_at(counted, 4, frw_dust.basepoint, target)
         assert calls == [(7 * QUAD_ORDER * QUAD_PANELS[0], 4)]
 
@@ -571,7 +573,7 @@ class TestBatchedQuadrature:
             exclusions=[("t - 0.5", 0.0)],
             velocity_field=["-1", "0", "0", "0"],
             basepoint=(0.1, 0.0, 0.0, 0.0)))
-        target = sample_points(chart, 1, seed=0)[0].array()
+        target = np.asarray(sample_points(chart, 1, seed=0)[0].coords)
         field = chart.velocity
         with pytest.raises(EvalDomainError) as per_node:
             integrate_per_node(lambda x: omega_per_node(chart, field, x),
@@ -606,7 +608,7 @@ class TestBatchedQuadrature:
             exclusions=[("x^2", 0.01)],
             velocity_field=["-1", "0", "0", "0"],
             basepoint=(1.0, 0.0, 0.0, 0.0)))
-        target = sample_points(chart, 1, seed=0)[0].array()
+        target = np.asarray(sample_points(chart, 1, seed=0)[0].coords)
         # The corner path's first leg, on x = 0, follows the first rung's
         # coarse and fine segments, which leave x = 0 at once.
         base = np.asarray(chart.basepoint)
@@ -718,7 +720,7 @@ class TestQuadratureLadder:
         assert np.isnan(value[0]) and np.isnan(defect[0])
         # The report refuses sigma at the first point whose path crosses
         # the step, with the same text.
-        results = [self.counted(chart, p.array())[1][2]
+        results = [self.counted(chart, np.asarray(p.coords))[1][2]
                    for p in sample_points(chart, 6, seed=0)]
         first = next(i for i, refused in enumerate(results) if refused)
         report = run_certify(chart, RunConfig(points=6, seed=0))
@@ -737,7 +739,8 @@ class TestQuadratureLadder:
         # panels, against the engine's ladder.
         chart = sigma_chart(chart)
         integrand = _omega_integrand(chart, chart.velocity)
-        targets = [p.array() for p in sample_points(chart, count, seed=0)]
+        targets = [np.asarray(p.coords)
+                   for p in sample_points(chart, count, seed=0)]
         for got, target in zip(per_target(_integrate_form(
                 integrand, chart.n, chart.basepoint, targets, {})), targets):
             want = segment_reference(integrand, chart.basepoint, target)
@@ -769,7 +772,8 @@ class TestChunkQuadrature:
     def test_chunk_matches_one_target_calls(self, chart):
         chart = sigma_chart(chart)
         integrand = _omega_integrand(chart, chart.velocity)
-        targets = [p.array() for p in sample_points(chart, 10, seed=3)]
+        targets = [np.asarray(p.coords)
+                   for p in sample_points(chart, 10, seed=3)]
         chunk = _integrate_form(integrand, chart.n, chart.basepoint, targets,
                                 {})
         assert [result_bits(r) for r in per_target(chunk)] == [
@@ -823,7 +827,7 @@ class TestChunkQuadrature:
         bad = []
         for i, point in enumerate(points):
             want = result_bits(sigma_at(integrand, chart.n, chart.basepoint,
-                                        point.array()))
+                                        np.asarray(point.coords)))
             if isinstance(want, str):
                 bad.append(i)
                 assert want.startswith("path from basepoint: sqrt ")
@@ -879,7 +883,7 @@ class TestChunkQuadrature:
         assert [result_bits(SimpleNamespace(value=v, path_defect=d))
                 for v, d in zip(sigma[::2], defect[::2])] == [
             result_bits(sigma_at(integrand, 4, frw_dust.basepoint,
-                                 p.array())) for p in points[::2]]
+                                 np.asarray(p.coords))) for p in points[::2]]
         # A chunk without a closed omega calls no integrand.
         calls.clear()
         fp.omega_closed = np.full(4, 0.5)
@@ -895,7 +899,8 @@ class TestChunkQuadrature:
         # A target refused before the quadrature (omega not closed) has no
         # row in any call, keeps its text, and moves no other bit.
         base = frw_dust.basepoint
-        targets = [p.array() for p in sample_points(frw_dust, 3, seed=0)]
+        targets = [np.asarray(p.coords)
+                   for p in sample_points(frw_dust, 3, seed=0)]
         counted, calls = counting(_omega_integrand(frw_dust,
                                                    frw_dust.velocity))
         text = not_closed("ω", 0.5)
@@ -916,7 +921,8 @@ class TestChunkQuadrature:
         # it: the first call's targets keep the values they were walked to.
         monkeypatch.setattr(classify, "REFINE_TOL", -1.0)
         base = frw_dust.basepoint
-        targets = [p.array() for p in sample_points(frw_dust, 64, seed=0)]
+        targets = [np.asarray(p.coords)
+                   for p in sample_points(frw_dust, 64, seed=0)]
         omega, calls = _omega_integrand(frw_dust, frw_dust.velocity), []
 
         def stand_in(x):
@@ -954,8 +960,8 @@ class TestChunkQuadrature:
         def nan_above(x):
             return np.where(x[:, :1] > below, np.nan, omega(x))
 
-        fp = SimpleNamespace(n=4, omega_closed=np.zeros(4),
-                             stack=SimpleNamespace(points=points))
+        fp = SimpleNamespace(omega_closed=np.zeros(4),
+                             stack=SimpleNamespace(n=4, points=points))
         sigma, defect, refused = _point_payload(nan_above, fp,
                                                 frw_dust.basepoint, 1e-6)
         assert refused == {}
@@ -977,8 +983,8 @@ class TestChunkQuadrature:
         integrand = _omega_integrand(chart, chart.velocity)
         curl = np.zeros(10)
         curl[-1] = 0.5
-        fp = SimpleNamespace(n=4, omega_closed=curl,
-                             stack=SimpleNamespace(points=points))
+        fp = SimpleNamespace(omega_closed=curl,
+                             stack=SimpleNamespace(n=4, points=points))
         _, _, refused = _point_payload(integrand, fp, chart.basepoint, 1e-6)
         first = min(refused)
         assert refused[first].startswith("path from basepoint: sqrt ")
@@ -1002,8 +1008,8 @@ def chen_rows(chart, points):
     the path defects, and rho = e^{-sigma} f and X = e^{-sigma} u."""
     fp = field_points(chart, points)
     sigma, defect, refused = _integrate_form(
-        _omega_integrand(chart, fp.field), chart.n, chart.basepoint,
-        [p.array() for p in points], {})
+        _omega_integrand(chart, chart.velocity), chart.n, chart.basepoint,
+        [np.asarray(p.coords) for p in points], {})
     assert refused == {}
     chen, ckv, grad_rho_norm = _chen_point(fp, sigma)
     scaling = np.exp(-sigma)
@@ -1011,7 +1017,8 @@ def chen_rows(chart, points):
                             grad_rho_norm=r, path_defect=d, rho=s * f,
                             x=s * u)
             for c, k, r, d, s, f, u in zip(chen, ckv, grad_rho_norm, defect,
-                                           scaling, fp.f_jet.value, fp.uv)]
+                                           scaling, fp.f_jet.value,
+                                           fp.u.value)]
 
 
 def branch_homothetic(chart, points, tol=1e-7):
@@ -1031,7 +1038,8 @@ class TestChen:
         assert max(fp.omega_closed) < 1e-12
         assert max(row.path_defect for row in rows) < 1e-10
         assert not any(branch_homothetic(frw_dust, points))
-        for row, unit_residual, p in zip(rows, fp.unit_residual, points):
+        unit_residuals = abs(fp.along_u(fp.u.value) + 1.0)
+        for row, unit_residual, p in zip(rows, unit_residuals, points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             assert row.rho == pytest.approx(fs["qp"], rel=1e-10)
             # X is time-like: X.X = -e^{-2 sigma} because u.u = -1
@@ -1068,16 +1076,17 @@ class TestChen:
         points = sample_points(chart, 10, seed=0)
         fp = field_points(chart, points)
         sigma = _integrate_form(
-            _omega_integrand(chart, fp.field), chart.n, chart.basepoint,
-            [p.array() for p in points], {})[0]
+            _omega_integrand(chart, chart.velocity), chart.n, chart.basepoint,
+            [np.asarray(p.coords) for p in points], {})[0]
         scaling = np.exp(-sigma)
-        s = TensorJet(fp.n, [scaling, -scaling[:, None] * fp.omega.value], 1)
+        s = TensorJet(fp.stack.n,
+                      [scaling, -scaling[:, None] * fp.omega.value], 1)
         x = contract(",j->j", s, fp.u.truncated(1))
         rho = contract(",->", s, fp.f_jet)
         nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
-        rho_g = rho.value[:, None, None] * fp.g
+        rho_g = rho.value[:, None, None] * fp.stack.g.value
         ckv_rhs = ((fp.a_jet.value - fp.b_jet.value)
-                   / (1.0 - fp.n))[:, None] * x.value
+                   / (1.0 - fp.stack.n))[:, None] * x.value
         want = (scale_free_at(nabla_x - rho_g, nabla_x, rho_g),
                 scale_free_at(rho.grad - ckv_rhs, rho.grad, ckv_rhs),
                 np.max(np.abs(rho.grad), axis=-1))
@@ -1121,7 +1130,7 @@ class TestWeylElectric:
         fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(
             sample_points(frw_dust, 5, seed=19))
         cp = fp.stack.to_point()
-        assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
+        assert max(weyl_electric_at(cp, fp.u_up.value)) < 1e-8
         # n = 4: conformally flat
         assert max(scale_free_at(cp.weyl, cp.riem)) < 1e-8
 
@@ -1133,7 +1142,7 @@ class TestWeylElectric:
         chart = catalog_get("grw5-sphere").chart
         fp = VelocityAnalysis(chart, chart.velocity).at(
             sample_points(chart, 5, seed=20))
-        assert max(weyl_electric_at(fp.stack.to_point(), fp.uupv)) < 1e-8
+        assert max(weyl_electric_at(fp.stack.to_point(), fp.u_up.value)) < 1e-8
 
     def test_einstein_but_not_constant_curvature_fiber(self):
         # S^2 x S^2 fiber: Einstein yet not a space form, so the warped
@@ -1151,7 +1160,7 @@ class TestWeylElectric:
         fp = VelocityAnalysis(chart, chart.velocity).at(
             sample_points(chart, 5, seed=21))
         cp = fp.stack.to_point()
-        assert max(weyl_electric_at(cp, fp.uupv)) < 1e-8
+        assert max(weyl_electric_at(cp, fp.u_up.value)) < 1e-8
         norms = scale_free_at(cp.weyl, cp.riem)
         assert max(norms) > 1e-3
         # The report's weyl-electric and weyl-zero-n4 read the same numbers.
@@ -1183,9 +1192,10 @@ class TestIdentityLadder:
         fp = field_points(frw_dust, points)
         levels = eval_jet3_batch((perturb,), [p.coords for p in points],
                                  frw_dust.params)
-        b_jet = fp.b_jet + TensorJet(fp.n, [lv[:, 0] for lv in levels], 1)
+        b_jet = fp.b_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels],
+                                     1)
         perturbed = replace(fp, b_jet=b_jet,
-                            gamma_jet=fp.a_jet * float(fp.n - 2) + b_jet)
+                            gamma_jet=fp.a_jet * float(fp.stack.n - 2) + b_jet)
         worst = max(ladder_residuals_at(perturbed)["bianchi-contract"])
         assert worst > 1e-2
 

@@ -246,6 +246,20 @@ def test_deriv_matches_jet3_deriv(n, seed, rank, order):
                               component(jet, index).deriv(a), tol=0.0)
 
 
+def test_truncated_at_or_above_its_order_is_the_jet():
+    jet = random_tensor_jet(np.random.default_rng(0), 3, (3,), order=2)
+    assert jet.truncated(2) is jet and jet.truncated(3) is jet
+    low = jet.truncated(1)
+    assert low.order == 1 and low.levels[1] is jet.levels[1]
+
+
+def test_order_zero_jet_has_no_derivative():
+    jet = random_tensor_jet(np.random.default_rng(0), 3, (3,), order=0)
+    with pytest.raises(ValueError, match="cannot differentiate an order-0 "
+                                         "jet"):
+        jet.deriv()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
        lorentzian=st.booleans())

@@ -112,7 +112,8 @@ class TestMotion:
         fp = VelocityAnalysis(chart).at(points)
         levels = eval_jet3_batch((perturb,), [p.coords for p in points],
                                  chart.params)
-        p_jet = fp.p_jet + TensorJet(fp.n, [lv[:, 0] for lv in levels], 1)
+        p_jet = fp.p_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels],
+                                     1)
         r2 = max(motion_at(replace(fp, p_jet=p_jet))[1])
         assert r2 > 1e-3
 
@@ -270,4 +271,4 @@ class TestPropositionConclusions:
         assert report.find("u-closed").max_residual < 1e-7
         assert report.find("geodesic").max_residual < 1e-7
         fp = VelocityAnalysis(chart, chart.velocity).at(points)
-        assert max(weyl_electric_at(fp.stack.to_point(), fp.uupv)) < 1e-7
+        assert max(weyl_electric_at(fp.stack.to_point(), fp.u_up.value)) < 1e-7

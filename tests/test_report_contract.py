@@ -126,3 +126,10 @@ def test_ckv_branch_without_a_potential_is_skipped():
             "skipped", "potential reconstruction unavailable"), name
         assert rec.detail == {}, name
     assert report.find("homothetic-triple").status == "skipped"
+
+
+def test_find_of_an_unknown_record_raises_key_error():
+    report = run_certify(S2_SPEC, RunConfig(points=1))
+    assert report.find("signature").name == "signature"
+    with pytest.raises(KeyError, match="no-such-check"):
+        report.find("no-such-check")
