@@ -147,7 +147,7 @@ def certify_chart(chart: MetricChart, config: RunConfig) -> CertificationReport:
             try:
                 values, present, refusals = next(results)
             except RowError as err:     # name the point by its run index
-                err.coords = chunk[err.index].coords
+                err.coords = chunk[err.index]
                 err.index, err.place = start + err.index, "point"
                 raise
             columns.append(values)
@@ -215,7 +215,7 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
     # is None on a Riemannian chart).
     reads_u = {"fluid", "hypotheses", "conclusions", "ladder", "physics"}
     if analysis is not None and selected & reads_u:
-        fp = analysis.at(stack.points, stack=stack)
+        fp = analysis.at(stack)
         a, b, u = fp.a_jet.value, fp.b_jet.value, fp.u.value
         values["u-unit"] = abs(fp.along_u(u) + 1.0)
         values["u-closed"] = fp.u_closed
@@ -259,7 +259,7 @@ def _chunk_values(chart, analysis, config, base, selected, chunk):
                                                                 dec.u_up)
             present["weyl-electric"] = dec.branch == NONDEGENERATE
         if chart.grw is not None and "converse" in selected:
-            fiber, a, b = _converse_payload(chart, stack.points)
+            fiber, a, b = _converse_payload(chart, stack.rows)
             values["fiber-einstein"] = fiber
             values["grw-ricci-A"] = scale_free_at(dec.a - a, a)
             values["grw-ricci-B"] = scale_free_at(dec.b - b, b)
@@ -300,13 +300,13 @@ def _point_payload(integrand, fp, base, limit):
         return None
     refused = {i: classify.not_closed("ω", curl)
                for i, curl in enumerate(fp.omega_closed) if curl > limit}
-    return classify._integrate_form(integrand, fp.stack.n, base, np.array(
-        [p.coords for p in fp.stack.points]), refused)
+    return classify._integrate_form(integrand, fp.stack.n, base,
+                                    fp.stack.rows, refused)
 
 
-def _converse_payload(chart, points):
-    """The converse's formulas at a chunk's points: one fiber stack."""
-    return converse_at(chart, points)
+def _converse_payload(chart, rows):
+    """The converse's formulas at a chunk's rows: one fiber stack."""
+    return converse_at(chart, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,11 @@ class SamplingExhaustedError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point in chart coordinates (x1 = t, x2..xn spatial)."""
+class ChartPoint(tuple):
+    """A point in chart coordinates (x1 = t, x2..xn spatial), as floats."""
 
-    coords: tuple[float, ...]
+    __slots__ = ()
+    coords = property(tuple)     # the coordinates as a plain tuple
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,9 @@ class MetricChart:
         (a point axis comes first): (i, j) and (j, i) read one tree."""
         return np.take(level, jet_tables(self.n).pos[2], axis=1)
 
-    def metric_values(self, point: ChartPoint) -> np.ndarray:
+    def metric_values(self, point) -> np.ndarray:
         return self.symmetric(eval_jet3_batch(
-            self.upper, [point.coords], self.params, order=0)[0])[0]
+            self.upper, [point], self.params, order=0)[0])[0]
 
 
 def _parse_metric_key(key, n: int) -> tuple[int, int]:
@@ -220,13 +220,17 @@ def compile_chart(spec: ChartInput) -> MetricChart:
     metric = tuple(tuple(zero if e is None else e for e in row)
                    for row in grid)
 
+    given = _mapping("domain.ranges", spec.ranges)
+    for name in given:
+        if name not in coords:
+            raise ChartError.at(f"domain.ranges.{name}", "not a coordinate")
     ranges = []
     for name in coords:
         path = f"domain.ranges.{name}"
-        if name not in spec.ranges:
+        if name not in given:
             raise ChartError.at(path, "missing range")
         lo, hi = (_real(path, v)
-                  for v in _entries(path, spec.ranges[name], 2, "numbers"))
+                  for v in _entries(path, given[name], 2, "numbers"))
         if not (lo < hi and math.isfinite(hi - lo)):     # sampled uniformly
             raise ChartError.at(path, "expected [lo, hi] with finite lo < hi")
         ranges.append((lo, hi))
@@ -285,7 +289,7 @@ def _probe_point(chart: MetricChart) -> ChartPoint:
     if undefined:
         raise undefined[1]
     if keep[0]:
-        return ChartPoint(tuple(mid))
+        return ChartPoint(mid)
     try:
         return sample_points(chart, 1, seed=0)[0]
     except SamplingExhaustedError:
@@ -293,16 +297,15 @@ def _probe_point(chart: MetricChart) -> ChartPoint:
                                       "domain") from None
 
 
-def validate_signature(chart: MetricChart, point: ChartPoint) -> None:
+def validate_signature(chart: MetricChart, point) -> None:
     """Check invertibility and eigenvalue signs of g at one point."""
-    g = chart.metric_values(point)
+    g, where = chart.metric_values(point), tuple(point)
     if not np.all(np.isfinite(g)):
-        raise NonInvertibleError.at("metric", f"not finite at {point.coords}")
+        raise NonInvertibleError.at("metric", f"not finite at {where}")
     eigs = np.linalg.eigvalsh(g)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.abs(eigs)) < _SINGULAR_TOL * scale:
-        raise NonInvertibleError.at("metric",
-                                    f"not invertible at {point.coords}")
+        raise NonInvertibleError.at("metric", f"not invertible at {where}")
     negatives = int(np.sum(eigs < 0))
     if chart.signature == LORENTZIAN and negatives != 1:
         raise SignatureError.at("signature", f"expected one negative "
@@ -437,6 +440,5 @@ def sample_points(chart: MetricChart, count: int, seed: int) -> list[ChartPoint]
             row, err = undefined
             raise ChartError(err.path, f"{err} at sample candidate "
                                        f"{tuple(block[row].tolist())}")
-        points += [ChartPoint(tuple(row))
-                   for row in block[keep][:missing].tolist()]
+        points += map(ChartPoint, block[keep][:missing].tolist())
     return points

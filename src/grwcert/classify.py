@@ -206,16 +206,13 @@ class VelocityAnalysis:
         self.chart = chart
         self.field = field if field is not None else chart.velocity
 
-    def at(self, points, stack: JetStack | None = None) -> FieldPoint:
-        """The FieldPoint at a sequence of points, with their batched
-        ``stack``, from one order-2 walk of the velocity's trees (whose
-        domain error names the point's ``index``)."""
-        chart = self.chart
-        n = chart.n
-        stack = stack or JetStack(chart, points)
-        u = TensorJet(n, eval_jet3_batch(
-            self.field, [p.coords for p in points], chart.params,
-            order=2), 1)
+    def at(self, stack: JetStack) -> FieldPoint:
+        """The FieldPoint at the rows of a chunk's ``stack``, from one
+        order-2 walk of the velocity's trees (whose domain error names the
+        row's ``index``)."""
+        chart, n = self.chart, stack.n
+        u = TensorJet(n, eval_jet3_batch(self.field, stack.rows, chart.params,
+                                         order=2))
         u_up, nabla, f, omega = _velocity_terms(
             stack.g_inv.truncated(1), stack.gamma.truncated(1), u)
         ruu = contract("ij,ij->", stack.ricci,
@@ -388,9 +385,9 @@ def _omega_integrand(chart: MetricChart, field: tuple[Expr, ...]):
     def integrand(x):
         levels = eval_jet3_batch(trees, x, chart.params, order=1)
         g = TensorJet(chart.n, [chart.symmetric(level[:, :pairs])
-                                for level in levels], 1)
+                                for level in levels])
         g_inv = metric_inverse(g.truncated(0))
-        u = TensorJet(chart.n, [level[:, pairs:] for level in levels], 1)
+        u = TensorJet(chart.n, [level[:, pairs:] for level in levels])
         return _velocity_terms(g_inv, christoffel(g, g_inv), u)[3].value
 
     return integrand

@@ -83,17 +83,17 @@ class JetStack:
     2), ``g_inv`` and ``gamma`` (``[m, j, k]`` = Gamma^m_{jk}) at ``order -
     1``, and ``riem`` (R_{jkl}{}^m), ``ricci`` and ``rs`` at ``order - 2``.
     Level k is formed from the levels below it only, so the values are the
-    same bytes at any order. Every tensor has a leading axis over ``points``.
+    same bytes at any order. Every tensor has a leading axis over ``rows``,
+    the (P, n) float array of the ``points``' coordinates.
     """
 
     def __init__(self, chart: MetricChart, points, *, order: int = 3):
         n = self.n = chart.n
-        self.points = tuple(points)
-        rows = [p.coords for p in self.points]
+        rows = self.rows = np.asarray(points, dtype=float)
 
         # One batched walk of the metric's upper triangle, mirrored.
         levels = eval_jet3_batch(chart.upper, rows, chart.params, order=order)
-        g = self.g = TensorJet(n, list(map(chart.symmetric, levels)), 1)
+        g = self.g = TensorJet(n, list(map(chart.symmetric, levels)))
         try:
             g_inv = self.g_inv = metric_inverse(g.truncated(order - 1))
         except SingularMetricError as err:
@@ -175,8 +175,8 @@ def metric_inverse(g: TensorJet) -> TensorJet:
     level k from d^k(g g^{-1}) = 0, i.e. level k of g^{-1} is -g^{-1}
     times level k of the product g g^{-1} taken without its g g^{-1}_k term.
 
-    Raises ``SingularMetricError`` for the first point whose g is singular
-    (index 0 for a point jet), with every such point as its ``rows``.
+    Raises ``SingularMetricError`` for the first point whose g is singular,
+    with every such point as its ``rows``.
     """
     # Entries of g^{-1} above 1e14 mean an eigenvalue of g below about
     # 1e-14, the pivot bound of the jet Gauss-Jordan this replaced.
@@ -184,7 +184,7 @@ def metric_inverse(g: TensorJet) -> TensorJet:
         h0 = np.linalg.inv(g.value)
         ok = np.max(np.abs(h0), axis=(-2, -1)) < 1e14
     except np.linalg.LinAlgError:    # fails for the whole batch: find the point
-        ok = np.array([_invertible(m) for m in g.value.reshape(-1, g.n, g.n)])
+        ok = np.array([_invertible(m) for m in g.value])
     if not np.all(ok):
         rows = np.flatnonzero(~ok)
         raise SingularMetricError(int(rows[0]), rows=rows)
@@ -193,7 +193,7 @@ def metric_inverse(g: TensorJet) -> TensorJet:
         rest = leibniz_level("ij,jk->ik", g.n, g.levels,
                              levels + [np.zeros_like(g.levels[k])], k)
         levels.append(-np.einsum("...ij,...jkZ->...ikZ", h0, rest))
-    return TensorJet(g.n, levels, g.batch)
+    return TensorJet(g.n, levels)
 
 
 def first_bianchi_residual(cp: CurvaturePoint):

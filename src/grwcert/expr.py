@@ -11,7 +11,8 @@ at parse time.
 Trees are immutable; evaluation is pure. One tape walker evaluates them:
 ``eval_jet3_batch`` gives the values (order 0), values and gradients
 (order 1), or jets up to order 3 of several trees at the rows of a
-coordinate array, and ``eval_jet3`` the order-3 jets at one point.
+coordinate array, and ``eval_jet3`` the order-3 jets at one point, as a
+``TensorJet`` over a batch of one.
 """
 
 from __future__ import annotations
@@ -717,9 +718,6 @@ def eval_jet3_batch(nodes: Sequence[Expr], x, params: Mapping[str, float],
 
 def eval_jet3(nodes: Sequence[Expr], point,
               params: Mapping[str, float]) -> TensorJet:
-    """Order-3 jets of several trees at one point (a ChartPoint or a
-    sequence): the one-row ``eval_jet3_batch``, as a ``TensorJet`` of
-    value shape (K,)."""
-    coords = getattr(point, "coords", point)
-    levels = eval_jet3_batch(nodes, [coords], params)
-    return TensorJet(len(coords), [level[0] for level in levels])
+    """Order-3 jets of several trees at one point, a coordinate sequence:
+    the one-row ``eval_jet3_batch``, a ``TensorJet`` of value shape (1, K)."""
+    return TensorJet(len(point), eval_jet3_batch(nodes, [point], params))

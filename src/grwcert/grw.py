@@ -9,8 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chart import (ChartInput, ChartPoint, MetricChart, RIEMANNIAN,
-                    _parse_metric_key, compile_chart)
+from .chart import (ChartInput, MetricChart, RIEMANNIAN, _parse_metric_key,
+                    compile_chart)
 from .curvature import JetStack, scale_free_at
 # eval_jet3 is not called here; perfbench's layer tracer wraps it by name.
 from .expr import Expr, eval_jet3, eval_jet3_batch, parse  # noqa: F401
@@ -36,8 +36,8 @@ class GRWBuildError(ValueError):
 
 def einstein_at(fiber: MetricChart, points):
     """Residual of Ricci* - (R*/m) g* (m = fiber dim) and R*, as arrays
-    over the fiber's points: one order-2 stack, whose values are all it
-    reads."""
+    over the fiber's (P, m) rows ``points``: one order-2 stack, whose
+    values are all it reads."""
     stack = JetStack(fiber, points, order=2)
     ricci, rs = stack.ricci.value, stack.rs.value
     residual = scale_free_at(
@@ -99,19 +99,18 @@ def build_grw(warp: str, fiber: ChartInput, *, name: str,
 
 
 def converse_at(chart: MetricChart, points):
-    """(fiber residual, A, B), arrays over the points: the residual of the
-    fiber's Einstein condition and the warped-product formulas
+    """(fiber residual, A, B), arrays over the (P, n) rows ``points``: the
+    residual of the fiber's Einstein condition and the warped-product formulas
 
     A = [R*/(n-1) + q'^2 (n-2) + q q''] / q^2 and B = A - (n-1) q''/q, with
     R* computed by running the curvature engine on the fiber chart: one
-    order-2 fiber stack and one order-2 walk of q's tree for all points.
+    order-2 stack on the rows' fiber part and one order-2 walk of q's tree.
     """
-    n = chart.n
+    n, rows = chart.n, np.asarray(points, dtype=float)
     warp, fiber = chart.grw.warp, chart.grw.fiber
-    fiber_residual, rstar = einstein_at(
-        fiber, [ChartPoint(p.coords[1:]) for p in points])
-    q, qp, qpp = (level.reshape(len(points)) for level in eval_jet3_batch(
-        (warp,), [p.coords[:1] for p in points], chart.params, order=2))
+    fiber_residual, rstar = einstein_at(fiber, rows[:, 1:])
+    q, qp, qpp = (level.reshape(len(rows)) for level in eval_jet3_batch(
+        (warp,), rows[:, :1], chart.params, order=2))
     a_formula = (rstar / (n - 1) + qp * qp * (n - 2) + q * qpp) / (q * q)
     return fiber_residual, a_formula, a_formula - (n - 1) * qpp / q
 

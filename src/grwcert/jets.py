@@ -13,10 +13,10 @@ every consumer (``TensorJet`` here, the tape walker in ``expr``). Jets are
 immutable after construction and safe to share between threads.
 
 ``TensorJet`` is the one jet type: it holds the jets of every component of
-an array-valued field (a scalar is shape ()), optionally at each point of a
-batch, in one array per derivative level with the packed derivative axis
-last. Expression trees evaluate to it (``expr.eval_jet3``), and its
-products are one einsum per Leibniz term.
+an array-valued field (a scalar is shape ()) at each point of a batch, in
+one array per derivative level with the point axis first and the packed
+derivative axis last. Expression trees evaluate to it (``expr.eval_jet3``,
+a batch of one), and its products are one einsum per Leibniz term.
 """
 
 from __future__ import annotations
@@ -126,25 +126,22 @@ def jet_tables(n: int) -> JetTables:
 
 
 class TensorJet:
-    """Jets of every component of an array-valued field, at one point or at
-    each point of a batch.
+    """Jets of every component of an array-valued field at each point.
 
-    ``levels[0]`` is the value, of the field's shape S; ``levels[1..3]``
-    (``grad``, ``hess``, ``third``) have shapes S + (n,), S + (pairs,) and
-    S + (triples,) over the packed slots of ``jet_tables(n)``. A batched
-    jet (``batch`` 1) puts a point axis in front of every level. Only
-    levels up to ``order`` are stored. Index specs (``map``, ``contract``)
-    name the value axes only; the point axis and the derivative axis ride
-    along.
+    ``levels[0]`` is the value, of shape (P,) + S for P points and the
+    field's shape S; ``levels[1..3]`` (``grad``, ``hess``, third) have
+    shapes (P,) + S + (n,), (P,) + S + (pairs,) and (P,) + S + (triples,)
+    over the packed slots of ``jet_tables(n)``. Only levels up to ``order``
+    are stored. Index specs (``map``, ``contract``) name the value axes
+    only; the point axis and the derivative axis ride along.
     """
 
-    __slots__ = ("n", "order", "levels", "batch")
+    __slots__ = ("n", "order", "levels")
 
-    def __init__(self, n: int, levels, batch: int = 0):
+    def __init__(self, n: int, levels):
         self.n = n
         self.order = len(levels) - 1
         self.levels = tuple(levels)
-        self.batch = batch
 
     @property
     def value(self) -> np.ndarray:
@@ -158,43 +155,37 @@ class TensorJet:
     def hess(self) -> np.ndarray:
         return self.levels[2]
 
-    def _like(self, levels) -> "TensorJet":
-        return TensorJet(self.n, levels, self.batch)
-
-    def at(self, i: int) -> "TensorJet":
-        """The jet at point ``i`` of a batch, or component ``i`` of a point
-        jet's first value axis: views, no copies."""
-        return TensorJet(self.n, [level[i, ...] for level in self.levels])
-
     def truncated(self, order: int) -> "TensorJet":
         if order >= self.order:
             return self
-        return self._like(self.levels[:order + 1])
+        return TensorJet(self.n, self.levels[:order + 1])
 
     def deriv(self) -> "TensorJet":
         """New axis a, right after the point axis, holding d_a of every
         component, order - 1."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        lifts, a = jet_tables(self.n).lifts, self.batch
-        return self._like([np.moveaxis(self.levels[1], -1, a)] + [
-            np.moveaxis(level[..., lift], -2, a)
-            for level, lift in zip(self.levels[2:], lifts)])
+        return TensorJet(self.n, [np.moveaxis(self.levels[1], -1, 1)] + [
+            np.moveaxis(level[..., lift], -2, 1)
+            for level, lift in zip(self.levels[2:], jet_tables(self.n).lifts)])
 
     def map(self, spec: str) -> "TensorJet":
         """A linear index map (axis permutation, trace) on every level."""
         src, dst = spec.split("->")
-        return self._like([np.einsum(f"...{src}->...{dst}", self.levels[0])] + [
+        return TensorJet(self.n, [
+            np.einsum(f"...{src}->...{dst}", self.levels[0])] + [
             np.einsum(f"...{src}Z->...{dst}Z", level) for level in self.levels[1:]])
 
     def __add__(self, other: "TensorJet") -> "TensorJet":
-        return self._like([a + b for a, b in zip(self.levels, other.levels)])
+        return TensorJet(self.n, [a + b for a, b in zip(self.levels,
+                                                        other.levels)])
 
     def __sub__(self, other: "TensorJet") -> "TensorJet":
-        return self._like([a - b for a, b in zip(self.levels, other.levels)])
+        return TensorJet(self.n, [a - b for a, b in zip(self.levels,
+                                                        other.levels)])
 
     def __mul__(self, c: float) -> "TensorJet":
-        return self._like([a * c for a in self.levels])
+        return TensorJet(self.n, [a * c for a in self.levels])
 
     __rmul__ = __mul__
 
@@ -204,7 +195,7 @@ def contract(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
     value axes, at the lower of the two orders, one einsum per term."""
     order = min(a.order, b.order)
     return TensorJet(a.n, [leibniz_level(spec, a.n, a.levels, b.levels, k)
-                           for k in range(order + 1)], max(a.batch, b.batch))
+                           for k in range(order + 1)])
 
 
 def leibniz_level(spec: str, n: int, a, b, k: int) -> np.ndarray:

@@ -24,6 +24,13 @@ def _require(data: dict, key: str, kind, where: str = ""):
     return _expect(path, data[key], kind)
 
 
+def _known(prefix: str, data: dict, *keys):
+    """Refuse the first field of ``data`` that is not one of ``keys``."""
+    for key in data:
+        if key not in keys:
+            raise SpecFileError.at(f"{prefix}{key}", "unknown field")
+
+
 def _expect(path: str, value, kind):
     if kind is not None and not isinstance(value, kind):
         raise SpecFileError.at(path, f"expected {kind.__name__}, "
@@ -35,8 +42,9 @@ def load_chart_input(source) -> ChartInput:
     """Read a spec: a path, JSON text starting with ``{``, or a dict.
 
     Checks what reading needs: valid JSON, an object at the root, the
-    schema version, the required fields, and the objects and lists it
-    looks into. Every other rule is ``compile_chart``'s.
+    schema version, the required fields, no unknown field (in the root,
+    ``domain`` and each exclusion), and the objects and lists it looks
+    into. Every other rule is ``compile_chart``'s.
     """
     where = "(input)"
     if isinstance(source, Path) or (isinstance(source, str)
@@ -53,11 +61,14 @@ def load_chart_input(source) -> ChartInput:
     if version != SPEC_SCHEMA_VERSION:
         raise SpecFileError.at("schema", f"unsupported version {version!r}, "
                                          f"expected {SPEC_SCHEMA_VERSION}")
+    _known("", data, "schema", "name", "dimension", "signature", "coordinates",
+           "parameters", "metric", "velocity_field", "domain", "basepoint")
     for key in ("name", "dimension", "signature", "coordinates"):
         _require(data, key, None)
     parameters = _expect("parameters", data.get("parameters", {}), dict)
     metric = _require(data, "metric", dict)
     domain = _require(data, "domain", dict)
+    _known("domain.", domain, "ranges", "exclusions")
     ranges = _require(domain, "ranges", dict, "domain")
     exclusions = _expect("domain.exclusions", domain.get("exclusions", []),
                          list)
@@ -65,6 +76,7 @@ def load_chart_input(source) -> ChartInput:
         if not isinstance(entry, dict) or "expr" not in entry:
             raise SpecFileError.at(f"domain.exclusions[{k}]",
                                    "expected {'expr': ..., 'margin': ...}")
+        _known(f"domain.exclusions[{k}].", entry, "expr", "margin")
 
     return ChartInput(
         name=data["name"], dimension=data["dimension"],

@@ -847,10 +847,12 @@ def _pow_term(v: float, e: float, m: int) -> float:
     return coeff * v ** p
 
 
-def as_jet3(jet) -> Jet3:
-    """A shape-() ``TensorJet`` as a scalar ``Jet3``."""
-    return Jet3(jet.n, jet.order, float(jet.levels[0]),
-                *jet.levels[1:], *_zero_levels(jet.n)[jet.order:])
+def as_jet3(jet, index) -> Jet3:
+    """Component ``index`` of a ``TensorJet``, point axis first (``(0, k)``
+    is tree k of a one-point ``eval_jet3``), as a scalar ``Jet3``."""
+    levels = [level[index] for level in jet.levels]
+    return Jet3(jet.n, jet.order, float(levels[0]),
+                *levels[1:], *_zero_levels(jet.n)[jet.order:])
 
 
 def eval_jet3(node: Expr, point, params: Mapping[str, float]) -> Jet3:

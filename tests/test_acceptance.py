@@ -61,7 +61,7 @@ def test_criterion_2_jet_oracle():
         for text, coords, point in corpus:
             expr = parse(text, coords)
             n = len(coords)
-            jet = as_jet3(eval_jet3((expr,), point, {}).at(0))
+            jet = as_jet3(eval_jet3((expr,), point, {}), (0, 0))
             f = lambda x: eval_value(expr, x, {})
             x = np.array(point)
 
@@ -125,7 +125,8 @@ def test_criterion_4_forward_chain_frw_dust(catalog_report):
         # f = q'/q and rho = q' pointwise, both to 1e-8
         chart = catalog_get("frw-dust").chart
         points = sample_points(chart, N_POINTS, SEED)
-        fp = VelocityAnalysis(chart, chart.velocity).at(points[:10])
+        fp = VelocityAnalysis(chart, chart.velocity).at(
+            JetStack(chart, points[:10]))
         for p, f, row in zip(points, fp.f_jet.value,
                              chen_rows(chart, points[:10])):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
@@ -193,7 +194,7 @@ def test_criterion_7_physics(catalog_report):
         assert static.find("homothetic-triple").detail["proper_points"] == 0
         chart = catalog_get("einstein-static").chart
         fp = VelocityAnalysis(chart, chart.velocity).at(
-            sample_points(chart, 10, SEED))
+            JetStack(chart, sample_points(chart, 10, SEED)))
         for p, mu in zip(fp.p_jet.value, fp.mu_jet.value):
             assert abs(p + mu / 3.0) < 1e-10
 

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from pathlib import Path
 
@@ -115,6 +116,20 @@ class TestCompile:
         assert err.value.path == path
         assert str(err.value).startswith(f"{path}: expected ")
 
+    @pytest.mark.parametrize("ranges, message", [
+        (None, "domain.ranges: expected a mapping, got NoneType"),
+        ([("t", (-1, 1)), ("x", (-1, 1)), ("y", (-1, 1)), ("z", (-1, 1))],
+         "domain.ranges: expected a mapping, got list"),
+        ({"t": (-1, 1), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1),
+          "w": (0, 1)}, "domain.ranges.w: not a coordinate"),
+    ])
+    def test_ranges_map_the_coordinates_built_in_code(self, ranges, message):
+        # A ChartInput's ranges are a mapping with one range per
+        # coordinate and no other name, as a spec file's are.
+        with pytest.raises(ChartError) as err:
+            compile_chart(minkowski_input(ranges=ranges))
+        assert str(err.value) == message
+
 
 def per_candidate_points(chart, count, seed):
     """One draw per candidate, each tested as it comes: the ranges, then
@@ -222,6 +237,21 @@ class TestSampling:
         point = sample_points(catalog_get("frw-dust").chart, 1, 0)[0]
         assert type(point.coords[0]) is float
         assert "np.float64" not in repr(point)
+
+    def test_points_are_rows_of_one_array(self):
+        chart = catalog_get("grw5-sphere").chart
+        points = sample_points(chart, 5, seed=0)
+        rows = np.asarray(points)
+        assert rows.shape == (5, chart.n) and rows.dtype == float
+        for p, row in zip(points, rows.tolist()):
+            assert p.coords == tuple(p) == tuple(row)
+            assert type(p.coords) is tuple
+
+    def test_point_survives_pickling(self):
+        point = sample_points(catalog_get("frw-dust").chart, 1, 0)[0]
+        back = pickle.loads(pickle.dumps(point))
+        assert type(back) is ChartPoint
+        assert back == point and back.coords == point.coords
 
     def test_different_seed_differs(self):
         chart = compile_chart(minkowski_input())

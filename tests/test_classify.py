@@ -54,7 +54,7 @@ def field_for(chart, comps):
 def field_points(chart, points, field=None):
     """The batched ``FieldPoint`` of ``field`` (default: the chart's
     velocity) at the points, for the kernels."""
-    return VelocityAnalysis(chart, field).at(points)
+    return VelocityAnalysis(chart, field).at(JetStack(chart, points))
 
 
 def curl(chart, field, points):
@@ -261,7 +261,7 @@ class TestScalarFields:
 
     def test_frw_dust_jets_match_friedmann_oracle(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=3)
-        batch = VelocityAnalysis(frw_dust).at(points)
+        batch = VelocityAnalysis(frw_dust).at(JetStack(frw_dust, points))
         h = 1e-5
         for i, p in enumerate(points):
             t = p.coords[0]
@@ -278,7 +278,8 @@ class TestScalarFields:
 
     def test_desitter_scalars(self):
         chart = catalog_get("desitter").chart
-        fp = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=1))
+        fp = VelocityAnalysis(chart).at(
+            JetStack(chart, sample_points(chart, 5, seed=1)))
         for i in range(5):
             assert fp.a_jet.value[i] == pytest.approx(3.0, abs=1e-9)
             assert fp.b_jet.value[i] == pytest.approx(0.0, abs=1e-9)
@@ -288,7 +289,8 @@ class TestScalarFields:
 
     def test_einstein_static_scalars(self):
         chart = catalog_get("einstein-static").chart
-        fp = VelocityAnalysis(chart).at(sample_points(chart, 5, seed=2))
+        fp = VelocityAnalysis(chart).at(
+            JetStack(chart, sample_points(chart, 5, seed=2)))
         for i in range(5):
             assert fp.a_jet.value[i] == pytest.approx(2.0, abs=1e-9)
             assert fp.b_jet.value[i] == pytest.approx(2.0, abs=1e-9)
@@ -298,7 +300,7 @@ class TestScalarFields:
 
     def test_frw_dust_matches_friedmann_oracle(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=3)
-        fp = VelocityAnalysis(frw_dust).at(points)
+        fp = VelocityAnalysis(frw_dust).at(JetStack(frw_dust, points))
         for i, p in enumerate(points):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
             assert fp.a_jet.value[i] == pytest.approx(fs["A"], rel=1e-10)
@@ -340,7 +342,8 @@ class TestClosedAndGeodesic:
 class TestTorseForming:
     def test_frw_dust_f_equals_qprime_over_q(self, frw_dust):
         points = sample_points(frw_dust, 5, seed=9)
-        fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(points)
+        fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(
+            JetStack(frw_dust, points))
         for p, f, residual, alignment, f_cross in zip(
                 points, fp.f_jet.value, *torse_at(fp)):
             fs = friedmann_scalars(2.0 / 3.0, p.coords[0])
@@ -351,7 +354,8 @@ class TestTorseForming:
 
     def test_minkowski_constant_field(self, minkowski_chart):
         analysis = VelocityAnalysis(minkowski_chart, minkowski_chart.velocity)
-        fp = analysis.at([ChartPoint((0.5, 0, 0, 0))])
+        fp = analysis.at(JetStack(minkowski_chart,
+                                  [ChartPoint((0.5, 0, 0, 0))]))
         [residual], [alignment], [f_cross] = torse_at(fp)
         assert fp.f_jet.value[0] == 0.0
         assert residual == 0.0
@@ -361,7 +365,7 @@ class TestTorseForming:
     def test_einstein_static_f_zero_with_nonzero_b(self):
         chart = catalog_get("einstein-static").chart
         fp = VelocityAnalysis(chart, chart.velocity).at(
-            sample_points(chart, 3, seed=10))
+            JetStack(chart, sample_points(chart, 3, seed=10)))
         for f, b, f_cross in zip(fp.f_jet.value, fp.b_jet.value,
                                  torse_at(fp)[2]):
             assert abs(f) < 1e-10
@@ -523,7 +527,7 @@ class TestBatchedQuadrature:
         # order 0: the same bits at the same points.
         chart, _ = self.integrands(name)
         points = sample_points(chart, 10, seed=0)
-        omega = VelocityAnalysis(chart).at(points).omega.value
+        omega = VelocityAnalysis(chart).at(JetStack(chart, points)).omega.value
         rows = _omega_integrand(chart, chart.velocity)(
             np.array([p.coords for p in points]))
         for i in range(len(points)):
@@ -961,7 +965,8 @@ class TestChunkQuadrature:
             return np.where(x[:, :1] > below, np.nan, omega(x))
 
         fp = SimpleNamespace(omega_closed=np.zeros(4),
-                             stack=SimpleNamespace(n=4, points=points))
+                             stack=SimpleNamespace(n=4,
+                                                   rows=np.array(points)))
         sigma, defect, refused = _point_payload(nan_above, fp,
                                                 frw_dust.basepoint, 1e-6)
         assert refused == {}
@@ -984,7 +989,8 @@ class TestChunkQuadrature:
         curl = np.zeros(10)
         curl[-1] = 0.5
         fp = SimpleNamespace(omega_closed=curl,
-                             stack=SimpleNamespace(n=4, points=points))
+                             stack=SimpleNamespace(n=4,
+                                                   rows=np.array(points)))
         _, _, refused = _point_payload(integrand, fp, chart.basepoint, 1e-6)
         first = min(refused)
         assert refused[first].startswith("path from basepoint: sqrt ")
@@ -1080,7 +1086,7 @@ class TestChen:
             [np.asarray(p.coords) for p in points], {})[0]
         scaling = np.exp(-sigma)
         s = TensorJet(fp.stack.n,
-                      [scaling, -scaling[:, None] * fp.omega.value], 1)
+                      [scaling, -scaling[:, None] * fp.omega.value])
         x = contract(",j->j", s, fp.u.truncated(1))
         rho = contract(",->", s, fp.f_jet)
         nabla_x = covariant_derivative(x, fp.stack.gamma.truncated(0)).value
@@ -1128,7 +1134,7 @@ class TestChen:
 class TestWeylElectric:
     def test_frw_dust_both_residuals(self, frw_dust):
         fp = VelocityAnalysis(frw_dust, frw_dust.velocity).at(
-            sample_points(frw_dust, 5, seed=19))
+            JetStack(frw_dust, sample_points(frw_dust, 5, seed=19)))
         cp = fp.stack.to_point()
         assert max(weyl_electric_at(cp, fp.u_up.value)) < 1e-8
         # n = 4: conformally flat
@@ -1141,7 +1147,7 @@ class TestWeylElectric:
     def test_grw5_sphere_fiber_electric(self):
         chart = catalog_get("grw5-sphere").chart
         fp = VelocityAnalysis(chart, chart.velocity).at(
-            sample_points(chart, 5, seed=20))
+            JetStack(chart, sample_points(chart, 5, seed=20)))
         assert max(weyl_electric_at(fp.stack.to_point(), fp.u_up.value)) < 1e-8
 
     def test_einstein_but_not_constant_curvature_fiber(self):
@@ -1158,7 +1164,7 @@ class TestWeylElectric:
                     "alpha": (0.3, hi), "beta": (0, 6.2)})
         chart = build_grw("t^2", fiber, name="grw5-s2xs2", t_range=(1, 2))
         fp = VelocityAnalysis(chart, chart.velocity).at(
-            sample_points(chart, 5, seed=21))
+            JetStack(chart, sample_points(chart, 5, seed=21)))
         cp = fp.stack.to_point()
         assert max(weyl_electric_at(cp, fp.u_up.value)) < 1e-8
         norms = scale_free_at(cp.weyl, cp.riem)
@@ -1192,8 +1198,7 @@ class TestIdentityLadder:
         fp = field_points(frw_dust, points)
         levels = eval_jet3_batch((perturb,), [p.coords for p in points],
                                  frw_dust.params)
-        b_jet = fp.b_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels],
-                                     1)
+        b_jet = fp.b_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels])
         perturbed = replace(fp, b_jet=b_jet,
                             gamma_jet=fp.a_jet * float(fp.stack.n - 2) + b_jet)
         worst = max(ladder_residuals_at(perturbed)["bianchi-contract"])

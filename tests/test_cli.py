@@ -18,6 +18,7 @@ from grwcert.chart import ChartError, compile_chart, sample_points
 from grwcert.classify import (VelocityAnalysis, geodesic_at,
                               ladder_residuals_at)
 from grwcert.cli import main
+from grwcert.curvature import JetStack
 from grwcert.grw import catalog_get, catalog_names
 from grwcert.physics import motion_at
 from grwcert.report import render_json, render_text, report_to_dict
@@ -337,7 +338,8 @@ class TestKernelsEqualRecords:
         chart = compile_chart(load_chart_input(str(path)))
         analysis = VelocityAnalysis(chart)
         # Each point in a batch of its own.
-        fps = [analysis.at([p]) for p in sample_points(chart, 10, 0)]
+        fps = [analysis.at(JetStack(chart, [p]))
+               for p in sample_points(chart, 10, 0)]
 
         def record(check):
             return report.find(check).max_residual

@@ -235,32 +235,31 @@ class TestInvariants:
 
 
 def grad_vector(chart, comps, point):
-    """The jet of nabla_k v_j (``[k, j]``, order 1) of the covector with
-    these components at one point, and its partials d_k v_j, as the
-    FieldPoint forms them (``curvature.covariant_derivative``)."""
+    """The value and gradient of nabla_k v_j (``[k, j]``, order 1) of the
+    covector with these components at one point, and its partials d_k v_j,
+    as the FieldPoint forms them (``curvature.covariant_derivative``)."""
     field = tuple(parse(s, chart.coordinates) for s in comps)
-    fp = VelocityAnalysis(chart, field).at([point])
-    return fp.nabla.at(0), fp.u.grad[0].T
+    fp = VelocityAnalysis(chart, field).at(JetStack(chart, [point]))
+    return fp.nabla.value[0], fp.nabla.grad[0], fp.u.grad[0].T
 
 
 class TestGradVector:
     def test_constant_field_on_minkowski(self, minkowski):
-        nabla, _ = grad_vector(minkowski, ("-1", "0", "0", "0"),
-                               ChartPoint((0.5, 0.1, 0.2, 0.3)))
-        assert np.max(np.abs(nabla.value)) == 0.0
-        assert np.max(np.abs(nabla.grad)) == 0.0
+        nabla, dnabla, _ = grad_vector(minkowski, ("-1", "0", "0", "0"),
+                                       ChartPoint((0.5, 0.1, 0.2, 0.3)))
+        assert np.max(np.abs(nabla)) == 0.0
+        assert np.max(np.abs(dnabla)) == 0.0
 
     def test_grw_torse_forming_gradient(self, desitter):
         p = ChartPoint((0.25, 0.4, -0.1, 0.7))
-        nabla, _ = grad_vector(desitter, ("-1", "0", "0", "0"), p)
+        nabla, _, _ = grad_vector(desitter, ("-1", "0", "0", "0"), p)
         q = np.exp(0.25)
         expected = warped_nabla_u(4, q, q)   # (q'/q)(g + u u) with q = e^t
-        np.testing.assert_allclose(nabla.value, expected, atol=1e-11)
+        np.testing.assert_allclose(nabla, expected, atol=1e-11)
 
     def test_curl_component_value(self, minkowski):
         p = ChartPoint((1.0 - 1e-9, 0.0, 0.0, 0.0))
-        nabla, partial = grad_vector(minkowski, ("-1", "t", "0", "0"), p)
-        nabla = nabla.value
+        nabla, _, partial = grad_vector(minkowski, ("-1", "t", "0", "0"), p)
         # d_1 v_2 - d_2 v_1 = 1 exactly
         assert nabla[0, 1] - nabla[1, 0] == pytest.approx(1.0, abs=1e-14)
         # The covariant curl is the partial curl (symmetric connection).
@@ -327,14 +326,15 @@ class TestBatchedJetStack:
 
     def check(self, chart, points):
         batch = JetStack(chart, points)
-        assert batch.points == tuple(points)
+        assert batch.rows.tobytes() == np.array(points, dtype=float).tobytes()
+        assert batch.rows.shape == (len(points), chart.n)
         rows = point_rows(batch.to_point())
         for i, p in enumerate(points):
             one = JetStack(chart, [p])
             assert one.n == batch.n
             for name in self.TENSORS:
                 mine, want = getattr(batch, name), getattr(one, name)
-                assert mine.batch == want.batch == 1
+                assert (len(mine.value), len(want.value)) == (len(points), 1)
                 assert len(mine.levels) == len(want.levels), name
                 for k, (a, b) in enumerate(zip(mine.levels, want.levels)):
                     assert a[i].shape == b[0].shape, (name, k)
@@ -343,6 +343,21 @@ class TestBatchedJetStack:
             for field in dataclasses.fields(CurvaturePoint):
                 a, b = getattr(mine, field.name), getattr(want, field.name)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    @pytest.mark.parametrize("name", ["frw-k-1", "grw5-sphere"])
+    def test_points_and_their_array_give_one_stack(self, name):
+        # A list of ChartPoints and the (P, n) array of their coordinates
+        # are the same rows: every level of every tensor, byte for byte.
+        chart = catalog_get(name).chart
+        points = sample_points(chart, 5, seed=3)
+        listed, stacked = JetStack(chart, points), JetStack(chart,
+                                                            np.array(points))
+        assert listed.rows.tobytes() == stacked.rows.tobytes()
+        for name in self.TENSORS:
+            mine, want = getattr(listed, name), getattr(stacked, name)
+            assert len(mine.levels) == len(want.levels), name
+            for a, b in zip(mine.levels, want.levels):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_views_match_one_point_stacks(self, name):

@@ -770,7 +770,8 @@ class TestWalkOrder:
 
 
 # ---------------------------------------------------------------------------
-# One point: expr.eval_jet3 is the one-row eval_jet3_batch, as a TensorJet.
+# One point: expr.eval_jet3 is the one-row eval_jet3_batch, as a TensorJet
+# over a batch of one.
 # ---------------------------------------------------------------------------
 
 class TestPointJets:
@@ -791,10 +792,10 @@ class TestPointJets:
             expected += found
         jet = expr.eval_jet3(trees, row, BATCH_PARAMS)
         assert isinstance(jet, TensorJet)
-        assert (jet.n, jet.order, jet.batch) == (BATCH_N, 3, 0)
-        assert jet.value.shape == (len(trees),)
+        assert (jet.n, jet.order) == (BATCH_N, 3)
+        assert jet.value.shape == (1, len(trees))
         for k, name in enumerate(LEVELS):
-            want = np.array([getattr(one, name) for one in expected])
+            want = np.array([[getattr(one, name) for one in expected]])
             assert jet.levels[k].tobytes() == want.tobytes(), name
 
     def test_chart_point_and_components(self):
@@ -802,10 +803,10 @@ class TestPointJets:
         point = ChartPoint((0.4, 1.5))
         jet = expr.eval_jet3(trees, point, {})
         for k, tree in enumerate(trees):
-            one = jet.at(k)
-            assert one.value.shape == () and one.grad.shape == (2,)
+            one = [level[0, k] for level in jet.levels]
+            assert one[0].shape == () and one[1].shape == (2,)
             want = eval_jet3(tree, point.coords, {})
-            for level, name in zip(one.levels, LEVELS):
+            for level, name in zip(one, LEVELS):
                 assert level.tobytes() == np.array(getattr(want, name)).tobytes()
 
     def test_batch_error_names_its_row(self):

@@ -16,7 +16,7 @@ from .oracles import (Jet3, JetDomainError, as_jet3, dd_gradient, dd_hessian,
 
 def eval_jet3(node, point, params):
     """The engine's order-3 jet of one tree at one point, as a ``Jet3``."""
-    return as_jet3(engine_jets((node,), point, params).at(0))
+    return as_jet3(engine_jets((node,), point, params), (0, 0))
 
 
 def jet_of(text, coords, point, params=None):
@@ -185,13 +185,15 @@ def test_trig_chain_against_math():
 # ---------------------------------------------------------------------------
 
 def random_tensor_jet(rng, n, shape, order=3):
+    """A jet of value shape ``shape`` at one point (a point axis of 1)."""
+    shape = (1,) + shape
     sizes = [len(level) for level in jet_tables(n).tuples[1:order + 1]]
     return TensorJet(n, [rng.uniform(-1.0, 1.0, shape)]
                      + [rng.uniform(-1.0, 1.0, shape + (s,)) for s in sizes])
 
 
 def component(jet: TensorJet, index) -> Jet3:
-    return as_jet3(TensorJet(jet.n, [level[index] for level in jet.levels]))
+    return as_jet3(jet, (0, *index))
 
 
 def assert_jets_close(got: Jet3, want: Jet3, tol=1e-12):
@@ -269,7 +271,7 @@ def test_metric_inverse_matches_gauss_jordan(n, seed, lorentzian):
     signs = np.ones(n)
     if lorentzian:
         signs[0] = -1.0
-    levels = [0.5 * (lv + lv.swapaxes(0, 1)) * 0.2 for lv in jet.levels]
+    levels = [0.5 * (lv + lv.swapaxes(1, 2)) * 0.2 for lv in jet.levels]
     levels[0] = levels[0] + np.diag(signs * (1.0 + rng.uniform(0.0, 1.0, n)))
     g = TensorJet(n, levels)
     got = metric_inverse(g)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from grwcert.certify import RunConfig
 from grwcert.chart import sample_points
 from grwcert.classify import VelocityAnalysis, weyl_electric_at
+from grwcert.curvature import JetStack
 from grwcert.expr import eval_jet3_batch, parse
 from grwcert.grw import _sphere, build_grw, catalog_get
 from grwcert.jets import TensorJet
@@ -20,7 +21,7 @@ from .test_classify import chen_rows
 
 
 def gathered_scalars(chart, points):
-    fp = VelocityAnalysis(chart, chart.velocity).at(points)
+    fp = VelocityAnalysis(chart, chart.velocity).at(JetStack(chart, points))
     keys = ("a", "b", "p", "mu", "dp", "dmu")
     return [dict(zip(keys, row)) for row in zip(
         fp.a_jet.value, fp.b_jet.value, fp.p_jet.value, fp.mu_jet.value,
@@ -30,7 +31,8 @@ def gathered_scalars(chart, points):
 def fluid_at(chart):
     """A, B, p and mu of the chart's velocity at its first sample point
     (seed 0)."""
-    fp = VelocityAnalysis(chart).at(sample_points(chart, 1, seed=0))
+    fp = VelocityAnalysis(chart).at(
+        JetStack(chart, sample_points(chart, 1, seed=0)))
     return tuple(float(jet.value[0])
                  for jet in (fp.a_jet, fp.b_jet, fp.p_jet, fp.mu_jet))
 
@@ -109,18 +111,18 @@ class TestMotion:
         chart = catalog_get("frw-dust").chart
         perturb = parse("0.1*x^2", chart.coordinates)
         points = sample_points(chart, 10, seed=3)
-        fp = VelocityAnalysis(chart).at(points)
+        fp = VelocityAnalysis(chart).at(JetStack(chart, points))
         levels = eval_jet3_batch((perturb,), [p.coords for p in points],
                                  chart.params)
-        p_jet = fp.p_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels],
-                                     1)
+        p_jet = fp.p_jet + TensorJet(fp.stack.n, [lv[:, 0] for lv in levels])
         r2 = max(motion_at(replace(fp, p_jet=p_jet))[1])
         assert r2 > 1e-3
 
 
 def eos_parallel(chart, points):
     """The largest eos-parallel residual over the points."""
-    return max(eos_parallel_at(VelocityAnalysis(chart).at(points)))
+    return max(eos_parallel_at(VelocityAnalysis(chart).at(
+        JetStack(chart, points))))
 
 
 class TestEos:
@@ -172,8 +174,8 @@ class TestEos:
         # every max-over-points record fails on a NaN, wherever it falls.
         at = VelocityAnalysis.at
 
-        def nan_at_point_one(self, points, stack=None):
-            fp = at(self, points, stack=stack)
+        def nan_at_point_one(self, stack):
+            fp = at(self, stack)
             fp.p_jet.grad[1] = math.nan
             return fp
 
@@ -270,5 +272,6 @@ class TestPropositionConclusions:
         report = certified(chart, 5, 9, "hypotheses", "physics")
         assert report.find("u-closed").max_residual < 1e-7
         assert report.find("geodesic").max_residual < 1e-7
-        fp = VelocityAnalysis(chart, chart.velocity).at(points)
+        fp = VelocityAnalysis(chart, chart.velocity).at(
+            JetStack(chart, points))
         assert max(weyl_electric_at(fp.stack.to_point(), fp.u_up.value)) < 1e-7

@@ -189,6 +189,49 @@ class TestRules:
             assert err.value.path == path
 
 
+def readme_spec() -> dict:
+    """The README's example spec file, as a dict."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Chart spec files (schema 1)", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def _rename(parent, old, new):
+    def change(spec):
+        target = spec if parent is None else spec[parent]
+        target[new] = target.pop(old)
+    return change
+
+
+class TestMisspeltFields:
+    """A misspelt field is refused, not read as absent: the README's spec
+    with one misspelling exits 2 naming it."""
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(_rename(None, "velocity_field", "velocity"),
+                     "velocity: unknown field", id="velocity"),
+        pytest.param(_rename(None, "basepoint", "base_point"),
+                     "base_point: unknown field", id="base_point"),
+        pytest.param(_rename("domain", "exclusions", "exclude"),
+                     "domain.exclude: unknown field", id="exclude"),
+        pytest.param(lambda spec: spec["domain"].update(
+            exclusions=[{"expr": "t-1.5", "margn": 0.2}]),
+            "domain.exclusions[0].margn: unknown field", id="margn"),
+        pytest.param(lambda spec: spec["domain"]["ranges"].update(w=[0, 1]),
+                     "domain.ranges.w: not a coordinate", id="range-w"),
+    ])
+    def test_refused_with_its_path(self, tmp_path, capsys, change, message):
+        spec = readme_spec()
+        compile_chart(load_chart_input(copy.deepcopy(spec)))
+        change(spec)
+        with pytest.raises(ChartError) as err:
+            compile_chart(load_chart_input(spec))
+        assert str(err.value) == message
+        path = write(tmp_path / "misspelt.json", spec)
+        assert main(["certify", path, "--points", "2", "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestReading:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")
